@@ -18,18 +18,18 @@ behind a long rebuild fails fast with
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from typing import Iterable, Sequence
 
-from ..errors import LockDisciplineError, MaintenanceError, QueryTimeoutError
+from ..errors import LockDisciplineError, QueryTimeoutError
 from .deadline import Deadline, DeadlineLike
 from .delta import DeltaStore, SupportsWal
 from .index import QueryResult, RankedJoinIndex
 from .maintenance import delete_tuple, insert_tuple
 from .scoring import PreferenceLike
 from .tuples import RankTuple, RankTupleSet
+from .writepath import WritePath
 
 __all__ = ["ReadWriteLock", "ConcurrentRankedJoinIndex"]
 
@@ -120,6 +120,13 @@ class ReadWriteLock:
         return self._WriteGuard(self)
 
 
+def _as_pool(tuples: Iterable[RankTuple]) -> dict[int, RankTuple]:
+    return {
+        int(t.tid): RankTuple(int(t.tid), float(t.s1), float(t.s2))
+        for t in tuples
+    }
+
+
 class ConcurrentRankedJoinIndex:
     """Shared-read / exclusive-write wrapper around a RankedJoinIndex."""
 
@@ -137,29 +144,26 @@ class ConcurrentRankedJoinIndex:
         # The construction bound is immutable across rebuilds (rebuild()
         # reuses it), so it is cached here and served without the lock.
         self._k_bound = index.k_bound
-        # WAL-then-delta mode: writes commit to the log, land in a
-        # DeltaStore merged by every query, and a *background* thread
-        # compacts the delta into a fresh base once it grows past
-        # ``delta_threshold`` — readers keep draining on the old store
-        # while the replacement builds; only the swap takes the write
-        # lock.  ``pool`` seeds the full live tuple set compaction
-        # rebuilds from; it defaults to the index's dominating set,
-        # which is only complete when the index was built unpruned.
-        self._wal = wal
-        self._delta_threshold = max(1, delta_threshold)
-        self._build_options = dict(build_options or {})
-        self._delta: DeltaStore | None = None
-        self._pool: dict[int, RankTuple] = {}
+        # WAL-then-delta mode: writes go through one WritePath (commit
+        # to the log, then land in a DeltaStore merged by every query),
+        # and a *background* thread compacts the delta into a fresh
+        # base once WritePath says it is due — readers keep draining on
+        # the old store while the replacement builds; only the snapshot
+        # and the swap take the write lock.  ``pool`` seeds the full
+        # live tuple set compaction rebuilds from; it defaults to the
+        # index's dominating set, which is only complete when the index
+        # was built unpruned.
+        self._writes: WritePath | None = None
         self._compacting = False
         self._compaction_thread: threading.Thread | None = None
         if wal is not None:
-            self._delta = DeltaStore()
-            index.attach_delta(self._delta)
-            source = pool if pool is not None else index.dominating
-            self._pool = {
-                int(t.tid): RankTuple(int(t.tid), float(t.s1), float(t.s2))
-                for t in source
-            }
+            self._writes = WritePath(
+                index,
+                _as_pool(pool if pool is not None else index.dominating),
+                wal,
+                threshold=delta_threshold,
+                build_options=build_options,
+            )
 
     @classmethod
     def build(
@@ -239,10 +243,8 @@ class ConcurrentRankedJoinIndex:
     @property
     def k_effective(self) -> int:
         with self._lock.reading():
-            if self._delta is not None:
-                return max(
-                    0, self._index.k_effective - self._delta.n_tombstones
-                )
+            if self._writes is not None:
+                return self._writes.k_effective
             return self._index.k_effective
 
     @property
@@ -264,66 +266,36 @@ class ConcurrentRankedJoinIndex:
         return is the acknowledgement point, so an acknowledged insert
         survives any later crash."""
         with self._lock.writing():
-            wal, delta = self._wal, self._delta
-            if wal is None or delta is None:
+            if self._writes is None:
                 return insert_tuple(self._index, tuple_)
-            tid = int(tuple_.tid)
-            if tid in self._pool:
-                raise MaintenanceError(f"tuple id {tid} already live")
-            candidate = RankTuple(tid, float(tuple_.s1), float(tuple_.s2))
-            if not (
-                math.isfinite(candidate.s1) and math.isfinite(candidate.s2)
-            ):
-                raise MaintenanceError("rank values must be finite")
-            lsn = wal.append_insert(tid, candidate.s1, candidate.s2)
-            wal.commit()
-            delta.insert(candidate, lsn)
-            self._pool[tid] = candidate
-            self._maybe_compact_locked()
+            self._writes.insert(tuple_)
+            self._start_compaction_locked()
             return True
 
     def delete(self, tid: int) -> int:
         """Remove a tuple; returns the effective bound that remains."""
         with self._lock.writing():
-            wal, delta = self._wal, self._delta
-            if wal is None or delta is None:
+            if self._writes is None:
                 return delete_tuple(self._index, tid)
-            tid = int(tid)
-            if tid not in self._pool:
-                raise MaintenanceError(f"tuple id {tid} is not live")
-            if len(self._pool) == 1:
-                raise MaintenanceError(
-                    "deleting the last live tuple; an index cannot be empty"
-                )
-            lsn = wal.append_delete(tid)
-            wal.commit()
-            del self._pool[tid]
-            delta.delete(tid, lsn)
-            self._maybe_compact_locked()
-            return max(0, self._index.k_effective - delta.n_tombstones)
+            self._writes.delete(tid)
+            self._start_compaction_locked()
+            return self._writes.k_effective
 
     # -- background compaction --------------------------------------------------
 
-    def _maybe_compact_locked(self) -> None:
-        """Kick off a background compaction if the delta grew too fat.
+    def _start_compaction_locked(self) -> None:
+        """Kick off a background compaction once the write path is due.
 
         Caller holds the write lock.  The snapshot (live pool copy +
         current WAL position) is taken here, under the lock, so the
         builder thread never touches shared mutable state."""
-        delta, wal = self._delta, self._wal
-        if delta is None or wal is None or self._compacting:
+        writes = self._writes
+        if writes is None or self._compacting or not writes.needs_compaction:
             return
-        if (
-            delta.n_ops < self._delta_threshold
-            and delta.n_tombstones * 2 < self._index.k_effective
-        ):
-            return
-        snapshot = sorted(self._pool.values())
-        snapshot_lsn = wal.last_lsn
         self._compacting = True
         worker = threading.Thread(
             target=self._compact_from,
-            args=(snapshot, snapshot_lsn),
+            args=writes.snapshot(),
             name="rji-compaction",
             daemon=True,
         )
@@ -338,18 +310,13 @@ class ConcurrentRankedJoinIndex:
         Runs on the compaction thread.  The build happens outside any
         lock (old readers drain on the old store); the swap takes the
         write lock and is O(1): entries the delta absorbed after the
-        snapshot stay buffered via :meth:`DeltaStore.clear_upto`."""
+        snapshot stay buffered."""
         try:
-            fresh = RankedJoinIndex.build(
-                RankTupleSet.from_tuples(snapshot),
-                self._k_bound,
-                **self._build_options,
-            )
+            writes = self._writes
+            assert writes is not None
+            fresh = writes.build(snapshot)
             with self._lock.writing():
-                delta = self._delta
-                if delta is not None:
-                    delta.clear_upto(snapshot_lsn)
-                    fresh.attach_delta(delta)
+                writes.swap(fresh, snapshot_lsn)
                 self._index = fresh
         finally:
             with self._lock.writing():
@@ -359,11 +326,10 @@ class ConcurrentRankedJoinIndex:
         """Synchronously merge the delta into a fresh base index."""
         self.drain_compaction()
         with self._lock.writing():
-            wal, delta = self._wal, self._delta
-            if wal is None or delta is None or delta.is_empty:
+            writes = self._writes
+            if writes is None or writes.delta.is_empty:
                 return
-            snapshot = sorted(self._pool.values())
-            snapshot_lsn = wal.last_lsn
+            snapshot, snapshot_lsn = writes.snapshot()
             # Claim the compaction slot before dropping the lock so a
             # concurrent writer cannot start a background run meanwhile.
             self._compacting = True
@@ -381,12 +347,12 @@ class ConcurrentRankedJoinIndex:
     def delta(self) -> DeltaStore | None:
         """The live write buffer (``None`` outside WAL mode)."""
         with self._lock.reading():
-            return self._delta
+            return None if self._writes is None else self._writes.delta
 
     @property
     def n_live(self) -> int:
         with self._lock.reading():
-            return len(self._pool)
+            return 0 if self._writes is None else len(self._writes.pool)
 
     def rebuild(
         self, tuples: RankTupleSet | Iterable[RankTuple], **options
@@ -404,14 +370,6 @@ class ConcurrentRankedJoinIndex:
             tuples = RankTupleSet.from_tuples(tuples)
         fresh = RankedJoinIndex.build(tuples, self._k_bound, **options)
         with self._lock.writing():
-            if self._wal is not None:
-                delta = DeltaStore()
-                fresh.attach_delta(delta)
-                self._delta = delta
-                self._pool = {
-                    int(t.tid): RankTuple(
-                        int(t.tid), float(t.s1), float(t.s2)
-                    )
-                    for t in tuples
-                }
+            if self._writes is not None:
+                self._writes.reset(fresh, _as_pool(tuples))
             self._index = fresh

@@ -26,6 +26,7 @@ from .index import QueryResult, RankedJoinIndex
 from .maintenance import delete_tuple, insert_tuple
 from .scoring import PreferenceLike
 from .tuples import RankTuple, RankTupleSet
+from .writepath import WritePath
 
 __all__ = ["MaintenanceLog", "ManagedRankedJoinIndex"]
 
@@ -71,20 +72,26 @@ class ManagedRankedJoinIndex:
             raise MaintenanceError(
                 f"min_effective_k must be in [1, {k}], got {self.min_effective_k}"
             )
-        self._pool: dict[int, RankTuple] = {t.tid: t for t in tuples}
         self.log = MaintenanceLog()
         self._index = RankedJoinIndex.build(tuples, k, **build_options)
         # WAL-then-delta mode (wal= is any SupportsWal, in practice
-        # repro.storage.wal.WriteAheadLog): writes append + commit to
-        # the log first, then land in a DeltaStore that queries merge,
-        # and the base store stays immutable until compact().  Without a
-        # wal the classic in-place maintenance path is unchanged.
-        self._wal = wal
-        self._delta_threshold = max(1, delta_threshold)
-        self._delta: DeltaStore | None = None
-        if wal is not None:
-            self._delta = DeltaStore()
-            self._index.attach_delta(self._delta)
+        # repro.storage.wal.WriteAheadLog): the WritePath owns the live
+        # pool and the delta, and the base store stays immutable until
+        # compact().  Without a wal this object owns the pool and the
+        # classic in-place maintenance path is unchanged.
+        pool = {t.tid: t for t in tuples}
+        self._pool: dict[int, RankTuple] = pool if wal is None else {}
+        self._writes = (
+            None
+            if wal is None
+            else WritePath(
+                self._index,
+                pool,
+                wal,
+                threshold=delta_threshold,
+                build_options=build_options,
+            )
+        )
 
     # -- queries -----------------------------------------------------------
 
@@ -114,14 +121,18 @@ class ManagedRankedJoinIndex:
 
     @property
     def k_effective(self) -> int:
-        if self._delta is not None:
-            return max(0, self._index.k_effective - self._delta.n_tombstones)
+        if self._writes is not None:
+            return self._writes.k_effective
         return self._index.k_effective
+
+    @property
+    def _live(self) -> dict[int, RankTuple]:
+        return self._pool if self._writes is None else self._writes.pool
 
     @property
     def n_live(self) -> int:
         """Number of live tuples in the pool."""
-        return len(self._pool)
+        return len(self._live)
 
     @property
     def index(self) -> RankedJoinIndex:
@@ -131,7 +142,7 @@ class ManagedRankedJoinIndex:
     @property
     def delta(self) -> DeltaStore | None:
         """The live write buffer (``None`` outside WAL mode)."""
-        return self._delta
+        return None if self._writes is None else self._writes.delta
 
     # -- maintenance -------------------------------------------------------
 
@@ -142,24 +153,19 @@ class ManagedRankedJoinIndex:
         in-memory state changes; the delta buffers the tuple and every
         query merges it, so the return value is always ``True``.
         """
+        if self._writes is not None:
+            self._writes.insert(tuple_)
+            self.log.inserts_applied += 1
+            if self._writes.needs_compaction:
+                self.compact()
+            return True
         tid = int(tuple_.tid)
         if tid in self._pool:
             raise MaintenanceError(f"tuple id {tid} already live")
-        if self._wal is not None and self._delta is not None:
-            candidate = RankTuple(tid, float(tuple_.s1), float(tuple_.s2))
-            if not (
-                math.isfinite(candidate.s1) and math.isfinite(candidate.s2)
-            ):
-                raise MaintenanceError("rank values must be finite")
-            lsn = self._wal.append_insert(tid, candidate.s1, candidate.s2)
-            self._wal.commit()
-            self._delta.insert(candidate, lsn)
-            self._pool[tid] = candidate
-            self.log.inserts_applied += 1
-            self._maybe_compact()
-            return True
-        self._pool[tid] = tuple_
+        # insert_tuple validates before it mutates, so a rejected tuple
+        # never reaches the pool the next rebuild() reads.
         changed = insert_tuple(self._index, tuple_)
+        self._pool[tid] = tuple_
         if changed:
             self.log.inserts_applied += 1
         else:
@@ -175,17 +181,15 @@ class ManagedRankedJoinIndex:
         so callers can watch the guarantee degrade without a second
         call.
         """
+        if self._writes is not None:
+            self._writes.delete(tid)
+            self.log.deletes += 1
+            if self._writes.needs_compaction:
+                self.compact()
+            return self.k_effective
         tid = int(tid)
         if tid not in self._pool:
             raise MaintenanceError(f"tuple id {tid} is not live")
-        if self._wal is not None and self._delta is not None:
-            lsn = self._wal.append_delete(tid)
-            self._wal.commit()
-            del self._pool[tid]
-            self._delta.delete(tid, lsn)
-            self.log.deletes += 1
-            self._maybe_compact()
-            return self.k_effective
         del self._pool[tid]
         self.log.deletes += 1
         if tid in self._index._position_of:
@@ -193,16 +197,6 @@ class ManagedRankedJoinIndex:
         if self._index.k_effective < self.min_effective_k:
             self.rebuild(reason="effective bound fell below the floor")
         return self.k_effective
-
-    def _maybe_compact(self) -> None:
-        delta = self._delta
-        if delta is None:
-            return
-        if (
-            delta.n_ops >= self._delta_threshold
-            or delta.n_tombstones * 2 >= self._index.k_effective
-        ):
-            self.compact()
 
     def compact(self) -> None:
         """Merge the delta into a fresh base index and start it empty.
@@ -213,29 +207,25 @@ class ManagedRankedJoinIndex:
         Durable checkpoint/prune lives in
         :class:`repro.storage.durable.DurableRankedJoinIndex`.
         """
-        if self._delta is None:
-            return
-        tuples = RankTupleSet.from_tuples(self._pool.values())
-        fresh = RankedJoinIndex.build(
-            tuples, self.k_bound, **self._build_options
-        )
-        self._delta = DeltaStore()
-        fresh.attach_delta(self._delta)
-        self._index = fresh
-        self.log.rebuilds += 1
-        self.log.events.append(f"compact; pool={len(self._pool)}")
+        if self._writes is not None:
+            self._adopt(self._writes.compact(), "compact")
 
     def rebuild(self, *, reason: str = "requested") -> None:
         """Rebuild the index from the live pool, restoring full slack."""
-        tuples = RankTupleSet.from_tuples(self._pool.values())
-        self._index = RankedJoinIndex.build(
-            tuples, self.k_bound, **self._build_options
-        )
-        if self._delta is not None:
-            self._delta = DeltaStore()
-            self._index.attach_delta(self._delta)
+        if self._writes is not None:
+            fresh = self._writes.compact()
+        else:
+            fresh = RankedJoinIndex.build(
+                RankTupleSet.from_tuples(self._pool.values()),
+                self.k_bound,
+                **self._build_options,
+            )
+        self._adopt(fresh, f"rebuild ({reason})")
+
+    def _adopt(self, fresh: RankedJoinIndex, event: str) -> None:
+        self._index = fresh
         self.log.rebuilds += 1
-        self.log.events.append(f"rebuild ({reason}); pool={len(self._pool)}")
+        self.log.events.append(f"{event}; pool={self.n_live}")
 
     def check_invariants(self) -> None:
         """Index structure valid and every indexed tuple is live.
@@ -244,10 +234,10 @@ class ManagedRankedJoinIndex:
         the delta is part of the logical state — and every buffered
         insert must be live."""
         self._index.check_invariants()
-        delta = self._delta
+        delta, live = self.delta, self._live
         for tid in self._index.dominating.tids:
             tid = int(tid)
-            if tid not in self._pool and (
+            if tid not in live and (
                 delta is None or not delta.tombstoned(tid)
             ):
                 raise MaintenanceError(
@@ -255,7 +245,7 @@ class ManagedRankedJoinIndex:
                 )
         if delta is not None:
             for pending in delta.pending_inserts():
-                if pending.tid not in self._pool:
+                if pending.tid not in live:
                     raise MaintenanceError(
                         f"buffered insert {pending.tid} is not in the live pool"
                     )

@@ -1,0 +1,157 @@
+"""The one WAL-then-delta write path every maintained tier composes.
+
+:class:`WritePath` owns the state a logged write touches — the full
+live tuple pool, the :class:`~repro.core.delta.DeltaStore` queries
+merge, the current base index and the write-ahead log — and the only
+copy of: validate → append → ``commit()`` (fsync, the acknowledgement
+point) → apply to delta and pool; the compaction trigger; and
+compaction itself as :meth:`~WritePath.snapshot` (under the owner's
+write lock) → :meth:`~WritePath.build` (reads nothing mutable, so it
+may run off-lock or on another thread) → :meth:`~WritePath.swap`
+(under the write lock again).  docs/RELIABILITY.md, "Durable write
+path", carries the ordering and exactness arguments.
+
+Not thread-safe: the owning wrapper serializes writers and reaches
+this object only under its own lock.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Any, Callable
+
+from ..errors import MaintenanceError
+from ..obs import NULL_RECORDER, Recorder
+from .delta import DeltaStore, SupportsWal
+from .index import RankedJoinIndex
+from .tuples import RankTuple
+
+__all__ = ["WritePath"]
+
+
+class WritePath:
+    """Live pool + delta + WAL + compaction policy behind one base index."""
+
+    def __init__(
+        self,
+        index: RankedJoinIndex,
+        pool: dict[int, RankTuple],
+        wal: SupportsWal,
+        *,
+        threshold: int = 64,
+        build_options: dict | None = None,
+        recorder: Recorder = NULL_RECORDER,
+    ):
+        self.wal = wal
+        self.threshold = max(1, threshold)
+        self.k_bound = index.k_bound
+        #: Forwarded verbatim to every compaction's RankedJoinIndex.build.
+        self.build_options = dict(build_options or {})
+        self.recorder = recorder
+        #: Duck-typed chaos hook (see repro.faults.inject.arm).
+        self.faults: Any = None
+        self.delta = DeltaStore()
+        self.reset(index, pool)
+
+    def reset(self, index: RankedJoinIndex, pool: dict[int, RankTuple]) -> None:
+        """Adopt ``index`` as the base over exactly ``pool``; empty delta.
+
+        ``pool`` (tid -> tuple, plain ints and floats) is owned from
+        here on.  It is the full live set, not just the dominating set:
+        tuples K-dominated today can resurface after deletes.
+        """
+        self.pool = pool
+        self.delta.clear()
+        index.attach_delta(self.delta)
+        self.index = index
+
+    # -- writes ------------------------------------------------------------
+
+    def insert(self, tuple_: RankTuple | tuple) -> None:
+        """Log, acknowledge, then buffer one insert."""
+        tid, s1, s2 = tuple_
+        candidate = RankTuple(int(tid), float(s1), float(s2))
+        if candidate.tid in self.pool:
+            raise MaintenanceError(f"tuple id {candidate.tid} already live")
+        if not (math.isfinite(candidate.s1) and math.isfinite(candidate.s2)):
+            raise MaintenanceError("rank values must be finite")
+        lsn = self.wal.append_insert(*candidate)
+        self._acknowledge()
+        self.delta.insert(candidate, lsn)
+        self.pool[candidate.tid] = candidate
+        self._count("delta.inserts")
+
+    def delete(self, tid: int) -> None:
+        """Log, acknowledge, then tombstone one live tuple."""
+        tid = int(tid)
+        if tid not in self.pool:
+            raise MaintenanceError(f"tuple id {tid} is not live")
+        if len(self.pool) == 1:
+            raise MaintenanceError(
+                "deleting the last live tuple; an index cannot be empty"
+            )
+        lsn = self.wal.append_delete(tid)
+        self._acknowledge()
+        self.delta.delete(tid, lsn)
+        del self.pool[tid]
+        self._count("delta.deletes")
+
+    def _acknowledge(self) -> None:
+        self.wal.commit()
+        # Acknowledgement point: the record is durable.  A crash on
+        # apply (hook below) must be recovered, never lost.
+        if self.faults is not None:
+            self.faults.on_durable_apply()
+
+    def _count(self, name: str) -> None:
+        if self.recorder.enabled:
+            self.recorder.count(name)
+            self.recorder.observe("delta.size", self.delta.n_ops)
+
+    # -- exactness and the compaction trigger ------------------------------
+
+    @property
+    def k_effective(self) -> int:
+        """Largest exact ``k`` right now (tombstones consume slack)."""
+        return max(0, self.index.k_effective - self.delta.n_tombstones)
+
+    @property
+    def needs_compaction(self) -> bool:
+        # Tombstones erode the exact-merge slack twice as fast as the
+        # op threshold admits, so compaction is due before queries at
+        # moderate k start failing validation.
+        return (
+            self.delta.n_ops >= self.threshold
+            or self.delta.n_tombstones * 2 >= self.index.k_effective
+        )
+
+    # -- compaction --------------------------------------------------------
+
+    def snapshot(self) -> tuple[list[RankTuple], int]:
+        """The live pool, tid-sorted, and the WAL position it reflects."""
+        return sorted(self.pool.values()), self.wal.last_lsn
+
+    def build(self, snapshot: list[RankTuple]) -> RankedJoinIndex:
+        """A fresh base over ``snapshot``; touches no mutable state."""
+        return RankedJoinIndex.build(
+            snapshot, self.k_bound, **self.build_options
+        )
+
+    def swap(self, fresh: RankedJoinIndex, snapshot_lsn: int) -> None:
+        """Make ``fresh`` the base; keep writes newer than the snapshot."""
+        self.delta.clear_upto(snapshot_lsn)
+        fresh.attach_delta(self.delta)
+        self.index = fresh
+
+    def compact(
+        self,
+        persist: Callable[[RankedJoinIndex, list[RankTuple]], None]
+        | None = None,
+    ) -> RankedJoinIndex:
+        """snapshot → build → ``persist(fresh, snapshot)`` → swap."""
+        snapshot, snapshot_lsn = self.snapshot()
+        fresh = self.build(snapshot)
+        if persist is not None:
+            persist(fresh, snapshot)
+        self.swap(fresh, snapshot_lsn)
+        return fresh

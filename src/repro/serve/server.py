@@ -87,6 +87,19 @@ from .service import IndexService
 __all__ = ["QueryServer"]
 
 
+def _hang_up(sock: socket.socket) -> None:
+    """Shut down, then close: on Linux ``close()`` alone does not wake
+    a thread blocked in ``accept()``/``recv()`` on this socket."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or the peer already hung up
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 @dataclass(slots=True, eq=False)
 class _Connection:
     """One accepted client socket plus its response-write lock."""
@@ -221,16 +234,19 @@ class QueryServer:
             abandoned = len(self._queue)
             self._queue_cond.notify_all()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        for thread in self._threads:
+            _hang_up(self._listener)
+        # Acceptor first (no new connections after it), then the
+        # executor (it drains the queue with typed errors over sockets
+        # that are still open); only then are the connection readers
+        # woken, so every thread this server started is dead on return.
+        for thread in self._threads[:2]:
             thread.join(timeout=5.0)
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
             self._drop_connection(conn)
+        for thread in self._threads[2:]:
+            thread.join(timeout=5.0)
         self._maybe_dump_flight(abandoned)
 
     def _maybe_dump_flight(self, abandoned: int) -> None:
@@ -296,13 +312,15 @@ class QueryServer:
                 daemon=True,
             )
             thread.start()
+            # close() joins these; readers that already hung up are
+            # forgotten here so a long-lived server's list stays small.
+            self._threads[2:] = [
+                t for t in self._threads[2:] if t.is_alive()
+            ] + [thread]
 
     def _drop_connection(self, conn: _Connection) -> None:
         conn.alive = False
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        _hang_up(conn.sock)
         with self._conns_lock:
             self._conns.discard(conn)
 

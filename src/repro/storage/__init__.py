@@ -23,9 +23,9 @@ from .diskindex import (
     IndexVerifyReport,
     RepairReport,
 )
-from .durable import DurableRankedJoinIndex, RecoveryReport
+from .durable import DurableRankedJoinIndex
 from .heap import HeapFile
-from .wal import WAL_RECORD_SIZE, WalRecord, WriteAheadLog
+from .wal import WAL_RECORD_SIZE, RecoveryReport, WalRecord, WriteAheadLog
 from .pager import FORMAT_VERSION, IOCounters, Pager
 from .pages import DEFAULT_PAGE_SIZE, Page
 from .resilient import (

@@ -33,7 +33,6 @@ from ..core.delta import DeltaStore
 from ..core.hotcache import MISS, HotRegionCache
 from ..core.index import QueryResult, RankedJoinIndex
 from ..core.scoring import PreferenceLike, as_preference
-from ..core.tuples import RankTuple
 from ..errors import CorruptPageError, InvalidQueryError, StorageError
 from ..obs import NULL_RECORDER, Recorder
 from .btree import BPlusTree, BTreeSearchStats
@@ -41,7 +40,7 @@ from .buffer import BufferPool
 from .heap import HeapFile
 from .pager import MappedPager, Pager
 from .pages import DEFAULT_PAGE_SIZE, Page
-from .wal import WriteAheadLog
+from .wal import RecoveryReport, WriteAheadLog
 
 __all__ = [
     "DiskIndexStats",
@@ -361,8 +360,6 @@ class DiskRankedJoinIndex:
         ``mmap=True`` zero-copy open.  The replay summary is exposed as
         ``instance.last_recovery``.
         """
-        from .durable import RecoveryReport
-
         instance = cls.open(
             path,
             buffer_capacity=buffer_capacity,
@@ -374,13 +371,8 @@ class DiskRankedJoinIndex:
         try:
             delta = DeltaStore()
             replayed = 0
-            for record in wal.records(after_lsn=wal.checkpoint_lsn):
-                if record.op == "checkpoint":
-                    continue
-                delta.replay(
-                    record.op,
-                    RankTuple(record.tid, record.s1, record.s2),
-                )
+            for op, tuple_ in wal.replay(after_lsn=wal.checkpoint_lsn):
+                delta.replay(op, tuple_)
                 replayed += 1
             if not delta.is_empty:
                 instance._delta = delta

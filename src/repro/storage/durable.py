@@ -9,21 +9,15 @@
                           checkpoint (DiskRankedJoinIndex.recover opens
                           this and replays the same WAL)
 
-Writes follow the WAL-then-delta discipline: validate, append the
-record, ``commit()`` (fsync — the acknowledgement point), then apply to
-the in-memory :class:`~repro.core.delta.DeltaStore` and the live pool.
-Queries run against the immutable base :class:`RankedJoinIndex` with
-the delta attached, so merged answers stay bit-identical to a rebuild
-from scratch over the same logical tuple set (see
-:mod:`repro.core.delta` for the exactness argument).
-
-Once the delta passes the compaction threshold the whole pool is
-rebuilt into a fresh base (the snapshot keeps the *full* pool, not just
-the dominating set: tuples K-dominated today can resurface after
-deletes), the image and pool snapshot are saved atomically, the WAL is
-checkpointed and pruned, and the fresh base is swapped in.  A crash
-between any two of those steps is recoverable because replaying the
-WAL over the last durable snapshot is idempotent.
+Writes go through one :class:`~repro.core.writepath.WritePath` — the
+WAL-then-delta ordering, the rejection rules and the compaction trigger
+live there, shared with the managed and concurrent tiers.  This module
+adds what makes the tier *durable*: the directory layout, and the step
+that runs between a compaction's build and its swap — save the image,
+cut the WAL checkpoint, save the pool snapshot, prune — with a chaos
+boundary before each.  A crash between any two of those steps is
+recoverable because replaying the WAL over the last durable snapshot
+is idempotent.
 
 :meth:`DurableRankedJoinIndex.recover` is the crash side of the
 contract: load the pool snapshot, open the WAL (the open itself
@@ -33,11 +27,9 @@ LSN, rebuild, and report what happened in a :class:`RecoveryReport`.
 
 from __future__ import annotations
 
-import math
 import struct
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,14 +41,15 @@ from ..core.delta import DeltaStore
 from ..core.index import QueryResult
 from ..core.scoring import PreferenceLike
 from ..core.tuples import RankTuple
-from ..errors import CorruptPageError, MaintenanceError, StorageError
+from ..core.writepath import WritePath
+from ..errors import CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, QueryExplain, Recorder
 from .diskindex import DiskRankedJoinIndex
 from .pager import Pager
 from .pages import Page
-from .wal import WriteAheadLog
+from .wal import RecoveryReport, WriteAheadLog
 
-__all__ = ["DurableRankedJoinIndex", "RecoveryReport"]
+__all__ = ["DurableRankedJoinIndex"]
 
 _POOL_MAGIC = b"RJIPOOL1"
 #: magic, checkpoint LSN, n_tuples, payload bytes, k_bound.
@@ -68,31 +61,19 @@ _BASE_FILE = "base.rji"
 _WAL_DIR = "wal"
 
 
-@dataclass(frozen=True, slots=True)
-class RecoveryReport:
-    """What one crash-recovery replay found and did."""
-
-    checkpoint_lsn: int
-    last_lsn: int
-    replayed: int
-    torn_tails: int
-    n_live: int
-
-
 def _write_pool_snapshot(
     path: Path,
-    pool: dict[int, RankTuple],
+    ordered: list[RankTuple],
     checkpoint_lsn: int,
     k_bound: int,
     *,
     page_size: int = 4096,
 ) -> None:
-    """Persist the full live pool atomically (pager-v2 CRC machinery)."""
-    ordered = sorted(pool)
+    """Persist a tid-sorted pool atomically (pager-v2 CRC machinery)."""
     records = np.empty(len(ordered), dtype=_POOL_DTYPE)
-    records["tid"] = ordered
-    records["s1"] = [pool[tid].s1 for tid in ordered]
-    records["s2"] = [pool[tid].s2 for tid in ordered]
+    records["tid"] = [t.tid for t in ordered]
+    records["s1"] = [t.s1 for t in ordered]
+    records["s2"] = [t.s2 for t in ordered]
     payload = records.tobytes()
 
     pager = Pager(page_size)
@@ -178,19 +159,30 @@ class DurableRankedJoinIndex:
         build_options: dict | None = None,
     ):
         self._dir = Path(directory)
-        self._index = index
-        self._pool = pool
         self._wal = wal
-        self._delta = DeltaStore()
-        self._index.attach_delta(self._delta)
-        self._threshold = max(1, compaction_threshold)
+        self._writes = WritePath(
+            index,
+            pool,
+            wal,
+            threshold=compaction_threshold,
+            build_options={"recorder": recorder, **(build_options or {})},
+            recorder=recorder,
+        )
         self._recorder = recorder
-        self._build_options = dict(build_options or {})
         self._lock = threading.RLock()
-        #: Duck-typed chaos hook (see repro.faults.inject.arm).
-        self.faults = None
         self.last_recovery: RecoveryReport | None = None
         self.compaction_pauses: list[float] = []
+
+    @property
+    def faults(self):
+        """Duck-typed chaos hook (see repro.faults.inject.arm)."""
+        with self._lock:
+            return self._writes.faults
+
+    @faults.setter
+    def faults(self, injector) -> None:
+        with self._lock:
+            self._writes.faults = injector
 
     # -- construction ------------------------------------------------------
 
@@ -211,8 +203,9 @@ class DurableRankedJoinIndex:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         pool = {t.tid: RankTuple(*t) for t in tuples}
+        ordered = sorted(pool.values())
         index = RankedJoinIndex.build(
-            sorted(pool.values()), k, recorder=recorder, **build_options
+            ordered, k, recorder=recorder, **build_options
         )
         wal = WriteAheadLog(
             directory / _WAL_DIR,
@@ -220,7 +213,7 @@ class DurableRankedJoinIndex:
             fsync=fsync,
             recorder=recorder,
         )
-        _write_pool_snapshot(directory / _POOL_FILE, pool, 0, k)
+        _write_pool_snapshot(directory / _POOL_FILE, ordered, 0, k)
         DiskRankedJoinIndex(index).save(directory / _BASE_FILE)
         return cls(
             directory,
@@ -264,15 +257,11 @@ class DurableRankedJoinIndex:
             recorder=recorder,
         )
         replayed = 0
-        for record in wal.records(after_lsn=checkpoint_lsn):
-            if record.op == "insert":
-                pool[record.tid] = RankTuple(
-                    record.tid, record.s1, record.s2
-                )
-            elif record.op == "delete":
-                pool.pop(record.tid, None)
-            else:  # checkpoint marker: replay no-op
-                continue
+        for op, tuple_ in wal.replay(after_lsn=checkpoint_lsn):
+            if op == "insert":
+                pool[tuple_.tid] = tuple_
+            else:
+                pool.pop(tuple_.tid, None)
             replayed += 1
         index = RankedJoinIndex.build(
             sorted(pool.values()), k_bound, recorder=recorder, **build_options
@@ -300,15 +289,13 @@ class DurableRankedJoinIndex:
     @property
     def k_bound(self) -> int:
         with self._lock:
-            return self._index.k_bound
+            return self._writes.k_bound
 
     @property
     def k_effective(self) -> int:
         """Largest exact ``k`` right now (tombstones consume slack)."""
         with self._lock:
-            return max(
-                0, self._index.k_effective - self._delta.n_tombstones
-            )
+            return self._writes.k_effective
 
     def query(
         self,
@@ -319,7 +306,7 @@ class DurableRankedJoinIndex:
     ) -> list[QueryResult]:
         """Merged top-k; validation and merge live in the base index."""
         with self._lock:
-            return self._index.query(preference, k, deadline=deadline)
+            return self._writes.index.query(preference, k, deadline=deadline)
 
     def query_batch(
         self,
@@ -329,15 +316,17 @@ class DurableRankedJoinIndex:
         deadline: DeadlineLike = None,
     ) -> list[list[QueryResult]]:
         with self._lock:
-            return self._index.query_batch(preferences, k, deadline=deadline)
+            return self._writes.index.query_batch(
+                preferences, k, deadline=deadline
+            )
 
     def explain(
         self, preference: PreferenceLike, k: int, *, record: bool = True
     ) -> QueryExplain:
         with self._lock:
-            return self._index.explain(preference, k, record=record)
+            return self._writes.index.explain(preference, k, record=record)
 
-    # -- writes (WAL-then-delta) -------------------------------------------
+    # -- writes (WAL-then-delta, see repro.core.writepath) -----------------
 
     def insert(self, tuple_: RankTuple | tuple) -> bool:
         """Durably insert one tuple; acknowledged once the WAL synced.
@@ -346,31 +335,10 @@ class DurableRankedJoinIndex:
         live tid or non-finite rank values.  Returns ``True`` (the write
         is buffered and will enter the base at the next compaction).
         """
-        tid, s1, s2 = tuple_
-        candidate = RankTuple(int(tid), float(s1), float(s2))
         with self._lock:
-            if candidate.tid in self._pool:
-                raise MaintenanceError(
-                    f"tuple id {candidate.tid} already live"
-                )
-            if not (
-                math.isfinite(candidate.s1) and math.isfinite(candidate.s2)
-            ):
-                raise MaintenanceError("rank values must be finite")
-            lsn = self._wal.append_insert(
-                candidate.tid, candidate.s1, candidate.s2
-            )
-            self._wal.commit()
-            # Acknowledgement point: the record is durable.  A crash on
-            # apply (hook below) must be recovered, never lost.
-            if self.faults is not None:
-                self.faults.on_durable_apply()
-            self._delta.insert(candidate, lsn)
-            self._pool[candidate.tid] = candidate
-            if self._recorder.enabled:
-                self._recorder.count("delta.inserts")
-                self._recorder.observe("delta.size", self._delta.n_ops)
-            self._maybe_compact()
+            self._writes.insert(tuple_)
+            if self._writes.needs_compaction:
+                self.compact()
             return True
 
     def delete(self, tid: int) -> int:
@@ -379,36 +347,13 @@ class DurableRankedJoinIndex:
         Raises :class:`~repro.errors.MaintenanceError` when ``tid`` is
         not live or the delete would empty the index.
         """
-        tid = int(tid)
         with self._lock:
-            if tid not in self._pool:
-                raise MaintenanceError(f"tuple id {tid} is not in the index")
-            if len(self._pool) == 1:
-                raise MaintenanceError(
-                    "deleting the last live tuple; an index cannot be empty"
-                )
-            lsn = self._wal.append_delete(tid)
-            self._wal.commit()
-            if self.faults is not None:
-                self.faults.on_durable_apply()
-            self._delta.delete(tid, lsn)
-            self._pool.pop(tid, None)
-            if self._recorder.enabled:
-                self._recorder.count("delta.deletes")
-                self._recorder.observe("delta.size", self._delta.n_ops)
-            self._maybe_compact()
-            return self.k_effective
+            self._writes.delete(tid)
+            if self._writes.needs_compaction:
+                self.compact()
+            return self._writes.k_effective
 
     # -- compaction --------------------------------------------------------
-
-    def _maybe_compact(self) -> None:
-        # Tombstones erode the exact-merge slack twice as fast as the
-        # op threshold admits, so force a compaction before queries at
-        # moderate k start failing validation.
-        if self._delta.n_ops >= self._threshold or (
-            self._delta.n_tombstones * 2 >= self._index.k_effective
-        ):
-            self.compact()
 
     def compact(self) -> None:
         """Merge the delta into a fresh base and advance the checkpoint.
@@ -423,28 +368,25 @@ class DurableRankedJoinIndex:
             started = time.perf_counter()
             self._recorder.count("compaction.runs")
             self._chaos_step()  # before anything: WAL replay covers all
-            fresh = RankedJoinIndex.build(
-                sorted(self._pool.values()),
-                self._index.k_bound,
-                recorder=self._recorder,
-                **self._build_options,
-            )
-            self._chaos_step()  # built, nothing durable changed yet
-            DiskRankedJoinIndex(fresh).save(self._dir / _BASE_FILE)
-            self._chaos_step()  # image saved; checkpoint not yet cut
-            checkpoint_lsn = self._wal.checkpoint()
-            _write_pool_snapshot(
-                self._dir / _POOL_FILE,
-                self._pool,
-                checkpoint_lsn,
-                self._index.k_bound,
-            )
-            self._chaos_step()  # snapshot durable; prune still pending
-            self._wal.prune()
-            self._delta = DeltaStore()
-            fresh.attach_delta(self._delta)
-            self._index = fresh
+            self._writes.compact(self._persist)
             self.compaction_pauses.append(time.perf_counter() - started)
+
+    def _persist(
+        self, fresh: RankedJoinIndex, snapshot: list[RankTuple]
+    ) -> None:
+        """Make a built base durable; runs between build and swap."""
+        self._chaos_step()  # built, nothing durable changed yet
+        DiskRankedJoinIndex(fresh).save(self._dir / _BASE_FILE)
+        self._chaos_step()  # image saved; checkpoint not yet cut
+        checkpoint_lsn = self._wal.checkpoint()
+        _write_pool_snapshot(
+            self._dir / _POOL_FILE,
+            snapshot,
+            checkpoint_lsn,
+            fresh.k_bound,
+        )
+        self._chaos_step()  # snapshot durable; prune still pending
+        self._wal.prune()
 
     def _chaos_step(self) -> None:
         if self.faults is not None:
@@ -455,7 +397,7 @@ class DurableRankedJoinIndex:
     @property
     def delta(self) -> DeltaStore:
         with self._lock:
-            return self._delta
+            return self._writes.delta
 
     @property
     def wal(self) -> WriteAheadLog:
@@ -464,12 +406,12 @@ class DurableRankedJoinIndex:
     @property
     def n_live(self) -> int:
         with self._lock:
-            return len(self._pool)
+            return len(self._writes.pool)
 
     def live_tuples(self) -> list[RankTuple]:
         """The full live pool, tid-sorted — the rebuild reference set."""
         with self._lock:
-            return sorted(self._pool.values())
+            return sorted(self._writes.pool.values())
 
     def close(self) -> None:
         self._wal.close()
@@ -478,6 +420,7 @@ class DurableRankedJoinIndex:
         with self._lock:
             return (
                 f"DurableRankedJoinIndex({str(self._dir)!r}, "
-                f"live={len(self._pool)}, delta={self._delta.n_ops}, "
+                f"live={len(self._writes.pool)}, "
+                f"delta={self._writes.delta.n_ops}, "
                 f"wal_lsn={self._wal.last_lsn})"
             )

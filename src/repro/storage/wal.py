@@ -33,10 +33,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+from ..core.tuples import RankTuple
 from ..errors import CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, Recorder
 
-__all__ = ["WalRecord", "WriteAheadLog", "WAL_RECORD_SIZE"]
+__all__ = ["RecoveryReport", "WalRecord", "WriteAheadLog", "WAL_RECORD_SIZE"]
 
 _MAGIC = b"RJIWAL01"
 _VERSION = 1
@@ -68,6 +69,17 @@ class WalRecord:
     tid: int
     s1: float
     s2: float
+
+
+@dataclass(frozen=True, slots=True)
+class RecoveryReport:
+    """What one crash-recovery replay found and did."""
+
+    checkpoint_lsn: int
+    last_lsn: int
+    replayed: int
+    torn_tails: int
+    n_live: int
 
 
 def _encode(lsn: int, op: int, tid: int, s1: float, s2: float) -> bytes:
@@ -368,6 +380,19 @@ class WriteAheadLog:
                     self._recorder.count("wal.records_replayed")
                     yield record
                 offset += WAL_RECORD_SIZE
+
+    def replay(self, after_lsn: int) -> Iterator[tuple[str, RankTuple]]:
+        """The writes past ``after_lsn`` as ``(op, tuple)``, in LSN order.
+
+        ``op`` is ``"insert"`` or ``"delete"`` (checkpoint markers are
+        skipped; a delete carries only its tid).  Every recovery path
+        replays through here, onto whatever snapshot it starts from —
+        re-applying a record the snapshot already reflects must be a
+        no-op for the caller (overwrite / pop-if-present).
+        """
+        for record in self.records(after_lsn):
+            if record.op != "checkpoint":
+                yield record.op, RankTuple(record.tid, record.s1, record.s2)
 
     # -- introspection -----------------------------------------------------
 

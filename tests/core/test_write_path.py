@@ -1,11 +1,9 @@
-"""The WAL-then-delta write path on the managed and concurrent tiers.
+"""The WritePath contract, stated once and run against every tier.
 
-Uses an in-memory :class:`SupportsWal` double so the core tests stay
-free of disk I/O (the real :class:`repro.storage.wal.WriteAheadLog` is
-covered in ``tests/storage``); what matters here is the ordering
-contract — records are committed *before* any in-memory state changes —
-and that merged answers track a rebuild exactly across writes and
-compactions.
+``ManagedRankedJoinIndex``, ``ConcurrentRankedJoinIndex`` (both over an
+in-memory ``SupportsWal`` double) and ``DurableRankedJoinIndex`` (real
+WAL in ``tmp_path``) compose one :class:`repro.core.writepath.WritePath`;
+the oracle is region-free — ``RankedJoinIndex.build(sorted(live))``.
 """
 
 import numpy as np
@@ -18,34 +16,38 @@ from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.tuples import RankTuple
 from repro.core.workloads import random_preferences
 from repro.errors import MaintenanceError
+from repro.storage.durable import DurableRankedJoinIndex
 
 
-class RecordingWal:
-    """In-memory SupportsWal double that logs the call ordering."""
+class MemoryWal:
+    """The smallest SupportsWal: hands out LSNs, persists nothing."""
 
     def __init__(self):
-        self.calls = []
-        self._lsn = 0
-        self.committed_lsn = 0
+        self.last_lsn = 0
 
     def append_insert(self, tid, s1, s2):
-        self._lsn += 1
-        self.calls.append(("insert", tid, self._lsn))
-        return self._lsn
+        self.last_lsn += 1
+        return self.last_lsn
 
     def append_delete(self, tid):
-        self._lsn += 1
-        self.calls.append(("delete", tid, self._lsn))
-        return self._lsn
+        self.last_lsn += 1
+        return self.last_lsn
 
     def commit(self):
-        self.calls.append(("commit", None, self._lsn))
-        self.committed_lsn = self._lsn
-        return self._lsn
+        return self.last_lsn
 
-    @property
-    def last_lsn(self):
-        return self._lsn
+
+def _spy(wal):
+    """Log every append/commit reaching ``wal`` (a double or the real log)."""
+    calls = []
+    for name in ("append_insert", "append_delete", "commit"):
+
+        def logged(*args, _inner=getattr(wal, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+
+        setattr(wal, name, logged)
+    return calls
 
 
 def _tuples(n=120, seed=3):
@@ -56,85 +58,177 @@ def _tuples(n=120, seed=3):
     ]
 
 
+def _settle(index):
+    """Wait out a background compaction on the tier that has them."""
+    drain = getattr(index, "drain_compaction", None)
+    assert drain is None or drain(timeout=10.0)
+
+
 def _assert_matches_rebuild(index, pool, k_bound, k, seed=9):
     reference = RankedJoinIndex.build(sorted(pool.values()), k_bound)
-    for preference in random_preferences(20, seed=seed):
+    preferences = random_preferences(20, seed=seed)
+    assert index.query_batch(preferences, k) == reference.query_batch(
+        preferences, k
+    )
+    for preference in preferences:
         assert index.query(preference, k) == reference.query(preference, k)
 
 
-class TestManagedWalMode:
-    def test_writes_merge_exactly(self):
-        wal = RecordingWal()
-        tuples = _tuples()
-        managed = ManagedRankedJoinIndex(
-            tuples, 12, wal=wal, delta_threshold=1000
-        )
+class WritePathContract:
+    """What every tier must do; subclasses only say how to make one."""
+
+    def make(self, directory, wal, tuples, k, threshold):
+        raise NotImplementedError
+
+    @pytest.fixture()
+    def tier(self, tmp_path):
+        made = []
+
+        def factory(tuples=None, k=12, threshold=1000):
+            wal = MemoryWal()  # the durable tier brings its own real log
+            index = self.make(
+                tmp_path / str(len(made)), wal, tuples or _tuples(), k, threshold
+            )
+            made.append(index)
+            return index, getattr(index, "wal", wal)
+
+        yield factory
+        for index in made:
+            getattr(index, "close", lambda: None)()
+
+    def test_commit_precedes_state_change(self, tier):
+        index, wal = tier()
         assert isinstance(wal, SupportsWal)
-        pool = {t.tid: t for t in tuples}
+        calls = _spy(wal)
+        index.insert(RankTuple(999, 0.5, 0.5))
+        index.delete(999)
+        assert calls == ["append_insert", "commit", "append_delete", "commit"]
+
+        # A commit that never returns acknowledged nothing, so nothing
+        # may have been applied: the apply comes strictly after it.
+        def crash():
+            raise OSError("disk gone")
+
+        wal.commit = crash
+        with pytest.raises(OSError):
+            index.insert(RankTuple(1000, 2.0, 2.0))
+        assert index.n_live == 120 and index.delta.n_ops == 1
+        assert index.query((0.5, 0.5), 1)[0].tid != 1000
+
+    def test_duplicate_insert_and_absent_delete_are_typed(self, tier):
+        # Every rejection: one wording on every tier, raised before any
+        # WAL record exists, leaving pool and delta as they were.
+        index, wal = tier()
+        lone, lone_wal = tier([RankTuple(0, 0.5, 0.5)], k=1)
+        calls = _spy(wal) + _spy(lone_wal)
+        nan, inf = float("nan"), float("inf")
+        for write, arg, message in [
+            (index.insert, RankTuple(0, 0.9, 0.9), "already live"),
+            (index.delete, 10_000, "is not live"),
+            (index.insert, RankTuple(700, nan, 0.5), "rank values must be finite"),
+            (index.insert, RankTuple(700, 0.5, inf), "rank values must be finite"),
+            (lone.delete, 0, "the last live tuple; an index cannot be empty"),
+        ]:
+            with pytest.raises(MaintenanceError, match=message):
+                write(arg)
+        assert calls == [] and wal.last_lsn == lone_wal.last_lsn == 0
+        assert index.n_live == 120 and index.delta.is_empty
+        assert lone.n_live == 1 and lone.delta.is_empty
+
+    def test_compaction_resets_delta_and_keeps_answers(self, tier):
+        # The op-count trigger: exactly at ``threshold`` buffered ops.
+        index, _ = tier(threshold=4)
+        pool = {t.tid: t for t in _tuples()}
+        for i in range(9):
+            pool[2000 + i] = RankTuple(2000 + i, 0.3 + 0.05 * i, 0.4)
+            index.insert(pool[2000 + i])
+            _settle(index)
+            assert index.delta.n_ops == (i + 1) % 4
+        _assert_matches_rebuild(index, pool, 12, 6)
+
+    def test_tombstone_pressure_forces_compaction(self, tier):
+        # 2 * tombstones >= K_effective would break exact merges at
+        # moderate k; every tier compacts on the same (4th) delete.
+        index, _ = tier(_tuples(40), k=8)
+        for tid in range(6):
+            index.delete(tid)
+            _settle(index)
+            assert index.delta.n_tombstones == (tid + 1) % 4
+        assert index.k_effective == 8 - 2 and index.n_live == 34
+
+    def test_explicit_compact_empties_the_delta(self, tier):
+        index, _ = tier()
+        index.insert(RankTuple(7000, 0.9, 0.9))
+        assert index.delete(0) == index.k_effective == 11
+        index.compact()
+        _settle(index)
+        assert index.delta.is_empty and index.k_effective == 12
+        pool = {t.tid: t for t in _tuples()[1:]}
+        pool[7000] = RankTuple(7000, 0.9, 0.9)
+        _assert_matches_rebuild(index, pool, 12, 6)
+
+    def test_writes_merge_exactly(self, tier):
+        # A seeded insert/delete/compact stream against the oracle.
+        index, _ = tier(threshold=7)
+        pool = {t.tid: t for t in _tuples()}
         rng = np.random.default_rng(5)
-        for step in range(12):
+        for step in range(45):
             if step % 3 == 2:
                 victim = int(rng.choice(sorted(pool)))
-                managed.delete(victim)
+                index.delete(victim)
                 del pool[victim]
             else:
-                t = RankTuple(
+                pool[1000 + step] = RankTuple(
                     1000 + step, float(rng.random()), float(rng.random())
                 )
-                assert managed.insert(t) is True
-                pool[t.tid] = t
-            managed.check_invariants()
-        _assert_matches_rebuild(managed, pool, 12, 6)
+                assert index.insert(pool[1000 + step]) is True
+            if step % 20 == 19:
+                index.compact()
+            _settle(index)
+            if step % 4 == 0:
+                _assert_matches_rebuild(index, pool, 12, 6, seed=step)
+        assert index.n_live == len(pool)
+        _assert_matches_rebuild(index, pool, 12, 12 - index.delta.n_tombstones)
 
-    def test_commit_precedes_state_change(self):
-        wal = RecordingWal()
-        managed = ManagedRankedJoinIndex(_tuples(), 10, wal=wal)
-        managed.insert(RankTuple(999, 0.5, 0.5))
-        managed.delete(999)
-        kinds = [c[0] for c in wal.calls]
-        assert kinds == ["insert", "commit", "delete", "commit"]
-        assert wal.committed_lsn == 2
 
-    def test_compaction_resets_delta_and_keeps_answers(self):
-        wal = RecordingWal()
-        tuples = _tuples()
-        managed = ManagedRankedJoinIndex(
-            tuples, 12, wal=wal, delta_threshold=4
+class TestManagedWalMode(WritePathContract):
+    def make(self, directory, wal, tuples, k, threshold):
+        return ManagedRankedJoinIndex(tuples, k, wal=wal, delta_threshold=threshold)
+
+
+class TestConcurrentWalMode(WritePathContract):
+    def make(self, directory, wal, tuples, k, threshold):
+        return ConcurrentRankedJoinIndex.build(
+            tuples, k, wal=wal, delta_threshold=threshold
         )
-        pool = {t.tid: t for t in tuples}
-        for i in range(9):
-            t = RankTuple(2000 + i, 0.3 + 0.05 * i, 0.4)
-            managed.insert(t)
-            pool[t.tid] = t
-        assert managed.log.rebuilds >= 2  # threshold=4 forced compactions
-        assert managed.delta.n_ops < 4
-        _assert_matches_rebuild(managed, pool, 12, 6)
 
-    def test_tombstone_pressure_forces_compaction(self):
-        wal = RecordingWal()
-        tuples = _tuples(40)
-        managed = ManagedRankedJoinIndex(
-            tuples, 8, wal=wal, delta_threshold=1000
-        )
-        for tid in range(6):
-            managed.delete(tid)
-        # tombstones * 2 >= k_effective would have broken exact merges;
-        # the write path compacted before letting that happen.
-        assert managed.delta.n_tombstones * 2 < managed.index.k_effective
-        assert managed.k_effective == (
-            managed.index.k_effective - managed.delta.n_tombstones
+    def test_background_compaction_preserves_answers(self, tier):
+        # No settling between writes: inserts land while a build runs
+        # off-lock, and the swap must keep them buffered.
+        index, _ = tier(threshold=5)
+        pool = {t.tid: t for t in _tuples()}
+        for i in range(23):
+            pool[4000 + i] = RankTuple(4000 + i, 0.2 + 0.03 * i, 0.6)
+            index.insert(pool[4000 + i])
+        _settle(index)
+        assert index.delta.n_ops < 23  # compaction drained the buffer
+        _assert_matches_rebuild(index, pool, 12, 6)
+
+
+class TestDurableWalMode(WritePathContract):
+    def make(self, directory, wal, tuples, k, threshold):
+        return DurableRankedJoinIndex.create(
+            directory, tuples, k, compaction_threshold=threshold, fsync=False
         )
 
 
 class TestMaintenanceEdgeCases:
-    """The satellite edge cases, on both maintenance modes."""
+    """Managed-tier edge cases, on both maintenance modes."""
 
     @pytest.fixture(params=["legacy", "wal"])
     def managed(self, request):
-        wal = RecordingWal() if request.param == "wal" else None
-        return ManagedRankedJoinIndex(
-            _tuples(), 10, wal=wal, delta_threshold=1000
-        )
+        wal = MemoryWal() if request.param == "wal" else None
+        return ManagedRankedJoinIndex(_tuples(), 10, wal=wal, delta_threshold=1000)
 
     def test_duplicate_tid_insert_is_typed(self, managed):
         with pytest.raises(MaintenanceError, match="already live"):
@@ -143,123 +237,49 @@ class TestMaintenanceEdgeCases:
         managed.delete(0)
 
     def test_delete_of_absent_tid_is_typed(self, managed):
-        with pytest.raises(MaintenanceError, match="not live"):
+        with pytest.raises(MaintenanceError, match="is not live"):
             managed.delete(10_000)
         managed.check_invariants()
 
+    def test_rejected_insert_leaves_the_pool_rebuildable(self, managed):
+        # Legacy mode used to pool the tuple before validating it: every
+        # later rebuild() raised ConstructionError and a retry with good
+        # values was refused as "already live".
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(MaintenanceError, match="must be finite"):
+                managed.insert(RankTuple(777, 0.5, bad))
+        assert managed.n_live == 120
+        managed.rebuild()
+        managed.insert(RankTuple(777, 0.5, 0.5))
+        assert managed.n_live == 121
+        managed.check_invariants()
+
     def test_insert_on_region_boundary_angle(self, managed):
-        # Duplicate the rank values of a live tuple: the new tuple ties
-        # with it at *every* angle, including exact region boundaries,
-        # exercising the canonical tid tie-break end to end.
+        # A twin of a live tuple ties with it at *every* angle, region
+        # boundaries included: the canonical tid tie-break, end to end.
         twin_of = managed.index.dominating
-        s1, s2 = float(twin_of.s1[0]), float(twin_of.s2[0])
-        managed.insert(RankTuple(5555, s1, s2))
-        pool = dict(managed._pool)
-        reference = RankedJoinIndex.build(sorted(pool.values()), 10)
+        twin = RankTuple(5555, float(twin_of.s1[0]), float(twin_of.s2[0]))
+        managed.insert(twin)
+        reference = RankedJoinIndex.build(_tuples() + [twin], 10)
         for region in reference.regions:
-            angle = region.lo
-            pref = (np.cos(angle), np.sin(angle))
+            pref = (np.cos(region.lo), np.sin(region.lo))
             assert managed.query(pref, 5) == reference.query(pref, 5)
 
     def test_delete_emptying_a_region(self):
-        # k_bound=1: each region holds exactly one tuple, so deleting a
-        # region winner empties the region outright.  In-place surgery
-        # cannot represent an empty region and refuses with the typed
-        # "rebuild" remedy; the WAL path merges around the tombstone
-        # and keeps serving exact answers — the robustness win the
-        # delta store buys.
-        tuples = [
-            RankTuple(0, 1.0, 0.1),
-            RankTuple(1, 0.1, 1.0),
-            RankTuple(2, 0.5, 0.5),
-        ]
+        # k_bound=1: deleting a region's only tuple empties it.  In-place
+        # surgery cannot represent that and refuses with the typed
+        # "rebuild" remedy; the WAL path merges around the tombstone.
+        tuples = [RankTuple(0, 1.0, 0.1), RankTuple(1, 0.1, 1.0), RankTuple(2, 0.5, 0.5)]
         legacy = ManagedRankedJoinIndex(tuples, 1, delta_threshold=1000)
-        victim = sorted(
-            tid
-            for region in legacy.index.regions
-            for tid in region.tids
-        )[0]
+        victim = min(tid for region in legacy.index.regions for tid in region.tids)
         with pytest.raises(MaintenanceError, match="rebuild"):
             legacy.delete(victim)
 
-        buffered = ManagedRankedJoinIndex(
-            tuples, 1, wal=RecordingWal(), delta_threshold=1000
-        )
+        buffered = ManagedRankedJoinIndex(tuples, 1, wal=MemoryWal())
         buffered.delete(victim)
         pool = {t.tid: t for t in tuples if t.tid != victim}
         _assert_matches_rebuild(buffered, pool, 1, 1)
         buffered.check_invariants()
 
     def test_delete_returns_k_effective_in_both_modes(self, managed):
-        # The unified contract: delete() reports the degraded guarantee,
-        # same as ConcurrentRankedJoinIndex.delete.
-        remaining = managed.delete(3)
-        assert isinstance(remaining, int)
-        assert remaining == managed.k_effective
-
-
-class TestConcurrentWalMode:
-    def test_writes_merge_exactly(self):
-        wal = RecordingWal()
-        tuples = _tuples()
-        concurrent = ConcurrentRankedJoinIndex.build(
-            tuples, 12, wal=wal, delta_threshold=1000
-        )
-        pool = {t.tid: t for t in tuples}
-        rng = np.random.default_rng(17)
-        for step in range(10):
-            if step % 4 == 3:
-                victim = int(rng.choice(sorted(pool)))
-                remaining = concurrent.delete(victim)
-                del pool[victim]
-                assert remaining == concurrent.k_effective
-            else:
-                t = RankTuple(
-                    3000 + step, float(rng.random()), float(rng.random())
-                )
-                assert concurrent.insert(t) is True
-                pool[t.tid] = t
-        assert concurrent.n_live == len(pool)
-        _assert_matches_rebuild(concurrent, pool, 12, 6)
-
-    def test_background_compaction_preserves_answers(self):
-        wal = RecordingWal()
-        tuples = _tuples()
-        concurrent = ConcurrentRankedJoinIndex.build(
-            tuples, 12, wal=wal, delta_threshold=5
-        )
-        pool = {t.tid: t for t in tuples}
-        for i in range(23):
-            t = RankTuple(4000 + i, 0.2 + 0.03 * i, 0.6)
-            concurrent.insert(t)
-            pool[t.tid] = t
-        assert concurrent.drain_compaction(timeout=10.0)
-        assert concurrent.delta.n_ops < 23  # compaction drained the buffer
-        _assert_matches_rebuild(concurrent, pool, 12, 6)
-
-    def test_explicit_compact_empties_the_delta(self):
-        wal = RecordingWal()
-        concurrent = ConcurrentRankedJoinIndex.build(
-            _tuples(), 12, wal=wal, delta_threshold=1000
-        )
-        concurrent.insert(RankTuple(7000, 0.9, 0.9))
-        concurrent.delete(0)
-        concurrent.compact()
-        assert concurrent.drain_compaction(timeout=10.0)
-        assert concurrent.delta.is_empty
-        _assert_matches_rebuild(
-            concurrent,
-            {t.tid: t for t in _tuples() if t.tid != 0}
-            | {7000: RankTuple(7000, 0.9, 0.9)},
-            12,
-            6,
-        )
-
-    def test_duplicate_insert_and_absent_delete_are_typed(self):
-        concurrent = ConcurrentRankedJoinIndex.build(
-            _tuples(), 10, wal=RecordingWal(), delta_threshold=1000
-        )
-        with pytest.raises(MaintenanceError, match="already live"):
-            concurrent.insert(RankTuple(0, 0.9, 0.9))
-        with pytest.raises(MaintenanceError, match="not live"):
-            concurrent.delete(10_000)
+        assert managed.delete(3) == managed.k_effective

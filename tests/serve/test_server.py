@@ -1,6 +1,7 @@
 """End-to-end server tests: batching, admission control, deadlines."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -233,6 +234,26 @@ class TestLifecycle:
         server = QueryServer(index, port=0).start()
         server.close()
         server.close()
+
+    def test_close_is_prompt_and_leaves_no_thread(self, index):
+        # One server idle, one with a connection parked in recv(): both
+        # used to stall close() for the 5 s join timeout and leak the
+        # blocked thread.
+        before = set(threading.enumerate())
+        idle = QueryServer(index, port=0).start()
+        busy = QueryServer(index, port=0).start()
+        client = Client(*busy.address)
+        assert client.query(0.5, 3)
+        started = time.perf_counter()
+        idle.close()
+        busy.close()
+        assert time.perf_counter() - started < 0.5
+        assert not [
+            t.name
+            for t in set(threading.enumerate()) - before
+            if t.name.startswith("serve-")
+        ]
+        client.close()
 
     def test_address_requires_start(self, index):
         with pytest.raises(ServerError):

@@ -111,7 +111,7 @@ class TestTypedErrors:
     def test_maintenance_errors_round_trip(self, client):
         with pytest.raises(MaintenanceError, match="already live"):
             client.insert(RankTuple(0, 0.5, 0.5))
-        with pytest.raises(MaintenanceError, match="not in the index"):
+        with pytest.raises(MaintenanceError, match="is not live"):
             client.delete(10_000)
 
     def test_read_only_service_sheds_writes(self):
