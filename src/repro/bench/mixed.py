@@ -133,8 +133,9 @@ def run_mixed_benchmark(config: MixedBenchConfig = MIXED_CONFIG) -> dict:
             if step % config.reads_per_write:
                 continue
             # Alternate a fresh insert with a delete of a random live
-            # tuple, so the pool size stays roughly flat and tombstones
-            # exercise the merge path on every read between them.
+            # tuple, so the pool size stays roughly flat; the writes
+            # that land in the K-skyband (charged deletes, visible
+            # inserts) put the reads after them on the merge path.
             if (step // config.reads_per_write) % 2 == 0:
                 tuple_ = RankTuple(
                     next_tid, float(rng.random()), float(rng.random())

@@ -10,16 +10,26 @@ tombstones — and lets :meth:`RankedJoinIndex.query
 answer, so the immutable base index keeps serving while writers only
 touch the (tiny) delta.
 
-Exactness argument.  A query for ``k`` results over the merged view
-``(base \\ tombstones) ∪ inserts`` is answered from one base region's
-rows: the region holds the top-``K`` tuples of the base at every angle
-it covers, so after removing at most ``T`` tombstoned tuples the
-surviving rows still contain the true top-``(K - T)`` of
-``base \\ tombstones``.  Every pending insert is considered explicitly.
-Hence the merged top-``k`` is exact whenever ``k + T <= K_effective`` —
-the precondition :meth:`RankedJoinIndex._validate_k
+Exactness argument.  Attaching the delta to a base (:meth:`DeltaStore.
+rebase`) hands it the base's dominating set ``D``, and every entry is
+classified once, when it is written, replayed or rebased (the paper's
+Lemma 2 applied to the buffer): a tombstone or superseding insert is
+*charged* iff its tid is in ``D`` — only then does it hide a base row —
+and a buffered insert is *visible* unless at least ``K`` tuples of ``D``
+are strictly greater in both rank values, in which case those ``K``
+outrank it at every angle (the endpoints 0 and π/2 included) whatever
+the tid tie-break says.  A query is answered from one base region's
+rows minus the charged tids, plus the visible inserts.  A live base
+tuple outside those rows is beaten at that angle by the region's ``K``
+rows, of which at most ``charged`` are hidden; an invisible insert is
+beaten by ``K`` tuples of ``D``, of which at most ``charged`` are
+hidden.  Hence for ``k + charged <= K_effective`` the top-``k`` of
+``(rows \\ charged) ∪ visible`` is the top-``k`` of the live set — the
+precondition :meth:`RankedJoinIndex._validate_k
 <repro.core.index.RankedJoinIndex._validate_k>` enforces; past it the
-query raises a typed error and the owner must compact.
+query raises a typed error and the owner must compact.  A delta not
+yet attached to any base knows no ``D`` and stays conservative: every
+entry is charged and every insert visible.
 
 Entries are tagged with the WAL log-sequence-number that produced them
 so a compaction that rebuilds the base from a snapshot at LSN ``n`` can
@@ -30,7 +40,7 @@ arrived while the rebuild ran.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Container, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -69,16 +79,72 @@ class DeltaStore:
     they already do for the base index.
     """
 
-    __slots__ = ("_inserts", "_tombstones", "_columns", "_hidden_sorted")
+    __slots__ = (
+        "_inserts",
+        "_tombstones",
+        "_base",
+        "_charged",
+        "_visible",
+        "_columns",
+        "_hidden_sorted",
+    )
 
     def __init__(self) -> None:
         #: tid -> (tuple, lsn) for writes not yet compacted into the base.
         self._inserts: dict[int, tuple[RankTuple, int]] = {}
         #: tid -> lsn of the delete that tombstoned it.
         self._tombstones: dict[int, int] = {}
+        #: The base's dominating set as (tids, s1, s2, K); shared with
+        #: the base, never copied.  ``None`` until :meth:`rebase`.
+        self._base: tuple[Container[int], np.ndarray, np.ndarray, int] | None = None
+        #: Tids of entries that hide a base row and so consume slack.
+        self._charged: set[int] = set()
+        #: tid -> tuple for the buffered inserts that can reach a top-K.
+        self._visible: dict[int, RankTuple] = {}
         # Lazily materialized numpy views for the batch merge path.
         self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._hidden_sorted: np.ndarray | None = None
+
+    # -- classification (module docstring: the exactness argument) ---------
+
+    def rebase(
+        self,
+        tids: Container[int],
+        s1: np.ndarray,
+        s2: np.ndarray,
+        k_bound: int,
+    ) -> None:
+        """Adopt a base's dominating set and re-classify every entry.
+
+        ``tids`` answers membership for the parallel ``s1`` / ``s2``
+        rank columns; all three are kept by reference.
+        """
+        self._base = (tids, s1, s2, k_bound)
+        self._classify_all()
+
+    def _classify_all(self) -> None:
+        self._charged = set()
+        self._visible = {}
+        for tid in self._tombstones:
+            self._classify(tid)
+        for tid, (tuple_, _) in self._inserts.items():
+            self._classify(tid, tuple_)
+        self._invalidate()
+
+    def _classify(self, tid: int, inserted: RankTuple | None = None) -> None:
+        """Charge ``tid`` if the base holds it; show ``inserted`` if it
+        could enter a top-K."""
+        base = self._base
+        if base is None or tid in base[0]:
+            self._charged.add(tid)
+        if inserted is None:
+            return
+        if base is not None:
+            _, s1, s2, k_bound = base
+            above = np.count_nonzero((s1 > inserted.s1) & (s2 > inserted.s2))
+            if above >= k_bound:
+                return
+        self._visible[tid] = inserted
 
     # -- mutation ----------------------------------------------------------
 
@@ -96,7 +162,12 @@ class DeltaStore:
             raise MaintenanceError(
                 f"tuple id {tid} already buffered in the delta"
             )
-        self._inserts[tid] = (RankTuple(tid, float(s1), float(s2)), lsn)
+        self._buffer(RankTuple(tid, float(s1), float(s2)), lsn)
+
+    def _buffer(self, tuple_: RankTuple, lsn: int) -> None:
+        self._inserts[tuple_.tid] = (tuple_, lsn)
+        self._visible.pop(tuple_.tid, None)
+        self._classify(tuple_.tid, tuple_)
         self._invalidate()
 
     def delete(self, tid: int, lsn: int = 0) -> None:
@@ -104,12 +175,15 @@ class DeltaStore:
 
         A pending insert for ``tid`` is cancelled, and a tombstone is
         recorded unconditionally: if the base never held the tid the
-        tombstone filters nothing (harmless), and after a compaction
-        snapshot that *did* bake the insert in, the tombstone is what
-        keeps the tuple hidden.
+        tombstone is not charged and filters nothing, and after a
+        compaction snapshot that *did* bake the insert in, the
+        tombstone (re-classified against the fresh base) is what keeps
+        the tuple hidden.
         """
         self._inserts.pop(tid, None)
+        self._visible.pop(tid, None)
         self._tombstones[tid] = lsn
+        self._classify(tid)
         self._invalidate()
 
     def replay(self, op: str, tuple_: RankTuple) -> None:
@@ -119,8 +193,7 @@ class DeltaStore:
         revisit records already reflected in a snapshot.
         """
         if op == "insert":
-            self._inserts[tuple_.tid] = (tuple_, 0)
-            self._invalidate()
+            self._buffer(tuple_, 0)
         elif op == "delete":
             self.delete(tuple_.tid)
         else:
@@ -130,7 +203,7 @@ class DeltaStore:
         """Drop every buffered entry (the base now reflects them all)."""
         self._inserts.clear()
         self._tombstones.clear()
-        self._invalidate()
+        self._classify_all()
 
     def clear_upto(self, lsn: int) -> None:
         """Drop entries produced at or before ``lsn``.
@@ -147,7 +220,7 @@ class DeltaStore:
         self._tombstones = {
             tid: at for tid, at in self._tombstones.items() if at > lsn
         }
-        self._invalidate()
+        self._classify_all()
 
     def _invalidate(self) -> None:
         self._columns = None
@@ -169,8 +242,23 @@ class DeltaStore:
         return len(self._inserts) + len(self._tombstones)
 
     @property
+    def n_charged(self) -> int:
+        """Entries hiding a base row: the exact-merge slack consumed."""
+        return len(self._charged)
+
+    @property
+    def n_visible(self) -> int:
+        """Buffered inserts that queries score."""
+        return len(self._visible)
+
+    @property
     def is_empty(self) -> bool:
         return not (self._inserts or self._tombstones)
+
+    @property
+    def is_transparent(self) -> bool:
+        """Nothing charged, nothing visible: the base alone is exact."""
+        return not (self._charged or self._visible)
 
     def pending_inserts(self) -> Iterator[RankTuple]:
         """The buffered insert tuples (tid order, deterministic)."""
@@ -188,7 +276,7 @@ class DeltaStore:
         p1: float,
         p2: float,
     ) -> list[tuple[float, float, int]]:
-        """Score base rows (minus tombstones) plus buffered inserts.
+        """Score base rows (minus charged tids) plus visible inserts.
 
         ``rows`` are the region's ``(s1, s2, -tid)`` triples.  The
         returned ``(score, s1, -tid)`` triples use the exact scalar
@@ -204,51 +292,46 @@ class DeltaStore:
         already reflects — without the supersede rule the tuple would
         be served twice.
         """
-        tombstones = self._tombstones
-        inserts = self._inserts
-        if tombstones or inserts:
+        charged = self._charged
+        if charged:
             scored = [
                 (p1 * s1 + p2 * s2, s1, neg_tid)
                 for s1, s2, neg_tid in rows
-                if -neg_tid not in tombstones and -neg_tid not in inserts
+                if -neg_tid not in charged
             ]
         else:
             scored = [
                 (p1 * s1 + p2 * s2, s1, neg_tid) for s1, s2, neg_tid in rows
             ]
-        for tid in self._inserts:
-            t = self._inserts[tid][0]
+        for tid, t in self._visible.items():
             scored.append((p1 * t.s1 + p2 * t.s2, t.s1, -tid))
         return scored
 
     def survivor_mask(self, tids: np.ndarray) -> np.ndarray:
-        """Mask of base tids not tombstoned nor superseded by an insert.
+        """Mask of base tids no charged entry hides.
 
         Buffered inserts hide their base copies for the same reason as
         in :meth:`merged_scored`: the delta entry is the live version.
         """
-        if not self._tombstones and not self._inserts:
+        if not self._charged:
             return np.ones(len(tids), dtype=bool)
         if self._hidden_sorted is None:
             self._hidden_sorted = np.array(
-                sorted(self._tombstones.keys() | self._inserts.keys()),
-                dtype=np.int64,
+                sorted(self._charged), dtype=np.int64
             )
         return ~np.isin(tids, self._hidden_sorted)
 
     def insert_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Buffered inserts as parallel ``(tids, s1, s2)`` columns."""
+        """Visible inserts as parallel ``(tids, s1, s2)`` columns."""
         if self._columns is None:
-            ordered = sorted(self._inserts)
+            ordered = sorted(self._visible)
             self._columns = (
                 np.array(ordered, dtype=np.int64),
                 np.array(
-                    [self._inserts[t][0].s1 for t in ordered],
-                    dtype=np.float64,
+                    [self._visible[t].s1 for t in ordered], dtype=np.float64
                 ),
                 np.array(
-                    [self._inserts[t][0].s2 for t in ordered],
-                    dtype=np.float64,
+                    [self._visible[t].s2 for t in ordered], dtype=np.float64
                 ),
             )
         return self._columns
@@ -256,5 +339,6 @@ class DeltaStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeltaStore(inserts={len(self._inserts)}, "
-            f"tombstones={len(self._tombstones)})"
+            f"tombstones={len(self._tombstones)}, "
+            f"charged={len(self._charged)}, visible={len(self._visible)})"
         )

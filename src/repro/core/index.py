@@ -159,6 +159,9 @@ class RankedJoinIndex:
         # Region boundaries may have moved: cached descents are stale.
         if self._cache is not None:
             self._cache.clear()
+        # ... and so is an attached delta's view of the dominating set.
+        if self._delta is not None:
+            self.attach_delta(self._delta)
 
     # -- construction ------------------------------------------------------
 
@@ -312,12 +315,13 @@ class RankedJoinIndex:
             )
         delta = self._delta
         if delta is not None:
-            pending = delta.n_tombstones
-            if pending and k + pending > self._k_effective:
+            charged = delta.n_charged
+            if charged and k + charged > self._k_effective:
                 raise InvalidQueryError(
-                    f"k={k} plus {pending} buffered deletions exceeds the "
-                    f"effective bound {self._k_effective}; the merged "
-                    "answer would no longer be exact — compact the delta"
+                    f"k={k} plus {charged} buffered writes hiding indexed "
+                    f"tuples exceeds the effective bound {self._k_effective}; "
+                    "the merged answer would no longer be exact — compact "
+                    "the delta"
                 )
 
     def query(
@@ -374,8 +378,8 @@ class RankedJoinIndex:
         p2 = preference.p2
         new = tuple.__new__
         delta = self._delta
-        if delta is not None and not delta.is_empty:
-            # Merged view: base rows minus tombstones plus buffered
+        if delta is not None and not delta.is_transparent:
+            # Merged view: base rows minus charged tids plus visible
             # inserts, all scored with the same scalar arithmetic, so
             # the reversed tuple sort realizes the canonical order
             # bit-identically to a from-scratch rebuild.
@@ -500,7 +504,7 @@ class RankedJoinIndex:
         p1 = preference.p1
         p2 = preference.p2
         delta = self._delta
-        if delta is not None and not delta.is_empty:
+        if delta is not None and not delta.is_transparent:
             # Mirror the merged query path exactly (results and metric
             # stream), so an explained write-buffered query stays
             # indistinguishable from a plain one.
@@ -605,7 +609,7 @@ class RankedJoinIndex:
             recorder.observe("rji.regions_touched", len(unique_regions))
 
         delta = self._delta
-        merged = delta is not None and not delta.is_empty
+        merged = delta is not None and not delta.is_transparent
         if merged and recorder.enabled:
             recorder.count("delta.merged_queries", len(coerced))
 
@@ -624,8 +628,8 @@ class RankedJoinIndex:
             neg_s1 = store.neg_s1[start:stop]
             tids = store.tids[start:stop]
             if merged:
-                # Merged view: drop tombstoned base rows, append the
-                # buffered inserts, and recompute the negated-s1 key
+                # Merged view: drop charged base rows, append the
+                # visible inserts, and recompute the negated-s1 key
                 # (float negation is exact, so the combined lexsort is
                 # bit-identical to the scalar merged sort).
                 assert delta is not None
@@ -665,11 +669,17 @@ class RankedJoinIndex:
 
         The write path of the durable tier: owners buffer inserts and
         tombstones in the delta and leave the base store immutable until
-        compaction rebuilds it.  While attached, :meth:`_validate_k`
-        additionally requires ``k + n_tombstones <= k_effective`` so the
-        merged answer stays exact (see :mod:`repro.core.delta`).
+        compaction rebuilds it.  The delta is rebased on this index's
+        dominating set (shared, not copied), which re-classifies its
+        entries; while attached, :meth:`_validate_k` additionally
+        requires ``k + n_charged <= k_effective`` so the merged answer
+        stays exact (see :mod:`repro.core.delta`).
         """
         self._delta = delta
+        dominating = self._dominating
+        delta.rebase(
+            self._position_of, dominating.s1, dominating.s2, self.k_bound
+        )
 
     def detach_delta(self) -> DeltaStore | None:
         """Stop merging; returns the previously attached delta."""

@@ -107,22 +107,24 @@ class WritePath:
         if self.recorder.enabled:
             self.recorder.count(name)
             self.recorder.observe("delta.size", self.delta.n_ops)
+            self.recorder.observe("delta.charged", self.delta.n_charged)
+            self.recorder.observe("delta.visible", self.delta.n_visible)
 
     # -- exactness and the compaction trigger ------------------------------
 
     @property
     def k_effective(self) -> int:
-        """Largest exact ``k`` right now (tombstones consume slack)."""
-        return max(0, self.index.k_effective - self.delta.n_tombstones)
+        """Largest exact ``k`` right now (charged entries consume slack)."""
+        return max(0, self.index.k_effective - self.delta.n_charged)
 
     @property
     def needs_compaction(self) -> bool:
-        # Tombstones erode the exact-merge slack twice as fast as the
-        # op threshold admits, so compaction is due before queries at
+        # Charged entries (the ones hiding a base row) erode the
+        # exact-merge slack, so compaction is due before queries at
         # moderate k start failing validation.
         return (
             self.delta.n_ops >= self.threshold
-            or self.delta.n_tombstones * 2 >= self.index.k_effective
+            or self.delta.n_charged * 2 >= self.index.k_effective
         )
 
     # -- compaction --------------------------------------------------------
@@ -138,7 +140,11 @@ class WritePath:
         )
 
     def swap(self, fresh: RankedJoinIndex, snapshot_lsn: int) -> None:
-        """Make ``fresh`` the base; keep writes newer than the snapshot."""
+        """Make ``fresh`` the base; keep writes newer than the snapshot.
+
+        The survivors are re-classified against ``fresh``'s dominating
+        set: a post-snapshot delete of a tuple the snapshot baked in is
+        charged from here on."""
         self.delta.clear_upto(snapshot_lsn)
         fresh.attach_delta(self.delta)
         self.index = fresh

@@ -124,8 +124,11 @@ SERIES = frozenset(
         "serve.queue_depth",
         "serve.batch_size",
         "serve.latency",
-        # buffered write-path entries outstanding after each write
+        # buffered write-path entries outstanding after each write, and
+        # how many of them hide a base row / are scored by queries
         "delta.size",
+        "delta.charged",
+        "delta.visible",
     }
 )
 

@@ -725,6 +725,9 @@ class QueryServer:
         When the served index exposes a hot-region cache (a ``cache``
         attribute with a ``snapshot()``), its counters ride along so a
         live ``top`` view can show the hit rate next to the percentiles.
+        A service with a write buffer (a ``delta`` attribute) adds a
+        ``writes`` block: buffered ops, how many hide an indexed tuple
+        (charged) or are scored by reads (visible), and ``k_effective``.
         """
         snapshot = {
             "window": self.window.snapshot(),
@@ -736,6 +739,14 @@ class QueryServer:
         cache = getattr(self._service, "cache", None)
         if cache is not None and hasattr(cache, "snapshot"):
             snapshot["cache"] = cache.snapshot()
+        delta = getattr(self._service, "delta", None)
+        if delta is not None:
+            snapshot["writes"] = {
+                "delta_ops": delta.n_ops,
+                "charged": delta.n_charged,
+                "visible": delta.n_visible,
+                "k_effective": getattr(self._service, "k_effective", None),
+            }
         return snapshot
 
     def _health_response(self, request: Request) -> dict:

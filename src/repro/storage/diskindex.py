@@ -356,9 +356,12 @@ class DiskRankedJoinIndex:
         the last checkpoint LSN is replayed into a
         :class:`~repro.core.delta.DeltaStore` that queries then merge,
         so the reopened index serves every acknowledged write without
-        rebuilding the image.  Works for both the eager and the
-        ``mmap=True`` zero-copy open.  The replay summary is exposed as
-        ``instance.last_recovery``.
+        rebuilding the image.  A non-empty replay reads every region
+        once, to rebase the delta on the tuples the image holds: only
+        deletes of those consume slack.  Works for both the eager and
+        the ``mmap=True`` zero-copy open.  The replay summary is
+        exposed as ``instance.last_recovery``; its ``n_live`` counts
+        the tuples the recovered view can serve.
         """
         instance = cls.open(
             path,
@@ -375,15 +378,23 @@ class DiskRankedJoinIndex:
                 delta.replay(op, tuple_)
                 replayed += 1
             if not delta.is_empty:
+                held = instance._indexed_tuples()
+                delta.rebase(
+                    set(held["tid"].tolist()),
+                    held["s1"],
+                    held["s2"],
+                    instance.k_bound,
+                )
                 instance._delta = delta
+                instance.reset_io()
             instance.last_recovery = RecoveryReport(
                 checkpoint_lsn=wal.checkpoint_lsn,
                 last_lsn=wal.last_lsn,
                 replayed=replayed,
                 torn_tails=wal.torn_tails,
                 n_live=instance.stats.n_dominating
-                + delta.n_inserts
-                - delta.n_tombstones,
+                - delta.n_charged
+                + delta.n_visible,
             )
         finally:
             wal.close()
@@ -417,13 +428,13 @@ class DiskRankedJoinIndex:
             )
         delta = self._delta
         if delta is not None:
-            pending = delta.n_tombstones
-            if pending and k + pending > self.k_bound:
+            charged = delta.n_charged
+            if charged and k + charged > self.k_bound:
                 raise InvalidQueryError(
-                    f"k={k} plus {pending} replayed deletions exceeds the "
-                    f"construction bound K={self.k_bound}; the merged "
-                    "answer would no longer be exact — compact and "
-                    "re-save the image"
+                    f"k={k} plus {charged} replayed writes hiding indexed "
+                    f"tuples exceeds the construction bound K={self.k_bound}; "
+                    "the merged answer would no longer be exact — compact "
+                    "and re-save the image"
                 )
         preference = as_preference(preference)
         if self.faults is not None:
@@ -476,10 +487,10 @@ class DiskRankedJoinIndex:
         s1 = records["s1"]
         s2 = records["s2"]
 
-        merged = delta is not None and not delta.is_empty
+        merged = delta is not None and not delta.is_transparent
         if merged:
             # Merged view (recover() replayed a WAL into the delta):
-            # drop tombstoned rows, append replayed inserts, and score
+            # drop charged rows, append the visible inserts, and score
             # with the same arithmetic, so the lexsort realizes the
             # canonical order bit-identically to a rebuilt image.
             assert delta is not None
@@ -668,6 +679,17 @@ class DiskRankedJoinIndex:
     def total_bytes(self) -> int:
         """Total space of index plus data pages (Figure 16's metric)."""
         return self.stats.total_bytes
+
+    def _indexed_tuples(self) -> np.ndarray:
+        """One record per distinct tuple of the image: its regions' union."""
+        records = np.frombuffer(
+            b"".join(
+                self._heap.read(address, self.pool)
+                for _, address in self._btree.iter_entries(self.pool)
+            ),
+            dtype=_RECORD_DTYPE,
+        )
+        return records[np.unique(records["tid"], return_index=True)[1]]
 
     def iter_regions(self):
         """Yield ``(start_angle, n_tuples)`` for every region, in order."""

@@ -293,7 +293,7 @@ class DurableRankedJoinIndex:
 
     @property
     def k_effective(self) -> int:
-        """Largest exact ``k`` right now (tombstones consume slack)."""
+        """Largest exact ``k`` right now (charged delta entries consume slack)."""
         with self._lock:
             return self._writes.k_effective
 

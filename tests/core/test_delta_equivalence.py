@@ -4,9 +4,10 @@ The delta store is pure write-path plumbing: for every query variant
 (scalar, batch, ordered) the merged answer over ``(base \\ tombstones)
 ∪ inserts`` must match a :class:`RankedJoinIndex` built from scratch
 over the same logical tuple set — same floats, same tie resolution —
-whenever the exact-merge precondition ``k + tombstones <= K_effective``
-holds.  Past the precondition the query must fail typed, never return
-an approximate answer.
+whenever the exact-merge precondition ``k + charged <= K_effective``
+holds, where only entries hiding a tuple of the base's dominating set
+are charged.  Past the precondition the query must fail typed, never
+return an approximate answer.
 """
 
 import math
@@ -14,8 +15,10 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines.fullscan import FullScanTopK
 from repro.core.delta import DeltaStore, SupportsWal
 from repro.core.index import RankedJoinIndex
+from repro.core.scoring import as_preference
 from repro.core.tuples import RankTuple, RankTupleSet
 from repro.core.workloads import random_preferences
 from repro.errors import InvalidQueryError, MaintenanceError
@@ -115,18 +118,144 @@ def test_empty_delta_is_a_noop():
 
 
 def test_tombstones_consume_exact_merge_slack():
-    """``k + tombstones > K_effective`` fails typed, never approximates."""
+    """``k + charged > K_effective`` fails typed, never approximates."""
     rng = np.random.default_rng(5)
     tuples = _workload("uniform", 120, rng)
     index = RankedJoinIndex.build(tuples, 8)
     delta = DeltaStore()
     index.attach_delta(delta)
     slack = index.k_effective
-    for tid in range(4):
+    for tid in index.dominating.tids[:4].tolist():
         delta.delete(tid, 0)
+    assert delta.n_charged == 4
     assert index.query((0.5, 0.5), slack - 4)  # still exact
     with pytest.raises(InvalidQueryError, match="compact"):
         index.query((0.5, 0.5), slack - 3)
+
+
+def test_non_skyband_tombstones_consume_no_slack():
+    """Lemma 2: deleting a K-dominated tuple cannot change any top-K."""
+    rng = np.random.default_rng(5)
+    tuples = _workload("uniform", 120, rng)
+    index = RankedJoinIndex.build(tuples, 8)
+    pool = {int(t.tid): t for t in tuples}
+    delta = DeltaStore()
+    index.attach_delta(delta)
+    indexed = set(index.dominating.tids.tolist())
+    outside = [tid for tid in sorted(pool) if tid not in indexed]
+    assert len(outside) >= 20
+    for tid in outside[:20]:
+        delta.delete(tid, 0)
+        del pool[tid]
+    assert delta.n_tombstones == 20 and delta.n_charged == 0
+    assert delta.is_transparent and not delta.is_empty
+    reference = _reference(pool, 8)
+    preferences = random_preferences(30, seed=2)
+    assert index.query_batch(preferences, 8) == reference.query_batch(
+        preferences, 8
+    )
+    for preference in preferences:
+        assert index.query(preference, 8) == reference.query(preference, 8)
+
+
+def test_insert_then_delete_in_one_window_costs_no_slack():
+    """The tombstone of a tuple the base never held hides nothing."""
+    rng = np.random.default_rng(17)
+    tuples = _workload("uniform", 150, rng)
+    bare = RankedJoinIndex.build(tuples, 8)
+    index = RankedJoinIndex.build(tuples, 8)
+    delta = DeltaStore()
+    index.attach_delta(delta)
+    delta.insert(RankTuple(9000, 2.0, 2.0), 1)  # would top every answer
+    assert delta.n_visible == 1
+    delta.delete(9000, 2)
+    assert delta.n_tombstones == 1 and delta.n_inserts == 0
+    assert delta.n_charged == 0 and delta.is_transparent
+    preferences = random_preferences(20, seed=6)
+    # k = K: at the parent commit the lone tombstone made this raise.
+    assert index.query_batch(preferences, 8) == bare.query_batch(preferences, 8)
+    for preference in preferences:
+        assert index.query(preference, 8) == bare.query(preference, 8)
+        assert (
+            index.explain(preference, 8).results
+            == bare.explain(preference, 8).results
+        )
+
+
+def test_unattached_delta_stays_conservative_until_attached():
+    """No base, no Lemma 2: everything is charged and visible; attaching
+    (the e2e layer replay populates first, attaches second) re-classifies."""
+    rng = np.random.default_rng(23)
+    tuples = _workload("uniform", 150, rng)
+    index = RankedJoinIndex.build(tuples, 6)
+    indexed = set(index.dominating.tids.tolist())
+    outside = next(t for t in range(150) if t not in indexed)
+    inside = int(index.dominating.tids[0])
+    delta = DeltaStore()
+    delta.delete(outside, 1)
+    delta.delete(inside, 2)
+    delta.insert(RankTuple(500, -1.0, -1.0), 3)  # under every base tuple
+    delta.insert(RankTuple(501, 0.99, 0.99), 4)
+    probe = np.array([outside, inside, 500, 7])
+    assert delta.n_charged == 4 and delta.n_visible == 2
+    assert delta.survivor_mask(probe).tolist() == [False, False, False, True]
+    index.attach_delta(delta)
+    assert delta.n_charged == 1 and delta.n_visible == 1
+    assert delta.survivor_mask(probe).tolist() == [True, False, True, True]
+    assert delta.insert_columns()[0].tolist() == [501]
+
+
+# Four would-be dominators and low filler under K = 4: an insert that
+# *ties* C on one rank value is strictly dominated only three times, so
+# it can still take rank 4 — a non-strict rule would hide it.
+_STRICT_BASE = [
+    RankTuple(10, 0.95, 0.95),
+    RankTuple(11, 0.90, 0.90),
+    RankTuple(12, 0.85, 0.85),
+    RankTuple(13, 0.80, 0.80),  # C
+] + [RankTuple(20 + i, 0.05 * i, 0.3 - 0.05 * i) for i in range(6)]
+_EDGE_PREFERENCES = [
+    0.0,
+    (1.0, 0.0),
+    1e-12,
+    math.pi / 2 - 1e-12,
+    math.pi / 2,
+    (0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("tid", [5, 50], ids=["lower-tid", "higher-tid"])
+@pytest.mark.parametrize(
+    "s1,s2", [(0.80, 0.5), (0.5, 0.80)], ids=["ties-s1", "ties-s2"]
+)
+def test_insert_tying_a_dominator_stays_visible(tid, s1, s2):
+    index = RankedJoinIndex.build(_STRICT_BASE, 4)
+    delta = DeltaStore()
+    index.attach_delta(delta)
+    tied = RankTuple(tid, s1, s2)
+    below = RankTuple(tid + 1, s1 - 0.01, s2 - 0.01)  # strictly under C too
+    delta.insert(tied, 1)
+    delta.insert(below, 2)
+    assert delta.insert_columns()[0].tolist() == [tid]
+    live = sorted(_STRICT_BASE + [tied, below])
+    rebuilt = RankedJoinIndex.build(live, 4)
+    # k = n turns the scan's partial selection off: its full lexsort is
+    # the canonical order, and any prefix of it is the oracle.
+    scan = FullScanTopK(RankTupleSet.from_tuples(live))
+    for k in (1, 3, 4):
+        for preference in _EDGE_PREFERENCES:
+            answer = index.query(preference, k)
+            assert answer == scan.query(as_preference(preference), len(live))[:k]
+            assert index.query_batch([preference], k) == [answer]
+            assert list(index.explain(preference, k).results) == answer
+            # The build prunes by (s1 >=, s2 >) dominance, so on the s1
+            # axis itself a rebuild ranks C over an s1-tying insert
+            # whatever the tids say; the merge keeps the canonical order.
+            on_s1_axis = preference in (0.0, (1.0, 0.0))
+            if not (on_s1_axis and k == 4 and (tid, s1) == (5, 0.80)):
+                assert answer == rebuilt.query(preference, k)
+    if (tid, s1) == (5, 0.80):
+        assert [r.tid for r in index.query(0.0, 4)] == [10, 11, 12, 5]
 
 
 def test_insert_supersedes_base_copy():

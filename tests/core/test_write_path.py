@@ -147,14 +147,36 @@ class WritePathContract:
         _assert_matches_rebuild(index, pool, 12, 6)
 
     def test_tombstone_pressure_forces_compaction(self, tier):
-        # 2 * tombstones >= K_effective would break exact merges at
+        # 2 * charged >= K_effective would break exact merges at
         # moderate k; every tier compacts on the same (4th) delete.
+        # The top of one fixed angle is indexed before and after it.
         index, _ = tier(_tuples(40), k=8)
-        for tid in range(6):
-            index.delete(tid)
+        top = RankedJoinIndex.build(_tuples(40), 8).query((0.5, 0.5), 6)
+        for i, victim in enumerate(top):
+            index.delete(victim.tid)
             _settle(index)
-            assert index.delta.n_tombstones == (tid + 1) % 4
+            assert index.delta.n_tombstones == (i + 1) % 4
+            assert index.k_effective == 8 - (i + 1) % 4
         assert index.k_effective == 8 - 2 and index.n_live == 34
+
+    def test_non_skyband_deletes_cost_nothing(self, tier):
+        # Lemma 2 on the write side: a delete of a K-dominated tuple
+        # hides no indexed row, so it neither lowers k_effective nor
+        # counts toward the pressure trigger — only the op threshold.
+        index, _ = tier(threshold=30)
+        pool = {t.tid: t for t in _tuples()}
+        indexed = set(RankedJoinIndex.build(_tuples(), 12).dominating.tids.tolist())
+        outside = [tid for tid in sorted(pool) if tid not in indexed]
+        for i, tid in enumerate(outside[:29]):
+            assert index.delete(tid) == 12
+            del pool[tid]
+            _settle(index)
+            assert index.delta.n_tombstones == i + 1
+        assert index.delta.n_charged == 0 and index.delta.is_transparent
+        _assert_matches_rebuild(index, pool, 12, 12)
+        index.delete(outside[29])  # the 30th op: the threshold fires
+        _settle(index)
+        assert index.delta.is_empty and index.k_effective == 12
 
     def test_explicit_compact_empties_the_delta(self, tier):
         index, _ = tier()
@@ -168,27 +190,49 @@ class WritePathContract:
         _assert_matches_rebuild(index, pool, 12, 6)
 
     def test_writes_merge_exactly(self, tier):
-        # A seeded insert/delete/compact stream against the oracle.
+        # A seeded insert/delete/compact stream against the oracle, in
+        # three phases: mixed; skyband-heavy (every write lands in the
+        # top-K band, so it is charged or visible); skyband-free (every
+        # write is K-dominated, so none is).
         index, _ = tier(threshold=7)
         pool = {t.tid: t for t in _tuples()}
         rng = np.random.default_rng(5)
-        for step in range(45):
+        victims = {
+            "mixed": lambda: int(rng.choice(sorted(pool))),
+            "heavy": lambda: max(pool.values(), key=lambda t: t.s1 + t.s2).tid,
+            "free": lambda: min(pool.values(), key=lambda t: t.s1 + t.s2).tid,
+        }
+        ranks = {"mixed": (0.0, 1.0), "heavy": (0.9, 1.0), "free": (0.0, 0.02)}
+        heavy_charged = 0
+        for step in range(105):
+            phase = "mixed" if step < 45 else "heavy" if step < 75 else "free"
             if step % 3 == 2:
-                victim = int(rng.choice(sorted(pool)))
+                victim = victims[phase]()
                 index.delete(victim)
                 del pool[victim]
             else:
+                lo, hi = ranks[phase]
                 pool[1000 + step] = RankTuple(
-                    1000 + step, float(rng.random()), float(rng.random())
+                    1000 + step,
+                    lo + (hi - lo) * float(rng.random()),
+                    lo + (hi - lo) * float(rng.random()),
                 )
                 assert index.insert(pool[1000 + step]) is True
             if step % 20 == 19:
                 index.compact()
             _settle(index)
+            if phase == "heavy":
+                heavy_charged = max(heavy_charged, index.delta.n_charged)
             if step % 4 == 0:
                 _assert_matches_rebuild(index, pool, 12, 6, seed=step)
+            if step in (44, 74):
+                _assert_matches_rebuild(index, pool, 12, index.k_effective)
         assert index.n_live == len(pool)
-        _assert_matches_rebuild(index, pool, 12, 12 - index.delta.n_tombstones)
+        assert heavy_charged >= 2
+        # Only free-phase writes are still buffered: reads take the
+        # plain path and the full bound is answerable.
+        assert index.delta.is_transparent and not index.delta.is_empty
+        _assert_matches_rebuild(index, pool, 12, 12)
 
 
 class TestManagedWalMode(WritePathContract):
@@ -213,6 +257,35 @@ class TestConcurrentWalMode(WritePathContract):
         _settle(index)
         assert index.delta.n_ops < 23  # compaction drained the buffer
         _assert_matches_rebuild(index, pool, 12, 6)
+
+    def test_swap_reclassifies_writes_newer_than_the_snapshot(
+        self, tier, monkeypatch
+    ):
+        # Writes that land between a compaction's snapshot and its swap
+        # stay buffered and are judged against the *fresh* base.
+        index, _ = tier()
+        pool = {t.tid: t for t in _tuples()}
+        pool[5000] = RankTuple(5000, 0.99, 0.99)
+        index.insert(pool[5000])
+        real_build = RankedJoinIndex.build
+
+        def build_while_writing(tuples, k, **options):
+            # On the off-lock build step, once: the snapshot is taken.
+            monkeypatch.setattr(RankedJoinIndex, "build", real_build)
+            del pool[5000]
+            assert index.delete(5000) == 12  # the old base never held it
+            for tid, rank in [(5001, 0.01), (5002, 0.98)]:
+                pool[tid] = RankTuple(tid, rank, rank)
+                index.insert(pool[tid])
+            return real_build(tuples, k, **options)
+
+        monkeypatch.setattr(RankedJoinIndex, "build", build_while_writing)
+        index.compact()
+        # The fresh base holds tid 5000, so its tombstone is charged now.
+        delta = index.delta
+        assert (delta.n_ops, delta.n_charged, delta.n_visible) == (3, 1, 1)
+        assert index.k_effective == 11
+        _assert_matches_rebuild(index, pool, 12, 11)
 
 
 class TestDurableWalMode(WritePathContract):

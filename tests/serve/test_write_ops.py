@@ -66,6 +66,19 @@ class TestRoundTrip:
                 preference, 5
             )
 
+    def test_stats_expose_the_write_buffer(self, durable, client):
+        assert client.stats()["writes"] == {
+            "delta_ops": 0, "charged": 0, "visible": 0, "k_effective": 12
+        }
+        client.insert(RankTuple(999, 2.0, 2.0))  # tops every answer
+        client.insert(RankTuple(998, -1.0, -1.0))  # under every tuple
+        client.delete(int(durable.query((0.5, 0.5), 2)[1].tid))
+        assert client.stats()["writes"] == {
+            "delta_ops": 3, "charged": 1, "visible": 1, "k_effective": 11
+        }
+        with QueryServer(RankedJoinIndex.build(_tuples(), 4), port=0) as bare:
+            assert "writes" not in bare.stats_snapshot()
+
     def test_writes_are_durable_through_the_wire(
         self, tmp_path, durable, client
     ):

@@ -20,7 +20,7 @@ import pytest
 from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTuple
 from repro.core.workloads import random_preferences
-from repro.errors import MaintenanceError, TransientStorageError
+from repro.errors import InvalidQueryError, MaintenanceError, TransientStorageError
 from repro.faults import arm, builtin_plan
 from repro.storage.diskindex import DiskRankedJoinIndex
 from repro.storage.durable import DurableRankedJoinIndex
@@ -96,6 +96,43 @@ class TestLifecycle:
         assert recovered.last_recovery.replayed == 1
         recovered.close()
         _assert_recovers_to(tmp_path, pool)
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    def test_disk_recover_ignores_deletes_the_image_never_held(self, tmp_path, mmap):
+        # Regression: 100 replayed deletes of K-dominated tuples used to
+        # be subtracted from the image's count (n_live went negative)
+        # and charged against its slack (k = K was refused).
+        index = DurableRankedJoinIndex.create(
+            tmp_path, _tuples(400), 3, compaction_threshold=1000, fsync=False
+        )
+        pool = {t.tid: t for t in _tuples(400)}
+        indexed = RankedJoinIndex.build(_tuples(400), 3).dominating.tids.tolist()
+        for tid in [tid for tid in sorted(pool) if tid not in indexed][:100]:
+            index.delete(tid)
+            del pool[tid]
+        index.close()
+        image, wal = tmp_path / "base.rji", tmp_path / "wal"
+        disk = DiskRankedJoinIndex.recover(image, wal, mmap=mmap)
+        assert disk.last_recovery.replayed == 100
+        assert disk.last_recovery.n_live == len(indexed) > 3
+        assert disk.delta.n_tombstones == 100 and disk.delta.n_charged == 0
+        _assert_matches_rebuild(disk, pool, 3, 3)
+
+        # One delete the image does hold, one insert it can serve.
+        reopened = DurableRankedJoinIndex.recover(
+            tmp_path, compaction_threshold=1000, fsync=False
+        )
+        pool[9000] = RankTuple(9000, 0.97, 0.97)
+        reopened.insert(pool[9000])
+        reopened.delete(indexed[0])
+        del pool[indexed[0]]
+        reopened.close()
+        disk = DiskRankedJoinIndex.recover(image, wal, mmap=mmap)
+        assert disk.last_recovery.n_live == len(indexed) - 1 + 1
+        assert (disk.delta.n_charged, disk.delta.n_visible) == (1, 1)
+        _assert_matches_rebuild(disk, pool, 3, 2)
+        with pytest.raises(InvalidQueryError, match="compact"):
+            disk.query((0.5, 0.5), 3)
 
     def test_write_validation_is_typed(self, tmp_path):
         index = DurableRankedJoinIndex.create(tmp_path, _tuples(), 10, fsync=False)
