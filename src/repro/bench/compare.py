@@ -63,6 +63,7 @@ _GATED_METRICS = frozenset(
         "build.n_dominating",
         "disk.pager_reads",
         "disk.buffer_misses",
+        "disk.btree_keys_compared",
         "disk.index_pages",
         "disk.index_bytes",
     }
@@ -75,6 +76,8 @@ _TIMED_METRICS = frozenset(
         "query_latency.p50_s",
         "query_latency.p99_s",
         "query_latency.mean_s",
+        "disk.query_latency.p50_s",
+        "disk.query_latency.p99_s",
     }
 )
 
@@ -178,10 +181,16 @@ def _numeric_metrics(report: dict) -> dict[str, float]:
         "pager_writes",
         "buffer_hits",
         "buffer_misses",
+        "btree_keys_compared",
         "index_pages",
         "index_bytes",
     ):
         take("disk", key)
+    disk_latency = report.get("disk", {}).get("query_latency", {})
+    for key in ("p50_s", "p99_s"):
+        value = disk_latency.get(key)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            metrics[f"disk.query_latency.{key}"] = float(value)
     for name, value in report.get("query_counters", {}).items():
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             metrics[f"query_counters.{name}"] = float(value)

@@ -12,7 +12,10 @@ One :func:`run_benchmark` call measures a seeded workload end to end:
    recorder for B+-tree descent depth, regions touched, and tuples
    evaluated per query;
 4. **disk** — serialize through :mod:`repro.storage` and replay again
-   for page-I/O counters and the buffer-pool hit rate;
+   for page-I/O counters, B+-tree keys compared and the buffer-pool hit
+   rate, then time the same workload on an uninstrumented disk index
+   (``disk.query_latency``), asserting its answers are bit-identical to
+   the in-memory ones;
 5. **cold open** — save the disk image to a scratch file and time
    eager open vs zero-copy (mmap) open through to the *first answer*,
    asserting the answers are bit-identical either way;
@@ -122,7 +125,9 @@ def _percentiles(samples: list[float]) -> dict[str, float]:
     }
 
 
-def _warmup(index: RankedJoinIndex, preferences, k: int) -> None:
+def _warmup(
+    index: RankedJoinIndex | DiskRankedJoinIndex, preferences, k: int
+) -> None:
     """Untimed full pass so timed passes compare like for like.
 
     The first visit to each region pays one-off costs (allocator churn
@@ -133,7 +138,9 @@ def _warmup(index: RankedJoinIndex, preferences, k: int) -> None:
         index.query(preference, k)
 
 
-def _timed_queries(index: RankedJoinIndex, preferences, k: int):
+def _timed_queries(
+    index: RankedJoinIndex | DiskRankedJoinIndex, preferences, k: int
+):
     """Per-query wall-clock latencies plus the answers themselves."""
     latencies: list[float] = []
     answers = []
@@ -228,8 +235,29 @@ def run_benchmark(
     disk.reset_io()
     for preference in preferences:
         disk.query(preference, config.k_query)
+    # Latency comes from a second, uninstrumented image with a warm
+    # pool, so it is what a caller pays and is comparable with
+    # ``query_latency`` above.
+    plain_disk = DiskRankedJoinIndex(
+        plain,
+        page_size=config.page_size,
+        buffer_capacity=config.buffer_capacity,
+    )
+    _warmup(plain_disk, preferences, config.k_query)
+    disk_latencies, disk_answers = _timed_queries(
+        plain_disk, preferences, config.k_query
+    )
+    if disk_answers != null_answers:
+        raise ConstructionError(
+            "the disk tier changed query answers; it must be bit-identical "
+            "to the in-memory index"
+        )
     disk_summary = {
         "btree_descent_nodes": asdict(disk_recorder.series("disk.btree_nodes")),
+        "btree_keys_compared": int(
+            disk_recorder.series("disk.btree_keys_compared").total
+        ),
+        "query_latency": _percentiles(disk_latencies),
         "pages_read_per_query": asdict(disk_recorder.series("disk.pages_read")),
         "tuples_evaluated": asdict(
             disk_recorder.series("disk.tuples_evaluated")

@@ -336,6 +336,24 @@ class DeltaStore:
             )
         return self._columns
 
+    def merged_columns(
+        self, tids: np.ndarray, s1: np.ndarray, s2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A region's columns minus charged rows, plus the visible inserts.
+
+        The columnar merged view every vectorized query path scores
+        (the counterpart of :meth:`merged_scored`): rank values are
+        copied, never recomputed, so scoring the result is bit-identical
+        to scoring a rebuilt region.
+        """
+        keep = self.survivor_mask(tids)
+        d_tids, d_s1, d_s2 = self.insert_columns()
+        return (
+            np.concatenate((tids[keep], d_tids)),
+            np.concatenate((s1[keep], d_s1)),
+            np.concatenate((s2[keep], d_s2)),
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeltaStore(inserts={len(self._inserts)}, "

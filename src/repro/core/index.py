@@ -59,7 +59,7 @@ from .scoring import Preference, PreferenceLike, as_preference
 from .sweep import Region, SweepStats, sweep_regions
 from .tuples import RankTuple, RankTupleSet
 
-__all__ = ["QueryResult", "BuildStats", "RankedJoinIndex"]
+__all__ = ["QueryResult", "BuildStats", "RankedJoinIndex", "top_k_columns"]
 
 
 class QueryResult(NamedTuple):
@@ -72,6 +72,41 @@ class QueryResult(NamedTuple):
 
     tid: int
     score: float
+
+
+def top_k_columns(
+    tids: np.ndarray,
+    s1: np.ndarray,
+    s2: np.ndarray,
+    p1: float,
+    p2: float,
+    k: int,
+    *,
+    ordered: bool = False,
+    neg_s1: np.ndarray | None = None,
+) -> list[QueryResult]:
+    """Top-``k`` of one region's columns under ``p1 * s1 + p2 * s2``.
+
+    The one columnar score / select / materialize kernel, shared by
+    :meth:`RankedJoinIndex.query_batch` and the disk tier's ``query``.
+    Scores use the scalar path's arithmetic and the ``lexsort`` realizes
+    its total order (score desc, ``s1`` desc, tid asc), so answers are
+    bit-identical to :meth:`RankedJoinIndex.query`.  ``ordered`` says the
+    rows are already stored in answer order (the ordered variant with
+    no write buffer merged in); ``neg_s1`` is ``-s1`` when the caller
+    keeps it precomputed (float negation is exact either way).
+    """
+    scores = p1 * s1 + p2 * s2
+    if ordered:
+        chosen = np.arange(min(k, len(tids)))
+    else:
+        if neg_s1 is None:
+            neg_s1 = -s1
+        chosen = np.lexsort((tids, neg_s1, -scores))[:k]
+    return [
+        QueryResult(tid, score)
+        for tid, score in zip(tids[chosen].tolist(), scores[chosen].tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -613,6 +648,7 @@ class RankedJoinIndex:
         if merged and recorder.enabled:
             recorder.count("delta.merged_queries", len(coerced))
 
+        ordered = self.variant == "ordered" and not merged
         results: list[list[QueryResult] | None] = [None] * len(coerced)
         for region_id in unique_regions:
             if deadline is not None:
@@ -623,43 +659,26 @@ class RankedJoinIndex:
                 for q in queries:
                     results[int(q)] = []
                 continue
+            tids = store.tids[start:stop]
             s1 = store.s1[start:stop]
             s2 = store.s2[start:stop]
-            neg_s1 = store.neg_s1[start:stop]
-            tids = store.tids[start:stop]
             if merged:
-                # Merged view: drop charged base rows, append the
-                # visible inserts, and recompute the negated-s1 key
-                # (float negation is exact, so the combined lexsort is
-                # bit-identical to the scalar merged sort).
                 assert delta is not None
-                keep = delta.survivor_mask(tids)
-                d_tids, d_s1, d_s2 = delta.insert_columns()
-                tids = np.concatenate((tids[keep], d_tids))
-                s1 = np.concatenate((s1[keep], d_s1))
-                s2 = np.concatenate((s2[keep], d_s2))
+                tids, s1, s2 = delta.merged_columns(tids, s1, s2)
                 neg_s1 = -s1
+            else:
+                neg_s1 = store.neg_s1[start:stop]
             if recorder.enabled:
                 recorder.count(
                     "rji.batch.tuples_evaluated",
                     len(tids) * len(queries),
                     {"region": int(region_id)},
                 )
-            for q in queries:
-                preference = coerced[int(q)]
-                # Same arithmetic as the scalar path, so batch answers
-                # are bit-identical to per-query answers.
-                scores = preference.p1 * s1 + preference.p2 * s2
-                if self.variant == "ordered" and not merged:
-                    chosen = np.arange(min(k, stop - start))
-                else:
-                    chosen = np.lexsort((tids, neg_s1, -scores))[:k]
-                results[int(q)] = [
-                    QueryResult(tid, score)
-                    for tid, score in zip(
-                        tids[chosen].tolist(), scores[chosen].tolist()
-                    )
-                ]
+            for q in queries.tolist():
+                p = coerced[q]
+                results[q] = top_k_columns(
+                    tids, s1, s2, p.p1, p.p2, k, ordered=ordered, neg_s1=neg_s1
+                )
         return results  # type: ignore[return-value]
 
     # -- delta merge -------------------------------------------------------

@@ -118,6 +118,7 @@ SERIES = frozenset(
         "rji.batch.queries",
         "rji.batch.groups",
         "disk.btree_nodes",
+        "disk.btree_keys_compared",
         "disk.pages_read",
         "disk.tuples_evaluated",
         "sql.rows_out",

@@ -20,11 +20,18 @@ Page layout (little-endian):
 * internal: leftmost child ``i64`` at offset 8, then ``count`` entries
   of ``(separator f64, child i64)``; separator ``k_i`` routes probes
   ``>= k_i`` into ``child_i``.
+
+Node search is a binary search over the page image itself
+(:func:`_keys_not_above`): it makes the comparison ``bisect_right``
+makes, ``probe < key_at(mid)``, decoding only the keys it compares —
+at most ``ceil(log2(count + 1))`` per node, 8 for a full 4 KiB leaf of
+255 — so a lookup costs ``O(height * log B)`` key decodes, the
+logarithmic descent the paper's query bound assumes.
+:attr:`BTreeSearchStats.keys_compared` counts them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..errors import StorageError
@@ -42,9 +49,35 @@ _ENTRY = 16  # key f64 + value/child i64
 
 @dataclass
 class BTreeSearchStats:
-    """Pages touched by one lookup (logical; physical reads come from the pager)."""
+    """Pages touched and keys decoded-and-compared by one lookup.
+
+    Both are logical counts; physical reads come from the pager.
+    """
 
     nodes_visited: int = 0
+    keys_compared: int = 0
+
+
+def _keys_not_above(
+    page: Page, first_key: int, count: int, key: float, stats: BTreeSearchStats
+) -> int:
+    """How many of a node's ``count`` sorted keys are ``<= key``.
+
+    ``bisect_right`` over the keys at ``first_key + i * _ENTRY``, with
+    its comparison (``key < key_at(mid)``), so ties, signed zeros,
+    infinities and NaN probes land where a bisect over the decoded key
+    list would put them.
+    """
+    lo, hi, compared = 0, count, 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        compared += 1
+        if key < page.read_f64(first_key + mid * _ENTRY):
+            hi = mid
+        else:
+            lo = mid + 1
+    stats.keys_compared += compared
+    return lo
 
 
 class BPlusTree:
@@ -155,38 +188,31 @@ class BPlusTree:
         key (RJI stores its first region under key 0.0, so any
         non-negative probe succeeds).
         """
+        if stats is None:
+            stats = BTreeSearchStats()
         page_id = self.root_page_id
         for _ in range(self.height - 1):
-            page = pool.get(page_id)
-            if stats is not None:
-                stats.nodes_visited += 1
-            page_id = self._route(page, key)
+            page_id = self._route(pool.get(page_id), key, stats)
         page = pool.get(page_id)
-        if stats is not None:
-            stats.nodes_visited += 1
+        stats.nodes_visited += 1
         if page.read_u8(0) != _LEAF:
             raise StorageError("B+-tree height bookkeeping is corrupt")
         count = page.read_u16(1)
-        entry_keys = [page.read_f64(_HEADER + i * _ENTRY) for i in range(count)]
-        position = bisect_right(entry_keys, key) - 1
+        position = _keys_not_above(page, _HEADER, count, key, stats) - 1
         if position < 0:
             raise StorageError(f"probe key {key} precedes all stored keys")
-        return (
-            entry_keys[position],
-            page.read_i64(_HEADER + position * _ENTRY + 8),
-        )
+        entry = _HEADER + position * _ENTRY
+        return page.read_f64(entry), page.read_i64(entry + 8)
 
-    def _route(self, page: Page, key: float) -> int:
+    def _route(self, page: Page, key: float, stats: BTreeSearchStats) -> int:
+        stats.nodes_visited += 1
         if page.read_u8(0) != _INTERNAL:
             raise StorageError("expected an internal node")
+        # Child i sits 8 bytes before separator i (the leftmost child
+        # before separator 0), so "keys <= probe" indexes it directly.
         count = page.read_u16(1)
-        separators = [
-            page.read_f64(_HEADER + 8 + i * _ENTRY) for i in range(count)
-        ]
-        position = bisect_right(separators, key) - 1
-        if position < 0:
-            return page.read_i64(_HEADER)
-        return page.read_i64(_HEADER + 8 + position * _ENTRY + 8)
+        position = _keys_not_above(page, _HEADER + 8, count, key, stats)
+        return page.read_i64(_HEADER + position * _ENTRY)
 
     # -- introspection ---------------------------------------------------------
 

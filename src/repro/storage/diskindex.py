@@ -28,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.deadline import Deadline
+from ..core.deadline import Deadline, DeadlineLike
 from ..core.delta import DeltaStore
 from ..core.hotcache import MISS, HotRegionCache
-from ..core.index import QueryResult, RankedJoinIndex
+from ..core.index import QueryResult, RankedJoinIndex, top_k_columns
 from ..core.scoring import PreferenceLike, as_preference
 from ..errors import CorruptPageError, InvalidQueryError, StorageError
 from ..obs import NULL_RECORDER, Recorder
@@ -90,6 +90,7 @@ class DiskQueryStats:
     """Per-query work counters (reset with :meth:`DiskRankedJoinIndex.reset_io`)."""
 
     btree_nodes: int = 0
+    btree_keys_compared: int = 0
     pages_read: int = 0
     tuples_evaluated: int = 0
 
@@ -407,18 +408,20 @@ class DiskRankedJoinIndex:
         preference: PreferenceLike,
         k: int,
         *,
-        deadline: Deadline | None = None,
+        deadline: DeadlineLike = None,
     ) -> list[QueryResult]:
         """Top-k under ``preference``, served from pages via the buffer pool.
 
         Accepts the same preference forms as the in-memory index (see
         :func:`~repro.core.scoring.as_preference`); raises
         :class:`~repro.errors.InvalidQueryError` for ``k`` outside
-        ``[1, K]`` or a malformed preference.  ``deadline`` is checked
-        cooperatively at the descent and evaluation phase boundaries
-        (:class:`~repro.errors.QueryTimeoutError` past expiry); on a
-        repaired index, a probe landing in an unrecoverable region
-        raises :class:`~repro.errors.CorruptPageError`.
+        ``[1, K]`` or a malformed preference.  ``deadline`` — an armed
+        :class:`~repro.core.deadline.Deadline` or a budget in seconds —
+        is checked cooperatively at the descent and evaluation phase
+        boundaries (:class:`~repro.errors.QueryTimeoutError` past
+        expiry); on a repaired index, a probe landing in an
+        unrecoverable region raises
+        :class:`~repro.errors.CorruptPageError`.
         """
         if k < 1:
             raise InvalidQueryError(f"k must be positive, got {k}")
@@ -437,30 +440,26 @@ class DiskRankedJoinIndex:
                     "and re-save the image"
                 )
         preference = as_preference(preference)
+        deadline = Deadline.of(deadline)
         if self.faults is not None:
             self.faults.on_disk_query()
         if deadline is not None:
             deadline.check("disk.validate")
-        query_stats = DiskQueryStats()
         reads_before = self.pager.counters.reads
 
         btree_stats = BTreeSearchStats()
         cache = self._cache
-        cache_hit = evicted = False
-        if cache is not None:
-            cached = cache.get(preference.angle)
-            if cached is not MISS:
-                key, address = cached
-                cache_hit = True
-            else:
-                key, address = self._btree.search_le(
-                    preference.angle, self.pool, btree_stats
-                )
-                evicted = cache.put(preference.angle, (key, address))
+        cached = MISS if cache is None else cache.get(preference.angle)
+        cache_hit = cached is not MISS
+        evicted = False
+        if cache_hit:
+            key, address = cached
         else:
             key, address = self._btree.search_le(
                 preference.angle, self.pool, btree_stats
             )
+            if cache is not None:
+                evicted = cache.put(preference.angle, (key, address))
         if deadline is not None:
             deadline.check("disk.descent")
         if self._mapped:
@@ -473,8 +472,7 @@ class DiskRankedJoinIndex:
         else:
             payload = self._heap.read(address, self.pool)
         records = np.frombuffer(payload, dtype=_RECORD_DTYPE)
-        n_tuples = len(records)
-        if n_tuples == 0:
+        if len(records) == 0:
             # Tombstone left by repair(): the region's payload was lost.
             raise CorruptPageError(
                 f"query at angle {preference.angle:.6g} fell in the "
@@ -486,37 +484,36 @@ class DiskRankedJoinIndex:
         tids = records["tid"]
         s1 = records["s1"]
         s2 = records["s2"]
-
         merged = delta is not None and not delta.is_transparent
         if merged:
-            # Merged view (recover() replayed a WAL into the delta):
-            # drop charged rows, append the visible inserts, and score
-            # with the same arithmetic, so the lexsort realizes the
-            # canonical order bit-identically to a rebuilt image.
+            # recover() replayed a WAL into the delta: score the merged
+            # view, as the in-memory batch path does.
             assert delta is not None
-            keep = delta.survivor_mask(tids)
-            d_tids, d_s1, d_s2 = delta.insert_columns()
-            tids = np.concatenate((tids[keep], d_tids))
-            s1 = np.concatenate((s1[keep], d_s1))
-            s2 = np.concatenate((s2[keep], d_s2))
-            n_tuples = len(tids)
-
-        if self.variant == "ordered" and not merged:
-            chosen = np.arange(min(k, n_tuples))
-            scores = preference.p1 * s1 + preference.p2 * s2
-        else:
-            scores = preference.p1 * s1 + preference.p2 * s2
-            chosen = np.lexsort((tids, -s1, -scores))[:k]
+            tids, s1, s2 = delta.merged_columns(tids, s1, s2)
+        results = top_k_columns(
+            tids,
+            s1,
+            s2,
+            preference.p1,
+            preference.p2,
+            k,
+            ordered=self.variant == "ordered" and not merged,
+        )
         if deadline is not None:
             deadline.check("disk.evaluate")
 
-        query_stats.btree_nodes = btree_stats.nodes_visited
-        query_stats.pages_read = self.pager.counters.reads - reads_before
-        query_stats.tuples_evaluated = n_tuples
-        self.last_query = query_stats
+        query_stats = self.last_query = DiskQueryStats(
+            btree_nodes=btree_stats.nodes_visited,
+            btree_keys_compared=btree_stats.keys_compared,
+            pages_read=self.pager.counters.reads - reads_before,
+            tuples_evaluated=len(tids),
+        )
         if self.recorder.enabled:
             self.recorder.count("disk.queries")
             self.recorder.observe("disk.btree_nodes", query_stats.btree_nodes)
+            self.recorder.observe(
+                "disk.btree_keys_compared", query_stats.btree_keys_compared
+            )
             self.recorder.observe("disk.pages_read", query_stats.pages_read)
             self.recorder.observe(
                 "disk.tuples_evaluated", query_stats.tuples_evaluated
@@ -527,7 +524,7 @@ class DiskRankedJoinIndex:
                 )
                 if evicted:
                     self.recorder.count("rji.cache.evictions")
-        return [QueryResult(int(tids[p]), float(scores[p])) for p in chosen]
+        return results
 
     # -- verification and recovery ------------------------------------------
 

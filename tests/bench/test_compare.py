@@ -38,6 +38,8 @@ def make_report(name="smoke", **overrides):
             "pager_writes": 0,
             "buffer_hits": 600,
             "buffer_misses": 10,
+            "btree_keys_compared": 1200,
+            "query_latency": {"p50_s": 2e-5, "p99_s": 6e-5},
             "index_pages": 10,
             "index_bytes": 40960,
         },
@@ -74,6 +76,25 @@ class TestGate:
         new = make_report()
         new["query_counters"]["rji.queries"] = 500
         assert not compare_reports(make_report(), new).ok
+
+    def test_btree_keys_compared_is_gated(self):
+        # A node search that went back to decoding every key (255 per
+        # full leaf instead of 8) must fail CI by count.
+        new = make_report(**{"disk.btree_keys_compared": 13800})
+        comparison = compare_reports(make_report(), new)
+        assert [d.name for d in comparison.regressions] == [
+            "disk.btree_keys_compared"
+        ]
+
+    def test_disk_latency_gates_only_on_request(self):
+        new = make_report()
+        new["disk"]["query_latency"] = {"p50_s": 1.0, "p99_s": 1.0}
+        assert compare_reports(make_report(), new).ok
+        comparison = compare_reports(make_report(), new, gate_time=True)
+        assert {d.name for d in comparison.regressions} == {
+            "disk.query_latency.p50_s",
+            "disk.query_latency.p99_s",
+        }
 
     def test_zero_baseline_gates_any_growth(self):
         old = make_report(**{"disk.pager_reads": 0})

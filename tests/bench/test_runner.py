@@ -58,6 +58,11 @@ class TestReportSchema:
     def test_disk_section(self, report):
         disk = report["disk"]
         assert disk["btree_descent_nodes"]["count"] == TINY.n_queries
+        # At most ceil(log2(255 + 1)) = 8 keys compared per node visited.
+        nodes = disk["btree_descent_nodes"]["total"]
+        assert nodes <= disk["btree_keys_compared"] <= 8 * nodes
+        latency = disk["query_latency"]
+        assert 0 < latency["p50_s"] <= latency["p99_s"] <= latency["max_s"]
         assert disk["index_pages"] > 0
         assert disk["pager_reads"] >= 0
         assert 0.0 <= disk["buffer_hit_rate"] <= 1.0
@@ -83,7 +88,8 @@ class TestDeterminism:
     def test_counters_reproduce(self, report):
         again = run_benchmark(TINY)
         assert again["query_counters"] == report["query_counters"]
-        assert again["disk"]["pager_reads"] == report["disk"]["pager_reads"]
+        for key in ("pager_reads", "btree_keys_compared"):
+            assert again["disk"][key] == report["disk"][key]
         for key in ("n_dominating", "n_regions", "pairs_considered"):
             assert again["build"][key] == report["build"][key]
 

@@ -110,6 +110,9 @@ class TestStorageInstrumentation:
             disk.query(preference, 5)
         assert recorder.counter("disk.queries") == len(preferences)
         assert recorder.series("disk.btree_nodes").count == len(preferences)
+        compared = recorder.series("disk.btree_keys_compared")
+        assert compared.count == len(preferences)
+        assert compared.total >= recorder.series("disk.btree_nodes").total
         assert recorder.series("disk.pages_read").count == len(preferences)
         assert recorder.counter("buffer.hits") + recorder.counter(
             "buffer.misses"

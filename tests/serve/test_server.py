@@ -206,11 +206,16 @@ class TestAdmissionControl:
             ]
             for t in threads:
                 t.start()
-            # Let the requests pile against the closed gate, then open.
+            # Let the requests pile against the closed gate until the
+            # queue is full *and* one has been refused (a full queue
+            # alone races the workers that have not connected yet),
+            # then open.
             import time
 
             deadline = time.time() + 10.0
-            while srv.queue_depth < 2 and time.time() < deadline:
+            while (
+                srv.queue_depth < 2 or srv.stats()["shed"] < 1
+            ) and time.time() < deadline:
                 time.sleep(0.005)
             gate.set()
             for t in threads:

@@ -1,6 +1,7 @@
 """Tests for the disk B+-tree (bulk load, predecessor search)."""
 
 import bisect
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,47 @@ class TestSearch:
         assert stats.nodes_visited == tree.height
 
 
+class TestSearchCost:
+    """The node search is logarithmic in the fanout, by count not clock."""
+
+    @staticmethod
+    def _capacity(page_size):
+        return (page_size - 16) // 16
+
+    def _assert_bound(self, keys, page_size, probes):
+        values = list(range(len(keys)))
+        tree, pool = _build(keys, values, page_size=page_size)
+        per_node = math.ceil(math.log2(self._capacity(page_size) + 1))
+        worst = 0
+        for probe in probes:
+            stats = BTreeSearchStats()
+            position = bisect.bisect_right(keys, probe) - 1
+            assert tree.search_le(probe, pool, stats) == (
+                keys[position],
+                values[position],
+            )
+            assert stats.nodes_visited == tree.height
+            assert 1 <= stats.keys_compared <= stats.nodes_visited * per_node
+            worst = max(worst, stats.keys_compared)
+        return tree, worst
+
+    def test_full_leaf_costs_log2_of_its_keys(self):
+        keys = [float(i) for i in range(255)]
+        probes = keys + [k + 0.5 for k in keys] + [1e9]
+        tree, worst = self._assert_bound(keys, 4096, probes)
+        assert tree.height == 1
+        assert worst == 8  # ceil(log2(255 + 1)); a linear decode costs 255
+
+    @pytest.mark.parametrize("page_size", [64, 128, 4096])
+    def test_multi_level_descent_is_logarithmic_per_node(self, page_size):
+        n = 3 * (self._capacity(page_size) + 1) ** 2 // 2
+        keys = [float(i) for i in range(n)]
+        step = max(1, n // 400)
+        probes = keys[::step] + [k + 0.25 for k in keys[::step]] + [keys[-1]]
+        tree, _ = self._assert_bound(keys, page_size, probes)
+        assert tree.height >= 2
+
+
 class TestIteration:
     def test_iter_entries_in_order(self):
         keys = [float(i) * 0.5 for i in range(77)]
@@ -104,7 +146,17 @@ class TestProperties:
         values = list(range(len(keys)))
         tree, pool = _build(keys, values, page_size=page_size)
         tree.check_invariants(pool)
-        for probe in probes:
+        # Where an in-page binary search could go wrong: probes equal to
+        # stored keys, one ulp either side of them, signed zeros,
+        # subnormals, infinity and NaN (which bisect sends to the end).
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, math.nan]
+        for key in keys[:: max(1, len(keys) // 16)] + [keys[0], keys[-1]]:
+            edges += [
+                key,
+                math.nextafter(key, -math.inf),
+                math.nextafter(key, math.inf),
+            ]
+        for probe in probes + edges:
             position = bisect.bisect_right(keys, probe) - 1
             if position < 0:
                 with pytest.raises(StorageError):

@@ -1,13 +1,17 @@
 """Tests for the disk-resident Ranked Join Index."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.delta import DeltaStore
 from repro.core.index import RankedJoinIndex
 from repro.core.scoring import Preference
-from repro.core.tuples import RankTupleSet
-from repro.errors import QueryError
+from repro.core.tuples import RankTuple, RankTupleSet
+from repro.errors import QueryError, QueryTimeoutError
 from repro.storage.diskindex import DiskRankedJoinIndex
+from repro.storage.wal import WriteAheadLog
 
 from ..conftest import assert_scores_match
 
@@ -55,6 +59,68 @@ class TestEquivalence:
             assert_scores_match(disk.query(pref, k), ts, pref, k)
 
 
+def _boundary_probes(index):
+    """Every region's start angle and its float neighbours on both sides."""
+    probes = []
+    for lo in index.store.lo.tolist():
+        for angle in (
+            math.nextafter(lo, -math.inf),
+            lo,
+            math.nextafter(lo, math.inf),
+        ):
+            if 0.0 <= angle <= math.pi / 2:
+                probes.append(angle)
+    return probes
+
+
+def _assert_bit_identical(disk, index, k):
+    probes = _boundary_probes(index)
+    assert len(probes) >= 3 * index.n_regions - 2
+    for angle, from_batch in zip(probes, index.query_batch(probes, k)):
+        answer = disk.query(angle, k)
+        assert answer == index.query(angle, k) == from_batch, angle
+        assert [(type(r.tid), type(r.score)) for r in answer] == [
+            (int, float)
+        ] * len(answer)
+
+
+class TestBitIdentity:
+    """Disk answers equal the in-memory ones exactly where the B+-tree
+    descent is most fragile: on, just below and just above every key."""
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    @pytest.mark.parametrize("variant", ["standard", "ordered"])
+    def test_every_region_boundary(self, tmp_path, variant, mmap):
+        ts = _uniform(300, seed=11)
+        index = RankedJoinIndex.build(ts, 8, variant=variant)
+        image, wal_dir = tmp_path / "index.rji", tmp_path / "wal"
+        DiskRankedJoinIndex(index).save(image)
+        disk = DiskRankedJoinIndex.open(image, mmap=mmap)
+        _assert_bit_identical(disk, index, 8)
+        if mmap:
+            disk.pager.close()
+
+        # The same sweep with a replayed write buffer merged in: one
+        # insert every region can serve, one delete of an indexed tuple.
+        inserted = RankTuple(9000, 99.5, 99.5)
+        victim = int(index.dominating.tids[0])
+        wal = WriteAheadLog(wal_dir, fsync=False)
+        wal.append_insert(*inserted)
+        wal.append_delete(victim)
+        wal.commit()
+        wal.close()
+        delta = DeltaStore()
+        delta.insert(inserted)
+        delta.delete(victim)
+        index.attach_delta(delta)
+        recovered = DiskRankedJoinIndex.recover(image, wal_dir, mmap=mmap)
+        assert recovered.last_recovery.replayed == 2
+        assert (recovered.delta.n_charged, recovered.delta.n_visible) == (1, 1)
+        _assert_bit_identical(recovered, index, 7)
+        if mmap:
+            recovered.pager.close()
+
+
 class TestValidation:
     def test_k_out_of_range(self, built):
         _, _, disk = built
@@ -62,6 +128,20 @@ class TestValidation:
             disk.query(Preference(1.0, 1.0), 0)
         with pytest.raises(QueryError):
             disk.query(Preference(1.0, 1.0), 11)
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    def test_deadline_accepts_seconds(self, tmp_path, built, mmap):
+        # Regression: a float budget used to reach ``deadline.check`` raw
+        # (AttributeError); every other front door coerces it.
+        _, index, disk = built
+        path = tmp_path / "index.rji"
+        disk.save(path)
+        reopened = DiskRankedJoinIndex.open(path, mmap=mmap)
+        assert reopened.query(0.5, 5, deadline=30.0) == index.query(0.5, 5)
+        with pytest.raises(QueryTimeoutError):
+            reopened.query(0.5, 5, deadline=1e-9)
+        if mmap:
+            reopened.pager.close()
 
 
 class TestAccounting:

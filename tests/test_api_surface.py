@@ -204,15 +204,25 @@ def test_front_doors_agree_bit_identically(front_doors):
 
 def test_canonical_query_signature(front_doors):
     """Every front-door takes (preference, k, *, deadline=None, ...)."""
-    for name, service in front_doors.items():
-        for method in (service.query, service.query_batch):
-            signature = inspect.signature(method)
-            params = list(signature.parameters.values())
-            assert params[0].name in ("preference", "preferences"), name
-            assert params[1].name == "k", name
-            deadline = signature.parameters["deadline"]
-            assert deadline.kind is inspect.Parameter.KEYWORD_ONLY, name
-            assert deadline.default is None, name
+    from repro.storage.diskindex import DiskRankedJoinIndex
+
+    methods = [
+        (name, method)
+        for name, service in front_doors.items()
+        for method in (service.query, service.query_batch)
+    ]
+    # The bare disk tier has no query_batch, but its query is a front
+    # door too (the resilient wrapper forwards ``deadline`` to it).
+    disk = DiskRankedJoinIndex(front_doors["RankedJoinIndex"])
+    methods.append(("DiskRankedJoinIndex", disk.query))
+    for name, method in methods:
+        params = list(inspect.signature(method).parameters.values())
+        assert params[0].name in ("preference", "preferences"), name
+        assert params[1].name == "k", name
+        deadline = next(p for p in params if p.name == "deadline")
+        assert deadline.kind is inspect.Parameter.KEYWORD_ONLY, name
+        assert deadline.default is None, name
+        assert deadline.annotation == "DeadlineLike", name
 
 
 def test_remote_client_satisfies_index_service():
