@@ -15,9 +15,10 @@ overflow is *counted* in ``dropped``, mirroring the exactness
 certificate of :class:`~repro.obs.metrics.MetricsRecorder` — a snapshot
 with ``dropped == 0`` has exact percentiles.
 
-``qps`` divides by the full window span, not elapsed time, so a freshly
-started window under-reports rather than spikes; the snapshot carries
-``count`` and ``window_s`` so callers can second-guess it.
+``qps`` divides by the time the live buckets actually cover — from the
+start of the oldest one to now, at least one bucket and at most the
+window — so a server two seconds into a run reports its rate, not a
+fifth of it.
 
 The clock is injectable (``clock=``) which makes bucket rotation and
 expiry deterministic under test.  One lock guards all state (RJI011);
@@ -135,7 +136,8 @@ class RollingWindow:
 
         ``p50_s`` / ``p99_s`` are nearest-rank over the retained
         samples — exact iff ``dropped`` is 0.  ``qps`` is the window
-        count over the full window span.  Rates are fractions of
+        count over the span from the oldest live bucket's start to now
+        (never less than one ``bucket_s``).  Rates are fractions of
         ``count`` (0.0 for an empty window).
         """
         now = self._clock()
@@ -145,12 +147,14 @@ class RollingWindow:
         outcomes = {name: 0 for name in OUTCOMES}
         count = 0
         dropped = 0
+        first = epoch
         with self._lock:
             for bucket in self._buckets:
                 if bucket.epoch is None or not (
                     oldest <= bucket.epoch <= epoch
                 ):
                     continue
+                first = min(first, bucket.epoch)
                 count += bucket.count
                 dropped += bucket.dropped
                 samples.extend(bucket.samples)
@@ -161,7 +165,7 @@ class RollingWindow:
             "window_s": self.window_s,
             "bucket_s": self.bucket_s,
             "count": count,
-            "qps": count / self.window_s,
+            "qps": count / max(now - first * self.bucket_s, self.bucket_s),
             "p50_s": _nearest_rank(samples, 50.0),
             "p99_s": _nearest_rank(samples, 99.0),
             "max_s": samples[-1] if samples else 0.0,

@@ -39,7 +39,7 @@ from ..core.scoring import PreferenceLike, as_preference
 from ..core.tuples import RankTuple
 from ..errors import InvalidQueryError, ServerConnectionError
 from ..obs import TraceIdGenerator
-from .protocol import decode_error, decode_results, read_frame, write_frame
+from .protocol import FrameReader, decode_error, decode_results, write_frame
 
 __all__ = ["Client"]
 
@@ -72,6 +72,8 @@ class Client:
         self.request_timeout_s = request_timeout_s
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
+        self._reader: FrameReader | None = None
+        self._wait_s = connect_timeout_s  # the socket's current timeout
         self._next_id = 0
         self._k_bound: int | None = None
         self._closed = False
@@ -84,11 +86,11 @@ class Client:
 
     # -- connection --------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
+    def _connect(self) -> tuple[socket.socket, FrameReader]:
         if self._closed:
             raise ServerConnectionError("client is closed")
-        if self._sock is not None:
-            return self._sock
+        if self._sock is not None and self._reader is not None:
+            return self._sock, self._reader
         try:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.connect_timeout_s
@@ -99,18 +101,15 @@ class Client:
                 f"cannot connect to {self.host}:{self.port}: {exc}"
             ) from exc
         self._sock = sock
-        return sock
+        self._reader = FrameReader(sock)
+        self._wait_s = self.connect_timeout_s
+        return sock, self._reader
 
     def close(self) -> None:
         """Close the connection; further requests raise typed errors."""
         with self._lock:
             self._closed = True
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
+            self._drop()
 
     def __enter__(self) -> "Client":
         return self
@@ -130,11 +129,13 @@ class Client:
             trace = request.get("trace") or self._trace_ids.next()
             request = {**request, "id": self._next_id, "trace": trace}
             self.last_trace_id = trace
-            sock = self._connect()
-            sock.settimeout(wait_s)
+            sock, reader = self._connect()
+            if wait_s != self._wait_s:
+                sock.settimeout(wait_s)
+                self._wait_s = wait_s
             try:
                 write_frame(sock, request)
-                response = read_frame(sock)
+                response = reader.read()
             except ServerConnectionError:
                 self._drop()
                 raise
@@ -169,13 +170,18 @@ class Client:
         return response
 
     def _drop(self) -> None:
-        """Forget a connection whose stream can no longer be trusted."""
+        """Forget a connection whose stream can no longer be trusted.
+
+        Its reader goes with it: bytes buffered from a half-read or late
+        response must never be parsed as the answer to a later request.
+        """
         if self._sock is not None:
             try:
                 self._sock.close()
             except OSError:
                 pass
             self._sock = None
+            self._reader = None
 
     @staticmethod
     def _wire(preference: PreferenceLike) -> list[float]:

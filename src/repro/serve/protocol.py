@@ -70,6 +70,7 @@ from ..errors import (
 
 __all__ = [
     "ADMIN_OPS",
+    "FrameReader",
     "MAX_FRAME_BYTES",
     "OPS",
     "WRITE_OPS",
@@ -111,28 +112,17 @@ WRITE_OPS = frozenset({"insert", "delete"})
 
 _HEADER_BYTES = 4
 
+#: The most one ``recv`` asks for.  A :class:`FrameReader` always asks
+#: for this much, so a frame's header and body (and any frame pipelined
+#: behind it) arrive in one system call.
+_RECV_BYTES = 1 << 16
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly ``n`` bytes; ``None`` on a clean EOF at a boundary."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 16))
-        if not chunk:
-            if chunks:
-                raise ServerConnectionError(
-                    f"connection closed {n - remaining} bytes into a "
-                    f"{n}-byte read"
-                )
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def write_frame(sock: socket.socket, payload: dict) -> None:
     """Serialize ``payload`` and send it as one length-prefixed frame."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _ENCODER.encode(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ServerError(
             f"frame of {len(body)} bytes exceeds the "
@@ -144,38 +134,91 @@ def write_frame(sock: socket.socket, payload: dict) -> None:
         raise ServerConnectionError(f"send failed: {exc}") from exc
 
 
-def read_frame(sock: socket.socket) -> dict | None:
-    """Read one frame; returns its JSON object, or ``None`` on clean EOF.
+def _fill(
+    sock: socket.socket, buffer: bytearray, n: int, readahead: bool
+) -> bool:
+    """Grow ``buffer`` to ``n`` bytes; ``False`` on EOF at a boundary.
 
-    Raises :class:`~repro.errors.InvalidQueryError` for unparseable or
-    non-object bodies and oversized lengths, and
-    :class:`~repro.errors.ServerConnectionError` when the peer vanishes
-    mid-frame.
+    With ``readahead`` a ``recv`` may return bytes past ``n`` (they stay
+    in ``buffer``); without it, never.
     """
-    try:
-        header = _recv_exact(sock, _HEADER_BYTES)
-        if header is None:
-            return None
-        length = int.from_bytes(header, "big")
-        if length > MAX_FRAME_BYTES:
-            raise InvalidQueryError(
-                f"declared frame length {length} exceeds the "
-                f"{MAX_FRAME_BYTES}-byte protocol limit"
-            )
-        body = _recv_exact(sock, length)
-    except OSError as exc:
-        raise ServerConnectionError(f"receive failed: {exc}") from exc
-    if body is None:
-        raise ServerConnectionError("connection closed between frames' bytes")
+    while len(buffer) < n:
+        want = _RECV_BYTES if readahead else min(n - len(buffer), _RECV_BYTES)
+        try:
+            chunk = sock.recv(want)
+        except OSError as exc:
+            raise ServerConnectionError(f"receive failed: {exc}") from exc
+        if not chunk:
+            if buffer:
+                raise ServerConnectionError(
+                    f"connection closed {len(buffer)} bytes into a "
+                    f"{n}-byte frame"
+                )
+            return False
+        buffer += chunk
+    return True
+
+
+def _take_frame(
+    sock: socket.socket, buffer: bytearray, readahead: bool
+) -> dict | None:
+    """Consume one frame from ``buffer``, refilling it from ``sock``."""
+    if not _fill(sock, buffer, _HEADER_BYTES, readahead):
+        return None
+    length = int.from_bytes(buffer[:_HEADER_BYTES], "big")
+    if length > MAX_FRAME_BYTES:
+        raise InvalidQueryError(
+            f"declared frame length {length} exceeds the "
+            f"{MAX_FRAME_BYTES}-byte protocol limit"
+        )
+    end = _HEADER_BYTES + length
+    _fill(sock, buffer, end, readahead)
+    body = buffer[_HEADER_BYTES:end]
+    del buffer[:end]
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise InvalidQueryError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidQueryError(
             f"frame body must be a JSON object, got {type(payload).__name__}"
         )
     return payload
+
+
+def read_frame(sock: socket.socket) -> dict | None:
+    """Read one frame; returns its JSON object, or ``None`` on clean EOF.
+
+    Raises :class:`~repro.errors.InvalidQueryError` for unparseable or
+    non-object bodies and oversized lengths, and
+    :class:`~repro.errors.ServerConnectionError` when the peer vanishes
+    mid-frame.  Reads exactly one frame's bytes (header, then body), so
+    it is safe on a socket someone else keeps reading; a connection's
+    owner reads through a :class:`FrameReader` instead.
+    """
+    return _take_frame(sock, bytearray(), False)
+
+
+class FrameReader:
+    """:func:`read_frame` for the owner of a connection, buffered.
+
+    Each ``recv`` asks for more than the frame needs, so header and
+    body — and frames a peer pipelined — cost one system call, and the
+    surplus waits in the buffer for the next :meth:`read`.  Same return
+    value and error taxonomy as :func:`read_frame`.  After an error the
+    stream position is unknown: drop the connection, never reuse the
+    reader.
+    """
+
+    __slots__ = ("_sock", "_buffer")
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buffer = bytearray()
+
+    def read(self) -> dict | None:
+        """The next frame's JSON object, or ``None`` on clean EOF."""
+        return _take_frame(self._sock, self._buffer, True)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,29 +2,42 @@
 
 :class:`QueryServer` is the serving-side counterpart of the paper's
 ``O(log n + K)`` query bound: it amortizes the vectorized
-``query_batch`` path across concurrent clients.  The moving parts:
+``query_batch`` path across concurrent clients, and answers a lone
+query on the thread that read it.  The moving parts:
 
-* **connections** — one acceptor thread plus one reader thread per
-  connection, speaking the length-prefixed JSON protocol of
-  :mod:`repro.serve.protocol`;
-* **admission control** — a bounded queue between readers and the
-  executor.  When it is full the request is *shed immediately* with a
-  typed :class:`~repro.errors.ServerOverloadedError` response — never a
-  silent drop, never an unbounded backlog;
-* **request batching** — the executor drains whatever is queued (up to
-  ``batch_max``), coalesces concurrent single ``query`` requests with
-  the same ``k`` into one
-  :meth:`~repro.core.index.RankedJoinIndex.query_batch` call, and
-  answers each request individually.  Batch answers are bit-identical
-  to per-query answers by the core's construction;
+* **threads** — one acceptor plus one reader per connection, speaking
+  the length-prefixed JSON protocol of :mod:`repro.serve.protocol`
+  through a buffered :class:`~repro.serve.protocol.FrameReader`.  There
+  is no executor thread: a request is answered by a reader;
+* **admission control** — a bounded queue of admitted, unanswered
+  requests.  A reader holds at most one (it does not read its next
+  frame until the last is answered), so ``queue_bound`` counts waiting
+  connections.  When the queue is full the request is *shed
+  immediately* with a typed :class:`~repro.errors.ServerOverloadedError`
+  response — never a silent drop, never an unbounded backlog;
+* **the executor role** — a plain lock.  The reader that admitted a
+  request takes it and runs *rounds* — whatever is queued, up to
+  ``batch_max``, oldest first — until its own request is answered, then
+  goes back to its socket.  A reader that finds the role taken waits on
+  the same lock and usually wakes to find its request answered inside
+  the holder's round.  Nothing strands: every queued request has a
+  reader that will not leave before it is answered, and a request is
+  popped — under the queue lock, once — by exactly one round or by
+  :meth:`QueryServer.close`;
+* **request batching** — within a round, concurrent single ``query``
+  requests with the same ``k`` are coalesced into one
+  :meth:`~repro.core.index.RankedJoinIndex.query_batch` call and
+  answered individually; a ``k`` with one query takes the scalar
+  ``query`` path.  Batch answers are bit-identical to per-query answers
+  by the core's construction;
 * **deadlines** — a request's ``deadline_ms`` arms a
   :class:`~repro.core.deadline.Deadline` at admission.  It bounds the
   queue wait of coalesced singles (an expired request is answered with
   :class:`~repro.errors.QueryTimeoutError`, not executed) and is passed
   through to the service call for directly-executed operations;
 * **metrics** — ``serve.*`` counters and series through any
-  :class:`~repro.obs.Recorder` (queue depth at every admission, batch
-  size per executor round, per-request latency), Prometheus-exportable
+  :class:`~repro.obs.Recorder` (queue depth at every admission, size
+  of every coalesced batch, per-request latency), Prometheus-exportable
   via :func:`repro.obs.prometheus_text`;
 * **tracing** — every request executes inside a
   :class:`~repro.obs.context.trace_scope`, so each recorder event it
@@ -75,11 +88,11 @@ from ..core.tuples import RankTuple
 from .protocol import (
     ADMIN_OPS,
     WRITE_OPS,
+    FrameReader,
     Request,
     decode_request,
     encode_error,
     encode_results,
-    read_frame,
     write_frame,
 )
 from .service import IndexService
@@ -111,21 +124,23 @@ class _Connection:
 
 @dataclass(slots=True)
 class _Pending:
-    """One admitted request waiting for the executor."""
+    """One admitted request waiting for a round."""
 
     conn: _Connection
     request: Request
     deadline: Deadline | None
     enqueued_at: float
+    #: Popped from the queue: a round (or ``close``) owns the answer.
+    taken: bool = False
 
 
 class QueryServer:
     """Serve an :class:`~repro.serve.service.IndexService` over TCP.
 
     ``queue_bound`` caps the admission queue (the backpressure knob);
-    ``batch_max`` caps how many queued requests one executor round
-    drains.  ``port=0`` binds an ephemeral port — read the bound
-    address from :attr:`address` after :meth:`start`.
+    ``batch_max`` caps how many queued requests one round drains.
+    ``port=0`` binds an ephemeral port — read the bound address from
+    :attr:`address` after :meth:`start`.
     """
 
     def __init__(
@@ -166,8 +181,14 @@ class QueryServer:
         #: The always-on flight recorder behind the ``dump`` wire op.
         self.flight = flight if flight is not None else FlightRecorder()
         self._flight_path = Path(flight_path) if flight_path else None
-        self._queue: deque[_Pending] = deque()
-        self._queue_cond = threading.Condition()
+        # Admitted, unanswered requests, oldest first.
+        self._queue: deque[_Pending] = deque()  # rjilint: guarded-by(_queue_lock)
+        self._queue_lock = threading.Lock()
+        # The executor role: guards no field, serializes rounds.  Held
+        # for a whole round, service call included; taken before
+        # _queue_lock (and every other lock here), never while one is
+        # held.
+        self._role_lock = threading.Lock()
         self._conns: set[_Connection] = set()
         self._conns_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -189,7 +210,7 @@ class QueryServer:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "QueryServer":
-        """Bind, listen, and start the acceptor and executor threads."""
+        """Bind, listen, and start the acceptor thread."""
         if self._listener is not None:
             raise ServerError("server already started")
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -203,13 +224,11 @@ class QueryServer:
                 f"cannot bind {self._host}:{self._port}: {exc}"
             ) from exc
         self._listener = listener
-        for target, name in (
-            (self._accept_loop, "serve-accept"),
-            (self._executor_loop, "serve-executor"),
-        ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        thread = threading.Thread(
+            target=self._accept_loop, name="serve-accept", daemon=True
+        )
+        thread.start()
+        self._threads.append(thread)
         return self
 
     @property
@@ -230,24 +249,29 @@ class QueryServer:
         if self._stopping:
             return
         self._stopping = True
-        with self._queue_cond:
-            abandoned = len(self._queue)
-            self._queue_cond.notify_all()
+        # Drain, never silently drop.  _admit refuses under the same
+        # lock once _stopping is set, so nothing is queued after this;
+        # a round already running finishes and answers what it popped.
+        with self._queue_lock:
+            abandoned = self._take_round(len(self._queue))
+        for pending in abandoned:
+            self._respond_error(pending, ServerError("server is shutting down"))
         if self._listener is not None:
             _hang_up(self._listener)
-        # Acceptor first (no new connections after it), then the
-        # executor (it drains the queue with typed errors over sockets
-        # that are still open); only then are the connection readers
+        # Acceptor first (no new connections after it); then the round
+        # in flight, if any, gets to answer over sockets that are still
+        # open, as the typed errors above did; only then are the readers
         # woken, so every thread this server started is dead on return.
-        for thread in self._threads[:2]:
-            thread.join(timeout=5.0)
+        self._threads[0].join(timeout=5.0)
+        if self._role_lock.acquire(timeout=5.0):
+            self._role_lock.release()
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
             self._drop_connection(conn)
-        for thread in self._threads[2:]:
+        for thread in self._threads[1:]:
             thread.join(timeout=5.0)
-        self._maybe_dump_flight(abandoned)
+        self._maybe_dump_flight(len(abandoned))
 
     def _maybe_dump_flight(self, abandoned: int) -> None:
         """Write the flight dump at shutdown when something went wrong."""
@@ -288,7 +312,7 @@ class QueryServer:
 
     @property
     def queue_depth(self) -> int:
-        with self._queue_cond:
+        with self._queue_lock:
             return len(self._queue)
 
     # -- connection handling ----------------------------------------------
@@ -314,8 +338,8 @@ class QueryServer:
             thread.start()
             # close() joins these; readers that already hung up are
             # forgotten here so a long-lived server's list stays small.
-            self._threads[2:] = [
-                t for t in self._threads[2:] if t.is_alive()
+            self._threads[1:] = [
+                t for t in self._threads[1:] if t.is_alive()
             ] + [thread]
 
     def _drop_connection(self, conn: _Connection) -> None:
@@ -346,10 +370,11 @@ class QueryServer:
         return response
 
     def _serve_connection(self, conn: _Connection) -> None:
+        reader = FrameReader(conn.sock)
         try:
             while not self._stopping:
                 try:
-                    payload = read_frame(conn.sock)
+                    payload = reader.read()
                 except InvalidQueryError as exc:
                     # The stream may be out of sync after a framing
                     # violation: answer typed, then hang up.
@@ -409,21 +434,20 @@ class QueryServer:
                     enqueued_at=time.perf_counter(),
                 )
                 with trace_scope(request.trace):
-                    if not self._admit(pending):
+                    admitted = self._admit(pending)
+                    if not admitted:
                         self._count("shed")
                         self._finish(pending, "shed")
-                        self._send(
-                            conn,
-                            self._error_response(
-                                request.rid,
-                                ServerOverloadedError(
-                                    "admission queue is full "
-                                    f"({self.queue_bound} pending); retry "
-                                    "with backoff"
-                                ),
-                                request.trace,
+                        self._respond_error(
+                            pending,
+                            ServerOverloadedError(
+                                "admission queue is full "
+                                f"({self.queue_bound} pending); retry "
+                                "with backoff"
                             ),
                         )
+                if admitted:
+                    self._run_rounds_until_taken(pending)
         finally:
             self._drop_connection(conn)
 
@@ -463,43 +487,39 @@ class QueryServer:
 
     def _admit(self, pending: _Pending) -> bool:
         """Enqueue within the bound; ``False`` sheds the request."""
-        with self._queue_cond:
+        with self._queue_lock:
             if self._stopping or len(self._queue) >= self.queue_bound:
                 return False
             self._queue.append(pending)
             depth = len(self._queue)
-            self._queue_cond.notify()
         if self._recorder.enabled:
             self._recorder.observe("serve.queue_depth", depth)
         return True
 
     # -- execution ---------------------------------------------------------
 
-    def _executor_loop(self) -> None:
-        while True:
-            with self._queue_cond:
-                while not self._queue and not self._stopping:
-                    self._queue_cond.wait()
-                if not self._queue and self._stopping:
-                    return
-                round_ = [
-                    self._queue.popleft()
-                    for _ in range(min(self.batch_max, len(self._queue)))
-                ]
-            if self._stopping:
-                # Drain, never silently drop: late requests still get a
-                # typed answer before the executor exits.
-                for pending in round_:
-                    self._send(
-                        pending.conn,
-                        self._error_response(
-                            pending.request.rid,
-                            ServerError("server is shutting down"),
-                            pending.request.trace,
-                        ),
-                    )
-                continue
-            self._execute_round(round_)
+    def _take_round(self, limit: int) -> list[_Pending]:
+        """Pop up to ``limit`` requests, oldest first (queue lock held)."""
+        round_ = [
+            self._queue.popleft() for _ in range(min(limit, len(self._queue)))
+        ]
+        for pending in round_:
+            pending.taken = True
+        return round_
+
+    def _run_rounds_until_taken(self, pending: _Pending) -> None:
+        """Hold the executor role until ``pending`` has been answered.
+
+        With the role held no round is running, so ``taken`` means
+        answered — by an earlier holder's round, or by :meth:`close` —
+        and not taken means still queued: this reader's rounds reach it
+        after at most ``queue_bound / batch_max`` of them.
+        """
+        with self._role_lock:
+            while not pending.taken:
+                with self._queue_lock:
+                    round_ = self._take_round(self.batch_max)
+                self._execute_round(round_)
 
     def _execute_round(self, round_: list[_Pending]) -> None:
         """Answer one drained round: coalesce singles, dispatch the rest."""
@@ -508,16 +528,12 @@ class QueryServer:
         for pending in round_:
             if pending.deadline is not None and pending.deadline.expired():
                 self._finish(pending, "timeout")
-                self._send(
-                    pending.conn,
-                    self._error_response(
-                        pending.request.rid,
-                        QueryTimeoutError(
-                            "request deadline of "
-                            f"{pending.deadline.timeout_s:.6g}s expired in "
-                            "the admission queue"
-                        ),
-                        pending.request.trace,
+                self._respond_error(
+                    pending,
+                    QueryTimeoutError(
+                        "request deadline of "
+                        f"{pending.deadline.timeout_s:.6g}s expired in "
+                        "the admission queue"
                     ),
                 )
                 continue
@@ -526,7 +542,13 @@ class QueryServer:
             else:
                 direct.append(pending)
         for k, group in singles.items():
-            self._execute_singles(k, group)
+            if len(group) == 1:
+                # Nothing to amortize: a batch of one pays query_batch's
+                # NumPy set-up for one query's work; the scalar path
+                # answers bit-identically without it.
+                self._execute_direct(group[0])
+            else:
+                self._execute_singles(k, group)
         for pending in direct:
             self._execute_direct(pending)
 
@@ -574,10 +596,7 @@ class QueryServer:
                     response = self.handle_request(request, pending.deadline)
             except ReproError as exc:
                 self._finish(pending, "error", exc=exc, capture=capture)
-                self._send(
-                    pending.conn,
-                    self._error_response(request.rid, exc, request.trace),
-                )
+                self._respond_error(pending, exc)
                 return
             self._finish(pending, "ok", capture=capture)
             self._respond_ok(pending, response)
@@ -591,11 +610,18 @@ class QueryServer:
         capture: RequestCapture | None = None,
         batched: bool = False,
     ) -> None:
-        """Record one resolved request in the window and flight ring."""
+        """Record one resolved request: its one latency, everywhere.
+
+        The same number goes to the window, the flight record and (for
+        answered requests) the ``serve.latency`` series, which is
+        emitted first so the request's own capture still sees it.
+        """
         if outcome == "error" and isinstance(exc, QueryTimeoutError):
             outcome = "timeout"
         latency = time.perf_counter() - pending.enqueued_at
         request = pending.request
+        if outcome == "ok" and self._recorder.enabled:
+            self._recorder.observe("serve.latency", latency)
         self.window.record(latency, outcome)
         cache_hit: bool | None = None
         descent_depth: int | None = None
@@ -628,11 +654,14 @@ class QueryServer:
             detail=detail,
         )
 
+    def _respond_error(self, pending: _Pending, exc: BaseException) -> None:
+        request = pending.request
+        self._send(
+            pending.conn,
+            self._error_response(request.rid, exc, request.trace),
+        )
+
     def _respond_ok(self, pending: _Pending, body: dict) -> None:
-        if self._recorder.enabled:
-            self._recorder.observe(
-                "serve.latency", time.perf_counter() - pending.enqueued_at
-            )
         self._send(
             pending.conn,
             {

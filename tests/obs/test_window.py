@@ -81,12 +81,32 @@ class TestRecording:
         with pytest.raises(ConstructionError):
             make(FakeClock()).record(0.001, "exploded")
 
-    def test_qps_uses_full_window_span(self):
-        clock = FakeClock()
-        window = make(clock)  # 10 s window
+    def test_qps_divides_by_the_span_covered(self):
+        clock = FakeClock(100.25)
+        window = make(clock)  # 10 s window, 1 s buckets
         for _ in range(50):
             window.record(0.001)
-        assert window.snapshot()["qps"] == pytest.approx(5.0)
+        # Never less than one bucket: 0 s of coverage is not a rate.
+        assert window.snapshot()["qps"] == pytest.approx(50.0)
+        # Two seconds in, the rate is over two seconds, not over ten.
+        clock.now = 101.5
+        for _ in range(50):
+            window.record(0.001)
+        clock.now = 102.0
+        assert window.snapshot()["qps"] == pytest.approx(100 / 2.0)
+        # A full window divides by (just under) the whole span ...
+        for second in range(103, 110):
+            clock.now = float(second)
+            window.record(0.001)
+        clock.now = 109.75
+        snapshot = window.snapshot()
+        assert snapshot["count"] == 107
+        assert snapshot["qps"] == pytest.approx(107 / 9.75)
+        # ... and the span restarts at the oldest bucket still live.
+        clock.now = 111.5  # epochs 100 and 101 have aged out
+        snapshot = window.snapshot()
+        assert snapshot["count"] == 7
+        assert snapshot["qps"] == pytest.approx(7 / (111.5 - 103.0))
 
     def test_percentiles_nearest_rank(self):
         clock = FakeClock()

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import threading
 
 import pytest
 
@@ -13,8 +14,10 @@ from repro.errors import (
     ServerError,
     ServerOverloadedError,
 )
+from repro.serve import Client
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    FrameReader,
     Request,
     decode_error,
     decode_request,
@@ -93,6 +96,140 @@ class TestFraming:
         a.close()
         with pytest.raises(ServerConnectionError):
             write_frame(a, {"id": 1})
+
+
+def _frame(payload) -> bytes:
+    body = json.dumps(payload).encode()
+    return len(body).to_bytes(4, "big") + body
+
+
+class _Segments:
+    """A socket stand-in: each ``recv`` yields (at most) the next segment,
+    then EOF — so where a frame is split is chosen, not left to TCP."""
+
+    def __init__(self, *segments: bytes):
+        self._segments = [s for s in segments if s]
+        self.recv_calls = 0
+
+    def recv(self, n: int) -> bytes:
+        self.recv_calls += 1
+        if not self._segments:
+            return b""
+        head, rest = self._segments[0][:n], self._segments[0][n:]
+        self._segments[0:1] = [rest] if rest else []
+        return head
+
+
+def _unbuffered(sock):
+    return lambda: read_frame(sock)
+
+
+def _buffered(sock):
+    return FrameReader(sock).read
+
+
+@pytest.mark.parametrize("entry", [_unbuffered, _buffered])
+class TestFramingMatrix:
+    """``read_frame(sock)`` and ``FrameReader(sock).read()``: one taxonomy."""
+
+    ONE, TWO = {"id": 1, "op": "health"}, {"id": 2, "k": [1.5, "x"]}
+
+    def test_one_byte_at_a_time(self, entry):
+        wire = _frame(self.ONE) + _frame(self.TWO)
+        read = entry(_Segments(*(wire[i : i + 1] for i in range(len(wire)))))
+        assert [read(), read(), read()] == [self.ONE, self.TWO, None]
+
+    def test_two_frames_in_one_segment(self, entry):
+        sock = _Segments(_frame(self.ONE) + _frame(self.TWO))
+        read = entry(sock)
+        assert [read(), read()] == [self.ONE, self.TWO]
+        # header + body (and the pipelined frame) in one recv when
+        # buffered; header and body each their own recv when not.
+        assert sock.recv_calls == (1 if entry is _buffered else 4)
+        assert read() is None
+
+    @pytest.mark.parametrize("cut", [2, 9])  # inside the header / the body
+    def test_split_frame_is_reassembled(self, entry, cut):
+        wire = _frame(self.ONE) + _frame(self.TWO)
+        read = entry(_Segments(wire[:cut], wire[cut:]))
+        assert [read(), read(), read()] == [self.ONE, self.TWO, None]
+
+    def test_frame_larger_than_one_recv(self, entry):
+        big = {"id": 3, "blob": "x" * 200_000}
+        read = entry(_Segments(_frame(big) + _frame(self.ONE)))
+        assert [read(), read(), read()] == [big, self.ONE, None]
+
+    def test_clean_eof_at_a_boundary_is_none(self, entry):
+        assert entry(_Segments())() is None
+
+    @pytest.mark.parametrize("cut", [2, 9])
+    def test_eof_mid_frame_is_connection_error(self, entry, cut):
+        read = entry(_Segments(_frame(self.ONE), _frame(self.TWO)[:cut]))
+        assert read() == self.ONE
+        with pytest.raises(ServerConnectionError):
+            read()
+
+    def test_receive_failure_is_connection_error(self, entry, pipe):
+        a, b = pipe
+        a.sendall(_frame(self.ONE)[:6])
+        b.settimeout(0.05)  # the rest never arrives
+        with pytest.raises(ServerConnectionError):
+            entry(b)()
+
+    def test_oversized_length_prefix_is_invalid_query(self, entry):
+        read = entry(_Segments((MAX_FRAME_BYTES + 1).to_bytes(4, "big")))
+        with pytest.raises(InvalidQueryError):
+            read()
+
+    @pytest.mark.parametrize(
+        "body", [b"[1, 2]", b"not json at all", b'{"a": "\xff"}']
+    )
+    def test_bad_body_is_invalid_query(self, entry, body):
+        read = entry(_Segments(len(body).to_bytes(4, "big") + body))
+        with pytest.raises(InvalidQueryError):
+            read()
+
+
+def test_timed_out_response_drops_the_connection_and_its_buffer():
+    """Half a response, then silence: the client must not keep the bytes.
+
+    The second connection answers properly; had the half-read buffer
+    survived, that answer would be parsed as the tail of the first.
+    """
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(2)
+    release = threading.Event()
+
+    def serve():
+        first, _ = listener.accept()
+        request = read_frame(first)
+        reply = _frame({"id": request["id"], "ok": True, "results": [[7, 0.5]]})
+        first.sendall(reply[: len(reply) // 2])
+        second, _ = listener.accept()
+        request = read_frame(second)
+        write_frame(
+            second, {"id": request["id"], "ok": True, "results": [[8, 0.25]]}
+        )
+        release.wait(timeout=10.0)
+        first.close()
+        second.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        with Client(*listener.getsockname(), request_timeout_s=0.2) as client:
+            client._k_bound = 12  # skip the health round trip
+            with pytest.raises(ServerConnectionError):
+                client.query(0.5, 1)
+            assert client._sock is None and client._reader is None
+            assert [(r.tid, r.score) for r in client.query(0.5, 1)] == [
+                (8, 0.25)
+            ]
+    finally:
+        release.set()
+        thread.join(timeout=5.0)
+        listener.close()
 
 
 class TestDecodeRequest:

@@ -120,6 +120,31 @@ class TestEndToEndAttribution:
         assert batched and batched[0]["op"] == "query_batch"
 
 
+class TestOneLatencyPerRequest:
+    def test_flight_window_and_series_share_one_latency(self, index):
+        """``serve.latency`` is the flight record's ``latency_s`` — and is
+        emitted while the request's capture can still see it."""
+        metrics = MetricsRecorder()
+        with QueryServer(index, port=0, recorder=metrics) as srv:
+            with Client(*srv.address, trace_seed=21) as client:
+                client._k_bound = 12  # skip the health round trip
+                client.query(0.5, 3)
+                trace = client.last_trace_id
+            (record,) = [
+                r for r in srv.flight.dump()["records"] if r["trace"] == trace
+            ]
+            window = srv.window.snapshot()
+        assert metrics.samples("serve.latency") == [record["latency_s"]]
+        assert window["max_s"] == record["latency_s"]
+        observed = [
+            event
+            for event in record["detail"]["events"]
+            if event["name"] == "serve.latency"
+        ]
+        assert [event["value"] for event in observed] == [record["latency_s"]]
+        assert observed[0]["attrs"]["trace"] == trace
+
+
 class TestOldClientsStayValid:
     def test_no_trace_request_served_with_server_id(self, traced_server):
         host, port = traced_server.address
