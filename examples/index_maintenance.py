@@ -1,10 +1,11 @@
-"""Incremental maintenance: keeping an RJI fresh under updates.
+"""Index maintenance: keeping an RJI fresh under updates.
 
 The paper lists incremental maintenance as future work (Section 9);
-this library implements an exact insert and a lazy delete.  The example
-streams new join tuples into a live index, checks a sample of answers
-against a freshly rebuilt index, then deletes a few indexed tuples and
-shows the effective-k guarantee degrading gracefully.
+this library answers it with a write buffer and compaction.  The example
+streams inserts and deletes through a :class:`ManagedRankedJoinIndex`,
+checks a sample of answers against a freshly rebuilt index while the
+writes are still buffered, shows deletes of indexed tuples consuming the
+effective-k slack, and compacts to restore it.
 
 Run with::
 
@@ -14,11 +15,21 @@ Run with::
 import numpy as np
 
 from repro import Preference, RankedJoinIndex, RankTuple, RankTupleSet
-from repro.core.maintenance import delete_tuple, insert_tuple
+from repro.core.managed import ManagedRankedJoinIndex
 
 N_INITIAL = 5_000
 N_STREAM = 300
 K = 20
+
+
+def _verify(managed: ManagedRankedJoinIndex, live: dict[int, RankTuple]) -> None:
+    rebuilt = RankedJoinIndex.build(sorted(live.values()), K)
+    k = managed.k_effective
+    for angle in np.linspace(0.05, 1.5, 25):
+        preference = Preference.from_angle(float(angle))
+        assert managed.query(preference, k) == rebuilt.query(preference, k), (
+            f"divergence at angle {angle}"
+        )
 
 
 def main() -> None:
@@ -26,44 +37,44 @@ def main() -> None:
     s1 = rng.uniform(0, 100, N_INITIAL + N_STREAM)
     s2 = rng.uniform(0, 100, N_INITIAL + N_STREAM)
 
-    index = RankedJoinIndex.build(
-        RankTupleSet(
-            np.arange(N_INITIAL), s1[:N_INITIAL], s2[:N_INITIAL]
-        ),
-        K,
+    initial = RankTupleSet(np.arange(N_INITIAL), s1[:N_INITIAL], s2[:N_INITIAL])
+    live = {t.tid: t for t in initial}
+    managed = ManagedRankedJoinIndex(initial, K, delta_threshold=N_STREAM + 10)
+    print(
+        f"initial index: {managed.index.n_regions} regions over "
+        f"{N_INITIAL} tuples"
     )
-    print(f"initial index: {index.n_regions} regions over {N_INITIAL} tuples")
 
-    applied = 0
     for i in range(N_INITIAL, N_INITIAL + N_STREAM):
-        if insert_tuple(index, RankTuple(i, float(s1[i]), float(s2[i]))):
-            applied += 1
+        live[i] = RankTuple(i, float(s1[i]), float(s2[i]))
+        managed.insert(live[i])
+    delta = managed.delta
     print(
-        f"streamed {N_STREAM} inserts: {applied} changed the index, "
-        f"{N_STREAM - applied} were K-dominated no-ops; "
-        f"now {index.n_regions} regions"
+        f"streamed {N_STREAM} inserts into the write buffer: "
+        f"{delta.n_visible} can reach a top-{K} and are merged into reads, "
+        f"{N_STREAM - delta.n_visible} are K-dominated and cost nothing"
     )
+    _verify(managed, live)
+    print("verified: buffered index == full rebuild")
 
-    rebuilt = RankedJoinIndex.build(
-        RankTupleSet(np.arange(len(s1)), s1, s2), K
-    )
-    for angle in np.linspace(0.05, 1.5, 25):
-        preference = Preference.from_angle(float(angle))
-        live = [round(r.score, 9) for r in index.query(preference, K)]
-        fresh = [round(r.score, 9) for r in rebuilt.query(preference, K)]
-        assert live == fresh, f"divergence at angle {angle}"
-    print("verified: incrementally maintained index == full rebuild")
-
-    victims = list(index.regions[0].tids[:3])
-    for tid in victims:
-        effective = delete_tuple(index, tid)
+    for tid in managed.index.regions[0].tids[:3]:
+        del live[tid]
+        effective = managed.delete(tid)
     print(
-        f"deleted {len(victims)} indexed tuples lazily; the index now "
-        f"guarantees top-k only up to k={effective} (was {K}); rebuild "
-        "when the slack runs out"
+        f"deleted 3 indexed tuples; until compaction the index guarantees "
+        f"top-k only up to k={effective} (was {K})"
+    )
+    _verify(managed, live)
+
+    managed.compact()
+    assert managed.k_effective == K and managed.delta.is_empty
+    _verify(managed, live)
+    print(
+        f"compacted: {managed.index.n_regions} regions, k={managed.k_effective} "
+        "guaranteed again, answers still equal a full rebuild"
     )
     preference = Preference(1.0, 1.0)
-    print("top-5 after deletions:", [r.tid for r in index.query(preference, 5)])
+    print("top-5 now:", [r.tid for r in managed.query(preference, 5)])
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from .delta import DeltaStore, SupportsWal
 from .dominance import dominating_set, dominating_set_naive
 from .index import BuildStats, QueryResult, RankedJoinIndex
 from .inspect import describe_index, region_churn
-from .maintenance import delete_tuple, insert_tuple
 from .managed import MaintenanceLog, ManagedRankedJoinIndex
 from .merging import merge_adaptive, merge_every
 from .robust import robust_topk_candidates
@@ -63,14 +62,12 @@ __all__ = [
     "TopKSelectionIndex",
     "VerificationReport",
     "decode_rid_pair",
-    "delete_tuple",
     "describe_index",
     "region_churn",
     "dominating_set",
     "dominating_set_naive",
     "encode_rid_pair",
     "full_join_pairs",
-    "insert_tuple",
     "merge_adaptive",
     "merge_every",
     "nd_dominating_set",

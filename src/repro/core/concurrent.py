@@ -1,9 +1,9 @@
 """A thread-safe facade over a maintained Ranked Join Index.
 
-The core index is a plain in-memory structure; incremental maintenance
-mutates its region list in place.  :class:`ConcurrentRankedJoinIndex`
+The core index is a plain in-memory structure and the write path that
+maintains it is not thread-safe.  :class:`ConcurrentRankedJoinIndex`
 adds a readers-writer lock so many query threads proceed concurrently
-while inserts/deletes/rebuilds take exclusive ownership — the standard
+while inserts/deletes/swaps take exclusive ownership — the standard
 discipline a database system would put around a shared index.
 
 Writer preference: once a writer is waiting, new readers block, so
@@ -22,11 +22,10 @@ import threading
 import time
 from typing import Iterable, Sequence
 
-from ..errors import LockDisciplineError, QueryTimeoutError
+from ..errors import LockDisciplineError, MaintenanceError, QueryTimeoutError
 from .deadline import Deadline, DeadlineLike
 from .delta import DeltaStore, SupportsWal
 from .index import QueryResult, RankedJoinIndex
-from .maintenance import delete_tuple, insert_tuple
 from .scoring import PreferenceLike
 from .tuples import RankTuple, RankTupleSet
 from .writepath import WritePath
@@ -139,31 +138,32 @@ class ConcurrentRankedJoinIndex:
         pool: Iterable[RankTuple] | None = None,
         build_options: dict | None = None,
     ):
-        self._index = index
         self._lock = ReadWriteLock()
         # The construction bound is immutable across rebuilds (rebuild()
         # reuses it), so it is cached here and served without the lock.
         self._k_bound = index.k_bound
-        # WAL-then-delta mode: writes go through one WritePath (commit
-        # to the log, then land in a DeltaStore merged by every query),
-        # and a *background* thread compacts the delta into a fresh
-        # base once WritePath says it is due — readers keep draining on
-        # the old store while the replacement builds; only the snapshot
-        # and the swap take the write lock.  ``pool`` seeds the full
-        # live tuple set compaction rebuilds from; it defaults to the
-        # index's dominating set, which is only complete when the index
-        # was built unpruned.
-        self._writes: WritePath | None = None
+        # Writes go through one WritePath (commit to the log — an
+        # in-memory one when ``wal`` is omitted — then land in a
+        # DeltaStore merged by every query), and a *background* thread
+        # compacts the delta into a fresh base once WritePath says it is
+        # due — readers keep draining on the old store while the
+        # replacement builds; only the snapshot and the swap take the
+        # write lock.  ``pool`` seeds the full live tuple set compaction
+        # rebuilds from; it defaults to the index's dominating set,
+        # which is only complete when pruning dropped nothing — a bare
+        # wrapper over a pruned index serves reads and refuses writes.
+        self._pool_complete = (
+            pool is not None or index.stats.n_input == len(index.dominating)
+        )
         self._compacting = False
         self._compaction_thread: threading.Thread | None = None
-        if wal is not None:
-            self._writes = WritePath(
-                index,
-                _as_pool(pool if pool is not None else index.dominating),
-                wal,
-                threshold=delta_threshold,
-                build_options=build_options,
-            )
+        self._writes = WritePath(
+            index,
+            _as_pool(pool if pool is not None else index.dominating),
+            wal,
+            threshold=delta_threshold,
+            build_options=build_options,
+        )
 
     @classmethod
     def build(
@@ -177,9 +177,9 @@ class ConcurrentRankedJoinIndex:
     ) -> "ConcurrentRankedJoinIndex":
         """Build the wrapped index; ``options`` are forwarded verbatim to
         :meth:`RankedJoinIndex.build` (including the ``workers`` and
-        ``block_rows`` construction-tuning knobs).  Passing ``wal=``
-        enables the durable write path; the full input tuple set becomes
-        the live pool that background compactions rebuild from."""
+        ``block_rows`` construction-tuning knobs).  The full input tuple
+        set becomes the live pool that background compactions rebuild
+        from; ``wal=`` makes the writes durable."""
         if not isinstance(tuples, RankTupleSet):
             tuples = RankTupleSet.from_tuples(tuples)
         index = RankedJoinIndex.build(tuples, k, **options)
@@ -187,7 +187,7 @@ class ConcurrentRankedJoinIndex:
             index,
             wal=wal,
             delta_threshold=delta_threshold,
-            pool=tuples if wal is not None else None,
+            pool=tuples,
             build_options=options,
         )
 
@@ -218,7 +218,7 @@ class ConcurrentRankedJoinIndex:
         deadline = Deadline.of(deadline)
         self._acquire_read(deadline)
         try:
-            return self._index.query(preference, k, deadline=deadline)
+            return self._writes.index.query(preference, k, deadline=deadline)
         finally:
             self._lock.release_read()
 
@@ -232,7 +232,9 @@ class ConcurrentRankedJoinIndex:
         deadline = Deadline.of(deadline)
         self._acquire_read(deadline)
         try:
-            return self._index.query_batch(preferences, k, deadline=deadline)
+            return self._writes.index.query_batch(
+                preferences, k, deadline=deadline
+            )
         finally:
             self._lock.release_read()
 
@@ -243,31 +245,28 @@ class ConcurrentRankedJoinIndex:
     @property
     def k_effective(self) -> int:
         with self._lock.reading():
-            if self._writes is not None:
-                return self._writes.k_effective
-            return self._index.k_effective
+            return self._writes.k_effective
 
     @property
     def n_regions(self) -> int:
         with self._lock.reading():
-            return self._index.n_regions
+            return self._writes.index.n_regions
 
     def snapshot_stats(self):
         with self._lock.reading():
-            return self._index.stats
+            return self._writes.index.stats
 
     # -- writers ----------------------------------------------------------------
 
     def insert(self, tuple_: RankTuple) -> bool:
         """Add a tuple under exclusive ownership.
 
-        In WAL mode the records reach durable storage (append + commit,
-        i.e. fsync) *before* the delta buffers the tuple — the commit
-        return is the acknowledgement point, so an acknowledged insert
-        survives any later crash."""
+        The record reaches the log (append + commit — an fsync on a real
+        WAL) *before* the delta buffers the tuple — the commit return is
+        the acknowledgement point, so with a durable ``wal`` an
+        acknowledged insert survives any later crash."""
         with self._lock.writing():
-            if self._writes is None:
-                return insert_tuple(self._index, tuple_)
+            self._require_complete_pool()
             self._writes.insert(tuple_)
             self._start_compaction_locked()
             return True
@@ -275,11 +274,19 @@ class ConcurrentRankedJoinIndex:
     def delete(self, tid: int) -> int:
         """Remove a tuple; returns the effective bound that remains."""
         with self._lock.writing():
-            if self._writes is None:
-                return delete_tuple(self._index, tid)
+            self._require_complete_pool()
             self._writes.delete(tid)
             self._start_compaction_locked()
             return self._writes.k_effective
+
+    def _require_complete_pool(self) -> None:
+        if not self._pool_complete:
+            raise MaintenanceError(
+                "this wrapper was given a pruned index and no pool=, so "
+                "compaction could not see the tuples pruning dropped; pass "
+                "pool= (the full live tuple set) or construct it with "
+                "ConcurrentRankedJoinIndex.build"
+            )
 
     # -- background compaction --------------------------------------------------
 
@@ -290,7 +297,7 @@ class ConcurrentRankedJoinIndex:
         current WAL position) is taken here, under the lock, so the
         builder thread never touches shared mutable state."""
         writes = self._writes
-        if writes is None or self._compacting or not writes.needs_compaction:
+        if self._compacting or not writes.needs_compaction:
             return
         self._compacting = True
         worker = threading.Thread(
@@ -313,11 +320,9 @@ class ConcurrentRankedJoinIndex:
         snapshot stay buffered."""
         try:
             writes = self._writes
-            assert writes is not None
             fresh = writes.build(snapshot)
             with self._lock.writing():
                 writes.swap(fresh, snapshot_lsn)
-                self._index = fresh
         finally:
             with self._lock.writing():
                 self._compacting = False
@@ -327,7 +332,7 @@ class ConcurrentRankedJoinIndex:
         self.drain_compaction()
         with self._lock.writing():
             writes = self._writes
-            if writes is None or writes.delta.is_empty:
+            if writes.delta.is_empty:
                 return
             snapshot, snapshot_lsn = writes.snapshot()
             # Claim the compaction slot before dropping the lock so a
@@ -344,15 +349,15 @@ class ConcurrentRankedJoinIndex:
         return True
 
     @property
-    def delta(self) -> DeltaStore | None:
-        """The live write buffer (``None`` outside WAL mode)."""
+    def delta(self) -> DeltaStore:
+        """The live write buffer."""
         with self._lock.reading():
-            return None if self._writes is None else self._writes.delta
+            return self._writes.delta
 
     @property
     def n_live(self) -> int:
         with self._lock.reading():
-            return 0 if self._writes is None else len(self._writes.pool)
+            return len(self._writes.pool)
 
     def rebuild(
         self, tuples: RankTupleSet | Iterable[RankTuple], **options
@@ -362,14 +367,13 @@ class ConcurrentRankedJoinIndex:
         The build runs *outside* the write lock, so readers keep being
         served from the old index while the replacement is constructed —
         pass ``workers=N`` to speed the event pass up without extending
-        the swap's exclusive section, which stays O(1).  In WAL mode the
-        given tuples become the new live pool and the delta restarts
-        empty (an explicit administrative reset, not a logged write).
+        the swap's exclusive section, which stays O(1).  The given
+        tuples become the new live pool and the delta restarts empty
+        (an explicit administrative reset, not a logged write).
         """
         if not isinstance(tuples, RankTupleSet):
             tuples = RankTupleSet.from_tuples(tuples)
         fresh = RankedJoinIndex.build(tuples, self._k_bound, **options)
         with self._lock.writing():
-            if self._writes is not None:
-                self._writes.reset(fresh, _as_pool(tuples))
-            self._index = fresh
+            self._writes.reset(fresh, _as_pool(tuples))
+            self._pool_complete = True

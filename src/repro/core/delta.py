@@ -1,9 +1,7 @@
 """The delta store: a write buffer that queries merge *exactly*.
 
-The paper defers incremental maintenance to future work; the repo's
-``repro.core.maintenance`` closes part of that gap with exact region
-surgery, but every mutation rewrites the region store in place.  The
-LSM-flavored alternative implemented here buffers writes in a
+The paper defers incremental maintenance to future work.  The
+LSM-flavored answer implemented here buffers writes in a
 :class:`DeltaStore` — pending inserts keyed by tuple id plus delete
 tombstones — and lets :meth:`RankedJoinIndex.query
 <repro.core.index.RankedJoinIndex.query>` merge the buffer into every

@@ -12,8 +12,9 @@ eviction, letting repeated preferences skip the descent entirely (the
 Keys are *exact* float angles: two preferences share an entry only when
 their normalized angles are bit-equal, so a hit can never change an
 answer — the cached value is precisely what the descent would have
-produced.  The cache is invalidated wholesale on any region change
-(maintenance calls :meth:`clear` via ``_rebuild_lookup``).
+produced.  An in-memory index never changes its regions, so its cache
+never goes stale (compaction swaps in a fresh index with a fresh
+cache); the disk tier calls :meth:`clear` to replay a cold start.
 
 Thread-safe: a single lock guards the ordered map, so the serving
 wrappers can share one cache across worker threads.  Counters are
@@ -82,7 +83,7 @@ class HotRegionCache:
             return False
 
     def clear(self) -> None:
-        """Drop every entry (region boundaries changed); keeps counters."""
+        """Drop every entry; keeps counters."""
         with self._lock:
             self._map.clear()
 

@@ -16,8 +16,11 @@ The regions live in a :class:`~repro.core.regionstore.RegionStore`:
 one contiguous payload of pre-gathered ``(tid, s1, s2)`` columns plus a
 CSR offsets array, so the query hot path is a boundary ``searchsorted``,
 an array slice, and one vectorized score/``lexsort`` — no per-query
-Python loop over tuple ids.  The boxed ``Region`` list is materialized
-lazily for maintenance and introspection only.
+Python loop over tuple ids.  The store is packed once, in ``__init__``,
+and the index is immutable from then on (maintained tiers buffer writes
+in an attached :class:`~repro.core.delta.DeltaStore` and swap in a fresh
+index on compaction); boxed ``Region`` objects are a view materialized
+on demand for introspection.
 
 Variants (Section 6.2):
 
@@ -147,56 +150,22 @@ class RankedJoinIndex:
         cache_size: int = 0,
         recorder: Recorder = NULL_RECORDER,
     ):
-        if not regions:
-            raise ConstructionError("an index needs at least one region")
         self.k_bound = k_bound
         self.variant = variant
-        self._regions = list(regions)
         self._dominating = dominating
         self._stats = stats
         self._recorder = recorder
-        # Lazy deletions (see repro.core.maintenance) can lower the k the
-        # index still guarantees; build-time it equals the bound.
-        self._k_effective = k_bound
+        self._position_of = {
+            int(tid): pos for pos, tid in enumerate(dominating.tids)
+        }
+        # The one region record: the boxed sweep output is packed here
+        # and not kept.
+        self._store = RegionStore.from_regions(regions, dominating)
         # Hot-region cache: angle -> region id, so repeated preferences
-        # skip the descent.  Must exist before _rebuild_lookup (which
-        # clears it whenever region boundaries move).
+        # skip the descent.
         self._cache = HotRegionCache(cache_size) if cache_size > 0 else None
         # Optional write buffer; when attached, every query merges it.
         self._delta: DeltaStore | None = None
-        self._rebuild_lookup()
-
-    @property
-    def _regions(self) -> list[Region]:
-        """Boxed region list, materialized from the store on demand.
-
-        Maintenance mutates this list and re-assigns it; queries never
-        touch it.  The list is cached so in-place edits stay visible
-        until the next :meth:`_rebuild_lookup`.
-        """
-        if self._regions_cache is None:
-            self._regions_cache = self._store.to_regions()
-        return self._regions_cache
-
-    @_regions.setter
-    def _regions(self, regions: Sequence[Region]) -> None:
-        self._regions_cache = list(regions)
-
-    def _rebuild_lookup(self) -> None:
-        """Recompute the derived query structures after region changes."""
-        self._position_of = {
-            int(tid): pos for pos, tid in enumerate(self._dominating.tids)
-        }
-        self._store = RegionStore.from_regions(self._regions, self._dominating)
-        # The boxed list is now redundant with the packed store; drop it
-        # and rematerialize lazily if maintenance needs it again.
-        self._regions_cache: list[Region] | None = None
-        # Region boundaries may have moved: cached descents are stale.
-        if self._cache is not None:
-            self._cache.clear()
-        # ... and so is an attached delta's view of the dominating set.
-        if self._delta is not None:
-            self.attach_delta(self._delta)
 
     # -- construction ------------------------------------------------------
 
@@ -335,7 +304,7 @@ class RankedJoinIndex:
 
         Raises :class:`~repro.errors.InvalidQueryError` (a
         :class:`~repro.errors.QueryError`) for ``k`` outside ``[1, K]``
-        or beyond the effective bound left by lazy deletions.
+        or beyond the slack an attached delta's charged entries leave.
         """
         if k < 1:
             raise InvalidQueryError(f"k must be positive, got {k}")
@@ -343,18 +312,13 @@ class RankedJoinIndex:
             raise InvalidQueryError(
                 f"k={k} exceeds the construction bound K={self.k_bound}"
             )
-        if k > self._k_effective:
-            raise InvalidQueryError(
-                f"k={k} exceeds the effective bound {self._k_effective} "
-                "(lazy deletions have consumed slack; rebuild the index)"
-            )
         delta = self._delta
         if delta is not None:
             charged = delta.n_charged
-            if charged and k + charged > self._k_effective:
+            if charged and k + charged > self.k_bound:
                 raise InvalidQueryError(
                     f"k={k} plus {charged} buffered writes hiding indexed "
-                    f"tuples exceeds the effective bound {self._k_effective}; "
+                    f"tuples exceeds the effective bound {self.k_bound}; "
                     "the merged answer would no longer be exact — compact "
                     "the delta"
                 )
@@ -686,13 +650,13 @@ class RankedJoinIndex:
     def attach_delta(self, delta: DeltaStore) -> None:
         """Merge ``delta`` into every subsequent query answer.
 
-        The write path of the durable tier: owners buffer inserts and
-        tombstones in the delta and leave the base store immutable until
-        compaction rebuilds it.  The delta is rebased on this index's
-        dominating set (shared, not copied), which re-classifies its
-        entries; while attached, :meth:`_validate_k` additionally
-        requires ``k + n_charged <= k_effective`` so the merged answer
-        stays exact (see :mod:`repro.core.delta`).
+        The write path of every maintained tier: owners buffer inserts
+        and tombstones in the delta and replace this (immutable) index
+        with a fresh one on compaction.  The delta is rebased on this
+        index's dominating set (shared, not copied), which re-classifies
+        its entries; while attached, :meth:`_validate_k` additionally
+        requires ``k + n_charged <= K`` so the merged answer stays
+        exact (see :mod:`repro.core.delta`).
         """
         self._delta = delta
         dominating = self._dominating
@@ -710,15 +674,6 @@ class RankedJoinIndex:
     def delta(self) -> DeltaStore | None:
         """The attached write buffer, or ``None``."""
         return self._delta
-
-    def _region_for(self, angle: float) -> Region:
-        return self._store.region(self._store.region_id(angle))
-
-    def _score_tid(self, preference: Preference, tid: int) -> float:
-        pos = self._position_of[tid]
-        return preference.score(
-            float(self._dominating.s1[pos]), float(self._dominating.s2[pos])
-        )
 
     # -- introspection -------------------------------------------------------
 
@@ -739,8 +694,9 @@ class RankedJoinIndex:
 
     @property
     def regions(self) -> list[Region]:
-        """The materialized angular regions, left to right."""
-        return list(self._regions)
+        """The angular regions, left to right: a boxed view materialized
+        from :attr:`store` on every access (introspection, not queries)."""
+        return self._store.to_regions()
 
     @property
     def dominating(self) -> RankTupleSet:
@@ -753,8 +709,11 @@ class RankedJoinIndex:
 
     @property
     def k_effective(self) -> int:
-        """Largest k the index currently guarantees (< K after lazy deletes)."""
-        return self._k_effective
+        """Largest exact ``k`` right now: ``K`` less the attached delta's
+        charged entries (each hides an indexed tuple until compaction)."""
+        delta = self._delta
+        charged = 0 if delta is None else delta.n_charged
+        return max(0, self.k_bound - charged)
 
     @property
     def n_separating(self) -> int:
@@ -775,18 +734,19 @@ class RankedJoinIndex:
 
     def check_invariants(self) -> None:
         """Validate structural invariants; raises on violation (tests)."""
-        if not math.isclose(self._regions[0].lo, 0.0, abs_tol=1e-15):
+        regions = self.regions
+        if not math.isclose(regions[0].lo, 0.0, abs_tol=1e-15):
             raise ConstructionError("first region must start at angle 0")
-        if not math.isclose(self._regions[-1].hi, math.pi / 2, rel_tol=1e-12):
+        if not math.isclose(regions[-1].hi, math.pi / 2, rel_tol=1e-12):
             raise ConstructionError("last region must end at pi/2")
-        for left, right in zip(self._regions, self._regions[1:]):
+        for left, right in zip(regions, regions[1:]):
             if left.hi != right.lo:
                 raise ConstructionError(
                     f"regions must tile the quadrant; gap at {left.hi}"
                 )
             if left.lo >= left.hi:
                 raise ConstructionError("regions must have positive width")
-        for region in self._regions:
+        for region in regions:
             if len(set(region.tids)) != len(region.tids):
                 raise ConstructionError("region tuple ids must be distinct")
             for tid in region.tids:

@@ -1,13 +1,14 @@
 """Columnar storage of the materialized angular regions.
 
 The sweep produces regions as Python tuples of tuple ids — convenient
-for construction and maintenance, but hostile to the query path: every
+for construction, but hostile to the query path: every
 query had to translate ``region.tids`` into array positions through a
 dict lookup per tuple before any vectorized work could start, and the
 ``O(n * K)`` region payload lived as boxed Python ints.
 
 :class:`RegionStore` packs the whole region structure into five
-contiguous NumPy arrays, built once per (re)construction:
+contiguous NumPy arrays, built once per index and never edited (a
+maintained tier replaces the whole index on compaction):
 
 ``lows``
     ``float64[l]`` — the ``l`` interior separating points; a query
@@ -240,17 +241,8 @@ class RegionStore:
             self._rows[region_id] = cached
         return cached
 
-    def region(self, region_id: int) -> Region:
-        """Materialize one region back into its boxed form."""
-        start, stop = self.span(region_id)
-        return Region(
-            float(self.lo[region_id]),
-            float(self.hi[region_id]),
-            tuple(self.tids[start:stop].tolist()),
-        )
-
     def to_regions(self) -> list[Region]:
-        """Materialize the full boxed region list (maintenance paths)."""
+        """Materialize the full boxed region list (introspection)."""
         flat = self.tids.tolist()
         lo = self.lo.tolist()
         hi = self.hi.tolist()

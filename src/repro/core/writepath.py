@@ -26,7 +26,29 @@ from .delta import DeltaStore, SupportsWal
 from .index import RankedJoinIndex
 from .tuples import RankTuple
 
-__all__ = ["WritePath"]
+__all__ = ["MemoryLog", "WritePath"]
+
+
+class MemoryLog:
+    """The in-memory :class:`SupportsWal`: hands out LSNs, keeps nothing.
+
+    What a tier writes through when no ``wal`` is given: the write path
+    is the same, and an acknowledged write is as volatile as the process.
+    """
+
+    def __init__(self) -> None:
+        self.last_lsn = 0
+
+    def append_insert(self, tid: int, s1: float, s2: float) -> int:
+        self.last_lsn += 1
+        return self.last_lsn
+
+    def append_delete(self, tid: int) -> int:
+        self.last_lsn += 1
+        return self.last_lsn
+
+    def commit(self) -> int:
+        return self.last_lsn
 
 
 class WritePath:
@@ -36,13 +58,13 @@ class WritePath:
         self,
         index: RankedJoinIndex,
         pool: dict[int, RankTuple],
-        wal: SupportsWal,
+        wal: SupportsWal | None = None,
         *,
         threshold: int = 64,
         build_options: dict | None = None,
         recorder: Recorder = NULL_RECORDER,
     ):
-        self.wal = wal
+        self.wal = wal if wal is not None else MemoryLog()
         self.threshold = max(1, threshold)
         self.k_bound = index.k_bound
         #: Forwarded verbatim to every compaction's RankedJoinIndex.build.
@@ -115,7 +137,7 @@ class WritePath:
     @property
     def k_effective(self) -> int:
         """Largest exact ``k`` right now (charged entries consume slack)."""
-        return max(0, self.index.k_effective - self.delta.n_charged)
+        return self.index.k_effective
 
     @property
     def needs_compaction(self) -> bool:
@@ -124,7 +146,7 @@ class WritePath:
         # moderate k start failing validation.
         return (
             self.delta.n_ops >= self.threshold
-            or self.delta.n_charged * 2 >= self.index.k_effective
+            or self.delta.n_charged * 2 >= self.k_bound
         )
 
     # -- compaction --------------------------------------------------------

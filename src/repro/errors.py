@@ -48,7 +48,7 @@ class InvalidQueryError(QueryError):
     """A query's inputs were rejected before any work was done.
 
     The single validation error of every query entry point: ``k``
-    outside ``[1, K]`` (or the effective bound after lazy deletions) and
+    outside ``[1, K]`` (or the effective bound buffered deletes leave) and
     malformed preference arguments both raise this type.  It subclasses
     :class:`QueryError`, so existing handlers keep working.
     """

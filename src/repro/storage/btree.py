@@ -9,8 +9,8 @@ the region containing this preference angle".
 
 The tree is bulk-loaded from sorted keys (a single scan, as the paper
 notes the B-tree can be built during the scan over the sorted separating
-points) and is immutable afterwards; incremental maintenance happens at
-the :mod:`repro.core.maintenance` level followed by a reload.
+points) and is immutable afterwards; a maintained tier compacts into a
+fresh index and saves a new image (:mod:`repro.storage.durable`).
 
 Page layout (little-endian):
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.index import RankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTupleSet
+from repro.core.workloads import random_preferences
 
 
 @pytest.fixture
@@ -47,3 +49,15 @@ def assert_scores_match(results, tuples, preference, k, *, atol=1e-9):
     expected = brute_force_topk_scores(tuples, preference, k)
     assert len(got) == len(expected)
     np.testing.assert_allclose(got, expected, atol=atol, rtol=1e-12)
+
+
+def assert_matches_rebuild(index, live, k_bound, k, seed=9, **options):
+    """Assert a maintained tier answers bit for bit like a from-scratch
+    build over ``live`` (tid -> tuple) with the same build options."""
+    reference = RankedJoinIndex.build(sorted(live.values()), k_bound, **options)
+    preferences = random_preferences(20, seed=seed)
+    assert index.query_batch(preferences, k) == reference.query_batch(
+        preferences, k
+    )
+    for preference in preferences:
+        assert index.query(preference, k) == reference.query(preference, k)

@@ -151,20 +151,22 @@ class TestQueryPathWiring:
         assert hit.results == miss.results
 
     def test_maintenance_invalidates_cache(self):
+        from repro.core.managed import ManagedRankedJoinIndex
         from repro.core.tuples import RankTuple
 
-        index = RankedJoinIndex.build(_tuples(), 10, cache_size=8)
-        before = index.query((2.0, 1.0), 5)
-        assert index.cache is not None and len(index.cache) == 1
-        # A dominating insert restructures regions; stale region ids
-        # must not survive in the cache.
-        from repro.core.maintenance import insert_tuple
-
-        insert_tuple(index, RankTuple(10_000, 2.0, 2.0))
-        assert len(index.cache) == 0
-        after = index.query((2.0, 1.0), 5)
+        managed = ManagedRankedJoinIndex(_tuples(), 10, cache_size=8)
+        before = managed.query((2.0, 1.0), 5)
+        stale = managed.index.cache
+        assert stale is not None and len(stale) == 1
+        # A dominating insert restructures regions on compaction; stale
+        # region ids must not survive: the fresh base has its own cache.
+        managed.insert(RankTuple(10_000, 2.0, 2.0))
+        managed.compact()
+        assert managed.index.cache is not stale and len(managed.index.cache) == 0
+        after = managed.query((2.0, 1.0), 5)
         assert after[0].tid == 10_000
         assert after != before
+        assert len(managed.index.cache) == 1
 
     def test_cache_disabled_by_default(self):
         index = RankedJoinIndex.build(_tuples(), 10)

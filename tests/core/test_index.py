@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.index import RankedJoinIndex
+from repro.core.regionstore import RegionStore
 from repro.core.scoring import Preference
+from repro.core.sweep import Region
 from repro.core.tuples import RankTuple, RankTupleSet
 from repro.errors import ConstructionError, QueryError
 
@@ -132,6 +134,24 @@ class TestIntrospection:
         regions = index.regions
         regions.clear()
         assert index.n_regions > 0
+
+    def test_regions_are_a_view_of_the_store(self, uniform_set, monkeypatch):
+        # The store is the one region record: packed once per build,
+        # and no boxed Region outlives the constructor.
+        packed = []
+        pack = RegionStore.from_regions
+        monkeypatch.setattr(
+            RegionStore,
+            "from_regions",
+            lambda *args: packed.append(args) or pack(*args),
+        )
+        index = RankedJoinIndex.build(uniform_set, 4)
+        assert len(packed) == 1
+        held = [v for v in vars(index).values() if isinstance(v, (list, tuple))]
+        assert not any(isinstance(item, Region) for v in held for item in v)
+        first, second = index.regions, index.regions
+        assert first == second == index.store.to_regions()
+        assert first is not second
 
     def test_logical_size_grows_with_k(self, uniform_set):
         small = RankedJoinIndex.build(uniform_set, 2).logical_size_bytes()

@@ -1,4 +1,9 @@
-"""Tests for incremental index maintenance (exact insert, lazy delete)."""
+"""Maintenance through the default constructor: buffered writes equal a rebuild.
+
+``ManagedRankedJoinIndex(tuples, k)`` with no ``wal=`` writes through the
+in-memory log; every answer, buffered or compacted, is bit-identical to
+``RankedJoinIndex.build`` over the live tuples with the same options.
+"""
 
 import numpy as np
 import pytest
@@ -6,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.index import RankedJoinIndex
-from repro.core.maintenance import delete_tuple, insert_tuple, is_k_dominated
+from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTuple, RankTupleSet
-from repro.errors import MaintenanceError
+from repro.errors import InvalidQueryError, MaintenanceError
 
-from ..conftest import assert_scores_match
+from ..conftest import assert_matches_rebuild
 
 
 def _uniform(n, seed=0):
@@ -19,157 +24,112 @@ def _uniform(n, seed=0):
     return RankTupleSet.from_pairs(rng.uniform(0, 100, n), rng.uniform(0, 100, n))
 
 
-def _assert_equivalent_to_rebuild(index, all_tuples, k, n_probes=40, seed=1):
-    rng = np.random.default_rng(seed)
-    for _ in range(n_probes):
-        pref = Preference.from_angle(float(rng.uniform(0, np.pi / 2)))
-        kk = int(rng.integers(1, k + 1))
-        assert_scores_match(index.query(pref, kk), all_tuples, pref, kk)
+def _assert_exact(managed, live, **options):
+    """At the largest ``k`` the tier still guarantees."""
+    assert_matches_rebuild(
+        managed, {t.tid: t for t in live}, managed.k_bound, managed.k_effective,
+        **options,
+    )
 
 
-class TestIsKDominated:
-    def test_dominated_point_detected(self):
-        ts = RankTupleSet.from_pairs([10.0, 9.0], [10.0, 9.0])
-        index = RankedJoinIndex.build(ts, 2)
-        assert is_k_dominated(index, 1.0, 1.0)
-        assert not is_k_dominated(index, 9.5, 9.5)
-
-    def test_identical_pair_not_self_dominating(self):
-        ts = RankTupleSet.from_pairs([5.0], [5.0])
-        index = RankedJoinIndex.build(ts, 1)
-        assert not is_k_dominated(index, 5.0, 5.0)
+def _stream(full, split, k, **options):
+    """Build over ``full[:split]``, insert the rest; exact buffered and compacted."""
+    managed = ManagedRankedJoinIndex(
+        full[np.arange(split)], k, delta_threshold=1000, **options
+    )
+    for i in range(split, len(full)):
+        assert managed.insert(full.row(i)) is True
+    _assert_exact(managed, full, **options)
+    managed.compact()
+    managed.check_invariants()
+    _assert_exact(managed, full, **options)
+    return managed
 
 
 class TestInsertValidation:
     def test_duplicate_tid_rejected(self):
-        index = RankedJoinIndex.build(_uniform(30), 3)
-        existing = int(index.dominating.tids[0])
+        managed = ManagedRankedJoinIndex(_uniform(30), 3)
+        existing = int(managed.index.dominating.tids[0])
         with pytest.raises(MaintenanceError, match="already"):
-            insert_tuple(index, RankTuple(existing, 1.0, 1.0))
+            managed.insert(RankTuple(existing, 1.0, 1.0))
 
     def test_non_finite_rank_rejected(self):
-        index = RankedJoinIndex.build(_uniform(30), 3)
+        managed = ManagedRankedJoinIndex(_uniform(30), 3)
         with pytest.raises(MaintenanceError, match="finite"):
-            insert_tuple(index, RankTuple(999, float("nan"), 1.0))
+            managed.insert(RankTuple(999, float("nan"), 1.0))
 
     def test_dominated_insert_is_noop(self):
         ts = RankTupleSet.from_pairs([10.0, 9.0, 8.0], [10.0, 9.0, 8.0])
-        index = RankedJoinIndex.build(ts, 2)
-        regions_before = index.regions
-        assert insert_tuple(index, RankTuple(100, 0.5, 0.5)) is False
-        assert index.regions == regions_before
+        managed = ManagedRankedJoinIndex(ts, 2)
+        regions_before = managed.index.regions
+        managed.insert(RankTuple(100, 0.5, 0.5))
+        assert managed.delta.is_transparent and managed.k_effective == 2
+        assert managed.index.regions == regions_before
 
 
 class TestInsertCorrectness:
     def test_stream_matches_rebuild(self):
-        k = 6
         full = _uniform(150, seed=3)
-        index = RankedJoinIndex.build(full[np.arange(100)], k)
-        for i in range(100, 150):
-            insert_tuple(index, full.row(i))
-        index.check_invariants()
-        _assert_equivalent_to_rebuild(index, full, k)
-        rebuilt = RankedJoinIndex.build(full, k)
-        assert index.n_regions == rebuilt.n_regions
+        managed = _stream(full, 100, 6)
+        assert managed.index.n_regions == RankedJoinIndex.build(full, 6).n_regions
 
     def test_insert_new_global_winner(self):
-        ts = _uniform(50, seed=4)
-        index = RankedJoinIndex.build(ts, 3)
-        insert_tuple(index, RankTuple(1000, 1000.0, 1000.0))
+        managed = ManagedRankedJoinIndex(_uniform(50, seed=4), 3)
+        managed.insert(RankTuple(1000, 1000.0, 1000.0))
         for angle in (0.1, 0.8, 1.4):
-            top = index.query(Preference.from_angle(angle), 1)
-            assert top[0].tid == 1000
+            assert managed.query(Preference.from_angle(angle), 1)[0].tid == 1000
 
     def test_insert_into_ordered_variant(self):
-        k = 4
-        full = _uniform(80, seed=5)
-        index = RankedJoinIndex.build(full[np.arange(60)], k, variant="ordered")
-        for i in range(60, 80):
-            insert_tuple(index, full.row(i))
-        index.check_invariants()
-        _assert_equivalent_to_rebuild(index, full, k)
+        _stream(_uniform(80, seed=5), 60, 4, variant="ordered")
 
     def test_insert_into_merged_variant(self):
-        k = 4
-        full = _uniform(80, seed=6)
-        index = RankedJoinIndex.build(full[np.arange(60)], k, merge_slack=3)
-        for i in range(60, 80):
-            insert_tuple(index, full.row(i))
-        index.check_invariants()
-        _assert_equivalent_to_rebuild(index, full, k)
+        _stream(_uniform(80, seed=6), 60, 4, merge_slack=3)
 
     def test_insert_when_index_smaller_than_k(self):
         ts = RankTupleSet.from_pairs([1.0, 2.0], [2.0, 1.0])
-        index = RankedJoinIndex.build(ts, 5)
-        insert_tuple(index, RankTuple(10, 3.0, 3.0))
-        results = index.query(Preference(1.0, 1.0), 3)
+        managed = ManagedRankedJoinIndex(ts, 5)
+        managed.insert(RankTuple(10, 3.0, 3.0))
+        results = managed.query(Preference(1.0, 1.0), 3)
         assert results[0].tid == 10
         assert len(results) == 3
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 30))
     def test_insert_equals_rebuild_property(self, seed, k, n):
+        # Integer coordinates: exact score ties at and between regions.
         rng = np.random.default_rng(seed)
         s1 = rng.integers(0, 8, n).astype(float)
         s2 = rng.integers(0, 8, n).astype(float)
-        full = RankTupleSet(np.arange(n), s1, s2)
-        split = max(1, n // 2)
-        index = RankedJoinIndex.build(full[np.arange(split)], k)
-        for i in range(split, n):
-            insert_tuple(index, full.row(i))
-        index.check_invariants()
-        _assert_equivalent_to_rebuild(index, full, k, n_probes=10, seed=seed)
+        _stream(RankTupleSet(np.arange(n), s1, s2), max(1, n // 2), k)
 
 
 class TestDelete:
     def test_unknown_tid_rejected(self):
-        index = RankedJoinIndex.build(_uniform(30), 3)
-        with pytest.raises(MaintenanceError, match="not in the index"):
-            delete_tuple(index, 10**9)
-
-    def test_delete_unindexed_dominating_tuple_keeps_bound(self):
-        index = RankedJoinIndex.build(_uniform(200, seed=7), 3)
-        in_regions = set().union(*(set(r.tids) for r in index.regions))
-        spare = [t for t in index.dominating.tids if int(t) not in in_regions]
-        assert spare, "test needs a dominating tuple outside all regions"
-        effective = delete_tuple(index, int(spare[0]))
-        assert effective == 3
+        managed = ManagedRankedJoinIndex(_uniform(30), 3)
+        with pytest.raises(MaintenanceError, match="is not live"):
+            managed.delete(10**9)
 
     def test_delete_region_tuple_lowers_bound_and_stays_exact(self):
-        n, k = 200, 5
-        ts = _uniform(n, seed=8)
-        index = RankedJoinIndex.build(ts, k)
-        victim = int(index.regions[0].tids[0])
-        effective = delete_tuple(index, victim)
-        assert effective == k - 1
-        mask = ts.tids != victim
-        remaining = ts[mask]
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            pref = Preference.from_angle(float(rng.uniform(0, np.pi / 2)))
-            kk = int(rng.integers(1, effective + 1))
-            assert_scores_match(index.query(pref, kk), remaining, pref, kk)
+        ts = _uniform(200, seed=8)
+        managed = ManagedRankedJoinIndex(ts, 5)
+        victim = int(managed.index.regions[0].tids[0])
+        assert managed.delete(victim) == 5 - 1
+        _assert_exact(managed, ts[ts.tids != victim])
 
     def test_query_beyond_effective_bound_rejected(self):
-        index = RankedJoinIndex.build(_uniform(100, seed=9), 4)
-        victim = int(index.regions[0].tids[0])
-        effective = delete_tuple(index, victim)
-        with pytest.raises(Exception, match="effective bound"):
-            index.query(Preference(1.0, 1.0), effective + 1)
+        managed = ManagedRankedJoinIndex(_uniform(100, seed=9), 4)
+        victim = int(managed.index.regions[0].tids[0])
+        effective = managed.delete(victim)
+        with pytest.raises(InvalidQueryError, match="effective bound"):
+            managed.query(Preference(1.0, 1.0), effective + 1)
 
     def test_interleaved_insert_and_delete(self):
-        k = 4
         full = _uniform(120, seed=10)
-        index = RankedJoinIndex.build(full[np.arange(100)], k)
-        victim = int(index.regions[0].tids[0])
-        delete_tuple(index, victim)
+        managed = ManagedRankedJoinIndex(full[np.arange(100)], 4)
+        victim = int(managed.index.regions[0].tids[0])
+        managed.delete(victim)
         for i in range(100, 120):
-            insert_tuple(index, full.row(i))
-        index.check_invariants()
-        mask = full.tids != victim
-        remaining = full[mask]
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            pref = Preference.from_angle(float(rng.uniform(0, np.pi / 2)))
-            kk = int(rng.integers(1, index.k_effective + 1))
-            assert_scores_match(index.query(pref, kk), remaining, pref, kk)
+            managed.insert(full.row(i))
+        managed.check_invariants()
+        assert managed.k_effective == 3
+        _assert_exact(managed, full[full.tids != victim])

@@ -1,4 +1,4 @@
-"""Tests for the managed index (auto-rebuild lifecycle)."""
+"""Tests for the managed index (compaction lifecycle)."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTuple, RankTupleSet
 from repro.errors import MaintenanceError, QueryError
+
+from ..conftest import assert_matches_rebuild
 
 
 def _tuples(n, seed=0, offset=0):
@@ -18,26 +20,20 @@ def _tuples(n, seed=0, offset=0):
     )
 
 
-def _assert_matches_pool(managed, k, seed=0):
-    rng = np.random.default_rng(seed)
-    live = list(managed._pool.values())
-    s1 = np.array([t.s1 for t in live])
-    s2 = np.array([t.s2 for t in live])
-    for _ in range(25):
-        pref = Preference.from_angle(float(rng.uniform(0, np.pi / 2)))
-        got = [r.score for r in managed.query(pref, k)]
-        expected = np.sort(pref.p1 * s1 + pref.p2 * s2)[::-1][:k]
-        np.testing.assert_allclose(got, expected, atol=1e-9)
+def _delete_winner(managed, live, preference=Preference(1.0, 1.0)):
+    winner = managed.query(preference, 1)[0].tid
+    del live[winner]
+    return managed.delete(winner)
 
 
 class TestConstruction:
-    def test_floor_validation(self):
-        with pytest.raises(MaintenanceError, match="min_effective_k"):
-            ManagedRankedJoinIndex(_tuples(20), 4, min_effective_k=5)
-
     def test_default_floor_is_half(self):
+        # Compaction is due once the charged entries reach ceil(K / 2).
         managed = ManagedRankedJoinIndex(_tuples(50), 7)
-        assert managed.min_effective_k == 4
+        live = {t.tid: t for t in _tuples(50)}
+        assert [_delete_winner(managed, live) for _ in range(3)] == [6, 5, 4]
+        assert managed.log.rebuilds == 0
+        assert _delete_winner(managed, live) == 7 and managed.log.rebuilds == 1
 
 
 class TestLifecycle:
@@ -55,8 +51,8 @@ class TestLifecycle:
         managed = ManagedRankedJoinIndex(_tuples(200, seed=1), 3)
         managed.insert(RankTuple(10_000, 1000.0, 1000.0))  # new champion
         managed.insert(RankTuple(10_001, 0.001, 0.001))  # surely dominated
-        assert managed.log.inserts_applied == 1
-        assert managed.log.inserts_pruned == 1
+        assert managed.log.inserts_applied == 2
+        assert managed.delta.n_visible == 1
         assert managed.n_live == 202
 
     def test_deleting_pruned_tuple_keeps_guarantee(self):
@@ -68,39 +64,35 @@ class TestLifecycle:
 
     def test_auto_rebuild_restores_guarantee(self):
         k = 4
-        managed = ManagedRankedJoinIndex(
-            _tuples(300, seed=3), k, min_effective_k=3
-        )
-        # Delete current winners until the floor is crossed.
-        deletions = 0
-        while managed.log.rebuilds == 0:
-            winner = managed.query(Preference(1.0, 1.0), 1)[0].tid
-            managed.delete(winner)
-            deletions += 1
-            assert deletions < 50, "rebuild never triggered"
-        assert managed.k_effective == k  # restored
+        managed = ManagedRankedJoinIndex(_tuples(300, seed=3), k)
+        live = {t.tid: t for t in _tuples(300, seed=3)}
+        # The first winner delete only consumes slack; the second makes
+        # 2 * charged >= K, and the compaction it triggers restores it.
+        assert _delete_winner(managed, live) == k - 1
+        assert managed.log.rebuilds == 0
+        assert _delete_winner(managed, live) == k
+        assert managed.log.rebuilds == 1 and managed.delta.is_empty
         managed.check_invariants()
-        _assert_matches_pool(managed, k)
+        assert_matches_rebuild(managed, live, k, k)
 
     def test_mixed_stream_stays_exact(self):
         k = 5
-        managed = ManagedRankedJoinIndex(
-            _tuples(150, seed=4), k, min_effective_k=4
-        )
+        managed = ManagedRankedJoinIndex(_tuples(150, seed=4), k)
+        live = {t.tid: t for t in _tuples(150, seed=4)}
         extra = _tuples(100, seed=5, offset=10_000)
         rng = np.random.default_rng(6)
         inserted = 0
         for step in range(120):
             if inserted < 100 and rng.uniform() < 0.6:
+                live[extra.row(inserted).tid] = extra.row(inserted)
                 managed.insert(extra.row(inserted))
                 inserted += 1
             else:
-                victim = managed.query(
-                    Preference.from_angle(float(rng.uniform(0, np.pi / 2))), 1
-                )[0].tid
-                managed.delete(victim)
+                angle = float(rng.uniform(0, np.pi / 2))
+                _delete_winner(managed, live, Preference.from_angle(angle))
         managed.check_invariants()
-        _assert_matches_pool(managed, min(k, managed.k_effective), seed=7)
+        assert managed.n_live == len(live) and managed.log.rebuilds > 0
+        assert_matches_rebuild(managed, live, k, managed.k_effective)
 
     def test_manual_rebuild(self):
         managed = ManagedRankedJoinIndex(_tuples(80, seed=8), 4)
@@ -109,9 +101,7 @@ class TestLifecycle:
         assert managed.log.events[-1].startswith("rebuild (requested)")
 
     def test_query_beyond_degraded_bound_raises(self):
-        managed = ManagedRankedJoinIndex(
-            _tuples(200, seed=9), 4, min_effective_k=1
-        )
+        managed = ManagedRankedJoinIndex(_tuples(200, seed=9), 4)
         winner = managed.query(Preference(1.0, 1.0), 1)[0].tid
         managed.delete(winner)
         assert managed.k_effective == 3

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.index import RankedJoinIndex
 from repro.core.regionstore import RegionStore
-from repro.core.sweep import Region
+from repro.core.sweep import Region, sweep_regions
 from repro.core.tuples import RankTupleSet
 from repro.errors import ConstructionError
 
@@ -24,10 +24,10 @@ def _store(n=200, k=8, seed=3):
 
 class TestConstruction:
     def test_round_trips_regions(self):
-        index, store = _store()
-        assert [
-            (r.lo, r.hi, r.tids) for r in store.to_regions()
-        ] == [(r.lo, r.hi, r.tids) for r in index.regions]
+        dominating = _store()[0].dominating
+        regions, _ = sweep_regions(dominating, 8)
+        packed = RegionStore.from_regions(regions, dominating)
+        assert packed.to_regions() == regions
 
     def test_single_region_materializes(self):
         region = store_region = Region(0.0, float(np.pi / 2), (4, 2, 9))
@@ -39,7 +39,7 @@ class TestConstruction:
         store = RegionStore.from_regions([region], tuples)
         assert len(store) == 1
         assert store.n_positions == 3
-        assert store.region(0).tids == store_region.tids
+        assert store.to_regions() == [store_region]
 
     def test_columns_follow_region_order(self):
         index, store = _store()

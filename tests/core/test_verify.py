@@ -14,6 +14,14 @@ def _index(n=200, k=6, seed=0):
     return ts, RankedJoinIndex.build(ts, k)
 
 
+def _sabotaged(index, retid):
+    """``index`` over regions whose tids went through ``retid(position, tids)``."""
+    regions = [
+        Region(r.lo, r.hi, retid(i, r.tids)) for i, r in enumerate(index.regions)
+    ]
+    return RankedJoinIndex(index.k_bound, regions, index.dominating, index.stats)
+
+
 class TestVerify:
     def test_healthy_index_passes(self):
         ts, index = _index()
@@ -33,11 +41,8 @@ class TestVerify:
         dom = index.dominating
         worst = np.argsort(dom.scores(1.0, 1.0))[: index.k_bound]
         bad_tids = tuple(int(dom.tids[p]) for p in worst)
-        victim = index._regions[len(index._regions) // 2]
-        index._regions[len(index._regions) // 2] = Region(
-            victim.lo, victim.hi, bad_tids
-        )
-        index._rebuild_lookup()
+        middle = index.n_regions // 2
+        index = _sabotaged(index, lambda i, tids: bad_tids if i == middle else tids)
         report = verify_index(index, reference=ts, n_probes=200, seed=3)
         assert not report.ok
         assert report.mismatches
@@ -45,8 +50,7 @@ class TestVerify:
 
     def test_detects_structural_breakage(self):
         _, index = _index(seed=4)
-        region = index._regions[0]
-        index._regions[0] = Region(region.lo, region.hi, region.tids * 2)
+        index = _sabotaged(index, lambda i, tids: tids * 2 if i == 0 else tids)
         report = verify_index(index, n_probes=5)
         assert report.structural_errors
 
@@ -77,8 +81,7 @@ class TestVerifyEdgePaths:
     def test_empty_population_still_reports_structural_errors(self):
         """The structural check runs before the probe short-circuit."""
         _, index = _index(seed=7)
-        region = index._regions[0]
-        index._regions[0] = Region(region.lo, region.hi, region.tids * 2)
+        index = _sabotaged(index, lambda i, tids: tids * 2 if i == 0 else tids)
         report = verify_index(index, reference=RankTupleSet.empty())
         assert report.probes == 0
         assert report.structural_errors
@@ -91,10 +94,7 @@ class TestVerifyEdgePaths:
         dom = index.dominating
         worst = np.argsort(dom.scores(1.0, 1.0))[: index.k_bound]
         bad_tids = tuple(int(dom.tids[p]) for p in worst)
-        for position in range(len(index._regions)):
-            victim = index._regions[position]
-            index._regions[position] = Region(victim.lo, victim.hi, bad_tids)
-        index._rebuild_lookup()
+        index = _sabotaged(index, lambda i, tids: bad_tids)
         report = verify_index(index, reference=ts, n_probes=50, seed=9)
         assert not report.ok
         assert all("pref=" in m and "k=" in m for m in report.mismatches)

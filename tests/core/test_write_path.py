@@ -1,8 +1,8 @@
 """The WritePath contract, stated once and run against every tier.
 
-``ManagedRankedJoinIndex``, ``ConcurrentRankedJoinIndex`` (both over an
-in-memory ``SupportsWal`` double) and ``DurableRankedJoinIndex`` (real
-WAL in ``tmp_path``) compose one :class:`repro.core.writepath.WritePath`;
+``ManagedRankedJoinIndex``, ``ConcurrentRankedJoinIndex`` (both over the
+in-memory ``MemoryLog``) and ``DurableRankedJoinIndex`` (real WAL in
+``tmp_path``) compose one :class:`repro.core.writepath.WritePath`;
 the oracle is region-free — ``RankedJoinIndex.build(sorted(live))``.
 """
 
@@ -14,27 +14,11 @@ from repro.core.delta import SupportsWal
 from repro.core.index import RankedJoinIndex
 from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.tuples import RankTuple
-from repro.core.workloads import random_preferences
+from repro.core.writepath import MemoryLog
 from repro.errors import MaintenanceError
 from repro.storage.durable import DurableRankedJoinIndex
 
-
-class MemoryWal:
-    """The smallest SupportsWal: hands out LSNs, persists nothing."""
-
-    def __init__(self):
-        self.last_lsn = 0
-
-    def append_insert(self, tid, s1, s2):
-        self.last_lsn += 1
-        return self.last_lsn
-
-    def append_delete(self, tid):
-        self.last_lsn += 1
-        return self.last_lsn
-
-    def commit(self):
-        return self.last_lsn
+from ..conftest import assert_matches_rebuild as _assert_matches_rebuild
 
 
 def _spy(wal):
@@ -64,30 +48,25 @@ def _settle(index):
     assert drain is None or drain(timeout=10.0)
 
 
-def _assert_matches_rebuild(index, pool, k_bound, k, seed=9):
-    reference = RankedJoinIndex.build(sorted(pool.values()), k_bound)
-    preferences = random_preferences(20, seed=seed)
-    assert index.query_batch(preferences, k) == reference.query_batch(
-        preferences, k
-    )
-    for preference in preferences:
-        assert index.query(preference, k) == reference.query(preference, k)
-
-
 class WritePathContract:
     """What every tier must do; subclasses only say how to make one."""
 
-    def make(self, directory, wal, tuples, k, threshold):
+    def make(self, directory, wal, tuples, k, threshold, **options):
         raise NotImplementedError
 
     @pytest.fixture()
     def tier(self, tmp_path):
         made = []
 
-        def factory(tuples=None, k=12, threshold=1000):
-            wal = MemoryWal()  # the durable tier brings its own real log
+        def factory(tuples=None, k=12, threshold=1000, **options):
+            wal = MemoryLog()  # the durable tier brings its own real log
             index = self.make(
-                tmp_path / str(len(made)), wal, tuples or _tuples(), k, threshold
+                tmp_path / str(len(made)),
+                wal,
+                tuples or _tuples(),
+                k,
+                threshold,
+                **options,
             )
             made.append(index)
             return index, getattr(index, "wal", wal)
@@ -179,15 +158,18 @@ class WritePathContract:
         assert index.delta.is_empty and index.k_effective == 12
 
     def test_explicit_compact_empties_the_delta(self, tier):
-        index, _ = tier()
-        index.insert(RankTuple(7000, 0.9, 0.9))
-        assert index.delete(0) == index.k_effective == 11
-        index.compact()
-        _settle(index)
-        assert index.delta.is_empty and index.k_effective == 12
+        # Under every build variant: exact while buffered, exact after.
         pool = {t.tid: t for t in _tuples()[1:]}
         pool[7000] = RankTuple(7000, 0.9, 0.9)
-        _assert_matches_rebuild(index, pool, 12, 6)
+        for options in ({}, {"variant": "ordered"}, {"merge_slack": 3}):
+            index, _ = tier(**options)
+            index.insert(RankTuple(7000, 0.9, 0.9))
+            assert index.delete(0) == index.k_effective == 11
+            _assert_matches_rebuild(index, pool, 12, 6, **options)
+            index.compact()
+            _settle(index)
+            assert index.delta.is_empty and index.k_effective == 12
+            _assert_matches_rebuild(index, pool, 12, 6, **options)
 
     def test_writes_merge_exactly(self, tier):
         # A seeded insert/delete/compact stream against the oracle, in
@@ -236,15 +218,34 @@ class WritePathContract:
 
 
 class TestManagedWalMode(WritePathContract):
-    def make(self, directory, wal, tuples, k, threshold):
-        return ManagedRankedJoinIndex(tuples, k, wal=wal, delta_threshold=threshold)
+    def make(self, directory, wal, tuples, k, threshold, **options):
+        return ManagedRankedJoinIndex(
+            tuples, k, wal=wal, delta_threshold=threshold, **options
+        )
 
 
 class TestConcurrentWalMode(WritePathContract):
-    def make(self, directory, wal, tuples, k, threshold):
+    def make(self, directory, wal, tuples, k, threshold, **options):
         return ConcurrentRankedJoinIndex.build(
-            tuples, k, wal=wal, delta_threshold=threshold
+            tuples, k, wal=wal, delta_threshold=threshold, **options
         )
+
+    def test_bare_wrapper_over_a_pruned_index_refuses_writes(self):
+        # Without pool= the wrapper knows only the dominating set; a
+        # compaction from it would forget what pruning dropped and then
+        # answer wrongly at full k_effective.  Reads keep working.
+        tuples = _tuples(200)
+        index = RankedJoinIndex.build(tuples, 3)
+        bare = ConcurrentRankedJoinIndex(index)
+        for write, arg in [(bare.insert, RankTuple(999, 0.5, 0.5)), (bare.delete, 0)]:
+            with pytest.raises(
+                MaintenanceError, match=r"pool=.*ConcurrentRankedJoinIndex\.build"
+            ):
+                write(arg)
+        assert bare.query((0.5, 0.5), 3) == index.query((0.5, 0.5), 3)
+        # An unpruned index is its own pool.
+        unpruned = RankedJoinIndex.build(tuples, 3, prune=False)
+        assert ConcurrentRankedJoinIndex(unpruned).insert(RankTuple(999, 0.5, 0.5))
 
     def test_background_compaction_preserves_answers(self, tier):
         # No settling between writes: inserts land while a build runs
@@ -289,18 +290,23 @@ class TestConcurrentWalMode(WritePathContract):
 
 
 class TestDurableWalMode(WritePathContract):
-    def make(self, directory, wal, tuples, k, threshold):
+    def make(self, directory, wal, tuples, k, threshold, **options):
         return DurableRankedJoinIndex.create(
-            directory, tuples, k, compaction_threshold=threshold, fsync=False
+            directory,
+            tuples,
+            k,
+            compaction_threshold=threshold,
+            fsync=False,
+            **options,
         )
 
 
 class TestMaintenanceEdgeCases:
-    """Managed-tier edge cases, on both maintenance modes."""
+    """Managed-tier edge cases; ``legacy`` omits ``wal=``, ``wal`` passes a log."""
 
     @pytest.fixture(params=["legacy", "wal"])
     def managed(self, request):
-        wal = MemoryWal() if request.param == "wal" else None
+        wal = MemoryLog() if request.param == "wal" else None
         return ManagedRankedJoinIndex(_tuples(), 10, wal=wal, delta_threshold=1000)
 
     def test_duplicate_tid_insert_is_typed(self, managed):
@@ -315,9 +321,9 @@ class TestMaintenanceEdgeCases:
         managed.check_invariants()
 
     def test_rejected_insert_leaves_the_pool_rebuildable(self, managed):
-        # Legacy mode used to pool the tuple before validating it: every
-        # later rebuild() raised ConstructionError and a retry with good
-        # values was refused as "already live".
+        # A tuple pooled before it is validated would make every later
+        # rebuild() raise ConstructionError and refuse a retry with good
+        # values as "already live".
         for bad in (float("nan"), float("inf")):
             with pytest.raises(MaintenanceError, match="must be finite"):
                 managed.insert(RankTuple(777, 0.5, bad))
@@ -339,16 +345,11 @@ class TestMaintenanceEdgeCases:
             assert managed.query(pref, 5) == reference.query(pref, 5)
 
     def test_delete_emptying_a_region(self):
-        # k_bound=1: deleting a region's only tuple empties it.  In-place
-        # surgery cannot represent that and refuses with the typed
-        # "rebuild" remedy; the WAL path merges around the tombstone.
+        # k_bound=1: deleting a region's only tuple empties it; the
+        # write path merges around the tombstone.
         tuples = [RankTuple(0, 1.0, 0.1), RankTuple(1, 0.1, 1.0), RankTuple(2, 0.5, 0.5)]
-        legacy = ManagedRankedJoinIndex(tuples, 1, delta_threshold=1000)
-        victim = min(tid for region in legacy.index.regions for tid in region.tids)
-        with pytest.raises(MaintenanceError, match="rebuild"):
-            legacy.delete(victim)
-
-        buffered = ManagedRankedJoinIndex(tuples, 1, wal=MemoryWal())
+        buffered = ManagedRankedJoinIndex(tuples, 1)
+        victim = min(tid for region in buffered.index.regions for tid in region.tids)
         buffered.delete(victim)
         pool = {t.tid: t for t in tuples if t.tid != victim}
         _assert_matches_rebuild(buffered, pool, 1, 1)

@@ -92,32 +92,12 @@ class TestRoundTrip:
 
     def test_managed_index_serves_writes_too(self):
         managed = ManagedRankedJoinIndex(
-            list(_tuples()), 10, wal=_MemoryWal(), delta_threshold=1000
+            list(_tuples()), 10, delta_threshold=1000
         )
         with QueryServer(managed, port=0) as server:
             with Client(*server.address) as client:
                 assert client.insert(RankTuple(901, 0.8, 0.8)) is True
                 assert client.delete(901) == managed.k_effective
-
-
-class _MemoryWal:
-    def __init__(self):
-        self._lsn = 0
-
-    def append_insert(self, tid, s1, s2):
-        self._lsn += 1
-        return self._lsn
-
-    def append_delete(self, tid):
-        self._lsn += 1
-        return self._lsn
-
-    def commit(self):
-        return self._lsn
-
-    @property
-    def last_lsn(self):
-        return self._lsn
 
 
 class TestTypedErrors:

@@ -24,7 +24,6 @@ PACKAGES = [
     "repro.core.geometry",
     "repro.core.index",
     "repro.core.inspect",
-    "repro.core.maintenance",
     "repro.core.managed",
     "repro.core.merging",
     "repro.core.multidim",
@@ -33,6 +32,7 @@ PACKAGES = [
     "repro.core.sweep",
     "repro.core.tuples",
     "repro.core.workloads",
+    "repro.core.writepath",
     "repro.storage",
     "repro.storage.advisor",
     "repro.rtree",

@@ -11,7 +11,7 @@ import pytest
 from repro import Preference, RankedJoinIndex
 from repro.baselines import HRJN, FullScanTopK
 from repro.core.dominance import dominating_set
-from repro.core.maintenance import insert_tuple
+from repro.core.managed import ManagedRankedJoinIndex
 from repro.datagen import (
     random_keyed_relations,
     random_preferences,
@@ -119,10 +119,11 @@ class TestMaintainedIndexOnDisk:
     def test_insert_then_serialize(self, keyed_world):
         left, right, k, candidates, full = keyed_world
         split = len(candidates) // 2
-        index = RankedJoinIndex.build(candidates[np.arange(split)], k)
+        managed = ManagedRankedJoinIndex(candidates[np.arange(split)], k)
         for i in range(split, len(candidates)):
-            insert_tuple(index, candidates.row(i))
-        disk = DiskRankedJoinIndex(index)
+            managed.insert(candidates.row(i))
+        managed.compact()
+        disk = DiskRankedJoinIndex(managed.index)
         scan = FullScanTopK(full)
         for pref in random_preferences(20, seed=16):
             np.testing.assert_allclose(
