@@ -224,7 +224,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         "throughput_qps": round(serve["throughput_qps"], 1),
         "p50_us": round(serve["latency"]["p50_s"] * 1e6, 1),
         "p99_us": round(serve["latency"]["p99_s"] * 1e6, 1),
-        "batches": serve["server"]["batches"],
         "mismatches": serve["mismatches"],
         "trace_failures": serve["trace_failures"],
         "untraced": serve["untraced_requests"],

@@ -7,8 +7,8 @@ response), and reports:
 
 * **throughput** — sustained queries/second across the whole run;
 * **latency** — per-request round-trip p50/p99/mean/max;
-* **server internals** — queue-depth and coalesced-batch-size series
-  plus the lifetime ``serve.*`` counters, straight from the server's
+* **server internals** — the queue-depth series plus the lifetime
+  ``serve.*`` counters, straight from the server's
   :class:`~repro.obs.MetricsRecorder`;
 * **correctness** — every remote answer is compared against the
   precomputed in-process answer for the same preference; any mismatch
@@ -72,7 +72,6 @@ class ServeBenchConfig:
     n_clients: int = 4
     queries_per_client: int = 1000
     queue_bound: int = 1024
-    batch_max: int = 64
     #: chaos phase: injected per-query latency, starved queue, deadlines
     chaos_queries_per_client: int = 100
     chaos_queue_bound: int = 2
@@ -98,7 +97,7 @@ def _build_index(config: ServeBenchConfig, recorder=None) -> RankedJoinIndex:
 
 
 def _client_workloads(config: ServeBenchConfig, n_queries: int):
-    """Per-client preference lists, seeded apart so batches mix clients."""
+    """Per-client preference lists, seeded apart."""
     return [
         random_preferences(n_queries, seed=config.seed + 101 * (i + 1))
         for i in range(config.n_clients)
@@ -126,7 +125,6 @@ def _run_load_phase(config: ServeBenchConfig, index, workloads, references):
         index,
         port=0,
         queue_bound=config.queue_bound,
-        batch_max=config.batch_max,
         recorder=metrics,
         trace_seed=config.seed,
     ) as server:
@@ -184,7 +182,6 @@ def _run_load_phase(config: ServeBenchConfig, index, workloads, references):
         "throughput_qps": (n_done / wall) if wall > 0 else 0.0,
         "latency": _percentiles(flat) if flat else {},
         "queue_depth": asdict(metrics.series("serve.queue_depth")),
-        "batch_size": asdict(metrics.series("serve.batch_size")),
         "server": stats,
         "counters": snapshot["counters"],
         "mismatches": sum(mismatches),
@@ -223,7 +220,6 @@ def _run_chaos_phase(config: ServeBenchConfig, workloads, references):
         slow_index,
         port=0,
         queue_bound=config.chaos_queue_bound,
-        batch_max=config.batch_max,
     ) as server:
         host, port = server.address
 
@@ -296,8 +292,8 @@ def run_serve_benchmark(config: ServeBenchConfig = SERVE_CONFIG) -> dict:
     The ``query_counters`` section carries only values that are
     deterministic for a seeded config (and zero on healthy serving), so
     the standard ``--compare`` gate applies unchanged.  Timing-shaped
-    observations (throughput, shed counts, batch sizes) are reported
-    but never gated.
+    observations (throughput, shed counts) are reported but never
+    gated.
     """
     index = _build_index(config)
     workloads = _client_workloads(config, config.queries_per_client)

@@ -8,7 +8,7 @@ Three command families:
   join index from two CSV files and ``index-query`` answers top-k
   queries against the saved index file;
 * ``serve`` — expose a saved index over TCP behind the resilient
-  serving wrapper (admission control, batching, typed errors; query it
+  serving wrapper (admission control, deadlines, typed errors; query it
   with :class:`repro.serve.Client`);
 * ``sql`` — run a script of SQL statements (the declarative surface of
   Section 4) against an in-memory catalog.
@@ -124,12 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1024,
         help="admission-queue bound; beyond it requests are shed with "
         "ServerOverloadedError (default 1024)",
-    )
-    serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=64,
-        help="max requests coalesced into one vectorized batch (default 64)",
     )
     serve.add_argument(
         "--mmap",
@@ -276,7 +270,6 @@ def _serve(args) -> None:
         host=args.host,
         port=args.port,
         queue_bound=args.queue_bound,
-        batch_max=args.batch_max,
         recorder=recorder,
         flight_path=args.flight_dump,
     )
@@ -285,8 +278,8 @@ def _serve(args) -> None:
         open_mode = "mmap (zero-copy)" if args.mmap else "eager"
         print(
             f"serving {args.index} (K={service.k_bound}) on {host}:{port} "
-            f"(queue_bound={args.queue_bound}, batch_max={args.batch_max}, "
-            f"open={open_mode}, cache_size={args.cache_size}); "
+            f"(queue_bound={args.queue_bound}, open={open_mode}, "
+            f"cache_size={args.cache_size}); "
             f"live view: python -m repro.obs top {host} {port}; "
             "Ctrl-C to stop"
         )

@@ -39,7 +39,6 @@ from .context import (
     RequestCapture,
     TraceIdGenerator,
     current_trace_id,
-    current_trace_ids,
     trace_scope,
 )
 from .explain import (
@@ -87,7 +86,6 @@ __all__ = [
     "TraceIdGenerator",
     "chrome_trace",
     "current_trace_id",
-    "current_trace_ids",
     "diff_snapshots",
     "filter_trace_events",
     "prometheus_text",

@@ -5,14 +5,14 @@ generates one per request (``c-...``), sends it as the optional ``trace``
 field of the wire protocol, and the server restores it into a
 :mod:`contextvars` context before executing the request.  From there,
 :class:`ContextRecorder` — a transparent wrapper around any
-:class:`~repro.obs.recorder.Recorder` — stamps the active trace id(s)
+:class:`~repro.obs.recorder.Recorder` — stamps the active trace id
 onto the ``attrs`` of **every** recorder event the request touches: the
 core descent counters, the hot-region cache hits, the storage pager
-reads, the serving spans.  A coalesced batch executes under *all* of its
-member ids at once, so ``serve.batches`` / ``rji.batch.*`` events carry
-a ``traces`` list naming exactly which requests the call amortized.
+reads, the serving spans.  One request, one id, one thread: the server
+executes a request on the reader that read it, so a scope holds exactly
+one id.
 
-Contextvars (not thread-locals) propagate the ids, so the discipline
+Contextvars (not thread-locals) propagate the id, so the discipline
 survives whatever execution substrate the serving tier grows next
 (thread pools today, async or a scatter-gather cluster tomorrow), and
 nested scopes restore the outer trace on exit.
@@ -45,17 +45,13 @@ __all__ = [
     "RequestCapture",
     "TraceIdGenerator",
     "current_trace_id",
-    "current_trace_ids",
     "trace_scope",
 ]
 
 _MASK64 = (1 << 64) - 1
 
-#: The trace ids active in this context: empty outside any request,
-#: one id for a direct request, several for a coalesced batch.
-_TRACE_IDS: ContextVar[tuple[str, ...]] = ContextVar(
-    "repro_trace_ids", default=()
-)
+#: The trace id active in this context; ``None`` outside any request.
+_TRACE_ID: ContextVar[str | None] = ContextVar("repro_trace_id", default=None)
 
 #: The per-request event capture, when one is active (serving tier only).
 _CAPTURE: ContextVar["RequestCapture | None"] = ContextVar(
@@ -99,37 +95,32 @@ class TraceIdGenerator:
         return f"{self.prefix}-{seq:04x}-{token:016x}"
 
 
-def current_trace_ids() -> tuple[str, ...]:
-    """The trace ids active in this context (empty outside a request)."""
-    return _TRACE_IDS.get()
-
-
 def current_trace_id() -> str | None:
-    """The primary active trace id, or ``None`` outside a request."""
-    ids = _TRACE_IDS.get()
-    return ids[0] if ids else None
+    """The active trace id, or ``None`` outside a request."""
+    return _TRACE_ID.get()
 
 
 class trace_scope:
-    """Context manager activating trace ids (and optionally a capture).
+    """Context manager activating a trace id (and optionally a capture).
 
-    ``None`` ids are skipped, so callers can pass ``request.trace``
-    unconditionally.  Scopes nest: the previous ids/capture are restored
-    on exit, even across exceptions.
+    A ``None`` (or empty) id activates none, so callers can pass
+    ``request.trace`` unconditionally.  Scopes nest: the previous
+    id/capture are restored on exit, even across exceptions.
     """
 
-    __slots__ = ("_ids", "_capture", "_ids_token", "_capture_token")
+    __slots__ = ("_id", "_capture", "_id_token", "_capture_token")
 
     def __init__(
         self,
-        *trace_ids: str | None,
+        trace_id: str | None,
+        *,
         capture: "RequestCapture | None" = None,
     ):
-        self._ids = tuple(t for t in trace_ids if t)
+        self._id = trace_id or None
         self._capture = capture
 
     def __enter__(self) -> None:
-        self._ids_token = _TRACE_IDS.set(self._ids)
+        self._id_token = _TRACE_ID.set(self._id)
         self._capture_token = _CAPTURE.set(self._capture)
         return None
 
@@ -140,7 +131,7 @@ class trace_scope:
         tb: TracebackType | None,
     ) -> bool:
         _CAPTURE.reset(self._capture_token)
-        _TRACE_IDS.reset(self._ids_token)
+        _TRACE_ID.reset(self._id_token)
         return False
 
 
@@ -157,21 +148,21 @@ class CapturedEvent:
 class RequestCapture:
     """A bounded per-request sink of the recorder events a request made.
 
-    The serving tier opens one per directly-executed request (one per
-    coalesced group) so the flight recorder can read EXPLAIN-grade
-    facts — descent depth, cache hit, pages touched — without the core
-    knowing flight records exist.  Bounded at ``max_events`` with a
-    ``dropped`` tally, mirroring the series-retention discipline of
-    :class:`~repro.obs.metrics.MetricsRecorder`.
+    The serving tier opens one per request so the flight recorder can
+    read EXPLAIN-grade facts — descent depth, cache hit, pages touched —
+    without the core knowing flight records exist.  Bounded at
+    ``max_events`` with a ``dropped`` tally, mirroring the
+    series-retention discipline of
+    :class:`~repro.obs.metrics.MetricsRecorder`.  Not locked: a capture
+    lives on the one thread that runs its request.
     """
 
-    __slots__ = ("max_events", "events", "dropped", "_lock")
+    __slots__ = ("max_events", "events", "dropped")
 
     def __init__(self, max_events: int = 128):
         self.max_events = max_events
         self.events: list[CapturedEvent] = []
         self.dropped = 0
-        self._lock = threading.Lock()
 
     def add(
         self,
@@ -180,66 +171,59 @@ class RequestCapture:
         value: float | None,
         attrs: Mapping[str, object] | None,
     ) -> None:
-        with self._lock:
-            if len(self.events) < self.max_events:
-                self.events.append(CapturedEvent(verb, name, value, attrs))
-            else:
-                self.dropped += 1
+        if len(self.events) < self.max_events:
+            self.events.append(CapturedEvent(verb, name, value, attrs))
+        else:
+            self.dropped += 1
 
     def last_value(self, name: str) -> float | None:
         """The value of the most recent event named ``name``, if any."""
-        with self._lock:
-            for event in reversed(self.events):
-                if event.name == name:
-                    return event.value
+        for event in reversed(self.events):
+            if event.name == name:
+                return event.value
         return None
 
     def total(self, name: str) -> float:
         """Sum of the values of every event named ``name``."""
-        with self._lock:
-            return sum(
-                event.value
-                for event in self.events
-                if event.name == name and event.value is not None
-            )
+        return sum(
+            event.value
+            for event in self.events
+            if event.name == name and event.value is not None
+        )
 
     def detail(self) -> dict:
         """The captured events as a JSON-ready flight-record detail."""
-        with self._lock:
-            return {
-                "events": [
-                    {
-                        "verb": event.verb,
-                        "name": event.name,
-                        "value": event.value,
-                        "attrs": dict(event.attrs) if event.attrs else None,
-                    }
-                    for event in self.events
-                ],
-                "dropped": self.dropped,
-            }
+        return {
+            "events": [
+                {
+                    "verb": event.verb,
+                    "name": event.name,
+                    "value": event.value,
+                    "attrs": dict(event.attrs) if event.attrs else None,
+                }
+                for event in self.events
+            ],
+            "dropped": self.dropped,
+        }
 
 
 def _with_trace(
-    attrs: Mapping[str, object] | None, ids: tuple[str, ...]
+    attrs: Mapping[str, object] | None, trace_id: str | None
 ) -> Mapping[str, object] | None:
-    """``attrs`` with the active trace id(s) merged in."""
-    if not ids:
+    """``attrs`` with the active trace id merged in."""
+    if trace_id is None:
         return attrs
     merged: dict[str, object] = dict(attrs) if attrs else {}
-    if len(ids) == 1:
-        merged["trace"] = ids[0]
-    else:
-        merged["traces"] = list(ids)
+    merged["trace"] = trace_id
     return merged
 
 
 class ContextRecorder(Recorder):
-    """Wraps any recorder, stamping active trace ids onto every event.
+    """Wraps any recorder, stamping the active trace id onto every event.
 
     Transparent when no trace is active: events pass through with their
     attrs untouched.  Inside a :class:`trace_scope`, every ``count`` /
-    ``observe`` / ``span`` gains a ``trace`` (or ``traces``) attribute
+    ``observe`` / ``span`` gains a ``trace`` attribute
     and, when the scope carries a :class:`RequestCapture`, is mirrored
     into it — which is how the flight recorder sees per-request detail
     even when the inner recorder is the null one.
@@ -260,7 +244,7 @@ class ContextRecorder(Recorder):
         value: int = 1,
         attrs: Mapping[str, object] | None = None,
     ) -> None:
-        attrs = _with_trace(attrs, _TRACE_IDS.get())
+        attrs = _with_trace(attrs, _TRACE_ID.get())
         capture = _CAPTURE.get()
         if capture is not None:
             capture.add("count", name, value, attrs)
@@ -272,7 +256,7 @@ class ContextRecorder(Recorder):
         value: float,
         attrs: Mapping[str, object] | None = None,
     ) -> None:
-        attrs = _with_trace(attrs, _TRACE_IDS.get())
+        attrs = _with_trace(attrs, _TRACE_ID.get())
         capture = _CAPTURE.get()
         if capture is not None:
             capture.add("observe", name, value, attrs)
@@ -284,7 +268,7 @@ class ContextRecorder(Recorder):
     def span(
         self, name: str, attrs: Mapping[str, object] | None = None
     ) -> ContextManager[None]:
-        attrs = _with_trace(attrs, _TRACE_IDS.get())
+        attrs = _with_trace(attrs, _TRACE_ID.get())
         capture = _CAPTURE.get()
         if capture is not None:
             capture.add("span", name, None, attrs)

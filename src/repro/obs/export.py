@@ -85,23 +85,16 @@ def chrome_trace(
 def filter_trace_events(events: Iterable[dict], trace_id: str) -> list[dict]:
     """Chrome trace-event dicts attributed to ``trace_id``.
 
-    An event matches when its ``args`` carry the id as ``trace`` or
-    list it under ``traces`` (a coalesced batch names every request it
-    amortized).  Metadata events (``ph`` = ``M``) are kept so the
-    filtered document still names its process.
+    An event matches when its ``args`` carry the id as ``trace``.
+    Metadata events (``ph`` = ``M``) are kept so the filtered document
+    still names its process.
     """
-    kept: list[dict] = []
-    for event in events:
-        if event.get("ph") == "M":
-            kept.append(event)
-            continue
-        args = event.get("args") or {}
-        if args.get("trace") == trace_id or (
-            isinstance(args.get("traces"), list)
-            and trace_id in args["traces"]
-        ):
-            kept.append(event)
-    return kept
+    return [
+        event
+        for event in events
+        if event.get("ph") == "M"
+        or (event.get("args") or {}).get("trace") == trace_id
+    ]
 
 
 def write_chrome_trace(

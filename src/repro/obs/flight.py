@@ -14,7 +14,10 @@ Retention policy (what survives, and with how much detail):
   fields only; older records are evicted (counted in ``evicted``);
 * the **slowest** ``slow_keep`` successful requests additionally retain
   EXPLAIN-grade detail (the captured recorder events of the request);
-  a faster request's detail is discarded the moment it leaves the set;
+  a faster request's detail is discarded the moment it leaves the set
+  — and never built at all for a request that does not enter it:
+  :meth:`FlightRecorder.record` takes the detail as a callable and
+  calls it only for a record it keeps;
 * **every errored request** (outcome ``error`` / ``timeout`` / ``shed``)
   keeps its detail, in a separate ring of the ``error_keep`` most
   recent, so failures survive even a flood of healthy traffic.
@@ -31,6 +34,7 @@ import heapq
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..errors import ConstructionError
 
@@ -49,7 +53,6 @@ class FlightRecord:
     deadline_s: float | None = None
     cache_hit: bool | None = None
     descent_depth: int | None = None
-    batched: bool = False
     error: str | None = None
     #: Monotone sequence number, assigned by the recorder.
     seq: int = 0
@@ -68,7 +71,6 @@ class FlightRecord:
             "deadline_s": self.deadline_s,
             "cache_hit": self.cache_hit,
             "descent_depth": self.descent_depth,
-            "batched": self.batched,
             "error": self.error,
         }
         if self.detail is not None:
@@ -108,8 +110,17 @@ class FlightRecorder:
         self._evicted = 0
         self._outcomes: dict[str, int] = {}
 
-    def record(self, record: FlightRecord, detail: dict | None = None) -> None:
-        """Append one request record; O(1) amortized, always succeeds."""
+    def record(
+        self,
+        record: FlightRecord,
+        detail: Callable[[], dict] | None = None,
+    ) -> None:
+        """Append one request record; O(1) amortized, always succeeds.
+
+        ``detail`` builds the record's EXPLAIN-grade detail; it is
+        called (once, under the lock) only when the retention policy
+        keeps it.
+        """
         with self._lock:
             self._seq += 1
             record.seq = self._seq
@@ -124,7 +135,7 @@ class FlightRecorder:
                 # Errors always keep their detail; bounded separately so
                 # a burst of healthy traffic cannot evict the evidence.
                 if self.error_keep:
-                    record.detail = detail
+                    record.detail = detail() if detail else None
                     if len(self._errors) >= self.error_keep:
                         demoted = self._errors.popleft()
                         demoted.detail = None
@@ -134,10 +145,10 @@ class FlightRecorder:
                 return
             entry = (record.latency_s, record.seq, record)
             if len(self._slow) < self.slow_keep:
-                record.detail = detail
+                record.detail = detail()
                 heapq.heappush(self._slow, entry)
             elif record.latency_s > self._slow[0][0]:
-                record.detail = detail
+                record.detail = detail()
                 _, _, demoted = heapq.heapreplace(self._slow, entry)
                 demoted.detail = None
 

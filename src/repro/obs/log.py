@@ -210,10 +210,9 @@ def event_matches(
     """Whether one logged event passes a level/trace filter.
 
     ``min_level`` is inclusive; unknown event levels rank below
-    ``debug``.  With a ``trace_id``, the event must be attributed to it
-    — either as its ``trace`` attr or inside its ``traces`` list (the
-    form a coalesced batch emits; see :mod:`repro.obs.context`).
-    Drives ``python -m repro.obs tail``.
+    ``debug``.  With a ``trace_id``, the event must carry it as its
+    ``trace`` attr (see :mod:`repro.obs.context`).  Drives
+    ``python -m repro.obs tail``.
     """
     if min_level not in LEVELS:
         raise StorageError(
@@ -223,12 +222,7 @@ def event_matches(
     if LEVELS.get(str(event.get("level")), 0) < LEVELS[min_level]:
         return False
     if trace_id is not None:
-        attrs = event.get("attrs") or {}
-        if attrs.get("trace") != trace_id and not (
-            isinstance(attrs.get("traces"), list)
-            and trace_id in attrs["traces"]
-        ):
-            return False
+        return (event.get("attrs") or {}).get("trace") == trace_id
     return True
 
 

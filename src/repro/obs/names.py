@@ -89,7 +89,6 @@ COUNTERS = frozenset(
         "serve.responses",
         "serve.errors",
         "serve.shed",
-        "serve.batches",
         "serve.bad_frames",
         "serve.untraced",
         "serve.flight_dumps",
@@ -123,7 +122,6 @@ SERIES = frozenset(
         "disk.tuples_evaluated",
         "sql.rows_out",
         "serve.queue_depth",
-        "serve.batch_size",
         "serve.latency",
         # buffered write-path entries outstanding after each write, and
         # how many of them hide a base row / are scored by queries
@@ -142,9 +140,8 @@ SPANS = frozenset(
         "build.separating",
         "build.load",
         "sql.execute",
-        # per-request serving spans; attrs carry the trace id(s)
+        # one per admitted request; attrs carry its trace id
         "serve.request",
-        "serve.batch",
         # one delta→base merge (build + image save + checkpoint + prune)
         "compaction",
     }

@@ -7,8 +7,9 @@ The package has three layers:
 * :mod:`repro.serve.protocol` — the length-prefixed JSON wire protocol
   (framing, request validation, typed error transport);
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` —
-  :class:`QueryServer` (admission control, request batching, deadlines,
-  ``serve.*`` metrics) and the remote :class:`Client`.
+  :class:`QueryServer` (admission control, deadlines, a request run
+  start to finish by the reader that read it, ``serve.*`` metrics) and
+  the remote :class:`Client`.
 
 Start a server over any service and query it remotely::
 

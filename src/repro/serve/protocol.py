@@ -55,6 +55,7 @@ reported as :class:`~repro.errors.InvalidQueryError`, never as a raw
 from __future__ import annotations
 
 import json
+import math
 import socket
 from dataclasses import dataclass
 
@@ -105,9 +106,10 @@ OPS = frozenset(
 #: Admin operations: no ``k``/preference, answered without queueing.
 ADMIN_OPS = frozenset({"health", "stats", "dump"})
 
-#: Write operations: no ``k``/preference; admitted (so backpressure and
-#: deadlines apply) but never coalesced into a query batch.  Only served
-#: when the backing service routes writes through a durable write path.
+#: Write operations: no ``k``/preference; admitted like a query (so
+#: backpressure and deadlines apply) and executed, like every request,
+#: by the reader that read them.  Only served when the backing service
+#: has a write path.
 WRITE_OPS = frozenset({"insert", "delete"})
 
 _HEADER_BYTES = 4
@@ -239,8 +241,10 @@ class Request:
     tid: int | None = None
 
 
-def _require_int(payload: dict, field: str) -> int:
-    value = payload.get(field)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _wire_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidQueryError(
             f"request field {field!r} must be an integer, got {value!r}"
@@ -248,23 +252,49 @@ def _require_int(payload: dict, field: str) -> int:
     return value
 
 
-def _wire_preference(raw) -> Preference:
-    """Coerce one wire-form preference (pair or angle), typed on failure."""
-    if not isinstance(raw, (int, float, list)) or isinstance(raw, bool):
+def _wire_tid(value, field: str) -> int:
+    """A tuple id: an integer the WAL's signed 64-bit field can hold."""
+    tid = _wire_int(value, field)
+    if not _INT64_MIN <= tid <= _INT64_MAX:
         raise InvalidQueryError(
-            f"a wire preference must be a [p1, p2] pair or a number, "
-            f"got {raw!r}"
+            f"request field {field!r} must fit a signed 64-bit integer, "
+            f"got a {tid.bit_length()}-bit value"
         )
+    return tid
+
+
+def _wire_float(value, field: str) -> float:
+    """One JSON number as a finite float, typed on anything else.
+
+    ``json`` parses ``NaN`` / ``Infinity`` and integers of any size, so
+    both non-finite floats and integers past the float range get here.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidQueryError(
+            f"request field {field!r} must be a number, got {value!r}"
+        )
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidQueryError(
+            f"request field {field!r} must be a finite number, got {number!r}"
+        )
+    return number
+
+
+def _wire_preference(raw, field: str = "preference") -> Preference:
+    """Coerce one wire-form preference (pair or angle), typed on failure."""
     if isinstance(raw, list):
-        if len(raw) != 2 or not all(
-            isinstance(w, (int, float)) and not isinstance(w, bool)
-            for w in raw
-        ):
+        if len(raw) != 2:
             raise InvalidQueryError(
-                f"a preference pair must be two numbers, got {raw!r}"
+                f"a {field} pair must be two numbers, got {raw!r}"
             )
-        return as_preference((float(raw[0]), float(raw[1])))
-    return as_preference(float(raw))
+        return as_preference(
+            (_wire_float(raw[0], field), _wire_float(raw[1], field))
+        )
+    return as_preference(_wire_float(raw, field))
 
 
 def decode_request(payload: dict) -> Request:
@@ -273,13 +303,16 @@ def decode_request(payload: dict) -> Request:
     Every malformed shape raises
     :class:`~repro.errors.InvalidQueryError` naming the offending
     field — the server maps these straight into error responses.
+    Nothing else escapes: a value that would only fail later, inside
+    the service (a non-finite number, a tid the WAL cannot encode), is
+    refused here.
     """
     op = payload.get("op")
-    if op not in OPS:
+    if not isinstance(op, str) or op not in OPS:
         raise InvalidQueryError(
             f"unknown op {op!r}; expected one of {sorted(OPS)}"
         )
-    rid = _require_int(payload, "id")
+    rid = _wire_int(payload.get("id"), "id")
     trace: str | None = None
     if payload.get("trace") is not None:
         raw_trace = payload["trace"]
@@ -290,35 +323,21 @@ def decode_request(payload: dict) -> Request:
         trace = raw_trace
     deadline_s: float | None = None
     if payload.get("deadline_ms") is not None:
-        raw_deadline = payload["deadline_ms"]
-        if isinstance(raw_deadline, bool) or not isinstance(
-            raw_deadline, (int, float)
-        ):
+        deadline_ms = _wire_float(payload["deadline_ms"], "deadline_ms")
+        if deadline_ms <= 0:
             raise InvalidQueryError(
-                f"deadline_ms must be a number, got {raw_deadline!r}"
+                f"deadline_ms must be positive, got {deadline_ms!r}"
             )
-        if raw_deadline <= 0:
-            raise InvalidQueryError(
-                f"deadline_ms must be positive, got {raw_deadline!r}"
-            )
-        deadline_s = float(raw_deadline) / 1000.0
+        deadline_s = deadline_ms / 1000.0
     if op in ADMIN_OPS:
         return Request(op=op, rid=rid, trace=trace)
     if op == "insert":
         raw_tuple = payload.get("tuple")
-        if (
-            not isinstance(raw_tuple, list)
-            or len(raw_tuple) != 3
-            or isinstance(raw_tuple[0], bool)
-            or not isinstance(raw_tuple[0], int)
-            or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in raw_tuple[1:]
-            )
-        ):
+        field = "tuple [tid, s1, s2]"
+        if not isinstance(raw_tuple, list) or len(raw_tuple) != 3:
             raise InvalidQueryError(
-                "insert requires a 'tuple' of [tid, s1, s2] with an "
-                f"integer tid and numeric ranks, got {raw_tuple!r}"
+                f"insert requires a {field} with an integer tid and "
+                f"numeric ranks, got {raw_tuple!r}"
             )
         return Request(
             op=op,
@@ -326,9 +345,9 @@ def decode_request(payload: dict) -> Request:
             deadline_s=deadline_s,
             trace=trace,
             tuple_=(
-                int(raw_tuple[0]),
-                float(raw_tuple[1]),
-                float(raw_tuple[2]),
+                _wire_tid(raw_tuple[0], field),
+                _wire_float(raw_tuple[1], field),
+                _wire_float(raw_tuple[2], field),
             ),
         )
     if op == "delete":
@@ -337,9 +356,9 @@ def decode_request(payload: dict) -> Request:
             rid=rid,
             deadline_s=deadline_s,
             trace=trace,
-            tid=_require_int(payload, "tid"),
+            tid=_wire_tid(payload.get("tid"), "tid"),
         )
-    k = _require_int(payload, "k")
+    k = _wire_int(payload.get("k"), "k")
     if op == "query_batch":
         raw_preferences = payload.get("preferences")
         if not isinstance(raw_preferences, list):
@@ -350,7 +369,9 @@ def decode_request(payload: dict) -> Request:
             op=op,
             rid=rid,
             k=k,
-            preferences=tuple(_wire_preference(p) for p in raw_preferences),
+            preferences=tuple(
+                _wire_preference(p, "preferences") for p in raw_preferences
+            ),
             deadline_s=deadline_s,
             trace=trace,
         )

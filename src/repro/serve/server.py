@@ -1,50 +1,45 @@
 """A threaded socket server with admission control over any IndexService.
 
-:class:`QueryServer` is the serving-side counterpart of the paper's
-``O(log n + K)`` query bound: it amortizes the vectorized
-``query_batch`` path across concurrent clients, and answers a lone
-query on the thread that read it.  The moving parts:
+:class:`QueryServer` puts the paper's ``O(log n + K)`` query on a
+socket.  A region holds ~K rows, so there is nothing for a server to
+amortize across requests (the repo's own traces put ``query_batch``
+*above* ``query`` per query at that size); what is left to get right is
+per-request latency and failure isolation.  Hence one rule: **a request
+is one reader's work**, from ``recv`` to ``sendall``.  The moving parts:
 
 * **threads** — one acceptor plus one reader per connection, speaking
   the length-prefixed JSON protocol of :mod:`repro.serve.protocol`
-  through a buffered :class:`~repro.serve.protocol.FrameReader`.  There
-  is no executor thread: a request is answered by a reader;
-* **admission control** — a bounded queue of admitted, unanswered
-  requests.  A reader holds at most one (it does not read its next
-  frame until the last is answered), so ``queue_bound`` counts waiting
-  connections.  When the queue is full the request is *shed
+  through a buffered :class:`~repro.serve.protocol.FrameReader`.  The
+  reader that read a request admits it, executes it, records it and
+  writes the response to its own socket; no thread ever touches another
+  connection's request or socket (:meth:`QueryServer.close` only hangs
+  up);
+* **admission control** — a counter of requests admitted and not yet
+  started, capped by ``queue_bound``.  A reader holds at most one (it
+  does not read its next frame until the last is answered), so the
+  bound counts waiting connections.  Past it the request is *shed
   immediately* with a typed :class:`~repro.errors.ServerOverloadedError`
   response — never a silent drop, never an unbounded backlog;
-* **the executor role** — a plain lock.  The reader that admitted a
-  request takes it and runs *rounds* — whatever is queued, up to
-  ``batch_max``, oldest first — until its own request is answered, then
-  goes back to its socket.  A reader that finds the role taken waits on
-  the same lock and usually wakes to find its request answered inside
-  the holder's round.  Nothing strands: every queued request has a
-  reader that will not leave before it is answered, and a request is
-  popped — under the queue lock, once — by exactly one round or by
-  :meth:`QueryServer.close`;
-* **request batching** — within a round, concurrent single ``query``
-  requests with the same ``k`` are coalesced into one
-  :meth:`~repro.core.index.RankedJoinIndex.query_batch` call and
-  answered individually; a ``k`` with one query takes the scalar
-  ``query`` path.  Batch answers are bit-identical to per-query answers
-  by the core's construction;
+* **the executor role** — a plain lock that serializes every service
+  call.  A reader waits for it on a bounded timed ``acquire`` (the only
+  wait in the server that is not on a socket), re-checking for shutdown
+  each time it wakes.  Nothing strands: a waiting request's only
+  dependency is its own reader, and a reader answers whatever its
+  service call raises — typed or not — before it returns to ``recv``;
 * **deadlines** — a request's ``deadline_ms`` arms a
-  :class:`~repro.core.deadline.Deadline` at admission.  It bounds the
-  queue wait of coalesced singles (an expired request is answered with
-  :class:`~repro.errors.QueryTimeoutError`, not executed) and is passed
-  through to the service call for directly-executed operations;
+  :class:`~repro.core.deadline.Deadline` at admission.  One that expires
+  while waiting for the role is answered with
+  :class:`~repro.errors.QueryTimeoutError`, not executed; otherwise the
+  deadline is passed through to the service call;
 * **metrics** — ``serve.*`` counters and series through any
-  :class:`~repro.obs.Recorder` (queue depth at every admission, size
-  of every coalesced batch, per-request latency), Prometheus-exportable
-  via :func:`repro.obs.prometheus_text`;
-* **tracing** — every request executes inside a
+  :class:`~repro.obs.Recorder` (queue depth at every admission,
+  per-request latency), Prometheus-exportable via
+  :func:`repro.obs.prometheus_text`;
+* **tracing** — every request runs inside one
   :class:`~repro.obs.context.trace_scope`, so each recorder event it
-  touches carries its trace id (a coalesced batch carries the whole
-  ``traces`` list); requests without a client id get a server-assigned
-  one (``serve.untraced`` counts them) and the id is echoed on the
-  response;
+  touches carries its trace id; requests without a client id get a
+  server-assigned one (``serve.untraced`` counts them) and the id is
+  echoed on the response;
 * **telemetry** — a :class:`~repro.obs.RollingWindow` answers the
   ``stats`` op (p50/p99/qps/shed-rate over the last N seconds) and the
   always-on :class:`~repro.obs.FlightRecorder` answers ``dump``; an
@@ -61,8 +56,8 @@ import json
 import socket
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
+import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from ..core.deadline import Deadline
@@ -99,6 +94,11 @@ from .service import IndexService
 
 __all__ = ["QueryServer"]
 
+#: How long a reader waiting for the executor role sleeps before it
+#: re-checks for shutdown.  Bounds how late a waiting request learns of
+#: :meth:`QueryServer.close` while a service call ahead of it is stuck.
+_ROLE_WAIT_S = 0.05
+
 
 def _hang_up(sock: socket.socket) -> None:
     """Shut down, then close: on Linux ``close()`` alone does not wake
@@ -113,34 +113,14 @@ def _hang_up(sock: socket.socket) -> None:
         pass
 
 
-@dataclass(slots=True, eq=False)
-class _Connection:
-    """One accepted client socket plus its response-write lock."""
-
-    sock: socket.socket
-    send_lock: threading.Lock = field(default_factory=threading.Lock)
-    alive: bool = True
-
-
-@dataclass(slots=True)
-class _Pending:
-    """One admitted request waiting for a round."""
-
-    conn: _Connection
-    request: Request
-    deadline: Deadline | None
-    enqueued_at: float
-    #: Popped from the queue: a round (or ``close``) owns the answer.
-    taken: bool = False
-
-
 class QueryServer:
     """Serve an :class:`~repro.serve.service.IndexService` over TCP.
 
-    ``queue_bound`` caps the admission queue (the backpressure knob);
-    ``batch_max`` caps how many queued requests one round drains.
-    ``port=0`` binds an ephemeral port — read the bound address from
-    :attr:`address` after :meth:`start`.
+    Each connection's reader thread runs its own requests, one at a
+    time, start to finish; service calls are serialized by one lock.
+    ``queue_bound`` caps how many requests may wait for that lock (the
+    backpressure knob).  ``port=0`` binds an ephemeral port — read the
+    bound address from :attr:`address` after :meth:`start`.
     """
 
     def __init__(
@@ -150,7 +130,6 @@ class QueryServer:
         host: str = "127.0.0.1",
         port: int = 0,
         queue_bound: int = 1024,
-        batch_max: int = 64,
         recorder: Recorder = NULL_RECORDER,
         trace_seed: int | None = None,
         window: RollingWindow | None = None,
@@ -159,13 +138,10 @@ class QueryServer:
     ):
         if queue_bound < 1:
             raise ServerError(f"queue_bound must be >= 1, got {queue_bound}")
-        if batch_max < 1:
-            raise ServerError(f"batch_max must be >= 1, got {batch_max}")
         self._service = service
         self._host = host
         self._port = port
         self.queue_bound = queue_bound
-        self.batch_max = batch_max
         # Every recorder event of a request must carry its trace id, so
         # the server always speaks through a ContextRecorder.  Callers
         # that already wrap (to share the recorder with the index, so
@@ -181,15 +157,15 @@ class QueryServer:
         #: The always-on flight recorder behind the ``dump`` wire op.
         self.flight = flight if flight is not None else FlightRecorder()
         self._flight_path = Path(flight_path) if flight_path else None
-        # Admitted, unanswered requests, oldest first.
-        self._queue: deque[_Pending] = deque()  # rjilint: guarded-by(_queue_lock)
+        # Requests admitted and not yet started: each is a reader
+        # waiting for the executor role.
+        self._waiting = 0  # rjilint: guarded-by(_queue_lock)
         self._queue_lock = threading.Lock()
-        # The executor role: guards no field, serializes rounds.  Held
-        # for a whole round, service call included; taken before
-        # _queue_lock (and every other lock here), never while one is
-        # held.
+        # The executor role: guards no field, serializes service calls.
+        # Taken before _queue_lock (and every other lock here), never
+        # while one is held.
         self._role_lock = threading.Lock()
-        self._conns: set[_Connection] = set()
+        self._conns: set[socket.socket] = set()
         self._conns_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._counts = {
@@ -198,7 +174,6 @@ class QueryServer:
             "responses": 0,
             "errors": 0,
             "shed": 0,
-            "batches": 0,
             "bad_frames": 0,
             "untraced": 0,
             "flight_dumps": 0,
@@ -240,38 +215,44 @@ class QueryServer:
         return (addr[0], addr[1])
 
     def close(self) -> None:
-        """Stop serving: drain the queue with typed errors, join threads.
+        """Stop serving: waiting requests get typed errors, threads end.
 
-        An *unclean* shutdown — requests still queued, or any non-ok
+        An *unclean* shutdown — requests still waiting, or any non-ok
         outcome on record — writes the flight-recorder dump to the
         configured ``flight_path`` so the evidence survives the process.
         """
         if self._stopping:
             return
-        self._stopping = True
-        # Drain, never silently drop.  _admit refuses under the same
-        # lock once _stopping is set, so nothing is queued after this;
-        # a round already running finishes and answers what it popped.
+        # Under the queue lock, so the count is exact: a request leaves
+        # the waiting state under the same lock and looks at _stopping
+        # there, so these — and no others — are refused by their readers.
         with self._queue_lock:
-            abandoned = self._take_round(len(self._queue))
-        for pending in abandoned:
-            self._respond_error(pending, ServerError("server is shutting down"))
+            self._stopping = True
+            abandoned = self._waiting
         if self._listener is not None:
             _hang_up(self._listener)
-        # Acceptor first (no new connections after it); then the round
-        # in flight, if any, gets to answer over sockets that are still
-        # open, as the typed errors above did; only then are the readers
-        # woken, so every thread this server started is dead on return.
+        # Acceptor first (no new connections after it).  Then every
+        # reader is woken with SHUT_RD, which leaves it its write half:
+        # one parked in recv() sees EOF, one waiting for the role
+        # refuses its request typed within _ROLE_WAIT_S, the one inside
+        # the service answers when the call returns; each hangs up its
+        # own socket on the way out, so every thread this server
+        # started is dead on return.
         self._threads[0].join(timeout=5.0)
-        if self._role_lock.acquire(timeout=5.0):
-            self._role_lock.release()
         with self._conns_lock:
             conns = list(self._conns)
-        for conn in conns:
-            self._drop_connection(conn)
+        for sock in conns:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer already hung up
         for thread in self._threads[1:]:
             thread.join(timeout=5.0)
-        self._maybe_dump_flight(len(abandoned))
+        with self._conns_lock:
+            stuck = list(self._conns)
+        for sock in stuck:  # a service call that outlived the join
+            self._drop_connection(sock)
+        self._maybe_dump_flight(abandoned)
 
     def _maybe_dump_flight(self, abandoned: int) -> None:
         """Write the flight dump at shutdown when something went wrong."""
@@ -312,8 +293,9 @@ class QueryServer:
 
     @property
     def queue_depth(self) -> int:
+        """Requests admitted and not yet started."""
         with self._queue_lock:
-            return len(self._queue)
+            return self._waiting
 
     # -- connection handling ----------------------------------------------
 
@@ -325,13 +307,12 @@ class QueryServer:
             except OSError:
                 break  # listener closed by close()
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _Connection(sock=sock)
             with self._conns_lock:
-                self._conns.add(conn)
+                self._conns.add(sock)
             self._count("connections")
             thread = threading.Thread(
                 target=self._serve_connection,
-                args=(conn,),
+                args=(sock,),
                 name="serve-conn",
                 daemon=True,
             )
@@ -342,21 +323,17 @@ class QueryServer:
                 t for t in self._threads[1:] if t.is_alive()
             ] + [thread]
 
-    def _drop_connection(self, conn: _Connection) -> None:
-        conn.alive = False
-        _hang_up(conn.sock)
+    def _drop_connection(self, sock: socket.socket) -> None:
+        _hang_up(sock)
         with self._conns_lock:
-            self._conns.discard(conn)
+            self._conns.discard(sock)
 
-    def _send(self, conn: _Connection, response: dict) -> None:
+    def _send(self, sock: socket.socket, response: dict) -> None:
         """Write one response frame; a vanished client just drops out."""
-        if not conn.alive:
-            return
         try:
-            with conn.send_lock:
-                write_frame(conn.sock, response)
+            write_frame(sock, response)
         except ReproError:
-            self._drop_connection(conn)
+            self._drop_connection(sock)
             return
         self._count("responses")
 
@@ -369,8 +346,8 @@ class QueryServer:
             response["trace"] = trace
         return response
 
-    def _serve_connection(self, conn: _Connection) -> None:
-        reader = FrameReader(conn.sock)
+    def _serve_connection(self, sock: socket.socket) -> None:
+        reader = FrameReader(sock)
         try:
             while not self._stopping:
                 try:
@@ -379,7 +356,7 @@ class QueryServer:
                     # The stream may be out of sync after a framing
                     # violation: answer typed, then hang up.
                     self._count("bad_frames")
-                    self._send(conn, self._error_response(0, exc))
+                    self._send(sock, self._error_response(0, exc))
                     return
                 except ReproError:
                     return  # peer vanished mid-frame
@@ -391,7 +368,7 @@ class QueryServer:
                     request = decode_request(payload)
                 except ReproError as exc:
                     self._count("bad_frames")
-                    self._send(conn, self._error_response(rid, exc))
+                    self._send(sock, self._error_response(rid, exc))
                     continue
                 if request.trace is None:
                     # Old clients stay valid: the server assigns an id
@@ -406,64 +383,18 @@ class QueryServer:
                     # the error response) so the dump explains the
                     # rejection.
                     self._count("bad_frames")
-                    self.window.record(0.0, "error")
-                    self.flight.record(
-                        FlightRecord(
-                            trace=request.trace,
-                            op=request.op,
-                            k=request.k,
-                            outcome="error",
-                            latency_s=0.0,
-                            deadline_s=request.deadline_s,
-                            error=type(exc).__name__,
-                        )
-                    )
+                    self._finish(request, time.perf_counter(), exc=exc)
                     self._send(
-                        conn,
-                        self._error_response(rid, exc, request.trace),
+                        sock, self._error_response(rid, exc, request.trace)
                     )
                     continue
                 self._count("requests")
-                if request.op in ADMIN_OPS:
-                    self._send(conn, self._admin_response(request))
-                    continue
-                pending = _Pending(
-                    conn=conn,
-                    request=request,
-                    deadline=Deadline.of(request.deadline_s),
-                    enqueued_at=time.perf_counter(),
-                )
-                with trace_scope(request.trace):
-                    admitted = self._admit(pending)
-                    if not admitted:
-                        self._count("shed")
-                        self._finish(pending, "shed")
-                        self._respond_error(
-                            pending,
-                            ServerOverloadedError(
-                                "admission queue is full "
-                                f"({self.queue_bound} pending); retry "
-                                "with backoff"
-                            ),
-                        )
-                if admitted:
-                    self._run_rounds_until_taken(pending)
+                self._send(sock, self._answer(request))
         finally:
-            self._drop_connection(conn)
-
-    def _admin_response(self, request: Request) -> dict:
-        """Answer an admin op inline (reader thread, never queued)."""
-        if request.op == "health":
-            return self._health_response(request)
-        body: dict = {"id": request.rid, "ok": True, "trace": request.trace}
-        if request.op == "stats":
-            body["stats"] = self.stats_snapshot()
-        else:
-            body["flight"] = self.flight.dump()
-        return body
+            self._drop_connection(sock)
 
     def _validate(self, request: Request) -> None:
-        """Reject bad ``k`` at admission so batches never mix-fail.
+        """Reject bad ``k`` before admission.
 
         Write ops carry no ``k``; they are rejected here instead when
         the backing service has no write path, so a read-only deployment
@@ -483,132 +414,90 @@ class QueryServer:
                 f"k={k} outside [1, K={self._service.k_bound}]"
             )
 
-    # -- admission ---------------------------------------------------------
+    # -- one request, on the reader that read it ---------------------------
 
-    def _admit(self, pending: _Pending) -> bool:
-        """Enqueue within the bound; ``False`` sheds the request."""
+    def _answer(self, request: Request) -> dict:
+        """The response to one valid request, telemetry recorded.
+
+        Admin ops are answered at once, never queued: they must work
+        while the executor role is stuck.  Everything else is admitted
+        and executed inside one trace scope with one capture.  Whatever
+        the service raises is answered and recorded — a
+        :class:`~repro.errors.ReproError` under its own name, anything
+        else as a :class:`~repro.errors.ServerError` naming the class —
+        so one request's failure costs nobody else a response, and the
+        connection keeps serving.
+        """
+        body: dict
+        if request.op in ADMIN_OPS:
+            body = self.handle_request(request)
+        else:
+            enqueued_at = time.perf_counter()
+            capture = RequestCapture()
+            with trace_scope(request.trace, capture=capture):
+                try:
+                    body = self._execute(request)
+                except Exception as exc:
+                    self._finish(request, enqueued_at, capture, exc)
+                    return self._error_response(
+                        request.rid, exc, request.trace
+                    )
+                self._finish(request, enqueued_at, capture)
+        return {"id": request.rid, "ok": True, "trace": request.trace, **body}
+
+    def _admit(self) -> None:
+        """Count this request in within the bound, or shed it typed."""
         with self._queue_lock:
-            if self._stopping or len(self._queue) >= self.queue_bound:
-                return False
-            self._queue.append(pending)
-            depth = len(self._queue)
+            if self._stopping:
+                raise ServerError("server is shutting down")
+            depth = self._waiting + 1
+            if depth <= self.queue_bound:
+                self._waiting = depth
+        if depth > self.queue_bound:
+            self._count("shed")
+            raise ServerOverloadedError(
+                f"admission queue is full ({self.queue_bound} pending); "
+                "retry with backoff"
+            )
         if self._recorder.enabled:
             self._recorder.observe("serve.queue_depth", depth)
-        return True
 
-    # -- execution ---------------------------------------------------------
+    def _execute(self, request: Request) -> dict:
+        """Admit, wait for the executor role, run: the response body.
 
-    def _take_round(self, limit: int) -> list[_Pending]:
-        """Pop up to ``limit`` requests, oldest first (queue lock held)."""
-        round_ = [
-            self._queue.popleft() for _ in range(min(limit, len(self._queue)))
-        ]
-        for pending in round_:
-            pending.taken = True
-        return round_
-
-    def _run_rounds_until_taken(self, pending: _Pending) -> None:
-        """Hold the executor role until ``pending`` has been answered.
-
-        With the role held no round is running, so ``taken`` means
-        answered — by an earlier holder's round, or by :meth:`close` —
-        and not taken means still queued: this reader's rounds reach it
-        after at most ``queue_bound / batch_max`` of them.
+        Raises what the request's outcome is: shed, expired while
+        waiting, refused at shutdown, or whatever the service raised.
         """
-        with self._role_lock:
-            while not pending.taken:
+        deadline = Deadline.of(request.deadline_s)
+        self._admit()
+        with self._recorder.span(
+            "serve.request", {"op": request.op, "k": request.k}
+        ):
+            held = False
+            while not (held or self._stopping):
+                held = self._role_lock.acquire(timeout=_ROLE_WAIT_S)
+            try:
                 with self._queue_lock:
-                    round_ = self._take_round(self.batch_max)
-                self._execute_round(round_)
-
-    def _execute_round(self, round_: list[_Pending]) -> None:
-        """Answer one drained round: coalesce singles, dispatch the rest."""
-        singles: dict[int, list[_Pending]] = {}
-        direct: list[_Pending] = []
-        for pending in round_:
-            if pending.deadline is not None and pending.deadline.expired():
-                self._finish(pending, "timeout")
-                self._respond_error(
-                    pending,
-                    QueryTimeoutError(
-                        "request deadline of "
-                        f"{pending.deadline.timeout_s:.6g}s expired in "
-                        "the admission queue"
-                    ),
-                )
-                continue
-            if pending.request.op == "query":
-                singles.setdefault(pending.request.k, []).append(pending)
-            else:
-                direct.append(pending)
-        for k, group in singles.items():
-            if len(group) == 1:
-                # Nothing to amortize: a batch of one pays query_batch's
-                # NumPy set-up for one query's work; the scalar path
-                # answers bit-identically without it.
-                self._execute_direct(group[0])
-            else:
-                self._execute_singles(k, group)
-        for pending in direct:
-            self._execute_direct(pending)
-
-    def _execute_singles(self, k: int, group: list[_Pending]) -> None:
-        """One vectorized ``query_batch`` call for coalesced singles.
-
-        The whole call executes under *all* member trace ids at once, so
-        every event it emits (``serve.batches``, the core's
-        ``rji.batch.*``) carries a ``traces`` list naming exactly which
-        requests the batch amortized.
-        """
-        capture = RequestCapture()
-        traces = [p.request.trace for p in group]
-        with trace_scope(*traces, capture=capture):
-            self._count("batches")
-            if self._recorder.enabled:
-                self._recorder.observe("serve.batch_size", len(group))
-            preferences = [p.request.preference for p in group]
-            try:
-                with self._recorder.span(
-                    "serve.batch", {"k": k, "size": len(group)}
-                ):
-                    batches = self._service.query_batch(preferences, k)
-            except ReproError:
-                # One failing backend call must not fail the whole
-                # batch: retry per request so each gets its own typed
-                # outcome (and its own single-id trace scope).
-                for pending in group:
-                    self._execute_direct(pending)
-                return
-            for pending, results in zip(group, batches):
-                self._finish(pending, "ok", capture=capture, batched=True)
-                self._respond_ok(
-                    pending, {"results": encode_results(results)}
-                )
-
-    def _execute_direct(self, pending: _Pending) -> None:
-        request = pending.request
-        capture = RequestCapture()
-        with trace_scope(request.trace, capture=capture):
-            try:
-                with self._recorder.span(
-                    "serve.request", {"op": request.op, "k": request.k}
-                ):
-                    response = self.handle_request(request, pending.deadline)
-            except ReproError as exc:
-                self._finish(pending, "error", exc=exc, capture=capture)
-                self._respond_error(pending, exc)
-                return
-            self._finish(pending, "ok", capture=capture)
-            self._respond_ok(pending, response)
+                    self._waiting -= 1
+                    stopping = self._stopping
+                if stopping:
+                    raise ServerError("server is shutting down")
+                if deadline is not None and deadline.expired():
+                    raise QueryTimeoutError(
+                        f"request deadline of {deadline.timeout_s:.6g}s "
+                        "expired in the admission queue"
+                    )
+                return self.handle_request(request, deadline)
+            finally:
+                if held:
+                    self._role_lock.release()
 
     def _finish(
         self,
-        pending: _Pending,
-        outcome: str,
-        *,
-        exc: BaseException | None = None,
+        request: Request,
+        enqueued_at: float,
         capture: RequestCapture | None = None,
-        batched: bool = False,
+        exc: BaseException | None = None,
     ) -> None:
         """Record one resolved request: its one latency, everywhere.
 
@@ -616,28 +505,32 @@ class QueryServer:
         answered requests) the ``serve.latency`` series, which is
         emitted first so the request's own capture still sees it.
         """
-        if outcome == "error" and isinstance(exc, QueryTimeoutError):
-            outcome = "timeout"
-        latency = time.perf_counter() - pending.enqueued_at
-        request = pending.request
-        if outcome == "ok" and self._recorder.enabled:
-            self._recorder.observe("serve.latency", latency)
+        latency = time.perf_counter() - enqueued_at
+        outcome, error = "ok", None
+        if exc is None:
+            if self._recorder.enabled:
+                self._recorder.observe("serve.latency", latency)
+        else:
+            if isinstance(exc, ServerOverloadedError):
+                outcome = "shed"
+            elif isinstance(exc, QueryTimeoutError):
+                outcome = "timeout"
+            else:
+                outcome = "error"
+            error = f"{type(exc).__name__}: {exc}"
+            if not isinstance(exc, ReproError):
+                # A bug, not an outcome: keep where it came from.
+                error += "\n" + "".join(traceback.format_tb(exc.__traceback__))
         self.window.record(latency, outcome)
         cache_hit: bool | None = None
         descent_depth: int | None = None
-        detail: dict | None = None
         if capture is not None:
-            detail = capture.detail()
-            if not batched:
-                # Per-request facts are only exact outside coalescing:
-                # a group capture mixes every member's events together.
-                if capture.total("rji.cache.hits") or capture.total(
-                    "rji.cache.misses"
-                ):
-                    cache_hit = capture.total("rji.cache.hits") > 0
-                depth = capture.last_value("rji.descent_steps")
-                if depth is not None:
-                    descent_depth = int(depth)
+            hits = capture.total("rji.cache.hits")
+            if hits or capture.total("rji.cache.misses"):
+                cache_hit = hits > 0
+            depth = capture.last_value("rji.descent_steps")
+            if depth is not None:
+                descent_depth = int(depth)
         self.flight.record(
             FlightRecord(
                 trace=request.trace or "",
@@ -648,28 +541,9 @@ class QueryServer:
                 deadline_s=request.deadline_s,
                 cache_hit=cache_hit,
                 descent_depth=descent_depth,
-                batched=batched,
-                error=f"{type(exc).__name__}: {exc}" if exc else None,
+                error=error,
             ),
-            detail=detail,
-        )
-
-    def _respond_error(self, pending: _Pending, exc: BaseException) -> None:
-        request = pending.request
-        self._send(
-            pending.conn,
-            self._error_response(request.rid, exc, request.trace),
-        )
-
-    def _respond_ok(self, pending: _Pending, body: dict) -> None:
-        self._send(
-            pending.conn,
-            {
-                "id": pending.request.rid,
-                "ok": True,
-                "trace": pending.request.trace,
-                **body,
-            },
+            detail=capture.detail if capture is not None else None,
         )
 
     # -- dispatch ----------------------------------------------------------
@@ -679,11 +553,10 @@ class QueryServer:
     ) -> dict:
         """Execute one request against the service; the response body.
 
-        The single dispatch point of every directly-executed operation
-        (coalesced singles take the ``query_batch`` shortcut above but
-        fall back here per request on failure).  Raises only
-        :class:`~repro.errors.ReproError` subclasses — the error
-        contract rjilint rule RJI013 checks statically.
+        The single dispatch point of every operation, admin ops
+        included.  Raises only :class:`~repro.errors.ReproError`
+        subclasses — the error contract rjilint rule RJI013 checks
+        statically.
         """
         service = self._service
         if request.op == "query":
@@ -741,7 +614,14 @@ class QueryServer:
                 "results": encode_results(list(explain.results)),
             }
         if request.op == "health":
-            return dict(self._health_response(request))
+            return {
+                "health": {
+                    "k_bound": service.k_bound,
+                    "queue_depth": self.queue_depth,
+                    "queue_bound": self.queue_bound,
+                    **{f"serve.{key}": n for key, n in self.stats().items()},
+                }
+            }
         if request.op == "stats":
             return {"stats": self.stats_snapshot()}
         if request.op == "dump":
@@ -777,18 +657,3 @@ class QueryServer:
                 "k_effective": getattr(self._service, "k_effective", None),
             }
         return snapshot
-
-    def _health_response(self, request: Request) -> dict:
-        counts = self.stats()
-        return {
-            "id": request.rid,
-            "ok": True,
-            "trace": request.trace,
-            "health": {
-                "k_bound": self._service.k_bound,
-                "queue_depth": self.queue_depth,
-                "queue_bound": self.queue_bound,
-                "batch_max": self.batch_max,
-                **{f"serve.{key}": value for key, value in counts.items()},
-            },
-        }

@@ -24,17 +24,6 @@ def uniform_set(rng) -> RankTupleSet:
     )
 
 
-@pytest.fixture
-def gridded_set() -> RankTupleSet:
-    """A lattice with many ties, duplicates and co-linear triples."""
-    values = [(float(a), float(b)) for a in range(6) for b in range(6)]
-    values += [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]  # co-linear diagonal
-    tids = np.arange(len(values))
-    s1 = np.array([v[0] for v in values])
-    s2 = np.array([v[1] for v in values])
-    return RankTupleSet(tids, s1, s2)
-
-
 def brute_force_topk_scores(
     tuples: RankTupleSet, preference: Preference, k: int
 ) -> list[float]:

@@ -1,7 +1,7 @@
 """Trace-context propagation: ids, scopes, and the ContextRecorder.
 
 The tracing tentpole's core invariant: any recorder event emitted
-while a ``trace_scope`` is active carries the active trace id(s) in
+while a ``trace_scope`` is active carries the active trace id in
 its attrs, with zero plumbing through function signatures — and zero
 overhead when nothing is observed.
 """
@@ -17,7 +17,6 @@ from repro.obs import (
     RequestCapture,
     TraceIdGenerator,
     current_trace_id,
-    current_trace_ids,
     trace_scope,
 )
 from repro.obs.log import JsonlRecorder, read_jsonl
@@ -67,7 +66,6 @@ class TestTraceIdGenerator:
 class TestTraceScope:
     def test_no_scope_means_no_id(self):
         assert current_trace_id() is None
-        assert current_trace_ids() == ()
 
     def test_scope_sets_and_resets(self):
         with trace_scope("c-0001-aa"):
@@ -80,15 +78,12 @@ class TestTraceScope:
                 assert current_trace_id() == "inner"
             assert current_trace_id() == "outer"
 
-    def test_multi_id_scope_for_batches(self):
-        with trace_scope("a", "b", "c"):
-            assert current_trace_ids() == ("a", "b", "c")
-            # the single-id view reports the primary (first) id
-            assert current_trace_id() == "a"
-
     def test_none_ids_filtered(self):
-        with trace_scope(None, "x", None):
-            assert current_trace_ids() == ("x",)
+        with trace_scope("outer"):
+            with trace_scope(None):
+                assert current_trace_id() is None
+            with trace_scope(""):
+                assert current_trace_id() is None
 
     def test_scope_is_per_thread(self):
         results = {}
@@ -116,30 +111,24 @@ class TestContextRecorder:
         assert span.attributes["trace"] == "c-0001-ff"
         assert span.attributes["k"] == 5
 
-    def test_batch_scope_lists_all_traces(self):
-        inner = MetricsRecorder()
-        recorder = ContextRecorder(inner)
-        with trace_scope("a", "b"):
-            recorder.count("serve.batches")
-        # counts flow through; the traces attr rides on events that
-        # carry attrs — verify via a JSONL recorder below for counts
-        assert inner.counter("serve.batches") == 1
-
     def test_jsonl_events_carry_traces_attr(self):
+        """One ``trace`` per event — counts included — never a list."""
         import io
 
         sink = io.StringIO()
         log = JsonlRecorder(sink)
         recorder = ContextRecorder(log)
-        with trace_scope("a", "b"):
-            recorder.count("serve.batches")
+        with trace_scope("a"):
+            recorder.count("serve.requests")
         with trace_scope("solo"):
-            recorder.observe("serve.batch_size", 2.0)
+            recorder.observe("serve.queue_depth", 2.0)
         log.flush()
         sink.seek(0)
         events = list(read_jsonl(sink))
-        assert events[0]["attrs"]["traces"] == ["a", "b"]
-        assert events[1]["attrs"]["trace"] == "solo"
+        assert [event["attrs"] for event in events] == [
+            {"trace": "a"},
+            {"trace": "solo"},
+        ]
 
     def test_no_scope_leaves_attrs_untouched(self):
         inner = MetricsRecorder()

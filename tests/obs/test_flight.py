@@ -58,7 +58,6 @@ class TestRing:
                 deadline_s=0.5,
                 cache_hit=True,
                 descent_depth=3,
-                batched=False,
             )
         )
         json.dumps(flight.dump())  # must not raise
@@ -70,7 +69,7 @@ class TestSlowRetention:
         for i in range(10):
             flight.record(
                 record(trace=f"t-{i:04x}-0", latency_s=i / 1000.0),
-                detail={"events": [i], "dropped": 0},
+                detail=lambda: {"events": [i], "dropped": 0},
             )
         dump = flight.dump()
         slowest = dump["slowest"]
@@ -81,14 +80,30 @@ class TestSlowRetention:
 
     def test_demoted_record_loses_detail(self):
         flight = FlightRecorder(capacity=64, slow_keep=1)
-        flight.record(record(latency_s=0.001), detail={"events": [1]})
-        flight.record(record(latency_s=0.002), detail={"events": [2]})
+        flight.record(record(latency_s=0.001), detail=lambda: {"events": [1]})
+        flight.record(record(latency_s=0.002), detail=lambda: {"events": [2]})
         # the 1 ms record was demoted out of the slow heap: its detail
         # is stripped so memory cannot grow with traffic
         ring = flight.dump()["records"]
         details = [r.get("detail") for r in ring]
         assert details.count(None) == 1
         assert flight.dump()["slowest"][0]["detail"] == {"events": [2]}
+
+
+    def test_detail_is_built_only_for_records_that_are_kept(self):
+        flight = FlightRecorder(capacity=64, slow_keep=2)
+        built = []
+        for i, latency_ms in enumerate([5, 9, 1, 2, 7, 3]):
+            flight.record(
+                record(latency_s=latency_ms / 1000.0),
+                detail=lambda i=i: built.append(i) or {"events": [i]},
+            )
+        # 5 and 9 fill the set, 7 displaces 5; 1, 2, 3 never enter it
+        assert built == [0, 1, 4]
+        flight.record(record(outcome="shed"), detail=lambda: built.append(6))
+        assert built == [0, 1, 4, 6]
+        slowest = flight.dump()["slowest"]
+        assert [r["detail"] for r in slowest] == [{"events": [1]}, {"events": [4]}]
 
 
 class TestErrorRetention:
@@ -101,7 +116,7 @@ class TestErrorRetention:
                     outcome="error",
                     error="InvalidQueryError",
                 ),
-                detail={"events": [i]},
+                detail=lambda: {"events": [i]},
             )
         errors = flight.dump()["errors"]
         assert len(errors) == 5
@@ -113,7 +128,7 @@ class TestErrorRetention:
         for i in range(4):
             flight.record(
                 record(trace=f"e-{i:04x}-0", outcome="error"),
-                detail={"events": [i]},
+                detail=lambda: {"events": [i]},
             )
         errors = flight.dump()["errors"]
         assert [r["trace"] for r in errors] == ["e-0002-0", "e-0003-0"]
@@ -124,7 +139,7 @@ class TestClear:
     def test_clear_resets_everything(self):
         flight = FlightRecorder(capacity=4)
         for outcome in ("ok", "error"):
-            flight.record(record(outcome=outcome), detail={"events": []})
+            flight.record(record(outcome=outcome), detail=lambda: {"events": []})
         flight.clear()
         summary = flight.summary()
         assert summary["recorded"] == 0
@@ -151,7 +166,7 @@ class TestConcurrency:
                         outcome=outcome,
                         latency_s=(slot * per_thread + i) / 1e6,
                     ),
-                    detail={"events": [slot, i]},
+                    detail=lambda: {"events": [slot, i]},
                 )
 
         threads = [

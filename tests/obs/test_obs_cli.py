@@ -53,11 +53,11 @@ class TestRenderTraceFilter:
                     attributes={"trace": "c-0001-aa"},
                 ),
                 SpanRecord(
-                    "serve.batch",
+                    "serve.request",
                     0,
                     1.2,
                     0.1,
-                    attributes={"traces": ["c-0001-aa", "c-0002-bb"]},
+                    attributes={"trace": "c-0002-bb"},
                 ),
                 SpanRecord("build", 0, 1.4, 0.1),
             ],
@@ -67,9 +67,8 @@ class TestRenderTraceFilter:
         ) == 0
         out = capsys.readouterr().out
         assert "serve.request" in out
-        assert "serve.batch" in out  # coalesced batches match via traces
         assert "build " not in out
-        assert "2 spans" in out
+        assert "1 spans" in out
 
     def test_unknown_trace_id_is_empty(self, tmp_path, capsys):
         trace = write_chrome_trace(

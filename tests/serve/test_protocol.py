@@ -290,6 +290,31 @@ class TestDecodeRequest:
         with pytest.raises(InvalidQueryError):
             decode_request(payload)
 
+    QUERY = {"op": "query", "id": 1, "k": 2, "preference": 0.5}
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"op": [], "id": 1}, "op"),
+            ({**QUERY, "preference": 2**1024}, "preference"),
+            ({**QUERY, "preference": [2**1024, 1]}, "preference"),
+            ({**QUERY, "preference": float("nan")}, "preference"),
+            ({**QUERY, "op": "query_batch",
+              "preferences": [[1, float("inf")]]}, "preferences"),
+            ({**QUERY, "deadline_ms": 2**1024}, "deadline_ms"),
+            ({**QUERY, "deadline_ms": float("nan")}, "deadline_ms"),
+            ({"op": "insert", "id": 1, "tuple": [1, 10**400, 0.5]}, "tuple"),
+            ({"op": "insert", "id": 1, "tuple": [1, 0.5, float("-inf")]}, "tuple"),
+            ({"op": "insert", "id": 1, "tuple": [2**63, 0.5, 0.5]}, "tuple"),
+            ({"op": "delete", "id": 1, "tid": -(2**63) - 1}, "tid"),
+        ],
+    )
+    def test_values_that_would_fail_later_are_refused_naming_the_field(
+        self, payload, field
+    ):
+        with pytest.raises(InvalidQueryError, match=field):
+            decode_request(payload)
+
 
 class TestResults:
     def test_roundtrip_is_bit_identical(self):

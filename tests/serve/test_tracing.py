@@ -7,8 +7,10 @@ on the recorder spans the request produced — while clients that
 predate the trace field stay fully served.
 """
 
+import contextlib
 import json
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from repro.core.tuples import RankTupleSet
 from repro.errors import InvalidQueryError, ServerConnectionError
 from repro.obs import MetricsRecorder
 from repro.serve import Client, QueryServer
-from repro.serve.protocol import decode_request
+from repro.serve.protocol import decode_request, read_frame, write_frame
 
 
 def _tuples(n=300, seed=2):
@@ -47,17 +49,9 @@ def traced_server(index):
 
 def _raw_roundtrip(address, payload):
     """One frame exchange the way a pre-tracing client would do it."""
-    body = json.dumps(payload).encode("utf-8")
     with socket.create_connection(address, timeout=10.0) as sock:
-        sock.sendall(len(body).to_bytes(4, "big") + body)
-        header = b""
-        while len(header) < 4:
-            header += sock.recv(4 - len(header))
-        n = int.from_bytes(header, "big")
-        buf = b""
-        while len(buf) < n:
-            buf += sock.recv(n - len(buf))
-    return json.loads(buf)
+        write_frame(sock, payload)
+        return read_frame(sock)
 
 
 class TestEndToEndAttribution:
@@ -84,7 +78,6 @@ class TestEndToEndAttribution:
             span
             for span in traced_server.test_metrics.spans
             if span.attributes.get("trace") == trace
-            or trace in (span.attributes.get("traces") or ())
         ]
         assert attributed, f"no span carries {trace}"
 
@@ -112,12 +105,12 @@ class TestEndToEndAttribution:
         with Client(host, port, trace_seed=5) as client:
             client.query_batch([0.3, 0.6, 0.9], 4)
             trace = client.last_trace_id
-        batched = [
+        (record,) = [
             record
             for record in traced_server.flight.dump()["records"]
             if record["trace"] == trace
         ]
-        assert batched and batched[0]["op"] == "query_batch"
+        assert record["op"] == "query_batch"
 
 
 class TestOneLatencyPerRequest:
@@ -219,79 +212,49 @@ class TestTraceField:
         assert response["error"]["type"] == "InvalidQueryError"
 
 
+@contextlib.contextmanager
+def _one_shot_server(reply):
+    """A fake server that answers one request with ``reply(request)``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve_one():
+        conn, _ = listener.accept()
+        with conn:
+            write_frame(conn, reply(read_frame(conn)))
+
+    thread = threading.Thread(target=serve_one, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+
+
 class TestEchoVerification:
     def test_client_rejects_mismatched_echo(self, index):
         """A server echoing the wrong id fails the round trip loudly."""
-        lying = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lying.bind(("127.0.0.1", 0))
-        lying.listen(1)
-        host, port = lying.getsockname()
 
-        import threading
+        def lie(request):
+            return {"id": request["id"], "ok": True, "results": [],
+                    "trace": "s-9999-wrong"}
 
-        def serve_one_lie():
-            conn, _ = lying.accept()
-            with conn:
-                header = conn.recv(4)
-                n = int.from_bytes(header, "big")
-                buf = b""
-                while len(buf) < n:
-                    buf += conn.recv(n - len(buf))
-                request = json.loads(buf)
-                body = json.dumps(
-                    {
-                        "id": request["id"],
-                        "ok": True,
-                        "results": [],
-                        "trace": "s-9999-wrong",
-                    }
-                ).encode()
-                conn.sendall(len(body).to_bytes(4, "big") + body)
-
-        thread = threading.Thread(target=serve_one_lie, daemon=True)
-        thread.start()
-        try:
+        with _one_shot_server(lie) as (host, port):
             with Client(host, port, trace_seed=1) as client:
                 client._k_bound = 12  # skip the health round trip
                 with pytest.raises(ServerConnectionError, match="trace"):
                     client.query(0.5, 3)
-        finally:
-            thread.join(timeout=5.0)
-            lying.close()
 
     def test_missing_echo_tolerated_for_old_servers(self, index):
         """A pre-tracing server echoes no trace; the client accepts."""
-        legacy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        legacy.bind(("127.0.0.1", 0))
-        legacy.listen(1)
-        host, port = legacy.getsockname()
 
-        import threading
+        def legacy(request):
+            return {"id": request["id"], "ok": True, "results": [[0, 1.0]]}
 
-        def serve_one_legacy():
-            conn, _ = legacy.accept()
-            with conn:
-                header = conn.recv(4)
-                n = int.from_bytes(header, "big")
-                buf = b""
-                while len(buf) < n:
-                    buf += conn.recv(n - len(buf))
-                request = json.loads(buf)
-                body = json.dumps(
-                    {"id": request["id"], "ok": True, "results": [[0, 1.0]]}
-                ).encode()
-                conn.sendall(len(body).to_bytes(4, "big") + body)
-
-        thread = threading.Thread(target=serve_one_legacy, daemon=True)
-        thread.start()
-        try:
+        with _one_shot_server(legacy) as (host, port):
             with Client(host, port, trace_seed=1) as client:
                 client._k_bound = 12
-                results = client.query(0.5, 1)
-                assert results
-        finally:
-            thread.join(timeout=5.0)
-            legacy.close()
+                assert client.query(0.5, 1)
 
 
 class TestAdminOps:

@@ -1,7 +1,7 @@
 """The insert/delete wire ops: round trips, typed errors, read-only.
 
-Writes ride the same admission control and tracing as queries but are
-never coalesced into batches; a read-only service (a bare
+Writes ride the same admission control and tracing as queries and run,
+like them, on the reader that read them; a read-only service (a bare
 ``RankedJoinIndex`` without a write path) sheds them with a typed
 error before they consume a queue slot.
 """
@@ -106,6 +106,18 @@ class TestTypedErrors:
             client.insert(RankTuple(0, 0.5, 0.5))
         with pytest.raises(MaintenanceError, match="is not live"):
             client.delete(10_000)
+
+    def test_unencodable_tid_never_reaches_the_wal(self, durable, client):
+        # The WAL packs a tid as a signed 64-bit field; past that the
+        # request is refused at decode and the connection keeps serving.
+        with pytest.raises(InvalidQueryError, match="64-bit"):
+            client.insert(RankTuple(10**30, 0.5, 0.5))
+        with pytest.raises(InvalidQueryError, match="64-bit"):
+            client.delete(-(2**63) - 1)
+        assert durable.delta.n_ops == 0
+        for tid in (2**63 - 1, -(2**63)):  # the edges are served
+            assert client.insert(RankTuple(tid, 0.5, 0.5)) is True
+            assert client.delete(tid) == durable.k_effective
 
     def test_read_only_service_sheds_writes(self):
         index = RankedJoinIndex.build(_tuples(), 10)
