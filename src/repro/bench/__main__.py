@@ -121,6 +121,7 @@ def _run_open(args: argparse.Namespace) -> int:
 
 
 def _run_mixed(args: argparse.Namespace) -> int:
+    from ..core.writepath import TRIGGERS
     from .mixed import MIXED_CONFIG, run_mixed_benchmark
 
     config = replace(
@@ -144,18 +145,29 @@ def _run_mixed(args: argparse.Namespace) -> int:
         "recovered_mismatches": report["query_counters"][
             "mixed.recovered_mismatches"
         ],
+        "trigger_writes": report["triggers"]["writes_until_rebuild"],
     }
     print(json.dumps(summary))
+    counters = report["query_counters"]
     correctness = (
-        report["query_counters"]["mixed.mismatches"]
-        + report["query_counters"]["mixed.recovered_mismatches"]
-        + report["query_counters"]["mixed.recovered_pool_drift"]
-        + report["query_counters"]["mixed.recovery_torn_tails"]
+        counters["mixed.mismatches"]
+        + counters["mixed.recovered_mismatches"]
+        + counters["mixed.recovered_pool_drift"]
+        + counters["mixed.recovery_torn_tails"]
+        + counters["triggers.mismatches"]
     )
     if correctness:
         print(
-            f"error: mixed write path served wrong answers "
-            f"({report['query_counters']})",
+            f"error: mixed write path served wrong answers ({counters})",
+            file=sys.stderr,
+        )
+        return 1
+    silent = [
+        reason for reason in TRIGGERS if counters[f"triggers.{reason}"] < 1
+    ]
+    if silent:
+        print(
+            f"error: the trigger phase never rebuilt for {silent}",
             file=sys.stderr,
         )
         return 1

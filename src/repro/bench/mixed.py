@@ -3,7 +3,10 @@
 A closed loop over one :class:`~repro.storage.durable.DurableRankedJoinIndex`:
 zipf-skewed top-k reads interleaved with a steady insert/delete stream,
 every write riding the WAL-then-delta path (append + fsync commit +
-delta apply, compaction when the buffer fattens).  The scenario reports
+delta apply, a rebuild only when a trigger of
+:attr:`~repro.core.writepath.WritePath.needs_compaction` fires — which
+this stream, mostly inert writes, seldom does; a separate trigger phase
+fires each reason once on a small index).  The scenario reports
 
 * **read latency** — p50/p99/mean over the merged (base ∪ delta) query
   path, the number a read replica would see while taking writes;
@@ -28,12 +31,14 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from ..core.index import RankedJoinIndex
 from ..core.tuples import RankTuple
 from ..core.workloads import random_preferences
+from ..core.writepath import TRIGGERS
 from ..obs import MetricsRecorder
 from ..storage.durable import DurableRankedJoinIndex
 from .runner import BenchConfig, _make_tuples, _percentiles
@@ -57,7 +62,7 @@ class MixedBenchConfig:
     #: distinct probe preferences; reads draw zipf-skewed among them.
     n_preferences: int = 64
     zipf_s: float = 1.2
-    #: delta entries that trigger a durable compaction.
+    #: merged (charged + visible) delta entries that trigger a rebuild.
     compaction_threshold: int = 64
     #: fsync on every commit (the honest number; False only for tests).
     fsync: bool = True
@@ -84,6 +89,107 @@ def _mismatches(index, pool: dict, preferences, k: int, k_bound: int) -> int:
         if index.query(preference, k) != reference.query(preference, k):
             wrong += 1
     return wrong
+
+
+def _as_pool(tuples) -> dict[int, RankTuple]:
+    return {
+        int(t.tid): RankTuple(int(t.tid), float(t.s1), float(t.s2))
+        for t in tuples
+    }
+
+
+def _until_rebuild(index, pool: dict, ops: Iterable[tuple]) -> int:
+    """Apply ``ops`` until one triggers a rebuild; how many ran (0: none did)."""
+    rebuilds = len(index.compaction_pauses)
+    for n, (op, payload) in enumerate(ops, 1):
+        if op == "insert":
+            index.insert(payload)
+            pool[payload.tid] = payload
+        else:
+            index.delete(payload)
+            del pool[payload]
+        if len(index.compaction_pauses) > rebuilds:
+            return n
+    return 0
+
+
+def _trigger_phase(config: MixedBenchConfig, directory: Path) -> dict:
+    """Fire each rebuild trigger in turn on a small durable index.
+
+    Writes that can reach no top-K do not rebuild, so the main loop
+    usually rebuilds never; this phase keeps every trigger covered:
+
+    * ``log`` — inserts below every ranked tuple, each deleted again,
+      until the log since the base reaches ``n_live`` (the index holds
+      ``4 * threshold`` tuples);
+    * ``visible`` — inserts above every ranked tuple, until ``threshold``
+      of them are buffered;
+    * ``charged`` — deletes of the best-ranked live tuples (the last leg's
+      inserts, now in the base), until they hide ``K / 2`` indexed rows.
+    """
+    base = _make_tuples(
+        BenchConfig(
+            dataset=config.dataset,
+            n_tuples=4 * config.compaction_threshold,
+            k_bound=config.k_bound,
+            seed=config.seed,
+        )
+    )
+    recorder = MetricsRecorder()
+    index = DurableRankedJoinIndex.create(
+        directory,
+        base,
+        config.k_bound,
+        compaction_threshold=config.compaction_threshold,
+        fsync=config.fsync,
+        recorder=recorder,
+    )
+    pool = _as_pool(base)
+    threshold, next_tid = config.compaction_threshold, max(pool) + 1
+    ranks = [rank for t in pool.values() for rank in (t.s1, t.s2)]
+    floor, ceiling = min(ranks), max(ranks)
+    rng = np.random.default_rng(config.seed + 53)
+    inert = [
+        RankTuple(next_tid + i, floor * (1 + i % 7) / 8, floor / 8)
+        for i in range(len(pool) + threshold)
+    ]
+    next_tid += len(inert)
+    visible = [
+        RankTuple(
+            next_tid + i, ceiling * (1 + rng.random()), ceiling * (1 + rng.random())
+        )
+        for i in range(2 * threshold)
+    ]
+    writes = {
+        "log": _until_rebuild(
+            index,
+            pool,
+            (op for t in inert for op in (("insert", t), ("delete", t.tid))),
+        ),
+        "visible": _until_rebuild(
+            index, pool, (("insert", t) for t in visible)
+        ),
+    }
+    best_first = sorted(pool.values(), key=lambda t: -(t.s1 + t.s2))
+    writes["charged"] = _until_rebuild(
+        index, pool, (("delete", t.tid) for t in best_first[: config.k_bound])
+    )
+    preferences = random_preferences(config.n_preferences, seed=config.seed + 5)
+    mismatches = _mismatches(
+        index, pool, preferences, config.k_query, config.k_bound
+    )
+    index.close()
+    counters = recorder.snapshot()["counters"]
+    return {
+        "writes_until_rebuild": writes,
+        "counters": {
+            "triggers.mismatches": mismatches,
+            **{
+                f"triggers.{reason}": counters.get(name, 0)
+                for reason, name in TRIGGERS.items()
+            },
+        },
+    }
 
 
 def run_mixed_benchmark(config: MixedBenchConfig = MIXED_CONFIG) -> dict:
@@ -115,10 +221,7 @@ def run_mixed_benchmark(config: MixedBenchConfig = MIXED_CONFIG) -> dict:
             recorder=metrics,
         )
         create_s = time.perf_counter() - started
-        pool = {
-            int(t.tid): RankTuple(int(t.tid), float(t.s1), float(t.s2))
-            for t in base
-        }
+        pool = _as_pool(base)
         next_tid = max(pool) + 1
 
         read_latencies: list[float] = []
@@ -175,6 +278,7 @@ def run_mixed_benchmark(config: MixedBenchConfig = MIXED_CONFIG) -> dict:
             or {t.tid for t in recovered.live_tuples()} != set(pool)
         )
         recovered.close()
+        triggers = _trigger_phase(config, directory / "triggers")
 
     counters = metrics.snapshot()["counters"]
     n_ops = config.n_reads + len(write_latencies)
@@ -201,7 +305,10 @@ def run_mixed_benchmark(config: MixedBenchConfig = MIXED_CONFIG) -> dict:
                 "n_live": report_obj.n_live,
             },
         },
+        "triggers": {"writes_until_rebuild": triggers["writes_until_rebuild"]},
         "query_counters": {
+            # The trigger phase: one rebuild per reason, answers exact.
+            **triggers["counters"],
             # Correctness: zero on a healthy write path, gated in CI.
             "mixed.mismatches": live_mismatches,
             "mixed.recovered_mismatches": recovered_mismatches,

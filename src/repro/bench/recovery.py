@@ -22,6 +22,7 @@ violation — the report is the artifact CI uploads on failure.
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 import time
 from dataclasses import asdict, dataclass, replace
@@ -33,7 +34,7 @@ from ..core.index import RankedJoinIndex
 from ..core.tuples import RankTuple
 from ..core.workloads import random_preferences
 from ..errors import TransientStorageError
-from ..faults import arm, builtin_plan
+from ..faults import FaultPlan, arm, builtin_plan
 from ..storage.diskindex import DiskRankedJoinIndex
 from ..storage.durable import DurableRankedJoinIndex
 from .runner import BenchConfig, _make_tuples
@@ -55,7 +56,8 @@ class RecoveryBenchConfig:
     k_bound: int = 20
     k_query: int = 10
     seed: int = 7
-    #: writes attempted before/after the armed crash point.
+    #: writes attempted before/after the armed crash point (too few for
+    #: any rebuild trigger to fire on its own).
     n_writes: int = 12
     #: one delete per this many inserts (kept low: replayed tombstones
     #: must leave ``k_query`` exact on the image-recovery path).
@@ -68,9 +70,15 @@ class RecoveryBenchConfig:
 #: The default (and CI) recovery sweep.
 RECOVERY_CONFIG = RecoveryBenchConfig()
 
+#: Inert writes the ``inert-log`` scenario logs ahead of the stream:
+#: twice the tiers' default ``compaction_threshold`` (64), and below
+#: the live count, so only the threshold could have cut the log short.
+_N_INERT = 128
+
 #: The crash scenarios the sweep always runs: the builtin crash plans,
-#: the compaction crash at each of its four safety boundaries, and a
-#: physically torn WAL tail.
+#: the compaction crash at each of its four safety boundaries, a
+#: physically torn WAL tail, and a crash on the last write of a log of
+#: mostly inert records that no rebuild absorbed.
 SCENARIOS = (
     "crash-append",
     "crash-commit",
@@ -80,7 +88,25 @@ SCENARIOS = (
     "crash-compaction@2",
     "crash-compaction@3",
     "torn-tail",
+    "inert-log",
 )
+
+
+def _inert_stream():
+    """Inserts below every ranked tuple, each deleted again after it.
+
+    Uniform ranks put at least ``k_bound`` indexed tuples strictly above
+    ``(0.001, 0.001)``, so none of these can reach a top-K: the rebuild
+    triggers ignore them and the WAL past the checkpoint just grows.
+    """
+    ops = []
+    for i in range(_N_INERT):
+        tid = 20_000_000 + i // 2
+        if i % 2:
+            ops.append(("delete", tid, 0.0, 0.0))
+        else:
+            ops.append(("insert", tid, 1e-4 * (1 + i % 7), 1e-4))
+    return ops
 
 
 def _write_stream(config: RecoveryBenchConfig, rng):
@@ -115,6 +141,11 @@ def _apply_op(index, pool, op):
             del pool[tid]
 
 
+def _at(plan: FaultPlan, at: int) -> FaultPlan:
+    """``plan`` with its one spec firing on operation ``at`` instead."""
+    return replace(plan, specs=(replace(plan.specs[0], at=at),))
+
+
 def _tear_tail(wal_dir: Path) -> None:
     """Append half a record of garbage: a write torn mid-flight."""
     newest = max(wal_dir.glob("wal-*.seg"))
@@ -144,10 +175,8 @@ def _run_scenario(config: RecoveryBenchConfig, scenario: str) -> dict:
     violations: list[str] = []
 
     with tempfile.TemporaryDirectory(prefix="rji-recovery-") as tmp:
-        directory = Path(tmp)
-        index = DurableRankedJoinIndex.create(
-            directory, base, config.k_bound, compaction_threshold=10**9
-        )
+        directory, as_left = Path(tmp) / "index", Path(tmp) / "as-left"
+        index = DurableRankedJoinIndex.create(directory, base, config.k_bound)
         acked = {
             int(t.tid): RankTuple(int(t.tid), float(t.s1), float(t.s2))
             for t in base
@@ -159,11 +188,7 @@ def _run_scenario(config: RecoveryBenchConfig, scenario: str) -> dict:
             boundary = int(scenario.split("@")[1])
             for op in stream:
                 _apply_op(index, acked, op)
-            plan = builtin_plan("crash-compaction")
-            plan = replace(
-                plan, specs=(replace(plan.specs[0], at=boundary),)
-            )
-            arm(plan, durable=index)
+            arm(_at(builtin_plan("crash-compaction"), boundary), durable=index)
             try:
                 index.compact()
             except TransientStorageError:
@@ -175,7 +200,16 @@ def _run_scenario(config: RecoveryBenchConfig, scenario: str) -> dict:
             _tear_tail(directory / "wal")
             crashed = True
         else:
-            arm(builtin_plan(scenario), durable=index)
+            if scenario == "inert-log":
+                # Log the inert prefix, then crash applying the last write.
+                *logged, last = _inert_stream() + stream
+                for op in logged:
+                    _apply_op(index, acked, op)
+                stream = [last]
+                plan = _at(builtin_plan("crash-apply"), 0)
+            else:
+                plan = builtin_plan(scenario)
+            arm(plan, durable=index)
             for op in stream:
                 shadow = dict(acked)
                 try:
@@ -189,6 +223,9 @@ def _run_scenario(config: RecoveryBenchConfig, scenario: str) -> dict:
             violations.append(f"{scenario}: the crash plan never fired")
         if scenario != "torn-tail":
             index.close()
+        # A replaying recovery saves a fresh image and checkpoint; the
+        # disk front door opens the directory as the crash left it.
+        shutil.copytree(directory, as_left)
 
         started = time.perf_counter()
         recovered = DurableRankedJoinIndex.recover(directory)
@@ -225,6 +262,11 @@ def _run_scenario(config: RecoveryBenchConfig, scenario: str) -> dict:
                 f"{scenario}: expected 1 truncated tail, "
                 f"saw {report.torn_tails}"
             )
+        if scenario == "inert-log" and report.replayed < _N_INERT:
+            violations.append(
+                f"{scenario}: replayed {report.replayed} records, fewer "
+                f"than the {_N_INERT} inert ones: a rebuild absorbed the log"
+            )
 
         # Served answers must equal a from-scratch rebuild, on the
         # durable front-door and on the recovered disk image.
@@ -238,8 +280,8 @@ def _run_scenario(config: RecoveryBenchConfig, scenario: str) -> dict:
         recovered.close()
 
         disk = DiskRankedJoinIndex.recover(
-            directory / "base.rji",
-            directory / "wal",
+            as_left / "base.rji",
+            as_left / "wal",
             mmap=config.mmap,
         )
         disk_wrong = _probe_mismatches(
@@ -252,6 +294,11 @@ def _run_scenario(config: RecoveryBenchConfig, scenario: str) -> dict:
             )
         disk_report = disk.last_recovery
         del disk
+        if disk_report.replayed != report.replayed:
+            violations.append(
+                f"{scenario}: disk recovery replayed {disk_report.replayed} "
+                f"records, durable recovery {report.replayed}"
+            )
 
     return {
         "scenario": scenario,

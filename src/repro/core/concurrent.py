@@ -28,7 +28,7 @@ from .delta import DeltaStore, SupportsWal
 from .index import QueryResult, RankedJoinIndex
 from .scoring import PreferenceLike
 from .tuples import RankTuple, RankTupleSet
-from .writepath import WritePath
+from .writepath import Snapshot, WritePath
 
 __all__ = ["ReadWriteLock", "ConcurrentRankedJoinIndex"]
 
@@ -297,32 +297,31 @@ class ConcurrentRankedJoinIndex:
         current WAL position) is taken here, under the lock, so the
         builder thread never touches shared mutable state."""
         writes = self._writes
-        if self._compacting or not writes.needs_compaction:
+        if self._compacting or writes.needs_compaction is None:
             return
         self._compacting = True
         worker = threading.Thread(
             target=self._compact_from,
-            args=writes.snapshot(),
+            args=(writes.snapshot(),),
             name="rji-compaction",
             daemon=True,
         )
         self._compaction_thread = worker
         worker.start()
 
-    def _compact_from(
-        self, snapshot: list[RankTuple], snapshot_lsn: int
-    ) -> None:
+    def _compact_from(self, snapshot: Snapshot) -> None:
         """Build a fresh base from ``snapshot`` and swap it in.
 
         Runs on the compaction thread.  The build happens outside any
         lock (old readers drain on the old store); the swap takes the
         write lock and is O(1): entries the delta absorbed after the
-        snapshot stay buffered."""
+        snapshot stay buffered, and a build that a :meth:`rebuild`
+        overtook is dropped."""
         try:
             writes = self._writes
-            fresh = writes.build(snapshot)
+            fresh = writes.build(snapshot.tuples)
             with self._lock.writing():
-                writes.swap(fresh, snapshot_lsn)
+                writes.swap(fresh, snapshot)
         finally:
             with self._lock.writing():
                 self._compacting = False
@@ -334,11 +333,11 @@ class ConcurrentRankedJoinIndex:
             writes = self._writes
             if writes.delta.is_empty:
                 return
-            snapshot, snapshot_lsn = writes.snapshot()
+            snapshot = writes.snapshot()
             # Claim the compaction slot before dropping the lock so a
             # concurrent writer cannot start a background run meanwhile.
             self._compacting = True
-        self._compact_from(snapshot, snapshot_lsn)
+        self._compact_from(snapshot)
 
     def drain_compaction(self, timeout: float | None = None) -> bool:
         """Wait for an in-flight background compaction; True when idle."""
@@ -369,7 +368,9 @@ class ConcurrentRankedJoinIndex:
         pass ``workers=N`` to speed the event pass up without extending
         the swap's exclusive section, which stays O(1).  The given
         tuples become the new live pool and the delta restarts empty
-        (an explicit administrative reset, not a logged write).
+        (an explicit administrative reset, not a logged write); a
+        background compaction still building from the old pool is
+        dropped at its swap.
         """
         if not isinstance(tuples, RankTupleSet):
             tuples = RankTupleSet.from_tuples(tuples)

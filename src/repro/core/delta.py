@@ -29,6 +29,10 @@ query raises a typed error and the owner must compact.  A delta not
 yet attached to any base knows no ``D`` and stays conservative: every
 entry is charged and every insert visible.
 
+An entry neither charged nor visible is *inert*: it changes no region
+and no admitted answer, so the owner's rebuild trigger
+(:attr:`repro.core.writepath.WritePath.needs_compaction`) ignores it.
+
 Entries are tagged with the WAL log-sequence-number that produced them
 so a compaction that rebuilds the base from a snapshot at LSN ``n`` can
 :meth:`~DeltaStore.clear_upto` ``n`` and keep serving the writes that
@@ -236,7 +240,7 @@ class DeltaStore:
 
     @property
     def n_ops(self) -> int:
-        """Buffered entries, the quantity compaction thresholds watch."""
+        """Buffered entries, inert ones included; no rebuild trigger reads it."""
         return len(self._inserts) + len(self._tombstones)
 
     @property

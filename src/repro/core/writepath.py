@@ -11,6 +11,10 @@ may run off-lock or on another thread) → :meth:`~WritePath.swap`
 (under the write lock again).  docs/RELIABILITY.md, "Durable write
 path", carries the ordering and exactness arguments.
 
+The trigger (:attr:`~WritePath.needs_compaction`) ignores inert
+entries, which change no region (Lemma 2), and bounds them by log
+length instead.
+
 Not thread-safe: the owning wrapper serializes writers and reaches
 this object only under its own lock.
 """
@@ -18,7 +22,7 @@ this object only under its own lock.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..errors import MaintenanceError
 from ..obs import NULL_RECORDER, Recorder
@@ -26,7 +30,24 @@ from .delta import DeltaStore, SupportsWal
 from .index import RankedJoinIndex
 from .tuples import RankTuple
 
-__all__ = ["MemoryLog", "WritePath"]
+__all__ = ["MemoryLog", "Snapshot", "TRIGGERS", "WritePath"]
+
+#: Each reason :attr:`WritePath.needs_compaction` gives -> its counter.
+TRIGGERS = {
+    "charged": "compaction.reason.charged",
+    "visible": "compaction.reason.visible",
+    "log": "compaction.reason.log",
+}
+
+
+class Snapshot(NamedTuple):
+    """What a compaction rebuilds from, and the base it was taken against."""
+
+    tuples: list[RankTuple]
+    #: The WAL position the tuples reflect.
+    lsn: int
+    #: :attr:`WritePath.generation` at the time; a swap refuses any other.
+    generation: int
 
 
 class MemoryLog:
@@ -73,6 +94,9 @@ class WritePath:
         #: Duck-typed chaos hook (see repro.faults.inject.arm).
         self.faults: Any = None
         self.delta = DeltaStore()
+        #: Bumped by every reset and swap (under the owner's writer lock,
+        #: like every field here); a Snapshot of another is stale.
+        self.generation = 0
         self.reset(index, pool)
 
     def reset(self, index: RankedJoinIndex, pool: dict[int, RankTuple]) -> None:
@@ -84,8 +108,14 @@ class WritePath:
         """
         self.pool = pool
         self.delta.clear()
+        self._install(index, self.wal.last_lsn)
+
+    def _install(self, index: RankedJoinIndex, base_lsn: int) -> None:
         index.attach_delta(self.delta)
         self.index = index
+        #: The WAL position the base reflects (the log trigger's origin).
+        self.base_lsn = base_lsn
+        self.generation += 1
 
     # -- writes ------------------------------------------------------------
 
@@ -140,20 +170,34 @@ class WritePath:
         return self.index.k_effective
 
     @property
-    def needs_compaction(self) -> bool:
-        # Charged entries (the ones hiding a base row) erode the
-        # exact-merge slack, so compaction is due before queries at
-        # moderate k start failing validation.
-        return (
-            self.delta.n_ops >= self.threshold
-            or self.delta.n_charged * 2 >= self.k_bound
-        )
+    def needs_compaction(self) -> str | None:
+        """Why a rebuild is due now (a :data:`TRIGGERS` key), or ``None``.
+
+        ``"charged"``: charged entries have used up half the exact-merge
+        slack, so queries at moderate ``k`` would soon fail validation.
+        ``"visible"``: the entries a read merges (charged plus visible)
+        reached ``threshold``.  ``"log"``: the log since the base reached
+        ``max(threshold, n_live)`` records, which bounds both recovery
+        replay and the inert entries buffered meanwhile.
+        """
+        delta = self.delta
+        if delta.n_charged * 2 >= self.k_bound:
+            return "charged"
+        if delta.n_charged + delta.n_visible >= self.threshold:
+            return "visible"
+        if self.wal.last_lsn - self.base_lsn >= max(
+            self.threshold, len(self.pool)
+        ):
+            return "log"
+        return None
 
     # -- compaction --------------------------------------------------------
 
-    def snapshot(self) -> tuple[list[RankTuple], int]:
-        """The live pool, tid-sorted, and the WAL position it reflects."""
-        return sorted(self.pool.values()), self.wal.last_lsn
+    def snapshot(self) -> Snapshot:
+        """The live pool, tid-sorted, the WAL position and base it reflects."""
+        return Snapshot(
+            sorted(self.pool.values()), self.wal.last_lsn, self.generation
+        )
 
     def build(self, snapshot: list[RankTuple]) -> RankedJoinIndex:
         """A fresh base over ``snapshot``; touches no mutable state."""
@@ -161,25 +205,28 @@ class WritePath:
             snapshot, self.k_bound, **self.build_options
         )
 
-    def swap(self, fresh: RankedJoinIndex, snapshot_lsn: int) -> None:
+    def swap(self, fresh: RankedJoinIndex, snapshot: Snapshot) -> None:
         """Make ``fresh`` the base; keep writes newer than the snapshot.
 
         The survivors are re-classified against ``fresh``'s dominating
         set: a post-snapshot delete of a tuple the snapshot baked in is
-        charged from here on."""
-        self.delta.clear_upto(snapshot_lsn)
-        fresh.attach_delta(self.delta)
-        self.index = fresh
+        charged from here on.  A build from a snapshot whose base has
+        since been replaced (a :meth:`reset` while it ran) describes a
+        discarded pool and is dropped.  LSNs cannot tell — a reset with
+        no write after it leaves the snapshot's LSN current."""
+        if snapshot.generation != self.generation:
+            return
+        self.delta.clear_upto(snapshot.lsn)
+        self._install(fresh, snapshot.lsn)
 
     def compact(
         self,
         persist: Callable[[RankedJoinIndex, list[RankTuple]], None]
         | None = None,
-    ) -> RankedJoinIndex:
+    ) -> None:
         """snapshot → build → ``persist(fresh, snapshot)`` → swap."""
-        snapshot, snapshot_lsn = self.snapshot()
-        fresh = self.build(snapshot)
+        snapshot = self.snapshot()
+        fresh = self.build(snapshot.tuples)
         if persist is not None:
-            persist(fresh, snapshot)
-        self.swap(fresh, snapshot_lsn)
-        return fresh
+            persist(fresh, snapshot.tuples)
+        self.swap(fresh, snapshot)

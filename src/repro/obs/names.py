@@ -105,6 +105,10 @@ COUNTERS = frozenset(
         "delta.deletes",
         "delta.merged_queries",
         "compaction.runs",
+        # why a triggered rebuild fired (repro.core.writepath.TRIGGERS)
+        "compaction.reason.charged",
+        "compaction.reason.visible",
+        "compaction.reason.log",
     }
 )
 

@@ -22,7 +22,9 @@ is idempotent.
 :meth:`DurableRankedJoinIndex.recover` is the crash side of the
 contract: load the pool snapshot, open the WAL (the open itself
 truncates a torn tail), replay records past the snapshot's checkpoint
-LSN, rebuild, and report what happened in a :class:`RecoveryReport`.
+LSN, rebuild, save the rebuilt base as a fresh checkpoint when the
+replay changed anything, and report what happened in a
+:class:`RecoveryReport`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from ..core.delta import DeltaStore
 from ..core.index import QueryResult
 from ..core.scoring import PreferenceLike
 from ..core.tuples import RankTuple
-from ..core.writepath import WritePath
+from ..core.writepath import TRIGGERS, WritePath
 from ..errors import CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, QueryExplain, Recorder
 from .diskindex import DiskRankedJoinIndex
@@ -242,7 +244,9 @@ class DurableRankedJoinIndex:
         truncates a torn tail — and re-applies every record past the
         snapshot's checkpoint LSN to the pool (idempotent: inserts
         overwrite, deletes are pop-if-present, so records that are both
-        in the snapshot and still in the log converge).  ``build_options``
+        in the snapshot and still in the log converge).  A non-empty
+        replay ends in a compaction, so the saved image is the base
+        this instance classifies writes against.  ``build_options``
         must match the ones the index was created with for merged
         answers to stay bit-identical to the pre-crash index.
         """
@@ -263,8 +267,9 @@ class DurableRankedJoinIndex:
             else:
                 pool.pop(tuple_.tid, None)
             replayed += 1
+        ordered = sorted(pool.values())
         index = RankedJoinIndex.build(
-            sorted(pool.values()), k_bound, recorder=recorder, **build_options
+            ordered, k_bound, recorder=recorder, **build_options
         )
         instance = cls(
             directory,
@@ -282,6 +287,12 @@ class DurableRankedJoinIndex:
             torn_tails=wal.torn_tails,
             n_live=len(pool),
         )
+        if replayed:
+            # The base now holds writes the saved image does not, so a
+            # later delete the base finds inert could be charged against
+            # the image by DiskRankedJoinIndex.recover, unseen by any
+            # trigger here.  Saving the base makes the two agree again.
+            instance._persist(index, ordered)
         return instance
 
     # -- queries (delegated; the attached delta merges) --------------------
@@ -337,8 +348,7 @@ class DurableRankedJoinIndex:
         """
         with self._lock:
             self._writes.insert(tuple_)
-            if self._writes.needs_compaction:
-                self.compact()
+            self._compact_if_due()
             return True
 
     def delete(self, tid: int) -> int:
@@ -349,8 +359,7 @@ class DurableRankedJoinIndex:
         """
         with self._lock:
             self._writes.delete(tid)
-            if self._writes.needs_compaction:
-                self.compact()
+            self._compact_if_due()
             return self._writes.k_effective
 
     # -- compaction --------------------------------------------------------
@@ -364,7 +373,16 @@ class DurableRankedJoinIndex:
         snapshot fully covers.  The chaos hook fires between steps so
         fault plans can kill the process at each boundary.
         """
-        with self._lock, self._recorder.span("compaction"):
+        self._compact("requested")
+
+    def _compact_if_due(self) -> None:
+        reason = self._writes.needs_compaction
+        if reason is not None:
+            self._recorder.count(TRIGGERS[reason])
+            self._compact(reason)
+
+    def _compact(self, reason: str) -> None:
+        with self._lock, self._recorder.span("compaction", {"reason": reason}):
             started = time.perf_counter()
             self._recorder.count("compaction.runs")
             self._chaos_step()  # before anything: WAL replay covers all

@@ -17,8 +17,11 @@ contract follows from that ordering:
 
 Checkpoints ride the same record stream: ``checkpoint()`` notes the
 last LSN baked into the owner's durable snapshot, and ``prune()`` then
-drops whole sealed segments at or below it.  Replaying from a snapshot
-is idempotent, so a crash between checkpoint and prune loses nothing.
+drops whole sealed segments at or below it.  The checkpoint record
+heads a fresh segment that no prune drops, so a reopened log still
+knows its checkpoint and resumes the LSN sequence past it.  Replaying
+from a snapshot is idempotent, so a crash between checkpoint and prune
+loses nothing.
 
 The format is a sidecar of the pager-v2 family (same CRC + typed-error
 discipline, own magic/version); see ``docs/RELIABILITY.md``.
@@ -318,22 +321,25 @@ class WriteAheadLog:
     def checkpoint(self) -> int:
         """Record that state through the current last LSN is snapshotted.
 
-        Commits pending records, appends a checkpoint record, commits
-        again, and seals the segment so :meth:`prune` can drop
-        everything the snapshot already holds.  Returns the checkpoint
-        LSN (the record's own LSN, carried in its ``tid`` field — self-
-        describing for recovery): store it in the snapshot and replay
-        only records strictly past it.
+        Commits pending records and seals the segment so :meth:`prune`
+        can drop everything the snapshot already holds, then appends
+        and commits a checkpoint record at the head of the new segment.
+        Returns the checkpoint LSN (the record's own LSN, carried in its
+        ``tid`` field — self-describing for recovery): store it in the
+        snapshot and replay only records strictly past it.
         """
         self.commit()
+        self._rotate()
         # The record's tid carries its own LSN, so the highest
         # checkpoint record seen by the open-time scan *is* the
-        # checkpoint, and the segment holding it becomes prunable.
+        # checkpoint.  It sits in the unsealed segment, so even a log
+        # pruned down to it reopens at this LSN rather than at 0 —
+        # below the owner's snapshot, where new writes would be skipped
+        # by the next replay.
         covered = self._append(_OP_CHECKPOINT, self._last_lsn + 1, 0.0, 0.0)
         self.commit()
         self._checkpoint_lsn = covered
         self._recorder.count("wal.checkpoints")
-        self._rotate()
         return covered
 
     def prune(self) -> int:

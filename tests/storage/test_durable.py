@@ -12,6 +12,7 @@ WAL tail:
   through ``DiskRankedJoinIndex.recover`` (eager and mmap).
 """
 
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.core.tuples import RankTuple
 from repro.core.workloads import random_preferences
 from repro.errors import InvalidQueryError, MaintenanceError, TransientStorageError
 from repro.faults import arm, builtin_plan
+from repro.obs import MetricsRecorder
 from repro.storage.diskindex import DiskRankedJoinIndex
 from repro.storage.durable import DurableRankedJoinIndex
 from repro.storage.wal import WAL_RECORD_SIZE
@@ -43,6 +45,10 @@ def _assert_matches_rebuild(index, pool, k_bound, k, *, n_prefs=15):
 
 def _assert_recovers_to(directory, pool, *, mmap=False, torn_tails=0):
     """Both recovery front doors reproduce exactly ``pool``, bit for bit."""
+    # A replaying durable recovery saves a fresh image and checkpoint,
+    # so the disk front door opens a copy of the directory as it was.
+    as_left = directory.with_name(directory.name + "-as-left")
+    shutil.copytree(directory, as_left)
     recovered = DurableRankedJoinIndex.recover(directory, fsync=False)
     assert recovered.last_recovery.torn_tails == torn_tails
     assert {t.tid: t for t in recovered.live_tuples()} == pool
@@ -52,8 +58,9 @@ def _assert_recovers_to(directory, pool, *, mmap=False, torn_tails=0):
     # replay converge on the same answers either way (the delta-
     # supersedes-base rule absorbs double-covered records).
     disk = DiskRankedJoinIndex.recover(
-        directory / "base.rji", directory / "wal", mmap=mmap
+        as_left / "base.rji", as_left / "wal", mmap=mmap
     )
+    assert disk.last_recovery.torn_tails == torn_tails
     _assert_matches_rebuild(disk, pool, 12, 6)
 
 
@@ -83,8 +90,8 @@ class TestLifecycle:
             tmp_path, _tuples(), 12, compaction_threshold=4, fsync=False
         )
         pool = {t.tid: t for t in _tuples()}
-        for i in range(9):  # crosses the threshold twice
-            t = RankTuple(900 + i, 0.4, 0.6)
+        for i in range(9):  # 9 visible inserts cross the threshold twice
+            t = RankTuple(900 + i, 0.9 + 0.01 * i, 0.97)
             index.insert(t)
             pool[t.tid] = t
         assert len(index.compaction_pauses) == 2 and index.delta.n_ops == 1
@@ -96,6 +103,45 @@ class TestLifecycle:
         assert recovered.last_recovery.replayed == 1
         recovered.close()
         _assert_recovers_to(tmp_path, pool)
+
+    def test_write_after_reopening_a_compacted_directory_survives(self, tmp_path):
+        # Regression: a compaction pruned the log down to an empty
+        # segment, so the reopened log restarted at LSN 1 — below the
+        # pool snapshot's checkpoint — and the next recovery skipped
+        # the acknowledged insert made after the reopen.
+        index = DurableRankedJoinIndex.create(
+            tmp_path, _tuples(), 12, compaction_threshold=4, fsync=False
+        )
+        pool = {t.tid: t for t in _tuples()}
+        for i in range(4):
+            pool[900 + i] = RankTuple(900 + i, 0.9 + 0.01 * i, 0.97)
+            index.insert(pool[900 + i])
+        assert len(index.compaction_pauses) == 1 and index.delta.is_empty
+        index.close()
+        reopened = DurableRankedJoinIndex.recover(tmp_path, fsync=False)
+        pool[5000] = RankTuple(5000, 0.5, 0.5)
+        reopened.insert(pool[5000])
+        reopened.close()
+        _assert_recovers_to(tmp_path, pool)
+
+    def test_compaction_span_names_its_reason(self, tmp_path):
+        recorder = MetricsRecorder()
+        index = DurableRankedJoinIndex.create(
+            tmp_path, _tuples(), 12, compaction_threshold=4, fsync=False,
+            recorder=recorder,
+        )
+        for i in range(4):
+            index.insert(RankTuple(900 + i, 0.9 + 0.01 * i, 0.97))
+        index.compact()
+        index.close()
+        assert [
+            span.attributes["reason"]
+            for span in recorder.spans
+            if span.name == "compaction"
+        ] == ["visible", "requested"]
+        assert recorder.counter("compaction.runs") == 2
+        assert recorder.counter("compaction.reason.visible") == 1
+        assert recorder.counter("compaction.reason.charged") == 0
 
     @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
     def test_disk_recover_ignores_deletes_the_image_never_held(self, tmp_path, mmap):
@@ -133,6 +179,65 @@ class TestLifecycle:
         _assert_matches_rebuild(disk, pool, 3, 2)
         with pytest.raises(InvalidQueryError, match="compact"):
             disk.query((0.5, 0.5), 3)
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    def test_recover_replays_a_long_inert_log(self, tmp_path, mmap):
+        # Inert writes never force a rebuild, so the WAL past the
+        # checkpoint holds far more than ``threshold`` records; both
+        # recovery front doors replay every one and answer exactly.
+        index = DurableRankedJoinIndex.create(
+            tmp_path, _tuples(), 12, compaction_threshold=8, fsync=False
+        )
+        pool = {t.tid: t for t in _tuples()}
+        indexed = set(RankedJoinIndex.build(_tuples(), 12).dominating.tids.tolist())
+        outside = iter([tid for tid in sorted(pool) if tid not in indexed])
+        for i in range(100):
+            if i % 2 == 0:  # strictly dominated by 12+ indexed tuples
+                pool[7000 + i] = RankTuple(7000 + i, 0.001 * (1 + i % 7), 0.002)
+                index.insert(pool[7000 + i])
+            else:  # the insert just made, or an original outside D
+                victim = 7000 + i - 1 if i % 4 == 1 else next(outside)
+                index.delete(victim)
+                del pool[victim]
+        _write_mixed(index, pool, n=4)
+        assert not index.compaction_pauses and index.delta.n_ops > 8
+        index.close()
+
+        disk = DiskRankedJoinIndex.recover(
+            tmp_path / "base.rji", tmp_path / "wal", mmap=mmap
+        )
+        assert disk.last_recovery.replayed == 104
+        _assert_matches_rebuild(disk, pool, 12, 12 - disk.delta.n_charged)
+        del disk
+        recovered = DurableRankedJoinIndex.recover(tmp_path, fsync=False)
+        assert recovered.last_recovery.replayed == 104
+        recovered.close()
+        _assert_recovers_to(tmp_path, pool, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    def test_recovery_saves_the_base_it_rebuilt(self, tmp_path, mmap):
+        # Replayed inserts that outrank every original push the saved
+        # image's dominating set out of the rebuilt base's.  Deletes of
+        # those tuples are inert against the base but charged against
+        # the image, so a replaying recovery must save its base.
+        index = DurableRankedJoinIndex.create(tmp_path, _tuples(), 12, fsync=False)
+        pool = {t.tid: t for t in _tuples()}
+        for i in range(12):
+            pool[8000 + i] = RankTuple(8000 + i, 2.0 + 0.01 * i, 2.0 - 0.01 * i)
+            index.insert(pool[8000 + i])
+        index.close()
+        reopened = DurableRankedJoinIndex.recover(tmp_path, fsync=False)
+        assert reopened.last_recovery.replayed == 12
+        displaced = RankedJoinIndex.build(_tuples(), 12).dominating.tids.tolist()
+        for tid in displaced[:12]:
+            assert reopened.delete(tid) == 12
+            del pool[tid]
+        reopened.close()
+        disk = DiskRankedJoinIndex.recover(
+            tmp_path / "base.rji", tmp_path / "wal", mmap=mmap
+        )
+        assert disk.delta.n_charged == 0
+        _assert_matches_rebuild(disk, pool, 12, 12)
 
     def test_write_validation_is_typed(self, tmp_path):
         index = DurableRankedJoinIndex.create(tmp_path, _tuples(), 10, fsync=False)

@@ -101,12 +101,32 @@ class TestRotationAndCheckpoint:
         assert wal.append_insert(99, 0.9, 0.9) == 6
         wal.commit()
         wal.close()
-        # Pruning dropped the checkpoint record along with everything
-        # it covered, so a reopen replays only post-checkpoint records
-        # even from LSN 0 — equivalent state, smaller log.
+        # Pruning dropped everything the checkpoint covers; the
+        # checkpoint record itself heads the live segment, so a reopen
+        # knows the checkpoint and replays only the record past it.
         reopened = WriteAheadLog(tmp_path, fsync=False)
-        assert [r.tid for r in _records(reopened)] == [99]
+        assert reopened.checkpoint_lsn == checkpoint
+        assert [r.tid for r in _records(reopened)] == [checkpoint, 99]
+        assert [r.tid for r in _records(reopened, after_lsn=checkpoint)] == [99]
         reopened.close()
+
+    def test_pruned_log_reopens_past_its_checkpoint(self, tmp_path):
+        # Regression: with nothing written after a checkpoint and prune,
+        # a reopen used to restart at LSN 0, below the owner's snapshot,
+        # so the next writes were skipped by a replay past the checkpoint.
+        wal = WriteAheadLog(tmp_path, fsync=False)
+        wal.append_insert(1, 0.1, 0.1)
+        checkpoint = wal.checkpoint()
+        wal.prune()
+        wal.close()
+        reopened = WriteAheadLog(tmp_path, fsync=False)
+        assert reopened.last_lsn == reopened.checkpoint_lsn == checkpoint
+        assert reopened.append_insert(2, 0.2, 0.2) == checkpoint + 1
+        reopened.commit()
+        reopened.close()
+        again = WriteAheadLog(tmp_path, fsync=False)
+        assert [(op, t.tid) for op, t in again.replay(checkpoint)] == [("insert", 2)]
+        again.close()
 
     def test_checkpoint_is_self_describing_before_prune(self, tmp_path):
         # A crash between checkpoint() and prune() loses nothing: the
