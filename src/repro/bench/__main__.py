@@ -64,8 +64,6 @@ def _run_chaos(args: argparse.Namespace) -> int:
         SMOKE_CONFIG,
         name=name,
         seed=args.seed,
-        workers=args.workers,
-        block_rows=args.block_rows,
         cache_size=args.cache_size,
     )
     report = run_chaos_benchmark(plan, config, mmap=args.mmap)
@@ -99,9 +97,6 @@ def _run_open(args: argparse.Namespace) -> int:
         OPEN_CONFIG,
         name=args.name or OPEN_CONFIG.name,
         seed=args.seed if args.seed != SMOKE_CONFIG.seed else OPEN_CONFIG.seed,
-        workers=args.workers,
-        worker_mode=args.worker_mode,
-        block_rows=args.block_rows,
         cache_size=args.cache_size or OPEN_CONFIG.cache_size,
     )
     report = run_open_benchmark(config)
@@ -378,25 +373,6 @@ def main(argv: list[str] | None = None) -> int:
         "--variant", default="standard", choices=("standard", "ordered")
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="workers for the separating-event pass (1 = sequential)",
-    )
-    parser.add_argument(
-        "--worker-mode",
-        default="thread",
-        choices=("thread", "process"),
-        help="event-pass worker kind: 'thread' (GIL-bound, zero setup) "
-        "or 'process' (shared-memory pool; sidesteps the GIL)",
-    )
-    parser.add_argument(
-        "--block-rows",
-        type=int,
-        default=512,
-        help="row-block granularity of the event pass",
-    )
-    parser.add_argument(
         "--cache-size",
         type=int,
         default=0,
@@ -445,9 +421,6 @@ def main(argv: list[str] | None = None) -> int:
         config = replace(
             base,
             seed=args.seed if args.seed != SMOKE_CONFIG.seed else base.seed,
-            workers=args.workers,
-            worker_mode=args.worker_mode,
-            block_rows=args.block_rows,
         )
         if args.name is not None:
             config = replace(config, name=args.name)
@@ -461,9 +434,6 @@ def main(argv: list[str] | None = None) -> int:
             n_queries=args.n_queries,
             seed=args.seed,
             variant=args.variant,
-            workers=args.workers,
-            worker_mode=args.worker_mode,
-            block_rows=args.block_rows,
             cache_size=args.cache_size,
         )
 

@@ -62,8 +62,6 @@ def run_chaos_benchmark(
         config.k_bound,
         variant=config.variant,
         merge_slack=config.merge_slack,
-        block_rows=config.block_rows,
-        workers=config.workers,
     )
     disk = DiskRankedJoinIndex(
         fallback,

@@ -103,9 +103,6 @@ def run_open_benchmark(config: BenchConfig = OPEN_CONFIG) -> dict:
         config.k_bound,
         variant=config.variant,
         merge_slack=config.merge_slack,
-        block_rows=config.block_rows,
-        workers=config.workers,
-        worker_mode=config.worker_mode,
     )
     build_seconds = time.perf_counter() - started
     stats = index.stats

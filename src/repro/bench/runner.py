@@ -79,9 +79,6 @@ class BenchConfig:
     merge_slack: int = 0
     page_size: int = 4096
     buffer_capacity: int = 16
-    workers: int = 1
-    block_rows: int = 512
-    worker_mode: str = "thread"
     cache_size: int = 0
 
 
@@ -187,9 +184,6 @@ def run_benchmark(
         config.k_bound,
         variant=config.variant,
         merge_slack=config.merge_slack,
-        block_rows=config.block_rows,
-        workers=config.workers,
-        worker_mode=config.worker_mode,
         recorder=instrument(build_recorder),
     )
     build_seconds = time.perf_counter() - started
@@ -201,9 +195,6 @@ def run_benchmark(
         config.k_bound,
         variant=config.variant,
         merge_slack=config.merge_slack,
-        block_rows=config.block_rows,
-        workers=config.workers,
-        worker_mode=config.worker_mode,
     )
     _warmup(plain, preferences, config.k_query)
     null_latencies, null_answers = _timed_queries(

@@ -176,10 +176,10 @@ class ConcurrentRankedJoinIndex:
         **options,
     ) -> "ConcurrentRankedJoinIndex":
         """Build the wrapped index; ``options`` are forwarded verbatim to
-        :meth:`RankedJoinIndex.build` (including the ``workers`` and
-        ``block_rows`` construction-tuning knobs).  The full input tuple
-        set becomes the live pool that background compactions rebuild
-        from; ``wal=`` makes the writes durable."""
+        :meth:`RankedJoinIndex.build` here and on every compaction and
+        :meth:`rebuild`.  The full input tuple set becomes the live pool
+        that background compactions rebuild from; ``wal=`` makes the
+        writes durable."""
         if not isinstance(tuples, RankTupleSet):
             tuples = RankTupleSet.from_tuples(tuples)
         index = RankedJoinIndex.build(tuples, k, **options)
@@ -358,15 +358,13 @@ class ConcurrentRankedJoinIndex:
         with self._lock.reading():
             return len(self._writes.pool)
 
-    def rebuild(
-        self, tuples: RankTupleSet | Iterable[RankTuple], **options
-    ) -> None:
+    def rebuild(self, tuples: RankTupleSet | Iterable[RankTuple]) -> None:
         """Replace the underlying index atomically (restores slack).
 
-        The build runs *outside* the write lock, so readers keep being
-        served from the old index while the replacement is constructed —
-        pass ``workers=N`` to speed the event pass up without extending
-        the swap's exclusive section, which stays O(1).  The given
+        The build uses the wrapper's build options, like every
+        compaction, and runs *outside* the write lock, so readers keep
+        being served from the old index while the replacement is
+        constructed; the swap's exclusive section stays O(1).  The given
         tuples become the new live pool and the delta restarts empty
         (an explicit administrative reset, not a logged write); a
         background compaction still building from the old pool is
@@ -374,7 +372,7 @@ class ConcurrentRankedJoinIndex:
         """
         if not isinstance(tuples, RankTupleSet):
             tuples = RankTupleSet.from_tuples(tuples)
-        fresh = RankedJoinIndex.build(tuples, self._k_bound, **options)
+        fresh = self._writes.build(tuples)
         with self._lock.writing():
             self._writes.reset(fresh, _as_pool(tuples))
             self._pool_complete = True

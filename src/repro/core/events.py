@@ -8,37 +8,26 @@ produce no event.
 
 The all-pairs computation is the asymptotically dominant part of index
 construction (``O(|D_K|^2)``), so it is vectorized with NumPy and runs
-in row blocks to bound peak memory: a block of ``B`` rows against ``n``
-columns allocates ``O(B * n)`` temporaries.  Blocks are independent of
-one another, so ``workers > 1`` computes them concurrently — on a
-thread pool by default (NumPy releases the GIL inside the large
-elementwise kernels), or with ``worker_mode="process"`` on a process
-pool whose workers read the score columns from one shared-memory block
-(each worker attaches the block once at startup; no per-task pickling
-of the arrays, and the GIL is sidestepped entirely for the index
-bookkeeping between kernels).  Either way the merge always happens in
-block order and the final sort is a total order over ``(angle, first,
-second)``, making the result identical for every worker count, block
-partition and worker mode.  Events are returned sorted by angle,
-matching the order in which the sweep consumes them.
+in row blocks of ``_BLOCK_ROWS`` to bound peak memory: a block of ``B``
+rows against ``n`` columns allocates ``O(B * n)`` temporaries.  The
+final sort is a total order over ``(angle, first, second)``, so the
+result does not depend on the block partition.  Events are returned
+sorted by angle, matching the order in which the sweep consumes them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConstructionError
 from ..obs import NULL_RECORDER, Recorder
 from .tuples import RankTupleSet
 
-__all__ = ["SeparatingEvents", "WORKER_MODES", "separating_events"]
+__all__ = ["SeparatingEvents", "separating_events"]
 
-#: Accepted ``worker_mode`` values of :func:`separating_events`.
-WORKER_MODES = ("thread", "process")
+#: Rows per block of the all-pairs pass (peak temporaries ``O(512 * n)``).
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -63,11 +52,7 @@ class SeparatingEvents:
 def _block_events(
     x: np.ndarray, y: np.ndarray, n: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Separating events of rows ``[start, stop)`` against all columns.
-
-    Pure function of its arguments (reads the shared score arrays, writes
-    nothing), so blocks can run concurrently in any order.
-    """
+    """Separating events of rows ``[start, stop)`` against all columns."""
     rows = np.arange(start, stop)
     # Pairwise differences of rows [start, stop) against all columns;
     # only the strict upper triangle (j > i) is kept.
@@ -88,137 +73,18 @@ def _block_events(
     )
 
 
-# Worker-process state: the shared score block, attached once per
-# worker by the pool initializer (module-global because pool tasks can
-# only reach module scope in the child).
-_WORKER_STATE: dict = {}
-
-
-def _process_worker_init(shm_name: str, n: int) -> None:
-    """Attach the parent's shared score block in a pool worker."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        # Attaching registers the segment with the resource tracker on
-        # Python < 3.13.  Under "spawn" each worker runs its own tracker,
-        # which would unlink the parent-owned segment at worker exit, so
-        # deregister.  Under "fork"/"forkserver" the tracker is shared
-        # with the parent — leave the registration alone there (the
-        # parent's unlink clears it exactly once).
-        import multiprocessing
-
-        if multiprocessing.get_start_method() == "spawn":
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001 - tracker bookkeeping is best-effort;
-        # a failed deregistration costs at worst one spurious unlink
-        # warning at exit, never correctness.
-        pass
-    scores = np.frombuffer(shm.buf, dtype=np.float64, count=2 * n)
-    # Keep the SharedMemory object referenced for the worker's lifetime:
-    # the score views below borrow its mapping.
-    _WORKER_STATE["shm"] = shm
-    _WORKER_STATE["x"] = scores[:n]
-    _WORKER_STATE["y"] = scores[n:]
-    _WORKER_STATE["n"] = n
-
-
-def _process_block(span: tuple[int, int]):
-    """Run one row block against the worker's attached score columns."""
-    return _block_events(
-        _WORKER_STATE["x"],
-        _WORKER_STATE["y"],
-        _WORKER_STATE["n"],
-        span[0],
-        span[1],
-    )
-
-
-def _blocks_in_processes(
-    x: np.ndarray,
-    y: np.ndarray,
-    n: int,
-    spans: list[tuple[int, int]],
-    workers: int,
-) -> list:
-    """Evaluate row blocks on a process pool over one shared-memory block.
-
-    The two score columns are copied into a single shared-memory
-    segment; each worker maps it once at startup and serves every block
-    it is handed zero-copy, so task dispatch carries only ``(start,
-    stop)`` pairs.  ``map`` yields in submission order, keeping the
-    merge deterministic.  The parent closes and unlinks the segment
-    when the pool drains, whether or not a worker failed.
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(create=True, size=2 * n * 8)
-    try:
-        scores = np.frombuffer(shm.buf, dtype=np.float64, count=2 * n)
-        scores[:n] = x
-        scores[n:] = y
-        del scores
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(spans)),
-                initializer=_process_worker_init,
-                initargs=(shm.name, n),
-            ) as pool:
-                return list(pool.map(_process_block, spans))
-        except BrokenProcessPool as exc:
-            raise ConstructionError(
-                "process-pool event generation failed: a worker died "
-                f"({exc}); rerun with worker_mode='thread'"
-            ) from exc
-    finally:
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - exported view leaked
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
 def separating_events(
     tuples: RankTupleSet,
     *,
-    block_rows: int = 512,
-    workers: int = 1,
-    worker_mode: str = "thread",
     recorder: Recorder = NULL_RECORDER,
 ) -> SeparatingEvents:
     """Compute every pairwise separating point of ``tuples``.
 
-    Peak additional memory is ``O(block_rows * n)`` per in-flight block
-    for the pairwise difference temporaries plus the event output itself
-    (worst case one event per pair, i.e. ``n*(n-1)/2`` — reached when no
-    tuple dominates another, exactly the regime the dominating set lives
-    in).  ``workers > 1`` evaluates up to that many row blocks
-    concurrently — threads by default, or separate processes over a
-    shared-memory copy of the score columns with
-    ``worker_mode="process"`` (worth it once ``|D_K|`` is large enough
-    that the Python-level block bookkeeping, not the NumPy kernels,
-    bounds thread scaling).  Results are bit-identical to the
-    sequential run in every mode because blocks run the same kernel,
-    are merged in block order, and the final sort key ``(angle, first,
-    second)`` is a total order over distinct pairs.
+    Peak additional memory is ``O(_BLOCK_ROWS * n)`` for the pairwise
+    difference temporaries plus the event output itself (worst case one
+    event per pair, i.e. ``n*(n-1)/2`` — reached when no tuple dominates
+    another, exactly the regime the dominating set lives in).
     """
-    if block_rows < 1:
-        raise ConstructionError(
-            f"block_rows must be a positive integer, got {block_rows}"
-        )
-    if workers < 1:
-        raise ConstructionError(
-            f"workers must be a positive integer, got {workers}"
-        )
-    if worker_mode not in WORKER_MODES:
-        raise ConstructionError(
-            f"worker_mode must be one of {WORKER_MODES}, got {worker_mode!r}"
-        )
     n = len(tuples)
     if n < 2:
         empty = np.empty(0)
@@ -228,33 +94,16 @@ def separating_events(
 
     x = tuples.s1
     y = tuples.s2
-    starts = range(0, n - 1, block_rows)
-    spans = [(start, min(start + block_rows, n - 1)) for start in starts]
-
-    if workers > 1 and len(spans) > 1 and worker_mode == "process":
-        blocks = _blocks_in_processes(x, y, n, spans, workers)
-    elif workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(
-            max_workers=min(workers, len(spans))
-        ) as pool:
-            # map() yields in submission (block) order regardless of
-            # completion order, keeping the merge deterministic.
-            blocks = list(
-                pool.map(
-                    lambda span: _block_events(x, y, n, span[0], span[1]),
-                    spans,
-                )
-            )
-    else:
-        blocks = [_block_events(x, y, n, start, stop) for start, stop in spans]
+    blocks = [
+        _block_events(x, y, n, start, min(start + _BLOCK_ROWS, n - 1))
+        for start in range(0, n - 1, _BLOCK_ROWS)
+    ]
 
     produced = [block for block in blocks if block is not None]
     pairs_considered = n * (n - 1) // 2
     if recorder.enabled:
         recorder.count("sweep.pairs_considered", pairs_considered)
-        recorder.count(
-            "events.blocks", len(spans), {"workers": workers, "n": n}
-        )
+        recorder.count("events.blocks", len(blocks), {"n": n})
     if not produced:
         empty = np.empty(0)
         return SeparatingEvents(

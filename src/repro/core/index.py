@@ -179,9 +179,6 @@ class RankedJoinIndex:
         variant: str = "standard",
         merge_slack: int = 0,
         merge_strategy: str = "adaptive",
-        block_rows: int = 512,
-        workers: int = 1,
-        worker_mode: str = "thread",
         cache_size: int = 0,
         recorder: Recorder = NULL_RECORDER,
     ) -> "RankedJoinIndex":
@@ -191,13 +188,7 @@ class RankedJoinIndex:
         :func:`repro.core.pruning.topk_join_candidates`); with
         ``prune=True`` the dominating-set algorithm is applied first.
         ``merge_slack`` > 0 enables §6.2 region merging with per-region
-        distinct-tuple budget ``K + merge_slack``.  ``block_rows`` caps
-        the row-block size of the ``O(|D_K|^2)`` separating-event pass
-        and ``workers`` > 1 computes those blocks concurrently — on a
-        thread pool by default, or with ``worker_mode="process"`` on a
-        shared-memory process pool for very large dominating sets
-        (results are identical for any worker count and mode; see
-        :func:`repro.core.events.separating_events`).  ``cache_size``
+        distinct-tuple budget ``K + merge_slack``.  ``cache_size``
         > 0 attaches a :class:`~repro.core.hotcache.HotRegionCache` of
         that capacity so repeated preference angles skip the query
         descent.  All tuning arguments are keyword-only.  ``recorder``
@@ -230,21 +221,11 @@ class RankedJoinIndex:
             t_dom = time.perf_counter() - started
 
             started = time.perf_counter()
-            with recorder.span(
-                "build.separating",
-                {
-                    "workers": workers,
-                    "block_rows": block_rows,
-                    "worker_mode": worker_mode,
-                },
-            ):
+            with recorder.span("build.separating"):
                 regions, sweep_stats = sweep_regions(
                     dominating,
                     k,
                     record_order=(variant == "ordered"),
-                    block_rows=block_rows,
-                    workers=workers,
-                    worker_mode=worker_mode,
                     recorder=recorder,
                 )
             t_sep = time.perf_counter() - started

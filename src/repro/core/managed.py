@@ -53,7 +53,7 @@ class ManagedRankedJoinIndex:
     ):
         # build_options are forwarded verbatim to RankedJoinIndex.build
         # on the initial build AND every compaction, so construction
-        # tuning (workers=, block_rows=, merge_slack=, ...) sticks for
+        # tuning (variant=, merge_slack=, ...) sticks for
         # the lifetime of the managed index.  ``wal`` is any SupportsWal
         # (in practice repro.storage.wal.WriteAheadLog); omitted, writes
         # go through an in-memory log and are as volatile as the process.

@@ -169,9 +169,6 @@ def sweep_regions(
     *,
     record_order: bool = False,
     angle_tol: float = 1e-12,
-    block_rows: int = 512,
-    workers: int = 1,
-    worker_mode: str = "thread",
     recorder: Recorder = NULL_RECORDER,
 ) -> tuple[list[Region], SweepStats]:
     """Run the ConstructRJI sweep over ``tuples`` for bound ``k``.
@@ -180,10 +177,9 @@ def sweep_regions(
     correct for any tuple set.  With ``record_order=True`` every change
     of *ordering* inside the top-K is materialized as well (the
     fast-query variant of Section 6.2), producing regions whose ``tids``
-    are score-ordered so queries need no re-evaluation.  ``block_rows``,
-    ``workers`` and ``worker_mode`` tune the separating-event pass (see
-    :func:`repro.core.events.separating_events`); none affects the
-    result.
+    are score-ordered so queries need no re-evaluation.  The events come
+    from one all-pairs pass,
+    :func:`repro.core.events.separating_events`.
 
     Returns the region list (covering ``[0, pi/2]`` without gaps) and
     the sweep's work counters.
@@ -198,13 +194,7 @@ def sweep_regions(
     queue = _initial_topk_positions(tuples, k_eff)
     queue_set = set(queue)
 
-    events = separating_events(
-        tuples,
-        block_rows=block_rows,
-        workers=workers,
-        worker_mode=worker_mode,
-        recorder=recorder,
-    )
+    events = separating_events(tuples, recorder=recorder)
     angles = events.angles
     first = events.first
     second = events.second

@@ -22,7 +22,7 @@ this object only under its own lock.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from ..errors import MaintenanceError
 from ..obs import NULL_RECORDER, Recorder
@@ -199,7 +199,7 @@ class WritePath:
             sorted(self.pool.values()), self.wal.last_lsn, self.generation
         )
 
-    def build(self, snapshot: list[RankTuple]) -> RankedJoinIndex:
+    def build(self, snapshot: Iterable[RankTuple]) -> RankedJoinIndex:
         """A fresh base over ``snapshot``; touches no mutable state."""
         return RankedJoinIndex.build(
             snapshot, self.k_bound, **self.build_options

@@ -5,8 +5,8 @@ span contains ``build.dominating``, ``build.separating`` and
 ``build.load`` children), and the completed records reconstruct the
 phase breakdown of Figure 14 without any bespoke timing code at the
 call sites.  Spans optionally carry structured *attributes* — the
-region id a query landed in, the worker count of a parallel event pass
-— which the exporters (:mod:`repro.obs.export`) surface as Chrome
+region id a query landed in, the reason a compaction ran — which the
+exporters (:mod:`repro.obs.export`) surface as Chrome
 trace-event ``args``.
 
 Nesting depth is tracked per thread so concurrent query threads sharing

@@ -50,7 +50,7 @@ from ..errors import CorruptPageError, StorageError, TornWriteError
 from ..obs import NULL_RECORDER, Recorder
 from .pages import DEFAULT_PAGE_SIZE, Page
 
-__all__ = ["FORMAT_VERSION", "IOCounters", "MappedPager", "Pager"]
+__all__ = ["FORMAT_VERSION", "IOCounters", "MappedPager", "Pager", "sync_dir"]
 
 #: Magic of the legacy (version-1) format: header is magic + <II>.
 _MAGIC_V1 = b"RJIPAGER"
@@ -78,6 +78,21 @@ class IOCounters:
 
     def snapshot(self) -> "IOCounters":
         return IOCounters(self.reads, self.writes)
+
+
+def sync_dir(directory: Path) -> None:
+    """Best-effort fsync of ``directory`` so the entries it holds — a
+    rename's target, a created or unlinked file — survive power loss."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform-dependent
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - platform-dependent
+        pass
+    finally:
+        os.close(fd)
 
 
 def _read_exact(handle: BinaryIO, n: int, path: Path, what: str) -> bytes:
@@ -187,13 +202,16 @@ class Pager:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Persist the paged file atomically (temp file + fsync + rename).
+        """Persist the paged file atomically (temp file + fsync + rename
+        + fsync of the parent directory).
 
         Layout (format version 2): checked header, page images, then the
         per-page CRC32 block.  The header's whole-file digest covers the
         images and the CRC block, so corruption of *any* persisted byte
         is detected on load.  The rename is atomic on POSIX: a crash
-        mid-save leaves the previous file intact, never a torn one.
+        mid-save leaves the previous file intact, never a torn one; the
+        directory fsync makes the new entry durable before ``save``
+        returns.
         """
         path = Path(path)
         digest = 0
@@ -220,6 +238,7 @@ class Pager:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
+        sync_dir(path.parent)
 
     @classmethod
     def load(cls, path: str | Path, *, salvage: bool = False) -> "Pager":

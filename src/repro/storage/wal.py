@@ -39,6 +39,7 @@ from typing import Iterator
 from ..core.tuples import RankTuple
 from ..errors import CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, Recorder
+from .pager import sync_dir
 
 __all__ = ["RecoveryReport", "WalRecord", "WriteAheadLog", "WAL_RECORD_SIZE"]
 
@@ -241,25 +242,12 @@ class WriteAheadLog:
                 handle.write(header + _CRC.pack(zlib.crc32(header)))
                 handle.flush()
                 os.fsync(handle.fileno())
-            self._sync_dir()
+            sync_dir(self._dir)
         except OSError as exc:
             raise StorageError(f"cannot create WAL segment {path}: {exc}") from exc
         self._handle = open(path, "ab")
         self._current_seq = seq
         self._recorder.count("wal.segments_created")
-
-    def _sync_dir(self) -> None:
-        """Best-effort fsync of the directory entry (POSIX durability)."""
-        try:
-            fd = os.open(self._dir, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
-        finally:
-            os.close(fd)
 
     # -- append / commit ---------------------------------------------------
 
@@ -358,7 +346,7 @@ class WriteAheadLog:
             dropped += 1
             self._recorder.count("wal.segments_pruned")
         if dropped:
-            self._sync_dir()
+            sync_dir(self._dir)
         return dropped
 
     # -- replay ------------------------------------------------------------

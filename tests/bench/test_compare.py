@@ -192,7 +192,7 @@ class TestValidation:
     def test_extra_config_keys_tolerated(self):
         # A baseline captured before a knob existed stays comparable.
         new = make_report()
-        new["config"]["workers"] = 4
+        new["config"]["new_knob"] = 4
         assert compare_reports(make_report(), new).ok
 
     def test_bad_threshold_rejected(self):

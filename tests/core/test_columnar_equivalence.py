@@ -1,6 +1,6 @@
 """The vectorized hot paths are bit-identical to the scalar originals.
 
-The columnar store, the chunked sweep scan, and the parallel event pass
+The columnar store, the chunked sweep scan, and the blocked event pass
 are pure performance work — every output must match the straightforward
 scalar implementations they replaced *exactly* (same floats, same tie
 resolution, same region boundaries).  The reference implementations
@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import events as events_module
 from repro.core.events import separating_events
 from repro.core.geometry import HALF_PI
 from repro.core.index import QueryResult, RankedJoinIndex
@@ -203,80 +204,16 @@ def test_query_batch_matches_scalar_query():
         assert batch == [index.query(p, 5) for p in prefs]
 
 
-# -- parallel event generation --------------------------------------------
+# -- blocked event generation ---------------------------------------------
 
 
-def test_parallel_events_identical_to_sequential():
-    rng = np.random.default_rng(23)
-    for n in (2, 7, 100, 500):
-        tuples = _workload("uniform", n, rng)
-        for block_rows in (16, 64, 512):
-            base = separating_events(tuples, block_rows=block_rows)
-            for workers in (2, 4):
-                par = separating_events(
-                    tuples, block_rows=block_rows, workers=workers
-                )
-                np.testing.assert_array_equal(par.angles, base.angles)
-                np.testing.assert_array_equal(par.first, base.first)
-                np.testing.assert_array_equal(par.second, base.second)
-                assert par.pairs_considered == base.pairs_considered
-
-
-def test_parallel_build_identical_to_sequential():
-    rng = np.random.default_rng(29)
-    tuples = _workload("anticorrelated", 600, rng)
-    base = RankedJoinIndex.build(tuples, 15, block_rows=64)
-    for workers in (2, 4):
-        par = RankedJoinIndex.build(
-            tuples, 15, block_rows=64, workers=workers
-        )
-        assert _as_fields(par.regions) == _as_fields(base.regions)
-        pref = (0.6, 0.8)
-        assert par.query(pref, 9) == base.query(pref, 9)
-
-
-def test_process_events_identical_to_sequential():
-    """The shared-memory process pool is pure plumbing: same events."""
-    rng = np.random.default_rng(37)
-    for n in (2, 7, 300):
-        tuples = _workload("uniform", n, rng)
-        base = separating_events(tuples, block_rows=64)
-        par = separating_events(
-            tuples, block_rows=64, workers=3, worker_mode="process"
-        )
-        np.testing.assert_array_equal(par.angles, base.angles)
-        np.testing.assert_array_equal(par.first, base.first)
-        np.testing.assert_array_equal(par.second, base.second)
-        assert par.pairs_considered == base.pairs_considered
-
-
-def test_process_build_identical_to_sequential():
-    rng = np.random.default_rng(41)
-    tuples = _workload("anticorrelated", 500, rng)
-    base = RankedJoinIndex.build(tuples, 12, block_rows=64)
-    par = RankedJoinIndex.build(
-        tuples, 12, block_rows=64, workers=2, worker_mode="process"
-    )
-    assert _as_fields(par.regions) == _as_fields(base.regions)
-    pref = (0.6, 0.8)
-    assert par.query(pref, 9) == base.query(pref, 9)
-
-
-def test_unknown_worker_mode_is_rejected():
-    from repro.errors import ConstructionError
-
-    rng = np.random.default_rng(43)
-    tuples = _workload("uniform", 50, rng)
-    with pytest.raises(ConstructionError, match="worker_mode"):
-        separating_events(tuples, workers=2, worker_mode="fiber")
-
-
-def test_block_rows_does_not_change_events():
+def test_block_rows_does_not_change_events(monkeypatch):
     rng = np.random.default_rng(31)
     tuples = _workload("grid", 200, rng)
-    base = separating_events(tuples, block_rows=512)
+    base = separating_events(tuples)
     for block_rows in (1, 3, 50, 10_000):
-        other = separating_events(tuples, block_rows=block_rows)
+        monkeypatch.setattr(events_module, "_BLOCK_ROWS", block_rows)
+        other = separating_events(tuples)
         np.testing.assert_array_equal(other.angles, base.angles)
         np.testing.assert_array_equal(other.first, base.first)
         np.testing.assert_array_equal(other.second, base.second)

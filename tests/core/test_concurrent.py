@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from repro.core.concurrent import ConcurrentRankedJoinIndex, ReadWriteLock
+from repro.core.index import RankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTuple, RankTupleSet
+from repro.datagen.synthetic import uniform_pairs
 
 
 class TestReadWriteLock:
@@ -151,3 +153,28 @@ class TestConcurrentIndex:
         got = [r.score for r in index.query(pref, 6)]
         expected = np.sort(remaining.scores(pref.p1, pref.p2))[::-1][:6]
         np.testing.assert_allclose(got, expected, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "options", [{"variant": "ordered"}, {"merge_slack": 3}]
+    )
+    def test_rebuild_keeps_build_options(self, options):
+        """rebuild() builds like every compaction: with the wrapper's
+        options, not RankedJoinIndex.build's defaults."""
+        index = ConcurrentRankedJoinIndex.build(
+            uniform_pairs(400, seed=3), 10, **options
+        )
+        fresh = uniform_pairs(500, seed=4)
+        index.rebuild(fresh)
+        expected = RankedJoinIndex.build(fresh, 10, **options)
+        assert index.n_regions == expected.n_regions
+        for angle in np.linspace(0.0, np.pi / 2, 17):
+            pref = Preference.from_angle(float(angle))
+            assert index.query(pref, 7) == expected.query(pref, 7)
+
+    def test_rebuild_takes_no_build_options(self):
+        index, n = self._build()
+        with pytest.raises(TypeError):
+            index.rebuild(
+                RankTupleSet(np.arange(n), self.s1[:n], self.s2[:n]),
+                variant="ordered",
+            )

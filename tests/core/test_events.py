@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import events as events_module
 from repro.core.events import separating_events
 from repro.core.geometry import separating_angle
 from repro.core.tuples import RankTupleSet
@@ -65,13 +66,15 @@ class TestSeparatingEvents:
             assert ga == pytest.approx(ea, abs=0.0)  # bit-identical formula
             assert (gi, gj) == (ei, ej)
 
-    def test_blocking_is_transparent(self):
+    def test_blocking_is_transparent(self, monkeypatch):
         rng = np.random.default_rng(2)
         ts = RankTupleSet.from_pairs(
             rng.uniform(0, 1, 37), rng.uniform(0, 1, 37)
         )
-        small = separating_events(ts, block_rows=5)
-        large = separating_events(ts, block_rows=1000)
+        monkeypatch.setattr(events_module, "_BLOCK_ROWS", 5)
+        small = separating_events(ts)
+        monkeypatch.setattr(events_module, "_BLOCK_ROWS", 1000)
+        large = separating_events(ts)
         np.testing.assert_array_equal(small.angles, large.angles)
         np.testing.assert_array_equal(small.first, large.first)
         np.testing.assert_array_equal(small.second, large.second)
@@ -88,6 +91,8 @@ class TestSeparatingEvents:
         s1 = np.array([float(a) for a, _ in values])
         s2 = np.array([float(b) for _, b in values])
         ts = RankTupleSet(np.arange(len(values)), s1, s2)
-        events = separating_events(ts, block_rows=4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(events_module, "_BLOCK_ROWS", 4)
+            events = separating_events(ts)
         assert len(events) == len(_brute_force_events(ts))
         assert events.pairs_considered == len(values) * (len(values) - 1) // 2

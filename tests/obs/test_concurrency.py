@@ -1,21 +1,18 @@
 """Recorder thread safety: concurrent use must not corrupt totals.
 
-The PR 3 parallel separating-event pass hands one recorder to a thread
-pool, and the JSONL log recorder promises whole-line writes under
-concurrency — these tests drive both with enough contention to surface
-lost updates or torn state, then check the aggregates against the
-single-threaded ground truth.
+Recorders are shared by server threads and background compactions, and
+the JSONL log recorder promises whole-line writes under concurrency —
+these tests drive them with enough contention to surface lost updates
+or torn state, then check the aggregates against the single-threaded
+ground truth.
 """
 
 import io
 import threading
 
-from repro.core.index import RankedJoinIndex
-from repro.datagen.synthetic import uniform_pairs
 from repro.obs import (
     JsonlRecorder,
     MetricsRecorder,
-    TeeRecorder,
     TraceBuffer,
     read_jsonl,
 )
@@ -155,27 +152,3 @@ class TestTraceBufferAtCapacity:
         with buffer.span("build.load"):
             pass
         assert len(buffer.spans) == 1
-
-
-class TestParallelBuildInstrumentation:
-    def test_parallel_event_pass_counters_match_sequential(self):
-        """The PR 3 parallel sweep under a teed recorder stays exact."""
-        tuples = uniform_pairs(800, seed=3)
-        results = {}
-        for workers in (1, 4):
-            metrics = MetricsRecorder()
-            sink = io.StringIO()
-            log = JsonlRecorder(sink)
-            index = RankedJoinIndex.build(
-                tuples,
-                10,
-                workers=workers,
-                block_rows=64,
-                recorder=TeeRecorder(metrics, log),
-            )
-            results[workers] = (
-                index.query((0.6, 0.4), 5),
-                metrics.counter("sweep.pairs_considered"),
-                metrics.counter("sweep.events"),
-            )
-        assert results[1] == results[4]

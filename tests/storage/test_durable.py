@@ -12,7 +12,9 @@ WAL tail:
   through ``DiskRankedJoinIndex.recover`` (eager and mmap).
 """
 
+import os
 import shutil
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +28,8 @@ from repro.faults import arm, builtin_plan
 from repro.obs import MetricsRecorder
 from repro.storage.diskindex import DiskRankedJoinIndex
 from repro.storage.durable import DurableRankedJoinIndex
-from repro.storage.wal import WAL_RECORD_SIZE
+from repro.storage.pager import Pager
+from repro.storage.wal import WAL_RECORD_SIZE, WriteAheadLog
 
 
 def _tuples(n=150, seed=3):
@@ -359,3 +362,62 @@ class TestCrashContract:
         assert {t.tid: t for t in recovered.live_tuples()} == pool
         _assert_matches_rebuild(recovered, pool, 12, 6)
         recovered.close()
+
+
+def _spy_renames_and_dir_syncs(monkeypatch):
+    """Log, in order, every rename target and every directory fsync."""
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            events.append(("dir-fsync", info.st_ino))
+        return real_fsync(fd)
+
+    def replace_(src, dst):
+        real_replace(src, dst)
+        events.append(("rename", os.path.basename(dst)))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace_)
+    return events
+
+
+class TestPowerLossOrdering:
+    """A rename is durable only once its directory is fsynced; a power
+    loss may otherwise bring back the old ``base.rji`` / ``pool.rjp``
+    beside a WAL whose checkpoint record already covers the new ones."""
+
+    def test_pager_save_syncs_the_directory_after_the_rename(
+        self, tmp_path, monkeypatch
+    ):
+        events = _spy_renames_and_dir_syncs(monkeypatch)
+        pager = Pager(128)
+        pager.allocate()
+        pager.save(tmp_path / "file.pages")
+        renamed = events.index(("rename", "file.pages"))
+        assert ("dir-fsync", tmp_path.stat().st_ino) in events[renamed + 1 :]
+
+    def test_base_image_is_durable_before_the_checkpoint_commits(
+        self, tmp_path, monkeypatch
+    ):
+        index = DurableRankedJoinIndex.create(
+            tmp_path, _tuples(), 12, compaction_threshold=4, fsync=False
+        )
+        events = _spy_renames_and_dir_syncs(monkeypatch)
+        real_checkpoint = WriteAheadLog.checkpoint
+
+        def checkpoint(wal):
+            events.append(("checkpoint",))
+            return real_checkpoint(wal)
+
+        monkeypatch.setattr(WriteAheadLog, "checkpoint", checkpoint)
+        for i in range(4):
+            index.insert(RankTuple(900 + i, 0.9 + 0.01 * i, 0.97))
+        assert len(index.compaction_pauses) == 1
+        index.close()
+        renamed = events.index(("rename", "base.rji"))
+        committed = events.index(("checkpoint",))
+        between = events[renamed + 1 : committed]
+        assert ("dir-fsync", tmp_path.stat().st_ino) in between

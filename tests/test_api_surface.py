@@ -78,6 +78,17 @@ def test_top_level_exports_are_usable():
     assert callable(repro.topk_join_candidates)
 
 
+@pytest.mark.parametrize(
+    "retired", [{"workers": 2}, {"worker_mode": "process"}, {"block_rows": 64}]
+)
+def test_retired_build_keywords_are_unknown(retired):
+    """The event pass runs one way; its old tuning knobs are gone."""
+    from repro.datagen.synthetic import uniform_pairs
+
+    with pytest.raises(TypeError):
+        repro.RankedJoinIndex.build(uniform_pairs(50, seed=1), 5, **retired)
+
+
 def test_every_public_callable_has_a_docstring():
     missing = []
     for name in PACKAGES:
