@@ -40,8 +40,11 @@ class FullScanTopK:
         scores = preference.p1 * tuples.s1 + preference.p2 * tuples.s2
         k_eff = min(k, n)
         if k_eff < n:
-            # Cheap partial selection first, exact ordering on the survivors.
-            candidates = np.argpartition(-scores, k_eff - 1)[:k_eff]
+            # Cheap partial selection of the k-th score, then every tuple
+            # scoring at least that much: a tie at the cut is settled by
+            # the ordering below, not by the partition.
+            kth = -np.partition(-scores, k_eff - 1)[k_eff - 1]
+            candidates = np.flatnonzero(scores >= kth)
         else:
             candidates = np.arange(n)
         order = np.lexsort(
@@ -51,7 +54,7 @@ class FullScanTopK:
                 -scores[candidates],
             )
         )
-        chosen = candidates[order]
+        chosen = candidates[order[:k_eff]]
         return [
             QueryResult(int(tuples.tids[p]), float(scores[p])) for p in chosen
         ]

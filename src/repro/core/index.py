@@ -59,7 +59,7 @@ from .hotcache import MISS, HotRegionCache
 from .merging import merge_adaptive, merge_every
 from .regionstore import RegionStore
 from .scoring import Preference, PreferenceLike, as_preference
-from .sweep import Region, SweepStats, sweep_regions
+from .sweep import Region, sweep_regions
 from .tuples import RankTuple, RankTupleSet
 
 __all__ = ["QueryResult", "BuildStats", "RankedJoinIndex", "top_k_columns"]
@@ -244,8 +244,16 @@ class RankedJoinIndex:
                         )
             t_load = time.perf_counter() - started
 
-        stats = cls._make_stats(
-            len(tuples), len(dominating), sweep_stats, t_dom, t_sep, t_load
+        stats = BuildStats(
+            n_input=len(tuples),
+            n_dominating=len(dominating),
+            n_separating=sweep_stats.n_separating,
+            n_regions=sweep_stats.n_regions,
+            pairs_considered=sweep_stats.pairs_considered,
+            n_events=sweep_stats.n_events,
+            time_dominating=t_dom,
+            time_separating=t_sep,
+            time_load=t_load,
         )
         return cls(
             k,
@@ -255,27 +263,6 @@ class RankedJoinIndex:
             variant=variant,
             cache_size=cache_size,
             recorder=recorder,
-        )
-
-    @staticmethod
-    def _make_stats(
-        n_input: int,
-        n_dominating: int,
-        sweep_stats: SweepStats,
-        t_dom: float,
-        t_sep: float,
-        t_load: float,
-    ) -> BuildStats:
-        return BuildStats(
-            n_input=n_input,
-            n_dominating=n_dominating,
-            n_separating=sweep_stats.n_separating,
-            n_regions=sweep_stats.n_regions,
-            pairs_considered=sweep_stats.pairs_considered,
-            n_events=sweep_stats.n_events,
-            time_dominating=t_dom,
-            time_separating=t_sep,
-            time_load=t_load,
         )
 
     # -- queries -----------------------------------------------------------

@@ -1,42 +1,17 @@
-"""The angular sweep of Algorithm ConstructRJI (Section 6, Figure 6).
+"""The angular sweep of Algorithm ConstructRJI (Section 6, Figure 6),
+run as a walk along the K-level of the dual line arrangement.
 
-A vector ``e`` sweeps the positive quadrant from the s1-axis (angle 0)
-to the s2-axis (angle pi/2).  The sweep tracks the composition of the
-running top-K set ``Q``; every separating vector whose crossing changes
-``Q`` is *materialized* together with the new composition, partitioning
-the quadrant into angular regions ``R_0 .. R_l`` such that any scoring
-function whose angle falls inside region ``R_i`` draws its top-k answer
-(k <= K) from the region's K tuples.
-
-Exactness under ties
---------------------
-Processing same-angle events pairwise in arbitrary order is not sound
-when three or more tuples are co-linear (they share one separating
-vector, Lemma 5) or when unrelated crossings coincide.  The sweep
-therefore *groups* events at equal angles and resolves each group in one
-step: the only tuples whose membership can change at the group angle are
-the endpoints of group events with exactly one endpoint currently in
-``Q`` (an entrant must swap with the tuple holding position K, which is
-a member — Lemma 4(b)(iii)).  The new composition is the exact top-K of
-``Q`` united with those endpoints, ranked at the angular midpoint of the
-following region, which is interior to it and hence tie-free for
-distinct rank pairs.
-
-Vectorized scan
----------------
-Most events are irrelevant — neither endpoint is near the running top-K
-— so the sweep never walks them one by one.  Tie-group boundaries are
-precomputed from the sorted angle array (``np.diff`` finds every gap
-wider than the tolerance, which is provably a group boundary under the
-seed's group-start-relative comparison; only runs of narrow gaps need
-the exact scalar walk).  The event stream is then scanned in
-group-aligned chunks: one boolean gather against the membership array
-classifies every event in the chunk, and only groups containing a
-relevant event are resolved — with the same candidate sets, midpoints
-and comparisons as the scalar loop, so the output regions are
-bit-identical.  A membership change invalidates the remainder of the
-chunk's classification, so the scan resumes from the end of the
-changed group.
+A vector sweeps the quadrant from angle 0 (score s1) to pi/2 (score s2),
+tracking the running top-K set ``Q``; every crossing that changes ``Q``
+ends a region.  The regions are those of the paper's all-pairs sweep
+(:mod:`repro.experiments.construct_rji`) float for float, but only the
+events they depend on are visited (docs/ALGORITHMS.md §4): a member and
+an outsider cross only at ranks K and K+1, so the walk follows the K-th
+member along memoised crossings to its next crossing with an outsider
+(the ordered variant also to the next crossing of two members).  An
+event nothing else crosses close to is resolved on the spot
+(:meth:`_Walk._alone`), any other in a window holding every event of a
+stretch of angles (:meth:`_Arrangement.events`).
 """
 
 from __future__ import annotations
@@ -48,29 +23,30 @@ import numpy as np
 
 from ..errors import ConstructionError
 from ..obs import NULL_RECORDER, Recorder
-from .events import separating_events
 from .geometry import HALF_PI
 from .tuples import RankTupleSet
 
 __all__ = ["Region", "SweepStats", "sweep_regions"]
 
-#: Chunk-size bounds for the event scan.  A composition change forces a
-#: rescan of the remaining chunk, so the chunk starts small and doubles
-#: only while no change occurs: dense-change stretches pay for short
-#: gathers, long irrelevant tails amortize to the maximum.
-_CHUNK_MIN_EVENTS = 256
-_CHUNK_MAX_EVENTS = 16384
+#: Width of a tie group, measured from its first event.
+_ANGLE_TOL = 1e-12
+#: A hand-over this close to another crossing of its tuples stops the walk.
+_NEAR = 64 * _ANGLE_TOL
+#: A stop with no other crossing this close is resolved without a window.
+_LONE = 1e-9
+#: Expected events per window: doubles while stops come thick (closer
+#: than ``_WINDOW_JOIN``, smoothed), else back to the minimum.  An input
+#: with at most ``_WINDOW_MAX`` pairs is one window.
+_WINDOW_MIN, _WINDOW_MAX, _WINDOW_JOIN = 8, 16384, 64
+#: Events a window scan classifies at once after a membership change.
+_SCAN_CHUNK = 256
 
 
 @dataclass(frozen=True)
 class Region:
-    """One angular region of the index.
-
-    Covers sweep angles in ``[lo, hi)`` (the final region includes
-    ``pi/2``).  ``tids`` is the top-K composition; for an order-recording
-    sweep it is additionally sorted by decreasing score throughout the
-    region's interior.
-    """
+    """One angular region: sweep angles ``[lo, hi)`` (the last region
+    includes ``pi/2``) and their top-K ``tids`` — score-ordered
+    throughout the interior for an order-recording sweep."""
 
     lo: float
     hi: float
@@ -82,7 +58,8 @@ class Region:
 
 @dataclass(frozen=True)
 class SweepStats:
-    """Work counters of one sweep, for construction-cost reporting."""
+    """Work counters of one sweep: ``n_events`` counts walk steps (events
+    looked at) and ``pairs_considered`` the separating angles computed."""
 
     n_input: int
     pairs_considered: int
@@ -98,8 +75,7 @@ class SweepStats:
 
 def _initial_topk_positions(tuples: RankTupleSet, k: int) -> list[int]:
     """Positions of the top-k at angle 0+ (s1 desc, then s2 desc, tid asc)."""
-    order = np.lexsort((tuples.tids, -tuples.s2, -tuples.s1))
-    return [int(p) for p in order[:k]]
+    return np.lexsort((tuples.tids, -tuples.s2, -tuples.s1))[:k].tolist()
 
 
 def _topk_positions_at(
@@ -107,60 +83,319 @@ def _topk_positions_at(
 ) -> list[int]:
     """Exact top-k among candidate positions, scored at ``angle``."""
     cand = np.asarray(candidates, dtype=np.int64)
-    p1 = math.cos(angle)
-    p2 = math.sin(angle)
-    scores = p1 * tuples.s1[cand] + p2 * tuples.s2[cand]
+    scores = math.cos(angle) * tuples.s1[cand] + math.sin(angle) * tuples.s2[cand]
     order = np.lexsort((tuples.tids[cand], -tuples.s1[cand], -scores))
-    return [int(cand[p]) for p in order[:k]]
+    return cand[order[:k]].tolist()
 
 
-def _group_bounds(angles: np.ndarray, angle_tol: float) -> np.ndarray:
-    """Tie-group boundaries of a sorted angle array.
+def _tied_pairs(scores: np.ndarray, order: np.ndarray, tie: float) -> np.ndarray:
+    """Every pair (as two rows) of ``order``'s entries linked by a chain
+    of neighbours whose ascending ``scores`` lie within ``tie``."""
+    near = np.flatnonzero(scores[1:] - scores[:-1] <= tie)
+    pairs = [np.empty((2, 0), dtype=np.int64)]
+    for chain in np.split(near, np.flatnonzero(np.diff(near) != 1) + 1):
+        if chain.size:
+            pairs.append(order[chain[0] + np.array(np.triu_indices(chain.size + 1, 1))])
+    return np.concatenate(pairs, axis=1)
 
-    Returns the ascending array ``[start_0, start_1, ..., n]`` such that
-    group ``g`` is ``angles[bounds[g]:bounds[g + 1]]``, using exactly
-    the scalar sweep's rule: a group starting at ``s`` extends while
-    ``angles[j] - angles[s] <= angle_tol``.
 
-    Any position whose gap to its predecessor exceeds the tolerance is
-    a *definite* group start: for ``s < p``, ``angles[s] <= angles[p-1]``
-    and float subtraction is monotone in its subtrahend, so
-    ``angles[p] - angles[s] >= angles[p] - angles[p-1] > tol`` in
-    float64 too.  Only runs of narrow consecutive gaps can merge or
-    split on the group-start-relative comparison, so the exact scalar
-    walk is confined to those runs.
-    """
-    n = int(len(angles))
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    definite = np.nonzero(np.diff(angles) > angle_tol)[0] + 1
-    if definite.size == n - 1:
-        # Every gap exceeds the tolerance: one event per group.
-        return np.arange(n + 1, dtype=np.int64)
-    run_edges = np.concatenate(
-        (
-            np.zeros(1, dtype=np.int64),
-            definite,
-            np.asarray([n], dtype=np.int64),
-        )
-    )
-    multi = np.nonzero(np.diff(run_edges) > 1)[0]
-    extra: list[int] = []
-    for run in multi.tolist():
-        a = int(run_edges[run])
-        b = int(run_edges[run + 1])
-        vals = angles[a:b].tolist()
+class _Arrangement:
+    """The separating events of a tuple set, computed where asked for."""
+
+    def __init__(self, tuples: RankTupleSet):
+        self.x, self.y, self.n = tuples.s1, tuples.s2, len(tuples)
+        self.z = self.x + 1j * self.y  # |z[p] - z[q]| is the distance
+        self._positions = np.arange(self.n)
+        # Computed scores closer than this may be ordered wrongly.
+        self.tie = 2.0**-48 * float(np.max(np.abs(self.x) + np.abs(self.y)))
+        self.diam = math.hypot(float(np.ptp(self.x)), float(np.ptp(self.y)))
+        self._crossings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.pairs = 0
+
+    def angles(self, p: np.ndarray, q: np.ndarray):
+        """Separating angles of the crossing pairs among ``(p[i], q[i])``;
+        ``-dx/dy`` is the same float for either orientation of a pair."""
+        self.pairs += len(p)
+        dx, dy = self.x[p] - self.x[q], self.y[p] - self.y[q]
+        cross = ((dx > 0) != (dy > 0)) & (dx != 0) & (dy != 0)
+        return np.arctan(-dx[cross] / dy[cross]), p[cross], q[cross]
+
+    def crossings(self, p: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending angles of the crossings of ``p`` from ``floor`` on
+        (the first call's ``floor`` holds for later ones), and partners."""
+        if p not in self._crossings:
+            angles, _, partners = self.angles(np.full(self.n, p), self._positions)
+            ahead = np.flatnonzero(angles >= floor)
+            # Equal angles stop the walk whichever partner comes first.
+            order = ahead[np.argsort(angles[ahead])]
+            self._crossings[p] = (angles[order], partners[order])
+        return self._crossings[p]
+
+    def sort_at(self, angle: float) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending scores at ``angle`` and the positions in that order
+        (stable, so tied scores keep one order on every platform)."""
+        scores = math.cos(angle) * self.x + math.sin(angle) * self.y
+        order = np.argsort(scores, kind="stable")
+        return scores[order], order
+
+    def events(self, lo: float, hi: float):
+        """Every separating event with angle in ``(lo, hi]``, by angle.
+
+        A pair crosses in the window iff the score orders at ``lo`` and
+        ``hi`` disagree on it (two lines cross once).  Rounding misorders
+        only scores within ``tie``, so tied chains are taken whole; other
+        places ``i < j`` swapped between the two orders are at most
+        ``shift[i] + shift[j]`` apart.
+        """
+        n = self.n
+        sides = self.sort_at(lo), self.sort_at(hi)
+        (_, at_lo), (_, at_hi) = sides
+        rank = np.argsort(at_hi)[at_lo]  # each lo place's place at hi
+        shift = np.abs(rank - self._positions)
+        moved = np.flatnonzero(shift)
+        reach = 2 * shift[moved]
+        if 2 * reach.sum() >= n * (n - 1) // 2:
+            p, q = np.triu_indices(n, 1)  # looking costs more than all pairs
+        else:
+            # Each moved place looks twice its own shift either way.
+            width = 2 * reach
+            i = np.repeat(moved, width)
+            step = np.arange(len(i)) - np.repeat(np.cumsum(width) - reach, width)
+            j = i + step + (step >= 0)
+            inside = (j >= 0) & (j < n)
+            a, b = np.minimum(i, j)[inside], np.maximum(i, j)[inside]
+            swapped = at_lo[np.array([a, b])[:, rank[a] > rank[b]]]
+            tied = [_tied_pairs(*side, self.tie) for side in sides]
+            p, q = np.concatenate([swapped, *tied], axis=1)
+            # Both places of a pair may find it: keep one of each.
+            key = np.unique(np.minimum(p, q) * n + np.maximum(p, q))
+            p, q = key // n, key % n
+        angles, first, second = self.angles(p, q)
+        keep = np.flatnonzero((angles > lo) & (angles <= hi))
+        keep = keep[np.argsort(angles[keep], kind="stable")]
+        return angles[keep], first[keep], second[keep]
+
+
+class _Walk:
+    """One sweep: the walk state, its windows and the output."""
+
+    def __init__(self, tuples: RankTupleSet, k: int, record_order: bool):
+        self.tuples, self.k, self.record_order = tuples, k, record_order
+        self.arr = _Arrangement(tuples)
+        self.queue = _initial_topk_positions(tuples, k)
+        self.in_q = np.zeros(len(tuples), dtype=bool)
+        self.in_q[self.queue] = True
+        self.tid_of = tuples.tids.tolist()
+        self.regions: list[Region] = []
+        # Every event at or below ``done`` is handled and none lies in
+        # ``(done, gap_hi)``; ``ranked`` is the members' score order
+        # there when known (at angle 0+ it is the initial order).
+        self.lo, self.done, self.gap_hi = 0.0, -_NEAR, 0.0
+        self.ranked: list[int] | None = list(self.queue)
+        self.density = max(len(tuples) * (len(tuples) - 1) / 2, 1) / HALF_PI
+        self.window, self.steps, self.groups_resolved = _WINDOW_MIN, 0, 0
+
+    def run(self) -> list[Region]:
+        n = len(self.tuples)
+        if n * (n - 1) // 2 <= _WINDOW_MAX:
+            self._window(0.0, self.done, HALF_PI)
+        else:
+            # Expected events between stops, smoothed: where stops come
+            # thick, scanning windows beats resolving stops one by one.
+            spacing = 2.0 * _WINDOW_JOIN
+            while (stop := self._next_stop()) is not None:
+                angle = stop[0]
+                spacing = (spacing + (angle - self.done) * self.density) / 2
+                if spacing <= _WINDOW_JOIN:
+                    self.window, lo = min(2 * self.window, _WINDOW_MAX), self.done
+                else:
+                    self.window, lo = _WINDOW_MIN, angle - _NEAR
+                    if self._alone(*stop):
+                        continue
+                if self._window(angle, lo, angle + self.window / self.density):
+                    break
+        self.regions.append(Region(self.lo, HALF_PI, self._tids(self.queue)))
+        return self.regions
+
+    def _tids(self, positions: list[int]) -> tuple[int, ...]:
+        return tuple(map(self.tid_of.__getitem__, positions))
+
+    def _adopt(self, angle: float, new_queue: list[int], outs: list[int]) -> bool:
+        """Take the composition a group at ``angle`` resolved to; True
+        when one of the outsiders ``outs`` entered."""
+        entered = [p for p in outs if p in new_queue]
+        if not entered and (not self.record_order or new_queue == self.queue):
+            return False
+        # A group angle rounding onto the previous boundary replaces the
+        # composition of an empty interval.
+        if angle > self.lo:
+            self.regions.append(Region(self.lo, angle, self._tids(self.queue)))
+            self.lo = angle
+        if entered:
+            self.in_q[list(set(self.queue).difference(new_queue))] = False
+            self.in_q[entered] = True
+        self.queue = new_queue
+        return bool(entered)
+
+    def _involved(self, pairs) -> tuple[set[int], list[int]]:
+        """Endpoints of the relevant events among ``pairs``, and those of
+        them outside ``Q``."""
+        in_q, either = self.in_q, self.record_order
+        involved = {
+            t
+            for a, b in pairs
+            if ((in_q[a] or in_q[b]) if either else in_q[a] != in_q[b])
+            for t in (a, b)
+        }
+        return involved, [t for t in involved if not in_q[t]]
+
+    # -- the walk ----------------------------------------------------------
+
+    def _next_crossing(self, t: int, after: float) -> tuple[float, int, int]:
+        angles, partners = self.arr.crossings(t, self.done - 2 * _NEAR)
+        j = int(np.searchsorted(angles, after, side="right"))
+        if j == len(angles):
+            return math.inf, t, -1
+        return float(angles[j]), t, int(partners[j])
+
+    def _crowded(self, angle: float, p: int, q: int) -> bool:
+        """Whether ``p`` or ``q`` crosses a third tuple within ``_NEAR``."""
+        for t in (p, q):
+            row = self.arr.crossings(t, self.done - 2 * _NEAR)[0]
+            lo, hi = np.searchsorted(row, (angle - _NEAR, angle + _NEAR))
+            if hi - lo > 1:
+                return True
+        return False
+
+    def _next_stop(self) -> tuple[float, int, int] | None:
+        """The next crossing ``(angle, p, q)`` that may be relevant."""
+        if self.ranked is not None:
+            kth = [self.ranked[-1]]
+        else:  # rank K just above ``done``: every member tying for it
+            c, members = (self.done + self.gap_hi) / 2.0, np.asarray(self.queue)
+            at = math.cos(c) * self.arr.x[members] + math.sin(c) * self.arr.y[members]
+            kth = members[at <= at.min() + self.arr.tie].tolist()
+        stops = [self._next_crossing(t, self.done) for t in kth]
+        if self.record_order and self.k > 1:
+            pairs = np.asarray(self.queue)[np.array(np.triu_indices(self.k, 1))]
+            swaps, p, q = self.arr.angles(*pairs)
+            later = np.flatnonzero(swaps > self.done)
+            if later.size:
+                m = later[np.argmin(swaps[later])]
+                stops.append((float(swaps[m]), int(p[m]), int(q[m])))
+        stop = min(stops)
+        if not self.record_order and len(kth) == 1:
+            # Hand rank K on along crossings with members.
+            while stop[2] >= 0 and self.in_q[stop[2]] and not self._crowded(*stop):
+                self.steps += 1
+                stop = self._next_crossing(stop[2], stop[0])
+        return None if math.isinf(stop[0]) else stop
+
+    def _alone(self, angle: float, p: int, q: int) -> bool:
+        """Resolve the stop where ``p`` and ``q`` cross without a window
+        when the events within ``_LONE`` of it (pairs then scoring within
+        ``diam * _LONE``) form one tie group; else do nothing and return
+        False.  The next event lies beyond ``angle + _LONE``, so the
+        reference's midpoint, like ``_LONE/2`` past the group, is
+        ``_LONE/3`` from every crossing: neighbours further apart than
+        ``tie / sin(_LONE/3)`` rank the same at both."""
+        arr = self.arr
+        if angle + _LONE >= HALF_PI:
+            return False
+        close = arr.diam * _LONE + arr.tie
+        scores = np.sort(math.cos(angle) * arr.x + math.sin(angle) * arr.y)
+        if np.count_nonzero(scores[1:] - scores[:-1] <= close) == 1:
+            lo = hi = angle
+            pairs = [(p, q)]
+        else:
+            ang, first, second = arr.angles(*_tied_pairs(*arr.sort_at(angle), close))
+            near = np.abs(ang - angle) <= _LONE
+            lo, hi = float(ang[near].min()), float(ang[near].max())
+            if hi - lo > _ANGLE_TOL:
+                return False
+            pairs = list(zip(first[near].tolist(), second[near].tolist()))
+        involved, outs = self._involved(pairs)
+        cand, mid = np.asarray(self.queue + outs), hi + _LONE / 2
+        at = math.cos(mid) * arr.x[cand] + math.sin(mid) * arr.y[cand]
+        ranked = cand[np.argsort(-at)]
+        # Tied or barely apart neighbours (identical rank pairs included,
+        # which the reference orders by tid) are left to a window.
+        if np.any(np.abs(np.diff(arr.z[ranked])) <= arr.tie / math.sin(_LONE / 3)):
+            return False
+        self.ranked = ranked[: self.k].tolist()
+        if involved:
+            self.groups_resolved += 1
+            self._adopt(lo, self.ranked, outs)
+        self.steps += len(pairs)
+        self.done, self.gap_hi = hi, angle + _LONE
+        return True
+
+    # -- windows -----------------------------------------------------------
+
+    def _window(self, angle: float, lo: float, hi: float) -> bool:
+        """Resolve every relevant group of a window from ``lo`` past
+        ``angle``; True once the sweep has reached pi/2."""
+        arr, hi = self.arr, min(hi, HALF_PI)
+        events = arr.events(lo, hi)
+        ang = events[0]
+        if lo > self.done and ang[0] - lo <= 2 * _ANGLE_TOL:
+            return self._window(angle, self.done, hi)  # a run reaches below
+        runs = np.flatnonzero(np.diff(ang) > _ANGLE_TOL) + 1
+        last = int(runs[-1]) if runs.size else 0
+        if hi < HALF_PI and int(np.searchsorted(ang, angle)) >= last:
+            # The run holding ``angle`` must be followed by a known event.
+            return self._window(angle, lo, 2 * hi - lo)
+        self.density = max(len(ang), 1) / (hi - lo)
+        end = len(ang) if hi >= HALF_PI else last
+        if self._scan(*events, runs, end) or end == len(ang):
+            return True
+        self.done, self.gap_hi, self.ranked = float(ang[end - 1]), float(ang[end]), None
+        return False
+
+    def _scan(self, ang, first, second, runs, end) -> bool:
+        """Resolve the relevant groups among ``ang[:end]``, classifying a
+        chunk at a time; True when a group starts at pi/2 (the end)."""
+        self.steps += end
+        pos, chunk = 0, _SCAN_CHUNK
+        while pos < end:
+            stop = min(pos + chunk, end)
+            a_in, b_in = self.in_q[first[pos:stop]], self.in_q[second[pos:stop]]
+            rel = (a_in | b_in) if self.record_order else (a_in != b_in)
+            resolved_to, chunk = pos, 2 * chunk
+            for hit in (pos + np.flatnonzero(rel)).tolist():
+                if hit < resolved_to:
+                    continue
+                g0, resolved_to = self._group_of(ang, runs, hit)
+                if ang[g0] >= HALF_PI:
+                    return True
+                if self._resolve(ang, first, second, g0, resolved_to):
+                    stop, chunk = resolved_to, _SCAN_CHUNK
+                    break
+            pos = max(stop, resolved_to)
+        return False
+
+    def _group_of(self, ang, runs, i: int) -> tuple[int, int]:
+        """The tie group ``[g0, g1)`` of event ``i``, cut from its run."""
+        r = int(np.searchsorted(runs, i, side="right"))
+        start = int(runs[r - 1]) if r else 0
+        vals = ang[start : int(runs[r]) if r < len(runs) else len(ang)].tolist()
         s = 0
-        for j in range(1, b - a):
-            if vals[j] - vals[s] > angle_tol:
-                s = j
-                extra.append(a + j)
-    starts = run_edges[:-1]
-    if extra:
-        starts = np.sort(
-            np.concatenate((starts, np.asarray(extra, dtype=np.int64)))
-        )
-    return np.concatenate((starts, np.asarray([n], dtype=np.int64)))
+        while True:
+            e = s + 1
+            while e < len(vals) and vals[e] - vals[s] <= _ANGLE_TOL:
+                e += 1
+            if start + e > i:
+                return start + s, start + e
+            s = e
+
+    def _resolve(self, ang, first, second, g0: int, g1: int) -> bool:
+        """Resolve tie group ``[g0, g1)``; True when membership changed."""
+        _, outs = self._involved(zip(first[g0:g1].tolist(), second[g0:g1].tolist()))
+        self.groups_resolved += 1
+        angle = float(ang[g0])
+        midpoint = (angle + (float(ang[g1]) if g1 < len(ang) else HALF_PI)) / 2.0
+        new_queue = _topk_positions_at(self.tuples, self.queue + outs, midpoint, self.k)
+        return self._adopt(angle, new_queue, outs)
 
 
 def sweep_regions(
@@ -168,135 +403,32 @@ def sweep_regions(
     k: int,
     *,
     record_order: bool = False,
-    angle_tol: float = 1e-12,
     recorder: Recorder = NULL_RECORDER,
 ) -> tuple[list[Region], SweepStats]:
     """Run the ConstructRJI sweep over ``tuples`` for bound ``k``.
 
     ``tuples`` is normally the dominating set ``D_K``; the sweep is
     correct for any tuple set.  With ``record_order=True`` every change
-    of *ordering* inside the top-K is materialized as well (the
-    fast-query variant of Section 6.2), producing regions whose ``tids``
-    are score-ordered so queries need no re-evaluation.  The events come
-    from one all-pairs pass,
-    :func:`repro.core.events.separating_events`.
-
-    Returns the region list (covering ``[0, pi/2]`` without gaps) and
-    the sweep's work counters.
+    of *ordering* inside the top-K is materialized as well (Section 6.2),
+    so queries need no re-evaluation.  Returns the regions (tiling
+    ``[0, pi/2]``) and the sweep's work counters.
     """
     if k < 1:
         raise ConstructionError(f"K must be a positive integer, got {k}")
     n = len(tuples)
     if n == 0:
         return [Region(0.0, HALF_PI, ())], SweepStats(0, 0, 0, 0, 1)
-
-    k_eff = min(k, n)
-    queue = _initial_topk_positions(tuples, k_eff)
-    queue_set = set(queue)
-
-    events = separating_events(tuples, recorder=recorder)
-    angles = events.angles
-    first = events.first
-    second = events.second
-    n_events = len(events)
-
-    regions: list[Region] = []
-    tids = tuples.tids
-    lo = 0.0
-    groups_resolved = 0
-
-    bounds = _group_bounds(angles, angle_tol)
-    starts = bounds[:-1]
-    # Groups whose start angle reaches pi/2 are rounding artefacts of
-    # extreme separating ratios: the swap happens at the sweep's end and
-    # affects no interior interval.
-    g_cut = int(np.searchsorted(angles[starts], HALF_PI, side="left"))
-    e_cut = int(bounds[g_cut])
-
-    in_queue = np.zeros(n, dtype=bool)
-    in_queue[np.asarray(queue, dtype=np.int64)] = True
-    chunk_scans = 0
-
-    pos = 0
-    chunk = _CHUNK_MIN_EVENTS
-    while pos < e_cut:
-        end = min(pos + chunk, e_cut)
-        if end < e_cut:
-            # Round up to a group boundary so no group straddles chunks.
-            end = int(bounds[int(np.searchsorted(bounds, end, side="left"))])
-        chunk_scans += 1
-        a_in = in_queue[first[pos:end]]
-        b_in = in_queue[second[pos:end]]
-        rel = (a_in | b_in) if record_order else (a_in != b_in)
-        rel_pos = np.nonzero(rel)[0].tolist()
-        rescan = False
-        ptr = 0
-        while ptr < len(rel_pos):
-            event = pos + rel_pos[ptr]
-            g = int(np.searchsorted(bounds, event, side="right")) - 1
-            g0 = int(bounds[g])
-            g1 = int(bounds[g + 1])
-            groups_resolved += 1
-            rel_g = rel[g0 - pos : g1 - pos]
-            involved = set(first[g0:g1][rel_g].tolist())
-            involved.update(second[g0:g1][rel_g].tolist())
-            group_angle = float(angles[g0])
-            next_angle = float(angles[g1]) if g1 < n_events else HALF_PI
-            midpoint = (group_angle + next_angle) / 2.0
-            candidates = list(queue_set | involved)
-            new_queue = _topk_positions_at(tuples, candidates, midpoint, k_eff)
-            changed = (
-                new_queue != queue
-                if record_order
-                else set(new_queue) != queue_set
-            )
-            if changed:
-                if group_angle > lo:
-                    regions.append(
-                        Region(
-                            lo,
-                            group_angle,
-                            tuple(int(tids[p]) for p in queue),
-                        )
-                    )
-                    lo = group_angle
-                # When the group angle rounds onto the previous boundary
-                # the displaced composition covered an empty interval and
-                # is simply replaced.
-                in_queue[np.asarray(queue, dtype=np.int64)] = False
-                queue = new_queue
-                queue_set = set(new_queue)
-                in_queue[np.asarray(queue, dtype=np.int64)] = True
-                # Membership changed, so the chunk's classification is
-                # stale for everything after this group: rescan from its
-                # end.  (Groups already handled above saw the membership
-                # they would have seen in the scalar sweep.)
-                pos = g1
-                rescan = True
-                break
-            # Composition unchanged: the classification is still valid,
-            # so just skip forward to the next relevant event past this
-            # group.
-            cut = g1 - pos
-            while ptr < len(rel_pos) and rel_pos[ptr] < cut:
-                ptr += 1
-        if rescan:
-            chunk = _CHUNK_MIN_EVENTS
-        else:
-            pos = end
-            chunk = min(chunk * 2, _CHUNK_MAX_EVENTS)
-
-    regions.append(Region(lo, HALF_PI, tuple(int(tids[p]) for p in queue)))
+    walk = _Walk(tuples, min(k, n), record_order)
+    if k >= n and not record_order:
+        # Nobody is left outside the top-K: one region.
+        regions = [Region(0.0, HALF_PI, walk._tids(walk.queue))]
+    else:
+        regions = walk.run()
     if recorder.enabled:
-        recorder.count("sweep.tie_groups", groups_resolved)
+        recorder.count("sweep.pairs_considered", walk.arr.pairs)
+        recorder.count("sweep.events", walk.steps)
+        recorder.count("sweep.tie_groups", walk.groups_resolved)
         recorder.count("sweep.regions", len(regions))
-        recorder.count("sweep.groups", max(len(bounds) - 1, 0))
-        recorder.count("sweep.chunk_scans", chunk_scans)
-    stats = SweepStats(
-        n_input=n,
-        pairs_considered=events.pairs_considered,
-        n_events=n_events,
-        n_groups_resolved=groups_resolved,
-        n_regions=len(regions),
+    return regions, SweepStats(
+        n, walk.arr.pairs, walk.steps, walk.groups_resolved, len(regions)
     )
-    return regions, stats

@@ -45,10 +45,7 @@ COUNTERS = frozenset(
         "dominance.pruned",
         "sweep.pairs_considered",
         "sweep.events",
-        "events.blocks",
         "sweep.tie_groups",
-        "sweep.groups",
-        "sweep.chunk_scans",
         "sweep.regions",
         # core query
         "rji.queries",

@@ -42,3 +42,22 @@ class TestFullScan:
         first = scan.query(Preference(1.0, 1.0), 2)
         second = scan.query(Preference(1.0, 1.0), 2)
         assert [r.tid for r in first] == [r.tid for r in second]
+
+    def test_ties_at_the_cut_follow_the_documented_order(self):
+        """Score desc, then s1 desc, then tid asc — also among the tuples
+        tied at the k-th score, which a partial partition picks at will."""
+        rng = np.random.default_rng(40)
+        prefs = [Preference(1.0, 1.0), Preference(1.0, 0.0), Preference(0.0, 1.0),
+                 Preference(2.0, 1.0), Preference(1.0, 3.0)]
+        for _ in range(300):
+            ranks = rng.integers(0, 6, (40, 2)).astype(float)
+            ts = RankTupleSet(rng.permutation(40), ranks[:, 0], ranks[:, 1])
+            scan = FullScanTopK(ts)
+            for pref in prefs:
+                oracle = sorted(
+                    zip(ts.tids.tolist(), ts.s1.tolist(), ts.s2.tolist()),
+                    key=lambda t: (-(pref.p1 * t[1] + pref.p2 * t[2]), -t[1], t[0]),
+                )
+                for k in (1, 3, 5):
+                    got = [r.tid for r in scan.query(pref, k)]
+                    assert got == [t[0] for t in oracle[:k]]

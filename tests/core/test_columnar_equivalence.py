@@ -1,90 +1,32 @@
-"""The vectorized hot paths are bit-identical to the scalar originals.
+"""The production paths are bit-identical to the scalar references.
 
-The columnar store, the chunked sweep scan, and the blocked event pass
-are pure performance work — every output must match the straightforward
-scalar implementations they replaced *exactly* (same floats, same tie
-resolution, same region boundaries).  The reference implementations
-below are kept deliberately naive: a per-event scalar sweep loop and a
-per-tuple dict-lookup query, mirroring the original code.
+The K-level walk (:func:`repro.core.sweep.sweep_regions`) must return the
+regions of the paper's all-pairs ConstructRJI
+(:func:`repro.experiments.construct_rji.construct_rji`) exactly — same
+floats, same tie resolution, same region boundaries, same ``tids``
+order — and the columnar store must answer like a per-tuple dict-lookup
+query over the same regions.  The reference implementations are kept
+deliberately naive.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import events as events_module
-from repro.core.events import separating_events
-from repro.core.geometry import HALF_PI
+from repro.core import sweep as sweep_module
+from repro.core.dominance import dominating_set
 from repro.core.index import QueryResult, RankedJoinIndex
 from repro.core.scoring import as_preference
-from repro.core.sweep import (
-    Region,
-    _initial_topk_positions,
-    _topk_positions_at,
-    sweep_regions,
-)
+from repro.core.sweep import sweep_regions
 from repro.core.tuples import RankTupleSet
+from repro.datagen.synthetic import correlated_pairs
+from repro.experiments import construct_rji as events_module
+from repro.experiments.construct_rji import construct_rji, separating_events
 
 # -- reference implementations (the replaced scalar code) -----------------
-
-
-def reference_sweep(tuples, k, *, record_order=False, angle_tol=1e-12):
-    """The original event-at-a-time sweep loop."""
-    n = len(tuples)
-    if n == 0:
-        return [Region(0.0, HALF_PI, ())]
-    k_eff = min(k, n)
-    queue = _initial_topk_positions(tuples, k_eff)
-    queue_set = set(queue)
-    events = separating_events(tuples)
-    angles, first, second = events.angles, events.first, events.second
-    n_events = len(events)
-    regions = []
-    tids = tuples.tids
-    lo = 0.0
-    i = 0
-    while i < n_events:
-        group_angle = float(angles[i])
-        if group_angle >= HALF_PI:
-            break
-        involved = set()
-        j = i
-        while j < n_events and angles[j] - group_angle <= angle_tol:
-            a, b = int(first[j]), int(second[j])
-            a_in, b_in = a in queue_set, b in queue_set
-            relevant = (a_in or b_in) if record_order else (a_in != b_in)
-            if relevant:
-                involved.add(a)
-                involved.add(b)
-            j += 1
-        if involved:
-            next_angle = float(angles[j]) if j < n_events else HALF_PI
-            midpoint = (group_angle + next_angle) / 2.0
-            candidates = list(queue_set | involved)
-            new_queue = _topk_positions_at(
-                tuples, candidates, midpoint, k_eff
-            )
-            changed = (
-                new_queue != queue
-                if record_order
-                else set(new_queue) != queue_set
-            )
-            if changed:
-                if group_angle > lo:
-                    regions.append(
-                        Region(
-                            lo,
-                            group_angle,
-                            tuple(int(tids[p]) for p in queue),
-                        )
-                    )
-                    lo = group_angle
-                queue = new_queue
-                queue_set = set(new_queue)
-        i = j
-    regions.append(Region(lo, HALF_PI, tuple(int(tids[p]) for p in queue)))
-    return regions
 
 
 def reference_query(index, preference, k):
@@ -155,18 +97,103 @@ def test_sweep_bit_identical_to_reference(kind, record_order):
         n = int(rng.integers(2, 300))
         k = int(rng.integers(1, 20))
         tuples = _workload(kind, n, rng)
-        expected = reference_sweep(tuples, k, record_order=record_order)
+        expected = construct_rji(tuples, k, record_order=record_order)
         actual, _ = sweep_regions(tuples, k, record_order=record_order)
         assert _as_fields(actual) == _as_fields(expected)
 
 
 def test_sweep_respects_angle_tol():
+    """The reference's ``angle_tol`` is the walk's fixed tie width: on an
+    integer grid, where distinct separating angles lie far apart, any
+    tolerance below that gap gives the walk's regions."""
     rng = np.random.default_rng(5)
     tuples = _workload("grid", 120, rng)
-    for tol in (0.0, 1e-12, 1e-6, 1e-2):
-        expected = reference_sweep(tuples, 6, angle_tol=tol)
-        actual, _ = sweep_regions(tuples, 6, angle_tol=tol)
+    actual, _ = sweep_regions(tuples, 6)
+    for tol in (0.0, 1e-12, 1e-6):
+        expected = construct_rji(tuples, 6, angle_tol=tol)
         assert _as_fields(actual) == _as_fields(expected)
+    coarse = construct_rji(tuples, 6, angle_tol=1e-2)
+    assert coarse[0].lo == 0.0 and coarse[-1].hi == actual[-1].hi
+
+
+def _assert_walk_matches(tuples, k):
+    """Both variants; an input with few pairs, which the sweep takes as
+    one window, is also forced through the walk."""
+    n = len(tuples)
+    for record_order in (False, True):
+        expected = _as_fields(construct_rji(tuples, k, record_order=record_order))
+        actual, stats = sweep_regions(tuples, k, record_order=record_order)
+        assert _as_fields(actual) == expected
+        assert stats.n_regions == len(expected)
+        if n * (n - 1) // 2 > sweep_module._WINDOW_MAX:
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep_module, "_WINDOW_MAX", sweep_module._WINDOW_MIN)
+            walked, _ = sweep_regions(tuples, k, record_order=record_order)
+        assert _as_fields(walked) == expected
+
+
+@pytest.mark.parametrize("n, k, seed", [(1500, 20, 3), (4000, 40, 5), (800, 80, 9)])
+def test_walk_matches_reference_on_grid_ranks(n, k, seed):
+    # correlated_pairs puts both ranks on a 100/n grid: unrelated pairs
+    # share slopes, so separating angles tie to the last few ulps.
+    _assert_walk_matches(dominating_set(correlated_pairs(n, rho=-0.6, seed=seed), k), k)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_walk_matches_reference_on_tiny_inputs(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    _assert_walk_matches(_workload("uniform", n, rng), k)
+
+
+def test_walk_matches_reference_when_k_covers_everything():
+    rng = np.random.default_rng(12)
+    tuples = _workload("anticorrelated", 40, rng)
+    for k in (40, 41, 100):
+        _assert_walk_matches(tuples, k)
+
+
+def _degenerate(rng, n):
+    """Collinear runs, duplicate points and near-ties within 1e-12."""
+    base = rng.integers(0, 6, (n, 2)).astype(float)
+    line = np.arange(n // 4, dtype=float)
+    s1 = np.concatenate((base[:, 0], 3.0 + line, 2.0 + 2 * line))
+    s2 = np.concatenate((base[:, 1], 9.0 - line, 8.0 - line))
+    near = rng.random(n) < 0.3
+    s1[: n][near] += rng.choice([-1, 1], near.sum()) * 1e-13
+    s1 = np.concatenate((s1, s1[:5]))  # duplicate rank pairs
+    s2 = np.concatenate((s2, s2[:5]))
+    return RankTupleSet(np.arange(len(s1), dtype=np.int64), s1, s2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_matches_reference_on_degenerate_points(seed):
+    rng = np.random.default_rng(seed)
+    tuples = _degenerate(rng, 60)
+    for k in (1, 3, 7):
+        _assert_walk_matches(tuples, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30),
+    st.integers(1, 6),
+)
+def test_walk_matches_reference_on_integer_grids(values, k):
+    tuples = RankTupleSet(
+        np.arange(len(values), dtype=np.int64),
+        np.array([float(a) for a, _ in values]),
+        np.array([float(b) for _, b in values]),
+    )
+    _assert_walk_matches(tuples, k)
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+def test_walk_matches_reference_on_build_heavy_shape(seed):
+    # The core-read benchmark shape: anticorrelated n = 20 000, K = 80.
+    tuples = dominating_set(correlated_pairs(20000, rho=-0.6, seed=seed), 80)
+    _assert_walk_matches(tuples, 80)
 
 
 # -- query equivalence -----------------------------------------------------

@@ -1,14 +1,15 @@
-"""Tests for the vectorized separating-event generator."""
+"""Tests for the all-pairs separating-event pass of the reference
+ConstructRJI (:mod:`repro.experiments.construct_rji`)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import events as events_module
-from repro.core.events import separating_events
 from repro.core.geometry import separating_angle
 from repro.core.tuples import RankTupleSet
+from repro.experiments import construct_rji as events_module
+from repro.experiments.construct_rji import separating_events
 
 
 def _brute_force_events(ts: RankTupleSet):

@@ -109,6 +109,11 @@ class TestSweepBasics:
         regions, _ = sweep_regions(ts, 7)
         assert all(len(r.tids) == 7 for r in regions)
 
+    def test_tie_width_is_not_a_knob(self):
+        ts = RankTupleSet.from_pairs([1.0, 2.0], [2.0, 1.0])
+        with pytest.raises(TypeError):
+            sweep_regions(ts, 1, angle_tol=1e-6)
+
     def test_stats_counts(self):
         rng = np.random.default_rng(6)
         ts = RankTupleSet.from_pairs(rng.uniform(0, 1, 50), rng.uniform(0, 1, 50))

@@ -94,10 +94,16 @@ class TestFig14:
             sizes=(1000, 2000), fixed_k=10, ks=(5, 10), fixed_size=1000
         )
         for panel in (panel_a, panel_b):
-            for row in panel.rows:
+            parts = zip(
+                panel.column("tDom (s)"),
+                panel.column("tSep walk (s)"),
+                panel.column("tBLoad (s)"),
+            )
+            for total, part in zip(panel.column("total (s)"), parts):
                 # Components are rounded to 4 decimals independently of
                 # the total, so allow that much slack.
-                assert row[-1] == pytest.approx(sum(row[1:-1]), abs=2e-4)
+                assert total == pytest.approx(sum(part), abs=2e-4)
+            assert all(t >= 0 for t in panel.column("tSep all-pairs (s)"))
 
     def test_tdom_grows_with_join_size(self):
         panel_a, _ = fig14.run(

@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.core",
     "repro.core.concurrent",
     "repro.core.dominance",
-    "repro.core.events",
     "repro.core.geometry",
     "repro.core.index",
     "repro.core.inspect",
@@ -43,6 +42,7 @@ PACKAGES = [
     "repro.baselines",
     "repro.datagen",
     "repro.experiments",
+    "repro.experiments.construct_rji",
     "repro.cli",
     "repro.errors",
     "repro.faults",
