@@ -25,7 +25,8 @@ module is deliberately not used (RJI003: hidden global state).
 Zero-overhead-when-unobserved is preserved: ``ContextRecorder.enabled``
 is false while the inner recorder is disabled and no capture is active,
 so guarded hot loops (``if recorder.enabled:``) skip instrumentation
-exactly as before.
+exactly as before — and a server over a disabled recorder it wrapped
+itself activates no capture, so its requests stay on that path.
 """
 
 from __future__ import annotations
@@ -150,7 +151,11 @@ class RequestCapture:
 
     The serving tier opens one per request so the flight recorder can
     read EXPLAIN-grade facts — descent depth, cache hit, pages touched —
-    without the core knowing flight records exist.  Bounded at
+    without the core knowing flight records exist; it does so only when
+    something besides the server can emit into it (an enabled inner
+    recorder, or a :class:`ContextRecorder` shared with the index), and
+    otherwise rebuilds a kept record's detail with :meth:`add` at
+    promotion, so a healthy request materialises nothing.  Bounded at
     ``max_events`` with a ``dropped`` tally, mirroring the
     series-retention discipline of
     :class:`~repro.obs.metrics.MetricsRecorder`.  Not locked: a capture

@@ -10,10 +10,16 @@ buckets that fall inside the window — so old traffic ages out by
 construction, with no background thread and no unbounded state.
 
 Per bucket the window keeps an outcome tally (``ok`` / ``error`` /
-``shed`` / ``timeout``) and up to ``max_samples`` latency samples; the
-overflow is *counted* in ``dropped``, mirroring the exactness
-certificate of :class:`~repro.obs.metrics.MetricsRecorder` — a snapshot
-with ``dropped == 0`` has exact percentiles.
+``shed`` / ``timeout``), the exact maximum latency, and a log-bucketed
+latency histogram: 64 slots per octave of latency, so every slot spans
+a factor of ``2 ** (1 / 64)`` and its geometric midpoint is within
+:data:`REL_ERROR` (0.54 %) of every latency in it.  Nothing is dropped
+at any rate — a bucket is a bounded map from slot to count, not a
+sample list — so ``p50_s`` / ``p99_s`` are nearest-rank percentiles of
+*every* request in the window, each within ``rel_error`` (stated in the
+snapshot) of the exact one for latencies between 2**-30 s and 2**12 s,
+and never above the exact ``max_s``.  ``dropped`` stays in the snapshot,
+always 0.
 
 ``qps`` divides by the time the live buckets actually cover — from the
 start of the oldest one to now, at least one bucket and at most the
@@ -27,45 +33,65 @@ snapshots are consistent cuts.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Callable
 
 from ..errors import ConstructionError
 
-__all__ = ["OUTCOMES", "RollingWindow"]
+__all__ = ["OUTCOMES", "REL_ERROR", "RollingWindow"]
 
 #: The outcome classes one request resolves to.
 OUTCOMES = ("ok", "error", "shed", "timeout")
+
+#: Histogram slots per octave of latency.
+_PER_OCTAVE = 64
+#: Latencies in ``[2**_LOW_OCTAVE, 2**_HIGH_OCTAVE)`` seconds (~1 ns to
+#: ~68 min) get their own slots; the rest share the two edge slots.
+_LOW_OCTAVE, _HIGH_OCTAVE = -30, 12
+_LAST_SLOT = (_HIGH_OCTAVE - _LOW_OCTAVE) * _PER_OCTAVE - 1
+_SMALLEST = 2.0**_LOW_OCTAVE
+
+#: Worst relative error of a reported percentile: a slot's geometric
+#: midpoint against any latency in the slot.
+REL_ERROR = 2.0 ** (1.0 / (2 * _PER_OCTAVE)) - 1.0
+
+
+def _midpoint(slot: int) -> float:
+    return 2.0 ** (_LOW_OCTAVE + (slot + 0.5) / _PER_OCTAVE)
 
 
 class _Bucket:
     """One time-bucket slot of the ring; reset when its period is reused."""
 
-    __slots__ = ("epoch", "count", "outcomes", "samples", "dropped")
+    __slots__ = ("epoch", "count", "outcomes", "slots", "max_s")
 
     def __init__(self) -> None:
         self.epoch: int | None = None
         self.count = 0
         self.outcomes: dict[str, int] = {}
-        self.samples: list[float] = []
-        self.dropped = 0
+        #: Histogram slot -> requests whose latency fell in it.
+        self.slots: dict[int, int] = {}
+        self.max_s = 0.0
 
     def reset(self, epoch: int) -> None:
         self.epoch = epoch
         self.count = 0
         self.outcomes = {}
-        self.samples = []
-        self.dropped = 0
+        self.slots = {}
+        self.max_s = 0.0
 
 
-def _nearest_rank(sorted_samples: list[float], q: float) -> float:
-    """Nearest-rank percentile of pre-sorted samples (0.0 when empty)."""
-    if not sorted_samples:
-        return 0.0
-    n = len(sorted_samples)
+def _nearest_rank(slots: dict[int, int], n: int, q: float) -> float:
+    """Nearest-rank percentile of a histogram of ``n`` (0.0 when empty)."""
     rank = max(0, min(n - 1, round(q / 100.0 * n) - 1))
-    return sorted_samples[rank]
+    seen = 0
+    for slot in sorted(slots):
+        seen += slots[slot]
+        if seen > rank:
+            return _midpoint(slot)
+    return 0.0
 
 
 class RollingWindow:
@@ -73,7 +99,7 @@ class RollingWindow:
 
     ``bucket_s`` is the bucket width, ``n_buckets`` the ring length;
     the window spans ``bucket_s * n_buckets`` seconds.  ``record`` is
-    O(1); ``snapshot`` sorts the retained samples of the live buckets.
+    O(1); ``snapshot`` merges the live buckets' histograms.
     """
 
     def __init__(
@@ -81,7 +107,6 @@ class RollingWindow:
         *,
         bucket_s: float = 1.0,
         n_buckets: int = 10,
-        max_samples: int = 512,
         clock: Callable[[], float] = time.monotonic,
     ):
         if bucket_s <= 0:
@@ -92,13 +117,8 @@ class RollingWindow:
             raise ConstructionError(
                 f"n_buckets must be >= 2, got {n_buckets}"
             )
-        if max_samples < 1:
-            raise ConstructionError(
-                f"max_samples must be >= 1, got {max_samples}"
-            )
         self.bucket_s = float(bucket_s)
         self.n_buckets = n_buckets
-        self.max_samples = max_samples
         self._clock = clock
         self._lock = threading.Lock()
         self._buckets = [_Bucket() for _ in range(n_buckets)]
@@ -122,31 +142,35 @@ class RollingWindow:
                 f"unknown outcome {outcome!r}; expected one of {OUTCOMES}"
             )
         epoch = int(self._clock() // self.bucket_s)
+        slot = 0  # also for 0.0, negatives and NaN
+        if latency_s > _SMALLEST:
+            position = (math.log2(latency_s) - _LOW_OCTAVE) * _PER_OCTAVE
+            slot = int(min(position, _LAST_SLOT))
         with self._lock:
             bucket = self._live_bucket(epoch)
             bucket.count += 1
             bucket.outcomes[outcome] = bucket.outcomes.get(outcome, 0) + 1
-            if len(bucket.samples) < self.max_samples:
-                bucket.samples.append(latency_s)
-            else:
-                bucket.dropped += 1
+            bucket.slots[slot] = bucket.slots.get(slot, 0) + 1
+            if latency_s > bucket.max_s:
+                bucket.max_s = latency_s
 
     def snapshot(self) -> dict:
         """A JSON-ready consistent view over the live buckets.
 
-        ``p50_s`` / ``p99_s`` are nearest-rank over the retained
-        samples — exact iff ``dropped`` is 0.  ``qps`` is the window
-        count over the span from the oldest live bucket's start to now
-        (never less than one ``bucket_s``).  Rates are fractions of
-        ``count`` (0.0 for an empty window).
+        ``p50_s`` / ``p99_s`` are nearest-rank over every request in
+        the window, each within ``rel_error`` of the exact value and
+        never above the exact ``max_s``; ``dropped`` is always 0.
+        ``qps`` is the window count over the span from the oldest live
+        bucket's start to now (never less than one ``bucket_s``).
+        Rates are fractions of ``count`` (0.0 for an empty window).
         """
         now = self._clock()
         epoch = int(now // self.bucket_s)
         oldest = epoch - self.n_buckets + 1
-        samples: list[float] = []
+        slots: dict[int, int] = {}
         outcomes = {name: 0 for name in OUTCOMES}
         count = 0
-        dropped = 0
+        max_s = 0.0
         first = epoch
         with self._lock:
             for bucket in self._buckets:
@@ -156,20 +180,21 @@ class RollingWindow:
                     continue
                 first = min(first, bucket.epoch)
                 count += bucket.count
-                dropped += bucket.dropped
-                samples.extend(bucket.samples)
+                max_s = max(max_s, bucket.max_s)
+                for slot, n in bucket.slots.items():
+                    slots[slot] = slots.get(slot, 0) + n
                 for name, n in bucket.outcomes.items():
                     outcomes[name] = outcomes.get(name, 0) + n
-        samples.sort()
         return {
             "window_s": self.window_s,
             "bucket_s": self.bucket_s,
             "count": count,
             "qps": count / max(now - first * self.bucket_s, self.bucket_s),
-            "p50_s": _nearest_rank(samples, 50.0),
-            "p99_s": _nearest_rank(samples, 99.0),
-            "max_s": samples[-1] if samples else 0.0,
-            "dropped": dropped,
+            "p50_s": min(_nearest_rank(slots, count, 50.0), max_s),
+            "p99_s": min(_nearest_rank(slots, count, 99.0), max_s),
+            "max_s": max_s,
+            "rel_error": REL_ERROR,
+            "dropped": 0,
             "outcomes": outcomes,
             "ok_rate": outcomes["ok"] / count if count else 0.0,
             "error_rate": outcomes["error"] / count if count else 0.0,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..core.deadline import Deadline, DeadlineLike
 from ..core.index import QueryResult
@@ -39,7 +39,16 @@ from ..core.scoring import PreferenceLike, as_preference
 from ..core.tuples import RankTuple
 from ..errors import InvalidQueryError, ServerConnectionError
 from ..obs import TraceIdGenerator
-from .protocol import FrameReader, decode_error, decode_results, write_frame
+from .protocol import (
+    FrameReader,
+    decode_error,
+    decode_json,
+    decode_query_result,
+    decode_results,
+    encode_query,
+    is_json,
+    write_frame,
+)
 
 __all__ = ["Client"]
 
@@ -50,7 +59,9 @@ _DEADLINE_SLACK_S = 1.0
 
 
 class Client:
-    """A remote ``IndexService`` over the length-prefixed JSON protocol.
+    """A remote ``IndexService`` over the length-prefixed wire protocol.
+
+    ``query`` travels as a binary frame, every other call as JSON.
 
     Connects lazily on first use.  ``request_timeout_s`` bounds how
     long an *undeadlined* request may wait for its response — the
@@ -119,23 +130,48 @@ class Client:
 
     # -- request plumbing --------------------------------------------------
 
-    def _roundtrip(self, request: dict, deadline: Deadline | None) -> dict:
-        """One request frame out, one response frame back, id-checked."""
+    def _roundtrip(
+        self,
+        encode: Callable[[int, str], dict | bytes],
+        deadline: Deadline | None,
+    ) -> dict | list[QueryResult]:
+        """One request frame out, one response frame back, id-checked.
+
+        ``encode(id, trace)`` builds the request: a JSON object or a
+        binary ``query`` frame.  Returns the JSON response object, or
+        the results of a binary result frame; a JSON error response is
+        raised as the typed exception it names.
+        """
         wait_s = self.request_timeout_s
         if deadline is not None:
             wait_s = max(0.001, deadline.remaining()) + _DEADLINE_SLACK_S
         with self._lock:
             self._next_id += 1
-            trace = request.get("trace") or self._trace_ids.next()
-            request = {**request, "id": self._next_id, "trace": trace}
-            self.last_trace_id = trace
+            rid = self._next_id
+            trace = self.last_trace_id = self._trace_ids.next()
             sock, reader = self._connect()
             if wait_s != self._wait_s:
                 sock.settimeout(wait_s)
                 self._wait_s = wait_s
             try:
-                write_frame(sock, request)
-                response = reader.read()
+                write_frame(sock, encode(rid, trace))
+                body = reader.read_body()
+                if body is None:
+                    raise ServerConnectionError(
+                        "server closed the connection before responding"
+                    )
+                if is_json(body):
+                    response = decode_json(body)
+                    # Older servers do not echo the trace; when one is
+                    # present it must be ours.
+                    echoed = response.get("trace")
+                    echo = (
+                        response.get("id"),
+                        trace if echoed is None else echoed,
+                    )
+                else:
+                    got_id, got_trace, response = decode_query_result(body)
+                    echo = (got_id, got_trace)
             except ServerConnectionError:
                 self._drop()
                 raise
@@ -146,27 +182,30 @@ class Client:
                 raise ServerConnectionError(
                     f"malformed response frame: {exc}"
                 ) from exc
-            if response is None:
+            if echo != (rid, trace):
+                # Not the answer to this request: the stream cannot be
+                # trusted.
                 self._drop()
                 raise ServerConnectionError(
-                    "server closed the connection before responding"
+                    f"response id/trace {echo!r} does not match request "
+                    f"id/trace {(rid, trace)!r}"
                 )
-            if response.get("id") != request["id"]:
-                self._drop()
-                raise ServerConnectionError(
-                    f"response id {response.get('id')!r} does not match "
-                    f"request id {request['id']}"
-                )
-            # Older servers do not echo the trace; when one is present
-            # it must be ours, or the stream cannot be trusted.
-            if response.get("trace") not in (None, trace):
-                self._drop()
-                raise ServerConnectionError(
-                    f"response trace {response.get('trace')!r} does not "
-                    f"match request trace {trace!r}"
-                )
-        if not response.get("ok"):
+        if isinstance(response, dict) and not response.get("ok"):
             raise decode_error(response.get("error"))
+        return response
+
+    def _request(self, request: dict, deadline: Deadline | None) -> dict:
+        """One JSON request (plus ``deadline_ms``); its ok response."""
+        if deadline is not None:
+            request["deadline_ms"] = self._deadline_ms(deadline)
+        response = self._roundtrip(
+            lambda rid, trace: {**request, "id": rid, "trace": trace},
+            deadline,
+        )
+        if not isinstance(response, dict):
+            raise ServerConnectionError(
+                f"a binary result frame answered a JSON {request['op']!r}"
+            )
         return response
 
     def _drop(self) -> None:
@@ -194,6 +233,10 @@ class Client:
             return None
         return max(0.001, deadline.remaining() * 1000.0)
 
+    def _validate_k(self, k: int) -> None:
+        if not 1 <= k <= self.k_bound:
+            raise InvalidQueryError(f"k={k} outside [1, K={self.k_bound}]")
+
     # -- the IndexService surface -----------------------------------------
 
     @property
@@ -212,24 +255,24 @@ class Client:
     ) -> list[QueryResult]:
         """Top-k under ``preference`` from the remote index.
 
-        Answers are bit-identical to the server's in-process answers:
-        scores cross the wire as JSON numbers, which round-trip doubles
-        exactly.
+        Sent as a binary ``query`` frame and answered by a binary result
+        frame carrying each score's float64 bytes, so answers are
+        bit-identical to the server's in-process answers.
         """
-        if not 1 <= k <= self.k_bound:
-            raise InvalidQueryError(
-                f"k={k} outside [1, K={self.k_bound}]"
-            )
+        self._validate_k(k)
         deadline = Deadline.of(deadline)
-        request: dict = {
-            "op": "query",
-            "preference": self._wire(preference),
-            "k": k,
-        }
-        if deadline is not None:
-            request["deadline_ms"] = self._deadline_ms(deadline)
-        response = self._roundtrip(request, deadline)
-        return decode_results(response.get("results"))
+        p = as_preference(preference)
+        deadline_ms = self._deadline_ms(deadline)
+        results = self._roundtrip(
+            lambda rid, trace: encode_query(rid, trace, p, k, deadline_ms),
+            deadline,
+        )
+        if not isinstance(results, list):
+            raise ServerConnectionError(
+                "a JSON object answered a binary query: expected a "
+                "binary result frame"
+            )
+        return results
 
     def query_batch(
         self,
@@ -239,19 +282,13 @@ class Client:
         deadline: DeadlineLike = None,
     ) -> list[list[QueryResult]]:
         """Answer many preferences in one round trip."""
-        if not 1 <= k <= self.k_bound:
-            raise InvalidQueryError(
-                f"k={k} outside [1, K={self.k_bound}]"
-            )
-        deadline = Deadline.of(deadline)
-        request: dict = {
+        self._validate_k(k)
+        request = {
             "op": "query_batch",
             "preferences": [self._wire(p) for p in preferences],
             "k": k,
         }
-        if deadline is not None:
-            request["deadline_ms"] = self._deadline_ms(deadline)
-        response = self._roundtrip(request, deadline)
+        response = self._request(request, Deadline.of(deadline))
         raw = response.get("batches")
         if not isinstance(raw, list):
             raise ServerConnectionError(
@@ -261,11 +298,8 @@ class Client:
 
     def explain(self, preference: PreferenceLike, k: int) -> dict:
         """The server's query-explain record plus its decoded results."""
-        if not 1 <= k <= self.k_bound:
-            raise InvalidQueryError(
-                f"k={k} outside [1, K={self.k_bound}]"
-            )
-        response = self._roundtrip(
+        self._validate_k(k)
+        response = self._request(
             {"op": "explain", "preference": self._wire(preference), "k": k},
             None,
         )
@@ -292,14 +326,11 @@ class Client:
         (always ``True`` on the WAL-then-delta path).  A read-only
         server answers with :class:`~repro.errors.InvalidQueryError`.
         """
-        deadline = Deadline.of(deadline)
-        request: dict = {
+        request = {
             "op": "insert",
             "tuple": [int(tuple_.tid), float(tuple_.s1), float(tuple_.s2)],
         }
-        if deadline is not None:
-            request["deadline_ms"] = self._deadline_ms(deadline)
-        response = self._roundtrip(request, deadline)
+        response = self._request(request, Deadline.of(deadline))
         return bool(response.get("applied"))
 
     def delete(
@@ -314,11 +345,9 @@ class Client:
         ``k_effective`` — the same contract as the in-process
         ``delete`` methods.
         """
-        deadline = Deadline.of(deadline)
-        request: dict = {"op": "delete", "tid": int(tid)}
-        if deadline is not None:
-            request["deadline_ms"] = self._deadline_ms(deadline)
-        response = self._roundtrip(request, deadline)
+        response = self._request(
+            {"op": "delete", "tid": int(tid)}, Deadline.of(deadline)
+        )
         k_effective = response.get("k_effective")
         if isinstance(k_effective, bool) or not isinstance(k_effective, int):
             raise ServerConnectionError(
@@ -328,7 +357,7 @@ class Client:
 
     def health(self) -> dict:
         """The server's health snapshot (bound, queue, counters)."""
-        response = self._roundtrip({"op": "health"}, None)
+        response = self._request({"op": "health"}, None)
         health = response.get("health")
         if not isinstance(health, dict):
             raise ServerConnectionError(
@@ -345,7 +374,7 @@ class Client:
         paths (an old server answers with
         :class:`~repro.errors.InvalidQueryError`: unknown op).
         """
-        response = self._roundtrip({"op": "stats"}, None)
+        response = self._request({"op": "stats"}, None)
         stats = response.get("stats")
         if not isinstance(stats, dict):
             raise ServerConnectionError(
@@ -355,7 +384,7 @@ class Client:
 
     def dump(self) -> dict:
         """The server's flight-recorder dump (the ``dump`` admin op)."""
-        response = self._roundtrip({"op": "dump"}, None)
+        response = self._request({"op": "dump"}, None)
         flight = response.get("flight")
         if not isinstance(flight, dict):
             raise ServerConnectionError(

@@ -1,7 +1,23 @@
-"""The length-prefixed JSON wire protocol of :mod:`repro.serve`.
+"""The length-prefixed wire protocol of :mod:`repro.serve`.
 
 A *frame* is a 4-byte big-endian unsigned length followed by that many
-bytes of UTF-8 JSON.  Requests and responses are JSON objects:
+bytes of body.  The body's first byte says what it is: ``{`` opens a
+UTF-8 JSON object, and anything else is a fixed-layout binary frame
+whose first byte is its tag.  Only the ``query`` op has a binary form —
+a request (:data:`QUERY_TAG`) and its ok-response (:data:`RESULT_TAG`),
+little-endian ``struct`` layouts::
+
+    query   B tag=0x01 | q id | I k | d p1 | d p2 | d deadline_ms
+            | B trace length | trace (ASCII, 1..255 bytes)
+    result  B tag=0x02 | q id | B trace length | trace | I n
+            | n x q tid | n x d score
+
+``deadline_ms`` 0.0 means "no deadline"; anything else must be a
+positive finite number.  A binary answer carries each score's float64
+bytes, so it is bit-identical to the in-process one by construction.
+:class:`~repro.serve.client.Client` sends every ``query`` in binary;
+errors, every other op, and a ``query`` that arrives as JSON are
+answered in JSON.  The JSON form of every op:
 
 Request::
 
@@ -34,22 +50,24 @@ Response (one per request, ``id`` echoed)::
 
 ``trace`` is the optional request/trace-id field of the tracing
 contract (:mod:`repro.obs.context`): a client may attach one to any
-request; the server echoes it on the response and attributes every
-recorder event the request touches to it.  Requests without a ``trace``
-stay fully valid — the server assigns a server-side id (``s-...``) so
-the request is still attributable in the flight recorder.
+request (a binary one always carries it); the server echoes it on the
+response and attributes every recorder event the request touches to
+it.  JSON requests without a ``trace`` stay fully valid — the server
+assigns a server-side id (``s-...``) so the request is still
+attributable in the flight recorder.
 
 ``error.type`` is the class name of a :class:`~repro.errors.ReproError`
 subclass; :func:`decode_error` maps it back to the typed exception on
 the client, so remote failures raise exactly what the in-process call
-would have raised.  Scores travel as JSON numbers, which round-trip
-Python floats bit-exactly, so remote answers are bit-identical to local
-ones.
+would have raised.  JSON scores travel as JSON numbers, which
+round-trip Python floats bit-exactly.
 
 Malformed wire input — bad JSON, a non-object payload, an unknown
-``op``, missing or mistyped fields, an oversized frame — is always
-reported as :class:`~repro.errors.InvalidQueryError`, never as a raw
-``json`` or ``socket`` error.
+``op`` or tag, missing or mistyped fields, a binary frame of the wrong
+length, an oversized frame — is always reported as
+:class:`~repro.errors.InvalidQueryError`, never as a raw ``json``,
+``struct`` or ``socket`` error.  A malformed *response* is the
+transport failing: :class:`~repro.errors.ServerConnectionError`.
 """
 
 from __future__ import annotations
@@ -57,12 +75,14 @@ from __future__ import annotations
 import json
 import math
 import socket
+import struct
 from dataclasses import dataclass
 
 from .. import errors
 from ..core.index import QueryResult
 from ..core.scoring import Preference, as_preference
 from ..errors import (
+    InvalidPreferenceError,
     InvalidQueryError,
     ReproError,
     ServerConnectionError,
@@ -74,20 +94,34 @@ __all__ = [
     "FrameReader",
     "MAX_FRAME_BYTES",
     "OPS",
+    "QUERY_TAG",
+    "RESULT_TAG",
     "WRITE_OPS",
     "Request",
     "decode_error",
+    "decode_json",
+    "decode_query",
+    "decode_query_result",
     "decode_request",
     "decode_results",
     "encode_error",
+    "encode_query",
+    "encode_query_result",
     "encode_results",
+    "is_json",
     "read_frame",
+    "request_id",
     "write_frame",
 ]
 
-#: Hard cap on one frame's JSON body; guards both sides against a
-#: garbage length prefix committing them to a multi-gigabyte read.
+#: Hard cap on one frame's body; guards both sides against a garbage
+#: length prefix committing them to a multi-gigabyte read.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+#: First body byte of a binary ``query`` request and of its result.
+#: A JSON body is an object, so it always starts with ``{`` (0x7B).
+QUERY_TAG = 0x01
+RESULT_TAG = 0x02
 
 #: The operations the server understands.
 OPS = frozenset(
@@ -122,9 +156,16 @@ _RECV_BYTES = 1 << 16
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def write_frame(sock: socket.socket, payload: dict) -> None:
-    """Serialize ``payload`` and send it as one length-prefixed frame."""
-    body = _ENCODER.encode(payload).encode("utf-8")
+def write_frame(sock: socket.socket, payload: dict | bytes) -> None:
+    """Send ``payload`` as one length-prefixed frame.
+
+    A dict is serialized as JSON; bytes (a binary frame) go as they are.
+    """
+    body = (
+        payload
+        if isinstance(payload, bytes)
+        else _ENCODER.encode(payload).encode("utf-8")
+    )
     if len(body) > MAX_FRAME_BYTES:
         raise ServerError(
             f"frame of {len(body)} bytes exceeds the "
@@ -161,10 +202,10 @@ def _fill(
     return True
 
 
-def _take_frame(
+def _take_body(
     sock: socket.socket, buffer: bytearray, readahead: bool
-) -> dict | None:
-    """Consume one frame from ``buffer``, refilling it from ``sock``."""
+) -> bytearray | None:
+    """Consume one frame's body from ``buffer``, refilling from ``sock``."""
     if not _fill(sock, buffer, _HEADER_BYTES, readahead):
         return None
     length = int.from_bytes(buffer[:_HEADER_BYTES], "big")
@@ -177,6 +218,16 @@ def _take_frame(
     _fill(sock, buffer, end, readahead)
     body = buffer[_HEADER_BYTES:end]
     del buffer[:end]
+    return body
+
+
+def is_json(body: bytes | bytearray) -> bool:
+    """Whether a frame body is JSON (else it is a binary frame)."""
+    return body[:1] == b"{"
+
+
+def decode_json(body: bytes | bytearray) -> dict:
+    """A frame body as its JSON object, typed on anything else."""
     try:
         payload = json.loads(body)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
@@ -198,7 +249,8 @@ def read_frame(sock: socket.socket) -> dict | None:
     it is safe on a socket someone else keeps reading; a connection's
     owner reads through a :class:`FrameReader` instead.
     """
-    return _take_frame(sock, bytearray(), False)
+    body = _take_body(sock, bytearray(), False)
+    return None if body is None else decode_json(body)
 
 
 class FrameReader:
@@ -220,7 +272,12 @@ class FrameReader:
 
     def read(self) -> dict | None:
         """The next frame's JSON object, or ``None`` on clean EOF."""
-        return _take_frame(self._sock, self._buffer, True)
+        body = self.read_body()
+        return None if body is None else decode_json(body)
+
+    def read_body(self) -> bytearray | None:
+        """The next frame's body, JSON or binary; ``None`` on clean EOF."""
+        return _take_body(self._sock, self._buffer, True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,25 +444,161 @@ def decode_request(payload: dict) -> Request:
     )
 
 
+def request_id(frame: dict | bytes | bytearray) -> int:
+    """The id to answer a frame that failed to decode with (else 0)."""
+    if isinstance(frame, dict):
+        rid = frame.get("id")
+        return rid if isinstance(rid, int) else 0
+    return _ID.unpack_from(frame, 1)[0] if len(frame) >= 9 else 0
+
+
+_QUERY_HEAD = struct.Struct("<BqIdddB")  # tag id k p1 p2 deadline_ms len
+_RESULT_HEAD = struct.Struct("<BqB")  # tag id trace-length
+_ID = struct.Struct("<q")
+_COUNT = struct.Struct("<I")
+_K_MAX = (1 << 32) - 1
+
+
+def encode_query(
+    rid: int,
+    trace: str,
+    preference: Preference,
+    k: int,
+    deadline_ms: float | None = None,
+) -> bytes:
+    """One ``query`` request as a binary frame body."""
+    if not 0 <= k <= _K_MAX:
+        raise InvalidQueryError(f"k={k} does not fit a binary query frame")
+    try:
+        raw = trace.encode("ascii")
+        return _QUERY_HEAD.pack(
+            QUERY_TAG,
+            rid,
+            k,
+            preference.p1,
+            preference.p2,
+            deadline_ms or 0.0,
+            len(raw),
+        ) + raw
+    except (struct.error, UnicodeEncodeError) as exc:
+        raise InvalidQueryError(f"cannot encode query: {exc}") from exc
+
+
+def decode_query(body: bytes | bytearray) -> Request:
+    """Validate one binary ``query`` frame body into a :class:`Request`.
+
+    Refuses, with :class:`~repro.errors.InvalidQueryError`, a wrong tag
+    or length, a weight pair :class:`~repro.core.scoring.Preference`
+    refuses, a deadline that is neither 0 ("none") nor positive and
+    finite, and an empty or non-ASCII trace.  ``k`` is checked against
+    the index bound by the server, as for JSON.
+    """
+    size = _QUERY_HEAD.size
+    try:
+        tag, rid, k, p1, p2, deadline_ms, n_trace = _QUERY_HEAD.unpack_from(
+            body
+        )
+        if tag != QUERY_TAG or not n_trace or len(body) != size + n_trace:
+            raise InvalidQueryError(
+                f"not a binary query frame: tag {tag:#04x}, a {n_trace}-byte"
+                f" trace after a {size}-byte header in {len(body)} bytes"
+            )
+        trace = body[size:].decode("ascii")
+        preference = Preference(p1, p2)
+    except (struct.error, UnicodeDecodeError, InvalidPreferenceError) as exc:
+        raise InvalidQueryError(f"malformed binary query frame: {exc}") from exc
+    deadline_s = None
+    if deadline_ms:
+        if not 0.0 < deadline_ms < math.inf:
+            raise InvalidQueryError(
+                f"deadline_ms must be positive and finite, got {deadline_ms!r}"
+            )
+        deadline_s = deadline_ms / 1000.0
+    return Request(
+        "query", rid, k, preference, deadline_s=deadline_s, trace=trace
+    )
+
+
+def encode_query_result(
+    rid: int, trace: str, results: list[QueryResult]
+) -> bytes:
+    """One ``query`` answer as a binary result frame body."""
+    raw, n = trace.encode("ascii"), len(results)
+    tids, scores = zip(*results) if n else ((), ())
+    return struct.pack(
+        f"<BqB{len(raw)}sI{n}q{n}d",
+        RESULT_TAG,
+        rid,
+        len(raw),
+        raw,
+        n,
+        *tids,
+        *scores,
+    )
+
+
+def decode_query_result(
+    body: bytes | bytearray,
+) -> tuple[int, str, list[QueryResult]]:
+    """A binary result frame's ``(id, trace, results)``, typed on junk.
+
+    A malformed response is the transport failing, so every refusal is
+    :class:`~repro.errors.ServerConnectionError`.
+    """
+    try:
+        tag, rid, n_trace = _RESULT_HEAD.unpack_from(body)
+        start = _RESULT_HEAD.size + n_trace
+        trace = body[_RESULT_HEAD.size : start].decode("ascii")
+        (n,) = _COUNT.unpack_from(body, start)
+        start += _COUNT.size
+        if tag != RESULT_TAG or len(body) != start + 16 * n:
+            raise ServerConnectionError(
+                f"malformed result frame: tag {tag:#04x}, {n} rows "
+                f"after a {n_trace}-byte trace in {len(body)} bytes"
+            )
+        columns = struct.unpack_from(f"<{n}q{n}d", body, start)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ServerConnectionError(f"malformed result frame: {exc}") from exc
+    rows = zip(columns[:n], columns[n:])
+    return rid, trace, list(map(QueryResult._make, rows))
+
+
 def encode_results(results: list[QueryResult]) -> list[list[float]]:
     """One answer list as JSON-ready ``[tid, score]`` pairs."""
     return [[result.tid, result.score] for result in results]
 
 
 def decode_results(raw) -> list[QueryResult]:
-    """Rebuild :class:`QueryResult` rows from wire pairs, typed on junk."""
+    """Rebuild :class:`QueryResult` rows from JSON pairs, typed on junk.
+
+    A tid must be a JSON integer (not a bool) within signed 64-bit, and
+    a score a JSON number (not a bool or a string); anything else is a
+    :class:`~repro.errors.ServerConnectionError`, never a coercion.
+    """
     if not isinstance(raw, list):
         raise ServerConnectionError(
             f"malformed results payload: expected a list, got {raw!r}"
         )
-    try:
-        return [
-            QueryResult(int(tid), float(score)) for tid, score in raw
-        ]
-    except (TypeError, ValueError) as exc:
-        raise ServerConnectionError(
-            f"malformed results payload: {exc}"
-        ) from exc
+    results = []
+    for row in raw:
+        try:
+            tid, score = row
+            if type(score) is int:
+                score = float(score)
+        except (TypeError, ValueError, OverflowError):
+            tid = score = None
+        # type(...) is, not isinstance: a JSON true is an int subclass.
+        if (
+            type(tid) is not int
+            or type(score) is not float
+            or not _INT64_MIN <= tid <= _INT64_MAX
+        ):
+            raise ServerConnectionError(
+                f"malformed results row {row!r}: expected [tid, score], "
+                "a signed 64-bit integer and a number"
+            )
+        results.append(QueryResult(tid, score))
+    return results
 
 
 #: Wire error-type name -> exception class, straight from the taxonomy.

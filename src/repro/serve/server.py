@@ -8,8 +8,10 @@ per-request latency and failure isolation.  Hence one rule: **a request
 is one reader's work**, from ``recv`` to ``sendall``.  The moving parts:
 
 * **threads** — one acceptor plus one reader per connection, speaking
-  the length-prefixed JSON protocol of :mod:`repro.serve.protocol`
-  through a buffered :class:`~repro.serve.protocol.FrameReader`.  The
+  the length-prefixed protocol of :mod:`repro.serve.protocol` through a
+  buffered :class:`~repro.serve.protocol.FrameReader`.  A frame's first
+  byte picks its codec: a binary ``query`` is answered with a binary
+  result frame, a JSON object in JSON (a JSON ``query`` included).  The
   reader that read a request admits it, executes it, records it and
   writes the response to its own socket; no thread ever touches another
   connection's request or socket (:meth:`QueryServer.close` only hangs
@@ -43,7 +45,13 @@ is one reader's work**, from ``recv`` to ``sendall``.  The moving parts:
 * **telemetry** — a :class:`~repro.obs.RollingWindow` answers the
   ``stats`` op (p50/p99/qps/shed-rate over the last N seconds) and the
   always-on :class:`~repro.obs.FlightRecorder` answers ``dump``; an
-  unclean :meth:`close` writes the dump to ``flight_path``.
+  unclean :meth:`close` writes the dump to ``flight_path``.  A request
+  gets a :class:`~repro.obs.RequestCapture` only when something besides
+  the server can emit into it — an enabled recorder, or a caller's
+  :class:`~repro.obs.ContextRecorder` shared with the index.  Otherwise
+  (the default) a healthy request costs one window record and one
+  flight ring slot, and a record the flight recorder keeps (slowest or
+  failed) gets its detail built from what the server holds.
 
 The server fails *loudly and typed*: every request gets exactly one
 response, and every error response carries a
@@ -52,6 +60,7 @@ response, and every error response carries a
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
@@ -85,9 +94,14 @@ from .protocol import (
     WRITE_OPS,
     FrameReader,
     Request,
+    decode_json,
+    decode_query,
     decode_request,
     encode_error,
+    encode_query_result,
     encode_results,
+    is_json,
+    request_id,
     write_frame,
 )
 from .service import IndexService
@@ -98,6 +112,31 @@ __all__ = ["QueryServer"]
 #: re-checks for shutdown.  Bounds how late a waiting request learns of
 #: :meth:`QueryServer.close` while a service call ahead of it is stuck.
 _ROLE_WAIT_S = 0.05
+
+_NO_SPAN = contextlib.nullcontext()
+
+
+def _held_detail(request: Request, depth: int, latency: float, ok: bool):
+    """A kept record's detail, rebuilt from what the server held.
+
+    The events are the ones the server's own recorder calls would have
+    put in a capture — the queue depth at admission, the request span,
+    and for an answered request its latency — for a server that builds
+    no capture because nothing else could have emitted into it.
+    """
+    capture = RequestCapture()
+    trace = {"trace": request.trace}
+    if depth:
+        capture.add("observe", "serve.queue_depth", depth, trace)
+        capture.add(
+            "span",
+            "serve.request",
+            None,
+            {"op": request.op, "k": request.k, **trace},
+        )
+    if ok:
+        capture.add("observe", "serve.latency", latency, trace)
+    return capture.detail()
 
 
 def _hang_up(sock: socket.socket) -> None:
@@ -151,6 +190,11 @@ class QueryServer:
             if isinstance(recorder, ContextRecorder)
             else ContextRecorder(recorder)
         )
+        # A per-request capture only pays when something besides this
+        # server can emit into it: an enabled recorder, or a caller's
+        # ContextRecorder (which the index may share).  When true, the
+        # recorder is also enabled inside every request scope.
+        self._capturing = recorder.enabled or recorder is self._recorder
         self._trace_ids = TraceIdGenerator("s", seed=trace_seed)
         #: Rolling-window telemetry behind the ``stats`` wire op.
         self.window = window if window is not None else RollingWindow()
@@ -328,7 +372,7 @@ class QueryServer:
         with self._conns_lock:
             self._conns.discard(sock)
 
-    def _send(self, sock: socket.socket, response: dict) -> None:
+    def _send(self, sock: socket.socket, response: dict | bytes) -> None:
         """Write one response frame; a vanished client just drops out."""
         try:
             write_frame(sock, response)
@@ -351,7 +395,9 @@ class QueryServer:
         try:
             while not self._stopping:
                 try:
-                    payload = reader.read()
+                    frame = reader.read_body()
+                    if frame is not None and is_json(frame):
+                        frame = decode_json(frame)
                 except InvalidQueryError as exc:
                     # The stream may be out of sync after a framing
                     # violation: answer typed, then hang up.
@@ -360,38 +406,36 @@ class QueryServer:
                     return
                 except ReproError:
                     return  # peer vanished mid-frame
-                if payload is None:
+                if frame is None:
                     return  # clean EOF
-                rid = payload.get("id")
-                rid = rid if isinstance(rid, int) else 0
-                try:
-                    request = decode_request(payload)
-                except ReproError as exc:
-                    self._count("bad_frames")
-                    self._send(sock, self._error_response(rid, exc))
-                    continue
-                if request.trace is None:
-                    # Old clients stay valid: the server assigns an id
-                    # so the request is still attributable everywhere.
-                    self._count("untraced")
-                    request = replace(request, trace=self._trace_ids.next())
-                try:
-                    self._validate(request)
-                except ReproError as exc:
-                    # A rejected request is still a request someone
-                    # sent: it gets a flight record (and its trace in
-                    # the error response) so the dump explains the
-                    # rejection.
-                    self._count("bad_frames")
-                    self._finish(request, time.perf_counter(), exc=exc)
-                    self._send(
-                        sock, self._error_response(rid, exc, request.trace)
-                    )
-                    continue
-                self._count("requests")
-                self._send(sock, self._answer(request))
+                self._send(sock, self._respond(frame))
         finally:
             self._drop_connection(sock)
+
+    def _respond(self, frame: dict | bytearray) -> dict | bytes:
+        """The response to one frame: a JSON object or a binary query."""
+        binary = not isinstance(frame, dict)
+        try:
+            request = decode_query(frame) if binary else decode_request(frame)
+        except ReproError as exc:
+            self._count("bad_frames")
+            return self._error_response(request_id(frame), exc)
+        if request.trace is None:
+            # Old clients stay valid: the server assigns an id so the
+            # request is still attributable everywhere.
+            self._count("untraced")
+            request = replace(request, trace=self._trace_ids.next())
+        try:
+            self._validate(request)
+        except ReproError as exc:
+            # A rejected request is still a request someone sent: it
+            # gets a flight record (and its trace in the error response)
+            # so the dump explains the rejection.
+            self._count("bad_frames")
+            self._finish(request, time.perf_counter(), exc=exc)
+            return self._error_response(request.rid, exc, request.trace)
+        self._count("requests")
+        return self._answer(request, binary)
 
     def _validate(self, request: Request) -> None:
         """Reject bad ``k`` before admission.
@@ -416,37 +460,47 @@ class QueryServer:
 
     # -- one request, on the reader that read it ---------------------------
 
-    def _answer(self, request: Request) -> dict:
+    def _answer(self, request: Request, binary: bool = False) -> dict | bytes:
         """The response to one valid request, telemetry recorded.
 
         Admin ops are answered at once, never queued: they must work
         while the executor role is stuck.  Everything else is admitted
-        and executed inside one trace scope with one capture.  Whatever
-        the service raises is answered and recorded — a
-        :class:`~repro.errors.ReproError` under its own name, anything
-        else as a :class:`~repro.errors.ServerError` naming the class —
-        so one request's failure costs nobody else a response, and the
-        connection keeps serving.
+        and executed inside one trace scope (with one capture when the
+        server builds captures).  Whatever the service raises is
+        answered and recorded — a :class:`~repro.errors.ReproError`
+        under its own name, anything else as a
+        :class:`~repro.errors.ServerError` naming the class — so one
+        request's failure costs nobody else a response, and the
+        connection keeps serving.  A ``binary`` query is answered with
+        a binary result frame, everything else (errors included) in
+        JSON.
         """
-        body: dict
         if request.op in ADMIN_OPS:
             body = self.handle_request(request)
         else:
             enqueued_at = time.perf_counter()
-            capture = RequestCapture()
+            capture = RequestCapture() if self._capturing else None
+            deadline = Deadline.of(request.deadline_s)
+            depth = 0
             with trace_scope(request.trace, capture=capture):
                 try:
-                    body = self._execute(request)
+                    depth = self._admit()
+                    body = self._execute(request, deadline, binary)
                 except Exception as exc:
-                    self._finish(request, enqueued_at, capture, exc)
+                    self._finish(request, enqueued_at, depth, capture, exc)
                     return self._error_response(
                         request.rid, exc, request.trace
                     )
-                self._finish(request, enqueued_at, capture)
+                self._finish(request, enqueued_at, depth, capture)
+            if binary:
+                return encode_query_result(request.rid, request.trace, body)
         return {"id": request.rid, "ok": True, "trace": request.trace, **body}
 
-    def _admit(self) -> None:
-        """Count this request in within the bound, or shed it typed."""
+    def _admit(self) -> int:
+        """Count this request in within the bound, or shed it typed.
+
+        Returns the queue depth it was admitted at.
+        """
         with self._queue_lock:
             if self._stopping:
                 raise ServerError("server is shutting down")
@@ -459,20 +513,28 @@ class QueryServer:
                 f"admission queue is full ({self.queue_bound} pending); "
                 "retry with backoff"
             )
-        if self._recorder.enabled:
+        if self._capturing:
             self._recorder.observe("serve.queue_depth", depth)
+        return depth
 
-    def _execute(self, request: Request) -> dict:
-        """Admit, wait for the executor role, run: the response body.
+    def _execute(
+        self, request: Request, deadline: Deadline | None, binary: bool
+    ):
+        """Wait for the executor role, then run an admitted request.
 
-        Raises what the request's outcome is: shed, expired while
-        waiting, refused at shutdown, or whatever the service raised.
+        Returns the response body, or for a ``binary`` query the
+        service's results.  Raises what the request's outcome is:
+        expired while waiting, refused at shutdown, or whatever the
+        service raised.
         """
-        deadline = Deadline.of(request.deadline_s)
-        self._admit()
-        with self._recorder.span(
-            "serve.request", {"op": request.op, "k": request.k}
-        ):
+        span = (
+            self._recorder.span(
+                "serve.request", {"op": request.op, "k": request.k}
+            )
+            if self._capturing
+            else _NO_SPAN
+        )
+        with span:
             held = False
             while not (held or self._stopping):
                 held = self._role_lock.acquire(timeout=_ROLE_WAIT_S)
@@ -487,6 +549,10 @@ class QueryServer:
                         f"request deadline of {deadline.timeout_s:.6g}s "
                         "expired in the admission queue"
                     )
+                if binary:
+                    return self._service.query(
+                        request.preference, request.k, deadline=deadline
+                    )
                 return self.handle_request(request, deadline)
             finally:
                 if held:
@@ -496,6 +562,7 @@ class QueryServer:
         self,
         request: Request,
         enqueued_at: float,
+        depth: int = 0,
         capture: RequestCapture | None = None,
         exc: BaseException | None = None,
     ) -> None:
@@ -508,7 +575,7 @@ class QueryServer:
         latency = time.perf_counter() - enqueued_at
         outcome, error = "ok", None
         if exc is None:
-            if self._recorder.enabled:
+            if self._capturing:
                 self._recorder.observe("serve.latency", latency)
         else:
             if isinstance(exc, ServerOverloadedError):
@@ -528,9 +595,15 @@ class QueryServer:
             hits = capture.total("rji.cache.hits")
             if hits or capture.total("rji.cache.misses"):
                 cache_hit = hits > 0
-            depth = capture.last_value("rji.descent_steps")
-            if depth is not None:
-                descent_depth = int(depth)
+            steps = capture.last_value("rji.descent_steps")
+            if steps is not None:
+                descent_depth = int(steps)
+            detail = capture.detail
+        else:
+
+            def detail() -> dict:
+                return _held_detail(request, depth, latency, exc is None)
+
         self.flight.record(
             FlightRecord(
                 trace=request.trace or "",
@@ -543,7 +616,7 @@ class QueryServer:
                 descent_depth=descent_depth,
                 error=error,
             ),
-            detail=capture.detail if capture is not None else None,
+            detail=detail,
         )
 
     # -- dispatch ----------------------------------------------------------

@@ -4,8 +4,10 @@ Driven with an injectable fake clock, so bucket rotation, expiry, and
 lazy reuse are tested deterministically — no sleeps.
 """
 
+import math
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ConstructionError
@@ -33,7 +35,7 @@ class TestConstruction:
             {"bucket_s": 0.0},
             {"bucket_s": -1.0},
             {"n_buckets": 0},
-            {"max_samples": 0},
+            {"n_buckets": 1},
         ],
     )
     def test_bad_params_raise_typed(self, kwargs):
@@ -114,10 +116,12 @@ class TestRecording:
         for ms in range(1, 101):  # 1..100 ms
             window.record(ms / 1000.0)
         snapshot = window.snapshot()
-        # nearest-rank over n=100: p50 -> 50th sample, p99 -> 99th
-        assert snapshot["p50_s"] == pytest.approx(0.050)
-        assert snapshot["p99_s"] == pytest.approx(0.099)
-        assert snapshot["max_s"] == pytest.approx(0.100)
+        # nearest-rank over n=100: p50 -> 50th sample, p99 -> 99th, each
+        # within the histogram's stated error; the maximum is exact.
+        error = snapshot["rel_error"]
+        assert snapshot["p50_s"] == pytest.approx(0.050, rel=error)
+        assert snapshot["p99_s"] == pytest.approx(0.099, rel=error)
+        assert snapshot["max_s"] == 0.100
 
 
 class TestRotation:
@@ -156,28 +160,61 @@ class TestRotation:
 
 
 class TestSampleBound:
-    def test_dropped_counts_past_max_samples(self):
+    def test_nothing_is_dropped_past_any_rate(self):
         clock = FakeClock()
-        window = make(clock, max_samples=10)
-        for _ in range(25):
-            window.record(0.001)
+        window = make(clock)
+        for i in range(25_000):
+            window.record(1e-4 * (1 + i % 7))
         snapshot = window.snapshot()
-        # outcome counts stay exact even when samples are dropped
-        assert snapshot["count"] == 25
-        assert snapshot["dropped"] == 15
+        assert snapshot["count"] == 25_000
+        assert snapshot["dropped"] == 0
 
     def test_dropped_zero_under_bound(self):
         clock = FakeClock()
-        window = make(clock, max_samples=100)
+        window = make(clock)
         for _ in range(50):
             window.record(0.001)
         assert window.snapshot()["dropped"] == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_percentiles_within_stated_error_of_exact(self, seed):
+        # 10^5 samples over four decades, spread across the ring's
+        # buckets: p50 / p99 against exact nearest-rank.
+        rng = np.random.default_rng(seed)
+        clock = FakeClock(1000.0)
+        window = make(clock)
+        samples = (10.0 ** rng.uniform(-6, -2, 100_000)).tolist()
+        for i, latency in enumerate(samples):
+            clock.now = 1000.0 + 9.99 * i / len(samples)
+            window.record(latency)
+        snapshot = window.snapshot()
+        samples.sort()
+        assert snapshot["count"] == len(samples)
+        for q, key in ((50.0, "p50_s"), (99.0, "p99_s")):
+            rank = round(q / 100.0 * len(samples)) - 1
+            exact = samples[rank]
+            assert abs(snapshot[key] - exact) <= snapshot["rel_error"] * exact
+        assert snapshot["max_s"] == samples[-1]
+
+    def test_a_percentile_never_exceeds_the_exact_maximum(self):
+        window = make(FakeClock())
+        for _ in range(10):
+            window.record(3e-5)
+        snapshot = window.snapshot()
+        assert snapshot["p50_s"] <= snapshot["max_s"] == 3e-5
+        assert snapshot["p50_s"] == pytest.approx(3e-5, rel=snapshot["rel_error"])
+
+    @pytest.mark.parametrize("latency", [0.0, -1.0, 1e-12, 1e9, math.inf])
+    def test_out_of_range_latencies_are_counted(self, latency):
+        window = make(FakeClock())
+        window.record(latency)
+        assert window.snapshot()["count"] == 1
 
 
 class TestThreadSafety:
     def test_concurrent_records_never_lost(self):
         clock = FakeClock()
-        window = make(clock, max_samples=100_000)
+        window = make(clock)
         n_threads, per_thread = 8, 500
 
         def worker():

@@ -1,7 +1,9 @@
 """Unit tests for the wire protocol: framing, validation, error transport."""
 
 import json
+import math
 import socket
+import struct
 import threading
 
 import pytest
@@ -14,17 +16,25 @@ from repro.errors import (
     ServerError,
     ServerOverloadedError,
 )
+from repro.core.index import QueryResult
+from repro.core.scoring import Preference
 from repro.serve import Client
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     FrameReader,
     Request,
     decode_error,
+    decode_query,
+    decode_query_result,
     decode_request,
     decode_results,
     encode_error,
+    encode_query,
+    encode_query_result,
     encode_results,
+    is_json,
     read_frame,
+    request_id,
     write_frame,
 )
 
@@ -190,11 +200,12 @@ class TestFramingMatrix:
             read()
 
 
-def test_timed_out_response_drops_the_connection_and_its_buffer():
+def _half_then_whole(ask, reply):
     """Half a response, then silence: the client must not keep the bytes.
 
-    The second connection answers properly; had the half-read buffer
-    survived, that answer would be parsed as the tail of the first.
+    ``reply(body, tid)`` answers one request frame body.  The second
+    connection answers properly; had the half-read buffer survived, that
+    answer would be parsed as the tail of the first.
     """
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
@@ -203,14 +214,10 @@ def test_timed_out_response_drops_the_connection_and_its_buffer():
 
     def serve():
         first, _ = listener.accept()
-        request = read_frame(first)
-        reply = _frame({"id": request["id"], "ok": True, "results": [[7, 0.5]]})
-        first.sendall(reply[: len(reply) // 2])
+        whole = reply(FrameReader(first).read_body(), 7)
+        first.sendall(_raw_frame(whole)[: 4 + len(whole) // 2])
         second, _ = listener.accept()
-        request = read_frame(second)
-        write_frame(
-            second, {"id": request["id"], "ok": True, "results": [[8, 0.25]]}
-        )
+        write_frame(second, reply(FrameReader(second).read_body(), 8))
         release.wait(timeout=10.0)
         first.close()
         second.close()
@@ -221,15 +228,39 @@ def test_timed_out_response_drops_the_connection_and_its_buffer():
         with Client(*listener.getsockname(), request_timeout_s=0.2) as client:
             client._k_bound = 12  # skip the health round trip
             with pytest.raises(ServerConnectionError):
-                client.query(0.5, 1)
+                ask(client)
             assert client._sock is None and client._reader is None
-            assert [(r.tid, r.score) for r in client.query(0.5, 1)] == [
-                (8, 0.25)
-            ]
+            return ask(client)
     finally:
         release.set()
         thread.join(timeout=5.0)
         listener.close()
+
+
+def _raw_frame(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+def test_timed_out_response_drops_the_connection_and_its_buffer():
+    def reply(body, tid):
+        request = json.loads(body)
+        return json.dumps(
+            {"id": request["id"], "ok": True, "batches": [[[tid, 0.25]]]}
+        ).encode()
+
+    answer = _half_then_whole(lambda client: client.query_batch([0.5], 1), reply)
+    assert answer == [[QueryResult(8, 0.25)]]
+
+
+def test_timed_out_binary_response_drops_the_connection_and_its_buffer():
+    def reply(body, tid):
+        request = decode_query(body)
+        return encode_query_result(
+            request.rid, request.trace, [QueryResult(tid, 0.25)]
+        )
+
+    answer = _half_then_whole(lambda client: client.query(0.5, 1), reply)
+    assert answer == [QueryResult(8, 0.25)]
 
 
 class TestDecodeRequest:
@@ -329,6 +360,152 @@ class TestResults:
             decode_results("garbage")
         with pytest.raises(ServerConnectionError):
             decode_results([[1, 2, 3]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.5, 2.0]],  # a float tid used to become tid 1
+            [[True, "1e5"]],  # a bool tid and a string score
+            [["7", "nan"]],  # strings used to become tid 7, score NaN
+            [[7, True]],
+            [[7, None]],
+            [[2**63, 1.0]],
+            [[-(2**63) - 1, 1.0]],
+            [[7, 10**400]],
+            [[7]],
+            ["ab"],
+            [{"tid": 7, "score": 1.0}],
+        ],
+    )
+    def test_malformed_rows_are_refused_not_coerced(self, rows):
+        with pytest.raises(ServerConnectionError, match="malformed results row"):
+            decode_results(rows)
+
+    def test_integral_scores_and_int64_edges_are_rows(self):
+        rows = decode_results([[-(2**63), 2], [2**63 - 1, -0.5]])
+        assert rows == [QueryResult(-(2**63), 2.0), QueryResult(2**63 - 1, -0.5)]
+        assert type(rows[0].score) is float
+
+
+def _query_body(
+    tag=0x01, rid=7, k=5, p1=2.0, p2=1.0, deadline_ms=0.0, trace=b"c-1",
+    n_trace=None,
+):
+    """A binary query body spelled out field by field: pins the layout."""
+    n_trace = len(trace) if n_trace is None else n_trace
+    head = struct.pack("<BqIdddB", tag, rid, k, p1, p2, deadline_ms, n_trace)
+    return head + trace
+
+
+def _result_body(rid=7, trace=b"c-1", rows=((3, 0.5), (4, 0.25))):
+    tids = [tid for tid, _ in rows]
+    scores = [score for _, score in rows]
+    n = len(rows)
+    return (
+        struct.pack("<BqB", 0x02, rid, len(trace)) + trace
+        + struct.pack(f"<I{n}q{n}d", n, *tids, *scores)
+    )
+
+
+class TestBinaryFrames:
+    PREF = Preference(2.0, 1.0)
+
+    def test_query_layout_and_roundtrip(self):
+        body = encode_query(7, "c-1", self.PREF, 5, 250.0)
+        assert body == _query_body(deadline_ms=250.0)
+        assert decode_query(body) == Request(
+            "query", 7, 5, self.PREF, deadline_s=0.25, trace="c-1"
+        )
+
+    def test_zero_deadline_means_none(self):
+        assert encode_query(7, "c-1", self.PREF, 5) == _query_body()
+        assert decode_query(_query_body()).deadline_s is None
+
+    def test_result_layout_and_roundtrip_is_bit_identical(self):
+        results = [
+            QueryResult(-(2**63), 5e-324),
+            QueryResult(2**63 - 1, 1.7976931348623157e308),
+            QueryResult(3, 0.1 + 0.2),
+            QueryResult(4, -0.0),
+            QueryResult(5, float("nan")),
+        ]
+        body = encode_query_result(9, "s-1", results)
+        assert body == _result_body(9, b"s-1", results)
+        rid, trace, back = decode_query_result(body)
+        assert (rid, trace) == (9, "s-1")
+        assert [struct.pack("<qd", *r) for r in back] == [
+            struct.pack("<qd", *r) for r in results
+        ]
+        assert all(type(r) is QueryResult for r in back)
+
+    def test_empty_result(self):
+        assert decode_query_result(encode_query_result(1, "t", [])) == (
+            1, "t", []
+        )
+
+    def test_first_byte_rule(self):
+        assert is_json(b'{"op": "health", "id": 1}')
+        assert not is_json(_query_body())
+        assert not is_json(b"")
+
+    def test_request_id(self):
+        assert request_id(_query_body(rid=-5)) == -5
+        assert request_id(_query_body()[:8]) == 0
+        assert request_id({"id": 3}) == 3
+        assert request_id({"id": "3"}) == 0
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(_query_body(tag=0x02), id="unknown-tag"),
+            pytest.param(_query_body(tag=0xFF), id="unknown-tag-ff"),
+            pytest.param(_query_body() + b"x", id="trailing-bytes"),
+            pytest.param(_query_body(n_trace=9), id="trace-past-end"),
+            pytest.param(_query_body(trace=b""), id="empty-trace"),
+            pytest.param(_query_body(trace=b"c-\xff"), id="non-ascii-trace"),
+            pytest.param(_query_body(p1=math.nan), id="nan-weight"),
+            pytest.param(_query_body(p2=math.inf), id="inf-weight"),
+            pytest.param(_query_body(p1=-math.inf), id="minus-inf-weight"),
+            pytest.param(_query_body(p1=-1.0), id="negative-weight"),
+            pytest.param(_query_body(p1=0.0, p2=0.0), id="zero-weights"),
+            pytest.param(_query_body(deadline_ms=math.nan), id="nan-deadline"),
+            pytest.param(_query_body(deadline_ms=math.inf), id="inf-deadline"),
+            pytest.param(_query_body(deadline_ms=-math.inf), id="minus-inf-deadline"),
+            pytest.param(_query_body(deadline_ms=-5.0), id="negative-deadline"),
+        ],
+    )
+    def test_hostile_query_frames_are_refused_typed(self, body):
+        with pytest.raises(InvalidQueryError):
+            decode_query(body)
+
+    def test_query_truncated_at_every_offset_is_refused_typed(self):
+        body = _query_body(deadline_ms=10.0)
+        for cut in range(len(body)):
+            with pytest.raises(InvalidQueryError):
+                decode_query(body[:cut])
+
+    def test_result_truncated_or_padded_is_a_connection_error(self):
+        body = _result_body()
+        for cut in range(len(body)):
+            with pytest.raises(ServerConnectionError):
+                decode_query_result(body[:cut])
+        for bad in (body + b"\0", b"\x01" + body[1:], _result_body(trace=b"\xff")):
+            with pytest.raises(ServerConnectionError):
+                decode_query_result(bad)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1, "c-\u00e9", PREF, 5),
+            (1, "x" * 256, PREF, 5),
+            (1, "c-1", PREF, -1),
+            (1, "c-1", PREF, 2**32),
+            (2**63, "c-1", PREF, 5),
+        ],
+    )
+    def test_unencodable_queries_are_refused_typed(self, args):
+        with pytest.raises(InvalidQueryError):
+            encode_query(*args)
 
 
 class TestErrorTransport:

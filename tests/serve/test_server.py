@@ -23,7 +23,12 @@ from repro.errors import (
 from repro.obs import FlightRecorder, current_trace_id
 from repro.serve import Client, QueryServer
 from repro.serve import server as server_module
-from repro.serve.protocol import read_frame, write_frame
+from repro.serve.protocol import (
+    decode_query,
+    decode_query_result,
+    read_frame,
+    write_frame,
+)
 
 
 def _tuples(n=400, seed=1):
@@ -267,15 +272,29 @@ class TestExecutorRole:
         flight.record = spy(
             "flight", flight.record, lambda record, detail=None: record.trace
         )
-        monkeypatch.setattr(
-            server_module,
-            "decode_request",
-            spy("decode", server_module.decode_request, lambda p: p.get("trace")),
-        )
+        # query travels binary, explain and query_batch as JSON: both
+        # decoders and both kinds of response are watched.
+        for decoder, trace_of in (
+            ("decode_request", lambda p: p.get("trace")),
+            ("decode_query", lambda body: decode_query(body).trace),
+        ):
+            monkeypatch.setattr(
+                server_module,
+                decoder,
+                spy("decode", getattr(server_module, decoder), trace_of),
+            )
         monkeypatch.setattr(
             server_module,
             "write_frame",
-            spy("write", write_frame, lambda sock, r: r.get("trace")),
+            spy(
+                "write",
+                write_frame,
+                lambda sock, r: (
+                    r.get("trace")
+                    if isinstance(r, dict)
+                    else decode_query_result(r)[1]
+                ),
+            ),
         )
         n_clients = 6
         wire_ops = {}  # trace -> (client slot, the op it sent)

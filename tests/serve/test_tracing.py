@@ -19,10 +19,22 @@ from hypothesis import strategies as st
 
 from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTupleSet
-from repro.errors import InvalidQueryError, ServerConnectionError
+from repro.core.index import QueryResult
+from repro.errors import (
+    InvalidQueryError,
+    QueryTimeoutError,
+    ServerConnectionError,
+)
 from repro.obs import MetricsRecorder
 from repro.serve import Client, QueryServer
-from repro.serve.protocol import decode_request, read_frame, write_frame
+from repro.serve.protocol import (
+    FrameReader,
+    decode_query,
+    decode_request,
+    encode_query_result,
+    read_frame,
+    write_frame,
+)
 
 
 def _tuples(n=300, seed=2):
@@ -214,13 +226,13 @@ class TestTraceField:
 
 @contextlib.contextmanager
 def _one_shot_server(reply):
-    """A fake server that answers one request with ``reply(request)``."""
+    """A fake server answering one request frame body with ``reply(body)``."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve_one():
         conn, _ = listener.accept()
         with conn:
-            write_frame(conn, reply(read_frame(conn)))
+            write_frame(conn, reply(FrameReader(conn).read_body()))
 
     thread = threading.Thread(target=serve_one, daemon=True)
     thread.start()
@@ -231,30 +243,74 @@ def _one_shot_server(reply):
         listener.close()
 
 
+def _one_shot_client(reply):
+    @contextlib.contextmanager
+    def connected():
+        with _one_shot_server(reply) as (host, port):
+            with Client(host, port, trace_seed=1) as client:
+                client._k_bound = 12  # skip the health round trip
+                yield client
+
+    return connected()
+
+
 class TestEchoVerification:
     def test_client_rejects_mismatched_echo(self, index):
         """A server echoing the wrong id fails the round trip loudly."""
 
-        def lie(request):
-            return {"id": request["id"], "ok": True, "results": [],
+        def lie(body):
+            return {"id": json.loads(body)["id"], "ok": True, "batches": [],
                     "trace": "s-9999-wrong"}
 
-        with _one_shot_server(lie) as (host, port):
-            with Client(host, port, trace_seed=1) as client:
-                client._k_bound = 12  # skip the health round trip
-                with pytest.raises(ServerConnectionError, match="trace"):
-                    client.query(0.5, 3)
+        with _one_shot_client(lie) as client:
+            with pytest.raises(ServerConnectionError, match="trace"):
+                client.query_batch([0.5], 3)
 
     def test_missing_echo_tolerated_for_old_servers(self, index):
         """A pre-tracing server echoes no trace; the client accepts."""
 
-        def legacy(request):
-            return {"id": request["id"], "ok": True, "results": [[0, 1.0]]}
+        def legacy(body):
+            return {"id": json.loads(body)["id"], "ok": True,
+                    "batches": [[[0, 1.0]]]}
 
-        with _one_shot_server(legacy) as (host, port):
-            with Client(host, port, trace_seed=1) as client:
-                client._k_bound = 12
-                assert client.query(0.5, 1)
+        with _one_shot_client(legacy) as client:
+            assert client.query_batch([0.5], 1) == [[QueryResult(0, 1.0)]]
+
+    @pytest.mark.parametrize("field", ["trace", "id"])
+    def test_client_rejects_mismatched_binary_echo(self, field):
+        def lie(body):
+            request = decode_query(body)
+            rid, trace = request.rid, request.trace
+            if field == "trace":
+                trace = "s-9999-wrong"
+            else:
+                rid += 1
+            return encode_query_result(rid, trace, [QueryResult(0, 1.0)])
+
+        with _one_shot_client(lie) as client:
+            with pytest.raises(ServerConnectionError, match="trace"):
+                client.query(0.5, 1)
+            assert client._sock is None  # the stream is not trusted again
+
+    def test_binary_query_accepts_a_json_error(self):
+        """Errors stay JSON: one without a trace echo is still raised typed."""
+
+        def refuse(body):
+            return {"id": decode_query(body).rid, "ok": False,
+                    "error": {"type": "QueryTimeoutError", "message": "late"}}
+
+        with _one_shot_client(refuse) as client:
+            with pytest.raises(QueryTimeoutError, match="late"):
+                client.query(0.5, 1)
+
+    def test_binary_query_refuses_a_json_answer(self):
+        def json_answer(body):
+            return {"id": decode_query(body).rid, "ok": True,
+                    "results": [[0, 1.0]]}
+
+        with _one_shot_client(json_answer) as client:
+            with pytest.raises(ServerConnectionError, match="binary"):
+                client.query(0.5, 1)
 
 
 class TestAdminOps:
