@@ -143,8 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--flight-dump",
         default=None,
         metavar="OUT.json",
-        help="on unclean shutdown (abandoned queue or any non-ok "
-        "request), write the flight-recorder dump here "
+        help="on unclean shutdown (any non-ok request), write the "
+        "flight-recorder dump here "
         "(docs/OBSERVABILITY.md)",
     )
 

@@ -10,7 +10,7 @@ Public surface:
 * :func:`~repro.core.sweep.sweep_regions` — the ConstructRJI sweep.
 """
 
-from .concurrent import ConcurrentRankedJoinIndex, ReadWriteLock
+from .concurrent import ConcurrentRankedJoinIndex
 from .deadline import Deadline
 from .delta import DeltaStore, SupportsWal
 from .dominance import dominating_set, dominating_set_naive
@@ -56,7 +56,6 @@ __all__ = [
     "RankTuple",
     "RankTupleSet",
     "RankedJoinIndex",
-    "ReadWriteLock",
     "Region",
     "SweepStats",
     "TopKSelectionIndex",

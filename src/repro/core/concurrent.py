@@ -1,122 +1,35 @@
 """A thread-safe facade over a maintained Ranked Join Index.
 
 The core index is a plain in-memory structure and the write path that
-maintains it is not thread-safe.  :class:`ConcurrentRankedJoinIndex`
-adds a readers-writer lock so many query threads proceed concurrently
-while inserts/deletes/swaps take exclusive ownership — the standard
-discipline a database system would put around a shared index.
-
-Writer preference: once a writer is waiting, new readers block, so
-maintenance cannot starve under a heavy query load.
+maintains it is not thread-safe by itself.
+:class:`ConcurrentRankedJoinIndex` serves any number of query threads
+while inserts, deletes and compactions proceed: readers take no lock —
+each call answers from the read view the write path last published
+(:attr:`~repro.core.writepath.WritePath.view`) — and writers serialize
+on the write path's one writer lock.  Only writers ever wait, and only
+for each other; a background thread builds compactions off that lock.
 
 Queries optionally take a ``deadline`` (a
-:class:`~repro.core.deadline.Deadline` or seconds): the read-lock wait
-and the wrapped query share one cooperative deadline, so a query stuck
-behind a long rebuild fails fast with
-:class:`~repro.errors.QueryTimeoutError` instead of queueing forever.
+:class:`~repro.core.deadline.Deadline` or seconds) that the wrapped
+query checks cooperatively, raising
+:class:`~repro.errors.QueryTimeoutError` once exceeded; a read never
+waits for a lock, so nothing else consumes it.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Iterable, Sequence
 
-from ..errors import LockDisciplineError, MaintenanceError, QueryTimeoutError
-from .deadline import Deadline, DeadlineLike
-from .delta import DeltaStore, SupportsWal
+from ..errors import MaintenanceError
+from .deadline import DeadlineLike
+from .delta import DeltaView, SupportsWal
 from .index import QueryResult, RankedJoinIndex
 from .scoring import PreferenceLike
 from .tuples import RankTuple, RankTupleSet
 from .writepath import Snapshot, WritePath
 
-__all__ = ["ReadWriteLock", "ConcurrentRankedJoinIndex"]
-
-
-class ReadWriteLock:
-    """A writer-preferring readers-writer lock."""
-
-    def __init__(self) -> None:
-        self._condition = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    def acquire_read(self, timeout: float | None = None) -> bool:
-        """Acquire shared ownership; returns False on timeout.
-
-        ``timeout=None`` blocks indefinitely (and always returns True),
-        preserving the original semantics for existing callers.  The
-        timeout bounds the *total* wait across wakeups, not each one.
-        """
-        with self._condition:
-            if timeout is None:
-                while self._writer_active or self._writers_waiting:
-                    self._condition.wait()
-                self._readers += 1
-                return True
-            expires = time.monotonic() + timeout
-            while self._writer_active or self._writers_waiting:
-                remaining = expires - time.monotonic()
-                if remaining <= 0 or not self._condition.wait(remaining):
-                    return False
-            self._readers += 1
-            return True
-
-    def release_read(self) -> None:
-        with self._condition:
-            if self._readers <= 0:
-                raise LockDisciplineError(
-                    "release_read without a matching successful acquire_read"
-                )
-            self._readers -= 1
-            if self._readers == 0:
-                self._condition.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._condition:
-            self._writers_waiting += 1
-            while self._writer_active or self._readers:
-                self._condition.wait()
-            self._writers_waiting -= 1
-            self._writer_active = True
-
-    def release_write(self) -> None:
-        with self._condition:
-            if not self._writer_active:
-                raise LockDisciplineError(
-                    "release_write without a matching acquire_write"
-                )
-            self._writer_active = False
-            self._condition.notify_all()
-
-    class _ReadGuard:
-        def __init__(self, lock: "ReadWriteLock"):
-            self._lock = lock
-
-        def __enter__(self):
-            self._lock.acquire_read()
-
-        def __exit__(self, *exc):
-            self._lock.release_read()
-            return False
-
-    class _WriteGuard:
-        def __init__(self, lock: "ReadWriteLock"):
-            self._lock = lock
-
-        def __enter__(self):
-            self._lock.acquire_write()
-
-        def __exit__(self, *exc):
-            self._lock.release_write()
-            return False
-
-    def reading(self) -> "_ReadGuard":
-        return self._ReadGuard(self)
-
-    def writing(self) -> "_WriteGuard":
-        return self._WriteGuard(self)
+__all__ = ["ConcurrentRankedJoinIndex"]
 
 
 def _as_pool(tuples: Iterable[RankTuple]) -> dict[int, RankTuple]:
@@ -127,7 +40,7 @@ def _as_pool(tuples: Iterable[RankTuple]) -> dict[int, RankTuple]:
 
 
 class ConcurrentRankedJoinIndex:
-    """Shared-read / exclusive-write wrapper around a RankedJoinIndex."""
+    """Lock-free reads, serialized writes, background compaction."""
 
     def __init__(
         self,
@@ -138,20 +51,17 @@ class ConcurrentRankedJoinIndex:
         pool: Iterable[RankTuple] | None = None,
         build_options: dict | None = None,
     ):
-        self._lock = ReadWriteLock()
-        # The construction bound is immutable across rebuilds (rebuild()
-        # reuses it), so it is cached here and served without the lock.
-        self._k_bound = index.k_bound
         # Writes go through one WritePath (commit to the log — an
         # in-memory one when ``wal`` is omitted — then land in a
         # DeltaStore merged by every query), and a *background* thread
         # compacts the delta into a fresh base once WritePath says it is
-        # due — readers keep draining on the old store while the
-        # replacement builds; only the snapshot and the swap take the
-        # write lock.  ``pool`` seeds the full live tuple set compaction
-        # rebuilds from; it defaults to the index's dominating set,
-        # which is only complete when pruning dropped nothing — a bare
-        # wrapper over a pruned index serves reads and refuses writes.
+        # due — readers keep answering from the published view while
+        # the replacement builds; only the snapshot and the swap take
+        # the writer lock.  ``pool`` seeds the full live tuple set
+        # compaction rebuilds from; it defaults to the index's
+        # dominating set, which is only complete when pruning dropped
+        # nothing — a bare wrapper over a pruned index serves reads and
+        # refuses writes.
         self._pool_complete = (
             pool is not None or index.stats.n_input == len(index.dominating)
         )
@@ -191,18 +101,7 @@ class ConcurrentRankedJoinIndex:
             build_options=options,
         )
 
-    # -- readers -----------------------------------------------------------
-
-    def _acquire_read(self, deadline: Deadline | None) -> None:
-        """Take the read lock within the deadline's remaining budget."""
-        if deadline is None:
-            self._lock.acquire_read()
-            return
-        remaining = deadline.remaining()
-        if remaining <= 0 or not self._lock.acquire_read(remaining):
-            raise QueryTimeoutError(
-                "query deadline expired while waiting for the read lock"
-            )
+    # -- readers (no lock: one read of the published view each) ----------
 
     def query(
         self,
@@ -213,14 +112,9 @@ class ConcurrentRankedJoinIndex:
     ) -> list[QueryResult]:
         """Top-k under ``preference``; ``deadline`` (a
         :class:`~repro.core.deadline.Deadline` or seconds) covers the
-        read-lock wait *and* the query itself, raising
-        :class:`~repro.errors.QueryTimeoutError` once exceeded."""
-        deadline = Deadline.of(deadline)
-        self._acquire_read(deadline)
-        try:
-            return self._writes.index.query(preference, k, deadline=deadline)
-        finally:
-            self._lock.release_read()
+        query, raising :class:`~repro.errors.QueryTimeoutError` once
+        exceeded."""
+        return self._writes.view.query(preference, k, deadline=deadline)
 
     def query_batch(
         self,
@@ -229,43 +123,30 @@ class ConcurrentRankedJoinIndex:
         *,
         deadline: DeadlineLike = None,
     ) -> list[list[QueryResult]]:
-        deadline = Deadline.of(deadline)
-        self._acquire_read(deadline)
-        try:
-            return self._writes.index.query_batch(
-                preferences, k, deadline=deadline
-            )
-        finally:
-            self._lock.release_read()
+        return self._writes.view.query_batch(preferences, k, deadline=deadline)
 
     @property
     def k_bound(self) -> int:
-        return self._k_bound
+        return self._writes.k_bound
 
     @property
     def k_effective(self) -> int:
-        with self._lock.reading():
-            return self._writes.k_effective
+        return self._writes.k_effective
 
     @property
     def n_regions(self) -> int:
-        with self._lock.reading():
-            return self._writes.index.n_regions
-
-    def snapshot_stats(self):
-        with self._lock.reading():
-            return self._writes.index.stats
+        return self._writes.view.n_regions
 
     # -- writers ----------------------------------------------------------------
 
     def insert(self, tuple_: RankTuple) -> bool:
-        """Add a tuple under exclusive ownership.
+        """Add a tuple under the writer lock.
 
         The record reaches the log (append + commit — an fsync on a real
         WAL) *before* the delta buffers the tuple — the commit return is
         the acknowledgement point, so with a durable ``wal`` an
         acknowledged insert survives any later crash."""
-        with self._lock.writing():
+        with self._writes.lock:
             self._require_complete_pool()
             self._writes.insert(tuple_)
             self._start_compaction_locked()
@@ -273,7 +154,7 @@ class ConcurrentRankedJoinIndex:
 
     def delete(self, tid: int) -> int:
         """Remove a tuple; returns the effective bound that remains."""
-        with self._lock.writing():
+        with self._writes.lock:
             self._require_complete_pool()
             self._writes.delete(tid)
             self._start_compaction_locked()
@@ -293,7 +174,7 @@ class ConcurrentRankedJoinIndex:
     def _start_compaction_locked(self) -> None:
         """Kick off a background compaction once the write path is due.
 
-        Caller holds the write lock.  The snapshot (live pool copy +
+        Caller holds the writer lock.  The snapshot (live pool copy +
         current WAL position) is taken here, under the lock, so the
         builder thread never touches shared mutable state."""
         writes = self._writes
@@ -313,25 +194,25 @@ class ConcurrentRankedJoinIndex:
         """Build a fresh base from ``snapshot`` and swap it in.
 
         Runs on the compaction thread.  The build happens outside any
-        lock (old readers drain on the old store); the swap takes the
-        write lock and is O(1): entries the delta absorbed after the
-        snapshot stay buffered, and a build that a :meth:`rebuild`
-        overtook is dropped."""
+        lock (readers keep the published view); the swap takes the
+        writer lock: entries the delta absorbed after the snapshot stay
+        buffered, and a build that a :meth:`rebuild` overtook is
+        dropped."""
+        writes = self._writes
         try:
-            writes = self._writes
             fresh = writes.build(snapshot.tuples)
-            with self._lock.writing():
+            with writes.lock:
                 writes.swap(fresh, snapshot)
         finally:
-            with self._lock.writing():
+            with writes.lock:
                 self._compacting = False
 
     def compact(self) -> None:
         """Synchronously merge the delta into a fresh base index."""
         self.drain_compaction()
-        with self._lock.writing():
-            writes = self._writes
-            if writes.delta.is_empty:
+        writes = self._writes
+        with writes.lock:
+            if writes.delta.view().is_empty:
                 return
             snapshot = writes.snapshot()
             # Claim the compaction slot before dropping the lock so a
@@ -348,31 +229,28 @@ class ConcurrentRankedJoinIndex:
         return True
 
     @property
-    def delta(self) -> DeltaStore:
-        """The live write buffer."""
-        with self._lock.reading():
-            return self._writes.delta
+    def delta(self) -> DeltaView:
+        """The write buffer as the published read view merges it."""
+        return self._writes.view.delta  # type: ignore[return-value]
 
     @property
     def n_live(self) -> int:
-        with self._lock.reading():
-            return len(self._writes.pool)
+        return len(self._writes.pool)
 
     def rebuild(self, tuples: RankTupleSet | Iterable[RankTuple]) -> None:
         """Replace the underlying index atomically (restores slack).
 
         The build uses the wrapper's build options, like every
-        compaction, and runs *outside* the write lock, so readers keep
+        compaction, and runs *outside* the writer lock, so readers keep
         being served from the old index while the replacement is
-        constructed; the swap's exclusive section stays O(1).  The given
-        tuples become the new live pool and the delta restarts empty
-        (an explicit administrative reset, not a logged write); a
-        background compaction still building from the old pool is
-        dropped at its swap.
+        constructed.  The given tuples become the new live pool and the
+        delta restarts empty (an explicit administrative reset, not a
+        logged write); a background compaction still building from the
+        old pool is dropped at its swap.
         """
         if not isinstance(tuples, RankTupleSet):
             tuples = RankTupleSet.from_tuples(tuples)
         fresh = self._writes.build(tuples)
-        with self._lock.writing():
+        with self._writes.lock:
             self._writes.reset(fresh, _as_pool(tuples))
             self._pool_complete = True

@@ -23,9 +23,8 @@ rows, of which at most ``charged`` are hidden; an invisible insert is
 beaten by ``K`` tuples of ``D``, of which at most ``charged`` are
 hidden.  Hence for ``k + charged <= K_effective`` the top-``k`` of
 ``(rows \\ charged) ∪ visible`` is the top-``k`` of the live set — the
-precondition :meth:`RankedJoinIndex._validate_k
-<repro.core.index.RankedJoinIndex._validate_k>` enforces; past it the
-query raises a typed error and the owner must compact.  A delta not
+precondition :meth:`DeltaView.check_k` enforces; past it the query
+raises a typed error and the owner must compact.  A delta not
 yet attached to any base knows no ``D`` and stays conservative: every
 entry is charged and every insert visible.
 
@@ -37,6 +36,11 @@ Entries are tagged with the WAL log-sequence-number that produced them
 so a compaction that rebuilds the base from a snapshot at LSN ``n`` can
 :meth:`~DeltaStore.clear_upto` ``n`` and keep serving the writes that
 arrived while the rebuild ran.
+
+Reads never look at the mutable store: they merge its :class:`DeltaView`,
+an immutable copy of the charged tids and visible inserts taken by
+:meth:`DeltaStore.view`.  A writer that publishes a fresh view after each
+change lets any number of readers merge the old one without a lock.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ from typing import Container, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from ..errors import MaintenanceError
+from ..errors import InvalidQueryError, MaintenanceError
 from .tuples import RankTuple
 
-__all__ = ["DeltaStore", "SupportsWal"]
+__all__ = ["NO_DELTA", "DeltaStore", "DeltaView", "SupportsWal"]
 
 
 @runtime_checkable
@@ -73,12 +77,163 @@ class SupportsWal(Protocol):
     def last_lsn(self) -> int: ...
 
 
+class DeltaView:
+    """What a read merges, frozen: charged tids and visible inserts.
+
+    Immutable once built (the lazily built numpy columns are a pure
+    function of the frozen fields, so two threads racing to build them
+    store equal arrays), hence shared by readers without a lock.  It
+    carries the one ``k``-bound check of every query path, memory and
+    disk alike (:meth:`check_k`).
+    """
+
+    def __init__(
+        self,
+        charged: frozenset[int] = frozenset(),
+        visible: dict[int, RankTuple] | None = None,
+        *,
+        n_ops: int = 0,
+        n_tombstones: int = 0,
+    ):
+        #: Tids of entries that hide a base row (each consumes slack).
+        self.charged = charged
+        #: tid -> tuple for the buffered inserts reads score; never mutated.
+        self.visible = visible if visible is not None else {}
+        self.n_charged = len(charged)
+        self.n_visible = len(self.visible)
+        #: Buffered entries, inert ones included.
+        self.n_ops = n_ops
+        self.n_tombstones = n_tombstones
+        #: Nothing charged, nothing visible: the base alone is exact.
+        self.is_transparent = not (charged or self.visible)
+        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._hidden_sorted: np.ndarray | None = None
+
+    def view(self) -> "DeltaView":
+        """A view is its own snapshot (the :meth:`DeltaStore.view` surface)."""
+        return self
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.n_ops
+
+    def check_k(self, k: int, k_bound: int) -> None:
+        """The single ``k``-bound check of every query entry point.
+
+        Raises :class:`~repro.errors.InvalidQueryError` (a
+        :class:`~repro.errors.QueryError`) for ``k`` outside ``[1, K]``
+        or beyond the slack this view's charged entries leave.
+        """
+        if k < 1:
+            raise InvalidQueryError(f"k must be positive, got {k}")
+        if k > k_bound:
+            raise InvalidQueryError(
+                f"k={k} exceeds the construction bound K={k_bound}"
+            )
+        charged = self.n_charged
+        if charged and k + charged > k_bound:
+            raise InvalidQueryError(
+                f"k={k} plus {charged} buffered writes hiding indexed "
+                f"tuples exceeds the effective bound {k_bound}; the merged "
+                "answer would no longer be exact — compact the delta"
+            )
+
+    # -- query-side merge helpers -----------------------------------------
+
+    def merged_scored(
+        self,
+        rows: Sequence[tuple[float, float, int]],
+        p1: float,
+        p2: float,
+    ) -> list[tuple[float, float, int]]:
+        """Score base rows (minus charged tids) plus visible inserts.
+
+        ``rows`` are the region's ``(s1, s2, -tid)`` triples.  The
+        returned ``(score, s1, -tid)`` triples use the exact scalar
+        arithmetic of the base query path, so sorting them reversed
+        realizes the canonical total order (score desc, s1 desc, tid
+        asc) bit-identically to a from-scratch rebuild.
+
+        A base row is hidden by a tombstone *or* by a buffered insert
+        of the same tid: the delta entry always supersedes the base
+        copy.  The two never coexist in normal maintenance (an insert
+        requires the tid dead), but WAL replay onto an image that was
+        saved mid-compaction legitimately revisits records the image
+        already reflects — without the supersede rule the tuple would
+        be served twice.
+        """
+        charged = self.charged
+        if charged:
+            scored = [
+                (p1 * s1 + p2 * s2, s1, neg_tid)
+                for s1, s2, neg_tid in rows
+                if -neg_tid not in charged
+            ]
+        else:
+            scored = [
+                (p1 * s1 + p2 * s2, s1, neg_tid) for s1, s2, neg_tid in rows
+            ]
+        for tid, t in self.visible.items():
+            scored.append((p1 * t.s1 + p2 * t.s2, t.s1, -tid))
+        return scored
+
+    def survivor_mask(self, tids: np.ndarray) -> np.ndarray:
+        """Mask of base tids no charged entry hides.
+
+        Buffered inserts hide their base copies for the same reason as
+        in :meth:`merged_scored`: the delta entry is the live version.
+        """
+        if not self.charged:
+            return np.ones(len(tids), dtype=bool)
+        if self._hidden_sorted is None:
+            self._hidden_sorted = np.array(
+                sorted(self.charged), dtype=np.int64
+            )
+        return ~np.isin(tids, self._hidden_sorted)
+
+    def insert_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Visible inserts as parallel ``(tids, s1, s2)`` columns."""
+        if self._columns is None:
+            ordered = sorted(self.visible)
+            self._columns = (
+                np.array(ordered, dtype=np.int64),
+                np.array(
+                    [self.visible[t].s1 for t in ordered], dtype=np.float64
+                ),
+                np.array(
+                    [self.visible[t].s2 for t in ordered], dtype=np.float64
+                ),
+            )
+        return self._columns
+
+    def merged_columns(
+        self, tids: np.ndarray, s1: np.ndarray, s2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A region's columns minus charged rows, plus the visible inserts.
+
+        The columnar merged view every vectorized query path scores
+        (the counterpart of :meth:`merged_scored`): rank values are
+        copied, never recomputed, so scoring the result is bit-identical
+        to scoring a rebuilt region.
+        """
+        keep = self.survivor_mask(tids)
+        d_tids, d_s1, d_s2 = self.insert_columns()
+        return (
+            np.concatenate((tids[keep], d_tids)),
+            np.concatenate((s1[keep], d_s1)),
+            np.concatenate((s2[keep], d_s2)),
+        )
+
+
+#: The view of no delta at all: every query path's default.
+NO_DELTA = DeltaView()
+
+
 class DeltaStore:
     """Pending inserts and delete tombstones, merged into answers.
 
-    Not thread-safe by itself: owners serialize writers (and, for
-    concurrent readers, snapshot or lock around mutation) exactly as
-    they already do for the base index.
+    Not thread-safe: one writer at a time mutates it, and concurrent
+    readers merge a published :meth:`view` instead of the store.
     """
 
     __slots__ = (
@@ -87,8 +242,7 @@ class DeltaStore:
         "_base",
         "_charged",
         "_visible",
-        "_columns",
-        "_hidden_sorted",
+        "_view",
     )
 
     def __init__(self) -> None:
@@ -103,9 +257,8 @@ class DeltaStore:
         self._charged: set[int] = set()
         #: tid -> tuple for the buffered inserts that can reach a top-K.
         self._visible: dict[int, RankTuple] = {}
-        # Lazily materialized numpy views for the batch merge path.
-        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._hidden_sorted: np.ndarray | None = None
+        #: The frozen copy :meth:`view` hands out; dropped by every change.
+        self._view: DeltaView | None = None
 
     # -- classification (module docstring: the exactness argument) ---------
 
@@ -131,7 +284,7 @@ class DeltaStore:
             self._classify(tid)
         for tid, (tuple_, _) in self._inserts.items():
             self._classify(tid, tuple_)
-        self._invalidate()
+        self._view = None
 
     def _classify(self, tid: int, inserted: RankTuple | None = None) -> None:
         """Charge ``tid`` if the base holds it; show ``inserted`` if it
@@ -170,7 +323,7 @@ class DeltaStore:
         self._inserts[tuple_.tid] = (tuple_, lsn)
         self._visible.pop(tuple_.tid, None)
         self._classify(tuple_.tid, tuple_)
-        self._invalidate()
+        self._view = None
 
     def delete(self, tid: int, lsn: int = 0) -> None:
         """Buffer a delete.  The caller has checked ``tid`` is live.
@@ -186,7 +339,7 @@ class DeltaStore:
         self._visible.pop(tid, None)
         self._tombstones[tid] = lsn
         self._classify(tid)
-        self._invalidate()
+        self._view = None
 
     def replay(self, op: str, tuple_: RankTuple) -> None:
         """Idempotently re-apply one recovered WAL record.
@@ -224,43 +377,18 @@ class DeltaStore:
         }
         self._classify_all()
 
-    def _invalidate(self) -> None:
-        self._columns = None
-        self._hidden_sorted = None
+    def view(self) -> DeltaView:
+        """The current contents, frozen; cached until the next change."""
+        if self._view is None:
+            self._view = DeltaView(
+                frozenset(self._charged),
+                dict(self._visible),
+                n_ops=len(self._inserts) + len(self._tombstones),
+                n_tombstones=len(self._tombstones),
+            )
+        return self._view
 
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def n_inserts(self) -> int:
-        return len(self._inserts)
-
-    @property
-    def n_tombstones(self) -> int:
-        return len(self._tombstones)
-
-    @property
-    def n_ops(self) -> int:
-        """Buffered entries, inert ones included; no rebuild trigger reads it."""
-        return len(self._inserts) + len(self._tombstones)
-
-    @property
-    def n_charged(self) -> int:
-        """Entries hiding a base row: the exact-merge slack consumed."""
-        return len(self._charged)
-
-    @property
-    def n_visible(self) -> int:
-        """Buffered inserts that queries score."""
-        return len(self._visible)
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self._inserts or self._tombstones)
-
-    @property
-    def is_transparent(self) -> bool:
-        """Nothing charged, nothing visible: the base alone is exact."""
-        return not (self._charged or self._visible)
+    # -- introspection (every count lives on the view) ---------------------
 
     def pending_inserts(self) -> Iterator[RankTuple]:
         """The buffered insert tuples (tid order, deterministic)."""
@@ -269,92 +397,6 @@ class DeltaStore:
 
     def tombstoned(self, tid: int) -> bool:
         return tid in self._tombstones
-
-    # -- query-side merge helpers -----------------------------------------
-
-    def merged_scored(
-        self,
-        rows: Sequence[tuple[float, float, int]],
-        p1: float,
-        p2: float,
-    ) -> list[tuple[float, float, int]]:
-        """Score base rows (minus charged tids) plus visible inserts.
-
-        ``rows`` are the region's ``(s1, s2, -tid)`` triples.  The
-        returned ``(score, s1, -tid)`` triples use the exact scalar
-        arithmetic of the base query path, so sorting them reversed
-        realizes the canonical total order (score desc, s1 desc, tid
-        asc) bit-identically to a from-scratch rebuild.
-
-        A base row is hidden by a tombstone *or* by a buffered insert
-        of the same tid: the delta entry always supersedes the base
-        copy.  The two never coexist in normal maintenance (an insert
-        requires the tid dead), but WAL replay onto an image that was
-        saved mid-compaction legitimately revisits records the image
-        already reflects — without the supersede rule the tuple would
-        be served twice.
-        """
-        charged = self._charged
-        if charged:
-            scored = [
-                (p1 * s1 + p2 * s2, s1, neg_tid)
-                for s1, s2, neg_tid in rows
-                if -neg_tid not in charged
-            ]
-        else:
-            scored = [
-                (p1 * s1 + p2 * s2, s1, neg_tid) for s1, s2, neg_tid in rows
-            ]
-        for tid, t in self._visible.items():
-            scored.append((p1 * t.s1 + p2 * t.s2, t.s1, -tid))
-        return scored
-
-    def survivor_mask(self, tids: np.ndarray) -> np.ndarray:
-        """Mask of base tids no charged entry hides.
-
-        Buffered inserts hide their base copies for the same reason as
-        in :meth:`merged_scored`: the delta entry is the live version.
-        """
-        if not self._charged:
-            return np.ones(len(tids), dtype=bool)
-        if self._hidden_sorted is None:
-            self._hidden_sorted = np.array(
-                sorted(self._charged), dtype=np.int64
-            )
-        return ~np.isin(tids, self._hidden_sorted)
-
-    def insert_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Visible inserts as parallel ``(tids, s1, s2)`` columns."""
-        if self._columns is None:
-            ordered = sorted(self._visible)
-            self._columns = (
-                np.array(ordered, dtype=np.int64),
-                np.array(
-                    [self._visible[t].s1 for t in ordered], dtype=np.float64
-                ),
-                np.array(
-                    [self._visible[t].s2 for t in ordered], dtype=np.float64
-                ),
-            )
-        return self._columns
-
-    def merged_columns(
-        self, tids: np.ndarray, s1: np.ndarray, s2: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A region's columns minus charged rows, plus the visible inserts.
-
-        The columnar merged view every vectorized query path scores
-        (the counterpart of :meth:`merged_scored`): rank values are
-        copied, never recomputed, so scoring the result is bit-identical
-        to scoring a rebuilt region.
-        """
-        keep = self.survivor_mask(tids)
-        d_tids, d_s1, d_s2 = self.insert_columns()
-        return (
-            np.concatenate((tids[keep], d_tids)),
-            np.concatenate((s1[keep], d_s1)),
-            np.concatenate((s2[keep], d_s2)),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

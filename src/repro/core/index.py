@@ -18,9 +18,10 @@ CSR offsets array, so the query hot path is a boundary ``searchsorted``,
 an array slice, and one vectorized score/``lexsort`` — no per-query
 Python loop over tuple ids.  The store is packed once, in ``__init__``,
 and the index is immutable from then on (maintained tiers buffer writes
-in an attached :class:`~repro.core.delta.DeltaStore` and swap in a fresh
-index on compaction); boxed ``Region`` objects are a view materialized
-on demand for introspection.
+in an attached :class:`~repro.core.delta.DeltaStore`, serve reads from a
+:meth:`~RankedJoinIndex.frozen` copy that merges a frozen view of it,
+and swap in a fresh index on compaction); boxed ``Region`` objects are a
+view materialized on demand for introspection.
 
 Variants (Section 6.2):
 
@@ -42,9 +43,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import ConstructionError, InvalidQueryError
+from ..errors import ConstructionError
 from .deadline import Deadline, DeadlineLike
-from .delta import DeltaStore
+from .delta import NO_DELTA, DeltaStore, DeltaView
 from ..obs import (
     NULL_RECORDER,
     ExplainRecorder,
@@ -164,8 +165,9 @@ class RankedJoinIndex:
         # Hot-region cache: angle -> region id, so repeated preferences
         # skip the descent.
         self._cache = HotRegionCache(cache_size) if cache_size > 0 else None
-        # Optional write buffer; when attached, every query merges it.
-        self._delta: DeltaStore | None = None
+        # What every query merges: an attached write buffer's current
+        # view, or a frozen DeltaView (a read view, or no delta at all).
+        self._delta: DeltaStore | DeltaView = NO_DELTA
 
     # -- construction ------------------------------------------------------
 
@@ -267,30 +269,6 @@ class RankedJoinIndex:
 
     # -- queries -----------------------------------------------------------
 
-    def _validate_k(self, k: int) -> None:
-        """The single ``k``-bound check of every query entry point.
-
-        Raises :class:`~repro.errors.InvalidQueryError` (a
-        :class:`~repro.errors.QueryError`) for ``k`` outside ``[1, K]``
-        or beyond the slack an attached delta's charged entries leave.
-        """
-        if k < 1:
-            raise InvalidQueryError(f"k must be positive, got {k}")
-        if k > self.k_bound:
-            raise InvalidQueryError(
-                f"k={k} exceeds the construction bound K={self.k_bound}"
-            )
-        delta = self._delta
-        if delta is not None:
-            charged = delta.n_charged
-            if charged and k + charged > self.k_bound:
-                raise InvalidQueryError(
-                    f"k={k} plus {charged} buffered writes hiding indexed "
-                    f"tuples exceeds the effective bound {self.k_bound}; "
-                    "the merged answer would no longer be exact — compact "
-                    "the delta"
-                )
-
     def query(
         self,
         preference: PreferenceLike,
@@ -313,7 +291,8 @@ class RankedJoinIndex:
         :class:`~repro.errors.QueryTimeoutError` once exceeded; ``None``
         adds no work to the hot path.
         """
-        self._validate_k(k)
+        view = self._delta.view()
+        view.check_k(k, self.k_bound)
         preference = as_preference(preference)
         deadline = Deadline.of(deadline)
         store = self._store
@@ -344,15 +323,14 @@ class RankedJoinIndex:
         p1 = preference.p1
         p2 = preference.p2
         new = tuple.__new__
-        delta = self._delta
-        if delta is not None and not delta.is_transparent:
+        if not view.is_transparent:
             # Merged view: base rows minus charged tids plus visible
             # inserts, all scored with the same scalar arithmetic, so
             # the reversed tuple sort realizes the canonical order
             # bit-identically to a from-scratch rebuild.
             if recorder.enabled:
                 recorder.count("delta.merged_queries")
-            scored = delta.merged_scored(rows, p1, p2)
+            scored = view.merged_scored(rows, p1, p2)
             scored.sort(reverse=True)
             if deadline is not None:
                 deadline.check("evaluate")
@@ -434,7 +412,8 @@ class RankedJoinIndex:
         ``EXPLAIN``, which must not perturb query counters).  Render the
         record with :func:`~repro.obs.render_explain`.
         """
-        self._validate_k(k)
+        view = self._delta.view()
+        view.check_k(k, self.k_bound)
         preference = as_preference(preference)
         tee = ExplainRecorder(self._recorder if record else NULL_RECORDER)
         store = self._store
@@ -470,13 +449,12 @@ class RankedJoinIndex:
         started = time.perf_counter()
         p1 = preference.p1
         p2 = preference.p2
-        delta = self._delta
-        if delta is not None and not delta.is_transparent:
+        if not view.is_transparent:
             # Mirror the merged query path exactly (results and metric
             # stream), so an explained write-buffered query stays
             # indistinguishable from a plain one.
             tee.count("delta.merged_queries")
-            scored = delta.merged_scored(rows, p1, p2)
+            scored = view.merged_scored(rows, p1, p2)
             scored.sort(reverse=True)
             results = tuple(
                 QueryResult(-neg_tid, score)
@@ -558,7 +536,8 @@ class RankedJoinIndex:
         ``searchsorted`` already locates every region in the batch, so
         per-angle memoization would only add lock traffic.
         """
-        self._validate_k(k)
+        view = self._delta.view()
+        view.check_k(k, self.k_bound)
         coerced = [as_preference(p) for p in preferences]
         deadline = Deadline.of(deadline)
         if not coerced:
@@ -575,8 +554,7 @@ class RankedJoinIndex:
             recorder.observe("rji.batch.groups", len(unique_regions))
             recorder.observe("rji.regions_touched", len(unique_regions))
 
-        delta = self._delta
-        merged = delta is not None and not delta.is_transparent
+        merged = not view.is_transparent
         if merged and recorder.enabled:
             recorder.count("delta.merged_queries", len(coerced))
 
@@ -595,8 +573,7 @@ class RankedJoinIndex:
             s1 = store.s1[start:stop]
             s2 = store.s2[start:stop]
             if merged:
-                assert delta is not None
-                tids, s1, s2 = delta.merged_columns(tids, s1, s2)
+                tids, s1, s2 = view.merged_columns(tids, s1, s2)
                 neg_s1 = -s1
             else:
                 neg_s1 = store.neg_s1[start:stop]
@@ -622,9 +599,12 @@ class RankedJoinIndex:
         and tombstones in the delta and replace this (immutable) index
         with a fresh one on compaction.  The delta is rebased on this
         index's dominating set (shared, not copied), which re-classifies
-        its entries; while attached, :meth:`_validate_k` additionally
+        its entries; while attached, the ``k`` check additionally
         requires ``k + n_charged <= K`` so the merged answer stays
-        exact (see :mod:`repro.core.delta`).
+        exact (see :mod:`repro.core.delta`).  Every call reads the
+        delta's current :meth:`~repro.core.delta.DeltaStore.view`, so
+        only its single writer may query meanwhile; concurrent readers
+        use :meth:`frozen` copies.
         """
         self._delta = delta
         dominating = self._dominating
@@ -632,16 +612,28 @@ class RankedJoinIndex:
             self._position_of, dominating.s1, dominating.s2, self.k_bound
         )
 
-    def detach_delta(self) -> DeltaStore | None:
+    def detach_delta(self) -> DeltaStore | DeltaView | None:
         """Stop merging; returns the previously attached delta."""
         delta = self._delta
-        self._delta = None
-        return delta
+        self._delta = NO_DELTA
+        return None if delta is NO_DELTA else delta
+
+    def frozen(self) -> "RankedJoinIndex":
+        """A read view: this index with its delta's current view frozen in.
+
+        Shares the region store, cache and recorder.  Later writes to
+        the attached delta change the delta, never the copy, so readers
+        holding it need no lock; an owner publishes a fresh copy after
+        each change (:class:`~repro.core.writepath.WritePath`).
+        """
+        view = object.__new__(type(self))  # copy.copy would add 2 µs per write
+        view.__dict__.update(self.__dict__, _delta=self._delta.view())
+        return view
 
     @property
-    def delta(self) -> DeltaStore | None:
-        """The attached write buffer, or ``None``."""
-        return self._delta
+    def delta(self) -> DeltaStore | DeltaView | None:
+        """The attached write buffer (a frozen view on a read view), or ``None``."""
+        return None if self._delta is NO_DELTA else self._delta
 
     # -- introspection -------------------------------------------------------
 
@@ -679,9 +671,7 @@ class RankedJoinIndex:
     def k_effective(self) -> int:
         """Largest exact ``k`` right now: ``K`` less the attached delta's
         charged entries (each hides an indexed tuple until compaction)."""
-        delta = self._delta
-        charged = 0 if delta is None else delta.n_charged
-        return max(0, self.k_bound - charged)
+        return max(0, self.k_bound - self._delta.view().n_charged)
 
     @property
     def n_separating(self) -> int:

@@ -4,8 +4,10 @@
 :class:`~repro.core.writepath.WritePath`: inserts and deletes are logged,
 buffered in a :class:`~repro.core.delta.DeltaStore` every query merges
 exactly, and folded into a fresh base index over the live pool once the
-write path says compaction is due — the single-threaded lifecycle a
-deployment would actually run.
+write path says compaction is due — inline, on the writing thread.
+Reads answer from the write path's published view and take no lock;
+writes (and the compactions they trigger) hold its one writer lock, so
+a served managed index may take writes on several connections.
 
 Correctness note on deletions: a delete that hides an indexed tuple
 lowers ``k_effective`` by one until the next compaction; deleting a
@@ -20,7 +22,7 @@ from typing import Iterable, Sequence
 
 from ..errors import MaintenanceError
 from .deadline import DeadlineLike
-from .delta import DeltaStore, SupportsWal
+from .delta import DeltaView, SupportsWal
 from .index import QueryResult, RankedJoinIndex
 from .scoring import PreferenceLike
 from .tuples import RankTuple, RankTupleSet
@@ -84,7 +86,7 @@ class ManagedRankedJoinIndex:
         seconds) arms a cooperative per-query deadline;
         :class:`~repro.errors.QueryTimeoutError` is raised past it.
         """
-        return self._writes.index.query(preference, k, deadline=deadline)
+        return self._writes.view.query(preference, k, deadline=deadline)
 
     def query_batch(
         self,
@@ -93,7 +95,7 @@ class ManagedRankedJoinIndex:
         *,
         deadline: DeadlineLike = None,
     ) -> list[list[QueryResult]]:
-        return self._writes.index.query_batch(preferences, k, deadline=deadline)
+        return self._writes.view.query_batch(preferences, k, deadline=deadline)
 
     @property
     def k_effective(self) -> int:
@@ -106,13 +108,13 @@ class ManagedRankedJoinIndex:
 
     @property
     def index(self) -> RankedJoinIndex:
-        """The currently active base index."""
-        return self._writes.index
+        """The published read view: the base index, the delta merged in."""
+        return self._writes.view
 
     @property
-    def delta(self) -> DeltaStore:
-        """The live write buffer."""
-        return self._writes.delta
+    def delta(self) -> DeltaView:
+        """The write buffer as the published read view merges it."""
+        return self._writes.view.delta  # type: ignore[return-value]
 
     # -- maintenance -------------------------------------------------------
 
@@ -122,10 +124,11 @@ class ManagedRankedJoinIndex:
         The record is committed to the log *before* any in-memory state
         changes; the delta buffers the tuple and every query merges it.
         """
-        self._writes.insert(tuple_)
-        self.log.inserts_applied += 1
-        if self._writes.needs_compaction:
-            self.compact()
+        with self._writes.lock:
+            self._writes.insert(tuple_)
+            self.log.inserts_applied += 1
+            if self._writes.needs_compaction:
+                self._compact("compact")
         return True
 
     def delete(self, tid: int) -> int:
@@ -136,11 +139,12 @@ class ManagedRankedJoinIndex:
         so callers can watch the guarantee degrade without a second
         call.
         """
-        self._writes.delete(tid)
-        self.log.deletes += 1
-        if self._writes.needs_compaction:
-            self.compact()
-        return self.k_effective
+        with self._writes.lock:
+            self._writes.delete(tid)
+            self.log.deletes += 1
+            if self._writes.needs_compaction:
+                self._compact("compact")
+            return self.k_effective
 
     def compact(self) -> None:
         """Merge the delta into a fresh base index and start it empty.
@@ -151,13 +155,16 @@ class ManagedRankedJoinIndex:
         Durable checkpoint/prune lives in
         :class:`repro.storage.durable.DurableRankedJoinIndex`.
         """
-        self._compact("compact")
+        with self._writes.lock:
+            self._compact("compact")
 
     def rebuild(self, *, reason: str = "requested") -> None:
         """Rebuild the index from the live pool, restoring full slack."""
-        self._compact(f"rebuild ({reason})")
+        with self._writes.lock:
+            self._compact(f"rebuild ({reason})")
 
     def _compact(self, event: str) -> None:
+        """Caller holds the writer lock."""
         self._writes.compact()
         self.log.rebuilds += 1
         self.log.events.append(f"{event}; pool={self.n_live}")
@@ -168,7 +175,8 @@ class ManagedRankedJoinIndex:
         A base tuple may be dead *if* a tombstone hides it — the delta
         is part of the logical state — and every buffered insert must
         be live."""
-        index, delta, live = self.index, self.delta, self._writes.pool
+        writes = self._writes
+        index, delta, live = writes.index, writes.delta, writes.pool
         index.check_invariants()
         for tid in index.dominating.tids.tolist():
             if tid not in live and not delta.tombstoned(tid):

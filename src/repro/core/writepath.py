@@ -1,27 +1,34 @@
 """The one WAL-then-delta write path every maintained tier composes.
 
 :class:`WritePath` owns the state a logged write touches — the full
-live tuple pool, the :class:`~repro.core.delta.DeltaStore` queries
-merge, the current base index and the write-ahead log — and the only
-copy of: validate → append → ``commit()`` (fsync, the acknowledgement
-point) → apply to delta and pool; the compaction trigger; and
-compaction itself as :meth:`~WritePath.snapshot` (under the owner's
-write lock) → :meth:`~WritePath.build` (reads nothing mutable, so it
-may run off-lock or on another thread) → :meth:`~WritePath.swap`
-(under the write lock again).  docs/RELIABILITY.md, "Durable write
-path", carries the ordering and exactness arguments.
+live tuple pool, the :class:`~repro.core.delta.DeltaStore`, the current
+base index and the write-ahead log — and the only copy of: validate →
+append → ``commit()`` (fsync, the acknowledgement point) → apply to
+delta and pool → publish; the compaction trigger; and compaction itself
+as :meth:`~WritePath.snapshot` → :meth:`~WritePath.build` (reads
+nothing mutable, so it may run off-lock or on another thread) →
+:meth:`~WritePath.swap`.  docs/RELIABILITY.md, "Durable write path"
+and "Read views", carries the ordering and exactness arguments.
+
+One lock per fact.  :attr:`~WritePath.lock` is the one writer lock:
+the owning tier holds it around every call that changes state
+(:meth:`~WritePath.insert`, :meth:`~WritePath.delete`,
+:meth:`~WritePath.snapshot`, :meth:`~WritePath.swap`,
+:meth:`~WritePath.reset`, :meth:`~WritePath.compact`).  Readers take
+no lock: after every change the writer publishes :attr:`~WritePath.view`
+— the base index with a frozen copy of the delta merged in
+(:meth:`~repro.core.index.RankedJoinIndex.frozen`) — by one reference
+assignment, and a reader dereferences it once per call.
 
 The trigger (:attr:`~WritePath.needs_compaction`) ignores inert
 entries, which change no region (Lemma 2), and bounds them by log
 length instead.
-
-Not thread-safe: the owning wrapper serializes writers and reaches
-this object only under its own lock.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Any, Callable, Iterable, NamedTuple
 
 from ..errors import MaintenanceError
@@ -85,6 +92,8 @@ class WritePath:
         build_options: dict | None = None,
         recorder: Recorder = NULL_RECORDER,
     ):
+        #: The one writer lock (module docstring); reads never take it.
+        self.lock = threading.Lock()
         self.wal = wal if wal is not None else MemoryLog()
         self.threshold = max(1, threshold)
         self.k_bound = index.k_bound
@@ -94,8 +103,8 @@ class WritePath:
         #: Duck-typed chaos hook (see repro.faults.inject.arm).
         self.faults: Any = None
         self.delta = DeltaStore()
-        #: Bumped by every reset and swap (under the owner's writer lock,
-        #: like every field here); a Snapshot of another is stale.
+        #: Bumped by every reset and swap (under :attr:`lock`, like every
+        #: field here but :attr:`view`); a Snapshot of another is stale.
         self.generation = 0
         self.reset(index, pool)
 
@@ -116,6 +125,13 @@ class WritePath:
         #: The WAL position the base reflects (the log trigger's origin).
         self.base_lsn = base_lsn
         self.generation += 1
+        self._publish()
+
+    def _publish(self) -> None:
+        #: What every read answers from: the base and the delta's frozen
+        #: view, swapped together by this one assignment, so no read
+        #: pairs an old base with a delta classified against a new one.
+        self.view = self.index.frozen()
 
     # -- writes ------------------------------------------------------------
 
@@ -131,6 +147,7 @@ class WritePath:
         self._acknowledge()
         self.delta.insert(candidate, lsn)
         self.pool[candidate.tid] = candidate
+        self._publish()
         self._count("delta.inserts")
 
     def delete(self, tid: int) -> None:
@@ -146,6 +163,7 @@ class WritePath:
         self._acknowledge()
         self.delta.delete(tid, lsn)
         del self.pool[tid]
+        self._publish()
         self._count("delta.deletes")
 
     def _acknowledge(self) -> None:
@@ -157,17 +175,18 @@ class WritePath:
 
     def _count(self, name: str) -> None:
         if self.recorder.enabled:
+            view = self.delta.view()
             self.recorder.count(name)
-            self.recorder.observe("delta.size", self.delta.n_ops)
-            self.recorder.observe("delta.charged", self.delta.n_charged)
-            self.recorder.observe("delta.visible", self.delta.n_visible)
+            self.recorder.observe("delta.size", view.n_ops)
+            self.recorder.observe("delta.charged", view.n_charged)
+            self.recorder.observe("delta.visible", view.n_visible)
 
     # -- exactness and the compaction trigger ------------------------------
 
     @property
     def k_effective(self) -> int:
-        """Largest exact ``k`` right now (charged entries consume slack)."""
-        return self.index.k_effective
+        """Largest exact ``k`` as of the published :attr:`view`."""
+        return self.view.k_effective
 
     @property
     def needs_compaction(self) -> str | None:
@@ -180,7 +199,7 @@ class WritePath:
         ``max(threshold, n_live)`` records, which bounds both recovery
         replay and the inert entries buffered meanwhile.
         """
-        delta = self.delta
+        delta = self.delta.view()
         if delta.n_charged * 2 >= self.k_bound:
             return "charged"
         if delta.n_charged + delta.n_visible >= self.threshold:
@@ -213,7 +232,9 @@ class WritePath:
         charged from here on.  A build from a snapshot whose base has
         since been replaced (a :meth:`reset` while it ran) describes a
         discarded pool and is dropped.  LSNs cannot tell — a reset with
-        no write after it leaves the snapshot's LSN current."""
+        no write after it leaves the snapshot's LSN current.  Readers
+        keep the old view until :meth:`_install` publishes the new pair.
+        """
         if snapshot.generation != self.generation:
             return
         self.delta.clear_upto(snapshot.lsn)

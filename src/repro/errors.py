@@ -14,7 +14,6 @@ __all__ = [
     "InvalidQueryError",
     "QueryTimeoutError",
     "MaintenanceError",
-    "LockDisciplineError",
     "StorageError",
     "PageOverflowError",
     "CorruptPageError",
@@ -57,25 +56,15 @@ class InvalidQueryError(QueryError):
 class QueryTimeoutError(QueryError):
     """A query exceeded its cooperative per-query deadline.
 
-    Raised by the deadline checks in the descent and K-evaluation
-    phases (see :mod:`repro.core.deadline`) and by the serving wrappers
-    when the read lock cannot be acquired in time.  It subclasses
+    Raised by the cooperative deadline checks of the query paths (see
+    :mod:`repro.core.deadline`); a read waits for no lock, so only its
+    own work spends the budget.  It subclasses
     :class:`QueryError`, so existing handlers keep working.
     """
 
 
 class MaintenanceError(ReproError):
     """An incremental update could not be applied to the index."""
-
-
-class LockDisciplineError(ReproError):
-    """A lock was released without a matching successful acquisition.
-
-    Raised by :class:`~repro.core.concurrent.ReadWriteLock` when
-    ``release_read``/``release_write`` would underflow the ownership
-    accounting — the runtime signature of the double-release bugs that
-    rjilint rule RJI011 hunts statically.
-    """
 
 
 class StorageError(ReproError):

@@ -16,23 +16,22 @@ is one reader's work**, from ``recv`` to ``sendall``.  The moving parts:
   writes the response to its own socket; no thread ever touches another
   connection's request or socket (:meth:`QueryServer.close` only hangs
   up);
-* **admission control** — a counter of requests admitted and not yet
-  started, capped by ``queue_bound``.  A reader holds at most one (it
-  does not read its next frame until the last is answered), so the
-  bound counts waiting connections.  Past it the request is *shed
-  immediately* with a typed :class:`~repro.errors.ServerOverloadedError`
-  response — never a silent drop, never an unbounded backlog;
-* **the executor role** — a plain lock that serializes every service
-  call.  A reader waits for it on a bounded timed ``acquire`` (the only
-  wait in the server that is not on a socket), re-checking for shutdown
-  each time it wakes.  Nothing strands: a waiting request's only
-  dependency is its own reader, and a reader answers whatever its
-  service call raises — typed or not — before it returns to ``recv``;
+* **admission control** — a counter of service calls in flight,
+  capped by ``queue_bound``.  A reader holds at most one (it does not
+  read its next frame until the last is answered), so the bound counts
+  busy connections.  Past it the request is *shed immediately* with a
+  typed :class:`~repro.errors.ServerOverloadedError` response — never a
+  silent drop, never an unbounded backlog;
+* **no server-side lock around the service** — service calls run
+  concurrently, each on its own reader.  The front doors are
+  thread-safe on their own terms: reads answer from a published read
+  view and take no lock, writes serialize on their write path's one
+  writer lock, so only a writer ever waits, and only for another
+  writer.  Nothing strands: a reader answers whatever its service call
+  raises — typed or not — before it returns to ``recv``;
 * **deadlines** — a request's ``deadline_ms`` arms a
-  :class:`~repro.core.deadline.Deadline` at admission.  One that expires
-  while waiting for the role is answered with
-  :class:`~repro.errors.QueryTimeoutError`, not executed; otherwise the
-  deadline is passed through to the service call;
+  :class:`~repro.core.deadline.Deadline` at admission that is passed
+  through to the service call;
 * **metrics** — ``serve.*`` counters and series through any
   :class:`~repro.obs.Recorder` (queue depth at every admission,
   per-request latency), Prometheus-exportable via
@@ -108,11 +107,6 @@ from .service import IndexService
 
 __all__ = ["QueryServer"]
 
-#: How long a reader waiting for the executor role sleeps before it
-#: re-checks for shutdown.  Bounds how late a waiting request learns of
-#: :meth:`QueryServer.close` while a service call ahead of it is stuck.
-_ROLE_WAIT_S = 0.05
-
 _NO_SPAN = contextlib.nullcontext()
 
 
@@ -156,8 +150,8 @@ class QueryServer:
     """Serve an :class:`~repro.serve.service.IndexService` over TCP.
 
     Each connection's reader thread runs its own requests, one at a
-    time, start to finish; service calls are serialized by one lock.
-    ``queue_bound`` caps how many requests may wait for that lock (the
+    time, start to finish; readers call the service concurrently.
+    ``queue_bound`` caps how many calls may be in flight at once (the
     backpressure knob).  ``port=0`` binds an ephemeral port — read the
     bound address from :attr:`address` after :meth:`start`.
     """
@@ -201,14 +195,9 @@ class QueryServer:
         #: The always-on flight recorder behind the ``dump`` wire op.
         self.flight = flight if flight is not None else FlightRecorder()
         self._flight_path = Path(flight_path) if flight_path else None
-        # Requests admitted and not yet started: each is a reader
-        # waiting for the executor role.
-        self._waiting = 0  # rjilint: guarded-by(_queue_lock)
+        # Service calls admitted and not yet answered, one per busy reader.
+        self._in_flight = 0  # rjilint: guarded-by(_queue_lock)
         self._queue_lock = threading.Lock()
-        # The executor role: guards no field, serializes service calls.
-        # Taken before _queue_lock (and every other lock here), never
-        # while one is held.
-        self._role_lock = threading.Lock()
         self._conns: set[socket.socket] = set()
         self._conns_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -259,29 +248,26 @@ class QueryServer:
         return (addr[0], addr[1])
 
     def close(self) -> None:
-        """Stop serving: waiting requests get typed errors, threads end.
+        """Stop serving: calls in flight are answered, threads end.
 
-        An *unclean* shutdown — requests still waiting, or any non-ok
-        outcome on record — writes the flight-recorder dump to the
-        configured ``flight_path`` so the evidence survives the process.
+        An *unclean* shutdown — any non-ok outcome on record — writes the
+        flight-recorder dump to the configured ``flight_path`` so the
+        evidence survives the process.
         """
         if self._stopping:
             return
-        # Under the queue lock, so the count is exact: a request leaves
-        # the waiting state under the same lock and looks at _stopping
-        # there, so these — and no others — are refused by their readers.
+        # Under the queue lock, where admission reads it: a request
+        # admitted before this point is in flight and gets its answer,
+        # every later one is refused typed.
         with self._queue_lock:
             self._stopping = True
-            abandoned = self._waiting
         if self._listener is not None:
             _hang_up(self._listener)
         # Acceptor first (no new connections after it).  Then every
         # reader is woken with SHUT_RD, which leaves it its write half:
-        # one parked in recv() sees EOF, one waiting for the role
-        # refuses its request typed within _ROLE_WAIT_S, the one inside
-        # the service answers when the call returns; each hangs up its
-        # own socket on the way out, so every thread this server
-        # started is dead on return.
+        # one parked in recv() sees EOF, one inside the service answers
+        # when the call returns; each hangs up its own socket on the way
+        # out, so every thread this server started is dead on return.
         self._threads[0].join(timeout=5.0)
         with self._conns_lock:
             conns = list(self._conns)
@@ -296,20 +282,18 @@ class QueryServer:
             stuck = list(self._conns)
         for sock in stuck:  # a service call that outlived the join
             self._drop_connection(sock)
-        self._maybe_dump_flight(abandoned)
+        self._maybe_dump_flight()
 
-    def _maybe_dump_flight(self, abandoned: int) -> None:
+    def _maybe_dump_flight(self) -> None:
         """Write the flight dump at shutdown when something went wrong."""
         if self._flight_path is None:
             return
         dump = self.flight.dump()
         outcomes = dump["outcomes"]
-        unclean = abandoned > 0 or any(
+        if not any(
             outcomes.get(name, 0) for name in ("error", "shed", "timeout")
-        )
-        if not unclean:
+        ):
             return
-        dump["abandoned_in_queue"] = abandoned
         try:
             self._flight_path.write_text(json.dumps(dump, indent=2))
         except OSError:
@@ -337,9 +321,9 @@ class QueryServer:
 
     @property
     def queue_depth(self) -> int:
-        """Requests admitted and not yet started."""
+        """Service calls in flight: admitted and not yet answered."""
         with self._queue_lock:
-            return self._waiting
+            return self._in_flight
 
     # -- connection handling ----------------------------------------------
 
@@ -463,8 +447,8 @@ class QueryServer:
     def _answer(self, request: Request, binary: bool = False) -> dict | bytes:
         """The response to one valid request, telemetry recorded.
 
-        Admin ops are answered at once, never queued: they must work
-        while the executor role is stuck.  Everything else is admitted
+        Admin ops are answered at once, never admitted: they must work
+        while every admission slot is busy.  Everything else is admitted
         and executed inside one trace scope (with one capture when the
         server builds captures).  Whatever the service raises is
         answered and recorded — a :class:`~repro.errors.ReproError`
@@ -499,18 +483,18 @@ class QueryServer:
     def _admit(self) -> int:
         """Count this request in within the bound, or shed it typed.
 
-        Returns the queue depth it was admitted at.
+        Returns the number in flight it was admitted at.
         """
         with self._queue_lock:
             if self._stopping:
                 raise ServerError("server is shutting down")
-            depth = self._waiting + 1
+            depth = self._in_flight + 1
             if depth <= self.queue_bound:
-                self._waiting = depth
+                self._in_flight = depth
         if depth > self.queue_bound:
             self._count("shed")
             raise ServerOverloadedError(
-                f"admission queue is full ({self.queue_bound} pending); "
+                f"admission queue is full ({self.queue_bound} in flight); "
                 "retry with backoff"
             )
         if self._capturing:
@@ -520,12 +504,10 @@ class QueryServer:
     def _execute(
         self, request: Request, deadline: Deadline | None, binary: bool
     ):
-        """Wait for the executor role, then run an admitted request.
+        """Run an admitted request, then give its admission slot back.
 
         Returns the response body, or for a ``binary`` query the
-        service's results.  Raises what the request's outcome is:
-        expired while waiting, refused at shutdown, or whatever the
-        service raised.
+        service's results; raises whatever the service raised.
         """
         span = (
             self._recorder.span(
@@ -535,28 +517,15 @@ class QueryServer:
             else _NO_SPAN
         )
         with span:
-            held = False
-            while not (held or self._stopping):
-                held = self._role_lock.acquire(timeout=_ROLE_WAIT_S)
             try:
-                with self._queue_lock:
-                    self._waiting -= 1
-                    stopping = self._stopping
-                if stopping:
-                    raise ServerError("server is shutting down")
-                if deadline is not None and deadline.expired():
-                    raise QueryTimeoutError(
-                        f"request deadline of {deadline.timeout_s:.6g}s "
-                        "expired in the admission queue"
-                    )
                 if binary:
                     return self._service.query(
                         request.preference, request.k, deadline=deadline
                     )
                 return self.handle_request(request, deadline)
             finally:
-                if held:
-                    self._role_lock.release()
+                with self._queue_lock:
+                    self._in_flight -= 1
 
     def _finish(
         self,
@@ -709,7 +678,9 @@ class QueryServer:
         live ``top`` view can show the hit rate next to the percentiles.
         A service with a write buffer (a ``delta`` attribute) adds a
         ``writes`` block: buffered ops, how many hide an indexed tuple
-        (charged) or are scored by reads (visible), and ``k_effective``.
+        (charged) or are scored by reads (visible), and ``k_effective``
+        — all four from one frozen view of the buffer, so they agree
+        even while another connection writes.
         """
         snapshot = {
             "window": self.window.snapshot(),
@@ -723,10 +694,11 @@ class QueryServer:
             snapshot["cache"] = cache.snapshot()
         delta = getattr(self._service, "delta", None)
         if delta is not None:
+            view = delta.view()
             snapshot["writes"] = {
-                "delta_ops": delta.n_ops,
-                "charged": delta.n_charged,
-                "visible": delta.n_visible,
-                "k_effective": getattr(self._service, "k_effective", None),
+                "delta_ops": view.n_ops,
+                "charged": view.n_charged,
+                "visible": view.n_visible,
+                "k_effective": max(0, self._service.k_bound - view.n_charged),
             }
         return snapshot

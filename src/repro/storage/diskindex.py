@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -29,11 +30,11 @@ from typing import Sequence
 import numpy as np
 
 from ..core.deadline import Deadline, DeadlineLike
-from ..core.delta import DeltaStore
+from ..core.delta import NO_DELTA, DeltaStore, DeltaView
 from ..core.hotcache import MISS, HotRegionCache
 from ..core.index import QueryResult, RankedJoinIndex, top_k_columns
 from ..core.scoring import PreferenceLike, as_preference
-from ..errors import CorruptPageError, InvalidQueryError, StorageError
+from ..errors import CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, Recorder
 from .btree import BPlusTree, BTreeSearchStats
 from .buffer import BufferPool
@@ -198,11 +199,15 @@ class DiskRankedJoinIndex:
         self.recorder = recorder
         #: Fault-injection hook (None = unarmed; see repro.faults).
         self.faults = None
-        #: Optional write buffer merged into answers (recover() path).
-        self._delta: DeltaStore | None = None
+        #: Frozen write buffer merged into answers (recover() path).
+        self._delta: DeltaView | None = None
         self.last_recovery = None
         self._mapped = False
         self._cache = HotRegionCache(cache_size) if cache_size > 0 else None
+        #: Serializes the page-touching part of a query: the buffer pool
+        #: and the pager's counters are the one read-side state that is
+        #: not thread-safe.
+        self._pages_lock = threading.Lock()
         self.pager = Pager(page_size, recorder=recorder)
         # Page 0 is the metadata page (filled in last, once layout is known).
         self.pager.allocate()
@@ -318,6 +323,7 @@ class DiskRankedJoinIndex:
         instance._cache = (
             HotRegionCache(cache_size) if cache_size > 0 else None
         )
+        instance._pages_lock = threading.Lock()
         instance.pager = pager
         instance._heap = HeapFile.attach(
             pager, list(range(1, 1 + heap_pages)), heap_size
@@ -378,7 +384,8 @@ class DiskRankedJoinIndex:
             for op, tuple_ in wal.replay(after_lsn=wal.checkpoint_lsn):
                 delta.replay(op, tuple_)
                 replayed += 1
-            if not delta.is_empty:
+            view = delta.view()
+            if not view.is_empty:
                 held = instance._indexed_tuples()
                 delta.rebase(
                     set(held["tid"].tolist()),
@@ -386,7 +393,7 @@ class DiskRankedJoinIndex:
                     held["s2"],
                     instance.k_bound,
                 )
-                instance._delta = delta
+                view = instance._delta = delta.view()
                 instance.reset_io()
             instance.last_recovery = RecoveryReport(
                 checkpoint_lsn=wal.checkpoint_lsn,
@@ -394,8 +401,8 @@ class DiskRankedJoinIndex:
                 replayed=replayed,
                 torn_tails=wal.torn_tails,
                 n_live=instance.stats.n_dominating
-                - delta.n_charged
-                + delta.n_visible,
+                - view.n_charged
+                + view.n_visible,
             )
         finally:
             wal.close()
@@ -423,54 +430,42 @@ class DiskRankedJoinIndex:
         unrecoverable region raises
         :class:`~repro.errors.CorruptPageError`.
         """
-        if k < 1:
-            raise InvalidQueryError(f"k must be positive, got {k}")
-        if k > self.k_bound:
-            raise InvalidQueryError(
-                f"k={k} exceeds the construction bound K={self.k_bound}"
-            )
-        delta = self._delta
-        if delta is not None:
-            charged = delta.n_charged
-            if charged and k + charged > self.k_bound:
-                raise InvalidQueryError(
-                    f"k={k} plus {charged} replayed writes hiding indexed "
-                    f"tuples exceeds the construction bound K={self.k_bound}; "
-                    "the merged answer would no longer be exact — compact "
-                    "and re-save the image"
-                )
+        view = self._delta or NO_DELTA
+        view.check_k(k, self.k_bound)
         preference = as_preference(preference)
         deadline = Deadline.of(deadline)
         if self.faults is not None:
             self.faults.on_disk_query()
         if deadline is not None:
             deadline.check("disk.validate")
-        reads_before = self.pager.counters.reads
 
         btree_stats = BTreeSearchStats()
         cache = self._cache
         cached = MISS if cache is None else cache.get(preference.angle)
         cache_hit = cached is not MISS
         evicted = False
-        if cache_hit:
-            key, address = cached
-        else:
-            key, address = self._btree.search_le(
-                preference.angle, self.pool, btree_stats
-            )
-            if cache is not None:
-                evicted = cache.put(preference.angle, (key, address))
-        if deadline is not None:
-            deadline.check("disk.descent")
-        if self._mapped:
-            # Zero-copy: the record array is built over a read-only view
-            # of the file mapping (writes through it raise), with every
-            # covered page CRC-verified on its first touch.
-            payload: bytes | memoryview = self._heap.read_view(
-                address, self.pager
-            )
-        else:
-            payload = self._heap.read(address, self.pool)
+        with self._pages_lock:
+            reads_before = self.pager.counters.reads
+            if cache_hit:
+                key, address = cached
+            else:
+                key, address = self._btree.search_le(
+                    preference.angle, self.pool, btree_stats
+                )
+                if cache is not None:
+                    evicted = cache.put(preference.angle, (key, address))
+            if deadline is not None:
+                deadline.check("disk.descent")
+            if self._mapped:
+                # Zero-copy: the record array is built over a read-only
+                # view of the file mapping (writes through it raise),
+                # with every covered page CRC-verified on its first touch.
+                payload: bytes | memoryview = self._heap.read_view(
+                    address, self.pager
+                )
+            else:
+                payload = self._heap.read(address, self.pool)
+            pages_read = self.pager.counters.reads - reads_before
         records = np.frombuffer(payload, dtype=_RECORD_DTYPE)
         if len(records) == 0:
             # Tombstone left by repair(): the region's payload was lost.
@@ -484,12 +479,11 @@ class DiskRankedJoinIndex:
         tids = records["tid"]
         s1 = records["s1"]
         s2 = records["s2"]
-        merged = delta is not None and not delta.is_transparent
+        merged = not view.is_transparent
         if merged:
             # recover() replayed a WAL into the delta: score the merged
             # view, as the in-memory batch path does.
-            assert delta is not None
-            tids, s1, s2 = delta.merged_columns(tids, s1, s2)
+            tids, s1, s2 = view.merged_columns(tids, s1, s2)
         results = top_k_columns(
             tids,
             s1,
@@ -505,7 +499,7 @@ class DiskRankedJoinIndex:
         query_stats = self.last_query = DiskQueryStats(
             btree_nodes=btree_stats.nodes_visited,
             btree_keys_compared=btree_stats.keys_compared,
-            pages_read=self.pager.counters.reads - reads_before,
+            pages_read=pages_read,
             tuples_evaluated=len(tids),
         )
         if self.recorder.enabled:
@@ -723,8 +717,8 @@ class DiskRankedJoinIndex:
         return self._cache
 
     @property
-    def delta(self) -> DeltaStore | None:
-        """Replayed write buffer attached by :meth:`recover`, or ``None``."""
+    def delta(self) -> DeltaView | None:
+        """Replayed write buffer (frozen) from :meth:`recover`, or ``None``."""
         return self._delta
 
     def reset_io(self) -> None:

@@ -30,7 +30,6 @@ replay changed anything, and report what happened in a
 from __future__ import annotations
 
 import struct
-import threading
 import time
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -39,7 +38,7 @@ import numpy as np
 
 from ..core import RankedJoinIndex
 from ..core.deadline import DeadlineLike
-from ..core.delta import DeltaStore
+from ..core.delta import DeltaView
 from ..core.index import QueryResult
 from ..core.scoring import PreferenceLike
 from ..core.tuples import RankTuple
@@ -143,10 +142,10 @@ class DurableRankedJoinIndex:
     protocol plus the write surface (``insert`` / ``delete``), so it
     plugs straight into :class:`repro.serve.QueryServer`.
 
-    Thread-safe by a single reentrant lock over reads and writes: the
-    durable tier optimizes for recoverability, not parallel read
-    throughput (wrap in :class:`~repro.core.concurrent.
-    ConcurrentRankedJoinIndex` semantics when that matters).
+    Thread-safe.  Reads take no lock: they answer from the write path's
+    published read view, so an fsync or a compaction delays no read.
+    Writes — and the compactions they trigger, file I/O included — hold
+    the write path's one writer lock.
     """
 
     def __init__(
@@ -171,20 +170,17 @@ class DurableRankedJoinIndex:
             recorder=recorder,
         )
         self._recorder = recorder
-        self._lock = threading.RLock()
         self.last_recovery: RecoveryReport | None = None
         self.compaction_pauses: list[float] = []
 
     @property
     def faults(self):
         """Duck-typed chaos hook (see repro.faults.inject.arm)."""
-        with self._lock:
-            return self._writes.faults
+        return self._writes.faults
 
     @faults.setter
     def faults(self, injector) -> None:
-        with self._lock:
-            self._writes.faults = injector
+        self._writes.faults = injector
 
     # -- construction ------------------------------------------------------
 
@@ -295,18 +291,16 @@ class DurableRankedJoinIndex:
             instance._persist(index, ordered)
         return instance
 
-    # -- queries (delegated; the attached delta merges) --------------------
+    # -- queries (no lock: one read of the published view each) ----------
 
     @property
     def k_bound(self) -> int:
-        with self._lock:
-            return self._writes.k_bound
+        return self._writes.k_bound
 
     @property
     def k_effective(self) -> int:
         """Largest exact ``k`` right now (charged delta entries consume slack)."""
-        with self._lock:
-            return self._writes.k_effective
+        return self._writes.k_effective
 
     def query(
         self,
@@ -315,9 +309,8 @@ class DurableRankedJoinIndex:
         *,
         deadline: DeadlineLike = None,
     ) -> list[QueryResult]:
-        """Merged top-k; validation and merge live in the base index."""
-        with self._lock:
-            return self._writes.index.query(preference, k, deadline=deadline)
+        """Merged top-k; validation and merge live in the read view."""
+        return self._writes.view.query(preference, k, deadline=deadline)
 
     def query_batch(
         self,
@@ -326,16 +319,12 @@ class DurableRankedJoinIndex:
         *,
         deadline: DeadlineLike = None,
     ) -> list[list[QueryResult]]:
-        with self._lock:
-            return self._writes.index.query_batch(
-                preferences, k, deadline=deadline
-            )
+        return self._writes.view.query_batch(preferences, k, deadline=deadline)
 
     def explain(
         self, preference: PreferenceLike, k: int, *, record: bool = True
     ) -> QueryExplain:
-        with self._lock:
-            return self._writes.index.explain(preference, k, record=record)
+        return self._writes.view.explain(preference, k, record=record)
 
     # -- writes (WAL-then-delta, see repro.core.writepath) -----------------
 
@@ -346,7 +335,7 @@ class DurableRankedJoinIndex:
         live tid or non-finite rank values.  Returns ``True`` (the write
         is buffered and will enter the base at the next compaction).
         """
-        with self._lock:
+        with self._writes.lock:
             self._writes.insert(tuple_)
             self._compact_if_due()
             return True
@@ -357,7 +346,7 @@ class DurableRankedJoinIndex:
         Raises :class:`~repro.errors.MaintenanceError` when ``tid`` is
         not live or the delete would empty the index.
         """
-        with self._lock:
+        with self._writes.lock:
             self._writes.delete(tid)
             self._compact_if_due()
             return self._writes.k_effective
@@ -373,7 +362,8 @@ class DurableRankedJoinIndex:
         snapshot fully covers.  The chaos hook fires between steps so
         fault plans can kill the process at each boundary.
         """
-        self._compact("requested")
+        with self._writes.lock:
+            self._compact("requested")
 
     def _compact_if_due(self) -> None:
         reason = self._writes.needs_compaction
@@ -382,7 +372,8 @@ class DurableRankedJoinIndex:
             self._compact(reason)
 
     def _compact(self, reason: str) -> None:
-        with self._lock, self._recorder.span("compaction", {"reason": reason}):
+        """Caller holds the writer lock; readers keep the old view."""
+        with self._recorder.span("compaction", {"reason": reason}):
             started = time.perf_counter()
             self._recorder.count("compaction.runs")
             self._chaos_step()  # before anything: WAL replay covers all
@@ -413,9 +404,9 @@ class DurableRankedJoinIndex:
     # -- introspection -----------------------------------------------------
 
     @property
-    def delta(self) -> DeltaStore:
-        with self._lock:
-            return self._writes.delta
+    def delta(self) -> DeltaView:
+        """The write buffer as the published read view merges it."""
+        return self._writes.view.delta  # type: ignore[return-value]
 
     @property
     def wal(self) -> WriteAheadLog:
@@ -423,22 +414,23 @@ class DurableRankedJoinIndex:
 
     @property
     def n_live(self) -> int:
-        with self._lock:
-            return len(self._writes.pool)
+        return len(self._writes.pool)
 
     def live_tuples(self) -> list[RankTuple]:
-        """The full live pool, tid-sorted — the rebuild reference set."""
-        with self._lock:
+        """The full live pool, tid-sorted — the rebuild reference set.
+
+        Copied under the writer lock: an administrative read, not a
+        query."""
+        with self._writes.lock:
             return sorted(self._writes.pool.values())
 
     def close(self) -> None:
         self._wal.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        with self._lock:
-            return (
-                f"DurableRankedJoinIndex({str(self._dir)!r}, "
-                f"live={len(self._writes.pool)}, "
-                f"delta={self._writes.delta.n_ops}, "
-                f"wal_lsn={self._wal.last_lsn})"
-            )
+        return (
+            f"DurableRankedJoinIndex({str(self._dir)!r}, "
+            f"live={len(self._writes.pool)}, "
+            f"delta={self.delta.n_ops}, "
+            f"wal_lsn={self._wal.last_lsn})"
+        )

@@ -6,75 +6,76 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.concurrent import ConcurrentRankedJoinIndex, ReadWriteLock
+from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.index import RankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTuple, RankTupleSet
 from repro.datagen.synthetic import uniform_pairs
+from repro.obs import Recorder
+
+
+class _Rendezvous(Recorder):
+    """Holds each armed query at ``rji.queries`` until ``parties`` are in."""
+
+    enabled = True
+
+    def __init__(self, parties):
+        self.barrier = threading.Barrier(parties)
+        self.armed = False
+
+    def count(self, name, value=1, attrs=None):
+        if self.armed and name == "rji.queries":
+            self.barrier.wait(timeout=5)
 
 
 class TestReadWriteLock:
+    """What replaced the readers-writer lock: readers take no lock at
+    all, writers serialize on the write path's one writer lock."""
+
     def test_readers_share(self):
-        lock = ReadWriteLock()
-        inside = []
-        barrier = threading.Barrier(3)
+        recorder = _Rendezvous(3)
+        index = ConcurrentRankedJoinIndex.build(
+            uniform_pairs(200, seed=1), 6, recorder=recorder
+        )
+        recorder.armed = True
+        answers = []
 
         def reader():
-            with lock.reading():
-                barrier.wait(timeout=5)  # all three readers inside at once
-                inside.append(1)
+            answers.append(index.query(Preference(1.0, 1.0), 4))
 
         threads = [threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert len(inside) == 3
-
-    def test_writer_excludes_readers(self):
-        lock = ReadWriteLock()
-        order = []
-
-        def writer():
-            with lock.writing():
-                order.append("w-in")
-                time.sleep(0.05)
-                order.append("w-out")
-
-        def reader():
-            time.sleep(0.01)  # let the writer in first
-            with lock.reading():
-                order.append("r")
-
-        w = threading.Thread(target=writer)
-        r = threading.Thread(target=reader)
-        w.start()
-        r.start()
-        w.join(timeout=5)
-        r.join(timeout=5)
-        assert order == ["w-in", "w-out", "r"]
+        # All three readers must be inside query at once (the barrier
+        # breaks otherwise), and none waits for the held writer lock.
+        with index._writes.lock:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        recorder.armed = False
+        assert not recorder.barrier.broken
+        assert answers == [index.query(Preference(1.0, 1.0), 4)] * 3
 
     def test_writer_not_starved(self):
-        lock = ReadWriteLock()
+        index = ConcurrentRankedJoinIndex.build(uniform_pairs(300, seed=2), 6)
         done = threading.Event()
 
         def reader_loop():
             while not done.is_set():
-                with lock.reading():
-                    time.sleep(0.001)
+                index.query(Preference(0.3, 0.7), 4)
 
         readers = [threading.Thread(target=reader_loop) for _ in range(4)]
         for t in readers:
             t.start()
         try:
             start = time.perf_counter()
-            with lock.writing():
-                waited = time.perf_counter() - start
-            assert waited < 2.0  # writer preference got us in promptly
+            index.insert(RankTuple(10_000, 0.5, 0.5))
+            waited = time.perf_counter() - start
+            assert waited < 2.0  # readers never hold anything a writer needs
         finally:
             done.set()
             for t in readers:
                 t.join(timeout=5)
+        assert index.n_live == 301
 
 
 class TestConcurrentIndex:

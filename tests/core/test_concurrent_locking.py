@@ -1,10 +1,9 @@
-"""Read-lock release discipline under timeouts and exceptions.
+"""Lock accounting of the concurrent wrapper under timeouts and exceptions.
 
-Regression tests for the serving wrapper's lock accounting: every
-successful ``acquire_read`` is released exactly once on every exit path
-(normal return, query exception, lock-wait timeout), and the
-:class:`ReadWriteLock` itself now refuses to underflow its ownership
-counters with :class:`~repro.errors.LockDisciplineError`.
+Reads take no lock, so no exit path of a read — normal return, query
+exception, deadline expiry — can leave one behind; writes take the
+write path's one writer lock and must release it on every path.  Each
+test checks that the writer lock is free afterwards and still usable.
 """
 
 import threading
@@ -12,14 +11,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.concurrent import ConcurrentRankedJoinIndex, ReadWriteLock
+from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTuple, RankTupleSet
-from repro.errors import (
-    InvalidQueryError,
-    LockDisciplineError,
-    QueryTimeoutError,
-)
+from repro.errors import InvalidQueryError, MaintenanceError, QueryTimeoutError
 
 
 def _build(n=200, k=5, seed=7):
@@ -32,66 +27,52 @@ def _build(n=200, k=5, seed=7):
     return index, s1, s2, n
 
 
-def _lock_is_quiescent(lock: ReadWriteLock) -> bool:
-    return (
-        lock._readers == 0
-        and not lock._writer_active
-        and lock._writers_waiting == 0
-    )
-
-
-class TestUnderflowGuards:
-    def test_release_read_without_acquire_raises(self):
-        lock = ReadWriteLock()
-        with pytest.raises(LockDisciplineError):
-            lock.release_read()
-
-    def test_release_write_without_acquire_raises(self):
-        lock = ReadWriteLock()
-        with pytest.raises(LockDisciplineError):
-            lock.release_write()
-
-    def test_double_release_read_raises(self):
-        lock = ReadWriteLock()
-        assert lock.acquire_read()
-        lock.release_read()
-        with pytest.raises(LockDisciplineError):
-            lock.release_read()
+def _lock_is_quiescent(index: ConcurrentRankedJoinIndex) -> bool:
+    index.drain_compaction()
+    return not index._writes.lock.locked()
 
 
 class TestExceptionPaths:
     def test_query_exception_releases_exactly_once(self):
-        index, _, _, _ = _build()
+        index, s1, s2, n = _build()
         with pytest.raises(InvalidQueryError):
             index.query(Preference(1.0, 1.0), 10_000)  # k above the bound
-        assert _lock_is_quiescent(index._lock)
+        with pytest.raises(MaintenanceError):
+            index.insert(RankTuple(0, 1.0, 1.0))  # tid 0 is live
+        assert _lock_is_quiescent(index)
         # The lock is still usable for writers afterwards.
-        with index._lock.writing():
-            pass
+        index.insert(RankTuple(n, float(s1[n]), float(s2[n])))
+        assert _lock_is_quiescent(index)
 
     def test_lock_wait_timeout_takes_nothing(self):
         index, _, _, _ = _build()
-        index._lock.acquire_write()  # a rebuild-like writer is in
-        try:
-            with pytest.raises(QueryTimeoutError):
-                index.query(Preference(1.0, 1.0), 3, deadline=0.05)
-        finally:
-            index._lock.release_write()
-        assert _lock_is_quiescent(index._lock)
+        expected = index.query(Preference(1.0, 1.0), 3)
+        answers = []
+
+        def read():
+            answers.append(index.query(Preference(1.0, 1.0), 3, deadline=0.05))
+
+        with index._writes.lock:  # a rebuild-like writer is in
+            # There is no read lock to wait for: the deadline only
+            # covers the query, which answers from the published view.
+            reader = threading.Thread(target=read)
+            reader.start()
+            reader.join(timeout=5.0)
+            waited = reader.is_alive()
+        reader.join(timeout=10.0)
+        assert not waited and answers == [expected]
+        assert _lock_is_quiescent(index)
 
     def test_expired_deadline_before_wait(self):
         index, _, _, _ = _build()
         with pytest.raises(QueryTimeoutError):
             index.query(Preference(1.0, 1.0), 3, deadline=0.0)
-        assert _lock_is_quiescent(index._lock)
+        assert _lock_is_quiescent(index)
 
     def test_k_bound_served_without_lock(self):
         index, s1, s2, n = _build()
-        index._lock.acquire_write()  # even mid-write...
-        try:
+        with index._writes.lock:  # even mid-write...
             assert index.k_bound == 5  # ...the bound stays readable
-        finally:
-            index._lock.release_write()
         index.rebuild(
             RankTupleSet(np.arange(n), s1[:n], s2[:n])
         )
@@ -148,8 +129,8 @@ class TestTimeoutExceptionInterleavings:
         for t in workers:
             t.join(timeout=20)
         assert failures == []
-        assert _lock_is_quiescent(index._lock)
-        # A full write cycle still goes through: no leaked reader counts.
-        with index._lock.writing():
-            pass
+        assert _lock_is_quiescent(index)
+        # A full write cycle still goes through: nothing leaked the lock.
+        index.delete(n + 119)
+        assert _lock_is_quiescent(index)
         assert index.query(Preference(1.0, 1.0), 3)

@@ -96,13 +96,15 @@ class TestConcurrentTimeout:
         assert shared.query(0.7, 4, deadline=10.0) == index.query(0.7, 4)
 
     def test_timeout_while_a_writer_holds_the_lock(self):
+        # A read waits for no lock, so a writer holding the writer lock
+        # costs its deadline nothing: the answer arrives within budget.
         index = _build()
         shared = ConcurrentRankedJoinIndex(index)
         writer_in = threading.Event()
         release = threading.Event()
 
         def writer():
-            with shared._lock.writing():
+            with shared._writes.lock:
                 writer_in.set()
                 release.wait(timeout=30.0)
 
@@ -110,13 +112,11 @@ class TestConcurrentTimeout:
         thread.start()
         try:
             assert writer_in.wait(timeout=10.0)
-            with pytest.raises(QueryTimeoutError, match="read lock"):
-                shared.query(0.7, 4, deadline=0.05)
+            assert shared.query(0.7, 4, deadline=0.05) == index.query(0.7, 4)
         finally:
             release.set()
             thread.join(timeout=10.0)
         assert not thread.is_alive()
-        # The lock is healthy again after the writer leaves.
         assert shared.query(0.7, 4, deadline=5.0) == index.query(0.7, 4)
 
     def test_query_batch_accepts_a_timeout(self):

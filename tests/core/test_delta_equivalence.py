@@ -127,7 +127,7 @@ def test_tombstones_consume_exact_merge_slack():
     slack = index.k_effective
     for tid in index.dominating.tids[:4].tolist():
         delta.delete(tid, 0)
-    assert delta.n_charged == 4
+    assert delta.view().n_charged == 4
     assert index.query((0.5, 0.5), slack - 4)  # still exact
     with pytest.raises(InvalidQueryError, match="compact"):
         index.query((0.5, 0.5), slack - 3)
@@ -147,8 +147,9 @@ def test_non_skyband_tombstones_consume_no_slack():
     for tid in outside[:20]:
         delta.delete(tid, 0)
         del pool[tid]
-    assert delta.n_tombstones == 20 and delta.n_charged == 0
-    assert delta.is_transparent and not delta.is_empty
+    view = delta.view()
+    assert view.n_tombstones == 20 and view.n_charged == 0
+    assert view.is_transparent and not view.is_empty
     reference = _reference(pool, 8)
     preferences = random_preferences(30, seed=2)
     assert index.query_batch(preferences, 8) == reference.query_batch(
@@ -167,10 +168,11 @@ def test_insert_then_delete_in_one_window_costs_no_slack():
     delta = DeltaStore()
     index.attach_delta(delta)
     delta.insert(RankTuple(9000, 2.0, 2.0), 1)  # would top every answer
-    assert delta.n_visible == 1
+    assert delta.view().n_visible == 1
     delta.delete(9000, 2)
-    assert delta.n_tombstones == 1 and delta.n_inserts == 0
-    assert delta.n_charged == 0 and delta.is_transparent
+    view = delta.view()
+    assert view.n_tombstones == 1 and view.n_ops == 1  # no insert left
+    assert view.n_charged == 0 and view.is_transparent
     preferences = random_preferences(20, seed=6)
     # k = K: at the parent commit the lone tombstone made this raise.
     assert index.query_batch(preferences, 8) == bare.query_batch(preferences, 8)
@@ -197,12 +199,13 @@ def test_unattached_delta_stays_conservative_until_attached():
     delta.insert(RankTuple(500, -1.0, -1.0), 3)  # under every base tuple
     delta.insert(RankTuple(501, 0.99, 0.99), 4)
     probe = np.array([outside, inside, 500, 7])
-    assert delta.n_charged == 4 and delta.n_visible == 2
-    assert delta.survivor_mask(probe).tolist() == [False, False, False, True]
+    assert (delta.view().n_charged, delta.view().n_visible) == (4, 2)
+    assert delta.view().survivor_mask(probe).tolist() == [False, False, False, True]
     index.attach_delta(delta)
-    assert delta.n_charged == 1 and delta.n_visible == 1
-    assert delta.survivor_mask(probe).tolist() == [True, False, True, True]
-    assert delta.insert_columns()[0].tolist() == [501]
+    view = delta.view()
+    assert view.n_charged == 1 and view.n_visible == 1
+    assert view.survivor_mask(probe).tolist() == [True, False, True, True]
+    assert view.insert_columns()[0].tolist() == [501]
 
 
 # Four would-be dominators and low filler under K = 4: an insert that
@@ -236,7 +239,7 @@ def test_insert_tying_a_dominator_stays_visible(tid, s1, s2):
     below = RankTuple(tid + 1, s1 - 0.01, s2 - 0.01)  # strictly under C too
     delta.insert(tied, 1)
     delta.insert(below, 2)
-    assert delta.insert_columns()[0].tolist() == [tid]
+    assert delta.view().insert_columns()[0].tolist() == [tid]
     live = sorted(_STRICT_BASE + [tied, below])
     rebuilt = RankedJoinIndex.build(live, 4)
     # k = n turns the scan's partial selection off: its full lexsort is
@@ -291,7 +294,7 @@ def test_delete_then_reinsert_uses_new_values():
     assert results[0].tid == 2
     assert results[0].score == pytest.approx(0.8)
     # The tombstone coexists with the insert; the pair still counts once.
-    assert delta.n_tombstones == 1 and delta.n_inserts == 1
+    assert (delta.view().n_tombstones, delta.view().n_ops) == (1, 2)
 
 
 def test_clear_upto_keeps_entries_past_the_snapshot():
@@ -304,7 +307,7 @@ def test_clear_upto_keeps_entries_past_the_snapshot():
     assert [t.tid for t in delta.pending_inserts()] == [2]
     assert not delta.tombstoned(9) and delta.tombstoned(10)
     delta.clear()
-    assert delta.is_empty
+    assert delta.view().is_empty
 
 
 def test_delta_rejects_bad_writes():

@@ -6,16 +6,20 @@ in-memory ``MemoryLog``) and ``DurableRankedJoinIndex`` (real WAL in
 the oracle is region-free — ``RankedJoinIndex.build(sorted(live))``.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.baselines.fullscan import FullScanTopK
 from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.delta import SupportsWal
 from repro.core.index import RankedJoinIndex
 from repro.core.managed import ManagedRankedJoinIndex
-from repro.core.tuples import RankTuple
+from repro.core.scoring import as_preference
+from repro.core.tuples import RankTuple, RankTupleSet
 from repro.core.workloads import random_preferences
 from repro.core.writepath import TRIGGERS, MemoryLog, WritePath
 from repro.errors import MaintenanceError
@@ -300,6 +304,115 @@ class WritePathContract:
         # plain path and the full bound is answerable.
         assert index.delta.is_transparent and not index.delta.is_empty
         _assert_matches_rebuild(index, pool, 12, 12)
+
+    def test_reads_take_no_lock(self, tier):
+        # The test thread holds the one writer lock; every read surface
+        # must still answer, from another thread, what it answered before.
+        index, _ = tier()
+        index.insert(RankTuple(999, 2.0, 2.0))  # a visible buffered write
+        index.delete(int(index.query((1.0, 1.0), 2)[1].tid))  # a charged one
+        _settle(index)
+        preferences = random_preferences(6, seed=4)
+
+        def read():
+            explain = getattr(index, "explain", None)
+            return (
+                [index.query(p, 5) for p in preferences],
+                index.query_batch(preferences, 5),
+                explain and list(explain(preferences[0], 5).results),
+                index.k_effective,
+                index.delta.n_ops,
+                index.n_live,
+            )
+
+        expected, answered = read(), []
+        with index._writes.lock:
+            reader = threading.Thread(target=lambda: answered.append(read()))
+            reader.start()
+            reader.join(timeout=5.0)
+            held_throughout = reader.is_alive()
+        reader.join(timeout=10.0)
+        assert not held_throughout, "a read waited for the writer lock"
+        assert answered == [expected]
+
+    def test_every_read_equals_the_oracle_at_some_lsn(self, tier):
+        # ~1 s of paced writes on one thread, reads on two others: each
+        # read must equal the full-scan oracle over the live set after
+        # some prefix of the writes, between the writes finished when it
+        # started and the writes begun when it ended.  A torn view (a
+        # base paired with a delta of another generation, a half-applied
+        # write) matches no prefix.
+        base = _tuples(200, seed=5)
+        index, _ = tier(base, k=10, threshold=16)
+        rng = np.random.default_rng(8)
+        live = {t.tid: t for t in base}
+        writes, states = [], [dict(live)]
+        for step in range(200):
+            if step % 3 == 2:
+                victim = int(rng.choice(sorted(live)))
+                del live[victim]
+                writes.append((index.delete, victim))
+            else:
+                # Mostly above the base's top-K, so most inserts change
+                # answers and a stale or torn view shows.
+                ranks = 0.6 + 0.6 * rng.random(2)
+                fresh = RankTuple(1000 + step, *map(float, ranks))
+                live[fresh.tid] = fresh
+                writes.append((index.insert, fresh))
+            states.append(dict(live))
+        progress = {"started": 0, "done": 0}
+
+        def writer():
+            for call, argument in writes:
+                progress["started"] += 1
+                call(argument)
+                progress["done"] += 1
+                time.sleep(0.004)
+
+        reads = []
+
+        def reader(seed):
+            preferences = random_preferences(64, seed=seed)
+            while thread.is_alive():
+                for preference in preferences[:8]:
+                    first = progress["done"]
+                    answer = index.query(preference, 2)
+                    reads.append((preference, first, progress["started"], answer))
+                preferences = preferences[8:] + preferences[:8]
+                time.sleep(0.005)
+
+        thread = threading.Thread(target=writer)
+        readers = [threading.Thread(target=reader, args=(s,)) for s in (1, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave inside every write
+        try:
+            thread.start()
+            for r in readers:
+                r.start()
+            for t in (thread, *readers):
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (thread, *readers))
+        _settle(index)
+        oracles = {}
+
+        def oracle(step, preference):
+            if step not in oracles:
+                pool = RankTupleSet.from_tuples(sorted(states[step].values()))
+                oracles[step] = FullScanTopK(pool)
+            return oracles[step].query(as_preference(preference), 2)
+
+        torn = [
+            (first, last)
+            for preference, first, last, answer in reads
+            if not any(
+                answer == oracle(step, preference)
+                for step in range(first, last + 1)
+            )
+        ]
+        assert torn == []
+        assert len({first for _, first, _, _ in reads}) > 50  # reads overlapped
 
 
 class TestManagedWalMode(WritePathContract):

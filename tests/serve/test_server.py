@@ -178,15 +178,17 @@ def _wait_until(condition, timeout_s=10.0):
 
 
 class _StalledClients:
-    """One client stalled inside the service, ``n_queued`` queued behind it.
+    """``1 + n_others`` clients, each with one call stalled in the service.
 
     Each client sends one ``query`` (angle ``0.1 * (slot + 1)``, ``k=5``)
     from its own thread and records its answer or its exception.
+    Nothing serializes service calls, so all of them are in flight at
+    once.
     """
 
-    def __init__(self, srv, stalling, n_queued):
+    def __init__(self, srv, stalling, n_others):
         host, port = srv.address
-        self.angles = [0.1 * (slot + 1) for slot in range(n_queued + 1)]
+        self.angles = [0.1 * (slot + 1) for slot in range(n_others + 1)]
         self.outcomes = [None] * len(self.angles)
         self.clients = [Client(host, port) for _ in self.angles]
         for client in self.clients:
@@ -196,13 +198,10 @@ class _StalledClients:
             for slot in range(len(self.angles))
         ]
         calls = stalling.calls
-        self.threads[0].start()
-        # The first request's own reader takes the role and stalls in
-        # the service; only then do the rest wait behind it.
-        _wait_until(lambda: stalling.calls == calls + 1)
-        for thread in self.threads[1:]:
+        for thread in self.threads:
             thread.start()
-        _wait_until(lambda: srv.queue_depth == n_queued)
+        _wait_until(lambda: stalling.calls == calls + len(self.angles))
+        assert srv.queue_depth == len(self.angles)
 
     def _ask(self, slot):
         try:
@@ -219,16 +218,17 @@ class _StalledClients:
 
 
 class TestExecutorRole:
-    """The reader that admits a request executes it; nobody else has to."""
+    """The reader that admits a request executes it; nobody else has to,
+    and no lock in the server makes one request wait for another."""
 
     def test_no_request_strands_when_the_role_holder_leaves(self, index):
-        # Six queued behind a stall: each reader that gets the role
-        # answers its own request and leaves with the rest still
-        # waiting, so every later reader must pick the role up itself.
+        # Seven calls stalled in the service at once (no executor role
+        # serializes them): releasing the stall answers every one, each
+        # on its own reader, and the admission count drains to zero.
         gate = threading.Event()
         stalling = _StallingIndex(index, gate)
         with QueryServer(stalling, port=0) as srv:
-            stalled = _StalledClients(srv, stalling, n_queued=6)
+            stalled = _StalledClients(srv, stalling, n_others=6)
             gate.set()
             stalled.join()
             assert srv.queue_depth == 0
@@ -340,10 +340,11 @@ class TestExecutorRole:
 
     @no_thread_deaths
     def test_untyped_failure_strands_no_other_request(self, index):
-        # c's query holds the role; a's insert (raises struct.error, as
-        # the WAL encoder does on an unencodable tid) and b's explain
-        # wait behind it.  a's failure is a's alone: typed, recorded,
-        # and a's connection keeps serving.
+        # c's query is stalled in the service; a's insert (raises
+        # struct.error, as the WAL encoder does on an unencodable tid)
+        # and b's explain are answered meanwhile — c's stall delays
+        # nobody.  a's failure is a's alone: typed, recorded, and a's
+        # connection keeps serving.
         gate = threading.Event()
 
         class Poisoned(_StallingIndex):
@@ -363,10 +364,8 @@ class TestExecutorRole:
         a_again = []
 
         def ask(slot):
-            if slot:  # a, then b: each once the one before is in place
-                _wait_until(
-                    lambda: service.calls == 1 and srv.queue_depth == slot - 1
-                )
+            if slot:  # a and b: once c is stalled in the service
+                _wait_until(lambda: service.calls == 1)
             with Client(*srv.address, request_timeout_s=5.0) as client:
                 client._k_bound = index.k_bound  # no health round trip
                 try:
@@ -378,7 +377,10 @@ class TestExecutorRole:
         with QueryServer(service, port=0) as srv:
             opener = threading.Thread(
                 target=lambda: (
-                    _wait_until(lambda: srv.queue_depth == 2), gate.set()
+                    _wait_until(
+                        lambda: outcomes[2] is not None and a_again != []
+                    ),
+                    gate.set(),
                 )
             )
             opener.start()
@@ -399,8 +401,9 @@ class TestExecutorRole:
         assert _serve_threads(before) == []
 
     def test_role_handoff_under_thread_switch_pressure(self, index):
-        # More readers than cores and a 10 us switch interval: every
-        # request is still executed exactly once and answered correctly.
+        # More readers than cores, all calling the service at once, and
+        # a 10 us switch interval: every request is still executed
+        # exactly once and answered correctly.
         gate = threading.Event()
         gate.set()
         stalling = _StallingIndex(index, gate)
@@ -470,19 +473,22 @@ class TestAdmissionControl:
         assert stats["shed"] == len(shed)
 
     def test_deadline_expired_while_waiting_is_not_executed(self, index):
+        # The deadline travels with the call: a request that waits in a
+        # stalled service past it is refused at the index's first phase
+        # check (locate), before any tuple is scored.
         gate = threading.Event()
         stalling = _StallingIndex(index, gate)
         with QueryServer(stalling, port=0) as srv:
-            stalled = _StalledClients(srv, stalling, n_queued=0)
+            stalled = _StalledClients(srv, stalling, n_others=0)
             with Client(*srv.address) as waiter:
                 waiter._k_bound = index.k_bound  # no health round trip
                 threading.Timer(0.2, gate.set).start()
                 # the client waits a grace period past the deadline, so
                 # the server's typed answer is what arrives
-                with pytest.raises(QueryTimeoutError, match="admission queue"):
+                with pytest.raises(QueryTimeoutError, match="locate"):
                     waiter.query(0.5, 5, deadline=0.05)
             stalled.join()
-        assert stalling.calls == 1
+        assert stalling.calls == 2
         assert srv.flight.summary()["outcomes"] == {"ok": 1, "timeout": 1}
 
     def test_queue_bound_must_be_positive(self, index):
@@ -554,19 +560,16 @@ class TestLifecycle:
         stalling = _StallingIndex(index, gate)
         flight_path = tmp_path / "flight.json"
         srv = QueryServer(stalling, port=0, flight_path=flight_path).start()
-        stalled = _StalledClients(srv, stalling, n_queued=3)
+        stalled = _StalledClients(srv, stalling, n_others=3)
         closer = threading.Thread(target=srv.close)
         closer.start()
-        # The waiting requests are refused by their own readers, while
-        # the call ahead of them is still stuck in the service.
-        for thread in stalled.threads[1:]:
-            thread.join(timeout=10.0)
-        assert not gate.is_set()
-        assert [type(o) for o in stalled.outcomes[1:]] == [ServerError] * 3
-        assert "shutting down" in str(stalled.outcomes[1])
-        assert srv.queue_depth == 0
-        # close() cannot interrupt the service call: it lets the call
-        # in flight answer, returns as soon as it has, and no reader
+        # Nothing is queued, so nothing is refused: close() hangs up on
+        # new work while all four calls are still stuck in the service.
+        _wait_until(lambda: srv._stopping)
+        time.sleep(0.1)
+        assert closer.is_alive() and stalled.outcomes == [None] * 4
+        # close() cannot interrupt a service call: it lets every call in
+        # flight answer, returns as soon as they have, and no reader
         # outlives it.
         released = time.perf_counter()
         gate.set()
@@ -574,14 +577,13 @@ class TestLifecycle:
         assert not closer.is_alive()
         assert time.perf_counter() - released < 0.5
         stalled.join()
-        assert stalled.outcomes[0] == index.query(stalled.angles[0], 5)
-        assert _serve_threads(before) == []
-        # the refused three were never executed, and the post-mortem
-        # says how many there were
-        assert stalling.calls == 1
+        assert stalled.outcomes == [index.query(a, 5) for a in stalled.angles]
+        assert _serve_threads(before) == [] and srv.queue_depth == 0
+        assert stalling.calls == 4
         stats = srv.stats()
         assert stats["responses"] == stats["requests"]
-        assert json.loads(flight_path.read_text())["abandoned_in_queue"] == 3
+        # every outcome was ok: a clean shutdown leaves no post-mortem
+        assert not flight_path.exists()
 
     def test_address_requires_start(self, index):
         with pytest.raises(ServerError):
