@@ -1,12 +1,13 @@
 """Command-line entry point: ``python -m repro.cli <command>``.
 
-Three command families:
+Four command families:
 
 * experiments — one command per table/figure of the paper (see
-  DESIGN.md), plus ``all`` and the parts/suppliers ``demo``;
+  DESIGN.md), plus ``all``, ``report`` and the parts/suppliers ``demo``;
 * index tooling — ``index-build`` constructs a disk-resident ranked
-  join index from two CSV files and ``index-query`` answers top-k
-  queries against the saved index file;
+  join index from two CSV files, ``index-query`` answers top-k
+  queries against the saved index file, ``index-describe`` reports its
+  structure and ``advise`` recommends a construction bound K;
 * ``serve`` — expose a saved index over TCP behind the resilient
   serving wrapper (admission control, deadlines, typed errors; query it
   with :class:`repro.serve.Client`);
@@ -108,8 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve",
-        help="serve a saved disk RJI over TCP (length-prefixed JSON "
-        "protocol; query with repro.serve.Client)",
+        help="serve a saved disk RJI over TCP (length-prefixed frames: "
+        "binary query, JSON for every other op; query with "
+        "repro.serve.Client)",
     )
     serve.add_argument(
         "--index", required=True, help="index file from index-build"

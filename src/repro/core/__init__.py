@@ -26,10 +26,6 @@ from .multidim import (
     nd_dominating_set,
     topk_multiway_join_candidates,
 )
-# Imported from its real home, not the deprecated ``.single`` shim, so
-# ``import repro.core`` stays warning-free.  Safe from circularity:
-# ``repro/__init__`` always loads ``.core`` before ``.relalg``.
-from ..relalg.topk import TopKSelectionIndex  # rjilint: disable=RJI001
 from .pruning import (
     decode_rid_pair,
     encode_rid_pair,
@@ -58,7 +54,6 @@ __all__ = [
     "RankedJoinIndex",
     "Region",
     "SweepStats",
-    "TopKSelectionIndex",
     "VerificationReport",
     "decode_rid_pair",
     "describe_index",

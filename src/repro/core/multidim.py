@@ -27,7 +27,9 @@ Degenerate inputs (fewer points than a full-dimensional simplex, or all
 points on a common hyperplane) make Qhull fail; the peeler then places
 all remaining points in one layer, which keeps answers exact — a layer
 that is a superset of the hull vertices preserves the rank-j-in-first-j
-invariant — at the cost of scanning that layer.
+invariant — at the cost of scanning that layer.  The d >= 3 hull is
+scipy's Qhull, imported at the first such build; without scipy every
+d >= 3 build takes the same one-layer fallback.
 """
 
 from __future__ import annotations
@@ -37,12 +39,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-
-try:  # scipy is an optional accelerator; 2-d always works without it
-    from scipy.spatial import ConvexHull, QhullError
-except ImportError:  # pragma: no cover - scipy is installed in CI
-    ConvexHull = None
-    QhullError = Exception
 
 from ..errors import ConstructionError, QueryError
 from .index import QueryResult
@@ -137,7 +133,9 @@ def _hull_vertex_positions(points: np.ndarray) -> np.ndarray:
         from .hull import convex_hull_indices
 
         return convex_hull_indices(points)
-    if ConvexHull is None:  # pragma: no cover - scipy is installed in CI
+    try:  # scipy is optional and loaded here only: 2-d never needs it
+        from scipy.spatial import ConvexHull, QhullError
+    except ImportError:
         return np.arange(n)
     try:
         return np.array(sorted(ConvexHull(points).vertices), dtype=np.int64)

@@ -4,8 +4,8 @@ The package has three layers:
 
 * :mod:`repro.serve.service` — :class:`IndexService`, the canonical
   query contract every front-door (local or remote) satisfies;
-* :mod:`repro.serve.protocol` — the length-prefixed JSON wire protocol
-  (framing, request validation, typed error transport);
+* :mod:`repro.serve.protocol` — the length-prefixed wire protocol
+  (binary ``query``, JSON other ops, validation, typed errors);
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` —
   :class:`QueryServer` (admission control, deadlines, a request run
   start to finish by the reader that read it, ``serve.*`` metrics) and

@@ -1,5 +1,7 @@
 """Tests for the d-dimensional extension (future work of Section 9)."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,29 @@ class TestLayeredIndex:
         index = LayeredTopKIndex(ts, 10)
         index.query([1.0, 1.0, 1.0], 1)
         assert index.last_query.layers_visited == 1
+
+    @staticmethod
+    def _exact_3d_index(k=10):
+        """A d = 3 index over uniform points, checked against brute force."""
+        rng = np.random.default_rng(11)
+        ts = NDTupleSet.from_matrix(rng.uniform(0, 1, (1000, 3)))
+        index = LayeredTopKIndex(ts, k)
+        for _ in range(10):
+            weights = _random_weights(rng, 3)
+            got = [r.score for r in index.query(weights, k)]
+            expected = np.sort(ts.scores(weights))[::-1][:k]
+            np.testing.assert_allclose(got, expected, atol=1e-9)
+        return index
+
+    def test_without_scipy_one_layer_stays_exact(self, monkeypatch):
+        # A None entry makes ``from scipy.spatial import ...`` raise
+        # ImportError whether or not scipy is installed.
+        monkeypatch.setitem(sys.modules, "scipy.spatial", None)
+        assert self._exact_3d_index().n_layers == 1
+
+    def test_with_scipy_peels_several_layers(self):
+        pytest.importorskip("scipy.spatial")
+        assert self._exact_3d_index().n_layers > 1
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -47,6 +47,15 @@ def test_replacement_modules_carry_the_objects(module_name, attr):
     assert hasattr(module, attr)
 
 
+def test_core_no_longer_reexports_topk_selection_index():
+    """``repro.core`` imports nothing above it; the class stays in relalg."""
+    with pytest.raises(ImportError):
+        from repro.core import TopKSelectionIndex  # noqa: F401
+    from repro.relalg.topk import TopKSelectionIndex
+
+    assert TopKSelectionIndex.__module__ == "repro.relalg.topk"
+
+
 def test_package_imports_stay_silent():
     """Normal package imports must not warn."""
     snapshot = {
