@@ -1,8 +1,10 @@
 """Index maintenance: keeping an RJI fresh under updates.
 
 The paper lists incremental maintenance as future work (Section 9);
-this library answers it with a write buffer and compaction.  The example
-streams inserts and deletes through a :class:`ManagedRankedJoinIndex`,
+this library answers it with one writable index: a write buffer and a
+compaction schedule shared by its managed, concurrent and durable
+constructors.  The example streams inserts and deletes through a
+:class:`ManagedRankedJoinIndex` (the constructor over a tuple set),
 checks a sample of answers against a freshly rebuilt index while the
 writes are still buffered, shows deletes of indexed tuples consuming the
 effective-k slack, and compacts to restore it.
@@ -70,7 +72,8 @@ def main() -> None:
     assert managed.k_effective == K and managed.delta.is_empty
     _verify(managed, live)
     print(
-        f"compacted: {managed.index.n_regions} regions, k={managed.k_effective} "
+        f"compacted in {managed.compaction_pauses[-1] * 1e3:.1f} ms: "
+        f"{managed.index.n_regions} regions, k={managed.k_effective} "
         "guaranteed again, answers still equal a full rebuild"
     )
     preference = Preference(1.0, 1.0)

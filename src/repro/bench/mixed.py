@@ -3,8 +3,8 @@
 A closed loop over one :class:`~repro.storage.durable.DurableRankedJoinIndex`:
 zipf-skewed top-k reads interleaved with a steady insert/delete stream,
 every write riding the WAL-then-delta path (append + fsync commit +
-delta apply, a rebuild only when a trigger of
-:attr:`~repro.core.writepath.WritePath.needs_compaction` fires — which
+delta apply, a rebuild only when one of the writable index's compaction
+triggers (:data:`~repro.core.writepath.TRIGGERS`) fires — which
 this stream, mostly inert writes, seldom does; a separate trigger phase
 fires each reason once on a small index).  The scenario reports
 

@@ -16,10 +16,11 @@ from .delta import DeltaStore, SupportsWal
 from .dominance import dominating_set, dominating_set_naive
 from .index import BuildStats, QueryResult, RankedJoinIndex
 from .inspect import describe_index, region_churn
-from .managed import MaintenanceLog, ManagedRankedJoinIndex
+from .managed import ManagedRankedJoinIndex
 from .merging import merge_adaptive, merge_every
 from .robust import robust_topk_candidates
 from .verify import VerificationReport, verify_index
+from .writepath import WritableRankedJoinIndex
 from .multidim import (
     LayeredTopKIndex,
     NDTupleSet,
@@ -44,7 +45,6 @@ __all__ = [
     "SupportsWal",
     "LayeredTopKIndex",
     "LinearScorer",
-    "MaintenanceLog",
     "ManagedRankedJoinIndex",
     "NDTupleSet",
     "Preference",
@@ -69,5 +69,6 @@ __all__ = [
     "sweep_regions",
     "topk_join_candidates",
     "verify_index",
+    "WritableRankedJoinIndex",
     "topk_multiway_join_candidates",
 ]

@@ -1,9 +1,10 @@
 """Cooperative per-query deadlines.
 
 Every index front-door — :class:`~repro.core.index.RankedJoinIndex`,
-:class:`~repro.core.concurrent.ConcurrentRankedJoinIndex`,
-:class:`~repro.core.managed.ManagedRankedJoinIndex`, the resilient disk
-wrapper in :mod:`repro.storage.resilient`, and the remote
+the one writable index
+(:class:`~repro.core.writepath.WritableRankedJoinIndex`, whichever of
+its managed, concurrent or durable constructors built it), the
+resilient disk wrapper in :mod:`repro.storage.resilient`, and the remote
 :class:`repro.serve.Client` — accepts one canonical keyword-only
 ``deadline`` argument (a :class:`Deadline` or a plain number of
 seconds, the :data:`DeadlineLike` alias) that the query paths check at

@@ -29,8 +29,8 @@ yet attached to any base knows no ``D`` and stays conservative: every
 entry is charged and every insert visible.
 
 An entry neither charged nor visible is *inert*: it changes no region
-and no admitted answer, so the owner's rebuild trigger
-(:attr:`repro.core.writepath.WritePath.needs_compaction`) ignores it.
+and no admitted answer, so the owner's compaction trigger
+(:class:`repro.core.writepath.WritableRankedJoinIndex`) ignores it.
 
 Entries are tagged with the WAL log-sequence-number that produced them
 so a compaction that rebuilds the base from a snapshot at LSN ``n`` can
@@ -60,8 +60,8 @@ __all__ = ["NO_DELTA", "DeltaStore", "DeltaView", "SupportsWal"]
 class SupportsWal(Protocol):
     """The write-ahead-log surface the core write path relies on.
 
-    ``core`` may not import ``storage`` (RJI001), so the managed and
-    concurrent indices accept any object with this duck-typed shape —
+    ``core`` may not import ``storage`` (RJI001), so the writable index
+    accepts any object with this duck-typed shape —
     in practice :class:`repro.storage.wal.WriteAheadLog`, or a test
     double.  ``commit()`` is the acknowledgement point: a write may only
     be applied to the in-memory delta after its records are durable.
@@ -354,18 +354,12 @@ class DeltaStore:
         else:
             raise MaintenanceError(f"unknown delta replay op {op!r}")
 
-    def clear(self) -> None:
-        """Drop every buffered entry (the base now reflects them all)."""
-        self._inserts.clear()
-        self._tombstones.clear()
-        self._classify_all()
-
     def clear_upto(self, lsn: int) -> None:
         """Drop entries produced at or before ``lsn``.
 
-        Used after a background compaction built a fresh base from a
-        pool snapshot taken at ``lsn``: entries newer than the snapshot
-        stay buffered and keep merging into answers.
+        Used when a compaction swaps in a base built from a pool
+        snapshot taken at ``lsn``: entries newer than the snapshot stay
+        buffered and keep merging into answers.
         """
         self._inserts = {
             tid: entry

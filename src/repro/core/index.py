@@ -624,7 +624,7 @@ class RankedJoinIndex:
         Shares the region store, cache and recorder.  Later writes to
         the attached delta change the delta, never the copy, so readers
         holding it need no lock; an owner publishes a fresh copy after
-        each change (:class:`~repro.core.writepath.WritePath`).
+        each change (:class:`~repro.core.writepath.WritableRankedJoinIndex`).
         """
         view = object.__new__(type(self))  # copy.copy would add 2 µs per write
         view.__dict__.update(self.__dict__, _delta=self._delta.view())

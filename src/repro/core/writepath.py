@@ -1,45 +1,56 @@
-"""The one WAL-then-delta write path every maintained tier composes.
+"""One writable Ranked Join Index: a log, a write buffer, one schedule.
 
-:class:`WritePath` owns the state a logged write touches — the full
-live tuple pool, the :class:`~repro.core.delta.DeltaStore`, the current
-base index and the write-ahead log — and the only copy of: validate →
-append → ``commit()`` (fsync, the acknowledgement point) → apply to
-delta and pool → publish; the compaction trigger; and compaction itself
-as :meth:`~WritePath.snapshot` → :meth:`~WritePath.build` (reads
-nothing mutable, so it may run off-lock or on another thread) →
-:meth:`~WritePath.swap`.  docs/RELIABILITY.md, "Durable write path"
-and "Read views", carries the ordering and exactness arguments.
+:class:`WritableRankedJoinIndex` owns the state a logged write touches
+(the full live tuple pool, the :class:`~repro.core.delta.DeltaStore`,
+the base index and the log) and the only copy of: validate → append →
+``commit()`` (the acknowledgement point) → apply to delta and pool →
+publish; the compaction trigger; and compaction.  The managed,
+concurrent and durable indices are thin constructors over it that
+differ only in the log (:class:`MemoryLog` or a write-ahead log) and
+the persist step (none, or the durable directory's checkpoint).
 
-One lock per fact.  :attr:`~WritePath.lock` is the one writer lock:
-the owning tier holds it around every call that changes state
-(:meth:`~WritePath.insert`, :meth:`~WritePath.delete`,
-:meth:`~WritePath.snapshot`, :meth:`~WritePath.swap`,
-:meth:`~WritePath.reset`, :meth:`~WritePath.compact`).  Readers take
-no lock: after every change the writer publishes :attr:`~WritePath.view`
-— the base index with a frozen copy of the delta merged in
-(:meth:`~repro.core.index.RankedJoinIndex.frozen`) — by one reference
-assignment, and a reader dereferences it once per call.
+Two locks, one order.  :attr:`~WritableRankedJoinIndex.lock` is the one
+writer lock: every change of state holds it.  Readers take no lock:
+after every change the writer publishes
+:attr:`~WritableRankedJoinIndex.view` (the base with a frozen copy of
+the delta merged in) by one reference assignment.  A second lock admits
+one compaction at a time and is always taken before the writer lock.
 
-The trigger (:attr:`~WritePath.needs_compaction`) ignores inert
-entries, which change no region (Lemma 2), and bounds them by log
-length instead.
+One compaction schedule for every log, run on the thread that asks for
+it (there is no background thread): (1) under the writer lock, take the
+:class:`Snapshot`; (2) with it released, build, while other writers and
+every reader carry on; (3) under the writer lock again, persist (if a
+persist step was given), then swap.  A write that finds compaction due
+tries the compaction lock without blocking, so no writer waits for
+another's build; :meth:`~WritableRankedJoinIndex.compact` waits for it.
+docs/RELIABILITY.md, "Durable write path" and "Read views", carries the
+ordering and exactness arguments.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Callable, Iterable, NamedTuple
+import time
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..errors import MaintenanceError
-from ..obs import NULL_RECORDER, Recorder
-from .delta import DeltaStore, SupportsWal
-from .index import RankedJoinIndex
+from ..obs import NULL_RECORDER, QueryExplain
+from .deadline import DeadlineLike
+from .delta import DeltaStore, DeltaView, SupportsWal
+from .index import QueryResult, RankedJoinIndex
+from .scoring import PreferenceLike
 from .tuples import RankTuple
 
-__all__ = ["MemoryLog", "Snapshot", "TRIGGERS", "WritePath"]
+__all__ = [
+    "MemoryLog",
+    "Snapshot",
+    "TRIGGERS",
+    "WritableRankedJoinIndex",
+    "as_pool",
+]
 
-#: Each reason :attr:`WritePath.needs_compaction` gives -> its counter.
+#: Each reason a write-triggered compaction gives -> its counter.
 TRIGGERS = {
     "charged": "compaction.reason.charged",
     "visible": "compaction.reason.visible",
@@ -48,20 +59,21 @@ TRIGGERS = {
 
 
 class Snapshot(NamedTuple):
-    """What a compaction rebuilds from, and the base it was taken against."""
+    """What a compaction builds from, and the base it was taken against."""
 
     tuples: list[RankTuple]
-    #: The WAL position the tuples reflect.
+    #: The log position the tuples reflect.
     lsn: int
-    #: :attr:`WritePath.generation` at the time; a swap refuses any other.
+    #: The base generation at the time; a swap refuses any other.
     generation: int
 
 
 class MemoryLog:
     """The in-memory :class:`SupportsWal`: hands out LSNs, keeps nothing.
 
-    What a tier writes through when no ``wal`` is given: the write path
-    is the same, and an acknowledged write is as volatile as the process.
+    What an index writes through when no ``wal`` is given: the write
+    path is the same, and an acknowledged write is as volatile as the
+    process.
     """
 
     def __init__(self) -> None:
@@ -79,8 +91,24 @@ class MemoryLog:
         return self.last_lsn
 
 
-class WritePath:
-    """Live pool + delta + WAL + compaction policy behind one base index."""
+def as_pool(tuples: Iterable[RankTuple]) -> dict[int, RankTuple]:
+    """A live pool (tid -> tuple, plain ints and floats) from ``tuples``."""
+    return {
+        int(t.tid): RankTuple(int(t.tid), float(t.s1), float(t.s2))
+        for t in tuples
+    }
+
+
+class WritableRankedJoinIndex:
+    """Lock-free reads, logged writes, one compaction schedule.
+
+    ``pool`` is the full live set the base was built from (owned from
+    here on), not just the dominating set: tuples K-dominated today can
+    resurface after deletes.  ``build_options`` are forwarded verbatim
+    to every compaction's :meth:`RankedJoinIndex.build`; their
+    ``recorder`` also records writes and compactions.  ``persist``
+    makes a built base durable between build and swap.
+    """
 
     def __init__(
         self,
@@ -90,81 +118,134 @@ class WritePath:
         *,
         threshold: int = 64,
         build_options: dict | None = None,
-        recorder: Recorder = NULL_RECORDER,
+        persist: Callable[[RankedJoinIndex, Snapshot], None] | None = None,
+        pool_complete: bool = True,
     ):
         #: The one writer lock (module docstring); reads never take it.
         self.lock = threading.Lock()
+        self._compaction = threading.Lock()
         self.wal = wal if wal is not None else MemoryLog()
         self.threshold = max(1, threshold)
         self.k_bound = index.k_bound
-        #: Forwarded verbatim to every compaction's RankedJoinIndex.build.
         self.build_options = dict(build_options or {})
-        self.recorder = recorder
+        self.recorder = self.build_options.get("recorder", NULL_RECORDER)
+        self._persist_step = persist
         #: Duck-typed chaos hook (see repro.faults.inject.arm).
         self.faults: Any = None
-        self.delta = DeltaStore()
-        #: Bumped by every reset and swap (under :attr:`lock`, like every
-        #: field here but :attr:`view`); a Snapshot of another is stale.
-        self.generation = 0
-        self.reset(index, pool)
+        #: Wall time of each compaction that swapped, snapshot to swap.
+        self.compaction_pauses: list[float] = []
+        self._delta = DeltaStore()
+        self._generation = 0
+        with self.lock:
+            self._pool_complete = pool_complete
+            self._pool = pool
+            self._install(index, self.wal.last_lsn)
 
-    def reset(self, index: RankedJoinIndex, pool: dict[int, RankTuple]) -> None:
-        """Adopt ``index`` as the base over exactly ``pool``; empty delta.
+    # -- reads (no lock: one read of the published view each) -------------
 
-        ``pool`` (tid -> tuple, plain ints and floats) is owned from
-        here on.  It is the full live set, not just the dominating set:
-        tuples K-dominated today can resurface after deletes.
-        """
-        self.pool = pool
-        self.delta.clear()
-        self._install(index, self.wal.last_lsn)
+    def query(
+        self,
+        preference: PreferenceLike,
+        k: int,
+        *,
+        deadline: DeadlineLike = None,
+    ) -> list[QueryResult]:
+        """Top-k over the live tuples; ``deadline`` (a
+        :class:`~repro.core.deadline.Deadline` or seconds) covers the
+        query, raising :class:`~repro.errors.QueryTimeoutError` past it."""
+        return self.view.query(preference, k, deadline=deadline)
 
-    def _install(self, index: RankedJoinIndex, base_lsn: int) -> None:
-        index.attach_delta(self.delta)
-        self.index = index
-        #: The WAL position the base reflects (the log trigger's origin).
-        self.base_lsn = base_lsn
-        self.generation += 1
-        self._publish()
+    def query_batch(
+        self,
+        preferences: Sequence[PreferenceLike],
+        k: int,
+        *,
+        deadline: DeadlineLike = None,
+    ) -> list[list[QueryResult]]:
+        return self.view.query_batch(preferences, k, deadline=deadline)
 
-    def _publish(self) -> None:
-        #: What every read answers from: the base and the delta's frozen
-        #: view, swapped together by this one assignment, so no read
-        #: pairs an old base with a delta classified against a new one.
-        self.view = self.index.frozen()
+    def explain(
+        self, preference: PreferenceLike, k: int, *, record: bool = True
+    ) -> QueryExplain:
+        return self.view.explain(preference, k, record=record)
+
+    @property
+    def k_effective(self) -> int:
+        """Largest exact ``k`` now (charged delta entries consume slack)."""
+        return self.view.k_effective
+
+    @property
+    def delta(self) -> DeltaView:
+        """The write buffer as the published read view merges it."""
+        return self.view.delta  # type: ignore[return-value]
+
+    @property
+    def index(self) -> RankedJoinIndex:
+        """The published read view: the base index, the delta merged in."""
+        return self.view
+
+    @property
+    def n_regions(self) -> int:
+        return self.view.n_regions
+
+    def live_tuples(self) -> list[RankTuple]:
+        """The full live pool, tid-sorted, copied under the writer lock."""
+        with self.lock:
+            return sorted(self._pool.values())
 
     # -- writes ------------------------------------------------------------
 
-    def insert(self, tuple_: RankTuple | tuple) -> None:
-        """Log, acknowledge, then buffer one insert."""
+    def insert(self, tuple_: RankTuple | tuple) -> bool:
+        """Log, acknowledge, then buffer one insert; always ``True``.
+
+        The commit (an fsync on a real WAL) returns before any in-memory
+        state changes: it is the acknowledgement point."""
         tid, s1, s2 = tuple_
         candidate = RankTuple(int(tid), float(s1), float(s2))
-        if candidate.tid in self.pool:
-            raise MaintenanceError(f"tuple id {candidate.tid} already live")
-        if not (math.isfinite(candidate.s1) and math.isfinite(candidate.s2)):
-            raise MaintenanceError("rank values must be finite")
-        lsn = self.wal.append_insert(*candidate)
-        self._acknowledge()
-        self.delta.insert(candidate, lsn)
-        self.pool[candidate.tid] = candidate
-        self._publish()
-        self._count("delta.inserts")
+        with self.lock:
+            self._require_complete_pool()
+            if candidate.tid in self._pool:
+                raise MaintenanceError(f"tuple id {candidate.tid} already live")
+            if not (math.isfinite(candidate.s1) and math.isfinite(candidate.s2)):
+                raise MaintenanceError("rank values must be finite")
+            lsn = self.wal.append_insert(*candidate)
+            self._acknowledge()
+            self._delta.insert(candidate, lsn)
+            self._pool[candidate.tid] = candidate
+            due = self._applied("delta.inserts")
+        if due:
+            self._compact(None, wait=False)
+        return True
 
-    def delete(self, tid: int) -> None:
-        """Log, acknowledge, then tombstone one live tuple."""
+    def delete(self, tid: int) -> int:
+        """Log, acknowledge, then tombstone one live tuple; returns the
+        effective bound that remains."""
         tid = int(tid)
-        if tid not in self.pool:
-            raise MaintenanceError(f"tuple id {tid} is not live")
-        if len(self.pool) == 1:
+        with self.lock:
+            self._require_complete_pool()
+            if tid not in self._pool:
+                raise MaintenanceError(f"tuple id {tid} is not live")
+            if len(self._pool) == 1:
+                raise MaintenanceError(
+                    "deleting the last live tuple; an index cannot be empty"
+                )
+            lsn = self.wal.append_delete(tid)
+            self._acknowledge()
+            self._delta.delete(tid, lsn)
+            del self._pool[tid]
+            due = self._applied("delta.deletes")
+        if due:
+            self._compact(None, wait=False)
+        return self.k_effective
+
+    def _require_complete_pool(self) -> None:
+        if not self._pool_complete:
             raise MaintenanceError(
-                "deleting the last live tuple; an index cannot be empty"
+                "this wrapper was given a pruned index and no pool=, so "
+                "compaction could not see the tuples pruning dropped; pass "
+                "pool= (the full live tuple set) or construct it with "
+                "ConcurrentRankedJoinIndex.build"
             )
-        lsn = self.wal.append_delete(tid)
-        self._acknowledge()
-        self.delta.delete(tid, lsn)
-        del self.pool[tid]
-        self._publish()
-        self._count("delta.deletes")
 
     def _acknowledge(self) -> None:
         self.wal.commit()
@@ -173,23 +254,27 @@ class WritePath:
         if self.faults is not None:
             self.faults.on_durable_apply()
 
-    def _count(self, name: str) -> None:
+    def _publish(self) -> None:
+        #: What every read answers from: the base and the delta's frozen
+        #: view, swapped together by this one assignment, so no read
+        #: pairs an old base with a delta classified against a new one.
+        self.view = self._base.frozen()
+        self.n_live = len(self._pool)
+
+    def _applied(self, counter: str) -> bool:
+        """Publish the write just applied; whether compaction is now due."""
+        self._publish()
         if self.recorder.enabled:
-            view = self.delta.view()
-            self.recorder.count(name)
+            view = self._delta.view()
+            self.recorder.count(counter)
             self.recorder.observe("delta.size", view.n_ops)
             self.recorder.observe("delta.charged", view.n_charged)
             self.recorder.observe("delta.visible", view.n_visible)
+        return self._compaction_due() is not None
 
-    # -- exactness and the compaction trigger ------------------------------
+    # -- compaction --------------------------------------------------------
 
-    @property
-    def k_effective(self) -> int:
-        """Largest exact ``k`` as of the published :attr:`view`."""
-        return self.view.k_effective
-
-    @property
-    def needs_compaction(self) -> str | None:
+    def _compaction_due(self) -> str | None:
         """Why a rebuild is due now (a :data:`TRIGGERS` key), or ``None``.
 
         ``"charged"``: charged entries have used up half the exact-merge
@@ -197,57 +282,129 @@ class WritePath:
         ``"visible"``: the entries a read merges (charged plus visible)
         reached ``threshold``.  ``"log"``: the log since the base reached
         ``max(threshold, n_live)`` records, which bounds both recovery
-        replay and the inert entries buffered meanwhile.
+        replay and the inert entries (Lemma 2) buffered meanwhile.
         """
-        delta = self.delta.view()
+        delta = self._delta.view()
         if delta.n_charged * 2 >= self.k_bound:
             return "charged"
         if delta.n_charged + delta.n_visible >= self.threshold:
             return "visible"
-        if self.wal.last_lsn - self.base_lsn >= max(
-            self.threshold, len(self.pool)
+        if self.wal.last_lsn - self._base_lsn >= max(
+            self.threshold, len(self._pool)
         ):
             return "log"
         return None
 
-    # -- compaction --------------------------------------------------------
+    def compact(self) -> None:
+        """Fold the delta into a fresh base now, whatever it holds.
 
-    def snapshot(self) -> Snapshot:
-        """The live pool, tid-sorted, the WAL position and base it reflects."""
-        return Snapshot(
-            sorted(self.pool.values()), self.wal.last_lsn, self.generation
-        )
-
-    def build(self, snapshot: Iterable[RankTuple]) -> RankedJoinIndex:
-        """A fresh base over ``snapshot``; touches no mutable state."""
-        return RankedJoinIndex.build(
-            snapshot, self.k_bound, **self.build_options
-        )
-
-    def swap(self, fresh: RankedJoinIndex, snapshot: Snapshot) -> None:
-        """Make ``fresh`` the base; keep writes newer than the snapshot.
-
-        The survivors are re-classified against ``fresh``'s dominating
-        set: a post-snapshot delete of a tuple the snapshot baked in is
-        charged from here on.  A build from a snapshot whose base has
-        since been replaced (a :meth:`reset` while it ran) describes a
-        discarded pool and is dropped.  LSNs cannot tell — a reset with
-        no write after it leaves the snapshot's LSN current.  Readers
-        keep the old view until :meth:`_install` publishes the new pair.
+        Waits for a build already in flight, then runs the schedule;
+        a durable index also advances its checkpoint.
         """
-        if snapshot.generation != self.generation:
-            return
-        self.delta.clear_upto(snapshot.lsn)
-        self._install(fresh, snapshot.lsn)
+        self._compact("requested", wait=True)
 
-    def compact(
+    def _compact(self, reason: str | None, *, wait: bool) -> None:
+        """snapshot → build (no writer lock) → persist → swap.
+
+        ``reason=None`` compacts only if still due.  A writer passes
+        ``wait=False``: another thread's build in flight will keep its
+        write buffered, and a later write compacts.
+        """
+        if not self._compaction.acquire(blocking=wait):
+            return
+        try:
+            started = time.perf_counter()
+            with self.lock:
+                reason = reason or self._compaction_due()
+                if reason is None:
+                    return
+                self._chaos_step()  # boundary 0: before anything
+                snapshot = Snapshot(
+                    sorted(self._pool.values()),
+                    self.wal.last_lsn,
+                    self._generation,
+                )
+            with self.recorder.span("compaction", {"reason": reason}):
+                self.recorder.count("compaction.runs")
+                if reason in TRIGGERS:
+                    self.recorder.count(TRIGGERS[reason])
+                fresh = self._build(snapshot.tuples)
+                with self.lock:
+                    swapped = self._swap(fresh, snapshot)
+            if swapped:
+                self.compaction_pauses.append(time.perf_counter() - started)
+        finally:
+            self._compaction.release()
+
+    def _build(self, tuples: Iterable[RankTuple]) -> RankedJoinIndex:
+        """A fresh base over ``tuples``; touches no mutable state."""
+        return RankedJoinIndex.build(tuples, self.k_bound, **self.build_options)
+
+    def _swap(
         self,
-        persist: Callable[[RankedJoinIndex, list[RankTuple]], None]
-        | None = None,
-    ) -> None:
-        """snapshot → build → ``persist(fresh, snapshot)`` → swap."""
-        snapshot = self.snapshot()
-        fresh = self.build(snapshot.tuples)
-        if persist is not None:
-            persist(fresh, snapshot.tuples)
-        self.swap(fresh, snapshot)
+        fresh: RankedJoinIndex,
+        snapshot: Snapshot,
+        pool: dict[int, RankTuple] | None = None,
+    ) -> bool:
+        """Persist ``fresh``, then make it the base; keep newer writes.
+
+        The caller holds the writer lock.  Delta entries newer than the
+        snapshot survive, re-classified against ``fresh``.  A build whose
+        base a :meth:`rebuild` replaced meanwhile (which LSNs cannot
+        tell) is dropped before it persists anything.  ``pool`` replaces
+        the live set (a rebuild).
+        """
+        if snapshot.generation != self._generation:
+            return False
+        if self._persist_step is not None:
+            self._persist_step(fresh, snapshot)
+        if pool is not None:
+            self._pool = pool
+        self._delta.clear_upto(snapshot.lsn)
+        self._install(fresh, snapshot.lsn)
+        return True
+
+    def _install(self, base: RankedJoinIndex, base_lsn: int) -> None:
+        base.attach_delta(self._delta)
+        self._base = base
+        #: The log position the base reflects (the log trigger's origin).
+        self._base_lsn = base_lsn
+        self._generation += 1
+        self._publish()
+
+    def _chaos_step(self) -> None:
+        if self.faults is not None:
+            self.faults.on_compaction()
+
+    def rebuild(self, tuples: Iterable[RankTuple]) -> None:
+        """Replace the live set with ``tuples``; the delta restarts empty.
+
+        An administrative reset, not a logged write: built like every
+        compaction, off every lock, then persisted and swapped in under
+        the writer lock.  A compaction still building from the old pool
+        is dropped at its swap.
+        """
+        pool = as_pool(tuples)
+        ordered = sorted(pool.values())
+        fresh = self._build(ordered)
+        with self.lock:
+            snapshot = Snapshot(ordered, self.wal.last_lsn, self._generation)
+            self._swap(fresh, snapshot, pool)
+            self._pool_complete = True
+
+    def check_invariants(self) -> None:
+        """Index structure valid; every indexed tuple is live or
+        tombstoned, and every buffered insert is live."""
+        with self.lock:
+            self._base.check_invariants()
+            for tid in self._base.dominating.tids.tolist():
+                if tid not in self._pool and not self._delta.tombstoned(tid):
+                    raise MaintenanceError(
+                        f"indexed tuple {tid} is not in the live pool"
+                    )
+            for pending in self._delta.pending_inserts():
+                if pending.tid not in self._pool:
+                    raise MaintenanceError(
+                        f"buffered insert {pending.tid} is not in the live pool"
+                    )
+

@@ -143,7 +143,8 @@ SPANS = frozenset(
         "sql.execute",
         # one per admitted request; attrs carry its trace id
         "serve.request",
-        # one delta→base merge (build + image save + checkpoint + prune)
+        # one delta→base merge, snapshot to swap (durable: + image save,
+        # checkpoint, prune)
         "compaction",
     }
 )

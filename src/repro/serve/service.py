@@ -12,9 +12,8 @@ where ``preference`` is anything
 :func:`~repro.core.scoring.as_preference` accepts and ``deadline`` is a
 :class:`~repro.core.deadline.Deadline` or a plain budget in seconds
 (:data:`~repro.core.deadline.DeadlineLike`).  All of
-:class:`~repro.core.index.RankedJoinIndex`,
-:class:`~repro.core.concurrent.ConcurrentRankedJoinIndex`,
-:class:`~repro.core.managed.ManagedRankedJoinIndex`,
+:class:`~repro.core.index.RankedJoinIndex`, the writable index
+(:class:`~repro.core.writepath.WritableRankedJoinIndex`),
 :class:`~repro.storage.resilient.ResilientDiskRankedJoinIndex` and the
 remote :class:`~repro.serve.client.Client` satisfy it, so swapping a
 local index for a networked one is a one-constructor change:
@@ -77,9 +76,8 @@ class MutableIndexService(IndexService, Protocol):
     ``insert`` returns whether the answered index changed (always
     ``True`` on the WAL-then-delta path, where every live tuple is
     servable); ``delete`` returns the effective bound that remains.
-    :class:`~repro.core.managed.ManagedRankedJoinIndex`,
-    :class:`~repro.core.concurrent.ConcurrentRankedJoinIndex` and
-    :class:`~repro.storage.durable.DurableRankedJoinIndex` satisfy it,
+    :class:`~repro.core.writepath.WritableRankedJoinIndex` satisfies it
+    through each of its managed, concurrent and durable constructors,
     as does the remote :class:`~repro.serve.client.Client` against a
     writable server.
     """

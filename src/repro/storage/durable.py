@@ -1,4 +1,4 @@
-"""The durable write path: WAL-then-delta maintenance with recovery.
+"""The durable index: the writable index over a WAL, with recovery.
 
 :class:`DurableRankedJoinIndex` owns a directory::
 
@@ -9,42 +9,29 @@
                           checkpoint (DiskRankedJoinIndex.recover opens
                           this and replays the same WAL)
 
-Writes go through one :class:`~repro.core.writepath.WritePath` — the
-WAL-then-delta ordering, the rejection rules and the compaction trigger
-live there, shared with the managed and concurrent tiers.  This module
-adds what makes the tier *durable*: the directory layout, and the step
-that runs between a compaction's build and its swap — save the image,
-cut the WAL checkpoint, save the pool snapshot, prune — with a chaos
-boundary before each.  A crash between any two of those steps is
-recoverable because replaying the WAL over the last durable snapshot
-is idempotent.
-
-:meth:`DurableRankedJoinIndex.recover` is the crash side of the
-contract: load the pool snapshot, open the WAL (the open itself
+Writes, reads and the compaction schedule are the one
+:class:`~repro.core.writepath.WritableRankedJoinIndex`'s.  This module
+adds the directory layout, the pool-snapshot format, ``create`` /
+``recover``, and the persist step a compaction runs between its build
+and its swap.  :meth:`DurableRankedJoinIndex.recover` is the crash side
+of the contract: load the pool snapshot, open the WAL (the open itself
 truncates a torn tail), replay records past the snapshot's checkpoint
-LSN, rebuild, save the rebuilt base as a fresh checkpoint when the
-replay changed anything, and report what happened in a
-:class:`RecoveryReport`.
+LSN, rebuild, and report what happened in a :class:`RecoveryReport`.
 """
 
 from __future__ import annotations
 
 import struct
-import time
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..core import RankedJoinIndex
-from ..core.deadline import DeadlineLike
-from ..core.delta import DeltaView
-from ..core.index import QueryResult
-from ..core.scoring import PreferenceLike
 from ..core.tuples import RankTuple
-from ..core.writepath import TRIGGERS, WritePath
+from ..core.writepath import Snapshot, WritableRankedJoinIndex
 from ..errors import CorruptPageError, StorageError
-from ..obs import NULL_RECORDER, QueryExplain, Recorder
+from ..obs import NULL_RECORDER, Recorder
 from .diskindex import DiskRankedJoinIndex
 from .pager import Pager
 from .pages import Page
@@ -133,7 +120,7 @@ def _recover_pool_snapshot(
     return pool, checkpoint_lsn, k_bound
 
 
-class DurableRankedJoinIndex:
+class DurableRankedJoinIndex(WritableRankedJoinIndex):
     """A Ranked Join Index whose writes survive crashes.
 
     Construct with :meth:`create` (fresh directory) or :meth:`recover`
@@ -142,10 +129,9 @@ class DurableRankedJoinIndex:
     protocol plus the write surface (``insert`` / ``delete``), so it
     plugs straight into :class:`repro.serve.QueryServer`.
 
-    Thread-safe.  Reads take no lock: they answer from the write path's
-    published read view, so an fsync or a compaction delays no read.
-    Writes — and the compactions they trigger, file I/O included — hold
-    the write path's one writer lock.
+    Thread-safe like every writable index.  A compaction's persist
+    step (file I/O) runs under the writer lock with its swap, which
+    keeps the WAL single-threaded; its build holds no lock.
     """
 
     def __init__(
@@ -160,27 +146,15 @@ class DurableRankedJoinIndex:
         build_options: dict | None = None,
     ):
         self._dir = Path(directory)
-        self._wal = wal
-        self._writes = WritePath(
+        self.last_recovery: RecoveryReport | None = None
+        super().__init__(
             index,
             pool,
             wal,
             threshold=compaction_threshold,
             build_options={"recorder": recorder, **(build_options or {})},
-            recorder=recorder,
+            persist=self._persist,
         )
-        self._recorder = recorder
-        self.last_recovery: RecoveryReport | None = None
-        self.compaction_pauses: list[float] = []
-
-    @property
-    def faults(self):
-        """Duck-typed chaos hook (see repro.faults.inject.arm)."""
-        return self._writes.faults
-
-    @faults.setter
-    def faults(self, injector) -> None:
-        self._writes.faults = injector
 
     # -- construction ------------------------------------------------------
 
@@ -241,7 +215,7 @@ class DurableRankedJoinIndex:
         snapshot's checkpoint LSN to the pool (idempotent: inserts
         overwrite, deletes are pop-if-present, so records that are both
         in the snapshot and still in the log converge).  A non-empty
-        replay ends in a compaction, so the saved image is the base
+        replay ends in the persist step, so the saved image is the base
         this instance classifies writes against.  ``build_options``
         must match the ones the index was created with for merged
         answers to stay bit-identical to the pre-crash index.
@@ -288,73 +262,13 @@ class DurableRankedJoinIndex:
             # later delete the base finds inert could be charged against
             # the image by DiskRankedJoinIndex.recover, unseen by any
             # trigger here.  Saving the base makes the two agree again.
-            instance._persist(index, ordered)
+            instance._persist(index, Snapshot(ordered, wal.last_lsn, 0))
         return instance
 
-    # -- queries (no lock: one read of the published view each) ----------
+    # -- the persist step --------------------------------------------------
 
-    @property
-    def k_bound(self) -> int:
-        return self._writes.k_bound
-
-    @property
-    def k_effective(self) -> int:
-        """Largest exact ``k`` right now (charged delta entries consume slack)."""
-        return self._writes.k_effective
-
-    def query(
-        self,
-        preference: PreferenceLike,
-        k: int,
-        *,
-        deadline: DeadlineLike = None,
-    ) -> list[QueryResult]:
-        """Merged top-k; validation and merge live in the read view."""
-        return self._writes.view.query(preference, k, deadline=deadline)
-
-    def query_batch(
-        self,
-        preferences: Sequence[PreferenceLike],
-        k: int,
-        *,
-        deadline: DeadlineLike = None,
-    ) -> list[list[QueryResult]]:
-        return self._writes.view.query_batch(preferences, k, deadline=deadline)
-
-    def explain(
-        self, preference: PreferenceLike, k: int, *, record: bool = True
-    ) -> QueryExplain:
-        return self._writes.view.explain(preference, k, record=record)
-
-    # -- writes (WAL-then-delta, see repro.core.writepath) -----------------
-
-    def insert(self, tuple_: RankTuple | tuple) -> bool:
-        """Durably insert one tuple; acknowledged once the WAL synced.
-
-        Raises :class:`~repro.errors.MaintenanceError` for a duplicate
-        live tid or non-finite rank values.  Returns ``True`` (the write
-        is buffered and will enter the base at the next compaction).
-        """
-        with self._writes.lock:
-            self._writes.insert(tuple_)
-            self._compact_if_due()
-            return True
-
-    def delete(self, tid: int) -> int:
-        """Durably delete a live tuple; returns the new effective bound.
-
-        Raises :class:`~repro.errors.MaintenanceError` when ``tid`` is
-        not live or the delete would empty the index.
-        """
-        with self._writes.lock:
-            self._writes.delete(tid)
-            self._compact_if_due()
-            return self._writes.k_effective
-
-    # -- compaction --------------------------------------------------------
-
-    def compact(self) -> None:
-        """Merge the delta into a fresh base and advance the checkpoint.
+    def _persist(self, fresh: RankedJoinIndex, snapshot: Snapshot) -> None:
+        """Make a built base durable; runs under the writer lock.
 
         Step order is the crash-safety argument: nothing destructive
         happens before the new image, checkpoint, and pool snapshot are
@@ -362,75 +276,21 @@ class DurableRankedJoinIndex:
         snapshot fully covers.  The chaos hook fires between steps so
         fault plans can kill the process at each boundary.
         """
-        with self._writes.lock:
-            self._compact("requested")
-
-    def _compact_if_due(self) -> None:
-        reason = self._writes.needs_compaction
-        if reason is not None:
-            self._recorder.count(TRIGGERS[reason])
-            self._compact(reason)
-
-    def _compact(self, reason: str) -> None:
-        """Caller holds the writer lock; readers keep the old view."""
-        with self._recorder.span("compaction", {"reason": reason}):
-            started = time.perf_counter()
-            self._recorder.count("compaction.runs")
-            self._chaos_step()  # before anything: WAL replay covers all
-            self._writes.compact(self._persist)
-            self.compaction_pauses.append(time.perf_counter() - started)
-
-    def _persist(
-        self, fresh: RankedJoinIndex, snapshot: list[RankTuple]
-    ) -> None:
-        """Make a built base durable; runs between build and swap."""
-        self._chaos_step()  # built, nothing durable changed yet
+        self._chaos_step()  # boundary 1: built, nothing durable changed
         DiskRankedJoinIndex(fresh).save(self._dir / _BASE_FILE)
-        self._chaos_step()  # image saved; checkpoint not yet cut
-        checkpoint_lsn = self._wal.checkpoint()
+        self._chaos_step()  # boundary 2: image saved; checkpoint not cut
+        # The checkpoint covers the snapshot, not the log's tail: writes
+        # acknowledged while the build ran lie past it, so both
+        # recoveries replay them and prune keeps their segment.
+        self.wal.checkpoint(snapshot.lsn)
         _write_pool_snapshot(
             self._dir / _POOL_FILE,
-            snapshot,
-            checkpoint_lsn,
+            snapshot.tuples,
+            snapshot.lsn,
             fresh.k_bound,
         )
-        self._chaos_step()  # snapshot durable; prune still pending
-        self._wal.prune()
-
-    def _chaos_step(self) -> None:
-        if self.faults is not None:
-            self.faults.on_compaction()
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def delta(self) -> DeltaView:
-        """The write buffer as the published read view merges it."""
-        return self._writes.view.delta  # type: ignore[return-value]
-
-    @property
-    def wal(self) -> WriteAheadLog:
-        return self._wal
-
-    @property
-    def n_live(self) -> int:
-        return len(self._writes.pool)
-
-    def live_tuples(self) -> list[RankTuple]:
-        """The full live pool, tid-sorted — the rebuild reference set.
-
-        Copied under the writer lock: an administrative read, not a
-        query."""
-        with self._writes.lock:
-            return sorted(self._writes.pool.values())
+        self._chaos_step()  # boundary 3: snapshot durable; prune pending
+        self.wal.prune()
 
     def close(self) -> None:
-        self._wal.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DurableRankedJoinIndex({str(self._dir)!r}, "
-            f"live={len(self._writes.pool)}, "
-            f"delta={self.delta.n_ops}, "
-            f"wal_lsn={self._wal.last_lsn})"
-        )
+        self.wal.close()

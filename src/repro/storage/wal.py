@@ -306,29 +306,31 @@ class WriteAheadLog:
 
     # -- checkpoint / prune ------------------------------------------------
 
-    def checkpoint(self) -> int:
-        """Record that state through the current last LSN is snapshotted.
+    def checkpoint(self, covered_lsn: int) -> int:
+        """Record that state through ``covered_lsn`` is snapshotted.
 
-        Commits pending records and seals the segment so :meth:`prune`
-        can drop everything the snapshot already holds, then appends
-        and commits a checkpoint record at the head of the new segment.
-        Returns the checkpoint LSN (the record's own LSN, carried in its
-        ``tid`` field — self-describing for recovery): store it in the
-        snapshot and replay only records strictly past it.
+        ``covered_lsn`` is the LSN the owner's snapshot reflects, which
+        may trail :attr:`last_lsn`: records past it (writes acknowledged
+        while the snapshot was being built) stay in the log and are
+        replayed.  Commits pending records and seals the segment so
+        :meth:`prune` can drop every sealed segment the snapshot fully
+        holds, then appends and commits a checkpoint record, carrying
+        ``covered_lsn`` in its ``tid`` field, at the head of the new
+        segment.  Returns ``covered_lsn``: store it in the snapshot and
+        replay only records strictly past it.
         """
         self.commit()
         self._rotate()
-        # The record's tid carries its own LSN, so the highest
-        # checkpoint record seen by the open-time scan *is* the
-        # checkpoint.  It sits in the unsealed segment, so even a log
-        # pruned down to it reopens at this LSN rather than at 0 —
-        # below the owner's snapshot, where new writes would be skipped
-        # by the next replay.
-        covered = self._append(_OP_CHECKPOINT, self._last_lsn + 1, 0.0, 0.0)
+        # The highest tid among checkpoint records seen by the open-time
+        # scan *is* the checkpoint.  The record sits in the unsealed
+        # segment, so even a log pruned down to it reopens past its own
+        # LSN rather than at 0 — below the owner's snapshot, where new
+        # writes would be skipped by the next replay.
+        self._append(_OP_CHECKPOINT, covered_lsn, 0.0, 0.0)
         self.commit()
-        self._checkpoint_lsn = covered
+        self._checkpoint_lsn = covered_lsn
         self._recorder.count("wal.checkpoints")
-        return covered
+        return covered_lsn
 
     def prune(self) -> int:
         """Drop sealed segments fully covered by the last checkpoint."""

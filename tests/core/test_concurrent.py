@@ -46,7 +46,7 @@ class TestReadWriteLock:
         threads = [threading.Thread(target=reader) for _ in range(3)]
         # All three readers must be inside query at once (the barrier
         # breaks otherwise), and none waits for the held writer lock.
-        with index._writes.lock:
+        with index.lock:
             for t in threads:
                 t.start()
             for t in threads:

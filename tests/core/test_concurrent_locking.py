@@ -2,7 +2,7 @@
 
 Reads take no lock, so no exit path of a read — normal return, query
 exception, deadline expiry — can leave one behind; writes take the
-write path's one writer lock and must release it on every path.  Each
+one writer lock and must release it on every path.  Each
 test checks that the writer lock is free afterwards and still usable.
 """
 
@@ -28,8 +28,7 @@ def _build(n=200, k=5, seed=7):
 
 
 def _lock_is_quiescent(index: ConcurrentRankedJoinIndex) -> bool:
-    index.drain_compaction()
-    return not index._writes.lock.locked()
+    return not index.lock.locked()
 
 
 class TestExceptionPaths:
@@ -52,7 +51,7 @@ class TestExceptionPaths:
         def read():
             answers.append(index.query(Preference(1.0, 1.0), 3, deadline=0.05))
 
-        with index._writes.lock:  # a rebuild-like writer is in
+        with index.lock:  # a rebuild-like writer is in
             # There is no read lock to wait for: the deadline only
             # covers the query, which answers from the published view.
             reader = threading.Thread(target=read)
@@ -71,7 +70,7 @@ class TestExceptionPaths:
 
     def test_k_bound_served_without_lock(self):
         index, s1, s2, n = _build()
-        with index._writes.lock:  # even mid-write...
+        with index.lock:  # even mid-write...
             assert index.k_bound == 5  # ...the bound stays readable
         index.rebuild(
             RankTupleSet(np.arange(n), s1[:n], s2[:n])

@@ -104,7 +104,7 @@ class TestConcurrentTimeout:
         release = threading.Event()
 
         def writer():
-            with shared._writes.lock:
+            with shared.lock:
                 writer_in.set()
                 release.wait(timeout=30.0)
 

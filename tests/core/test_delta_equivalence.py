@@ -306,7 +306,7 @@ def test_clear_upto_keeps_entries_past_the_snapshot():
     delta.clear_upto(6)
     assert [t.tid for t in delta.pending_inserts()] == [2]
     assert not delta.tombstoned(9) and delta.tombstoned(10)
-    delta.clear()
+    delta.clear_upto(8)
     assert delta.view().is_empty
 
 

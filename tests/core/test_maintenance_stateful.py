@@ -1,8 +1,10 @@
 """Stateful property test: the maintained tiers always equal their model.
 
 Hypothesis drives random interleavings of inserts, deletes, compactions
-and queries against a :class:`ManagedRankedJoinIndex` and a
-:class:`ConcurrentRankedJoinIndex` (both on the default in-memory log).
+and queries against the three constructors of the one writable index:
+:class:`ManagedRankedJoinIndex` and :class:`ConcurrentRankedJoinIndex`
+(both on the default in-memory log) and :class:`DurableRankedJoinIndex`
+(a real WAL in a temporary directory, ``fsync=False``).
 The model is the live tuple set; the oracle is a from-scratch
 ``RankedJoinIndex.build`` over it, matched bit for bit.  Integer
 coordinates make exact score ties the common case.
@@ -12,6 +14,10 @@ the pruned rebuild and the merged view may name different tids there
 (docs/RELIABILITY.md, "Exactness"); only the scores are compared at
 that one angle.
 """
+
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -29,6 +35,7 @@ from repro.core.index import RankedJoinIndex
 from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.tuples import RankTuple
 from repro.errors import InvalidQueryError
+from repro.storage.durable import DurableRankedJoinIndex
 
 coords = st.integers(min_value=0, max_value=9)
 AXIS = 0.0
@@ -54,12 +61,19 @@ class MaintainedIndexMachine(RuleBasedStateMachine):
         }
         self.next_tid = len(pairs)
         tuples = sorted(self.model.values())
-        self.managed = ManagedRankedJoinIndex(tuples, k_bound)
-        self.concurrent = ConcurrentRankedJoinIndex.build(tuples, k_bound)
-        self.tiers = (self.managed, self.concurrent)
+        self.directory = Path(tempfile.mkdtemp(prefix="rji-machine-"))
+        self.tiers = (
+            ManagedRankedJoinIndex(tuples, k_bound),
+            ConcurrentRankedJoinIndex.build(tuples, k_bound),
+            DurableRankedJoinIndex.create(
+                self.directory, tuples, k_bound, fsync=False
+            ),
+        )
 
-    def _settle(self):
-        assert self.concurrent.drain_compaction(timeout=10.0)
+    def teardown(self):
+        if hasattr(self, "tiers"):
+            self.tiers[2].close()
+            shutil.rmtree(self.directory, ignore_errors=True)
 
     @rule(a=coords, b=coords)
     def insert(self, a, b):
@@ -68,7 +82,6 @@ class MaintainedIndexMachine(RuleBasedStateMachine):
         self.model[new.tid] = new
         for tier in self.tiers:
             assert tier.insert(new) is True
-        self._settle()
 
     @precondition(lambda self: len(self.model) > 1)
     @rule(data=st.data())
@@ -77,7 +90,6 @@ class MaintainedIndexMachine(RuleBasedStateMachine):
         del self.model[victim]
         for tier in self.tiers:
             tier.delete(victim)
-        self._settle()
 
     @rule()
     def compact(self):
@@ -112,9 +124,10 @@ class MaintainedIndexMachine(RuleBasedStateMachine):
     @invariant()
     def tiers_agree_with_the_model(self):
         if hasattr(self, "tiers"):
-            self.managed.check_invariants()
-            assert self.managed.k_effective == self.concurrent.k_effective
-            assert self.managed.n_live == self.concurrent.n_live == len(self.model)
+            for tier in self.tiers:
+                tier.check_invariants()
+            assert len({tier.k_effective for tier in self.tiers}) == 1
+            assert {tier.n_live for tier in self.tiers} == {len(self.model)}
 
 
 MaintainedIndexMachine.TestCase.settings = settings(

@@ -7,6 +7,7 @@ from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTuple, RankTupleSet
 from repro.errors import MaintenanceError, QueryError
+from repro.obs import MetricsRecorder
 
 from ..conftest import assert_matches_rebuild
 
@@ -32,8 +33,9 @@ class TestConstruction:
         managed = ManagedRankedJoinIndex(_tuples(50), 7)
         live = {t.tid: t for t in _tuples(50)}
         assert [_delete_winner(managed, live) for _ in range(3)] == [6, 5, 4]
-        assert managed.log.rebuilds == 0
-        assert _delete_winner(managed, live) == 7 and managed.log.rebuilds == 1
+        assert managed.compaction_pauses == []
+        assert _delete_winner(managed, live) == 7
+        assert len(managed.compaction_pauses) == 1
 
 
 class TestLifecycle:
@@ -48,10 +50,11 @@ class TestLifecycle:
             managed.delete(10**9)
 
     def test_insert_counters(self):
-        managed = ManagedRankedJoinIndex(_tuples(200, seed=1), 3)
+        recorder = MetricsRecorder()
+        managed = ManagedRankedJoinIndex(_tuples(200, seed=1), 3, recorder=recorder)
         managed.insert(RankTuple(10_000, 1000.0, 1000.0))  # new champion
         managed.insert(RankTuple(10_001, 0.001, 0.001))  # surely dominated
-        assert managed.log.inserts_applied == 2
+        assert recorder.counter("delta.inserts") == 2
         assert managed.delta.n_visible == 1
         assert managed.n_live == 202
 
@@ -60,7 +63,7 @@ class TestLifecycle:
         managed.insert(RankTuple(10_000, 0.001, 0.001))
         managed.delete(10_000)
         assert managed.k_effective == 4
-        assert managed.log.rebuilds == 0
+        assert managed.compaction_pauses == []
 
     def test_auto_rebuild_restores_guarantee(self):
         k = 4
@@ -69,9 +72,9 @@ class TestLifecycle:
         # The first winner delete only consumes slack; the second makes
         # 2 * charged >= K, and the compaction it triggers restores it.
         assert _delete_winner(managed, live) == k - 1
-        assert managed.log.rebuilds == 0
+        assert managed.compaction_pauses == []
         assert _delete_winner(managed, live) == k
-        assert managed.log.rebuilds == 1 and managed.delta.is_empty
+        assert len(managed.compaction_pauses) == 1 and managed.delta.is_empty
         managed.check_invariants()
         assert_matches_rebuild(managed, live, k, k)
 
@@ -91,14 +94,14 @@ class TestLifecycle:
                 angle = float(rng.uniform(0, np.pi / 2))
                 _delete_winner(managed, live, Preference.from_angle(angle))
         managed.check_invariants()
-        assert managed.n_live == len(live) and managed.log.rebuilds > 0
+        assert managed.n_live == len(live) and managed.compaction_pauses
         assert_matches_rebuild(managed, live, k, managed.k_effective)
 
     def test_manual_rebuild(self):
         managed = ManagedRankedJoinIndex(_tuples(80, seed=8), 4)
-        managed.rebuild()
-        assert managed.log.rebuilds == 1
-        assert managed.log.events[-1].startswith("rebuild (requested)")
+        managed.compact()
+        assert len(managed.compaction_pauses) == 1 and managed.delta.is_empty
+        assert managed.k_effective == 4
 
     def test_query_beyond_degraded_bound_raises(self):
         managed = ManagedRankedJoinIndex(_tuples(200, seed=9), 4)

@@ -1,9 +1,11 @@
-"""The WritePath contract, stated once and run against every tier.
+"""The writable-index contract, stated once and run through every constructor.
 
 ``ManagedRankedJoinIndex``, ``ConcurrentRankedJoinIndex`` (both over the
 in-memory ``MemoryLog``) and ``DurableRankedJoinIndex`` (real WAL in
-``tmp_path``) compose one :class:`repro.core.writepath.WritePath`;
-the oracle is region-free — ``RankedJoinIndex.build(sorted(live))``.
+``tmp_path``) are thin constructors over one
+:class:`repro.core.writepath.WritableRankedJoinIndex`, with one
+compaction schedule; the oracles are region-free —
+``RankedJoinIndex.build(sorted(live))`` and the full scan.
 """
 
 import sys
@@ -21,8 +23,14 @@ from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.scoring import as_preference
 from repro.core.tuples import RankTuple, RankTupleSet
 from repro.core.workloads import random_preferences
-from repro.core.writepath import TRIGGERS, MemoryLog, WritePath
+from repro.core.writepath import (
+    TRIGGERS,
+    MemoryLog,
+    WritableRankedJoinIndex,
+    as_pool,
+)
 from repro.errors import MaintenanceError
+from repro.obs import MetricsRecorder
 from repro.obs.names import COUNTERS
 from repro.storage.durable import DurableRankedJoinIndex
 
@@ -50,10 +58,10 @@ def _tuples(n=120, seed=3):
     ]
 
 
-def _settle(index):
-    """Wait out a background compaction on the tier that has them."""
-    drain = getattr(index, "drain_compaction", None)
-    assert drain is None or drain(timeout=10.0)
+def _assert_matches_full_scan(index, pool, k):
+    scan = FullScanTopK(RankTupleSet.from_tuples(sorted(pool.values())))
+    for preference in random_preferences(8, seed=11):
+        assert index.query(preference, k) == scan.query(as_preference(preference), k)
 
 
 class WritePathContract:
@@ -130,7 +138,6 @@ class WritePathContract:
         for i in range(9):
             pool[2000 + i] = RankTuple(2000 + i, 0.9 + 0.01 * i, 0.95)
             index.insert(pool[2000 + i])
-            _settle(index)
             assert index.delta.n_ops == index.delta.n_visible == (i + 1) % 4
         _assert_matches_rebuild(index, pool, 12, 6)
 
@@ -145,12 +152,10 @@ class WritePathContract:
             index.insert(pool[2100 + i])
         index.delete(top.tid)
         del pool[top.tid]
-        _settle(index)
         delta = index.delta
         assert (delta.n_ops, delta.n_charged, delta.n_visible) == (4, 1, 3)
         pool[2103] = RankTuple(2103, 0.95, 0.9)
         index.insert(pool[2103])
-        _settle(index)
         assert index.delta.is_empty and index.k_effective == 12
         _assert_matches_rebuild(index, pool, 12, 12)
 
@@ -171,7 +176,6 @@ class WritePathContract:
                 victim = next(outside)
                 index.delete(victim)
                 del pool[victim]
-            _settle(index)
             delta = index.delta
             assert delta.is_transparent and index.k_effective == 12
             assert delta.n_ops == (step if step < 120 else step - 120)
@@ -200,7 +204,6 @@ class WritePathContract:
                 ).tid
                 index.delete(victim)
                 del pool[victim]
-            _settle(index)
             reference = RankedJoinIndex.build(sorted(pool.values()), 12)
             for k in range(1, index.k_effective + 1):
                 assert index.query_batch(preferences, k) == reference.query_batch(
@@ -217,7 +220,6 @@ class WritePathContract:
         top = RankedJoinIndex.build(_tuples(40), 8).query((0.5, 0.5), 6)
         for i, victim in enumerate(top):
             index.delete(victim.tid)
-            _settle(index)
             assert index.delta.n_tombstones == (i + 1) % 4
             assert index.k_effective == 8 - (i + 1) % 4
         assert index.k_effective == 8 - 2 and index.n_live == 34
@@ -234,12 +236,10 @@ class WritePathContract:
         for i, tid in enumerate(outside[:59]):
             assert index.delete(tid) == 12
             del pool[tid]
-            _settle(index)
             assert index.delta.n_tombstones == i + 1
         assert index.delta.n_charged == 0 and index.delta.is_transparent
         _assert_matches_rebuild(index, pool, 12, 12)
         index.delete(outside[59])  # the 60th record: the log bound fires
-        _settle(index)
         assert index.delta.is_empty and index.k_effective == 12
 
     def test_explicit_compact_empties_the_delta(self, tier):
@@ -252,7 +252,6 @@ class WritePathContract:
             assert index.delete(0) == index.k_effective == 11
             _assert_matches_rebuild(index, pool, 12, 6, **options)
             index.compact()
-            _settle(index)
             assert index.delta.is_empty and index.k_effective == 12
             _assert_matches_rebuild(index, pool, 12, 6, **options)
 
@@ -291,7 +290,6 @@ class WritePathContract:
                 assert index.insert(pool[1000 + step]) is True
             if step % 20 == 19:
                 index.compact()
-            _settle(index)
             if phase == "heavy":
                 heavy_charged = max(heavy_charged, index.delta.n_charged)
             if step % 4 == 0:
@@ -311,7 +309,6 @@ class WritePathContract:
         index, _ = tier()
         index.insert(RankTuple(999, 2.0, 2.0))  # a visible buffered write
         index.delete(int(index.query((1.0, 1.0), 2)[1].tid))  # a charged one
-        _settle(index)
         preferences = random_preferences(6, seed=4)
 
         def read():
@@ -326,7 +323,7 @@ class WritePathContract:
             )
 
         expected, answered = read(), []
-        with index._writes.lock:
+        with index.lock:
             reader = threading.Thread(target=lambda: answered.append(read()))
             reader.start()
             reader.join(timeout=5.0)
@@ -394,7 +391,6 @@ class WritePathContract:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in (thread, *readers))
-        _settle(index)
         oracles = {}
 
         def oracle(step, preference):
@@ -415,72 +411,150 @@ class WritePathContract:
         assert len({first for _, first, _, _ in reads}) > 50  # reads overlapped
 
 
-class TestManagedWalMode(WritePathContract):
-    def make(self, directory, wal, tuples, k, threshold, **options):
-        return ManagedRankedJoinIndex(
-            tuples, k, wal=wal, delta_threshold=threshold, **options
-        )
+    def _stall_first_build(self, monkeypatch):
+        """Park the next ``RankedJoinIndex.build`` until released."""
+        stalled, release = threading.Event(), threading.Event()
+        real_build = RankedJoinIndex.build
 
+        def stalling_build(tuples, k, **options):
+            if not stalled.is_set():
+                stalled.set()
+                assert release.wait(10.0)
+            return real_build(tuples, k, **options)
 
-class TestConcurrentWalMode(WritePathContract):
-    def make(self, directory, wal, tuples, k, threshold, **options):
-        return ConcurrentRankedJoinIndex.build(
-            tuples, k, wal=wal, delta_threshold=threshold, **options
-        )
+        monkeypatch.setattr(RankedJoinIndex, "build", stalling_build)
+        return stalled, release
 
-    def test_bare_wrapper_over_a_pruned_index_refuses_writes(self):
-        # Without pool= the wrapper knows only the dominating set; a
-        # compaction from it would forget what pruning dropped and then
-        # answer wrongly at full k_effective.  Reads keep working.
-        tuples = _tuples(200)
-        index = RankedJoinIndex.build(tuples, 3)
-        bare = ConcurrentRankedJoinIndex(index)
-        for write, arg in [(bare.insert, RankTuple(999, 0.5, 0.5)), (bare.delete, 0)]:
-            with pytest.raises(
-                MaintenanceError, match=r"pool=.*ConcurrentRankedJoinIndex\.build"
-            ):
-                write(arg)
-        assert bare.query((0.5, 0.5), 3) == index.query((0.5, 0.5), 3)
-        # An unpruned index is its own pool.
-        unpruned = RankedJoinIndex.build(tuples, 3, prune=False)
-        assert ConcurrentRankedJoinIndex(unpruned).insert(RankTuple(999, 0.5, 0.5))
+    def test_a_stalled_build_blocks_no_other_writer(self, tier, monkeypatch):
+        # One writer's compaction parks in its build, which holds no
+        # writer lock: another thread's insert and delete are
+        # acknowledged meanwhile, reads answer, and the swap keeps the
+        # two writes buffered.
+        index, _ = tier(threshold=2)
+        pool = {t.tid: t for t in _tuples()}
+        top = max(pool.values(), key=lambda t: t.s1 + t.s2)
+        stalled, release = self._stall_first_build(monkeypatch)
+
+        def compacting_writer():
+            for tid, rank in [(5000, 0.99), (5001, 0.98)]:
+                index.insert(RankTuple(tid, rank, rank))
+
+        def other_writer():
+            index.insert(RankTuple(5002, 0.97, 0.97))
+            index.delete(top.tid)
+
+        writer = threading.Thread(target=compacting_writer)
+        writer.start()
+        try:
+            assert stalled.wait(10.0)
+            other = threading.Thread(target=other_writer)
+            other.start()
+            other.join(timeout=1.0)
+            assert not other.is_alive(), "a writer waited for another's build"
+            for tid, rank in [(5000, 0.99), (5001, 0.98), (5002, 0.97)]:
+                pool[tid] = RankTuple(tid, rank, rank)
+            del pool[top.tid]
+            _assert_matches_full_scan(index, pool, 6)
+            assert index.compaction_pauses == []
+        finally:
+            release.set()
+            writer.join(timeout=10.0)
+        assert not writer.is_alive()
+        assert len(index.compaction_pauses) == 1
+        delta = index.delta
+        assert (delta.n_ops, delta.n_charged, delta.n_visible) == (2, 1, 1)
+        _assert_matches_full_scan(index, pool, 6)
 
     def test_background_compaction_preserves_answers(self, tier):
-        # No settling between writes: inserts land while a build runs
-        # off-lock, and the swap must keep them buffered.
+        # A compaction builds in the background of another writer: two
+        # threads insert at once, so one's inserts land while the other's
+        # build runs off the writer lock, and every swap keeps them.
         index, _ = tier(threshold=5)
         pool = {t.tid: t for t in _tuples()}
-        for i in range(23):
+        for i in range(24):
             pool[4000 + i] = RankTuple(4000 + i, 0.2 + 0.03 * i, 0.99)
-            index.insert(pool[4000 + i])
-        _settle(index)
-        assert index.delta.n_ops < 23  # compaction drained the buffer
+
+        def writer(start):
+            for i in range(start, 24, 2):
+                index.insert(pool[4000 + i])
+
+        threads = [threading.Thread(target=writer, args=(s,)) for s in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert index.compaction_pauses and index.delta.n_ops < 24
+        _assert_matches_rebuild(index, pool, 12, 6)
+
+    def test_compactions_build_one_at_a_time(self, tier, monkeypatch):
+        # Two threads compacting while a third writes: every build runs
+        # alone (the compaction lock), and nothing is lost between them.
+        index, _ = tier(threshold=3)
+        pool = {t.tid: t for t in _tuples()}
+        real_build = RankedJoinIndex.build
+        guard, running, widths = threading.Lock(), [0], []
+
+        def counting_build(tuples, k, **options):
+            with guard:
+                running[0] += 1
+                widths.append(running[0])
+            try:
+                time.sleep(0.002)
+                return real_build(tuples, k, **options)
+            finally:
+                with guard:
+                    running[0] -= 1
+
+        def compactor():
+            for _ in range(6):
+                index.compact()
+
+        def writer():
+            for i in range(30):
+                index.insert(pool[8000 + i])
+
+        for i in range(30):
+            pool[8000 + i] = RankTuple(8000 + i, 0.5 + 0.01 * i, 0.9)
+        monkeypatch.setattr(RankedJoinIndex, "build", counting_build)
+        threads = [threading.Thread(target=f) for f in (compactor, compactor, writer)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside every step
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(widths) >= 12 and max(widths) == 1
+        assert len(index.compaction_pauses) == len(widths)
         _assert_matches_rebuild(index, pool, 12, 6)
 
     def test_rebuild_drops_an_in_flight_compaction(self, tier, monkeypatch):
-        # A background build from the pre-rebuild pool, swapped in after
+        # A writer's build from the pre-rebuild pool, swapped in after
         # rebuild() reset the base, would serve the discarded live set.
         index, _ = tier(threshold=2)
-        stalled, release = threading.Event(), threading.Event()
-        real_build = WritePath.build
+        stalled, release = self._stall_first_build(monkeypatch)
 
-        def stalled_build(self, snapshot):
-            if threading.current_thread().name == "rji-compaction":
-                stalled.set()
-                assert release.wait(10.0)
-            return real_build(self, snapshot)
+        def compacting_writer():
+            for tid, rank in [(5000, 0.99), (5001, 0.98)]:
+                index.insert(RankTuple(tid, rank, rank))
 
-        monkeypatch.setattr(WritePath, "build", stalled_build)
-        for tid, rank in [(5000, 0.99), (5001, 0.98)]:
-            index.insert(RankTuple(tid, rank, rank))
-        assert stalled.wait(10.0)
-        other = {
-            10_000 + t.tid: RankTuple(10_000 + t.tid, t.s1, t.s2)
-            for t in _tuples(150, seed=8)
-        }
-        index.rebuild(other.values())
-        release.set()
-        _settle(index)
+        writer = threading.Thread(target=compacting_writer)
+        writer.start()
+        try:
+            assert stalled.wait(10.0)
+            other = {
+                10_000 + t.tid: RankTuple(10_000 + t.tid, t.s1, t.s2)
+                for t in _tuples(150, seed=8)
+            }
+            index.rebuild(other.values())
+        finally:
+            release.set()
+            writer.join(timeout=10.0)
+        assert not writer.is_alive() and index.compaction_pauses == []
         assert index.n_live == 150 and index.delta.is_empty
         _assert_matches_rebuild(index, other, 12, 12)
 
@@ -513,6 +587,58 @@ class TestConcurrentWalMode(WritePathContract):
         assert index.k_effective == 11
         _assert_matches_rebuild(index, pool, 12, 11)
 
+    def test_a_triggered_compaction_emits_one_span_and_one_reason(self, tier):
+        recorder = MetricsRecorder()
+        index, _ = tier(threshold=2, recorder=recorder)
+        for tid, rank in [(5000, 0.99), (5001, 0.98)]:
+            index.insert(RankTuple(tid, rank, rank))
+        spans = [s for s in recorder.spans if s.name == "compaction"]
+        assert [s.attributes["reason"] for s in spans] == ["visible"]
+        assert recorder.counter("compaction.runs") == 1
+        assert [recorder.counter(name) for name in TRIGGERS.values()] == [0, 1, 0]
+        assert len(index.compaction_pauses) == 1
+        assert recorder.counter("delta.inserts") == 2
+
+    def test_compact_always_rebuilds(self, tier):
+        # One meaning on every log: an explicit compact() swaps in a
+        # fresh base even when the delta is empty.
+        index, _ = tier()
+        before = index.index
+        index.compact()
+        assert len(index.compaction_pauses) == 1
+        assert index.index is not before and index.delta.is_empty
+
+
+class TestManagedWalMode(WritePathContract):
+    def make(self, directory, wal, tuples, k, threshold, **options):
+        return ManagedRankedJoinIndex(
+            tuples, k, wal=wal, delta_threshold=threshold, **options
+        )
+
+
+class TestConcurrentWalMode(WritePathContract):
+    def make(self, directory, wal, tuples, k, threshold, **options):
+        return ConcurrentRankedJoinIndex.build(
+            tuples, k, wal=wal, delta_threshold=threshold, **options
+        )
+
+    def test_bare_wrapper_over_a_pruned_index_refuses_writes(self):
+        # Without pool= the wrapper knows only the dominating set; a
+        # compaction from it would forget what pruning dropped and then
+        # answer wrongly at full k_effective.  Reads keep working.
+        tuples = _tuples(200)
+        index = RankedJoinIndex.build(tuples, 3)
+        bare = ConcurrentRankedJoinIndex(index)
+        for write, arg in [(bare.insert, RankTuple(999, 0.5, 0.5)), (bare.delete, 0)]:
+            with pytest.raises(
+                MaintenanceError, match=r"pool=.*ConcurrentRankedJoinIndex\.build"
+            ):
+                write(arg)
+        assert bare.query((0.5, 0.5), 3) == index.query((0.5, 0.5), 3)
+        # An unpruned index is its own pool.
+        unpruned = RankedJoinIndex.build(tuples, 3, prune=False)
+        assert ConcurrentRankedJoinIndex(unpruned).insert(RankTuple(999, 0.5, 0.5))
+
 
 class TestDurableWalMode(WritePathContract):
     def make(self, directory, wal, tuples, k, threshold, **options):
@@ -526,22 +652,28 @@ class TestDurableWalMode(WritePathContract):
         )
 
 
-def test_swap_refuses_a_build_whose_base_was_reset():
-    # A reset with no write after it leaves the snapshot LSN current,
-    # so only the generation can tell the build is stale.
+def test_swap_refuses_a_build_whose_base_was_reset(monkeypatch):
+    # A rebuild with no write after it leaves the snapshot LSN current,
+    # so only the generation can tell the compaction's build is stale.
     tuples = _tuples()
-    writes = WritePath(RankedJoinIndex.build(tuples, 12), {t.tid: t for t in tuples})
-    snapshot = writes.snapshot()
-    fresh = writes.build(snapshot.tuples)
-    replacement = RankedJoinIndex.build(tuples[1:], 12)
-    writes.reset(replacement, {t.tid: t for t in tuples[1:]})
-    assert snapshot.lsn == writes.base_lsn
-    writes.swap(fresh, snapshot)
-    assert writes.index is replacement
-    current = writes.snapshot()
-    rebuilt = writes.build(current.tuples)
-    writes.swap(rebuilt, current)
-    assert writes.index is rebuilt
+    index = WritableRankedJoinIndex(
+        RankedJoinIndex.build(tuples, 12), as_pool(tuples)
+    )
+    real_build = RankedJoinIndex.build
+
+    def rebuild_meanwhile(snapshot, k, **options):
+        monkeypatch.setattr(RankedJoinIndex, "build", real_build)
+        index.rebuild(tuples[1:])
+        return real_build(snapshot, k, **options)
+
+    monkeypatch.setattr(RankedJoinIndex, "build", rebuild_meanwhile)
+    lsn = index.wal.last_lsn
+    index.compact()
+    assert index.wal.last_lsn == lsn and index.compaction_pauses == []
+    assert index.n_live == 119 and 0 not in {t.tid for t in index.live_tuples()}
+    index.compact()
+    assert len(index.compaction_pauses) == 1
+    _assert_matches_rebuild(index, as_pool(tuples[1:]), 12, 12)
 
 
 def test_every_trigger_counter_is_registered():
@@ -576,7 +708,7 @@ class TestMaintenanceEdgeCases:
             with pytest.raises(MaintenanceError, match="must be finite"):
                 managed.insert(RankTuple(777, 0.5, bad))
         assert managed.n_live == 120
-        managed.rebuild()
+        managed.compact()
         managed.insert(RankTuple(777, 0.5, 0.5))
         assert managed.n_live == 121
         managed.check_invariants()

@@ -1,11 +1,11 @@
 """Served reads take no lock: only writers wait, and only for writers.
 
-Every front door answers a read from the read view its write path last
-published; writes — and the compactions they trigger, file I/O included
-— hold the write path's one writer lock.  So a write stalled after its
-fsync, a compaction stalled mid-way, or a test thread sitting on the
-writer lock must not delay a read on another connection, and that read
-sees the view from before the stalled write.
+Every front door answers a read from the read view its writable index
+last published; writes, and a compaction's snapshot, persist and swap,
+hold the one writer lock.  So a write stalled after its fsync, a
+compaction stalled mid-way, or a test thread sitting on the writer lock
+must not delay a read on another connection, and that read sees the
+view from before the stalled write.
 """
 
 import sys
@@ -18,7 +18,7 @@ import pytest
 from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.tuples import RankTuple, RankTupleSet
 from repro.core.workloads import random_preferences
-from repro.core.writepath import WritePath
+from repro.core.writepath import WritableRankedJoinIndex
 from repro.serve import Client, QueryServer
 from repro.storage.durable import DurableRankedJoinIndex
 
@@ -120,7 +120,7 @@ def test_a_held_writer_lock_delays_no_served_read(durable):
         with Client(*srv.address, request_timeout_s=10.0) as client:
             client.k_bound  # the health round trip, before the lock
             started = time.perf_counter()
-            with durable._writes.lock:
+            with durable.lock:
                 assert [client.query(p, 4) for p in preferences] == expected
                 assert client.query_batch(preferences, 4) == expected
                 assert client.explain(preferences[0], 4)["results"] == (
@@ -176,7 +176,7 @@ def test_stats_writes_block_is_one_view(tmp_path, tier):
     assert failures == []
     assert len({b["delta_ops"] for b in blocks}) > 10  # writes overlapped
     for block in blocks:
-        # Background compaction can lag the deletes past K: the bound
+        # A compaction in flight can lag the deletes past K: the bound
         # then reads 0, never negative.
         assert block["k_effective"] == max(0, K - block["charged"]), block
         assert block["charged"] + block["visible"] <= block["delta_ops"], block
@@ -190,7 +190,7 @@ def test_stats_between_apply_and_publish_shows_the_old_view(
     # and a stats answer must take all four numbers from the view.
     service = _make("durable", tmp_path)
     parked, release = threading.Event(), threading.Event()
-    publish = WritePath._publish
+    publish = WritableRankedJoinIndex._publish
 
     def parking_publish(self):
         if not release.is_set():
@@ -199,7 +199,7 @@ def test_stats_between_apply_and_publish_shows_the_old_view(
         publish(self)
 
     victim = service.query((1.0, 1.0), 1)[0].tid  # indexed: charged
-    monkeypatch.setattr(WritePath, "_publish", parking_publish)
+    monkeypatch.setattr(WritableRankedJoinIndex, "_publish", parking_publish)
     try:
         with QueryServer(service, port=0) as srv:
             with (

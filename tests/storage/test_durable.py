@@ -364,6 +364,43 @@ class TestCrashContract:
         recovered.close()
 
 
+class TestCheckpointCoversTheSnapshot:
+    """The build runs off the writer lock, so a write can be acknowledged
+    between a compaction's snapshot and its persist step.  The
+    checkpoint (WAL record and ``pool.rjp``) must cover the snapshot's
+    LSN, not the log's tail, or both recoveries would skip that write."""
+
+    @pytest.mark.parametrize("crash", [2, 3, "after-prune"])
+    def test_a_write_during_the_build_survives(self, tmp_path, monkeypatch, crash):
+        index = DurableRankedJoinIndex.create(
+            tmp_path, _tuples(), 12, compaction_threshold=10**9, fsync=False
+        )
+        pool = {t.tid: t for t in _tuples()}
+        _write_mixed(index, pool)
+        # Ranked first at every angle, so every probe answer shows it.
+        late = pool[7777] = RankTuple(7777, 1.5, 1.25)
+        real_build = RankedJoinIndex.build
+
+        def build_while_writing(tuples, k, **options):
+            # The compaction's build, on the same thread: the snapshot
+            # is taken and the writer lock is free.
+            monkeypatch.setattr(RankedJoinIndex, "build", real_build)
+            index.insert(late)
+            return real_build(tuples, k, **options)
+
+        monkeypatch.setattr(RankedJoinIndex, "build", build_while_writing)
+        if crash == "after-prune":
+            index.compact()
+        else:
+            plan = builtin_plan("crash-compaction")
+            plan = replace(plan, specs=(replace(plan.specs[0], at=crash),))
+            arm(plan, durable=index)
+            with pytest.raises(TransientStorageError):
+                index.compact()
+        index.close()
+        _assert_recovers_to(tmp_path, pool)
+
+
 def _spy_renames_and_dir_syncs(monkeypatch):
     """Log, in order, every rename target and every directory fsync."""
     events = []
@@ -408,9 +445,9 @@ class TestPowerLossOrdering:
         events = _spy_renames_and_dir_syncs(monkeypatch)
         real_checkpoint = WriteAheadLog.checkpoint
 
-        def checkpoint(wal):
+        def checkpoint(wal, covered_lsn):
             events.append(("checkpoint",))
-            return real_checkpoint(wal)
+            return real_checkpoint(wal, covered_lsn)
 
         monkeypatch.setattr(WriteAheadLog, "checkpoint", checkpoint)
         for i in range(4):

@@ -93,11 +93,12 @@ class TestRotationAndCheckpoint:
         for tid in range(4):
             wal.append_insert(tid, 0.1, 0.1)
         wal.commit()
-        checkpoint = wal.checkpoint()
-        assert checkpoint == wal.checkpoint_lsn == 5
+        checkpoint = wal.checkpoint(wal.last_lsn)
+        assert checkpoint == wal.checkpoint_lsn == 4
         assert wal.prune() >= 1
-        # Replay past the checkpoint is empty; the sequence resumes.
-        assert _records(wal, after_lsn=checkpoint) == []
+        # Replay past the checkpoint is empty; the sequence resumes past
+        # the checkpoint record (LSN 5).
+        assert list(wal.replay(checkpoint)) == []
         assert wal.append_insert(99, 0.9, 0.9) == 6
         wal.commit()
         wal.close()
@@ -107,7 +108,23 @@ class TestRotationAndCheckpoint:
         reopened = WriteAheadLog(tmp_path, fsync=False)
         assert reopened.checkpoint_lsn == checkpoint
         assert [r.tid for r in _records(reopened)] == [checkpoint, 99]
-        assert [r.tid for r in _records(reopened, after_lsn=checkpoint)] == [99]
+        assert [t.tid for _, t in reopened.replay(checkpoint)] == [99]
+        reopened.close()
+
+    def test_checkpoint_below_the_tail_keeps_later_records(self, tmp_path):
+        # A snapshot taken at LSN 2 while LSNs 3-4 were acknowledged:
+        # the checkpoint covers 2, prune keeps the segment holding 3-4,
+        # and a reopen replays exactly them.
+        wal = WriteAheadLog(tmp_path, fsync=False)
+        for tid in range(4):
+            wal.append_insert(tid, 0.1, 0.1)
+            wal.commit()
+        assert wal.checkpoint(2) == wal.checkpoint_lsn == 2
+        assert wal.prune() == 0
+        wal.close()
+        reopened = WriteAheadLog(tmp_path, fsync=False)
+        assert reopened.checkpoint_lsn == 2
+        assert [t.tid for _, t in reopened.replay(2)] == [2, 3]
         reopened.close()
 
     def test_pruned_log_reopens_past_its_checkpoint(self, tmp_path):
@@ -116,12 +133,13 @@ class TestRotationAndCheckpoint:
         # so the next writes were skipped by a replay past the checkpoint.
         wal = WriteAheadLog(tmp_path, fsync=False)
         wal.append_insert(1, 0.1, 0.1)
-        checkpoint = wal.checkpoint()
+        checkpoint = wal.checkpoint(wal.last_lsn)
         wal.prune()
         wal.close()
         reopened = WriteAheadLog(tmp_path, fsync=False)
-        assert reopened.last_lsn == reopened.checkpoint_lsn == checkpoint
-        assert reopened.append_insert(2, 0.2, 0.2) == checkpoint + 1
+        assert reopened.checkpoint_lsn == checkpoint
+        assert reopened.last_lsn == checkpoint + 1  # the checkpoint record
+        assert reopened.append_insert(2, 0.2, 0.2) == checkpoint + 2
         reopened.commit()
         reopened.close()
         again = WriteAheadLog(tmp_path, fsync=False)
@@ -130,17 +148,17 @@ class TestRotationAndCheckpoint:
 
     def test_checkpoint_is_self_describing_before_prune(self, tmp_path):
         # A crash between checkpoint() and prune() loses nothing: the
-        # checkpoint record's tid field carries its own LSN, so the
+        # checkpoint record's tid field carries the LSN it covers, so the
         # open-time scan reads the checkpoint straight back.
         wal = WriteAheadLog(tmp_path, fsync=False)
         for tid in range(3):
             wal.append_insert(tid, 0.1, 0.1)
         wal.commit()
-        checkpoint = wal.checkpoint()
+        checkpoint = wal.checkpoint(wal.last_lsn)
         wal.close()  # crash before prune
         reopened = WriteAheadLog(tmp_path, fsync=False)
         assert reopened.checkpoint_lsn == checkpoint
-        assert _records(reopened, after_lsn=checkpoint) == []
+        assert list(reopened.replay(checkpoint)) == []
         reopened.close()
 
     def test_segment_too_small_is_typed(self, tmp_path):
