@@ -35,8 +35,8 @@ LAYER_DAG: dict[str, frozenset[str]] = {
     "relalg": frozenset({"core", "errors"}),
     # The zero-copy interaction rides the existing storage -> core edge:
     # ``storage.diskindex`` imports ``core.hotcache`` (the descent
-    # cache) and hands read-only mapping views to
-    # ``core.regionstore.from_columns``; ``core`` never learns that
+    # cache) and scores read-only mapping views with
+    # ``core.index.top_k_columns``; ``core`` never learns that
     # mmap-backed callers exist, so no reverse edge is needed.
     "storage": frozenset({"core", "errors", "obs"}),
     "rtree": frozenset({"core", "errors", "storage"}),

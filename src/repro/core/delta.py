@@ -211,8 +211,8 @@ class DeltaView:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A region's columns minus charged rows, plus the visible inserts.
 
-        The columnar merged view every vectorized query path scores
-        (the counterpart of :meth:`merged_scored`): rank values are
+        The columnar merged view the disk tier scores (the counterpart
+        of :meth:`merged_scored`): rank values are
         copied, never recomputed, so scoring the result is bit-identical
         to scoring a rebuilt region.
         """

@@ -14,9 +14,9 @@ construction-time bound ``K`` and then answers any top-k join query with
 
 The regions live in a :class:`~repro.core.regionstore.RegionStore`:
 one contiguous payload of pre-gathered ``(tid, s1, s2)`` columns plus a
-CSR offsets array, so the query hot path is a boundary ``searchsorted``,
-an array slice, and one vectorized score/``lexsort`` — no per-query
-Python loop over tuple ids.  The store is packed once, in ``__init__``,
+CSR offsets array, so the query hot path is a boundary ``bisect``, one
+region's cached rows, and one sort of ``(score, s1, -tid)`` keys — no
+per-query lookup of tuple ids.  The store is packed once, in ``__init__``,
 and the index is immutable from then on (maintained tiers buffer writes
 in an attached :class:`~repro.core.delta.DeltaStore`, serve reads from a
 :meth:`~RankedJoinIndex.frozen` copy that merges a frozen view of it,
@@ -59,7 +59,7 @@ from .dominance import dominating_set
 from .hotcache import MISS, HotRegionCache
 from .merging import merge_adaptive, merge_every
 from .regionstore import RegionStore
-from .scoring import Preference, PreferenceLike, as_preference
+from .scoring import PreferenceLike, as_preference
 from .sweep import Region, sweep_regions
 from .tuples import RankTuple, RankTupleSet
 
@@ -87,26 +87,22 @@ def top_k_columns(
     k: int,
     *,
     ordered: bool = False,
-    neg_s1: np.ndarray | None = None,
 ) -> list[QueryResult]:
     """Top-``k`` of one region's columns under ``p1 * s1 + p2 * s2``.
 
-    The one columnar score / select / materialize kernel, shared by
-    :meth:`RankedJoinIndex.query_batch` and the disk tier's ``query``.
-    Scores use the scalar path's arithmetic and the ``lexsort`` realizes
-    its total order (score desc, ``s1`` desc, tid asc), so answers are
-    bit-identical to :meth:`RankedJoinIndex.query`.  ``ordered`` says the
-    rows are already stored in answer order (the ordered variant with
-    no write buffer merged in); ``neg_s1`` is ``-s1`` when the caller
-    keeps it precomputed (float negation is exact either way).
+    The disk tier's scoring kernel: it scores a page buffer's columns
+    without unboxing them into rows.  Scores use the row path's
+    arithmetic and the ``lexsort`` realizes its total order (score desc,
+    ``s1`` desc, tid asc), so answers are bit-identical to
+    :meth:`RankedJoinIndex.query`.  ``ordered`` says the rows are already
+    stored in answer order (the ordered variant with no write buffer
+    merged in).
     """
     scores = p1 * s1 + p2 * s2
     if ordered:
         chosen = np.arange(min(k, len(tids)))
     else:
-        if neg_s1 is None:
-            neg_s1 = -s1
-        chosen = np.lexsort((tids, neg_s1, -scores))[:k]
+        chosen = np.lexsort((tids, -s1, -scores))[:k]
     return [
         QueryResult(tid, score)
         for tid, score in zip(tids[chosen].tolist(), scores[chosen].tolist())
@@ -320,46 +316,55 @@ class RankedJoinIndex:
                 cache_hit=cache_hit,
                 cache_evicted=evicted,
             )
-        p1 = preference.p1
-        p2 = preference.p2
+        results, _ = self._top_k(
+            view, rows, preference.p1, preference.p2, k, recorder
+        )
+        if deadline is not None:
+            deadline.check("evaluate")
+        return results
+
+    def _top_k(
+        self,
+        view: DeltaView,
+        rows: list[tuple[float, float, int]],
+        p1: float,
+        p2: float,
+        k: int,
+        recorder: Recorder,
+    ) -> tuple[list[QueryResult], int]:
+        """Score one region's rows and keep the top ``k``.
+
+        The one scoring step of :meth:`query` and :meth:`explain`; also
+        returns how many keys it sorted (0 on the ordered variant, which
+        reads its rows in stored order).  Scores are plain float64
+        arithmetic over the unboxed rows — the same bits the column
+        kernel computes (a region holds K-ish rows, far below the
+        break-even size of a NumPy call) — and the reversed
+        ``(score, s1, -tid)`` tuple sort realizes the total order
+        (score desc, s1 desc, tid asc), so answers are bit-identical to
+        a from-scratch rebuild.
+        """
         new = tuple.__new__
         if not view.is_transparent:
             # Merged view: base rows minus charged tids plus visible
-            # inserts, all scored with the same scalar arithmetic, so
-            # the reversed tuple sort realizes the canonical order
-            # bit-identically to a from-scratch rebuild.
+            # inserts, scored with the same arithmetic.
             if recorder.enabled:
                 recorder.count("delta.merged_queries")
             scored = view.merged_scored(rows, p1, p2)
-            scored.sort(reverse=True)
-            if deadline is not None:
-                deadline.check("evaluate")
-            return [
-                new(QueryResult, (-neg_tid, score))
-                for score, _, neg_tid in scored[:k]
-            ]
-        if self.variant == "ordered":
+        elif self.variant == "ordered":
             return [
                 new(QueryResult, (-neg_tid, p1 * s1 + p2 * s2))
                 for s1, s2, neg_tid in rows[:k]
+            ], 0
+        else:
+            scored = [
+                (p1 * s1 + p2 * s2, s1, neg_tid) for s1, s2, neg_tid in rows
             ]
-        # Scalar scoring over the unboxed rows: plain float64 arithmetic
-        # computes the exact same score bits as the column kernels (a
-        # region holds K-ish rows, far below the break-even size of a
-        # NumPy kernel call), and the reversed (score, s1, -tid) tuple
-        # sort realizes the same total order (score desc, s1 desc, tid
-        # asc) as the pre-columnar lexsort, so answers are bit-identical
-        # to the scalar seed path.
-        scored = [
-            (p1 * s1 + p2 * s2, s1, neg_tid) for s1, s2, neg_tid in rows
-        ]
         scored.sort(reverse=True)
-        if deadline is not None:
-            deadline.check("evaluate")
         return [
             new(QueryResult, (-neg_tid, score))
             for score, _, neg_tid in scored[:k]
-        ]
+        ], len(scored)
 
     def _record_query(
         self,
@@ -449,34 +454,7 @@ class RankedJoinIndex:
         started = time.perf_counter()
         p1 = preference.p1
         p2 = preference.p2
-        if not view.is_transparent:
-            # Mirror the merged query path exactly (results and metric
-            # stream), so an explained write-buffered query stays
-            # indistinguishable from a plain one.
-            tee.count("delta.merged_queries")
-            scored = view.merged_scored(rows, p1, p2)
-            scored.sort(reverse=True)
-            results = tuple(
-                QueryResult(-neg_tid, score)
-                for score, _, neg_tid in scored[:k]
-            )
-            comparisons = sort_comparison_budget(len(scored))
-        elif self.variant == "ordered":
-            results = tuple(
-                QueryResult(-neg_tid, p1 * s1 + p2 * s2)
-                for s1, s2, neg_tid in rows[:k]
-            )
-            comparisons = 0
-        else:
-            scored = [
-                (p1 * s1 + p2 * s2, s1, neg_tid) for s1, s2, neg_tid in rows
-            ]
-            scored.sort(reverse=True)
-            results = tuple(
-                QueryResult(-neg_tid, score)
-                for score, _, neg_tid in scored[:k]
-            )
-            comparisons = sort_comparison_budget(len(rows))
+        results, n_sorted = self._top_k(view, rows, p1, p2, k, tee)
         t_score = time.perf_counter() - started
 
         explain = QueryExplain(
@@ -497,9 +475,9 @@ class RankedJoinIndex:
             descent_path=path,
             cache_hit=cache_hit,
             tuples_evaluated=len(rows),
-            sort_comparisons=comparisons,
+            sort_comparisons=sort_comparison_budget(n_sorted),
             n_results=len(results),
-            results=results,
+            results=tuple(results),
             phases=(
                 PhaseTiming("locate", t_locate),
                 PhaseTiming("materialize", t_materialize),
@@ -510,10 +488,6 @@ class RankedJoinIndex:
         tee.record(explain)
         return explain
 
-    def query_weights(self, p1: float, p2: float, k: int) -> list[QueryResult]:
-        """Convenience wrapper accepting bare preference weights."""
-        return self.query(Preference(p1, p2), k)
-
     def query_batch(
         self,
         preferences: Sequence[PreferenceLike],
@@ -521,74 +495,17 @@ class RankedJoinIndex:
         *,
         deadline: DeadlineLike = None,
     ) -> list[list[QueryResult]]:
-        """Answer many queries at once, amortizing region work.
+        """:meth:`query` for each preference, in order.
 
-        Each preference is anything
-        :func:`~repro.core.scoring.as_preference` accepts.  Queries are
-        grouped by the region their angle falls into; each region's
-        payload columns are sliced once from the store and scored for
-        all of its queries.  Results are identical to issuing
-        :meth:`query` per preference.  ``deadline`` (a
-        :class:`~repro.core.deadline.Deadline` or seconds) is checked
-        once per region group, so a batch abandons work within one
-        group's worth of evaluation after its budget expires.  The
-        hot-region cache is not consulted here: one vectorized
-        ``searchsorted`` already locates every region in the batch, so
-        per-angle memoization would only add lock traffic.
+        A region holds about K rows, so a batch has no region work to
+        amortize: it is a loop.  ``k`` is checked up front (an empty
+        batch with a bad ``k`` still raises) and one ``deadline`` budget
+        covers the whole batch, checked at each query's phase
+        boundaries.
         """
-        view = self._delta.view()
-        view.check_k(k, self.k_bound)
-        coerced = [as_preference(p) for p in preferences]
+        self._delta.view().check_k(k, self.k_bound)
         deadline = Deadline.of(deadline)
-        if not coerced:
-            return []
-        store = self._store
-        angles = np.array([p.angle for p in coerced])
-        region_ids = store.region_ids(angles)
-        unique_regions = np.unique(region_ids)
-        recorder = self._recorder
-        if recorder.enabled:
-            recorder.count("rji.batch.calls")
-            recorder.count("rji.queries", len(coerced))
-            recorder.observe("rji.batch.queries", len(coerced))
-            recorder.observe("rji.batch.groups", len(unique_regions))
-            recorder.observe("rji.regions_touched", len(unique_regions))
-
-        merged = not view.is_transparent
-        if merged and recorder.enabled:
-            recorder.count("delta.merged_queries", len(coerced))
-
-        ordered = self.variant == "ordered" and not merged
-        results: list[list[QueryResult] | None] = [None] * len(coerced)
-        for region_id in unique_regions:
-            if deadline is not None:
-                deadline.check("batch")
-            start, stop = store.span(int(region_id))
-            queries = np.nonzero(region_ids == region_id)[0]
-            if stop == start and not merged:
-                for q in queries:
-                    results[int(q)] = []
-                continue
-            tids = store.tids[start:stop]
-            s1 = store.s1[start:stop]
-            s2 = store.s2[start:stop]
-            if merged:
-                tids, s1, s2 = view.merged_columns(tids, s1, s2)
-                neg_s1 = -s1
-            else:
-                neg_s1 = store.neg_s1[start:stop]
-            if recorder.enabled:
-                recorder.count(
-                    "rji.batch.tuples_evaluated",
-                    len(tids) * len(queries),
-                    {"region": int(region_id)},
-                )
-            for q in queries.tolist():
-                p = coerced[q]
-                results[q] = top_k_columns(
-                    tids, s1, s2, p.p1, p.p2, k, ordered=ordered, neg_s1=neg_s1
-                )
-        return results  # type: ignore[return-value]
+        return [self.query(p, k, deadline=deadline) for p in preferences]
 
     # -- delta merge -------------------------------------------------------
 

@@ -21,7 +21,7 @@ maintained tier replaces the whole index on compaction):
     The gathered payload columns: region ``i`` owns rows
     ``offsets[i]:offsets[i + 1]``, holding the tuple ids and both rank
     values of its composition, pre-gathered from the dominating set so
-    a query is boundary search + slice + one vectorized score pass.
+    a query is a boundary search plus one region's rows (:meth:`rows`).
 
 Values are copied *from* the dominating arrays, so query answers are
 bit-identical to scoring the dominating set through a position gather —
@@ -54,7 +54,6 @@ class RegionStore:
         "tids",
         "s1",
         "s2",
-        "neg_s1",
         "_rows",
     )
 
@@ -78,9 +77,6 @@ class RegionStore:
         self.tids = tids
         self.s1 = s1
         self.s2 = s2
-        # Pre-negated sort key for the (score desc, s1 desc, tid asc)
-        # lexsort of the batch query path.
-        self.neg_s1 = -s1
         # Lazily unboxed per-region rows for the scalar query fast path
         # (see :meth:`rows`).
         self._rows: list[list[tuple[float, float, int]] | None] = [
@@ -88,40 +84,6 @@ class RegionStore:
         ] * len(lo)
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_columns(
-        cls,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        offsets: np.ndarray,
-        tids: np.ndarray,
-        s1: np.ndarray,
-        s2: np.ndarray,
-    ) -> "RegionStore":
-        """Adopt pre-built columns without copying them.
-
-        The zero-copy attach point: the columns are taken as-is — they
-        may be *read-only* views (e.g. ``np.frombuffer`` over validated
-        pages of a memory-mapped index file); every query path reads
-        the columns and never writes, and the derived arrays
-        (``neg_s1``, the lazy row cache) are fresh allocations.  Shapes
-        are validated; contents are trusted (callers hold columns that
-        already passed construction or page-checksum verification).
-        """
-        n_regions = len(lo)
-        if n_regions == 0:
-            raise ConstructionError("a region store needs at least one region")
-        if len(hi) != n_regions or len(offsets) != n_regions + 1:
-            raise ConstructionError(
-                "column shapes disagree: "
-                f"lo={len(lo)}, hi={len(hi)}, offsets={len(offsets)}"
-            )
-        if not (len(tids) == len(s1) == len(s2) == int(offsets[-1])):
-            raise ConstructionError(
-                "payload columns disagree with the offsets array"
-            )
-        return cls(lo, hi, offsets, tids, s1, s2)
 
     @classmethod
     def from_regions(
@@ -185,10 +147,6 @@ class RegionStore:
     def region_id(self, angle: float) -> int:
         """Index of the region whose ``[lo, hi)`` span contains ``angle``."""
         return bisect_right(self.lows_list, angle)
-
-    def region_ids(self, angles: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`region_id` for an array of angles."""
-        return np.searchsorted(self.lows, angles, side="right")
 
     def descent_path(self, angle: float) -> tuple[int, tuple[int, ...]]:
         """Region id plus the separating-point positions probed to find it.
@@ -272,7 +230,6 @@ class RegionStore:
             + self.tids.nbytes
             + self.s1.nbytes
             + self.s2.nbytes
-            + self.neg_s1.nbytes
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -50,8 +50,6 @@ COUNTERS = frozenset(
         # core query
         "rji.queries",
         "rji.explains",
-        "rji.batch.calls",
-        "rji.batch.tuples_evaluated",
         # hot-region descent cache (repro.core.hotcache)
         "rji.cache.hits",
         "rji.cache.misses",
@@ -115,8 +113,6 @@ SERIES = frozenset(
         "rji.descent_steps",
         "rji.regions_touched",
         "rji.tuples_evaluated",
-        "rji.batch.queries",
-        "rji.batch.groups",
         "disk.btree_nodes",
         "disk.btree_keys_compared",
         "disk.pages_read",

@@ -2,9 +2,9 @@
 
 :class:`QueryServer` puts the paper's ``O(log n + K)`` query on a
 socket.  A region holds ~K rows, so there is nothing for a server to
-amortize across requests (the repo's own traces put ``query_batch``
-*above* ``query`` per query at that size); what is left to get right is
-per-request latency and failure isolation.  Hence one rule: **a request
+amortize across requests (``query_batch`` itself is a loop over
+``query``); what is left to get right is per-request latency and
+failure isolation.  Hence one rule: **a request
 is one reader's work**, from ``recv`` to ``sendall``.  The moving parts:
 
 * **threads** — one acceptor plus one reader per connection, speaking

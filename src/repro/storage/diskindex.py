@@ -482,7 +482,7 @@ class DiskRankedJoinIndex:
         merged = not view.is_transparent
         if merged:
             # recover() replayed a WAL into the delta: score the merged
-            # view, as the in-memory batch path does.
+            # view.
             tids, s1, s2 = view.merged_columns(tids, s1, s2)
         results = top_k_columns(
             tids,

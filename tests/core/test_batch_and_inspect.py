@@ -7,7 +7,7 @@ from repro.core.index import RankedJoinIndex
 from repro.core.inspect import describe_index, region_churn
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTupleSet
-from repro.errors import QueryError
+from repro.errors import InvalidQueryError, QueryError
 
 
 def _index(n=400, k=8, seed=0, **options):
@@ -46,6 +46,10 @@ class TestQueryBatch:
             index.query_batch([Preference(1.0, 1.0)], 6)
         with pytest.raises(QueryError):
             index.query_batch([Preference(1.0, 1.0)], 0)
+        # An empty batch checks k too.
+        for bad_k in (0, index.k_bound + 1):
+            with pytest.raises(InvalidQueryError):
+                index.query_batch([], bad_k)
 
     def test_axis_extremes_in_one_batch(self):
         index = _index()

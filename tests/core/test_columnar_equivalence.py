@@ -16,12 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.fullscan import FullScanTopK
 from repro.core import sweep as sweep_module
+from repro.core.delta import DeltaStore
 from repro.core.dominance import dominating_set
 from repro.core.index import QueryResult, RankedJoinIndex
 from repro.core.scoring import as_preference
 from repro.core.sweep import sweep_regions
-from repro.core.tuples import RankTupleSet
+from repro.core.tuples import RankTuple, RankTupleSet
 from repro.datagen.synthetic import correlated_pairs
 from repro.experiments import construct_rji as events_module
 from repro.experiments.construct_rji import construct_rji, separating_events
@@ -219,16 +221,50 @@ def test_query_bit_identical_to_reference(kind, variant):
 
 
 def test_query_batch_matches_scalar_query():
+    # Every index shape, with and without a hot-region cache and a write
+    # buffer, over the awkward angles: both axes, every region's lower
+    # boundary, and duplicates.  The batch must equal per-preference
+    # queries and the reference: the dict-lookup query over the same
+    # regions, or the full scan of the live tuples once a delta is
+    # merged (a merged view sorts by score on every variant).
     rng = np.random.default_rng(17)
     tuples = _workload("anticorrelated", 400, rng)
-    for variant in ("standard", "ordered"):
-        index = RankedJoinIndex.build(tuples, 10, variant=variant)
-        prefs = [
-            (math.cos(a), math.sin(a))
-            for a in rng.uniform(0.0, math.pi / 2, 80)
-        ]
-        batch = index.query_batch(prefs, 5)
-        assert batch == [index.query(p, 5) for p in prefs]
+    shapes = (dict(variant="standard"), dict(variant="ordered"), dict(merge_slack=2))
+    for options in shapes:
+        for cache_size in (0, 8):
+            for with_delta in (False, True):
+                index = RankedJoinIndex.build(
+                    tuples, 10, cache_size=cache_size, **options
+                )
+                drawn = rng.uniform(0.0, math.pi / 2, 40).tolist()
+                angles = [0.0, math.pi / 2, *index.store.lo.tolist()]
+                angles += drawn + drawn[:10] + angles
+                if with_delta:
+                    scan = _with_charged_and_visible(index, tuples)
+                    expected = [scan.query(as_preference(a), 5) for a in angles]
+                else:
+                    expected = [reference_query(index, a, 5) for a in angles]
+                batch = index.query_batch(angles, 5)
+                assert batch == [index.query(a, 5) for a in angles]
+                assert batch == expected
+
+
+def _with_charged_and_visible(index, tuples):
+    """Attach a delta holding charged deletes and visible inserts to
+    ``index``; return the full scan of the live tuples it describes."""
+    live = {int(t.tid): t for t in tuples}
+    delta = DeltaStore()
+    index.attach_delta(delta)
+    for angle in (0.3, 1.2):
+        victim = index.query(angle, 1)[0].tid
+        delta.delete(victim, 0)
+        del live[victim]
+    for tid, ranks in ((9000, (1.5, 0.2)), (9001, (0.4, 1.6))):
+        live[tid] = RankTuple(tid, *ranks)
+        delta.insert(live[tid], 0)
+    view = delta.view()
+    assert view.n_charged == 2 and view.n_visible == 2
+    return FullScanTopK(RankTupleSet.from_tuples(sorted(live.values())))
 
 
 # -- blocked event generation ---------------------------------------------

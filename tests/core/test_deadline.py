@@ -80,11 +80,13 @@ class TestIndexDeadlines:
             index.query(0.7, 4, deadline=deadline)
 
     def test_batch_checks_between_regions(self):
+        # A batch is a loop over query: an expired budget raises in the
+        # first query's locate phase.
         clock = FakeClock()
         index = _build()
         deadline = Deadline(0.5, clock=clock)
         clock.advance(1.0)
-        with pytest.raises(QueryTimeoutError, match="batch"):
+        with pytest.raises(QueryTimeoutError, match="locate"):
             index.query_batch([0.2, 0.7, 1.2], 4, deadline=deadline)
 
 

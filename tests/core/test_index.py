@@ -66,13 +66,6 @@ class TestQueryValidation:
         with pytest.raises(QueryError, match="exceeds"):
             index.query(Preference(1.0, 1.0), 4)
 
-    def test_query_weights_wrapper(self):
-        index = RankedJoinIndex.build(_uniform(20), 3)
-        direct = index.query(Preference(2.0, 1.0), 2)
-        wrapped = index.query_weights(2.0, 1.0, 2)
-        assert direct == wrapped
-
-
 class TestQueryCorrectness:
     @pytest.mark.parametrize("options", [
         dict(),

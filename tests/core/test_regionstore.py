@@ -95,15 +95,6 @@ class TestLookups:
         for rid, low in enumerate(store.lows_list):
             assert store.region_id(low) == rid + 1
 
-    def test_vector_lookup_matches_scalar(self):
-        _, store = _store()
-        rng = np.random.default_rng(13)
-        angles = rng.uniform(0.0, np.pi / 2, 500)
-        vector = store.region_ids(angles)
-        assert vector.tolist() == [
-            store.region_id(float(a)) for a in angles
-        ]
-
     def test_rows_are_negated_tid_triples(self):
         index, store = _store()
         for rid, region in enumerate(index.regions):

@@ -338,7 +338,8 @@ class WritePathContract:
         # some prefix of the writes, between the writes finished when it
         # started and the writes begun when it ended.  A torn view (a
         # base paired with a delta of another generation, a half-applied
-        # write) matches no prefix.
+        # write) matches no prefix.  A batch is answered from one view:
+        # all its answers equal the oracle at one common prefix.
         base = _tuples(200, seed=5)
         index, _ = tier(base, k=10, threshold=16)
         rng = np.random.default_rng(8)
@@ -366,7 +367,7 @@ class WritePathContract:
                 progress["done"] += 1
                 time.sleep(0.004)
 
-        reads = []
+        reads, batches = [], []
 
         def reader(seed):
             preferences = random_preferences(64, seed=seed)
@@ -375,6 +376,11 @@ class WritePathContract:
                     first = progress["done"]
                     answer = index.query(preference, 2)
                     reads.append((preference, first, progress["started"], answer))
+                first = progress["done"]
+                answers = index.query_batch(preferences[:32], 2)
+                batches.append(
+                    (preferences[:32], first, progress["started"], answers)
+                )
                 preferences = preferences[8:] + preferences[:8]
                 time.sleep(0.005)
 
@@ -409,6 +415,18 @@ class WritePathContract:
         ]
         assert torn == []
         assert len({first for _, first, _, _ in reads}) > 50  # reads overlapped
+        torn_batches = [
+            (first, last)
+            for preferences, first, last, answers in batches
+            if not any(
+                all(
+                    answer == oracle(step, preference)
+                    for preference, answer in zip(preferences, answers)
+                )
+                for step in range(first, last + 1)
+            )
+        ]
+        assert torn_batches == []
 
 
     def _stall_first_build(self, monkeypatch):

@@ -80,14 +80,29 @@ class TestQueryInstrumentation:
         )
 
     def test_batch_counters(self, tuples, preferences):
-        recorder = MetricsRecorder()
-        index = RankedJoinIndex.build(tuples, 8, recorder=recorder)
-        recorder.reset()
-        index.query_batch(preferences, 5)
-        assert recorder.counter("rji.batch.calls") == 1
-        assert recorder.counter("rji.queries") == len(preferences)
-        assert recorder.series("rji.batch.queries").total == len(preferences)
-        assert recorder.series("rji.batch.groups").total >= 1
+        # A batch of n is n query calls: the same counters and the same
+        # samples in the same order, hot-region cache events included.
+        def events(answer):
+            recorder = MetricsRecorder()
+            index = RankedJoinIndex.build(
+                tuples, 8, recorder=recorder, cache_size=4
+            )
+            recorder.reset()
+            answer(index)
+            snapshot = recorder.snapshot()
+            return (
+                snapshot["counters"],
+                {name: recorder.samples(name) for name in snapshot["series"]},
+            )
+
+        batch = preferences[:3] * 2 + preferences
+        counters, series = events(lambda index: index.query_batch(batch, 5))
+        assert (counters, series) == events(
+            lambda index: [index.query(p, 5) for p in batch]
+        )
+        assert counters["rji.queries"] == len(batch)
+        assert counters["rji.cache.hits"] >= 1
+        assert counters["rji.cache.evictions"] >= 1
 
     def test_results_identical_with_and_without(self, tuples, preferences):
         plain = RankedJoinIndex.build(tuples, 8)

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core.index import RankedJoinIndex
-from repro.core.regionstore import RegionStore
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTupleSet
-from repro.errors import ConstructionError, StorageError
+from repro.errors import StorageError
 from repro.storage.diskindex import DiskRankedJoinIndex
 from repro.storage.pager import MappedPager
 from repro.storage.resilient import ResilientDiskRankedJoinIndex
@@ -129,43 +128,6 @@ class TestReadOnlySafety:
         # The earlier view still reads the same bytes: queries never
         # mutate or remap the shared mapping.
         assert bytes(view) == before
-
-
-class TestRegionStoreAdoption:
-    def test_from_columns_accepts_readonly_views(self):
-        ts = _uniform(200, seed=5)
-        index = RankedJoinIndex.build(ts, 8)
-        store = index._store
-        # Simulate the zero-copy attach: frozen, read-only columns.
-        def frozen(array):
-            copy = np.array(array)
-            copy.setflags(write=False)
-            return copy
-
-        adopted = RegionStore.from_columns(
-            frozen(store.lo),
-            frozen(store.hi),
-            frozen(store.offsets),
-            frozen(store.tids),
-            frozen(store.s1),
-            frozen(store.s2),
-        )
-        np.testing.assert_array_equal(adopted.lows, store.lows)
-        np.testing.assert_array_equal(adopted.offsets, store.offsets)
-        assert not adopted.tids.flags.writeable
-
-    def test_from_columns_validates_shapes(self):
-        lo = np.array([0.0])
-        hi = np.array([1.0])
-        offsets = np.array([0, 2])
-        tids = np.array([1, 2], dtype=np.int64)
-        s = np.array([0.5, 0.5])
-        with pytest.raises(ConstructionError):
-            RegionStore.from_columns(lo, hi[:0], offsets, tids, s, s)
-        with pytest.raises(ConstructionError):
-            RegionStore.from_columns(lo, hi, offsets[:1], tids, s, s)
-        with pytest.raises(ConstructionError):
-            RegionStore.from_columns(lo, hi, offsets, tids[:1], s, s)
 
 
 class TestMappedPagerFormat:
