@@ -6,15 +6,14 @@ skewed — a handful of weight ratios (e.g. "availability twice as
 important as quality") account for most traffic — so the descent
 repeatedly re-derives the same region for the same angle.
 :class:`HotRegionCache` memoizes ``preference angle -> value`` with LRU
-eviction, letting repeated preferences skip the descent entirely (the
-``rji.descent_steps`` observation is 0 on a hit).
+eviction, letting repeated preferences skip the descent entirely (a
+disk query's ``btree_nodes`` is 0 on a hit).
 
 Keys are *exact* float angles: two preferences share an entry only when
 their normalized angles are bit-equal, so a hit can never change an
-answer — the cached value is precisely what the descent would have
-produced.  An in-memory index never changes its regions, so its cache
-never goes stale (compaction swaps in a fresh index with a fresh
-cache); the disk tier calls :meth:`clear` to replay a cold start.
+answer.  The disk tier, whose descent walks B+-tree pages, is its one
+user (a ``bisect`` over an in-memory index is cheaper than the lock);
+it calls :meth:`clear` to replay a cold start.
 
 Thread-safe: a single lock guards the ordered map, so the serving
 wrappers can share one cache across worker threads.  Counters are

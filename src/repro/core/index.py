@@ -9,19 +9,23 @@ construction-time bound ``K`` and then answers any top-k join query with
    into angular regions, each holding the K tuples every query in the
    region draws from (Sections 5-6);
 3. a query locates its region by binary search on the materialized
-   separating points, evaluates the scoring function on the region's K
-   tuples and partially sorts — ``O(log l + K + k log k)``.
+   separating points, evaluates the scoring function on the ``k'`` rows
+   of the region that can reach its top ``k`` and sorts them —
+   ``O(log l + k' log k')`` (the paper scores all K rows,
+   ``O(log l + K + k log k)``; the in-region cut is
+   :mod:`repro.core.regionstore`'s).
 
 The regions live in a :class:`~repro.core.regionstore.RegionStore`:
 one contiguous payload of pre-gathered ``(tid, s1, s2)`` columns plus a
-CSR offsets array, so the query hot path is a boundary ``bisect``, one
-region's cached rows, and one sort of ``(score, s1, -tid)`` keys — no
-per-query lookup of tuple ids.  The store is packed once, in ``__init__``,
-and the index is immutable from then on (maintained tiers buffer writes
-in an attached :class:`~repro.core.delta.DeltaStore`, serve reads from a
+CSR offsets array, so the query hot path is a boundary ``bisect``, a
+prefix of one region's cached rows, and one sort of ``(score, s1,
+-tid)`` keys — no per-query lookup of tuple ids.  The store is packed
+once, in ``__init__``, and the index is immutable from then on
+(maintained tiers buffer writes in an attached
+:class:`~repro.core.delta.DeltaStore`, serve reads from a
 :meth:`~RankedJoinIndex.frozen` copy that merges a frozen view of it,
-and swap in a fresh index on compaction); boxed ``Region`` objects are a
-view materialized on demand for introspection.
+and swap in a fresh index on compaction); boxed ``Region`` objects are
+a view materialized on demand for introspection.
 
 Variants (Section 6.2):
 
@@ -56,7 +60,6 @@ from ..obs import (
     sort_comparison_budget,
 )
 from .dominance import dominating_set
-from .hotcache import MISS, HotRegionCache
 from .merging import merge_adaptive, merge_every
 from .regionstore import RegionStore
 from .scoring import PreferenceLike, as_preference
@@ -144,7 +147,6 @@ class RankedJoinIndex:
         stats: BuildStats,
         *,
         variant: str = "standard",
-        cache_size: int = 0,
         recorder: Recorder = NULL_RECORDER,
     ):
         self.k_bound = k_bound
@@ -157,10 +159,9 @@ class RankedJoinIndex:
         }
         # The one region record: the boxed sweep output is packed here
         # and not kept.
-        self._store = RegionStore.from_regions(regions, dominating)
-        # Hot-region cache: angle -> region id, so repeated preferences
-        # skip the descent.
-        self._cache = HotRegionCache(cache_size) if cache_size > 0 else None
+        self._store = RegionStore.from_regions(
+            regions, dominating, ordered=variant == "ordered"
+        )
         # What every query merges: an attached write buffer's current
         # view, or a frozen DeltaView (a read view, or no delta at all).
         self._delta: DeltaStore | DeltaView = NO_DELTA
@@ -177,7 +178,6 @@ class RankedJoinIndex:
         variant: str = "standard",
         merge_slack: int = 0,
         merge_strategy: str = "adaptive",
-        cache_size: int = 0,
         recorder: Recorder = NULL_RECORDER,
     ) -> "RankedJoinIndex":
         """Construct an index over join-result tuples for bound ``K = k``.
@@ -186,13 +186,10 @@ class RankedJoinIndex:
         :func:`repro.core.pruning.topk_join_candidates`); with
         ``prune=True`` the dominating-set algorithm is applied first.
         ``merge_slack`` > 0 enables §6.2 region merging with per-region
-        distinct-tuple budget ``K + merge_slack``.  ``cache_size``
-        > 0 attaches a :class:`~repro.core.hotcache.HotRegionCache` of
-        that capacity so repeated preference angles skip the query
-        descent.  All tuning arguments are keyword-only.  ``recorder``
-        observes the build phases and stays attached to the index for
-        query-time counters; the default null recorder observes nothing
-        and costs nothing.
+        distinct-tuple budget ``K + merge_slack``.  All tuning arguments
+        are keyword-only.  ``recorder`` observes the build phases and
+        stays attached to the index for query-time counters; the default
+        null recorder observes nothing and costs nothing.
         """
         if variant not in ("standard", "ordered"):
             raise ConstructionError(f"unknown variant {variant!r}")
@@ -259,7 +256,6 @@ class RankedJoinIndex:
             dominating,
             stats,
             variant=variant,
-            cache_size=cache_size,
             recorder=recorder,
         )
 
@@ -291,34 +287,15 @@ class RankedJoinIndex:
         view.check_k(k, self.k_bound)
         preference = as_preference(preference)
         deadline = Deadline.of(deadline)
-        store = self._store
-        cache = self._cache
-        cache_hit = evicted = False
-        if cache is not None:
-            cached = cache.get(preference.angle)
-            if cached is not MISS:
-                region_id = cached
-                cache_hit = True
-            else:
-                region_id = store.region_id(preference.angle)
-                evicted = cache.put(preference.angle, region_id)
-        else:
-            region_id = store.region_id(preference.angle)
+        region_id = self._store.region_id(preference.angle)
         if deadline is not None:
             deadline.check("locate")
-        rows = store.rows(region_id)
         recorder = self._recorder
-        if recorder.enabled:
-            self._record_query(
-                recorder,
-                region_id,
-                len(rows),
-                cache_hit=cache_hit,
-                cache_evicted=evicted,
-            )
-        results, _ = self._top_k(
-            view, rows, preference.p1, preference.p2, k, recorder
+        results, n_scored, _ = self._top_k(
+            view, region_id, preference.p1, preference.p2, k, recorder
         )
+        if recorder.enabled:
+            self._record_query(recorder, region_id, n_scored)
         if deadline is not None:
             deadline.check("evaluate")
         return results
@@ -326,80 +303,68 @@ class RankedJoinIndex:
     def _top_k(
         self,
         view: DeltaView,
-        rows: list[tuple[float, float, int]],
+        region_id: int,
         p1: float,
         p2: float,
         k: int,
         recorder: Recorder,
-    ) -> tuple[list[QueryResult], int]:
-        """Score one region's rows and keep the top ``k``.
+    ) -> tuple[list[QueryResult], int, int]:
+        """Score the region rows that can reach the top ``k``; keep it.
 
         The one scoring step of :meth:`query` and :meth:`explain`; also
-        returns how many keys it sorted (0 on the ordered variant, which
-        reads its rows in stored order).  Scores are plain float64
-        arithmetic over the unboxed rows — the same bits the column
-        kernel computes (a region holds K-ish rows, far below the
-        break-even size of a NumPy call) — and the reversed
-        ``(score, s1, -tid)`` tuple sort realizes the total order
+        returns how many rows it scored and how many keys it sorted (0
+        on the ordered variant, which reads its rows in stored order).
+        A merged view hides at most ``n_charged`` of a row's beaters, so
+        it takes the rows that can reach the top ``k + n_charged``.
+        Scores are the column kernel's float64 arithmetic and the
+        reversed ``(score, s1, -tid)`` sort realizes the total order
         (score desc, s1 desc, tid asc), so answers are bit-identical to
-        a from-scratch rebuild.
+        scoring the whole region of a from-scratch rebuild.
         """
         new = tuple.__new__
+        store = self._store
         if not view.is_transparent:
             # Merged view: base rows minus charged tids plus visible
             # inserts, scored with the same arithmetic.
             if recorder.enabled:
                 recorder.count("delta.merged_queries")
+            rows = store.candidates(region_id, p1, p2, k + view.n_charged)
             scored = view.merged_scored(rows, p1, p2)
         elif self.variant == "ordered":
-            return [
+            results = [
                 new(QueryResult, (-neg_tid, p1 * s1 + p2 * s2))
-                for s1, s2, neg_tid in rows[:k]
-            ], 0
+                for s1, s2, neg_tid in store.rows(region_id)[0][:k]
+            ]
+            return results, len(results), 0
         else:
             scored = [
-                (p1 * s1 + p2 * s2, s1, neg_tid) for s1, s2, neg_tid in rows
+                (p1 * s1 + p2 * s2, s1, neg_tid)
+                for s1, s2, neg_tid in store.candidates(region_id, p1, p2, k)
             ]
         scored.sort(reverse=True)
         return [
             new(QueryResult, (-neg_tid, score))
             for score, _, neg_tid in scored[:k]
-        ], len(scored)
+        ], len(scored), len(scored)
 
     def _record_query(
-        self,
-        recorder: Recorder,
-        region_id: int,
-        n_rows: int,
-        *,
-        cache_hit: bool = False,
-        cache_evicted: bool = False,
+        self, recorder: Recorder, region_id: int, n_scored: int
     ) -> None:
         """Emit the per-query metric events of one scalar query.
 
         The single emission point shared by :meth:`query` and
         :meth:`explain`, so an explained query is indistinguishable from
         a plain one in any attached recorder — names, values and
-        attributes included.  A hot-region cache hit observes a descent
-        depth of 0 (the binary search never ran); the cache counters are
-        emitted only when a cache is configured, so uncached indices
-        keep their exact pre-cache metric stream.
+        attributes included.  ``n_scored`` is the rows actually scored.
         """
         recorder.count("rji.queries")
         recorder.observe("rji.regions_touched", 1)
         recorder.observe(
-            "rji.descent_steps",
-            0 if cache_hit else max(len(self._store.lows), 1).bit_length(),
+            "rji.descent_steps", max(len(self._store.lows), 1).bit_length()
         )
         recorder.observe(
-            "rji.tuples_evaluated", n_rows, {"region": region_id}
+            "rji.tuples_evaluated", n_scored, {"region": region_id}
         )
-        if self._cache is not None:
-            recorder.count(
-                "rji.cache.hits" if cache_hit else "rji.cache.misses"
-            )
-            if cache_evicted:
-                recorder.count("rji.cache.evictions")
 
     def explain(
         self, preference: PreferenceLike, k: int, *, record: bool = True
@@ -422,40 +387,24 @@ class RankedJoinIndex:
         preference = as_preference(preference)
         tee = ExplainRecorder(self._recorder if record else NULL_RECORDER)
         store = self._store
-        cache = self._cache
 
         started = time.perf_counter()
-        cache_hit = evicted = False
-        if cache is not None:
-            cached = cache.get(preference.angle)
-            if cached is not MISS:
-                region_id, path = cached, ()
-                cache_hit = True
-            else:
-                region_id, path = store.descent_path(preference.angle)
-                evicted = cache.put(preference.angle, region_id)
-        else:
-            region_id, path = store.descent_path(preference.angle)
+        region_id, path = store.descent_path(preference.angle)
         t_locate = time.perf_counter() - started
 
         started = time.perf_counter()
-        rows = store.rows(region_id)
+        region_size = len(store.rows(region_id)[0])
         t_materialize = time.perf_counter() - started
-
-        self._record_query(
-            tee,
-            region_id,
-            len(rows),
-            cache_hit=cache_hit,
-            cache_evicted=evicted,
-        )
-        tee.count("rji.explains")
 
         started = time.perf_counter()
         p1 = preference.p1
         p2 = preference.p2
-        results, n_sorted = self._top_k(view, rows, p1, p2, k, tee)
+        results, n_scored, n_sorted = self._top_k(
+            view, region_id, p1, p2, k, tee
+        )
         t_score = time.perf_counter() - started
+        self._record_query(tee, region_id, n_scored)
+        tee.count("rji.explains")
 
         explain = QueryExplain(
             p1=p1,
@@ -468,13 +417,10 @@ class RankedJoinIndex:
             region_id=region_id,
             region_lo=float(store.lo[region_id]),
             region_hi=float(store.hi[region_id]),
-            region_size=len(rows),
-            descent_depth=(
-                0 if cache_hit else max(len(store.lows), 1).bit_length()
-            ),
+            region_size=region_size,
+            descent_depth=max(len(store.lows), 1).bit_length(),
             descent_path=path,
-            cache_hit=cache_hit,
-            tuples_evaluated=len(rows),
+            tuples_evaluated=n_scored,
             sort_comparisons=sort_comparison_budget(n_sorted),
             n_results=len(results),
             results=tuple(results),
@@ -538,7 +484,7 @@ class RankedJoinIndex:
     def frozen(self) -> "RankedJoinIndex":
         """A read view: this index with its delta's current view frozen in.
 
-        Shares the region store, cache and recorder.  Later writes to
+        Shares the region store and recorder.  Later writes to
         the attached delta change the delta, never the copy, so readers
         holding it need no lock; an owner publishes a fresh copy after
         each change (:class:`~repro.core.writepath.WritableRankedJoinIndex`).
@@ -563,11 +509,6 @@ class RankedJoinIndex:
     def store(self) -> RegionStore:
         """The packed columnar region store serving the query paths."""
         return self._store
-
-    @property
-    def cache(self) -> HotRegionCache | None:
-        """The hot-region descent cache, or ``None`` when disabled."""
-        return self._cache
 
     @property
     def regions(self) -> list[Region]:

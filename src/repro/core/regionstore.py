@@ -26,11 +26,20 @@ maintained tier replaces the whole index on compaction):
 Values are copied *from* the dominating arrays, so query answers are
 bit-identical to scoring the dominating set through a position gather —
 the arithmetic sees the exact same float64 inputs.
+
+The in-region cut: a row that ``n`` rows of its region beat everywhere
+in ``[lo, hi]`` never ranks in a top ``n`` there.  A score difference
+``Δ1·cos θ + Δ2·sin θ = R·sin(θ + φ)`` is concave where positive, so
+beating a row by a relative margin at both ends means beating it in
+between.  :meth:`rows` keeps rows stable-sorted by that *reach* count and
+:meth:`candidates` hands a query the ``k'`` rows with reach below ``n``
+(about ``k``, not K): ``O(log l + k' log k')`` per query.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +49,17 @@ from .sweep import Region
 from .tuples import RankTupleSet
 
 __all__ = ["RegionStore"]
+
+Row = tuple[float, float, int]
+Cut = tuple[list[Row], list[int] | None]
+
+#: The margin (relative to the rank scale ``max |s1| + |s2|``) dwarfs
+#: score rounding while the scale is in _SCALE_RANGE and ``p1 + p2`` in
+#: _WEIGHT_RANGE: scores stay below 2^1000 and far above underflow.
+#: Other regions are not cut; other weights score the whole region.
+_MARGIN = 1e-9
+_SCALE_RANGE = (2.0**-900, 2.0**900)
+_WEIGHT_RANGE = (2.0**-100, 2.0**100)
 
 
 class RegionStore:
@@ -54,6 +74,7 @@ class RegionStore:
         "tids",
         "s1",
         "s2",
+        "ordered",
         "_rows",
     )
 
@@ -65,6 +86,7 @@ class RegionStore:
         tids: np.ndarray,
         s1: np.ndarray,
         s2: np.ndarray,
+        ordered: bool = False,
     ):
         self.lo = lo
         self.hi = hi
@@ -77,17 +99,16 @@ class RegionStore:
         self.tids = tids
         self.s1 = s1
         self.s2 = s2
-        # Lazily unboxed per-region rows for the scalar query fast path
-        # (see :meth:`rows`).
-        self._rows: list[list[tuple[float, float, int]] | None] = [
-            None
-        ] * len(lo)
+        #: Rows in answer order (the ordered variant): never re-sorted.
+        self.ordered = ordered
+        # Lazily built (rows, reach) pairs, one per region (:meth:`rows`).
+        self._rows: list[Cut | None] = [None] * len(lo)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_regions(
-        cls, regions: Sequence[Region], dominating: RankTupleSet
+        cls, regions: Sequence[Region], dominating: RankTupleSet, ordered: bool = False
     ) -> "RegionStore":
         """Pack a region list over its dominating set into columns.
 
@@ -114,7 +135,7 @@ class RegionStore:
         all_tids = np.asarray(flat, dtype=np.int64)
         if all_tids.size == 0:
             empty_f = np.empty(0, dtype=np.float64)
-            return cls(lo, hi, offsets, all_tids, empty_f, empty_f.copy())
+            return cls(lo, hi, offsets, all_tids, empty_f, empty_f.copy(), ordered)
         if len(dominating) == 0:
             raise ConstructionError(
                 "regions reference tuples but the dominating set is empty"
@@ -140,6 +161,7 @@ class RegionStore:
             all_tids,
             dominating.s1[positions],
             dominating.s2[positions],
+            ordered,
         )
 
     # -- lookups -----------------------------------------------------------
@@ -173,8 +195,8 @@ class RegionStore:
         """Payload-row range ``[start, stop)`` of one region."""
         return int(self.offsets[region_id]), int(self.offsets[region_id + 1])
 
-    def rows(self, region_id: int) -> list[tuple[float, float, int]]:
-        """One region's payload as plain ``(s1, s2, -tid)`` Python rows.
+    def rows(self, region_id: int) -> Cut:
+        """One region's ``(s1, s2, -tid)`` rows and their sorted reach.
 
         Regions are small (K to K+m-1 rows), so scoring them with plain
         float arithmetic beats the fixed call overhead of NumPy kernels;
@@ -182,22 +204,58 @@ class RegionStore:
         computes bit-identical scores.  The tuple id is stored *negated*
         so a ``reverse=True`` sort of ``(score, s1, -tid)`` keys yields
         the query order (score desc, s1 desc, tid asc) with no per-row
-        negations at query time.  Unboxed lazily per region and cached;
-        the cache write is idempotent, making the benign race under
-        concurrent readers harmless.
+        negations at query time.  Rows are stable-sorted by reach, the
+        sorted count list (module docstring); an ordered store keeps its
+        order and has no reach.  Built on a region's first touch and
+        cached as one pair, so no reader sees rows without their cut;
+        the idempotent cache write makes reader races harmless.
         """
         cached = self._rows[region_id]
         if cached is None:
-            start, stop = self.span(region_id)
-            cached = list(
-                zip(
-                    self.s1[start:stop].tolist(),
-                    self.s2[start:stop].tolist(),
-                    (-self.tids[start:stop]).tolist(),
-                )
-            )
+            rows = self._unbox(region_id)
+            if self.ordered:
+                cached = (rows, None)
+            else:
+                reach = self._reach(region_id)
+                order = np.argsort(reach, kind="stable")
+                cached = ([rows[i] for i in order.tolist()], reach[order].tolist())
             self._rows[region_id] = cached
         return cached
+
+    def candidates(self, region_id: int, p1: float, p2: float, n: int) -> list[Row]:
+        """The region rows that can rank in its top ``n`` under
+        ``p1 * s1 + p2 * s2``: those with reach below ``n``.  Weights the
+        margin does not cover get every row in sweep order."""
+        rows, reach = self.rows(region_id)
+        if reach is None:
+            return rows
+        if _WEIGHT_RANGE[0] <= p1 + p2 <= _WEIGHT_RANGE[1]:
+            return rows[: bisect_left(reach, n)]
+        return self._unbox(region_id)
+
+    def _reach(self, region_id: int) -> np.ndarray:
+        """Per row, how many rows beat it everywhere in the region."""
+        start, stop = self.span(region_id)
+        s1, s2 = self.s1[start:stop], self.s2[start:stop]
+        scale = float(np.max(np.abs(s1) + np.abs(s2))) if stop > start else 0.0
+        if not _SCALE_RANGE[0] <= scale <= _SCALE_RANGE[1]:  # NaN lands here too
+            return np.zeros(stop - start, dtype=np.int64)
+        beaten = np.ones((stop - start, stop - start), dtype=bool)
+        for angle in (self.lo[region_id], self.hi[region_id]):
+            score = math.cos(angle) * s1 + math.sin(angle) * s2
+            # [i, j]: row j beats row i by the margin at this end.
+            beaten &= score - score[:, None] > _MARGIN * scale
+        return np.sum(beaten, axis=1)
+
+    def _unbox(self, region_id: int) -> list[Row]:
+        start, stop = self.span(region_id)
+        return list(
+            zip(
+                self.s1[start:stop].tolist(),
+                self.s2[start:stop].tolist(),
+                (-self.tids[start:stop]).tolist(),
+            )
+        )
 
     def to_regions(self) -> list[Region]:
         """Materialize the full boxed region list (introspection)."""

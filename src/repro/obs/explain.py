@@ -60,13 +60,14 @@ class QueryExplain:
 
     ``descent_depth`` and ``tuples_evaluated`` equal the
     ``rji.descent_steps`` / ``rji.tuples_evaluated`` observations the
-    metrics recorder makes for the same query; ``descent_path`` is the
+    metrics recorder makes for the same query; ``tuples_evaluated`` is
+    the rows actually scored (the in-region cut's prefix, at most
+    ``region_size``); ``descent_path`` is the
     sequence of separating-point positions the binary search probed.
     ``sort_comparisons`` is the deterministic ``n * ceil(log2 n)``
     comparison budget of the partial sort (zero for the ordered
-    variant, which stores pre-sorted compositions).  ``cache_hit`` marks
-    a query served from the hot-region cache: the descent never ran, so
-    ``descent_depth`` is 0 and ``descent_path`` is empty.  ``phases``
+    variant, which stores pre-sorted compositions).  ``cache_hit`` is
+    always false: only the disk tier has a hot-region cache.  ``phases``
     carry measured wall time and are the only nondeterministic fields.
     """
 
@@ -230,7 +231,8 @@ def render_explain(explain: QueryExplain, *, include_times: bool = False) -> str
         )
         + (" [hot-region cache hit]" if explain.cache_hit else ""),
         f"├─ materialize: {explain.region_size} tuples in region",
-        f"├─ evaluate: {explain.tuples_evaluated} tuples scored, "
+        f"├─ evaluate: {explain.tuples_evaluated} of {explain.region_size} "
+        "tuples scored, "
         f"~{explain.sort_comparisons} sort comparisons",
         f"└─ emit: {explain.n_results} results (k={explain.k})",
     ]

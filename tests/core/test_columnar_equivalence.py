@@ -10,6 +10,7 @@ deliberately naive.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -221,32 +222,29 @@ def test_query_bit_identical_to_reference(kind, variant):
 
 
 def test_query_batch_matches_scalar_query():
-    # Every index shape, with and without a hot-region cache and a write
-    # buffer, over the awkward angles: both axes, every region's lower
-    # boundary, and duplicates.  The batch must equal per-preference
-    # queries and the reference: the dict-lookup query over the same
-    # regions, or the full scan of the live tuples once a delta is
-    # merged (a merged view sorts by score on every variant).
+    # Every index shape, with and without a write buffer, over the
+    # awkward angles: both axes, every region's lower boundary, and
+    # duplicates.  The batch must equal per-preference queries and the
+    # reference: the dict-lookup query over the same regions, or the
+    # full scan of the live tuples once a delta is merged (a merged view
+    # sorts by score on every variant).
     rng = np.random.default_rng(17)
     tuples = _workload("anticorrelated", 400, rng)
     shapes = (dict(variant="standard"), dict(variant="ordered"), dict(merge_slack=2))
     for options in shapes:
-        for cache_size in (0, 8):
-            for with_delta in (False, True):
-                index = RankedJoinIndex.build(
-                    tuples, 10, cache_size=cache_size, **options
-                )
-                drawn = rng.uniform(0.0, math.pi / 2, 40).tolist()
-                angles = [0.0, math.pi / 2, *index.store.lo.tolist()]
-                angles += drawn + drawn[:10] + angles
-                if with_delta:
-                    scan = _with_charged_and_visible(index, tuples)
-                    expected = [scan.query(as_preference(a), 5) for a in angles]
-                else:
-                    expected = [reference_query(index, a, 5) for a in angles]
-                batch = index.query_batch(angles, 5)
-                assert batch == [index.query(a, 5) for a in angles]
-                assert batch == expected
+        for with_delta in (False, True):
+            index = RankedJoinIndex.build(tuples, 10, **options)
+            drawn = rng.uniform(0.0, math.pi / 2, 40).tolist()
+            angles = [0.0, math.pi / 2, *index.store.lo.tolist()]
+            angles += drawn + drawn[:10] + angles
+            if with_delta:
+                scan = _with_charged_and_visible(index, tuples)
+                expected = [scan.query(as_preference(a), 5) for a in angles]
+            else:
+                expected = [reference_query(index, a, 5) for a in angles]
+            batch = index.query_batch(angles, 5)
+            assert batch == [index.query(a, 5) for a in angles]
+            assert batch == expected
 
 
 def _with_charged_and_visible(index, tuples):
@@ -265,6 +263,153 @@ def _with_charged_and_visible(index, tuples):
     view = delta.view()
     assert view.n_charged == 2 and view.n_visible == 2
     return FullScanTopK(RankTupleSet.from_tuples(sorted(live.values())))
+
+
+# -- the in-region cut ------------------------------------------------------
+
+#: Unit weights, the edges of the range the cut's margin covers, and
+#: weights whose scores underflow or overflow (the whole region is
+#: scored there).
+_MAGNITUDES = (1.0, 2.0**-100, 2.0**100, 1e-300, 1e300)
+
+
+def _region_bits(index, p1, p2, k):
+    """Reference: every row of the query's region (with the attached
+    delta merged), scored and sorted here, straight from the columns."""
+    store = index.store
+    rid = store.region_id(as_preference((p1, p2)).angle)
+    start, stop = store.span(rid)
+    rows = list(
+        zip(
+            store.tids[start:stop].tolist(),
+            store.s1[start:stop].tolist(),
+            store.s2[start:stop].tolist(),
+        )
+    )
+    if index.delta is not None:
+        view = index.delta.view()
+        rows = [row for row in rows if row[0] not in view.charged]
+        rows += [(tid, t.s1, t.s2) for tid, t in view.visible.items()]
+    keys = sorted(((p1 * a + p2 * b, a, -tid) for tid, a, b in rows), reverse=True)
+    return [(-neg_tid, struct.pack("<d", score)) for score, _, neg_tid in keys[:k]]
+
+
+def _scored_rows(index, p1, p2, k):
+    """How many rows a cut query scores: the region's rows whose reach
+    is below ``k + n_charged``, less the charged ones, plus the visible
+    inserts."""
+    store = index.store
+    rows, reach = store.rows(store.region_id(as_preference((p1, p2)).angle))
+    view = index.delta.view() if index.delta is not None else None
+    charged = view.charged if view is not None else frozenset()
+    n = k + len(charged)
+    kept = sum(1 for row, c in zip(rows, reach) if c < n and -row[2] not in charged)
+    return kept + (view.n_visible if view is not None else 0)
+
+
+def _assert_cut_exact(index, magnitudes=_MAGNITUDES):
+    """Every k, at each region's lo, the float below its hi and its
+    midpoint, plus both axes: the answer equals the whole-region sort
+    bit for bit, and (for unit weights) scores exactly the rows whose
+    reach allows them into the answer."""
+    store = index.store
+    view = index.delta.view() if index.delta is not None else None
+    max_k = index.k_bound - (view.n_charged if view is not None else 0)
+    angles = [0.0, math.pi / 2]
+    for lo, hi in zip(store.lo.tolist(), store.hi.tolist()):
+        angles += [lo, math.nextafter(hi, 0.0), (lo + hi) / 2]
+    evaluated = total = 0
+    for angle in angles:
+        for magnitude in magnitudes:
+            p1 = magnitude * math.cos(angle)
+            p2 = magnitude * math.sin(angle)
+            for k in range(1, max_k + 1):
+                got = [
+                    (r.tid, struct.pack("<d", r.score))
+                    for r in index.query((p1, p2), k)
+                ]
+                assert got == _region_bits(index, p1, p2, k), (angle, p1, p2, k)
+                if magnitude == 1.0:
+                    explain = index.explain((p1, p2), k, record=False)
+                    assert explain.tuples_evaluated == _scored_rows(
+                        index, p1, p2, k
+                    )
+                    evaluated += explain.tuples_evaluated
+                    total += explain.region_size
+    return evaluated, total
+
+
+def _attach_writes(index, tuples):
+    """Charge the leaders at two angles and buffer visible inserts that
+    duplicate the leaders at two others (exact ties with base rows)."""
+    delta = DeltaStore()
+    index.attach_delta(delta)
+    for angle in (0.3, 1.2):
+        delta.delete(index.query(angle, 1)[0].tid, 0)
+    position = {int(t): i for i, t in enumerate(tuples.tids.tolist())}
+    fresh = int(tuples.tids.max()) + 1
+    for offset, angle in enumerate((0.6, 1.0)):
+        i = position[index.query(angle, 1)[0].tid]
+        delta.insert(
+            RankTuple(fresh + offset, float(tuples.s1[i]), float(tuples.s2[i])), 0
+        )
+    view = delta.view()
+    assert view.n_charged >= 1 and view.n_visible >= 1
+
+
+def _cut_corpus(kind, rng):
+    if kind == "anticorrelated":
+        return _workload("anticorrelated", 400, rng)
+    if kind in ("huge", "tiny"):
+        # Rank scales at the edges of the range the cut covers.
+        scale = 2.0**897 if kind == "huge" else 2.0**-897
+        tuples = _workload("anticorrelated", 300, rng)
+        return RankTupleSet(tuples.tids, tuples.s1 * scale, tuples.s2 * scale)
+    if kind == "subnormal":
+        ranks = rng.integers(0, 40, (200, 2)) * 5e-324
+    else:
+        # Duplicate points and negative ranks; "big" overflows under
+        # 1e300 weights (to inf, and to NaN across signs), "small"
+        # underflows under 1e-300 weights.
+        ranks = rng.integers(-4, 5, (200, 2)) * (3e9 if kind == "big" else 1e-20)
+    return RankTupleSet(
+        rng.permutation(len(ranks)).astype(np.int64), ranks[:, 0], ranks[:, 1]
+    )
+
+
+@pytest.mark.parametrize("with_delta", [False, True])
+@pytest.mark.parametrize(
+    "options", [{}, {"merge_slack": 2}], ids=["standard", "slack2"]
+)
+@pytest.mark.parametrize(
+    "kind", ["anticorrelated", "big", "small", "subnormal", "huge", "tiny"]
+)
+def test_cut_answers_equal_scoring_the_whole_region(kind, options, with_delta):
+    rng = np.random.default_rng(hash(kind) % 2**32)
+    tuples = _cut_corpus(kind, rng)
+    index = RankedJoinIndex.build(tuples, 10, **options)
+    if with_delta:
+        _attach_writes(index, tuples)
+    evaluated, total = _assert_cut_exact(index)
+    if kind in ("anticorrelated", "huge", "tiny"):
+        assert evaluated < 0.9 * total  # the cut bites
+    if kind == "subnormal":  # no margin covers subnormal ranks: no cut
+        store = index.store
+        assert not any(any(store.rows(r)[1]) for r in range(len(store)))
+
+
+def test_cut_answers_equal_scoring_the_whole_region_on_integer_grids():
+    # The 300 tied integer grids of the full-scan tie-order test.
+    rng = np.random.default_rng(40)
+    for round_ in range(300):
+        ranks = rng.integers(0, 6, (40, 2)).astype(float)
+        tuples = RankTupleSet(rng.permutation(40), ranks[:, 0], ranks[:, 1])
+        index = RankedJoinIndex.build(
+            tuples, 8, **({"merge_slack": 2} if round_ % 2 else {})
+        )
+        if round_ % 3 == 0:
+            _attach_writes(index, tuples)
+        _assert_cut_exact(index, magnitudes=(1.0, 1e300))
 
 
 # -- blocked event generation ---------------------------------------------

@@ -72,7 +72,11 @@ class TestExplainMatchesRecorder:
                 1,
                 explain.tuples_evaluated,
             )
-            assert explain.tuples_evaluated == explain.region_size
+            # Only the rows that can reach the top 6 are scored.
+            _, reach = index.store.rows(explain.region_id)
+            assert len(reach) == explain.region_size
+            assert explain.tuples_evaluated == sum(c < 6 for c in reach)
+            assert 6 <= explain.tuples_evaluated <= explain.region_size
 
     def test_explained_query_emits_same_events_as_plain_query(self):
         """Counter deltas of explain() == query() (+ the explain marker)."""

@@ -10,6 +10,7 @@ from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTupleSet
 from repro.errors import ConstructionError
 from repro.obs import MetricsRecorder
+from repro.storage.diskindex import DiskRankedJoinIndex
 
 
 def _tuples(n=300, seed=3):
@@ -106,17 +107,21 @@ class TestLRUSemantics:
 
 
 class TestQueryPathWiring:
+    """The cache serves the disk tier, where a descent walks B+-tree
+    pages; the in-memory index's ``bisect`` descent is cheaper than the
+    cache's locked LRU, so it has none."""
+
     def test_repeat_preference_hits_and_skips_descent(self):
         recorder = MetricsRecorder()
-        index = RankedJoinIndex.build(
-            _tuples(), 10, cache_size=8, recorder=recorder
+        disk = DiskRankedJoinIndex(
+            RankedJoinIndex.build(_tuples(), 10), cache_size=8, recorder=recorder
         )
-        first = index.query((2.0, 1.0), 5)
-        assert recorder.series("rji.descent_steps").minimum > 0  # real descent
-        again = index.query((2.0, 1.0), 5)
+        first = disk.query((2.0, 1.0), 5)
+        assert disk.last_query.btree_nodes > 0  # real descent
+        again = disk.query((2.0, 1.0), 5)
         assert again == first
-        # The hit observes depth 0: the descent was skipped entirely.
-        assert recorder.series("rji.descent_steps").minimum == 0
+        # The hit skips the B+-tree descent entirely.
+        assert disk.last_query.btree_nodes == 0
         counters = recorder.snapshot()["counters"]
         assert counters["rji.cache.hits"] == 1
         assert counters["rji.cache.misses"] == 1
@@ -124,7 +129,7 @@ class TestQueryPathWiring:
     def test_cached_answers_identical_to_uncached(self):
         tuples = _tuples(400, seed=11)
         plain = RankedJoinIndex.build(tuples, 12)
-        cached = RankedJoinIndex.build(tuples, 12, cache_size=4)
+        cached = DiskRankedJoinIndex(plain, cache_size=4)
         rng = np.random.default_rng(5)
         angles = rng.uniform(0.0, np.pi / 2, 60)
         prefs = [(float(np.cos(a)), float(np.sin(a))) for a in angles]
@@ -137,43 +142,14 @@ class TestQueryPathWiring:
         assert cached.cache.hits > 0
         assert cached.cache.evictions > 0  # 60 distinct > 4 slots
 
-    def test_explain_reports_cache_hit_with_zero_depth(self):
-        from repro.obs import render_explain
-
-        index = RankedJoinIndex.build(_tuples(), 10, cache_size=8)
-        miss = index.explain((2.0, 1.0), 5)
-        assert miss.to_dict()["descent"]["cache_hit"] is False
-        hit = index.explain((2.0, 1.0), 5)
-        payload = hit.to_dict()["descent"]
-        assert payload["cache_hit"] is True
-        assert payload["depth"] == 0
-        assert "cache hit" in render_explain(hit)
-        assert hit.results == miss.results
-
-    def test_maintenance_invalidates_cache(self):
-        from repro.core.managed import ManagedRankedJoinIndex
-        from repro.core.tuples import RankTuple
-
-        managed = ManagedRankedJoinIndex(_tuples(), 10, cache_size=8)
-        before = managed.query((2.0, 1.0), 5)
-        stale = managed.index.cache
-        assert stale is not None and len(stale) == 1
-        # A dominating insert restructures regions on compaction; stale
-        # region ids must not survive: the fresh base has its own cache.
-        managed.insert(RankTuple(10_000, 2.0, 2.0))
-        managed.compact()
-        assert managed.index.cache is not stale and len(managed.index.cache) == 0
-        after = managed.query((2.0, 1.0), 5)
-        assert after[0].tid == 10_000
-        assert after != before
-        assert len(managed.index.cache) == 1
-
     def test_cache_disabled_by_default(self):
         index = RankedJoinIndex.build(_tuples(), 10)
-        assert index.cache is None
         recorder = MetricsRecorder()
-        plain = RankedJoinIndex.build(_tuples(), 10, recorder=recorder)
-        plain.query((2.0, 1.0), 5)
+        disk = DiskRankedJoinIndex(index, recorder=recorder)
+        assert disk.cache is None
+        disk.query((2.0, 1.0), 5)
         counters = recorder.snapshot()["counters"]
         assert "rji.cache.hits" not in counters
         assert "rji.cache.misses" not in counters
+        with pytest.raises(TypeError):
+            RankedJoinIndex.build(_tuples(), 10, cache_size=8)

@@ -136,7 +136,7 @@ class TestIntrospection:
         monkeypatch.setattr(
             RegionStore,
             "from_regions",
-            lambda *args: packed.append(args) or pack(*args),
+            lambda *args, **kwargs: packed.append(args) or pack(*args, **kwargs),
         )
         index = RankedJoinIndex.build(uniform_set, 4)
         assert len(packed) == 1

@@ -1,5 +1,7 @@
 """The columnar RegionStore mirrors the boxed region list exactly."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,7 @@ class TestConstruction:
             [Region(0.0, float(np.pi / 2), ())], empty
         )
         assert store.n_positions == 0
-        assert store.rows(0) == []
+        assert store.rows(0) == ([], [])
 
 
 class TestLookups:
@@ -96,17 +98,83 @@ class TestLookups:
             assert store.region_id(low) == rid + 1
 
     def test_rows_are_negated_tid_triples(self):
+        # A permutation of the region's tids, in non-decreasing reach
+        # order, each row carrying its own tuple's rank values.
         index, store = _store()
         for rid, region in enumerate(index.regions):
-            rows = store.rows(rid)
-            assert [-neg for _, _, neg in rows] == list(region.tids)
+            rows, reach = store.rows(rid)
+            assert sorted(-neg for _, _, neg in rows) == sorted(region.tids)
+            assert reach == sorted(reach) and len(reach) == len(rows)
             start, stop = store.span(rid)
-            assert [r[0] for r in rows] == store.s1[start:stop].tolist()
-            assert [r[1] for r in rows] == store.s2[start:stop].tolist()
+            column = {
+                tid: (a, b)
+                for tid, a, b in zip(
+                    store.tids[start:stop].tolist(),
+                    store.s1[start:stop].tolist(),
+                    store.s2[start:stop].tolist(),
+                )
+            }
+            assert all(column[-neg] == (a, b) for a, b, neg in rows)
+
+    def test_reach_counts_rows_beating_at_both_ends(self):
+        # The count is exactly the rows whose score beats the row's by
+        # more than the margin at both region ends.
+        _, store = _store()
+        for rid in range(len(store)):
+            rows, reach = store.rows(rid)
+            lo, hi = float(store.lo[rid]), float(store.hi[rid])
+            margin = 1e-9 * max(abs(a) + abs(b) for a, b, _ in rows)
+
+            def score(row, angle):
+                return np.cos(angle) * row[0] + np.sin(angle) * row[1]
+
+            expected = [
+                sum(
+                    score(other, lo) - score(row, lo) > margin
+                    and score(other, hi) - score(row, hi) > margin
+                    for other in rows
+                )
+                for row in rows
+            ]
+            assert reach == expected
 
     def test_rows_cached(self):
         _, store = _store()
         assert store.rows(0) is store.rows(0)
+
+    def test_rows_and_reach_share_one_cache_slot(self):
+        # One cached pair per region: concurrent first touches all see
+        # rows together with their own reach, never one without the other.
+        _, store = _store()
+        seen = []
+        barrier = threading.Barrier(4)
+
+        def touch():
+            barrier.wait()
+            seen.extend(store.rows(rid) for rid in range(len(store)))
+
+        threads = [threading.Thread(target=touch) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for rid in range(len(store)):
+            pair = store.rows(rid)
+            assert pair is store.rows(rid)
+            rows, reach = pair
+            assert len(rows) == len(reach) == len(store.to_regions()[rid].tids)
+        for rows, reach in seen:
+            assert len(rows) == len(reach) and reach == sorted(reach)
+
+    def test_ordered_store_keeps_stored_order(self):
+        index = RankedJoinIndex.build(_tuples(200, 3), 8, variant="ordered")
+        store = index.store
+        assert store.ordered
+        for rid, region in enumerate(index.regions):
+            rows, reach = store.rows(rid)
+            assert reach is None
+            assert [-neg for _, _, neg in rows] == list(region.tids)
+            assert store.candidates(rid, 0.6, 0.8, 1) is rows
 
 
 class TestAccounting:

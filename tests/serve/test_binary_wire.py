@@ -35,6 +35,7 @@ from repro.serve.protocol import (
     decode_results,
     write_frame,
 )
+from repro.storage.diskindex import DiskRankedJoinIndex
 from repro.storage.durable import DurableRankedJoinIndex
 
 K = 12
@@ -230,19 +231,30 @@ class TestCapture:
         assert srv.window.snapshot()["count"] == 20
 
     def test_shared_context_recorder_fills_descent_and_cache(self):
-        shared = ContextRecorder(NULL_RECORDER)
-        index = RankedJoinIndex.build(
-            _tuples(), K, cache_size=8, recorder=shared
+        # The in-memory index reports its descent; the disk tier, the
+        # one with a hot-region cache, reports hits and misses.
+        def records(make_service):
+            shared = ContextRecorder(NULL_RECORDER)
+            with QueryServer(
+                make_service(shared), port=0, recorder=shared
+            ) as srv, Client(*srv.address, trace_seed=3) as client:
+                client._k_bound = K
+                client.query((2.0, 1.0), 5)
+                client.query((2.0, 1.0), 5)  # same angle: a cache hit
+            return srv.flight.dump()["records"]
+
+        first, second = records(
+            lambda shared: RankedJoinIndex.build(_tuples(), K, recorder=shared)
         )
-        with QueryServer(index, port=0, recorder=shared) as srv, Client(
-            *srv.address, trace_seed=3
-        ) as client:
-            client._k_bound = K
-            client.query((2.0, 1.0), 5)
-            client.query((2.0, 1.0), 5)  # same angle: a cache hit
-        first, second = srv.flight.dump()["records"]
-        assert first["cache_hit"] is False and first["descent_depth"] >= 1
-        assert second["cache_hit"] is True and second["descent_depth"] == 0
+        assert first["cache_hit"] is None and first["descent_depth"] >= 1
+        assert second["cache_hit"] is None
+        assert second["descent_depth"] == first["descent_depth"]
+        first, second = records(
+            lambda shared: DiskRankedJoinIndex(
+                RankedJoinIndex.build(_tuples(), K), cache_size=8, recorder=shared
+            )
+        )
+        assert first["cache_hit"] is False and second["cache_hit"] is True
 
     def test_default_server_keeps_detail_for_slowest_and_errors(self, index):
         with QueryServer(index, port=0) as srv, Client(
