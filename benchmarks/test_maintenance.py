@@ -3,8 +3,8 @@
 import numpy as np
 
 from repro.core.index import RankedJoinIndex
-from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.tuples import RankTupleSet
+from repro.core.writepath import WritableRankedJoinIndex
 
 N_BASE = 20_000
 N_STREAM = 50
@@ -16,7 +16,7 @@ S2 = rng_data.uniform(0, 100, N_BASE + N_STREAM)
 
 
 def test_bench_incremental_insert_stream(benchmark):
-    """Apply a 50-insert stream to a managed index, then compact.
+    """Apply a 50-insert stream to a writable index, then compact.
 
     The base build happens in setup; the timed part is what keeping the
     index fresh costs: 50 buffered writes plus the one compaction that
@@ -26,7 +26,7 @@ def test_bench_incremental_insert_stream(benchmark):
     base = full[np.arange(N_BASE)]
 
     def setup():
-        return (ManagedRankedJoinIndex(base, K),), {}
+        return (WritableRankedJoinIndex.build(base, K),), {}
 
     def stream(managed):
         for i in range(N_BASE, N_BASE + N_STREAM):

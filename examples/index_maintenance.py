@@ -2,9 +2,10 @@
 
 The paper lists incremental maintenance as future work (Section 9);
 this library answers it with one writable index: a write buffer and a
-compaction schedule shared by its managed, concurrent and durable
-constructors.  The example streams inserts and deletes through a
-:class:`ManagedRankedJoinIndex` (the constructor over a tuple set),
+compaction schedule, in memory or over a write-ahead log.  The example
+streams inserts and deletes through a
+:class:`~repro.core.writepath.WritableRankedJoinIndex` built over a
+tuple set,
 checks a sample of answers against a freshly rebuilt index while the
 writes are still buffered, shows deletes of indexed tuples consuming the
 effective-k slack, and compacts to restore it.
@@ -17,14 +18,14 @@ Run with::
 import numpy as np
 
 from repro import Preference, RankedJoinIndex, RankTuple, RankTupleSet
-from repro.core.managed import ManagedRankedJoinIndex
+from repro.core.writepath import WritableRankedJoinIndex
 
 N_INITIAL = 5_000
 N_STREAM = 300
 K = 20
 
 
-def _verify(managed: ManagedRankedJoinIndex, live: dict[int, RankTuple]) -> None:
+def _verify(managed: WritableRankedJoinIndex, live: dict[int, RankTuple]) -> None:
     rebuilt = RankedJoinIndex.build(sorted(live.values()), K)
     k = managed.k_effective
     for angle in np.linspace(0.05, 1.5, 25):
@@ -41,7 +42,9 @@ def main() -> None:
 
     initial = RankTupleSet(np.arange(N_INITIAL), s1[:N_INITIAL], s2[:N_INITIAL])
     live = {t.tid: t for t in initial}
-    managed = ManagedRankedJoinIndex(initial, K, delta_threshold=N_STREAM + 10)
+    managed = WritableRankedJoinIndex.build(
+        initial, K, compaction_threshold=N_STREAM + 10
+    )
     print(
         f"initial index: {managed.index.n_regions} regions over "
         f"{N_INITIAL} tuples"

@@ -3,6 +3,9 @@
 Public surface:
 
 * :class:`~repro.core.index.RankedJoinIndex` — build / query the index;
+* :class:`~repro.core.writepath.WritableRankedJoinIndex` — the index
+  with logged inserts and deletes (``build`` over tuples, or adopt a
+  built index and its live pool);
 * :class:`~repro.core.scoring.Preference` — monotone linear scoring;
 * :class:`~repro.core.tuples.RankTupleSet` — join-result tuple container;
 * :func:`~repro.core.dominance.dominating_set` — Section 4 pruning;
@@ -10,13 +13,11 @@ Public surface:
 * :func:`~repro.core.sweep.sweep_regions` — the ConstructRJI sweep.
 """
 
-from .concurrent import ConcurrentRankedJoinIndex
 from .deadline import Deadline
 from .delta import DeltaStore, SupportsWal
 from .dominance import dominating_set, dominating_set_naive
 from .index import BuildStats, QueryResult, RankedJoinIndex
 from .inspect import describe_index, region_churn
-from .managed import ManagedRankedJoinIndex
 from .merging import merge_adaptive, merge_every
 from .robust import robust_topk_candidates
 from .verify import VerificationReport, verify_index
@@ -39,13 +40,11 @@ from .tuples import RankTuple, RankTupleSet
 
 __all__ = [
     "BuildStats",
-    "ConcurrentRankedJoinIndex",
     "Deadline",
     "DeltaStore",
     "SupportsWal",
     "LayeredTopKIndex",
     "LinearScorer",
-    "ManagedRankedJoinIndex",
     "NDTupleSet",
     "Preference",
     "QueryResult",

@@ -2,8 +2,8 @@
 
 Every index front-door — :class:`~repro.core.index.RankedJoinIndex`,
 the one writable index
-(:class:`~repro.core.writepath.WritableRankedJoinIndex`, whichever of
-its managed, concurrent or durable constructors built it), the
+(:class:`~repro.core.writepath.WritableRankedJoinIndex`, built,
+adopted or durable), the
 resilient disk wrapper in :mod:`repro.storage.resilient`, and the remote
 :class:`repro.serve.Client` — accepts one canonical keyword-only
 ``deadline`` argument (a :class:`Deadline` or a plain number of

@@ -46,7 +46,7 @@ change lets any number of readers merge the old one without a lock.
 from __future__ import annotations
 
 import math
-from typing import Container, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Container, Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -80,11 +80,10 @@ class SupportsWal(Protocol):
 class DeltaView:
     """What a read merges, frozen: charged tids and visible inserts.
 
-    Immutable once built (the lazily built numpy columns are a pure
-    function of the frozen fields, so two threads racing to build them
-    store equal arrays), hence shared by readers without a lock.  It
-    carries the one ``k``-bound check of every query path, memory and
-    disk alike (:meth:`check_k`).
+    Immutable once built, hence shared by readers without a lock.  It
+    carries the one ``k``-bound check (:meth:`check_k`) and the one
+    merge (:meth:`merged_scored`) of every query path, memory and disk
+    alike.
     """
 
     def __init__(
@@ -106,8 +105,6 @@ class DeltaView:
         self.n_tombstones = n_tombstones
         #: Nothing charged, nothing visible: the base alone is exact.
         self.is_transparent = not (charged or self.visible)
-        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._hidden_sorted: np.ndarray | None = None
 
     def view(self) -> "DeltaView":
         """A view is its own snapshot (the :meth:`DeltaStore.view` surface)."""
@@ -138,21 +135,23 @@ class DeltaView:
                 "answer would no longer be exact — compact the delta"
             )
 
-    # -- query-side merge helpers -----------------------------------------
+    # -- the merge ---------------------------------------------------------
 
     def merged_scored(
         self,
-        rows: Sequence[tuple[float, float, int]],
+        rows: Iterable[tuple[float, float, int]],
         p1: float,
         p2: float,
     ) -> list[tuple[float, float, int]]:
         """Score base rows (minus charged tids) plus visible inserts.
 
-        ``rows`` are the region's ``(s1, s2, -tid)`` triples.  The
-        returned ``(score, s1, -tid)`` triples use the exact scalar
-        arithmetic of the base query path, so sorting them reversed
-        realizes the canonical total order (score desc, s1 desc, tid
-        asc) bit-identically to a from-scratch rebuild.
+        ``rows`` are the region's ``(s1, s2, -tid)`` triples (the disk
+        tier unboxes a region's records into them).  The returned
+        ``(score, s1, -tid)`` triples use the exact scalar arithmetic of
+        the base query path, so ranking them with
+        :func:`~repro.core.index.top_k_scored` realizes the canonical
+        total order (score desc, s1 desc, tid asc) bit-identically to a
+        from-scratch rebuild.
 
         A base row is hidden by a tombstone *or* by a buffered insert
         of the same tid: the delta entry always supersedes the base
@@ -176,53 +175,6 @@ class DeltaView:
         for tid, t in self.visible.items():
             scored.append((p1 * t.s1 + p2 * t.s2, t.s1, -tid))
         return scored
-
-    def survivor_mask(self, tids: np.ndarray) -> np.ndarray:
-        """Mask of base tids no charged entry hides.
-
-        Buffered inserts hide their base copies for the same reason as
-        in :meth:`merged_scored`: the delta entry is the live version.
-        """
-        if not self.charged:
-            return np.ones(len(tids), dtype=bool)
-        if self._hidden_sorted is None:
-            self._hidden_sorted = np.array(
-                sorted(self.charged), dtype=np.int64
-            )
-        return ~np.isin(tids, self._hidden_sorted)
-
-    def insert_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Visible inserts as parallel ``(tids, s1, s2)`` columns."""
-        if self._columns is None:
-            ordered = sorted(self.visible)
-            self._columns = (
-                np.array(ordered, dtype=np.int64),
-                np.array(
-                    [self.visible[t].s1 for t in ordered], dtype=np.float64
-                ),
-                np.array(
-                    [self.visible[t].s2 for t in ordered], dtype=np.float64
-                ),
-            )
-        return self._columns
-
-    def merged_columns(
-        self, tids: np.ndarray, s1: np.ndarray, s2: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A region's columns minus charged rows, plus the visible inserts.
-
-        The columnar merged view the disk tier scores (the counterpart
-        of :meth:`merged_scored`): rank values are
-        copied, never recomputed, so scoring the result is bit-identical
-        to scoring a rebuilt region.
-        """
-        keep = self.survivor_mask(tids)
-        d_tids, d_s1, d_s2 = self.insert_columns()
-        return (
-            np.concatenate((tids[keep], d_tids)),
-            np.concatenate((s1[keep], d_s1)),
-            np.concatenate((s2[keep], d_s2)),
-        )
 
 
 #: The view of no delta at all: every query path's default.

@@ -66,7 +66,13 @@ from .scoring import PreferenceLike, as_preference
 from .sweep import Region, sweep_regions
 from .tuples import RankTuple, RankTupleSet
 
-__all__ = ["QueryResult", "BuildStats", "RankedJoinIndex", "top_k_columns"]
+__all__ = [
+    "QueryResult",
+    "BuildStats",
+    "RankedJoinIndex",
+    "top_k_columns",
+    "top_k_scored",
+]
 
 
 class QueryResult(NamedTuple):
@@ -93,13 +99,12 @@ def top_k_columns(
 ) -> list[QueryResult]:
     """Top-``k`` of one region's columns under ``p1 * s1 + p2 * s2``.
 
-    The disk tier's scoring kernel: it scores a page buffer's columns
-    without unboxing them into rows.  Scores use the row path's
-    arithmetic and the ``lexsort`` realizes its total order (score desc,
-    ``s1`` desc, tid asc), so answers are bit-identical to
-    :meth:`RankedJoinIndex.query`.  ``ordered`` says the rows are already
-    stored in answer order (the ordered variant with no write buffer
-    merged in).
+    The disk tier's scoring kernel when no write buffer is merged in: it
+    scores a page buffer's columns without unboxing them into rows.
+    Scores use the row path's arithmetic and the ``lexsort`` realizes
+    its total order (score desc, ``s1`` desc, tid asc), so answers are
+    bit-identical to :meth:`RankedJoinIndex.query`.  ``ordered`` says the rows are already
+    stored in answer order (the ordered variant).
     """
     scores = p1 * s1 + p2 * s2
     if ordered:
@@ -109,6 +114,22 @@ def top_k_columns(
     return [
         QueryResult(tid, score)
         for tid, score in zip(tids[chosen].tolist(), scores[chosen].tolist())
+    ]
+
+
+def top_k_scored(
+    scored: list[tuple[float, float, int]], k: int
+) -> list[QueryResult]:
+    """The first ``k`` of ``(score, s1, -tid)`` triples, in answer order.
+
+    The row path's ranking step, shared by :meth:`RankedJoinIndex.query`
+    and the disk tier's merged read: sorting the triples reversed (in
+    place) realizes the total order (score desc, ``s1`` desc, tid asc).
+    """
+    scored.sort(reverse=True)
+    new = tuple.__new__
+    return [
+        new(QueryResult, (-neg_tid, score)) for score, _, neg_tid in scored[:k]
     ]
 
 
@@ -321,7 +342,6 @@ class RankedJoinIndex:
         (score desc, s1 desc, tid asc), so answers are bit-identical to
         scoring the whole region of a from-scratch rebuild.
         """
-        new = tuple.__new__
         store = self._store
         if not view.is_transparent:
             # Merged view: base rows minus charged tids plus visible
@@ -331,6 +351,7 @@ class RankedJoinIndex:
             rows = store.candidates(region_id, p1, p2, k + view.n_charged)
             scored = view.merged_scored(rows, p1, p2)
         elif self.variant == "ordered":
+            new = tuple.__new__
             results = [
                 new(QueryResult, (-neg_tid, p1 * s1 + p2 * s2))
                 for s1, s2, neg_tid in store.rows(region_id)[0][:k]
@@ -341,11 +362,7 @@ class RankedJoinIndex:
                 (p1 * s1 + p2 * s2, s1, neg_tid)
                 for s1, s2, neg_tid in store.candidates(region_id, p1, p2, k)
             ]
-        scored.sort(reverse=True)
-        return [
-            new(QueryResult, (-neg_tid, score))
-            for score, _, neg_tid in scored[:k]
-        ], len(scored), len(scored)
+        return top_k_scored(scored, k), len(scored), len(scored)
 
     def _record_query(
         self, recorder: Recorder, region_id: int, n_scored: int

@@ -4,10 +4,11 @@
 (the full live tuple pool, the :class:`~repro.core.delta.DeltaStore`,
 the base index and the log) and the only copy of: validate → append →
 ``commit()`` (the acknowledgement point) → apply to delta and pool →
-publish; the compaction trigger; and compaction.  The managed,
-concurrent and durable indices are thin constructors over it that
-differ only in the log (:class:`MemoryLog` or a write-ahead log) and
-the persist step (none, or the durable directory's checkpoint).
+publish; the compaction trigger; and compaction.  ``build`` makes one
+over a tuple set and the constructor adopts a built index and its live
+pool; either writes through ``wal`` (:class:`MemoryLog` if omitted).
+The one subclass, :class:`repro.storage.durable.DurableRankedJoinIndex`,
+adds a directory, a write-ahead log and the persist step.
 
 Two locks, one order.  :attr:`~WritableRankedJoinIndex.lock` is the one
 writer lock: every change of state holds it.  Readers take no lock:
@@ -19,8 +20,8 @@ one compaction at a time and is always taken before the writer lock.
 One compaction schedule for every log, run on the thread that asks for
 it (there is no background thread): (1) under the writer lock, take the
 :class:`Snapshot`; (2) with it released, build, while other writers and
-every reader carry on; (3) under the writer lock again, persist (if a
-persist step was given), then swap.  A write that finds compaction due
+every reader carry on; (3) under the writer lock again, persist (a
+no-op in memory), then swap.  A write that finds compaction due
 tries the compaction lock without blocking, so no writer waits for
 another's build; :meth:`~WritableRankedJoinIndex.compact` waits for it.
 docs/RELIABILITY.md, "Durable write path" and "Read views", carries the
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from ..errors import MaintenanceError
 from ..obs import NULL_RECORDER, QueryExplain
@@ -40,7 +41,7 @@ from .deadline import DeadlineLike
 from .delta import DeltaStore, DeltaView, SupportsWal
 from .index import QueryResult, RankedJoinIndex
 from .scoring import PreferenceLike
-from .tuples import RankTuple
+from .tuples import RankTuple, RankTupleSet
 
 __all__ = [
     "MemoryLog",
@@ -102,12 +103,12 @@ def as_pool(tuples: Iterable[RankTuple]) -> dict[int, RankTuple]:
 class WritableRankedJoinIndex:
     """Lock-free reads, logged writes, one compaction schedule.
 
-    ``pool`` is the full live set the base was built from (owned from
-    here on), not just the dominating set: tuples K-dominated today can
-    resurface after deletes.  ``build_options`` are forwarded verbatim
-    to every compaction's :meth:`RankedJoinIndex.build`; their
-    ``recorder`` also records writes and compactions.  ``persist``
-    makes a built base durable between build and swap.
+    The constructor adopts a built ``index`` and ``pool``, the full
+    live set it was built from (:func:`as_pool`; owned from here on),
+    not just the dominating set: tuples K-dominated today can resurface
+    after deletes.  ``build_options`` are forwarded verbatim to every
+    compaction's :meth:`RankedJoinIndex.build`; their ``recorder`` also
+    records writes and compactions.
     """
 
     def __init__(
@@ -116,20 +117,17 @@ class WritableRankedJoinIndex:
         pool: dict[int, RankTuple],
         wal: SupportsWal | None = None,
         *,
-        threshold: int = 64,
+        compaction_threshold: int = 64,
         build_options: dict | None = None,
-        persist: Callable[[RankedJoinIndex, Snapshot], None] | None = None,
-        pool_complete: bool = True,
     ):
         #: The one writer lock (module docstring); reads never take it.
         self.lock = threading.Lock()
         self._compaction = threading.Lock()
         self.wal = wal if wal is not None else MemoryLog()
-        self.threshold = max(1, threshold)
+        self.compaction_threshold = max(1, compaction_threshold)
         self.k_bound = index.k_bound
         self.build_options = dict(build_options or {})
         self.recorder = self.build_options.get("recorder", NULL_RECORDER)
-        self._persist_step = persist
         #: Duck-typed chaos hook (see repro.faults.inject.arm).
         self.faults: Any = None
         #: Wall time of each compaction that swapped, snapshot to swap.
@@ -137,9 +135,31 @@ class WritableRankedJoinIndex:
         self._delta = DeltaStore()
         self._generation = 0
         with self.lock:
-            self._pool_complete = pool_complete
             self._pool = pool
             self._install(index, self.wal.last_lsn)
+
+    @classmethod
+    def build(
+        cls,
+        tuples: RankTupleSet | Iterable[RankTuple],
+        k: int,
+        *,
+        wal: SupportsWal | None = None,
+        compaction_threshold: int = 64,
+        **build_options,
+    ) -> "WritableRankedJoinIndex":
+        """Build the base over ``tuples``, which become the live pool;
+        ``build_options`` (``variant=``, ``recorder=``, ...) stick for
+        every compaction and :meth:`rebuild`."""
+        if not isinstance(tuples, RankTupleSet):
+            tuples = RankTupleSet.from_tuples(tuples)
+        return cls(
+            RankedJoinIndex.build(tuples, k, **build_options),
+            as_pool(tuples),
+            wal,
+            compaction_threshold=compaction_threshold,
+            build_options=build_options,
+        )
 
     # -- reads (no lock: one read of the published view each) -------------
 
@@ -203,7 +223,6 @@ class WritableRankedJoinIndex:
         tid, s1, s2 = tuple_
         candidate = RankTuple(int(tid), float(s1), float(s2))
         with self.lock:
-            self._require_complete_pool()
             if candidate.tid in self._pool:
                 raise MaintenanceError(f"tuple id {candidate.tid} already live")
             if not (math.isfinite(candidate.s1) and math.isfinite(candidate.s2)):
@@ -222,7 +241,6 @@ class WritableRankedJoinIndex:
         effective bound that remains."""
         tid = int(tid)
         with self.lock:
-            self._require_complete_pool()
             if tid not in self._pool:
                 raise MaintenanceError(f"tuple id {tid} is not live")
             if len(self._pool) == 1:
@@ -237,15 +255,6 @@ class WritableRankedJoinIndex:
         if due:
             self._compact(None, wait=False)
         return self.k_effective
-
-    def _require_complete_pool(self) -> None:
-        if not self._pool_complete:
-            raise MaintenanceError(
-                "this wrapper was given a pruned index and no pool=, so "
-                "compaction could not see the tuples pruning dropped; pass "
-                "pool= (the full live tuple set) or construct it with "
-                "ConcurrentRankedJoinIndex.build"
-            )
 
     def _acknowledge(self) -> None:
         self.wal.commit()
@@ -280,17 +289,18 @@ class WritableRankedJoinIndex:
         ``"charged"``: charged entries have used up half the exact-merge
         slack, so queries at moderate ``k`` would soon fail validation.
         ``"visible"``: the entries a read merges (charged plus visible)
-        reached ``threshold``.  ``"log"``: the log since the base reached
-        ``max(threshold, n_live)`` records, which bounds both recovery
-        replay and the inert entries (Lemma 2) buffered meanwhile.
+        reached ``compaction_threshold``.  ``"log"``: the log since the
+        base reached ``max(compaction_threshold, n_live)`` records, which
+        bounds both recovery replay and the inert entries (Lemma 2)
+        buffered meanwhile.
         """
         delta = self._delta.view()
         if delta.n_charged * 2 >= self.k_bound:
             return "charged"
-        if delta.n_charged + delta.n_visible >= self.threshold:
+        if delta.n_charged + delta.n_visible >= self.compaction_threshold:
             return "visible"
         if self.wal.last_lsn - self._base_lsn >= max(
-            self.threshold, len(self._pool)
+            self.compaction_threshold, len(self._pool)
         ):
             return "log"
         return None
@@ -356,13 +366,15 @@ class WritableRankedJoinIndex:
         """
         if snapshot.generation != self._generation:
             return False
-        if self._persist_step is not None:
-            self._persist_step(fresh, snapshot)
+        self._persist(fresh, snapshot)
         if pool is not None:
             self._pool = pool
         self._delta.clear_upto(snapshot.lsn)
         self._install(fresh, snapshot.lsn)
         return True
+
+    def _persist(self, fresh: RankedJoinIndex, snapshot: Snapshot) -> None:
+        """Make a built base durable before its swap; in memory, nothing."""
 
     def _install(self, base: RankedJoinIndex, base_lsn: int) -> None:
         base.attach_delta(self._delta)
@@ -390,7 +402,6 @@ class WritableRankedJoinIndex:
         with self.lock:
             snapshot = Snapshot(ordered, self.wal.last_lsn, self._generation)
             self._swap(fresh, snapshot, pool)
-            self._pool_complete = True
 
     def check_invariants(self) -> None:
         """Index structure valid; every indexed tuple is live or

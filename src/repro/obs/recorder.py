@@ -65,7 +65,7 @@ class Recorder:
     Subclasses override the four verbs; ``enabled`` advertises whether
     calls can have any effect, letting per-tuple hot loops skip even the
     call overhead.  Implementations must be thread-safe: concurrent
-    query threads (``repro.core.concurrent``) share one recorder.
+    query threads (``repro.core.writepath``) share one recorder.
     """
 
     #: Whether this recorder retains anything.  Hot paths may skip

@@ -77,9 +77,8 @@ class MutableIndexService(IndexService, Protocol):
     ``True`` on the WAL-then-delta path, where every live tuple is
     servable); ``delete`` returns the effective bound that remains.
     :class:`~repro.core.writepath.WritableRankedJoinIndex` satisfies it
-    through each of its managed, concurrent and durable constructors,
-    as does the remote :class:`~repro.serve.client.Client` against a
-    writable server.
+    (built, adopted, or durable), as does the remote
+    :class:`~repro.serve.client.Client` against a writable server.
     """
 
     def insert(self, tuple_: RankTuple) -> bool:

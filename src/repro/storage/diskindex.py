@@ -32,7 +32,12 @@ import numpy as np
 from ..core.deadline import Deadline, DeadlineLike
 from ..core.delta import NO_DELTA, DeltaStore, DeltaView
 from ..core.hotcache import MISS, HotRegionCache
-from ..core.index import QueryResult, RankedJoinIndex, top_k_columns
+from ..core.index import (
+    QueryResult,
+    RankedJoinIndex,
+    top_k_columns,
+    top_k_scored,
+)
 from ..core.scoring import PreferenceLike, as_preference
 from ..errors import CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, Recorder
@@ -479,20 +484,20 @@ class DiskRankedJoinIndex:
         tids = records["tid"]
         s1 = records["s1"]
         s2 = records["s2"]
-        merged = not view.is_transparent
-        if merged:
-            # recover() replayed a WAL into the delta: score the merged
-            # view.
-            tids, s1, s2 = view.merged_columns(tids, s1, s2)
-        results = top_k_columns(
-            tids,
-            s1,
-            s2,
-            preference.p1,
-            preference.p2,
-            k,
-            ordered=self.variant == "ordered" and not merged,
-        )
+        p1, p2 = preference.p1, preference.p2
+        if view.is_transparent:
+            results = top_k_columns(
+                tids, s1, s2, p1, p2, k, ordered=self.variant == "ordered"
+            )
+            n_scored = len(tids)
+        else:
+            # recover() replayed a WAL into the delta: the in-memory
+            # tier's merge and ranking, over the region's rows.
+            scored = view.merged_scored(
+                zip(s1.tolist(), s2.tolist(), (-tids).tolist()), p1, p2
+            )
+            results = top_k_scored(scored, k)
+            n_scored = len(scored)
         if deadline is not None:
             deadline.check("disk.evaluate")
 
@@ -500,7 +505,7 @@ class DiskRankedJoinIndex:
             btree_nodes=btree_stats.nodes_visited,
             btree_keys_compared=btree_stats.keys_compared,
             pages_read=pages_read,
-            tuples_evaluated=len(tids),
+            tuples_evaluated=n_scored,
         )
         if self.recorder.enabled:
             self.recorder.count("disk.queries")

@@ -12,8 +12,9 @@
 Writes, reads and the compaction schedule are the one
 :class:`~repro.core.writepath.WritableRankedJoinIndex`'s.  This module
 adds the directory layout, the pool-snapshot format, ``create`` /
-``recover``, and the persist step a compaction runs between its build
-and its swap.  :meth:`DurableRankedJoinIndex.recover` is the crash side
+``recover`` (the only constructors: ``build`` would own no directory,
+so it raises), and the persist step a compaction runs between
+its build and its swap.  :meth:`DurableRankedJoinIndex.recover` is the crash side
 of the contract: load the pool snapshot, open the WAL (the open itself
 truncates a torn tail), replay records past the snapshot's checkpoint
 LSN, rebuild, and report what happened in a :class:`RecoveryReport`.
@@ -30,7 +31,7 @@ import numpy as np
 from ..core import RankedJoinIndex
 from ..core.tuples import RankTuple
 from ..core.writepath import Snapshot, WritableRankedJoinIndex
-from ..errors import CorruptPageError, StorageError
+from ..errors import ConstructionError, CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, Recorder
 from .diskindex import DiskRankedJoinIndex
 from .pager import Pager
@@ -58,11 +59,7 @@ def _write_pool_snapshot(
     page_size: int = 4096,
 ) -> None:
     """Persist a tid-sorted pool atomically (pager-v2 CRC machinery)."""
-    records = np.empty(len(ordered), dtype=_POOL_DTYPE)
-    records["tid"] = [t.tid for t in ordered]
-    records["s1"] = [t.s1 for t in ordered]
-    records["s2"] = [t.s2 for t in ordered]
-    payload = records.tobytes()
+    payload = np.fromiter(ordered, _POOL_DTYPE, len(ordered)).tobytes()
 
     pager = Pager(page_size)
     meta_id = pager.allocate()
@@ -113,10 +110,7 @@ def _recover_pool_snapshot(
             f"{path}: pool snapshot holds {len(records)} tuples, "
             f"metadata promises {n_tuples}"
         )
-    pool = {
-        int(tid): RankTuple(int(tid), float(s1), float(s2))
-        for tid, s1, s2 in records
-    }
+    pool = {t[0]: RankTuple(*t) for t in records.tolist()}
     return pool, checkpoint_lsn, k_bound
 
 
@@ -151,12 +145,19 @@ class DurableRankedJoinIndex(WritableRankedJoinIndex):
             index,
             pool,
             wal,
-            threshold=compaction_threshold,
+            compaction_threshold=compaction_threshold,
             build_options={"recorder": recorder, **(build_options or {})},
-            persist=self._persist,
         )
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def build(cls, *args, **kwargs):
+        """Refused: a durable index needs a directory (:meth:`create`)."""
+        raise ConstructionError(
+            "DurableRankedJoinIndex has no build(); use "
+            "DurableRankedJoinIndex.create(directory, tuples, k, ...)"
+        )
 
     @classmethod
     def create(
@@ -185,17 +186,21 @@ class DurableRankedJoinIndex(WritableRankedJoinIndex):
             fsync=fsync,
             recorder=recorder,
         )
-        _write_pool_snapshot(directory / _POOL_FILE, ordered, 0, k)
-        DiskRankedJoinIndex(index).save(directory / _BASE_FILE)
-        return cls(
-            directory,
-            index,
-            pool,
-            wal,
-            compaction_threshold=compaction_threshold,
-            recorder=recorder,
-            build_options=build_options,
-        )
+        try:
+            _write_pool_snapshot(directory / _POOL_FILE, ordered, 0, k)
+            DiskRankedJoinIndex(index).save(directory / _BASE_FILE)
+            return cls(
+                directory,
+                index,
+                pool,
+                wal,
+                compaction_threshold=compaction_threshold,
+                recorder=recorder,
+                build_options=build_options,
+            )
+        except BaseException:
+            wal.close()
+            raise
 
     @classmethod
     def recover(
@@ -230,39 +235,44 @@ class DurableRankedJoinIndex(WritableRankedJoinIndex):
             fsync=fsync,
             recorder=recorder,
         )
-        replayed = 0
-        for op, tuple_ in wal.replay(after_lsn=checkpoint_lsn):
-            if op == "insert":
-                pool[tuple_.tid] = tuple_
-            else:
-                pool.pop(tuple_.tid, None)
-            replayed += 1
-        ordered = sorted(pool.values())
-        index = RankedJoinIndex.build(
-            ordered, k_bound, recorder=recorder, **build_options
-        )
-        instance = cls(
-            directory,
-            index,
-            pool,
-            wal,
-            compaction_threshold=compaction_threshold,
-            recorder=recorder,
-            build_options=build_options,
-        )
-        instance.last_recovery = RecoveryReport(
-            checkpoint_lsn=checkpoint_lsn,
-            last_lsn=wal.last_lsn,
-            replayed=replayed,
-            torn_tails=wal.torn_tails,
-            n_live=len(pool),
-        )
-        if replayed:
-            # The base now holds writes the saved image does not, so a
-            # later delete the base finds inert could be charged against
-            # the image by DiskRankedJoinIndex.recover, unseen by any
-            # trigger here.  Saving the base makes the two agree again.
-            instance._persist(index, Snapshot(ordered, wal.last_lsn, 0))
+        try:
+            replayed = 0
+            for op, tuple_ in wal.replay(after_lsn=checkpoint_lsn):
+                if op == "insert":
+                    pool[tuple_.tid] = tuple_
+                else:
+                    pool.pop(tuple_.tid, None)
+                replayed += 1
+            ordered = sorted(pool.values())
+            index = RankedJoinIndex.build(
+                ordered, k_bound, recorder=recorder, **build_options
+            )
+            instance = cls(
+                directory,
+                index,
+                pool,
+                wal,
+                compaction_threshold=compaction_threshold,
+                recorder=recorder,
+                build_options=build_options,
+            )
+            instance.last_recovery = RecoveryReport(
+                checkpoint_lsn=checkpoint_lsn,
+                last_lsn=wal.last_lsn,
+                replayed=replayed,
+                torn_tails=wal.torn_tails,
+                n_live=len(pool),
+            )
+            if replayed:
+                # The base now holds writes the saved image does not, so
+                # a later delete the base finds inert could be charged
+                # against the image by DiskRankedJoinIndex.recover, unseen
+                # by any trigger here.  Saving the base makes the two
+                # agree again.
+                instance._persist(index, Snapshot(ordered, wal.last_lsn, 0))
+        except BaseException:
+            wal.close()
+            raise
         return instance
 
     # -- the persist step --------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the thread-safe index wrapper."""
+"""Thread safety of the writable index: lock-free reads, serialized writes."""
 
 import threading
 import time
@@ -6,10 +6,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.index import RankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTuple, RankTupleSet
+from repro.core.writepath import WritableRankedJoinIndex
 from repro.datagen.synthetic import uniform_pairs
 from repro.obs import Recorder
 
@@ -34,7 +34,7 @@ class TestReadWriteLock:
 
     def test_readers_share(self):
         recorder = _Rendezvous(3)
-        index = ConcurrentRankedJoinIndex.build(
+        index = WritableRankedJoinIndex.build(
             uniform_pairs(200, seed=1), 6, recorder=recorder
         )
         recorder.armed = True
@@ -56,7 +56,7 @@ class TestReadWriteLock:
         assert answers == [index.query(Preference(1.0, 1.0), 4)] * 3
 
     def test_writer_not_starved(self):
-        index = ConcurrentRankedJoinIndex.build(uniform_pairs(300, seed=2), 6)
+        index = WritableRankedJoinIndex.build(uniform_pairs(300, seed=2), 6)
         done = threading.Event()
 
         def reader_loop():
@@ -86,7 +86,7 @@ class TestConcurrentIndex:
         tuples = RankTupleSet(
             np.arange(n), self.s1[:n], self.s2[:n]
         )
-        return ConcurrentRankedJoinIndex.build(tuples, k), n
+        return WritableRankedJoinIndex.build(tuples, k), n
 
     def test_single_threaded_parity(self):
         index, _ = self._build()
@@ -159,9 +159,9 @@ class TestConcurrentIndex:
         "options", [{"variant": "ordered"}, {"merge_slack": 3}]
     )
     def test_rebuild_keeps_build_options(self, options):
-        """rebuild() builds like every compaction: with the wrapper's
+        """rebuild() builds like every compaction: with the index's
         options, not RankedJoinIndex.build's defaults."""
-        index = ConcurrentRankedJoinIndex.build(
+        index = WritableRankedJoinIndex.build(
             uniform_pairs(400, seed=3), 10, **options
         )
         fresh = uniform_pairs(500, seed=4)

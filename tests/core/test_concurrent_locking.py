@@ -1,4 +1,4 @@
-"""Lock accounting of the concurrent wrapper under timeouts and exceptions.
+"""Lock accounting of the writable index under timeouts and exceptions.
 
 Reads take no lock, so no exit path of a read — normal return, query
 exception, deadline expiry — can leave one behind; writes take the
@@ -11,9 +11,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTuple, RankTupleSet
+from repro.core.writepath import WritableRankedJoinIndex
 from repro.errors import InvalidQueryError, MaintenanceError, QueryTimeoutError
 
 
@@ -21,13 +21,13 @@ def _build(n=200, k=5, seed=7):
     rng = np.random.default_rng(seed)
     s1 = rng.uniform(0, 100, n + 300)
     s2 = rng.uniform(0, 100, n + 300)
-    index = ConcurrentRankedJoinIndex.build(
+    index = WritableRankedJoinIndex.build(
         RankTupleSet(np.arange(n), s1[:n], s2[:n]), k
     )
     return index, s1, s2, n
 
 
-def _lock_is_quiescent(index: ConcurrentRankedJoinIndex) -> bool:
+def _lock_is_quiescent(index: WritableRankedJoinIndex) -> bool:
     return not index.lock.locked()
 
 

@@ -5,11 +5,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.deadline import Deadline
 from repro.core.index import RankedJoinIndex
-from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.tuples import RankTupleSet
+from repro.core.writepath import WritableRankedJoinIndex, as_pool
 from repro.errors import QueryError, QueryTimeoutError
 
 
@@ -24,12 +23,22 @@ class FakeClock:
         self.now += dt
 
 
-def _build(n=120, k=6, seed=2):
+def _tuples(n=120, seed=2):
     rng = np.random.default_rng(seed)
-    tuples = RankTupleSet.from_pairs(
+    return RankTupleSet.from_pairs(
         rng.uniform(0, 100, n), rng.uniform(0, 100, n)
     )
-    return RankedJoinIndex.build(tuples, k)
+
+
+def _build(n=120, k=6, seed=2):
+    return RankedJoinIndex.build(_tuples(n, seed), k)
+
+
+def _adopted():
+    """A built index, and the writable index adopting it and its pool."""
+    tuples = _tuples()
+    index = RankedJoinIndex.build(tuples, 6)
+    return index, WritableRankedJoinIndex(index, as_pool(tuples))
 
 
 class TestDeadline:
@@ -92,16 +101,14 @@ class TestIndexDeadlines:
 
 class TestConcurrentTimeout:
     def test_timeout_none_blocks_and_serves(self):
-        index = _build()
-        shared = ConcurrentRankedJoinIndex(index)
+        index, shared = _adopted()
         assert shared.query(0.7, 4) == index.query(0.7, 4)
         assert shared.query(0.7, 4, deadline=10.0) == index.query(0.7, 4)
 
     def test_timeout_while_a_writer_holds_the_lock(self):
         # A read waits for no lock, so a writer holding the writer lock
         # costs its deadline nothing: the answer arrives within budget.
-        index = _build()
-        shared = ConcurrentRankedJoinIndex(index)
+        index, shared = _adopted()
         writer_in = threading.Event()
         release = threading.Event()
 
@@ -122,8 +129,7 @@ class TestConcurrentTimeout:
         assert shared.query(0.7, 4, deadline=5.0) == index.query(0.7, 4)
 
     def test_query_batch_accepts_a_timeout(self):
-        index = _build()
-        shared = ConcurrentRankedJoinIndex(index)
+        index, shared = _adopted()
         angles = [0.2, 0.7, 1.2]
         assert shared.query_batch(angles, 4, deadline=10.0) == [
             index.query(a, 4) for a in angles
@@ -132,12 +138,9 @@ class TestConcurrentTimeout:
 
 class TestManagedTimeout:
     def test_timeout_plumbs_through(self):
-        rng = np.random.default_rng(2)
-        tuples = RankTupleSet.from_pairs(
-            rng.uniform(0, 100, 120), rng.uniform(0, 100, 120)
-        )
+        tuples = _tuples()
         index = RankedJoinIndex.build(tuples, 6)
-        managed = ManagedRankedJoinIndex(tuples, 6)
+        managed = WritableRankedJoinIndex.build(tuples, 6)
         assert managed.query(0.7, 4, deadline=10.0) == index.query(0.7, 4)
         assert managed.query_batch([0.2, 0.9], 4, deadline=10.0) == [
             index.query(0.2, 4),

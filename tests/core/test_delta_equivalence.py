@@ -198,14 +198,13 @@ def test_unattached_delta_stays_conservative_until_attached():
     delta.delete(inside, 2)
     delta.insert(RankTuple(500, -1.0, -1.0), 3)  # under every base tuple
     delta.insert(RankTuple(501, 0.99, 0.99), 4)
-    probe = np.array([outside, inside, 500, 7])
     assert (delta.view().n_charged, delta.view().n_visible) == (4, 2)
-    assert delta.view().survivor_mask(probe).tolist() == [False, False, False, True]
+    assert delta.view().charged == {outside, inside, 500, 501}
     index.attach_delta(delta)
     view = delta.view()
     assert view.n_charged == 1 and view.n_visible == 1
-    assert view.survivor_mask(probe).tolist() == [True, False, True, True]
-    assert view.insert_columns()[0].tolist() == [501]
+    assert view.charged == {inside}
+    assert list(view.visible) == [501]
 
 
 # Four would-be dominators and low filler under K = 4: an insert that
@@ -239,7 +238,7 @@ def test_insert_tying_a_dominator_stays_visible(tid, s1, s2):
     below = RankTuple(tid + 1, s1 - 0.01, s2 - 0.01)  # strictly under C too
     delta.insert(tied, 1)
     delta.insert(below, 2)
-    assert delta.view().insert_columns()[0].tolist() == [tid]
+    assert list(delta.view().visible) == [tid]
     live = sorted(_STRICT_BASE + [tied, below])
     rebuilt = RankedJoinIndex.build(live, 4)
     # k = n turns the scan's partial selection off: its full lexsort is
@@ -278,7 +277,6 @@ def test_insert_supersedes_base_copy():
     assert [r.tid for r in results].count(7) == 1
     assert results[0].tid == 7
     assert results[0].score == pytest.approx(0.95)
-    # Batch path applies the same rule through survivor_mask.
     batch = index.query_batch([(0.5, 0.5)], 3)
     assert batch == [results]
 

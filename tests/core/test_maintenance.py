@@ -1,7 +1,7 @@
-"""Maintenance through the default constructor: buffered writes equal a rebuild.
+"""Maintenance through ``build``: buffered writes equal a rebuild.
 
-``ManagedRankedJoinIndex(tuples, k)`` with no ``wal=`` writes through the
-in-memory log; every answer, buffered or compacted, is bit-identical to
+``WritableRankedJoinIndex.build(tuples, k)`` with no ``wal=`` writes
+through the in-memory log; every answer, buffered or compacted, is bit-identical to
 ``RankedJoinIndex.build`` over the live tuples with the same options.
 """
 
@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.index import RankedJoinIndex
-from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTuple, RankTupleSet
+from repro.core.writepath import WritableRankedJoinIndex
 from repro.errors import InvalidQueryError, MaintenanceError
 
 from ..conftest import assert_matches_rebuild
@@ -34,8 +34,8 @@ def _assert_exact(managed, live, **options):
 
 def _stream(full, split, k, **options):
     """Build over ``full[:split]``, insert the rest; exact buffered and compacted."""
-    managed = ManagedRankedJoinIndex(
-        full[np.arange(split)], k, delta_threshold=1000, **options
+    managed = WritableRankedJoinIndex.build(
+        full[np.arange(split)], k, compaction_threshold=1000, **options
     )
     for i in range(split, len(full)):
         assert managed.insert(full.row(i)) is True
@@ -48,19 +48,19 @@ def _stream(full, split, k, **options):
 
 class TestInsertValidation:
     def test_duplicate_tid_rejected(self):
-        managed = ManagedRankedJoinIndex(_uniform(30), 3)
+        managed = WritableRankedJoinIndex.build(_uniform(30), 3)
         existing = int(managed.index.dominating.tids[0])
         with pytest.raises(MaintenanceError, match="already"):
             managed.insert(RankTuple(existing, 1.0, 1.0))
 
     def test_non_finite_rank_rejected(self):
-        managed = ManagedRankedJoinIndex(_uniform(30), 3)
+        managed = WritableRankedJoinIndex.build(_uniform(30), 3)
         with pytest.raises(MaintenanceError, match="finite"):
             managed.insert(RankTuple(999, float("nan"), 1.0))
 
     def test_dominated_insert_is_noop(self):
         ts = RankTupleSet.from_pairs([10.0, 9.0, 8.0], [10.0, 9.0, 8.0])
-        managed = ManagedRankedJoinIndex(ts, 2)
+        managed = WritableRankedJoinIndex.build(ts, 2)
         regions_before = managed.index.regions
         managed.insert(RankTuple(100, 0.5, 0.5))
         assert managed.delta.is_transparent and managed.k_effective == 2
@@ -74,7 +74,7 @@ class TestInsertCorrectness:
         assert managed.index.n_regions == RankedJoinIndex.build(full, 6).n_regions
 
     def test_insert_new_global_winner(self):
-        managed = ManagedRankedJoinIndex(_uniform(50, seed=4), 3)
+        managed = WritableRankedJoinIndex.build(_uniform(50, seed=4), 3)
         managed.insert(RankTuple(1000, 1000.0, 1000.0))
         for angle in (0.1, 0.8, 1.4):
             assert managed.query(Preference.from_angle(angle), 1)[0].tid == 1000
@@ -87,7 +87,7 @@ class TestInsertCorrectness:
 
     def test_insert_when_index_smaller_than_k(self):
         ts = RankTupleSet.from_pairs([1.0, 2.0], [2.0, 1.0])
-        managed = ManagedRankedJoinIndex(ts, 5)
+        managed = WritableRankedJoinIndex.build(ts, 5)
         managed.insert(RankTuple(10, 3.0, 3.0))
         results = managed.query(Preference(1.0, 1.0), 3)
         assert results[0].tid == 10
@@ -105,19 +105,19 @@ class TestInsertCorrectness:
 
 class TestDelete:
     def test_unknown_tid_rejected(self):
-        managed = ManagedRankedJoinIndex(_uniform(30), 3)
+        managed = WritableRankedJoinIndex.build(_uniform(30), 3)
         with pytest.raises(MaintenanceError, match="is not live"):
             managed.delete(10**9)
 
     def test_delete_region_tuple_lowers_bound_and_stays_exact(self):
         ts = _uniform(200, seed=8)
-        managed = ManagedRankedJoinIndex(ts, 5)
+        managed = WritableRankedJoinIndex.build(ts, 5)
         victim = int(managed.index.regions[0].tids[0])
         assert managed.delete(victim) == 5 - 1
         _assert_exact(managed, ts[ts.tids != victim])
 
     def test_query_beyond_effective_bound_rejected(self):
-        managed = ManagedRankedJoinIndex(_uniform(100, seed=9), 4)
+        managed = WritableRankedJoinIndex.build(_uniform(100, seed=9), 4)
         victim = int(managed.index.regions[0].tids[0])
         effective = managed.delete(victim)
         with pytest.raises(InvalidQueryError, match="effective bound"):
@@ -125,7 +125,7 @@ class TestDelete:
 
     def test_interleaved_insert_and_delete(self):
         full = _uniform(120, seed=10)
-        managed = ManagedRankedJoinIndex(full[np.arange(100)], 4)
+        managed = WritableRankedJoinIndex.build(full[np.arange(100)], 4)
         victim = int(managed.index.regions[0].tids[0])
         managed.delete(victim)
         for i in range(100, 120):

@@ -1,10 +1,11 @@
 """Stateful property test: the maintained tiers always equal their model.
 
 Hypothesis drives random interleavings of inserts, deletes, compactions
-and queries against the three constructors of the one writable index:
-:class:`ManagedRankedJoinIndex` and :class:`ConcurrentRankedJoinIndex`
-(both on the default in-memory log) and :class:`DurableRankedJoinIndex`
-(a real WAL in a temporary directory, ``fsync=False``).
+and queries against three subjects of the one writable index:
+:meth:`WritableRankedJoinIndex.build` and the constructor adopting a
+built index (both on the default in-memory log), and
+:class:`DurableRankedJoinIndex` (a real WAL in a temporary directory,
+``fsync=False``).
 The model is the live tuple set; the oracle is a from-scratch
 ``RankedJoinIndex.build`` over it, matched bit for bit.  Integer
 coordinates make exact score ties the common case.
@@ -30,10 +31,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.index import RankedJoinIndex
-from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.tuples import RankTuple
+from repro.core.writepath import WritableRankedJoinIndex, as_pool
 from repro.errors import InvalidQueryError
 from repro.storage.durable import DurableRankedJoinIndex
 
@@ -63,8 +63,10 @@ class MaintainedIndexMachine(RuleBasedStateMachine):
         tuples = sorted(self.model.values())
         self.directory = Path(tempfile.mkdtemp(prefix="rji-machine-"))
         self.tiers = (
-            ManagedRankedJoinIndex(tuples, k_bound),
-            ConcurrentRankedJoinIndex.build(tuples, k_bound),
+            WritableRankedJoinIndex.build(tuples, k_bound),
+            WritableRankedJoinIndex(
+                RankedJoinIndex.build(tuples, k_bound), as_pool(tuples)
+            ),
             DurableRankedJoinIndex.create(
                 self.directory, tuples, k_bound, fsync=False
             ),

@@ -1,11 +1,11 @@
-"""Tests for the managed index (compaction lifecycle)."""
+"""Tests for the writable index built over a tuple set (compaction lifecycle)."""
 
 import numpy as np
 import pytest
 
-from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTuple, RankTupleSet
+from repro.core.writepath import WritableRankedJoinIndex
 from repro.errors import MaintenanceError, QueryError
 from repro.obs import MetricsRecorder
 
@@ -30,7 +30,7 @@ def _delete_winner(managed, live, preference=Preference(1.0, 1.0)):
 class TestConstruction:
     def test_default_floor_is_half(self):
         # Compaction is due once the charged entries reach ceil(K / 2).
-        managed = ManagedRankedJoinIndex(_tuples(50), 7)
+        managed = WritableRankedJoinIndex.build(_tuples(50), 7)
         live = {t.tid: t for t in _tuples(50)}
         assert [_delete_winner(managed, live) for _ in range(3)] == [6, 5, 4]
         assert managed.compaction_pauses == []
@@ -40,18 +40,20 @@ class TestConstruction:
 
 class TestLifecycle:
     def test_insert_dedup(self):
-        managed = ManagedRankedJoinIndex(_tuples(30), 4)
+        managed = WritableRankedJoinIndex.build(_tuples(30), 4)
         with pytest.raises(MaintenanceError, match="already live"):
             managed.insert(RankTuple(0, 1.0, 1.0))
 
     def test_delete_unknown(self):
-        managed = ManagedRankedJoinIndex(_tuples(30), 4)
+        managed = WritableRankedJoinIndex.build(_tuples(30), 4)
         with pytest.raises(MaintenanceError, match="not live"):
             managed.delete(10**9)
 
     def test_insert_counters(self):
         recorder = MetricsRecorder()
-        managed = ManagedRankedJoinIndex(_tuples(200, seed=1), 3, recorder=recorder)
+        managed = WritableRankedJoinIndex.build(
+            _tuples(200, seed=1), 3, recorder=recorder
+        )
         managed.insert(RankTuple(10_000, 1000.0, 1000.0))  # new champion
         managed.insert(RankTuple(10_001, 0.001, 0.001))  # surely dominated
         assert recorder.counter("delta.inserts") == 2
@@ -59,7 +61,7 @@ class TestLifecycle:
         assert managed.n_live == 202
 
     def test_deleting_pruned_tuple_keeps_guarantee(self):
-        managed = ManagedRankedJoinIndex(_tuples(200, seed=2), 4)
+        managed = WritableRankedJoinIndex.build(_tuples(200, seed=2), 4)
         managed.insert(RankTuple(10_000, 0.001, 0.001))
         managed.delete(10_000)
         assert managed.k_effective == 4
@@ -67,7 +69,7 @@ class TestLifecycle:
 
     def test_auto_rebuild_restores_guarantee(self):
         k = 4
-        managed = ManagedRankedJoinIndex(_tuples(300, seed=3), k)
+        managed = WritableRankedJoinIndex.build(_tuples(300, seed=3), k)
         live = {t.tid: t for t in _tuples(300, seed=3)}
         # The first winner delete only consumes slack; the second makes
         # 2 * charged >= K, and the compaction it triggers restores it.
@@ -80,7 +82,7 @@ class TestLifecycle:
 
     def test_mixed_stream_stays_exact(self):
         k = 5
-        managed = ManagedRankedJoinIndex(_tuples(150, seed=4), k)
+        managed = WritableRankedJoinIndex.build(_tuples(150, seed=4), k)
         live = {t.tid: t for t in _tuples(150, seed=4)}
         extra = _tuples(100, seed=5, offset=10_000)
         rng = np.random.default_rng(6)
@@ -98,13 +100,13 @@ class TestLifecycle:
         assert_matches_rebuild(managed, live, k, managed.k_effective)
 
     def test_manual_rebuild(self):
-        managed = ManagedRankedJoinIndex(_tuples(80, seed=8), 4)
+        managed = WritableRankedJoinIndex.build(_tuples(80, seed=8), 4)
         managed.compact()
         assert len(managed.compaction_pauses) == 1 and managed.delta.is_empty
         assert managed.k_effective == 4
 
     def test_query_beyond_degraded_bound_raises(self):
-        managed = ManagedRankedJoinIndex(_tuples(200, seed=9), 4)
+        managed = WritableRankedJoinIndex.build(_tuples(200, seed=9), 4)
         winner = managed.query(Preference(1.0, 1.0), 1)[0].tid
         managed.delete(winner)
         assert managed.k_effective == 3

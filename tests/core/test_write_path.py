@@ -1,10 +1,9 @@
 """The writable-index contract, stated once and run through every constructor.
 
-``ManagedRankedJoinIndex``, ``ConcurrentRankedJoinIndex`` (both over the
-in-memory ``MemoryLog``) and ``DurableRankedJoinIndex`` (real WAL in
-``tmp_path``) are thin constructors over one
-:class:`repro.core.writepath.WritableRankedJoinIndex`, with one
-compaction schedule; the oracles are region-free —
+:class:`repro.core.writepath.WritableRankedJoinIndex` made by ``build``
+and by adopting a built index (both over the in-memory ``MemoryLog``),
+and ``DurableRankedJoinIndex`` (real WAL in ``tmp_path``): one class,
+one compaction schedule; the oracles are region-free —
 ``RankedJoinIndex.build(sorted(live))`` and the full scan.
 """
 
@@ -16,10 +15,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.fullscan import FullScanTopK
-from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.delta import SupportsWal
 from repro.core.index import RankedJoinIndex
-from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.scoring import as_preference
 from repro.core.tuples import RankTuple, RankTupleSet
 from repro.core.workloads import random_preferences
@@ -29,7 +26,7 @@ from repro.core.writepath import (
     WritableRankedJoinIndex,
     as_pool,
 )
-from repro.errors import MaintenanceError
+from repro.errors import ConstructionError, MaintenanceError
 from repro.obs import MetricsRecorder
 from repro.obs.names import COUNTERS
 from repro.storage.durable import DurableRankedJoinIndex
@@ -628,34 +625,32 @@ class WritePathContract:
 
 
 class TestManagedWalMode(WritePathContract):
+    """``WritableRankedJoinIndex.build`` over a tuple set."""
+
     def make(self, directory, wal, tuples, k, threshold, **options):
-        return ManagedRankedJoinIndex(
-            tuples, k, wal=wal, delta_threshold=threshold, **options
+        return WritableRankedJoinIndex.build(
+            tuples, k, wal=wal, compaction_threshold=threshold, **options
         )
 
 
 class TestConcurrentWalMode(WritePathContract):
+    """The constructor, adopting a built index and its full live pool."""
+
     def make(self, directory, wal, tuples, k, threshold, **options):
-        return ConcurrentRankedJoinIndex.build(
-            tuples, k, wal=wal, delta_threshold=threshold, **options
+        return WritableRankedJoinIndex(
+            RankedJoinIndex.build(tuples, k, **options),
+            as_pool(tuples),
+            wal,
+            compaction_threshold=threshold,
+            build_options=options,
         )
 
-    def test_bare_wrapper_over_a_pruned_index_refuses_writes(self):
-        # Without pool= the wrapper knows only the dominating set; a
-        # compaction from it would forget what pruning dropped and then
-        # answer wrongly at full k_effective.  Reads keep working.
-        tuples = _tuples(200)
-        index = RankedJoinIndex.build(tuples, 3)
-        bare = ConcurrentRankedJoinIndex(index)
-        for write, arg in [(bare.insert, RankTuple(999, 0.5, 0.5)), (bare.delete, 0)]:
-            with pytest.raises(
-                MaintenanceError, match=r"pool=.*ConcurrentRankedJoinIndex\.build"
-            ):
-                write(arg)
-        assert bare.query((0.5, 0.5), 3) == index.query((0.5, 0.5), 3)
-        # An unpruned index is its own pool.
-        unpruned = RankedJoinIndex.build(tuples, 3, prune=False)
-        assert ConcurrentRankedJoinIndex(unpruned).insert(RankTuple(999, 0.5, 0.5))
+    def test_adopting_needs_the_pool(self):
+        # A pruned index knows only its dominating set; compacting from
+        # it would forget what pruning dropped, so the pool is required.
+        index = RankedJoinIndex.build(_tuples(200), 3)
+        with pytest.raises(TypeError, match="pool"):
+            WritableRankedJoinIndex(index)
 
 
 class TestDurableWalMode(WritePathContract):
@@ -668,6 +663,12 @@ class TestDurableWalMode(WritePathContract):
             fsync=False,
             **options,
         )
+
+    def test_build_without_a_directory_is_refused(self):
+        # The inherited build() would return an index that owns no
+        # directory and survives nothing.
+        with pytest.raises(ConstructionError, match=r"create\("):
+            DurableRankedJoinIndex.build(_tuples(), 12)
 
 
 def test_swap_refuses_a_build_whose_base_was_reset(monkeypatch):
@@ -705,7 +706,9 @@ class TestMaintenanceEdgeCases:
     @pytest.fixture(params=["legacy", "wal"])
     def managed(self, request):
         wal = MemoryLog() if request.param == "wal" else None
-        return ManagedRankedJoinIndex(_tuples(), 10, wal=wal, delta_threshold=1000)
+        return WritableRankedJoinIndex.build(
+            _tuples(), 10, wal=wal, compaction_threshold=1000
+        )
 
     def test_duplicate_tid_insert_is_typed(self, managed):
         with pytest.raises(MaintenanceError, match="already live"):
@@ -746,7 +749,7 @@ class TestMaintenanceEdgeCases:
         # k_bound=1: deleting a region's only tuple empties it; the
         # write path merges around the tombstone.
         tuples = [RankTuple(0, 1.0, 0.1), RankTuple(1, 0.1, 1.0), RankTuple(2, 0.5, 0.5)]
-        buffered = ManagedRankedJoinIndex(tuples, 1)
+        buffered = WritableRankedJoinIndex.build(tuples, 1)
         victim = min(tid for region in buffered.index.regions for tid in region.tids)
         buffered.delete(victim)
         pool = {t.tid: t for t in tuples if t.tid != victim}

@@ -15,9 +15,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTupleSet
+from repro.core.writepath import WritableRankedJoinIndex, as_pool
 from repro.errors import ReproError
 from repro.faults import (
     FaultInjector,
@@ -148,7 +148,7 @@ class TestChaosContract:
 
 class TestConcurrentChaos:
     def test_eight_threads_under_injected_latency(self, population):
-        """8 reader threads against ConcurrentRankedJoinIndex with
+        """8 reader threads against a WritableRankedJoinIndex with
         latency injected through the observability hooks: all answers
         bit-identical, no deadlock, no timeout with a generous budget."""
         tuples, plain, angles, expected = population
@@ -169,7 +169,7 @@ class TestConcurrentChaos:
         instrumented = RankedJoinIndex.build(
             tuples, K_BOUND, recorder=LatencyRecorder(injector)
         )
-        shared = ConcurrentRankedJoinIndex(instrumented)
+        shared = WritableRankedJoinIndex(instrumented, as_pool(tuples))
         errors = []
         mismatches = []
 

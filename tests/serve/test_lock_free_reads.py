@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.tuples import RankTuple, RankTupleSet
 from repro.core.workloads import random_preferences
 from repro.core.writepath import WritableRankedJoinIndex
@@ -41,8 +40,8 @@ def _make(tier, directory, threshold=1000):
             compaction_threshold=threshold,
             fsync=False,
         )
-    return ConcurrentRankedJoinIndex.build(
-        _tuples(), K, delta_threshold=threshold
+    return WritableRankedJoinIndex.build(
+        _tuples(), K, compaction_threshold=threshold
     )
 
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.index import RankedJoinIndex
-from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.tuples import RankTuple, RankTupleSet
 from repro.core.workloads import random_preferences
+from repro.core.writepath import WritableRankedJoinIndex
 from repro.errors import InvalidQueryError, MaintenanceError
 from repro.serve import WRITE_OPS, Client, QueryServer
 from repro.serve.protocol import decode_request
@@ -91,8 +91,8 @@ class TestRoundTrip:
         recovered.close()
 
     def test_managed_index_serves_writes_too(self):
-        managed = ManagedRankedJoinIndex(
-            list(_tuples()), 10, delta_threshold=1000
+        managed = WritableRankedJoinIndex.build(
+            list(_tuples()), 10, compaction_threshold=1000
         )
         with QueryServer(managed, port=0) as server:
             with Client(*server.address) as client:

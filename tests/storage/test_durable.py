@@ -12,6 +12,7 @@ WAL tail:
   through ``DiskRankedJoinIndex.recover`` (eager and mmap).
 """
 
+import math
 import os
 import shutil
 import stat
@@ -20,13 +21,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.delta import DeltaStore
 from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTuple
 from repro.core.workloads import random_preferences
-from repro.errors import InvalidQueryError, MaintenanceError, TransientStorageError
+from repro.errors import (
+    ConstructionError,
+    InvalidQueryError,
+    MaintenanceError,
+    TransientStorageError,
+)
 from repro.faults import arm, builtin_plan
 from repro.obs import MetricsRecorder
 from repro.storage.diskindex import DiskRankedJoinIndex
+from repro.storage import durable
 from repro.storage.durable import DurableRankedJoinIndex
 from repro.storage.pager import Pager
 from repro.storage.wal import WAL_RECORD_SIZE, WriteAheadLog
@@ -257,6 +265,109 @@ class TestLifecycle:
         recovered = DurableRankedJoinIndex.recover(tmp_path, fsync=False)
         assert recovered.last_recovery.replayed == 0
         recovered.close()
+
+
+def _spy_wal_handles(monkeypatch):
+    """Every segment handle a durable constructor's log opens."""
+    handles = []
+
+    class SpiedLog(WriteAheadLog):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            handles.append(self._handle)
+
+    monkeypatch.setattr(durable, "WriteAheadLog", SpiedLog)
+    return handles
+
+
+class TestConstructorsCloseTheLog:
+    """A constructor that raises after opening the WAL closes it."""
+
+    def test_create_closes_the_log_when_saving_fails(
+        self, tmp_path, monkeypatch
+    ):
+        handles = _spy_wal_handles(monkeypatch)
+
+        def refuse(pager, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Pager, "save", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            DurableRankedJoinIndex.create(tmp_path, _tuples(), 12, fsync=False)
+        assert len(handles) == 1 and handles[0].closed
+
+    def test_recover_closes_the_log_when_the_build_fails(
+        self, tmp_path, monkeypatch
+    ):
+        DurableRankedJoinIndex.create(tmp_path, _tuples(), 12, fsync=False).close()
+        handles = _spy_wal_handles(monkeypatch)
+        with pytest.raises(ConstructionError):
+            DurableRankedJoinIndex.recover(tmp_path, variant="bogus", fsync=False)
+        assert len(handles) == 1 and handles[0].closed
+
+
+#: Write buffers the disk tier merges, as WAL records replayed onto the
+#: image; ``d`` is the base's dominating tids (the rows a write can hide).
+_MERGE_CASES = {
+    "charged-deletes": lambda d: [("delete", d[0]), ("delete", d[3])],
+    "visible-inserts": lambda d: [
+        ("insert", RankTuple(9000, 0.99, 0.99)),
+        ("insert", RankTuple(9001, 0.999, 0.05)),
+        ("insert", RankTuple(9002, 0.05, 0.999)),
+    ],
+    "insert-supersedes-base": lambda d: [
+        ("insert", RankTuple(d[1], 0.97, 0.96))
+    ],
+    "delete-then-reinsert": lambda d: [
+        ("delete", d[2]),
+        ("insert", RankTuple(d[2], 0.4, 0.995)),
+    ],
+    "all": lambda d: [
+        ("delete", d[0]),
+        ("insert", RankTuple(9000, 0.99, 0.99)),
+        ("insert", RankTuple(d[1], 0.97, 0.96)),
+        ("delete", d[2]),
+        ("insert", RankTuple(d[2], 0.4, 0.995)),
+    ],
+}
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+@pytest.mark.parametrize("variant", ["standard", "ordered"])
+@pytest.mark.parametrize("case", sorted(_MERGE_CASES))
+def test_disk_merge_is_the_memory_merge(tmp_path, case, variant, mmap):
+    """One merge: the disk tier's merged answers are the in-memory
+    tier's over the same base and write buffer, tids and score bits."""
+    index = RankedJoinIndex.build(_tuples(), 8, variant=variant)
+    image, wal_dir = tmp_path / "base.rji", tmp_path / "wal"
+    DiskRankedJoinIndex(index).save(image)
+    records = _MERGE_CASES[case](sorted(index.dominating.tids.tolist()))
+    wal = WriteAheadLog(wal_dir, fsync=False)
+    delta = DeltaStore()
+    for op, arg in records:
+        if op == "insert":
+            wal.append_insert(*arg)
+        else:
+            wal.append_delete(arg)
+            arg = RankTuple(arg, 0.0, 0.0)
+        delta.replay(op, arg)
+    wal.commit()
+    wal.close()
+    index.attach_delta(delta)
+    disk = DiskRankedJoinIndex.recover(image, wal_dir, mmap=mmap)
+    try:
+        assert not disk.delta.is_transparent
+        assert disk.k_bound - disk.delta.n_charged == index.k_effective
+        for angle in [0.0, math.pi / 2, *index.store.lo.tolist()]:
+            for k in range(1, index.k_effective + 1):
+                assert [
+                    (r.tid, r.score.hex()) for r in disk.query(angle, k)
+                ] == [
+                    (r.tid, r.score.hex()) for r in index.query(angle, k)
+                ], (angle, k)
+    finally:
+        if mmap:
+            disk.pager.close()
 
 
 def _write_mixed(index, pool, n=10, base_tid=5000):

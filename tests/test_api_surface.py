@@ -18,12 +18,10 @@ import repro
 PACKAGES = [
     "repro",
     "repro.core",
-    "repro.core.concurrent",
     "repro.core.dominance",
     "repro.core.geometry",
     "repro.core.index",
     "repro.core.inspect",
-    "repro.core.managed",
     "repro.core.merging",
     "repro.core.multidim",
     "repro.core.pruning",
@@ -176,9 +174,8 @@ def _tuples(n=120, seed=0):
 @pytest.fixture(scope="module")
 def front_doors():
     """All four in-process front-doors over the same population."""
-    from repro.core.concurrent import ConcurrentRankedJoinIndex
     from repro.core.index import RankedJoinIndex
-    from repro.core.managed import ManagedRankedJoinIndex
+    from repro.core.writepath import WritableRankedJoinIndex, as_pool
     from repro.storage.diskindex import DiskRankedJoinIndex
     from repro.storage.resilient import ResilientDiskRankedJoinIndex
 
@@ -186,10 +183,12 @@ def front_doors():
     index = RankedJoinIndex.build(tuples, 10)
     return {
         "RankedJoinIndex": index,
-        "ConcurrentRankedJoinIndex": ConcurrentRankedJoinIndex.build(
+        "WritableRankedJoinIndex.build": WritableRankedJoinIndex.build(
             tuples, 10
         ),
-        "ManagedRankedJoinIndex": ManagedRankedJoinIndex(tuples, 10),
+        "WritableRankedJoinIndex(index, pool)": WritableRankedJoinIndex(
+            index, as_pool(tuples)
+        ),
         "ResilientDiskRankedJoinIndex": ResilientDiskRankedJoinIndex(
             DiskRankedJoinIndex(index)
         ),

@@ -5,7 +5,9 @@ Two halves:
 * the PR-2-era import shims (``repro.core.single``,
   ``repro.core.advisor``, ``repro.datagen.workloads``) served their one
   deprecation release and are now *retired* — importing them must fail
-  loudly, and the real modules must carry the objects;
+  loudly, and the real modules must carry the objects; so are the
+  writable index's old constructor modules (``repro.core.managed``,
+  ``repro.core.concurrent``), retired into ``repro.core.writepath``;
 * the serving wrappers' legacy ``timeout=`` query keyword served its
   one deprecation release (it warned and forwarded to ``deadline=``)
   and is now *retired*: the query signatures accept only the canonical
@@ -20,10 +22,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.concurrent import ConcurrentRankedJoinIndex
 from repro.core.index import RankedJoinIndex
-from repro.core.managed import ManagedRankedJoinIndex
 from repro.core.tuples import RankTupleSet
+from repro.core.writepath import WritableRankedJoinIndex, as_pool
 from repro.storage.diskindex import DiskRankedJoinIndex
 from repro.storage.resilient import ResilientDiskRankedJoinIndex
 
@@ -31,6 +32,8 @@ RETIRED = {
     "repro.core.single": ("repro.relalg.topk", "TopKSelectionIndex"),
     "repro.core.advisor": ("repro.storage.advisor", "advise_k"),
     "repro.datagen.workloads": ("repro.core.workloads", "random_preferences"),
+    "repro.core.managed": ("repro.core.writepath", "WritableRankedJoinIndex"),
+    "repro.core.concurrent": ("repro.core.writepath", "WritableRankedJoinIndex"),
 }
 
 
@@ -41,7 +44,7 @@ def test_retired_shims_are_gone(module_name):
         importlib.import_module(module_name)
 
 
-@pytest.mark.parametrize("module_name,attr", sorted(RETIRED.values()))
+@pytest.mark.parametrize("module_name,attr", sorted(set(RETIRED.values())))
 def test_replacement_modules_carry_the_objects(module_name, attr):
     module = importlib.import_module(module_name)
     assert hasattr(module, attr)
@@ -54,6 +57,15 @@ def test_core_no_longer_reexports_topk_selection_index():
     from repro.relalg.topk import TopKSelectionIndex
 
     assert TopKSelectionIndex.__module__ == "repro.relalg.topk"
+
+
+def test_core_exports_one_writable_index():
+    """The managed and concurrent constructors retired into one class."""
+    import repro.core
+
+    assert "WritableRankedJoinIndex" in repro.core.__all__
+    for retired in ("ManagedRankedJoinIndex", "ConcurrentRankedJoinIndex"):
+        assert not hasattr(repro.core, retired)
 
 
 def test_package_imports_stay_silent():
@@ -94,8 +106,10 @@ def wrappers():
     """One instance of each serving wrapper that once accepted timeout=."""
     tuples = _tuples()
     return {
-        "concurrent": ConcurrentRankedJoinIndex.build(tuples, 10),
-        "managed": ManagedRankedJoinIndex(tuples, 10),
+        "concurrent": WritableRankedJoinIndex(
+            RankedJoinIndex.build(tuples, 10), as_pool(tuples)
+        ),
+        "managed": WritableRankedJoinIndex.build(tuples, 10),
         "resilient": ResilientDiskRankedJoinIndex(
             DiskRankedJoinIndex(RankedJoinIndex.build(tuples, 10))
         ),

@@ -11,7 +11,7 @@ import pytest
 from repro import Preference, RankedJoinIndex
 from repro.baselines import HRJN, FullScanTopK
 from repro.core.dominance import dominating_set
-from repro.core.managed import ManagedRankedJoinIndex
+from repro.core.writepath import WritableRankedJoinIndex
 from repro.datagen import (
     random_keyed_relations,
     random_preferences,
@@ -119,7 +119,7 @@ class TestMaintainedIndexOnDisk:
     def test_insert_then_serialize(self, keyed_world):
         left, right, k, candidates, full = keyed_world
         split = len(candidates) // 2
-        managed = ManagedRankedJoinIndex(candidates[np.arange(split)], k)
+        managed = WritableRankedJoinIndex.build(candidates[np.arange(split)], k)
         for i in range(split, len(candidates)):
             managed.insert(candidates.row(i))
         managed.compact()
