@@ -35,9 +35,10 @@ LAYER_DAG: dict[str, frozenset[str]] = {
     "relalg": frozenset({"core", "errors"}),
     # The zero-copy interaction rides the existing storage -> core edge:
     # ``storage.diskindex`` imports ``core.hotcache`` (the descent
-    # cache) and scores read-only mapping views with
-    # ``core.index.top_k_columns``; ``core`` never learns that
-    # mmap-backed callers exist, so no reverse edge is needed.
+    # cache), ``core.regionstore.reach`` (the in-region cut, derived
+    # from read-only mapping views) and ``core.index.top_k_scored``;
+    # ``core`` never learns that mmap-backed callers exist, so no
+    # reverse edge is needed.
     "storage": frozenset({"core", "errors", "obs"}),
     "rtree": frozenset({"core", "errors", "storage"}),
     "datagen": frozenset({"core", "errors", "relalg"}),

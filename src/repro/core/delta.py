@@ -145,8 +145,8 @@ class DeltaView:
     ) -> list[tuple[float, float, int]]:
         """Score base rows (minus charged tids) plus visible inserts.
 
-        ``rows`` are the region's ``(s1, s2, -tid)`` triples (the disk
-        tier unboxes a region's records into them).  The returned
+        ``rows`` are the region's candidate ``(s1, s2, -tid)`` triples
+        (the disk tier decodes them from its page payload).  The returned
         ``(score, s1, -tid)`` triples use the exact scalar arithmetic of
         the base query path, so ranking them with
         :func:`~repro.core.index.top_k_scored` realizes the canonical

@@ -45,8 +45,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from ..errors import ConstructionError
 from .deadline import Deadline, DeadlineLike
 from .delta import NO_DELTA, DeltaStore, DeltaView
@@ -70,7 +68,6 @@ __all__ = [
     "QueryResult",
     "BuildStats",
     "RankedJoinIndex",
-    "top_k_columns",
     "top_k_scored",
 ]
 
@@ -87,44 +84,14 @@ class QueryResult(NamedTuple):
     score: float
 
 
-def top_k_columns(
-    tids: np.ndarray,
-    s1: np.ndarray,
-    s2: np.ndarray,
-    p1: float,
-    p2: float,
-    k: int,
-    *,
-    ordered: bool = False,
-) -> list[QueryResult]:
-    """Top-``k`` of one region's columns under ``p1 * s1 + p2 * s2``.
-
-    The disk tier's scoring kernel when no write buffer is merged in: it
-    scores a page buffer's columns without unboxing them into rows.
-    Scores use the row path's arithmetic and the ``lexsort`` realizes
-    its total order (score desc, ``s1`` desc, tid asc), so answers are
-    bit-identical to :meth:`RankedJoinIndex.query`.  ``ordered`` says the rows are already
-    stored in answer order (the ordered variant).
-    """
-    scores = p1 * s1 + p2 * s2
-    if ordered:
-        chosen = np.arange(min(k, len(tids)))
-    else:
-        chosen = np.lexsort((tids, -s1, -scores))[:k]
-    return [
-        QueryResult(tid, score)
-        for tid, score in zip(tids[chosen].tolist(), scores[chosen].tolist())
-    ]
-
-
 def top_k_scored(
     scored: list[tuple[float, float, int]], k: int
 ) -> list[QueryResult]:
     """The first ``k`` of ``(score, s1, -tid)`` triples, in answer order.
 
-    The row path's ranking step, shared by :meth:`RankedJoinIndex.query`
-    and the disk tier's merged read: sorting the triples reversed (in
-    place) realizes the total order (score desc, ``s1`` desc, tid asc).
+    The ranking step of every read, memory and disk, plain and merged:
+    sorting the triples reversed (in place) realizes the total order
+    (score desc, ``s1`` desc, tid asc).
     """
     scored.sort(reverse=True)
     new = tuple.__new__
@@ -337,8 +304,8 @@ class RankedJoinIndex:
         on the ordered variant, which reads its rows in stored order).
         A merged view hides at most ``n_charged`` of a row's beaters, so
         it takes the rows that can reach the top ``k + n_charged``.
-        Scores are the column kernel's float64 arithmetic and the
-        reversed ``(score, s1, -tid)`` sort realizes the total order
+        Scores are plain float64 arithmetic over the stored values and
+        the reversed ``(score, s1, -tid)`` sort realizes the total order
         (score desc, s1 desc, tid asc), so answers are bit-identical to
         scoring the whole region of a from-scratch rebuild.
         """

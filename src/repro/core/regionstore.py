@@ -31,9 +31,11 @@ The in-region cut: a row that ``n`` rows of its region beat everywhere
 in ``[lo, hi]`` never ranks in a top ``n`` there.  A score difference
 ``Δ1·cos θ + Δ2·sin θ = R·sin(θ + φ)`` is concave where positive, so
 beating a row by a relative margin at both ends means beating it in
-between.  :meth:`rows` keeps rows stable-sorted by that *reach* count and
-:meth:`candidates` hands a query the ``k'`` rows with reach below ``n``
-(about ``k``, not K): ``O(log l + k' log k')`` per query.
+between.  Both tiers cut with two functions: :func:`reach` sorts a
+region's rows by that count, and :func:`cut_size` keeps those below
+``n`` (about ``k``, not K): ``O(log l + k' log k')`` per query.  The
+memory tier caches the sorted rows (:meth:`rows`), the disk tier only
+their order and counts (:mod:`repro.storage.diskindex`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from ..errors import ConstructionError
 from .sweep import Region
 from .tuples import RankTupleSet
 
-__all__ = ["RegionStore"]
+__all__ = ["RegionStore", "cut_size", "reach"]
 
 Row = tuple[float, float, int]
 Cut = tuple[list[Row], list[int] | None]
@@ -60,6 +62,36 @@ Cut = tuple[list[Row], list[int] | None]
 _MARGIN = 1e-9
 _SCALE_RANGE = (2.0**-900, 2.0**900)
 _WEIGHT_RANGE = (2.0**-100, 2.0**100)
+
+
+def reach(
+    s1: np.ndarray, s2: np.ndarray, lo: float, hi: float
+) -> tuple[list[int], list[int]]:
+    """Rows in reach order, and the sorted reach counts: per row, how
+    many rows beat it by the margin at both ``lo`` and ``hi``.  Stable,
+    so rows of equal reach (all, where the rank scale is outside the
+    margin's range) keep their stored order."""
+    n = len(s1)
+    scale = float(np.max(np.abs(s1) + np.abs(s2))) if n else 0.0
+    if not _SCALE_RANGE[0] <= scale <= _SCALE_RANGE[1]:  # NaN lands here too
+        return list(range(n)), [0] * n
+    beaten = np.ones((n, n), dtype=bool)
+    for angle in (lo, hi):
+        score = math.cos(angle) * s1 + math.sin(angle) * s2
+        # [i, j]: row j beats row i by the margin at this end.
+        beaten &= score - score[:, None] > _MARGIN * scale
+    counts = np.sum(beaten, axis=1)
+    order = np.argsort(counts, kind="stable")
+    return order.tolist(), counts[order].tolist()
+
+
+def cut_size(counts: list[int], p1: float, p2: float, n: int) -> int | None:
+    """How many reach-sorted rows can rank in a top ``n`` under
+    ``p1 * s1 + p2 * s2``: those with reach below ``n``.  ``None`` for
+    weights the margin does not cover: score every row, in stored order."""
+    if _WEIGHT_RANGE[0] <= p1 + p2 <= _WEIGHT_RANGE[1]:
+        return bisect_left(counts, n)
+    return None
 
 
 class RegionStore:
@@ -198,17 +230,16 @@ class RegionStore:
     def rows(self, region_id: int) -> Cut:
         """One region's ``(s1, s2, -tid)`` rows and their sorted reach.
 
-        Regions are small (K to K+m-1 rows), so scoring them with plain
-        float arithmetic beats the fixed call overhead of NumPy kernels;
-        the values are the same float64s as the columns, so either path
-        computes bit-identical scores.  The tuple id is stored *negated*
-        so a ``reverse=True`` sort of ``(score, s1, -tid)`` keys yields
-        the query order (score desc, s1 desc, tid asc) with no per-row
-        negations at query time.  Rows are stable-sorted by reach, the
-        sorted count list (module docstring); an ordered store keeps its
-        order and has no reach.  Built on a region's first touch and
-        cached as one pair, so no reader sees rows without their cut;
-        the idempotent cache write makes reader races harmless.
+        Regions are small (K to K+m-1 rows), so queries score them with
+        plain float arithmetic, not NumPy kernels.  The tuple id is
+        stored *negated* so a ``reverse=True`` sort of ``(score, s1,
+        -tid)`` keys yields the query order (score desc, s1 desc, tid
+        asc) with no per-row negations at query time.  Rows are
+        stable-sorted by reach, the sorted count list (:func:`reach`);
+        an ordered store keeps its order and has no reach.  Built on a
+        region's first touch and cached as one pair, so no reader sees
+        rows without their cut; the idempotent cache write makes reader
+        races harmless.
         """
         cached = self._rows[region_id]
         if cached is None:
@@ -216,36 +247,22 @@ class RegionStore:
             if self.ordered:
                 cached = (rows, None)
             else:
-                reach = self._reach(region_id)
-                order = np.argsort(reach, kind="stable")
-                cached = ([rows[i] for i in order.tolist()], reach[order].tolist())
+                start, stop = self.span(region_id)
+                s1, s2 = self.s1[start:stop], self.s2[start:stop]
+                order, counts = reach(s1, s2, self.lo[region_id], self.hi[region_id])
+                cached = ([rows[i] for i in order], counts)
             self._rows[region_id] = cached
         return cached
 
     def candidates(self, region_id: int, p1: float, p2: float, n: int) -> list[Row]:
         """The region rows that can rank in its top ``n`` under
-        ``p1 * s1 + p2 * s2``: those with reach below ``n``.  Weights the
-        margin does not cover get every row in sweep order."""
-        rows, reach = self.rows(region_id)
-        if reach is None:
+        ``p1 * s1 + p2 * s2`` (:func:`cut_size`).  Weights the margin
+        does not cover get every row in sweep order."""
+        rows, counts = self.rows(region_id)
+        if counts is None:
             return rows
-        if _WEIGHT_RANGE[0] <= p1 + p2 <= _WEIGHT_RANGE[1]:
-            return rows[: bisect_left(reach, n)]
-        return self._unbox(region_id)
-
-    def _reach(self, region_id: int) -> np.ndarray:
-        """Per row, how many rows beat it everywhere in the region."""
-        start, stop = self.span(region_id)
-        s1, s2 = self.s1[start:stop], self.s2[start:stop]
-        scale = float(np.max(np.abs(s1) + np.abs(s2))) if stop > start else 0.0
-        if not _SCALE_RANGE[0] <= scale <= _SCALE_RANGE[1]:  # NaN lands here too
-            return np.zeros(stop - start, dtype=np.int64)
-        beaten = np.ones((stop - start, stop - start), dtype=bool)
-        for angle in (self.lo[region_id], self.hi[region_id]):
-            score = math.cos(angle) * s1 + math.sin(angle) * s2
-            # [i, j]: row j beats row i by the margin at this end.
-            beaten &= score - score[:, None] > _MARGIN * scale
-        return np.sum(beaten, axis=1)
+        size = cut_size(counts, p1, p2, n)
+        return self._unbox(region_id) if size is None else rows[:size]
 
     def _unbox(self, region_id: int) -> list[Row]:
         start, stop = self.span(region_id)

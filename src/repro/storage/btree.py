@@ -60,24 +60,27 @@ class BTreeSearchStats:
 
 def _keys_not_above(
     page: Page, first_key: int, count: int, key: float, stats: BTreeSearchStats
-) -> int:
-    """How many of a node's ``count`` sorted keys are ``<= key``.
+) -> tuple[int, float | None]:
+    """How many of a node's ``count`` sorted keys are ``<= key``, and the
+    first key above it (``None`` when every key is ``<= key``).
 
     ``bisect_right`` over the keys at ``first_key + i * _ENTRY``, with
     its comparison (``key < key_at(mid)``), so ties, signed zeros,
     infinities and NaN probes land where a bisect over the decoded key
-    list would put them.
+    list would put them.  The key above is the last one that moved the
+    upper end: the search decodes no extra key for it.
     """
-    lo, hi, compared = 0, count, 0
+    lo, hi, compared, above = 0, count, 0, None
     while lo < hi:
         mid = (lo + hi) // 2
         compared += 1
-        if key < page.read_f64(first_key + mid * _ENTRY):
-            hi = mid
+        probed = page.read_f64(first_key + mid * _ENTRY)
+        if key < probed:
+            hi, above = mid, probed
         else:
             lo = mid + 1
     stats.keys_compared += compared
-    return lo
+    return lo, above
 
 
 class BPlusTree:
@@ -181,38 +184,38 @@ class BPlusTree:
 
     def search_le(
         self, key: float, pool: BufferPool, stats: BTreeSearchStats | None = None
-    ) -> tuple[float, int]:
-        """Predecessor lookup: the entry with the largest key ``<= key``.
-
-        Raises :class:`StorageError` when ``key`` precedes every stored
-        key (RJI stores its first region under key 0.0, so any
-        non-negative probe succeeds).
+    ) -> tuple[float, int, float | None]:
+        """Predecessor lookup: the entry with the largest key ``<= key``,
+        plus the next stored key (``None`` past the last one): the leaf's
+        next key or, after a leaf's last entry, the tightest separator to
+        the right on the way down (the first key of its subtree).  Raises
+        :class:`StorageError` when ``key`` precedes every stored key (RJI
+        stores its first region under key 0.0, so any non-negative probe
+        succeeds).
         """
         if stats is None:
             stats = BTreeSearchStats()
-        page_id = self.root_page_id
-        for _ in range(self.height - 1):
-            page_id = self._route(pool.get(page_id), key, stats)
-        page = pool.get(page_id)
-        stats.nodes_visited += 1
-        if page.read_u8(0) != _LEAF:
-            raise StorageError("B+-tree height bookkeeping is corrupt")
-        count = page.read_u16(1)
-        position = _keys_not_above(page, _HEADER, count, key, stats) - 1
-        if position < 0:
+        page_id, upper = self.root_page_id, None
+        for depth in range(self.height, 0, -1):  # depth 1 is the leaf
+            page = pool.get(page_id)
+            stats.nodes_visited += 1
+            if page.read_u8(0) != (_LEAF if depth == 1 else _INTERNAL):
+                raise StorageError("B+-tree height bookkeeping is corrupt")
+            # Internal child i sits 8 bytes before separator i (the
+            # leftmost child before separator 0), so "keys <= probe"
+            # indexes it directly.
+            first = _HEADER + 8 if depth > 1 else _HEADER
+            position, above = _keys_not_above(
+                page, first, page.read_u16(1), key, stats
+            )
+            if above is not None:
+                upper = above
+            if depth > 1:
+                page_id = page.read_i64(_HEADER + position * _ENTRY)
+        if position == 0:
             raise StorageError(f"probe key {key} precedes all stored keys")
-        entry = _HEADER + position * _ENTRY
-        return page.read_f64(entry), page.read_i64(entry + 8)
-
-    def _route(self, page: Page, key: float, stats: BTreeSearchStats) -> int:
-        stats.nodes_visited += 1
-        if page.read_u8(0) != _INTERNAL:
-            raise StorageError("expected an internal node")
-        # Child i sits 8 bytes before separator i (the leftmost child
-        # before separator 0), so "keys <= probe" indexes it directly.
-        count = page.read_u16(1)
-        position = _keys_not_above(page, _HEADER + 8, count, key, stats)
-        return page.read_i64(_HEADER + position * _ENTRY)
+        entry = _HEADER + (position - 1) * _ENTRY
+        return page.read_f64(entry), page.read_i64(entry + 8), upper
 
     # -- introspection ---------------------------------------------------------
 

@@ -32,12 +32,9 @@ import numpy as np
 from ..core.deadline import Deadline, DeadlineLike
 from ..core.delta import NO_DELTA, DeltaStore, DeltaView
 from ..core.hotcache import MISS, HotRegionCache
-from ..core.index import (
-    QueryResult,
-    RankedJoinIndex,
-    top_k_columns,
-    top_k_scored,
-)
+from ..core.geometry import HALF_PI
+from ..core.index import QueryResult, RankedJoinIndex, top_k_scored
+from ..core.regionstore import cut_size, reach
 from ..core.scoring import PreferenceLike, as_preference
 from ..errors import CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, Recorder
@@ -199,20 +196,7 @@ class DiskRankedJoinIndex:
         recorder: Recorder,
     ) -> None:
         """Lay out keyed region payloads onto a fresh pager image."""
-        self.k_bound = k_bound
-        self.variant = variant
-        self.recorder = recorder
-        #: Fault-injection hook (None = unarmed; see repro.faults).
-        self.faults = None
-        #: Frozen write buffer merged into answers (recover() path).
-        self._delta: DeltaView | None = None
-        self.last_recovery = None
-        self._mapped = False
-        self._cache = HotRegionCache(cache_size) if cache_size > 0 else None
-        #: Serializes the page-touching part of a query: the buffer pool
-        #: and the pager's counters are the one read-side state that is
-        #: not thread-safe.
-        self._pages_lock = threading.Lock()
+        self._init_reader(k_bound, variant, recorder, cache_size, False)
         self.pager = Pager(page_size, recorder=recorder)
         # Page 0 is the metadata page (filled in last, once layout is known).
         self.pager.allocate()
@@ -232,6 +216,32 @@ class DiskRankedJoinIndex:
         )
         self.last_query = DiskQueryStats()
         self._write_metadata()
+
+    def _init_reader(
+        self,
+        k_bound: int,
+        variant: str,
+        recorder: Recorder,
+        cache_size: int,
+        mapped: bool,
+    ) -> None:
+        """The read-side state every constructor starts from."""
+        self.k_bound = k_bound
+        self.variant = variant
+        self.recorder = recorder
+        #: Fault-injection hook (None = unarmed; see repro.faults).
+        self.faults = None
+        #: Frozen write buffer merged into answers (recover() path).
+        self._delta: DeltaView | None = None
+        self.last_recovery = None
+        self._mapped = mapped
+        self._cache = HotRegionCache(cache_size) if cache_size > 0 else None
+        #: The in-region cut: heap address -> (row order, reach counts).
+        self._cut: dict[int, tuple[list[int], list[int]]] = {}
+        #: Serializes the page-touching part of a query: the buffer pool
+        #: and the pager's counters are the one read-side state that is
+        #: not thread-safe.
+        self._pages_lock = threading.Lock()
 
     def _write_metadata(self) -> None:
         page = Page(self.pager.page_size)
@@ -290,7 +300,8 @@ class DiskRankedJoinIndex:
         ``mmap``.  ``cache_size`` > 0 attaches a hot-region descent
         cache (see :class:`~repro.core.hotcache.HotRegionCache`).
         """
-        if mmap and not salvage:
+        mapped = mmap and not salvage
+        if mapped:
             pager: Pager = MappedPager.map(path, recorder=recorder)
         else:
             pager = Pager.load(path, salvage=salvage)
@@ -318,17 +329,9 @@ class DiskRankedJoinIndex:
             raise StorageError(f"{path} is not a ranked-join-index file")
 
         instance = cls.__new__(cls)
-        instance.k_bound = k_bound
-        instance.variant = _VARIANT_NAMES[variant_code]
-        instance.recorder = recorder
-        instance.faults = None
-        instance._delta = None
-        instance.last_recovery = None
-        instance._mapped = mmap and not salvage
-        instance._cache = (
-            HotRegionCache(cache_size) if cache_size > 0 else None
+        instance._init_reader(
+            k_bound, _VARIANT_NAMES[variant_code], recorder, cache_size, mapped
         )
-        instance._pages_lock = threading.Lock()
         instance.pager = pager
         instance._heap = HeapFile.attach(
             pager, list(range(1, 1 + heap_pages)), heap_size
@@ -452,27 +455,26 @@ class DiskRankedJoinIndex:
         with self._pages_lock:
             reads_before = self.pager.counters.reads
             if cache_hit:
-                key, address = cached
+                key, address, upper = cached
             else:
-                key, address = self._btree.search_le(
+                key, address, upper = self._btree.search_le(
                     preference.angle, self.pool, btree_stats
                 )
                 if cache is not None:
-                    evicted = cache.put(preference.angle, (key, address))
+                    evicted = cache.put(preference.angle, (key, address, upper))
             if deadline is not None:
                 deadline.check("disk.descent")
             if self._mapped:
-                # Zero-copy: the record array is built over a read-only
-                # view of the file mapping (writes through it raise),
-                # with every covered page CRC-verified on its first touch.
+                # Zero-copy: rows are decoded from a read-only view of
+                # the file mapping (writes through it raise), with every
+                # covered page CRC-verified on its first touch.
                 payload: bytes | memoryview = self._heap.read_view(
                     address, self.pager
                 )
             else:
                 payload = self._heap.read(address, self.pool)
             pages_read = self.pager.counters.reads - reads_before
-        records = np.frombuffer(payload, dtype=_RECORD_DTYPE)
-        if len(records) == 0:
+        if len(payload) == 0:
             # Tombstone left by repair(): the region's payload was lost.
             raise CorruptPageError(
                 f"query at angle {preference.angle:.6g} fell in the "
@@ -481,23 +483,38 @@ class DiskRankedJoinIndex:
             )
         if deadline is not None:
             deadline.check("disk.materialize")
-        tids = records["tid"]
-        s1 = records["s1"]
-        s2 = records["s2"]
+        # RankedJoinIndex._top_k over the page payload: decode only the
+        # records that can reach the top k + n_charged (the region's cut,
+        # derived from its page rows on first touch), then rank them.
         p1, p2 = preference.p1, preference.p2
-        if view.is_transparent:
-            results = top_k_columns(
-                tids, s1, s2, p1, p2, k, ordered=self.variant == "ordered"
-            )
-            n_scored = len(tids)
+        unpack, size = _TUPLE_RECORD.unpack_from, _TUPLE_RECORD.size
+        n_rows = len(payload) // size
+        plain, ordered = view.is_transparent, self.variant == "ordered"
+        if ordered:  # stored in answer order: no cut, no sort
+            positions: Sequence[int] = range(min(k, n_rows) if plain else n_rows)
         else:
-            # recover() replayed a WAL into the delta: the in-memory
-            # tier's merge and ranking, over the region's rows.
-            scored = view.merged_scored(
-                zip(s1.tolist(), s2.tolist(), (-tids).tolist()), p1, p2
-            )
+            cut = self._cut.get(address)
+            if cut is None:
+                columns = np.frombuffer(payload, dtype=_RECORD_DTYPE)
+                hi = HALF_PI if upper is None else upper
+                cut = self._cut[address] = reach(
+                    columns["s1"], columns["s2"], key, hi
+                )
+            n = cut_size(cut[1], p1, p2, k + view.n_charged)
+            positions = range(n_rows) if n is None else cut[0][:n]
+        if plain:  # one decode-and-score pass: the hot path
+            scored = []
+            for i in positions:
+                tid, s1, s2 = unpack(payload, size * i)
+                scored.append((p1 * s1 + p2 * s2, s1, -tid))
+        else:  # recover() replayed a WAL: the in-memory tier's merge
+            records = (unpack(payload, size * i) for i in positions)
+            rows = [(s1, s2, -tid) for tid, s1, s2 in records]
+            scored = view.merged_scored(rows, p1, p2)
+        if ordered and plain:
+            results = [QueryResult(-neg, score) for score, _, neg in scored]
+        else:
             results = top_k_scored(scored, k)
-            n_scored = len(scored)
         if deadline is not None:
             deadline.check("disk.evaluate")
 
@@ -505,7 +522,7 @@ class DiskRankedJoinIndex:
             btree_nodes=btree_stats.nodes_visited,
             btree_keys_compared=btree_stats.keys_compared,
             pages_read=pages_read,
-            tuples_evaluated=n_scored,
+            tuples_evaluated=len(scored),
         )
         if self.recorder.enabled:
             self.recorder.count("disk.queries")
@@ -730,8 +747,9 @@ class DiskRankedJoinIndex:
         """Clear pager counters and drop cached frames (cold-cache runs).
 
         On a mapped pager the page-verification memory is forgotten too,
-        and the hot-region cache (when attached) is emptied, so a reset
-        run replays the full first-touch I/O pattern.
+        the hot-region cache (when attached) is emptied, and so is the
+        in-region cut, so a reset run replays the full first-touch
+        pattern: I/O, CRC checks and each region's reach computation.
         """
         self.pager.counters.reset()
         self.pool.clear()
@@ -741,3 +759,4 @@ class DiskRankedJoinIndex:
             forget()
         if self._cache is not None:
             self._cache.clear()
+        self._cut.clear()

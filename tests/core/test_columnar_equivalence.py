@@ -28,6 +28,8 @@ from repro.core.tuples import RankTuple, RankTupleSet
 from repro.datagen.synthetic import correlated_pairs
 from repro.experiments import construct_rji as events_module
 from repro.experiments.construct_rji import construct_rji, separating_events
+from repro.storage.diskindex import DiskRankedJoinIndex
+from repro.storage.wal import WriteAheadLog
 
 # -- reference implementations (the replaced scalar code) -----------------
 
@@ -307,19 +309,30 @@ def _scored_rows(index, p1, p2, k):
     return kept + (view.n_visible if view is not None else 0)
 
 
-def _assert_cut_exact(index, magnitudes=_MAGNITUDES):
+def _assert_cut_exact(index, disks, magnitudes=_MAGNITUDES):
     """Every k, at each region's lo, the float below its hi and its
     midpoint, plus both axes: the answer equals the whole-region sort
-    bit for bit, and (for unit weights) scores exactly the rows whose
-    reach allows them into the answer."""
+    bit for bit and (for unit weights) scores exactly the rows whose
+    reach allows them into the answer.  At each lo, the float below each
+    hi and both axes, every disk twin answers the same bits and scores
+    as many rows.  The ordered variant has no cut and answers in stored
+    order: there only its disk twins are checked, against it."""
     store = index.store
     view = index.delta.view() if index.delta is not None else None
     max_k = index.k_bound - (view.n_charged if view is not None else 0)
-    angles = [0.0, math.pi / 2]
+    cut = index.variant != "ordered"
+    # Regions tile the quadrant, so each region's hi is the next key
+    # the disk tier's descent reports (and pi/2 past the last one).
+    assert store.hi[:-1].tolist() == store.lo[1:].tolist()
+    assert store.lo[0] == 0.0 and store.hi[-1] == math.pi / 2
+    boundaries = [0.0, math.pi / 2, *store.lo.tolist()]
+    angles = [(angle, disks) for angle in boundaries]
     for lo, hi in zip(store.lo.tolist(), store.hi.tolist()):
-        angles += [lo, math.nextafter(hi, 0.0), (lo + hi) / 2]
+        angles.append((math.nextafter(hi, 0.0), disks))
+        if cut:
+            angles.append(((lo + hi) / 2, ()))
     evaluated = total = 0
-    for angle in angles:
+    for angle, twins in angles:
         for magnitude in magnitudes:
             p1 = magnitude * math.cos(angle)
             p2 = magnitude * math.sin(angle)
@@ -328,9 +341,21 @@ def _assert_cut_exact(index, magnitudes=_MAGNITUDES):
                     (r.tid, struct.pack("<d", r.score))
                     for r in index.query((p1, p2), k)
                 ]
-                assert got == _region_bits(index, p1, p2, k), (angle, p1, p2, k)
-                if magnitude == 1.0:
-                    explain = index.explain((p1, p2), k, record=False)
+                if cut:
+                    assert got == _region_bits(index, p1, p2, k), (angle, p1, p2, k)
+                if not twins and not (cut and magnitude == 1.0):
+                    continue
+                explain = index.explain((p1, p2), k, record=False)
+                for disk in twins:
+                    assert [
+                        (r.tid, struct.pack("<d", r.score))
+                        for r in disk.query((p1, p2), k)
+                    ] == got, (angle, p1, p2, k)
+                    assert (
+                        disk.last_query.tuples_evaluated
+                        == explain.tuples_evaluated
+                    ), (angle, p1, p2, k)
+                if cut and magnitude == 1.0:
                     assert explain.tuples_evaluated == _scored_rows(
                         index, p1, p2, k
                     )
@@ -341,20 +366,62 @@ def _assert_cut_exact(index, magnitudes=_MAGNITUDES):
 
 def _attach_writes(index, tuples):
     """Charge the leaders at two angles and buffer visible inserts that
-    duplicate the leaders at two others (exact ties with base rows)."""
+    duplicate the leaders at two others (exact ties with base rows).
+    Returns the writes as WAL records for the disk twins."""
     delta = DeltaStore()
     index.attach_delta(delta)
+    writes = []
     for angle in (0.3, 1.2):
-        delta.delete(index.query(angle, 1)[0].tid, 0)
+        victim = index.query(angle, 1)[0].tid
+        delta.delete(victim, 0)
+        writes.append(("delete", RankTuple(victim, 0.0, 0.0)))
     position = {int(t): i for i, t in enumerate(tuples.tids.tolist())}
     fresh = int(tuples.tids.max()) + 1
     for offset, angle in enumerate((0.6, 1.0)):
         i = position[index.query(angle, 1)[0].tid]
-        delta.insert(
-            RankTuple(fresh + offset, float(tuples.s1[i]), float(tuples.s2[i])), 0
+        inserted = RankTuple(
+            fresh + offset, float(tuples.s1[i]), float(tuples.s2[i])
         )
+        delta.insert(inserted, 0)
+        writes.append(("insert", inserted))
     view = delta.view()
     assert view.n_charged >= 1 and view.n_visible >= 1
+    return writes
+
+
+def _disk_twins(index, directory, writes):
+    """``index`` saved, then reopened eager and mmap; ``writes`` (if
+    any) appended to a WAL that the reopen replays."""
+    directory.mkdir()
+    image, wal_dir = directory / "index.rji", directory / "wal"
+    DiskRankedJoinIndex(index).save(image)
+    if not writes:
+        return [DiskRankedJoinIndex.open(image, mmap=m) for m in (False, True)]
+    wal = WriteAheadLog(wal_dir, fsync=False)
+    for op, tuple_ in writes:
+        if op == "insert":
+            wal.append_insert(*tuple_)
+        else:
+            wal.append_delete(tuple_.tid)
+    wal.commit()
+    wal.close()
+    disks = [
+        DiskRankedJoinIndex.recover(image, wal_dir, mmap=m) for m in (False, True)
+    ]
+    view = index.delta.view()
+    for disk in disks:  # the same write buffer, so the same cut bound
+        assert disk.delta.charged == view.charged
+        assert disk.delta.visible.keys() == view.visible.keys()
+    return disks
+
+
+def _assert_cut_exact_on_every_tier(index, tuples, directory, with_delta, **kw):
+    writes = _attach_writes(index, tuples) if with_delta else []
+    disks = _disk_twins(index, directory, writes)
+    try:
+        return _assert_cut_exact(index, disks, **kw)
+    finally:
+        disks[1].pager.close()
 
 
 def _cut_corpus(kind, rng):
@@ -379,27 +446,39 @@ def _cut_corpus(kind, rng):
 
 @pytest.mark.parametrize("with_delta", [False, True])
 @pytest.mark.parametrize(
-    "options", [{}, {"merge_slack": 2}], ids=["standard", "slack2"]
+    "options",
+    [{}, {"merge_slack": 2}, {"variant": "ordered"}],
+    ids=["standard", "slack2", "ordered"],
 )
 @pytest.mark.parametrize(
     "kind", ["anticorrelated", "big", "small", "subnormal", "huge", "tiny"]
 )
-def test_cut_answers_equal_scoring_the_whole_region(kind, options, with_delta):
+def test_cut_answers_equal_scoring_the_whole_region(
+    tmp_path, kind, options, with_delta
+):
     rng = np.random.default_rng(hash(kind) % 2**32)
     tuples = _cut_corpus(kind, rng)
     index = RankedJoinIndex.build(tuples, 10, **options)
-    if with_delta:
-        _attach_writes(index, tuples)
-    evaluated, total = _assert_cut_exact(index)
-    if kind in ("anticorrelated", "huge", "tiny"):
+    # Many small regions and no cut on the ordered variant: unit weights
+    # and overflowing ones suffice there.
+    evaluated, total = _assert_cut_exact_on_every_tier(
+        index,
+        tuples,
+        tmp_path / "disk",
+        with_delta,
+        magnitudes=(1.0, 1e300) if "variant" in options else _MAGNITUDES,
+    )
+    if kind in ("anticorrelated", "huge", "tiny") and "variant" not in options:
         assert evaluated < 0.9 * total  # the cut bites
-    if kind == "subnormal":  # no margin covers subnormal ranks: no cut
+    if kind == "subnormal" and "variant" not in options:
+        # No margin covers subnormal ranks: no cut.
         store = index.store
         assert not any(any(store.rows(r)[1]) for r in range(len(store)))
 
 
-def test_cut_answers_equal_scoring_the_whole_region_on_integer_grids():
-    # The 300 tied integer grids of the full-scan tie-order test.
+def test_cut_answers_equal_scoring_the_whole_region_on_integer_grids(tmp_path):
+    # The 300 tied integer grids of the full-scan tie-order test; every
+    # third grid is also built as the ordered variant.
     rng = np.random.default_rng(40)
     for round_ in range(300):
         ranks = rng.integers(0, 6, (40, 2)).astype(float)
@@ -407,9 +486,22 @@ def test_cut_answers_equal_scoring_the_whole_region_on_integer_grids():
         index = RankedJoinIndex.build(
             tuples, 8, **({"merge_slack": 2} if round_ % 2 else {})
         )
+        _assert_cut_exact_on_every_tier(
+            index,
+            tuples,
+            tmp_path / str(round_),
+            round_ % 3 == 0,
+            magnitudes=(1.0, 1e300),
+        )
         if round_ % 3 == 0:
-            _attach_writes(index, tuples)
-        _assert_cut_exact(index, magnitudes=(1.0, 1e300))
+            ordered = RankedJoinIndex.build(tuples, 8, variant="ordered")
+            _assert_cut_exact_on_every_tier(
+                ordered,
+                tuples,
+                tmp_path / f"{round_}-ordered",
+                round_ % 6 == 0,
+                magnitudes=(1.0, 1e300),
+            )
 
 
 # -- blocked event generation ---------------------------------------------

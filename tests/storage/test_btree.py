@@ -19,6 +19,37 @@ def _build(keys, values, page_size=128):
     return tree, BufferPool(pager, 16)
 
 
+def _expected(keys, values, probe):
+    """What ``search_le`` answers: the predecessor entry and the next key."""
+    position = bisect.bisect_right(keys, probe) - 1
+    upper = keys[position + 1] if position + 1 < len(keys) else None
+    return keys[position], values[position], upper
+
+
+def _reference_descent(tree, pool, probe):
+    """Nodes visited and keys compared by a ``bisect_right`` over each
+    node's decoded keys: the cost a descent had before it reported the
+    next key, which it must keep."""
+    page_id, nodes, compared = tree.root_page_id, 0, 0
+    for level in range(tree.height):
+        page = pool.get(page_id)
+        nodes += 1
+        leaf = level == tree.height - 1
+        first = 8 if leaf else 16
+        keys = [page.read_f64(first + 16 * i) for i in range(page.read_u16(1))]
+        lo, hi = 0, len(keys)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            compared += 1
+            if probe < keys[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        if not leaf:
+            page_id = page.read_i64(8 + 16 * lo)
+    return nodes, compared
+
+
 class TestBulkLoadValidation:
     def test_empty_rejected(self):
         with pytest.raises(StorageError, match="empty"):
@@ -40,14 +71,14 @@ class TestBulkLoadValidation:
         pager = Pager(64)  # leaf capacity 3: the smallest legal geometry
         tree = BPlusTree.bulk_load(pager, [0.0, 1.0, 2.0, 3.0], [0, 1, 2, 3])
         pool = BufferPool(pager, 4)
-        assert tree.search_le(2.5, pool) == (2.0, 2)
+        assert tree.search_le(2.5, pool) == (2.0, 2, 3.0)
 
 
 class TestSearch:
     def test_single_entry(self):
         tree, pool = _build([0.0], [42])
-        assert tree.search_le(0.0, pool) == (0.0, 42)
-        assert tree.search_le(100.0, pool) == (0.0, 42)
+        assert tree.search_le(0.0, pool) == (0.0, 42, None)
+        assert tree.search_le(100.0, pool) == (0.0, 42, None)
 
     def test_probe_before_first_key_raises(self):
         tree, pool = _build([1.0, 2.0], [10, 20])
@@ -57,9 +88,10 @@ class TestSearch:
     def test_exact_and_between_keys(self):
         keys = [0.0, 1.0, 2.0, 3.0]
         tree, pool = _build(keys, [0, 10, 20, 30])
-        assert tree.search_le(1.0, pool) == (1.0, 10)
-        assert tree.search_le(1.5, pool) == (1.0, 10)
-        assert tree.search_le(2.999, pool) == (2.0, 20)
+        assert tree.search_le(1.0, pool) == (1.0, 10, 2.0)
+        assert tree.search_le(1.5, pool) == (1.0, 10, 2.0)
+        assert tree.search_le(2.999, pool) == (2.0, 20, 3.0)
+        assert tree.search_le(3.0, pool) == (3.0, 30, None)
 
     def test_multi_level_tree(self):
         keys = [float(i) for i in range(500)]
@@ -67,8 +99,7 @@ class TestSearch:
         tree, pool = _build(keys, values, page_size=128)
         assert tree.height >= 3
         for probe in (0.0, 17.2, 253.9, 499.0, 10_000.0):
-            position = bisect.bisect_right(keys, probe) - 1
-            assert tree.search_le(probe, pool) == (keys[position], values[position])
+            assert tree.search_le(probe, pool) == _expected(keys, values, probe)
 
     def test_stats_counts_height_nodes(self):
         keys = [float(i) for i in range(500)]
@@ -76,6 +107,25 @@ class TestSearch:
         stats = BTreeSearchStats()
         tree.search_le(250.0, pool, stats)
         assert stats.nodes_visited == tree.height
+
+    def test_upper_bound_is_the_next_stored_key(self):
+        # Leaves of 6 entries, internal nodes of 7 children: four levels,
+        # so a leaf's last entry takes its bound from a parent separator,
+        # sometimes one two or three levels up.
+        keys = [i * 0.25 for i in range(300)]
+        values = [i * 7 for i in range(300)]
+        tree, pool = _build(keys, values, page_size=112)
+        assert tree.height == 4
+        probes = [p for key in keys for p in (key, key + 0.125)]
+        probes += [math.nextafter(key, -math.inf) for key in keys[1:]]
+        for probe in probes + [math.inf]:
+            stats = BTreeSearchStats()
+            assert tree.search_le(probe, pool, stats) == _expected(
+                keys, values, probe
+            ), probe
+            assert (stats.nodes_visited, stats.keys_compared) == (
+                _reference_descent(tree, pool, probe)
+            ), probe
 
 
 class TestSearchCost:
@@ -92,10 +142,8 @@ class TestSearchCost:
         worst = 0
         for probe in probes:
             stats = BTreeSearchStats()
-            position = bisect.bisect_right(keys, probe) - 1
-            assert tree.search_le(probe, pool, stats) == (
-                keys[position],
-                values[position],
+            assert tree.search_le(probe, pool, stats) == _expected(
+                keys, values, probe
             )
             assert stats.nodes_visited == tree.height
             assert 1 <= stats.keys_compared <= stats.nodes_visited * per_node
@@ -162,7 +210,6 @@ class TestProperties:
                 with pytest.raises(StorageError):
                     tree.search_le(probe, pool)
             else:
-                assert tree.search_le(probe, pool) == (
-                    keys[position],
-                    values[position],
+                assert tree.search_le(probe, pool) == _expected(
+                    keys, values, probe
                 )

@@ -8,6 +8,8 @@ answer — and a truncated file raises
 ``IndexError``.
 """
 
+import bisect
+import math
 import struct
 import zlib
 
@@ -256,6 +258,88 @@ class TestSalvageVerifyRepair:
         salvaged = DiskRankedJoinIndex.open(path, salvage=True)
         with pytest.raises(CorruptPageError, match="no salvageable"):
             salvaged.repair()
+
+
+def _assert_salvage_exact(repaired, index, lost_keys):
+    """On, and one float either side of, every key of a repaired image
+    and at both axes, for every k: a salvaged region answers the
+    in-memory index's bits, a lost one raises.  Each region's in-region
+    cut is bounded by the next key, a tombstone or fence included."""
+    keys = [key for key, _ in repaired._btree.iter_entries(repaired.pool)]
+    probes = {0.0, math.pi / 2}
+    for key in keys:
+        probes |= {key, math.nextafter(key, -1.0), math.nextafter(key, 2.0)}
+    served = lost = 0
+    for angle in sorted(p for p in probes if 0.0 <= p <= math.pi / 2):
+        region_key = keys[bisect.bisect_right(keys, angle) - 1]
+        for k in range(1, index.k_bound + 1):
+            if region_key in lost_keys:
+                with pytest.raises(CorruptPageError, match="unrecoverable"):
+                    repaired.query(angle, k)
+                lost += 1
+            else:
+                got = repaired.query(angle, k)
+                want = index.query(angle, k)
+                assert [(r.tid, r.score.hex()) for r in got] == [
+                    (r.tid, r.score.hex()) for r in want
+                ], (angle, k)
+                served += 1
+    assert served and lost
+
+
+class TestRepairedImagesAnswerExactly:
+    """The disk tier's cut takes each region's upper bound from the
+    B+-tree descent; on a repaired image that bound may be a tombstone's
+    key or the fence placed past a broken walk."""
+
+    @pytest.fixture()
+    def small_pages(self, tmp_path):
+        # 256-byte pages: about one page per region and 15 keys per
+        # leaf, so the tree has several leaves to break.
+        rng = np.random.default_rng(7)
+        tuples = RankTupleSet.from_pairs(
+            rng.uniform(0, 100, 300), rng.uniform(0, 100, 300)
+        )
+        index = RankedJoinIndex.build(tuples, 8)
+        disk = DiskRankedJoinIndex(index, page_size=256)
+        path = tmp_path / "index.rji"
+        disk.save(path)
+        return index, disk, path
+
+    def _repair(self, disk, path, page_id, tmp_path):
+        FaultyFile(path).flip_byte(
+            _HEADER_BYTES + page_id * disk.pager.page_size + 64
+        )
+        repaired, report = DiskRankedJoinIndex.open(path, salvage=True).repair()
+        out = tmp_path / "repaired.rji"
+        repaired.save(out)
+        return repaired, DiskRankedJoinIndex.open(out, mmap=True), report
+
+    def test_tombstone_mid_image(self, small_pages, tmp_path):
+        index, disk, path = small_pages
+        middle = 1 + disk.stats.heap_pages // 2
+        repaired, mapped, report = self._repair(disk, path, middle, tmp_path)
+        assert report.walk_complete and report.lost_keys
+        try:
+            for subject in (repaired, mapped):
+                _assert_salvage_exact(subject, index, set(report.lost_keys))
+        finally:
+            mapped.pager.close()
+
+    def test_broken_walk_is_fenced(self, small_pages, tmp_path):
+        index, disk, path = small_pages
+        assert disk.stats.btree_pages >= 3  # a root over several leaves
+        second_leaf = 1 + disk.stats.heap_pages + 1
+        repaired, mapped, report = self._repair(disk, path, second_leaf, tmp_path)
+        assert not report.walk_complete
+        fence = report.lost_keys[-1]
+        salvaged = report.n_salvaged
+        assert fence == math.nextafter(index.store.lo[salvaged - 1], math.inf)
+        try:
+            for subject in (repaired, mapped):
+                _assert_salvage_exact(subject, index, set(report.lost_keys))
+        finally:
+            mapped.pager.close()
 
 
 class TestMappedLazyVerification:

@@ -1,6 +1,8 @@
 """Tests for the disk-resident Ranked Join Index."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -154,13 +156,75 @@ class TestAccounting:
         assert disk.total_bytes == stats.total_pages * stats.page_size
 
     def test_query_stats_populated(self, built):
-        _, _, disk = built
+        _, index, disk = built
         disk.reset_io()
         disk.query(Preference(0.4, 0.6), 5)
         stats = disk.last_query
         assert stats.btree_nodes >= 1
         assert stats.pages_read >= 1  # cold cache
-        assert stats.tuples_evaluated == 10
+        # The rows the in-region cut scores, as on the memory tier.
+        explain = index.explain(Preference(0.4, 0.6), 5, record=False)
+        assert stats.tuples_evaluated == explain.tuples_evaluated < 10
+
+    def test_writing_and_opening_do_no_reach_work(
+        self, tmp_path, built, monkeypatch
+    ):
+        # The cut is derived on read: building, saving and opening an
+        # image never computes it, so the writers cost what they did.
+        from repro.storage import diskindex
+
+        _, index, _ = built
+
+        def refuse(*args):
+            raise AssertionError("reach computed outside a query")
+
+        monkeypatch.setattr(diskindex, "reach", refuse)
+        path = tmp_path / "index.rji"
+        DiskRankedJoinIndex(index).save(path)
+        for mmap in (False, True):
+            reopened = DiskRankedJoinIndex.open(path, mmap=mmap)
+            assert not reopened._cut
+            if mmap:
+                reopened.pager.close()
+
+    def test_concurrent_first_touches_agree(self, built):
+        # Readers take no lock around the cut: racing first touches may
+        # each compute a region's cut, and must all answer exactly.
+        _, index, disk = built
+        disk.reset_io()
+        probes = _boundary_probes(index)
+        want = [index.query(p, 5) for p in probes]
+        failures = []
+        barrier = threading.Barrier(4)
+
+        def read():
+            barrier.wait()
+            if [disk.query(p, 5) for p in probes] != want:
+                failures.append("answer")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(disk._cut) == index.n_regions
+
+    def test_reset_forgets_the_cut(self, built):
+        _, index, disk = built
+        probes = [Preference.from_angle(a) for a in np.linspace(0, np.pi / 2, 40)]
+        before = [disk.query(p, 5) for p in probes]
+        assert disk._cut
+        disk.reset_io()
+        assert not disk._cut
+        assert [disk.query(p, 5) for p in probes] == before
+        assert before == [index.query(p, 5) for p in probes]
 
     def test_warm_cache_reads_fewer_pages(self, built):
         _, _, disk = built

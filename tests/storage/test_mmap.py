@@ -92,7 +92,7 @@ class TestReadOnlySafety:
         from repro.core.scoring import as_preference
 
         pref = as_preference((2.0, 1.0))
-        _, address = mapped._btree.search_le(pref.angle, mapped.pool)
+        _, address, _ = mapped._btree.search_le(pref.angle, mapped.pool)
         view = mapped._heap.read_view(address, mapped.pager)
         assert isinstance(view, memoryview)
         assert view.readonly
@@ -117,7 +117,7 @@ class TestReadOnlySafety:
         from repro.core.scoring import as_preference
 
         pref = as_preference((2.0, 1.0))
-        _, address = mapped._btree.search_le(pref.angle, mapped.pool)
+        _, address, _ = mapped._btree.search_le(pref.angle, mapped.pool)
         view = mapped._heap.read_view(address, mapped.pager)
         before = bytes(view)
 
