@@ -2,11 +2,11 @@
 
 Generic linters cannot see the invariants this codebase lives on: the
 package layering DAG that keeps the paper's algorithms (``core``) free
-of engine concerns, tolerance-aware float comparisons on scores and
-separating angles (Lemmas 4–5), deterministic seeded randomness in
-everything that produces published numbers, and frozen paper constants.
-This package is a small pluggable AST linter enforcing them at review
-time, complementing the runtime oracle in :mod:`repro.core.verify`.
+of engine concerns, deterministic seeded randomness in everything that
+produces published numbers, frozen paper constants, and the ``k <= K``
+bound every query path must check (Lemma 2).  This package is a small
+pluggable AST linter enforcing them at review time, complementing the
+runtime oracle in :mod:`repro.core.verify`.
 
 Since v2 the tool is whole-program: :mod:`repro.analysis.model` parses
 the full ``src/repro`` tree once into a content-hash-cached
@@ -17,32 +17,25 @@ global lock ordering, and the interprocedural error contract of the
 public entry points.
 
 Run it as ``python -m repro.analysis [paths]``; suppress a finding with
-a ``# rjilint: disable=RULE`` comment on the offending line, or adopt a
-backlog with ``--write-baseline`` / ``--baseline``.  Rules:
+a ``# rjilint: disable=RULE`` comment on the offending line.  Rules:
 
 ========  ============================================================
 RJI001    imports must follow the declared package layering DAG
-RJI002    no bare float ``==``/``!=`` on score/angle expressions
 RJI003    no unseeded or process-global randomness in library code
 RJI004    no bare ``except:`` / silently swallowed broad catches
 RJI005    public modules declare a consistent literal ``__all__``
 RJI006    frozen paper constants are never mutated
 RJI007    query paths validate ``k`` against the construction bound
 RJI008    storage I/O counters are mirrored into the recorder
-RJI009    recorder metric names come from ``repro/obs/names.py``
-RJI010    storage code never swallows detected-corruption errors
 RJI011    lock-guarded fields are never touched outside their lock
 RJI012    the lock-acquisition-order graph stays acyclic
 RJI013    public entry points raise only the typed error taxonomy
 ========  ============================================================
+
+RJI002, RJI009 and RJI010 are retired; docs/ANALYSIS.md records the
+audit behind that and the checks that cover their bug classes.
 """
 
-from .baseline import (
-    baseline_key,
-    filter_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .context import ModuleContext, SuppressionIndex
 from .dag import LAYER_DAG
 from .registry import (
@@ -73,20 +66,16 @@ __all__ = [
     "Rule",
     "SuppressionIndex",
     "all_rules",
-    "baseline_key",
     "changed_files",
     "changed_python_files",
     "collect_files",
-    "filter_baseline",
     "get_rule",
     "known_rule_ids",
     "lint_context",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register",
     "render_json",
     "render_text",
     "run_project_rules",
-    "write_baseline",
 ]

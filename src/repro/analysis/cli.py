@@ -9,7 +9,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .baseline import filter_baseline, load_baseline, write_baseline
 from .registry import all_rules, select_rules
 from .reporters import render_json, render_text
 from .runner import changed_python_files, lint_paths
@@ -22,9 +21,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "rjilint: repository-specific static analysis for the Ranked "
-            "Join Indices reproduction (layering DAG, float-comparison "
-            "tolerances, seeded randomness, exception hygiene, __all__ "
-            "consistency, frozen constants, and the whole-program lock "
+            "Join Indices reproduction (layering DAG, seeded randomness, "
+            "exception hygiene, __all__ consistency, frozen constants, the "
+            "k bound, storage I/O counters, and the whole-program lock "
             "discipline / lock order / error contract checks)"
         ),
     )
@@ -54,16 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ignore",
         metavar="RULES",
         help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings to a baseline file and exit 0",
     )
     parser.add_argument(
         "--no-cache",
@@ -120,26 +109,6 @@ def main(argv: list[str] | None = None) -> int:
     findings = lint_paths(
         paths, root=root, rules=rules, use_cache=not args.no_cache
     )
-
-    if args.write_baseline:
-        target = Path(args.write_baseline)
-        write_baseline(target, findings)
-        print(
-            f"rjilint: wrote baseline with {len(findings)} finding(s) "
-            f"to {target}"
-        )
-        return 0
-
-    if args.baseline:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except OSError as exc:
-            print(f"rjilint: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"rjilint: bad baseline file: {exc}", file=sys.stderr)
-            return 2
-        findings = filter_baseline(findings, baseline)
 
     render = render_json if args.format == "json" else render_text
     print(render(findings))

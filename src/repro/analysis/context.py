@@ -7,8 +7,8 @@ everything it needs without re-parsing.
 
 Suppression syntax (comment anywhere on the offending line)::
 
-    risky_expression()  # rjilint: disable=RJI002
-    other_thing()       # rjilint: disable=RJI002,RJI004
+    risky_expression()  # rjilint: disable=RJI003
+    other_thing()       # rjilint: disable=RJI003,RJI004
 
 and, in the first comment block of a file, a whole-file directive::
 
@@ -18,17 +18,32 @@ and, in the first comment block of a file, a whole-file directive::
 from __future__ import annotations
 
 import ast
+import functools
+import hashlib
 import io
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
-__all__ = ["ModuleContext", "SuppressionIndex", "comment_lines"]
+__all__ = ["ModuleContext", "SuppressionIndex", "comment_lines", "tool_digest"]
 
 _DIRECTIVE = re.compile(
     r"rjilint:\s*(?P<kind>disable(?:-file)?)\s*=\s*(?P<rules>[A-Za-z0-9_,\s]+)"
 )
+
+
+@functools.lru_cache(maxsize=None)
+def tool_digest() -> str:
+    """SHA-256 over rjilint's own sources.
+
+    Both on-disk caches (per-file findings, project summaries) key on
+    it, so editing a rule or the model invalidates what they hold.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def comment_lines(source: str) -> dict[int, str]:

@@ -2,7 +2,8 @@
 
 Edges point downward: a package may import only from the packages it
 maps to (plus itself).  ``core`` holds the paper's algorithms and must
-stay free of engine concerns — it sees nothing but ``errors`` — while
+stay free of engine concerns — it sees only ``errors`` and the ``obs``
+recorder surface — while
 ``experiments`` at the top may reach every substrate it benchmarks.
 Modules directly under ``src/repro`` (``cli.py``, ``__init__.py``) form
 the unrestricted ``root`` application layer.
@@ -24,8 +25,9 @@ LAYER_DAG: dict[str, frozenset[str]] = {
     # speaking the length-prefixed wire protocol over a raw socket
     # instead of importing ``serve``.
     "obs": frozenset({"errors"}),
-    # ``analysis`` reads the metric-name registry (RJI009); ``obs`` has
-    # no analysis dependency, so the edge cannot cycle.
+    # ``analysis.model.cache`` reports index builds through an ``obs``
+    # recorder; ``obs`` has no analysis dependency, so the edge cannot
+    # cycle.
     "analysis": frozenset({"errors", "obs"}),
     "core": frozenset({"errors", "obs"}),
     # ``faults`` wraps storage objects via duck-typed ``.faults`` hooks,

@@ -13,9 +13,9 @@ Three layers, bottom up:
 * :mod:`~repro.analysis.model.cache` — content-hash-keyed incremental
   caching so warm runs only re-extract changed files.
 
-RJI001–RJI010 stay per-file and never touch this package; the
-project-scope rules (RJI011–RJI013) receive a :class:`ProjectIndex`
-from the runner.
+The per-file rules (RJI001 and RJI003–RJI008) never touch this
+package; the project-scope rules (RJI011–RJI013) receive a
+:class:`ProjectIndex` from the runner.
 """
 
 from .cache import build_project_index, cache_path, file_digest

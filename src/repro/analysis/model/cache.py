@@ -9,9 +9,11 @@ fixpoints (call graph, escape sets, lock-order edges) are always
 recomputed from the summaries — they are cheap, and it keeps the cache
 a pure function of file contents.
 
-Cache hygiene: the pickle payload carries a format version; any load
-failure (missing, torn, stale format, class drift) silently falls back
-to a full re-extraction — the cache is advisory, never authoritative.
+Cache hygiene: the pickle payload carries the digest of rjilint's own
+sources (:func:`~repro.analysis.context.tool_digest`); any load failure
+(missing, torn, written by other analysis code, class drift) silently
+falls back to a full re-extraction — the cache is advisory, never
+authoritative.
 
 The builder reports ``analysis.files_indexed`` / ``analysis.cache_hits``
 / ``analysis.cache_misses`` through an optional
@@ -26,14 +28,11 @@ import pickle
 from pathlib import Path
 
 from ...obs import NULL_RECORDER, Recorder
-from ..context import ModuleContext
+from ..context import ModuleContext, tool_digest
 from .project import ProjectIndex
 from .summary import ModuleSummary, extract_module
 
-__all__ = ["CACHE_FORMAT", "build_project_index", "cache_path", "file_digest"]
-
-#: Bump when summary dataclasses change shape; stale caches are ignored.
-CACHE_FORMAT = 1
+__all__ = ["build_project_index", "cache_path", "file_digest"]
 
 _CACHE_DIR = ".rjilint_cache"
 _CACHE_FILE = "summaries.pkl"
@@ -51,7 +50,7 @@ def _load_cached(path: Path) -> dict[str, ModuleSummary]:
     try:
         with path.open("rb") as handle:
             payload = pickle.load(handle)
-        if payload.get("format") != CACHE_FORMAT:
+        if payload.get("format") != tool_digest():
             return {}
         summaries = payload.get("summaries", {})
         return summaries if isinstance(summaries, dict) else {}
@@ -65,7 +64,7 @@ def _store_cached(path: Path, summaries: dict[str, ModuleSummary]) -> None:
         tmp = path.with_suffix(".tmp")
         with tmp.open("wb") as handle:
             pickle.dump(
-                {"format": CACHE_FORMAT, "summaries": summaries}, handle
+                {"format": tool_digest(), "summaries": summaries}, handle
             )
         tmp.replace(path)
     except OSError:

@@ -312,7 +312,7 @@ class ProjectIndex:
                 continue
             for acquire in fn.acquires:
                 acquired = self.lock_qual(class_qual, acquire.attr)
-                for held_attr, _mode in acquire.held:
+                for held_attr in acquire.held:
                     if held_attr == acquire.attr:
                         continue  # re-entry is RJI011/self-loop territory
                     add(
@@ -326,7 +326,7 @@ class ProjectIndex:
                     continue
                 for callee in self.resolve_call(module, class_qual, site):
                     for acquired in self.may_acquire(callee.qualname):
-                        for held_attr, _mode in site.held:
+                        for held_attr in site.held:
                             held_qual = self.lock_qual(class_qual, held_attr)
                             if held_qual == acquired:
                                 continue

@@ -9,9 +9,9 @@ cheaply by content hash (see :mod:`repro.analysis.model.cache`):
   types (``self.x = ClassName(...)`` and annotated-parameter
   assignments), ``@property`` methods;
 * per-function field accesses and lock acquisitions, each carrying the
-  set of *own-class* locks syntactically held at that point (``with
-  self._lock:``, ``with self._lock.reading()/.writing():``, and the
-  ``try: ... finally: self._lock.release_*()`` discipline);
+  *own-class* locks syntactically held at that point (``with
+  self._lock:`` and the ``try: ... finally: self._lock.release()``
+  discipline);
 * call sites and explicit ``raise`` sites, each carrying the stack of
   enclosing ``except`` catch-sets, so the project layer can propagate
   raised types interprocedurally;
@@ -46,21 +46,7 @@ __all__ = [
 ]
 
 #: Constructor names that mark an attribute as a lock, with its kind.
-_LOCK_CONSTRUCTORS = {
-    "Lock": "lock",
-    "RLock": "rlock",
-    "Condition": "condition",
-    "Semaphore": "lock",
-    "BoundedSemaphore": "lock",
-    "ReadWriteLock": "rwlock",
-}
-
-#: ``finally`` release verbs -> the mode whose region the try body forms.
-_RELEASE_MODES = {
-    "release_read": "read",
-    "release_write": "write",
-    "release": "exclusive",
-}
+_LOCK_CONSTRUCTORS = {"Lock": "lock", "RLock": "rlock", "Condition": "condition"}
 
 #: Call tails treated as blocking while a lock is held (RJI011).  Plain
 #: stream ``.write``/``.flush`` are excluded on purpose: serialized line
@@ -82,7 +68,7 @@ class FieldAccess:
     line: int
     col: int
     is_write: bool
-    held: tuple[tuple[str, str], ...]  # ((lock_attr, mode), ...)
+    held: tuple[str, ...]  # own-class lock attributes held here
 
 
 @dataclass(frozen=True)
@@ -90,10 +76,9 @@ class LockAcquire:
     """One acquisition of an own-class lock (with-guard or bare call)."""
 
     attr: str
-    mode: str  # "exclusive" | "read" | "write"
     line: int
     col: int
-    held: tuple[tuple[str, str], ...]
+    held: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -103,7 +88,7 @@ class CallSite:
     path: tuple[str, ...]  # ("self", "breaker", "record_failure")
     line: int
     col: int
-    held: tuple[tuple[str, str], ...]
+    held: tuple[str, ...]
     guards: tuple[frozenset[str], ...]  # enclosing except catch-sets
     is_property: bool = False
 
@@ -125,7 +110,7 @@ class BlockingOp:
     what: str
     line: int
     col: int
-    held: tuple[tuple[str, str], ...]
+    held: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -163,7 +148,7 @@ class ClassSummary:
 class ModuleSummary:
     """Everything the project layer keeps about one module."""
 
-    module: str  # dotted, e.g. "repro.core.concurrent"
+    module: str  # dotted, e.g. "repro.core.writepath"
     relpath: str
     digest: str
     package: str | None
@@ -282,7 +267,7 @@ class _Extractor:
         if stmt.level:
             parts = self.out.module.split(".")
             # ``from . import x`` in a module at depth d strips d-1+level?
-            # Module "repro.core.concurrent": level=1 -> "repro.core".
+            # Module "repro.core.writepath": level=1 -> "repro.core".
             base = parts[: -stmt.level] if stmt.level <= len(parts) else []
         else:
             base = []
@@ -465,19 +450,17 @@ class _BodyWalker:
         if isinstance(stmt, ast.With) or isinstance(stmt, ast.AsyncWith):
             new_held = held
             for item in stmt.items:
-                lock = self._lock_guard(item.context_expr)
-                if lock is not None:
-                    attr, mode = lock
+                attr = self._lock_guard(item.context_expr)
+                if attr is not None:
                     self.acquires.append(
                         LockAcquire(
                             attr=attr,
-                            mode=mode,
                             line=item.context_expr.lineno,
                             col=item.context_expr.col_offset,
                             held=new_held,
                         )
                     )
-                    new_held = new_held + ((attr, mode),)
+                    new_held = new_held + (attr,)
                 else:
                     self._expr(item.context_expr, new_held, guards)
                 if item.optional_vars is not None:
@@ -562,7 +545,18 @@ class _BodyWalker:
 
     # -- pieces -------------------------------------------------------------
 
-    def _lock_guard(self, expr: ast.expr) -> tuple[str, str] | None:
+    def _lock_method(self, path: tuple[str, ...] | None, verb: str) -> bool:
+        """Whether ``path`` is ``self.<own lock>.<verb>``."""
+        return (
+            path is not None
+            and len(path) == 3
+            and path[0] == "self"
+            and path[1] in self.lock_attrs
+            and path[2] == verb
+        )
+
+    def _lock_guard(self, expr: ast.expr) -> str | None:
+        """The own-class lock a ``with`` item holds, if it is one."""
         path = _dotted_path(expr)
         if (
             path is not None
@@ -570,38 +564,18 @@ class _BodyWalker:
             and len(path) == 2
             and path[1] in self.lock_attrs
         ):
-            return (path[1], "exclusive")
-        if isinstance(expr, ast.Call):
-            path = _dotted_path(expr.func)
-            if (
-                path is not None
-                and path[0] == "self"
-                and len(path) == 3
-                and path[1] in self.lock_attrs
-            ):
-                if path[2] == "reading":
-                    return (path[1], "read")
-                if path[2] == "writing":
-                    return (path[1], "write")
+            return path[1]
         return None
 
-    def _finally_held(self, finalbody) -> list[tuple[str, str]]:
+    def _finally_held(self, finalbody) -> list[str]:
         """Locks released in ``finally`` — their try body is a held region."""
-        out: list[tuple[str, str]] = []
+        out: list[str] = []
         for stmt in finalbody:
             for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                path = _dotted_path(node.func)
-                if (
-                    path is not None
-                    and path[0] == "self"
-                    and len(path) == 3
-                    and path[1] in self.lock_attrs
-                ):
-                    mode = _RELEASE_MODES.get(path[2])
-                    if mode is not None:
-                        out.append((path[1], mode))
+                if isinstance(node, ast.Call):
+                    path = _dotted_path(node.func)
+                    if self._lock_method(path, "release"):
+                        out.append(path[1])
         return out
 
     def _catch_set(self, handler: ast.ExceptHandler) -> frozenset[str]:
@@ -732,20 +706,10 @@ class _BodyWalker:
             )
         )
         tail = path[-1]
-        if (
-            path[0] == "self"
-            and len(path) == 3
-            and path[1] in self.lock_attrs
-            and tail.startswith("acquire")
-        ):
-            mode = {
-                "acquire_read": "read",
-                "acquire_write": "write",
-            }.get(tail, "exclusive")
+        if self._lock_method(path, "acquire"):
             self.acquires.append(
                 LockAcquire(
                     attr=path[1],
-                    mode=mode,
                     line=node.lineno,
                     col=node.col_offset,
                     held=held,

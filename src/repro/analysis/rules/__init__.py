@@ -6,31 +6,25 @@ Importing this package populates the registry in
 """
 
 from .constants import FrozenConstantRule
-from .corruption import CorruptionHandlingRule
 from .errorcontract import ErrorContractRule
 from .exceptions import ExceptionHygieneRule
 from .exports import DunderAllRule
-from .floatcmp import FloatEqualityRule
 from .iocounters import IOCounterDisciplineRule
 from .kbound import KBoundValidationRule
 from .layering import LayeringRule
 from .lockdiscipline import LockDisciplineRule
 from .lockorder import LockOrderRule
-from .metricnames import MetricNameRegistryRule
 from .randomness import UnseededRandomnessRule
 
 __all__ = [
-    "CorruptionHandlingRule",
     "DunderAllRule",
     "ErrorContractRule",
     "ExceptionHygieneRule",
-    "FloatEqualityRule",
     "FrozenConstantRule",
     "IOCounterDisciplineRule",
     "KBoundValidationRule",
     "LayeringRule",
     "LockDisciplineRule",
     "LockOrderRule",
-    "MetricNameRegistryRule",
     "UnseededRandomnessRule",
 ]

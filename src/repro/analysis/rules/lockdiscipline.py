@@ -1,20 +1,17 @@
 """RJI011 — lock discipline: guarded fields stay guarded.
 
 For every class that owns a lock (``threading.Lock``/``RLock``/
-``Condition`` or the repo's ``ReadWriteLock``), the rule infers which
-instance fields the lock guards: a field *mutated* outside ``__init__``
-is guarded by lock ``L`` when the majority of its accesses happen while
-``L`` is held (``with self._lock:``, ``with self._lock.reading()`` /
-``.writing():``, or the ``try/finally: release`` discipline), or when
-the field carries an explicit annotation::
+``Condition``), the rule infers which instance fields the lock guards:
+a field *mutated* outside ``__init__`` is guarded by lock ``L`` when
+the majority of its accesses happen while ``L`` is held (``with
+self._lock:`` or the ``try/finally: release`` discipline), or when the
+field carries an explicit annotation::
 
     self._table = {}  # rjilint: guarded-by(_lock)
 
 It then flags:
 
 * any read or write of a guarded field outside its lock;
-* a *write* to a guarded field while only the read side of a
-  readers-writer lock is held;
 * blocking operations (``sleep``, ``open``, ``fsync``, byte-file I/O)
   performed while holding any lock — latency under a recorder or
   metrics lock serializes every instrumented thread behind it.
@@ -50,9 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["LockDisciplineRule"]
 
-#: Methods whose writes establish, rather than share, state.
-_WRITE_MODES = frozenset({"exclusive", "write"})
-
 
 def _entry_held(cls: "ClassSummary") -> dict[str, frozenset[str]]:
     """Locks every internal call site of a private method holds.
@@ -73,7 +67,7 @@ def _entry_held(cls: "ClassSummary") -> dict[str, frozenset[str]]:
                     and site.path[1] in cls.methods
                     and not site.is_property
                 ):
-                    site_held = frozenset(attr for attr, _m in site.held) | base
+                    site_held = frozenset(site.held) | base
                     callers.setdefault(site.path[1], []).append(site_held)
         for name, fn in cls.methods.items():
             if not name.startswith("_") or name.startswith("__"):
@@ -98,8 +92,8 @@ class LockDisciplineRule(ProjectRule):
     name = "lock-discipline"
     description = (
         "fields majority-accessed (or annotated guarded-by) under a class's "
-        "lock must never be touched outside it; no writes under a read "
-        "lock; no blocking calls while holding a lock"
+        "lock must never be touched outside it; no blocking calls while "
+        "holding a lock"
     )
     scope = "project"
 
@@ -126,11 +120,8 @@ class LockDisciplineRule(ProjectRule):
             for access in fn.accesses:
                 if access.attr in cls.lock_attrs:
                     continue
-                effective = {attr: mode for attr, mode in access.held}
-                for attr in extra:
-                    effective.setdefault(attr, "exclusive")
                 accesses.setdefault(access.attr, []).append(
-                    (access, effective)
+                    (access, extra.union(access.held))
                 )
         for attr, declared_lock in sorted(cls.guarded_annotations.items()):
             if declared_lock not in cls.lock_attrs:
@@ -164,19 +155,10 @@ class LockDisciplineRule(ProjectRule):
                         f"'{guard}' ({under} of {total} accesses hold it) "
                         f"but is {verb} here without the lock",
                     )
-                elif record.is_write and held[guard] == "read":
-                    yield self.project_finding(
-                        module.relpath,
-                        record.line,
-                        record.col,
-                        f"field '{attr}' of {cls.name} is written while "
-                        f"only the read side of '{guard}' is held; take "
-                        "the write lock",
-                    )
         # Blocking operations under any held lock.
         for name, fn in cls.methods.items():
             for op in fn.blocking:
-                locks = ", ".join(sorted({attr for attr, _m in op.held}))
+                locks = ", ".join(sorted(set(op.held)))
                 yield self.project_finding(
                     module.relpath,
                     op.line,

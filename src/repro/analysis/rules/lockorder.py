@@ -9,9 +9,8 @@ this graph is reported at the acquisition site that closes it.
 
 The rule also flags *self*-deadlock: re-acquiring a plain
 (non-reentrant) ``threading.Lock`` that is already held, directly or
-through a callee.  Reentrant kinds are exempt — ``RLock``,
-``Condition`` (whose default lock is an ``RLock``), and the repo's
-``ReadWriteLock`` (read-side re-entry is part of its contract).
+through a callee.  Reentrant kinds are exempt — ``RLock`` and
+``Condition`` (whose default lock is an ``RLock``).
 
 Bad::
 
@@ -39,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["LockOrderRule"]
 
 #: Lock kinds that may be taken again by the thread already holding them.
-_REENTRANT_KINDS = frozenset({"rlock", "condition", "rwlock"})
+_REENTRANT_KINDS = frozenset({"rlock", "condition"})
 
 
 @register
@@ -84,7 +83,7 @@ class LockOrderRule(ProjectRule):
                 kind = cls.lock_attrs.get(acquire.attr)
                 if kind in _REENTRANT_KINDS:
                     continue
-                if any(held == acquire.attr for held, _mode in acquire.held):
+                if acquire.attr in acquire.held:
                     yield self.project_finding(
                         module.relpath,
                         acquire.line,
@@ -98,7 +97,7 @@ class LockOrderRule(ProjectRule):
                     continue
                 held_quals = {
                     project.lock_qual(class_qual, attr): attr
-                    for attr, _mode in site.held
+                    for attr in site.held
                     if cls.lock_attrs.get(attr) not in _REENTRANT_KINDS
                 }
                 if not held_quals:

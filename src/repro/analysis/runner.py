@@ -22,7 +22,7 @@ import subprocess
 from pathlib import Path
 
 from . import rules as _builtin_rules  # noqa: F401 - populates the registry
-from .context import ModuleContext
+from .context import ModuleContext, tool_digest
 from .registry import Finding, ProjectRule, Rule, all_rules, known_rule_ids
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
 #: ``tests/analysis/fixtures`` from normal lint runs.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist", "fixtures"}
 
-#: Bump when per-file findings change shape; stale caches are ignored.
-_FINDINGS_FORMAT = 1
-
 
 def _findings_cache_path(root: Path) -> Path:
     return root / ".rjilint_cache" / "findings.pkl"
@@ -51,7 +48,7 @@ def _load_findings_cache(path: Path) -> dict:
     try:
         with path.open("rb") as handle:
             payload = pickle.load(handle)
-        if payload.get("format") != _FINDINGS_FORMAT:
+        if payload.get("format") != tool_digest():
             return {}
         entries = payload.get("entries", {})
         return entries if isinstance(entries, dict) else {}
@@ -64,7 +61,7 @@ def _store_findings_cache(path: Path, entries: dict) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
         with tmp.open("wb") as handle:
-            pickle.dump({"format": _FINDINGS_FORMAT, "entries": entries}, handle)
+            pickle.dump({"format": tool_digest(), "entries": entries}, handle)
         tmp.replace(path)
     except OSError:
         pass  # read-only checkout: run uncached
@@ -181,8 +178,9 @@ def lint_paths(
     on top of the per-file pass (disable with ``project=False``).
 
     Per-file results are cached under ``.rjilint_cache/`` keyed on the
-    file's content hash and the selected rule ids, so a warm run
-    re-lints only edited files.  Like the project-index cache, the
+    file's content hash and the selected rule ids, and dropped whole when
+    rjilint's own sources change, so a warm run re-lints only edited
+    files.  Like the project-index cache, the
     findings cache is advisory: any load failure falls back to a full
     re-lint.
     """

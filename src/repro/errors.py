@@ -81,8 +81,8 @@ class CorruptPageError(StorageError):
     Carries ``page_id`` when the corruption is attributable to one
     page; whole-file digest mismatches leave it ``None``.  Storage read
     paths must let this propagate or route it through the recovery API
-    (``DiskRankedJoinIndex.verify`` / ``repair``) — rjilint rule RJI010
-    enforces the discipline.
+    (``DiskRankedJoinIndex.verify`` / ``repair``) — the chaos contract in
+    ``tests/faults`` and ``tests/storage/test_corruption.py`` check it.
     """
 
     def __init__(self, message: str, *, page_id: int | None = None):

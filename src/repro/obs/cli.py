@@ -30,8 +30,8 @@ Five subcommands:
 ``lint-names [PATHS...]``
     Statically check every ``recorder.count/observe/timer/span`` call
     site under the given paths (default ``src``) against the registry
-    in :mod:`repro.obs.names` — the standalone twin of rjilint rule
-    RJI009, importable without the analysis layer.
+    in :mod:`repro.obs.names`; CI and the pre-commit hook run it on
+    ``src``.
 """
 
 from __future__ import annotations

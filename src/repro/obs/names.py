@@ -4,10 +4,10 @@ Counter, series, and span names are part of the observability *API*: the
 bench regression gate diffs them between runs, dashboards scrape them,
 and a typo'd name silently forks a metric into two half-populated ones.
 This module is the single source of truth — ``core``, ``storage``,
-``sql`` and ``bench`` all emit from this vocabulary, rjilint rule RJI009
-statically checks every ``recorder.count/observe/timer/span`` call site
-against it, and ``python -m repro.obs lint-names`` runs the same check
-stand-alone.
+``sql`` and ``bench`` all emit from this vocabulary, and ``python -m
+repro.obs lint-names`` (a CI step and a pre-commit hook) statically
+checks every ``recorder.count/observe/timer/span`` call site against
+it.
 
 Names are dotted ``<subsystem>.<quantity>`` paths.  Operator-shaped
 subsystems whose member set is open-ended (the SQL pipeline's per-

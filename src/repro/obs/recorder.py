@@ -30,8 +30,9 @@ recorders may ignore it; event-stream recorders (the JSONL log, the
 trace buffer) carry it through to their exported records.
 
 Counter names are dotted paths, ``<subsystem>.<quantity>``, and every
-static name must be registered in :mod:`repro.obs.names` (rjilint rule
-RJI009 enforces this) — the glossary lives in ``docs/OBSERVABILITY.md``.
+static name must be registered in :mod:`repro.obs.names` (``python -m
+repro.obs lint-names`` enforces this) — the glossary lives in
+``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations

@@ -552,8 +552,7 @@ class DiskRankedJoinIndex:
         corruption errors, so one pass maps the full extent of the
         damage.  This method and :meth:`repair` are the sanctioned
         handlers of :class:`~repro.errors.CorruptPageError` /
-        :class:`~repro.errors.TornWriteError` in the storage layer
-        (rjilint rule RJI010).
+        :class:`~repro.errors.TornWriteError` in the storage layer.
         """
         # The mapped pager skips the whole-file digest at open; check it
         # here (one pass, cached) so verify keeps the eager guarantees.

@@ -33,7 +33,7 @@ from ..core.tuples import RankTuple
 from ..core.writepath import Snapshot, WritableRankedJoinIndex
 from ..errors import ConstructionError, CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, Recorder
-from .diskindex import DiskRankedJoinIndex
+from .diskindex import _RECORD_DTYPE, DiskRankedJoinIndex
 from .pager import Pager
 from .pages import Page
 from .wal import RecoveryReport, WriteAheadLog
@@ -43,7 +43,6 @@ __all__ = ["DurableRankedJoinIndex"]
 _POOL_MAGIC = b"RJIPOOL1"
 #: magic, checkpoint LSN, n_tuples, payload bytes, k_bound.
 _POOL_META = struct.Struct("<8sQQQI")
-_POOL_DTYPE = np.dtype([("tid", "<i8"), ("s1", "<f8"), ("s2", "<f8")])
 
 _POOL_FILE = "pool.rjp"
 _BASE_FILE = "base.rji"
@@ -59,7 +58,7 @@ def _write_pool_snapshot(
     page_size: int = 4096,
 ) -> None:
     """Persist a tid-sorted pool atomically (pager-v2 CRC machinery)."""
-    payload = np.fromiter(ordered, _POOL_DTYPE, len(ordered)).tobytes()
+    payload = np.fromiter(ordered, _RECORD_DTYPE, len(ordered)).tobytes()
 
     pager = Pager(page_size)
     meta_id = pager.allocate()
@@ -104,7 +103,7 @@ def _recover_pool_snapshot(
             f"{path}: pool snapshot payload is short "
             f"({len(data)} of {payload_bytes} bytes)"
         )
-    records = np.frombuffer(data, dtype=_POOL_DTYPE)
+    records = np.frombuffer(data, dtype=_RECORD_DTYPE)
     if len(records) != n_tuples:
         raise CorruptPageError(
             f"{path}: pool snapshot holds {len(records)} tuples, "

@@ -153,8 +153,7 @@ class WriteAheadLog:
     def _recover_segments(self) -> None:
         """Scan, validate, and truncate a torn tail; resume the LSN.
 
-        The only place the log ever *handles* torn/corrupt state (the
-        RJI010 corruption-discipline rule keys on this function name);
+        The only place the log ever *handles* torn/corrupt state;
         everywhere else the typed errors propagate.
         """
         paths = self._segment_paths()

@@ -7,8 +7,6 @@ This tree is linted only by the rule tests (the runner skips any
 import threading
 import time
 
-from repro.core.concurrent import ReadWriteLock
-
 
 class RacyCounter:
     """Majority-guarded field read outside the lock + annotation break."""
@@ -31,26 +29,6 @@ class RacyCounter:
 
     def note(self, item):
         self._log.append(item)  # annotated guarded-by, lock not held
-
-
-class SharedTable:
-    """A write slips in under the read side of the rwlock."""
-
-    def __init__(self):
-        self._rw = ReadWriteLock()
-        self._rows = {}
-
-    def add(self, key, value):
-        with self._rw.writing():
-            self._rows[key] = value
-
-    def get(self, key):
-        with self._rw.reading():
-            return self._rows.get(key)
-
-    def sneaky(self, key, value):
-        with self._rw.reading():
-            self._rows[key] = value  # write under a read lock -> RJI011
 
 
 class SlowRecorder:

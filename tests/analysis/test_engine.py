@@ -1,7 +1,6 @@
 """Engine behavior: suppressions, scoping, registry, context detection."""
 
 import subprocess
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +27,7 @@ class TestSuppressions:
 
     def test_suppression_is_rule_specific(self):
         source = (
-            "from ..storage.diskindex import X  # rjilint: disable=RJI002\n"
+            "from ..storage.diskindex import X  # rjilint: disable=RJI003\n"
             "__all__ = []\n"
         )
         assert {f.rule for f in lint_source(source, CORE)} == {"RJI001"}
@@ -92,15 +91,12 @@ class TestRegistry:
         ids = [rule.id for rule in all_rules()]
         assert ids == [
             "RJI001",
-            "RJI002",
             "RJI003",
             "RJI004",
             "RJI005",
             "RJI006",
             "RJI007",
             "RJI008",
-            "RJI009",
-            "RJI010",
             "RJI011",
             "RJI012",
             "RJI013",
@@ -114,7 +110,7 @@ class TestRegistry:
     def test_select_and_ignore(self):
         assert [r.id for r in select_rules(["RJI004"], None)] == ["RJI004"]
         remaining = [r.id for r in select_rules(None, ["RJI004"])]
-        assert "RJI004" not in remaining and len(remaining) == 12
+        assert "RJI004" not in remaining and len(remaining) == 9
         with pytest.raises(KeyError):
             select_rules(["RJI999"], None)
         assert get_rule("RJI001").name == "layering"
@@ -156,6 +152,19 @@ class TestChangedFiles:
         (tmp_path / "new.py").write_text("B = 1\n")
         (tmp_path / "b.txt").write_text("still not python\n")
         assert changed_files(tmp_path) == ["a.py", "new.py"]
+
+    def test_findings_cache_follows_the_rule_code(self, tmp_path, monkeypatch):
+        from repro.analysis import runner
+
+        target = tmp_path / "src" / "repro" / "core" / "bad.py"
+        target.parent.mkdir(parents=True)
+        target.write_text("import random\n__all__ = []\n")
+        assert [f.rule for f in lint_paths([target], root=tmp_path)] == ["RJI003"]
+        # Edit the rule: it stops firing, and rjilint's sources change.
+        rule = type(get_rule("RJI003"))
+        monkeypatch.setattr(rule, "check", lambda self, ctx: iter(()))
+        monkeypatch.setattr(runner, "tool_digest", lambda: "edited")
+        assert lint_paths([target], root=tmp_path) == []
 
     def test_lint_paths_on_files(self, tmp_path):
         target = tmp_path / "src" / "repro" / "core" / "bad.py"

@@ -39,15 +39,14 @@ class TestExtraction:
     def test_lock_kinds(self):
         summary = _summary(
             "import threading\n"
-            "from .concurrent import ReadWriteLock\n"
             "class C:\n"
             "    def __init__(self):\n"
             "        self._a = threading.Lock()\n"
             "        self._b = threading.RLock()\n"
-            "        self._c = ReadWriteLock()\n"
+            "        self._c = threading.Condition()\n"
         )
         cls = summary.classes["C"]
-        assert cls.lock_attrs == {"_a": "lock", "_b": "rlock", "_c": "rwlock"}
+        assert cls.lock_attrs == {"_a": "lock", "_b": "rlock", "_c": "condition"}
 
     def test_with_region_marks_accesses_held(self):
         summary = _summary(
@@ -65,49 +64,28 @@ class TestExtraction:
         cls = summary.classes["C"]
         inside = [a for a in cls.methods["inside"].accesses if a.attr == "_x"]
         outside = [a for a in cls.methods["outside"].accesses if a.attr == "_x"]
-        assert inside and inside[0].held == (("_lock", "exclusive"),)
+        assert inside and inside[0].held == ("_lock",)
         assert inside[0].is_write
         assert outside and outside[0].held == ()
 
-    def test_rwlock_guard_modes(self):
-        summary = _summary(
-            "from .concurrent import ReadWriteLock\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._rw = ReadWriteLock()\n"
-            "        self._x = 0\n"
-            "    def reader(self):\n"
-            "        with self._rw.reading():\n"
-            "            return self._x\n"
-            "    def writer(self):\n"
-            "        with self._rw.writing():\n"
-            "            self._x = 1\n"
-        )
-        cls = summary.classes["C"]
-        read = cls.methods["reader"].accesses[0]
-        write = cls.methods["writer"].accesses[0]
-        assert read.held == (("_rw", "read"),)
-        assert write.held == (("_rw", "write"),)
-
     def test_try_finally_release_forms_held_region(self):
         summary = _summary(
-            "from .concurrent import ReadWriteLock\n"
+            "import threading\n"
             "class C:\n"
             "    def __init__(self):\n"
-            "        self._rw = ReadWriteLock()\n"
+            "        self._lock = threading.Lock()\n"
             "        self._x = 0\n"
             "    def get(self):\n"
-            "        self._rw.acquire_read()\n"
+            "        self._lock.acquire()\n"
             "        try:\n"
             "            return self._x\n"
             "        finally:\n"
-            "            self._rw.release_read()\n"
+            "            self._lock.release()\n"
         )
-        access = [
-            a for a in summary.classes["C"].methods["get"].accesses
-            if a.attr == "_x"
-        ][0]
-        assert access.held == (("_rw", "read"),)
+        method = summary.classes["C"].methods["get"]
+        access = [a for a in method.accesses if a.attr == "_x"][0]
+        assert access.held == ("_lock",)
+        assert [a.attr for a in method.acquires] == ["_lock"]
 
     def test_guarded_by_annotation(self):
         summary = _summary(

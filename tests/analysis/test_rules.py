@@ -59,44 +59,6 @@ class TestLayeringRJI001:
         assert "RJI001" not in rule_ids(source, path)
 
 
-class TestFloatEqualityRJI002:
-    def test_fires_on_score_equality(self):
-        source = "__all__ = []\nok = a.score == b.score\n"
-        assert "RJI002" in rule_ids(source)
-
-    def test_fires_on_angle_inequality(self):
-        source = "__all__ = []\nchanged = angle != previous_angle\n"
-        assert "RJI002" in rule_ids(source)
-
-    def test_fires_on_separating_point(self):
-        source = "__all__ = []\nhit = separating_angle(a, b, c, d) == lo\n"
-        assert "RJI002" in rule_ids(source)
-
-    def test_silent_on_isclose(self):
-        source = (
-            "import math\n"
-            "__all__ = []\n"
-            "ok = math.isclose(a.score, b.score, rel_tol=1e-12)\n"
-        )
-        assert "RJI002" not in rule_ids(source)
-
-    def test_silent_on_ordering_comparisons(self):
-        source = "__all__ = []\nbetter = a.score > b.score\n"
-        assert "RJI002" not in rule_ids(source)
-
-    def test_silent_on_string_mode_guard(self):
-        source = "__all__ = []\nis_angle = mode == 'angle'\n"
-        assert "RJI002" not in rule_ids(source)
-
-    def test_silent_on_count_variables(self):
-        source = "__all__ = []\nempty = n_angles == 0\n"
-        assert "RJI002" not in rule_ids(source)
-
-    def test_silent_in_tests(self):
-        source = "assert result.score == 10.0\n"
-        assert "RJI002" not in rule_ids(source, TESTS)
-
-
 class TestUnseededRandomnessRJI003:
     def test_fires_on_unseeded_default_rng(self):
         source = "import numpy as np\n__all__ = []\nrng = np.random.default_rng()\n"
@@ -491,187 +453,3 @@ class TestIOCounterDisciplineRJI008:
             "    assert pool.reads == 1\n"
         )
         assert "RJI008" not in rule_ids(source, "tests/storage/test_snippet.py")
-
-
-class TestMetricNameRegistryRJI009:
-    def test_fires_on_typoed_counter_name(self):
-        source = (
-            "__all__ = ['query']\n"
-            "def query(recorder):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    recorder.count('rji.querys')\n"
-        )
-        assert "RJI009" in rule_ids(source)
-
-    def test_fires_on_every_verb(self):
-        for verb in ("count", "observe", "timer", "span"):
-            args = "'no.such.metric'"
-            if verb in ("count", "observe"):
-                args += ", 1"
-            source = (
-                "__all__ = ['go']\n"
-                "def go(self):\n"
-                "    \"\"\"Doc.\"\"\"\n"
-                f"    self.recorder.{verb}({args})\n"
-            )
-            assert "RJI009" in rule_ids(source), verb
-
-    def test_silent_on_registered_names(self):
-        source = (
-            "__all__ = ['query']\n"
-            "def query(recorder):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    recorder.count('rji.queries')\n"
-            "    recorder.observe('rji.descent_steps', 3)\n"
-            "    with recorder.span('build.separating'):\n"
-            "        pass\n"
-        )
-        assert "RJI009" not in rule_ids(source)
-
-    def test_silent_on_dynamic_prefix_extensions(self):
-        source = (
-            "__all__ = ['run']\n"
-            "def run(recorder):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    with recorder.span('sql.op.window'):\n"
-            "        recorder.observe('sql.op.window.rows', 5)\n"
-        )
-        assert "RJI009" not in rule_ids(source, SQL)
-
-    def test_silent_on_non_literal_names(self):
-        source = (
-            "__all__ = ['forward']\n"
-            "def forward(self, name, value):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    self._recorder.observe(name, value)\n"
-        )
-        assert "RJI009" not in rule_ids(source)
-
-    def test_silent_on_non_recorder_objects(self):
-        source = (
-            "__all__ = ['tally']\n"
-            "def tally(words):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    return words.count('made.up.name')\n"
-        )
-        assert "RJI009" not in rule_ids(source)
-
-    def test_silent_in_tests(self):
-        source = "def test_x(recorder):\n    recorder.count('made.up')\n"
-        assert "RJI009" not in rule_ids(source, TESTS)
-
-    def test_silent_with_disable_comment(self):
-        source = (
-            "__all__ = ['query']\n"
-            "def query(recorder):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    recorder.count('made.up')  # rjilint: disable=RJI009\n"
-        )
-        assert "RJI009" not in rule_ids(source)
-
-
-class TestCorruptionHandlingRJI010:
-    STORAGE = "src/repro/storage/snippet.py"
-
-    def _swallow(self, error="CorruptPageError"):
-        return (
-            "__all__ = ['read']\n"
-            f"from ..errors import {error}\n"
-            "def read(pager, page_id):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    try:\n"
-            "        return pager.read(page_id)\n"
-            f"    except {error}:\n"
-            "        return None\n"
-        )
-
-    def test_fires_on_swallowed_corrupt_page_error(self):
-        assert "RJI010" in rule_ids(self._swallow(), self.STORAGE)
-
-    def test_fires_on_swallowed_torn_write_error(self):
-        assert "RJI010" in rule_ids(
-            self._swallow("TornWriteError"), self.STORAGE
-        )
-
-    def test_fires_on_tuple_and_dotted_forms(self):
-        tuple_form = (
-            "__all__ = ['read']\n"
-            "from ..errors import CorruptPageError, TornWriteError\n"
-            "def read(pager, page_id):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    try:\n"
-            "        return pager.read(page_id)\n"
-            "    except (ValueError, CorruptPageError):\n"
-            "        return None\n"
-        )
-        assert "RJI010" in rule_ids(tuple_form, self.STORAGE)
-        dotted = (
-            "__all__ = ['read']\n"
-            "import repro.errors\n"
-            "def read(pager, page_id):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    try:\n"
-            "        return pager.read(page_id)\n"
-            "    except repro.errors.TornWriteError:\n"
-            "        return None\n"
-        )
-        assert "RJI010" in rule_ids(dotted, self.STORAGE)
-
-    def test_silent_when_the_handler_reraises(self):
-        source = (
-            "__all__ = ['read']\n"
-            "from ..errors import CorruptPageError\n"
-            "def read(pager, page_id):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    try:\n"
-            "        return pager.read(page_id)\n"
-            "    except CorruptPageError as exc:\n"
-            "        pager.mark_bad(page_id)\n"
-            "        raise CorruptPageError(str(exc)) from exc\n"
-        )
-        assert "RJI010" not in rule_ids(source, self.STORAGE)
-
-    def test_silent_inside_recovery_functions(self):
-        source = (
-            "__all__ = ['verify']\n"
-            "from ..errors import CorruptPageError\n"
-            "def verify(pager):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    bad = []\n"
-            "    for page_id in range(pager.n_pages):\n"
-            "        try:\n"
-            "            pager.read(page_id)\n"
-            "        except CorruptPageError:\n"
-            "            bad.append(page_id)\n"
-            "    return bad\n"
-        )
-        assert "RJI010" not in rule_ids(source, self.STORAGE)
-
-    def test_silent_outside_the_storage_package(self):
-        assert "RJI010" not in rule_ids(self._swallow(), CORE)
-        assert "RJI010" not in rule_ids(self._swallow(), TESTS)
-
-    def test_silent_on_unrelated_exceptions(self):
-        source = (
-            "__all__ = ['read']\n"
-            "def read(pager, page_id):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    try:\n"
-            "        return pager.read(page_id)\n"
-            "    except KeyError:\n"
-            "        return None\n"
-        )
-        assert "RJI010" not in rule_ids(source, self.STORAGE)
-
-    def test_silent_with_disable_comment(self):
-        source = (
-            "__all__ = ['read']\n"
-            "from ..errors import CorruptPageError\n"
-            "def read(pager, page_id):\n"
-            "    \"\"\"Doc.\"\"\"\n"
-            "    try:\n"
-            "        return pager.read(page_id)\n"
-            "    except CorruptPageError:  # rjilint: disable=RJI010\n"
-            "        return None\n"
-        )
-        assert "RJI010" not in rule_ids(source, self.STORAGE)

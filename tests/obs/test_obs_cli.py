@@ -205,6 +205,74 @@ class TestLintNames:
         assert "rji.querys" in out
         assert "names.py" in out
 
+    def test_fires_on_every_verb(self, tmp_path, capsys):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "recorder.count('no.such.count', 1)\n"
+            "recorder.observe('no.such.observe', 1)\n"
+            "recorder.timer('no.such.timer')\n"
+            "recorder.span('no.such.span')\n"
+        )
+        assert main(["lint-names", str(path)]) == 1
+        out = capsys.readouterr().out
+        for verb in ("count", "observe", "timer", "span"):
+            assert f"'no.such.{verb}' in recorder.{verb}(...)" in out
+        assert "4 unregistered" in out
+
+    def test_fires_on_typoed_counter_name(self, tmp_path, capsys):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "def query(recorder):\n"
+            "    \"\"\"Doc.\"\"\"\n"
+            "    recorder.count('rji.querys')\n"
+        )
+        assert main(["lint-names", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}:3:4: unregistered metric name 'rji.querys'" in out
+        assert "1 unregistered" in out
+
+    def test_silent_on_registered_names(self, tmp_path, capsys):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "def query(recorder):\n"
+            "    \"\"\"Doc.\"\"\"\n"
+            "    recorder.count('rji.queries')\n"
+            "    recorder.observe('rji.descent_steps', 3)\n"
+            "    with recorder.span('build.separating'):\n"
+            "        pass\n"
+        )
+        assert main(["lint-names", str(path)]) == 0
+        assert "checked 3 literal metric call sites: 0 unregistered" in (
+            capsys.readouterr().out
+        )
+
+    def test_silent_on_non_recorder_objects(self, tmp_path, capsys):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "def tally(words):\n"
+            "    \"\"\"Doc.\"\"\"\n"
+            "    return words.count('made.up.name')\n"
+        )
+        assert main(["lint-names", str(path)]) == 0
+        assert "checked 0 literal metric call sites" in capsys.readouterr().out
+
+    def test_silent_on_dynamic_prefix_extensions(self, tmp_path, capsys):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "with recorder.span('sql.op.window'):\n"
+            "    recorder.observe('sql.op.window.rows', 5)\n"
+        )
+        assert main(["lint-names", str(path)]) == 0
+        assert "checked 2 literal metric call sites: 0 unregistered" in (
+            capsys.readouterr().out
+        )
+
+    def test_silent_on_non_literal_names(self, tmp_path, capsys):
+        path = tmp_path / "mod.py"
+        path.write_text("self._recorder.observe(name, value)\n")
+        assert main(["lint-names", str(path)]) == 0
+        assert "checked 0 literal metric call sites" in capsys.readouterr().out
+
     def test_directory_scan(self, tmp_path, capsys):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "a.py").write_text(
