@@ -3,7 +3,7 @@
 The RJI's construction bound K must be fixed before queries arrive.
 This example simulates an observed workload of top-k requests, runs the
 advisor over candidate bounds, builds the recommended index, verifies it
-with the self-check module, and demonstrates what the advisor protected
+with the index verifier, and demonstrates what the advisor protected
 against (a bound too small rejects deep queries; a bound too large pays
 space for nothing).
 
@@ -14,9 +14,9 @@ Run with::
 
 import numpy as np
 
-from repro import RankedJoinIndex, RankTupleSet
-from repro.storage import advise_k
-from repro.core.verify import verify_index
+from repro import RankedJoinIndex
+from repro.bench.advisor import advise_k
+from repro.bench.verify import verify_index
 from repro.datagen import uniform_pairs
 from repro.errors import QueryError
 from repro.storage import DiskRankedJoinIndex

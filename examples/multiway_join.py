@@ -14,7 +14,7 @@ Run with::
 
 import numpy as np
 
-from repro.core.multidim import (
+from repro.baselines.multidim import (
     LayeredTopKIndex,
     topk_multiway_join_candidates,
 )

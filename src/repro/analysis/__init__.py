@@ -6,7 +6,7 @@ of engine concerns, deterministic seeded randomness in everything that
 produces published numbers, frozen paper constants, and the ``k <= K``
 bound every query path must check (Lemma 2).  This package is a small
 pluggable AST linter enforcing them at review time, complementing the
-runtime oracle in :mod:`repro.core.verify`.
+runtime oracle in :mod:`repro.bench.verify`.
 
 Since v2 the tool is whole-program: :mod:`repro.analysis.model` parses
 the full ``src/repro`` tree once into a content-hash-cached

@@ -30,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "tests"],
-        help="files or directories to lint (default: src tests)",
+        default=["src", "tests", "examples"],
+        help="files or directories to lint (default: src tests examples, as CI)",
     )
     parser.add_argument(
         "--changed",

@@ -6,7 +6,7 @@ when the handler demonstrably *handles* the failure: it re-raises, or it
 uses the bound exception object (logging, reporting, wrapping), or the
 line carries an explicit ``# noqa`` annotation acknowledging the broad
 catch.  Anything else silently discards errors that the verification
-layer (``repro.core.verify``) exists to surface.
+layer (``repro.bench.verify``) exists to surface.
 
 Bad::
 

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.hull import convex_hull_indices
 from ..core.index import QueryResult
 from ..core.scoring import Preference
 from ..core.tuples import RankTupleSet
 from ..errors import ConstructionError, QueryError
+from .hull import convex_hull_indices
 
 __all__ = ["OnionIndex", "OnionQueryStats", "convex_hull_indices"]
 

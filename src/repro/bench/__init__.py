@@ -1,10 +1,12 @@
 """repro.bench — the reproducible benchmark harness.
 
-Seeded workloads from :mod:`repro.core.workloads` over datasets from
-:mod:`repro.datagen`, measured through :mod:`repro.obs`, reported as
-``BENCH_<name>.json``.  The CI smoke job runs
+Seeded workloads from :mod:`repro.datagen.preferences` over datasets
+from :mod:`repro.datagen`, measured through :mod:`repro.obs`, reported
+as ``BENCH_<name>.json``.  The CI smoke job runs
 ``python -m repro.bench --smoke``; the JSON schema is documented in
-``docs/OBSERVABILITY.md``.
+``docs/OBSERVABILITY.md``.  Beside it sit the offline tools that build
+and probe indices: the K advisor (:mod:`.advisor`) and the index
+verifier (:mod:`.verify`).
 """
 
 from .chaos import load_plan, run_chaos_benchmark

@@ -23,7 +23,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from ..core.index import RankedJoinIndex
-from ..core.workloads import random_preferences
+from ..datagen.preferences import random_preferences
 from ..faults import FaultPlan, arm, builtin_plan
 from ..obs import MetricsRecorder
 from ..storage.diskindex import DiskRankedJoinIndex

@@ -37,8 +37,8 @@ import numpy as np
 
 from ..core.index import RankedJoinIndex
 from ..core.tuples import RankTuple
-from ..core.workloads import random_preferences
 from ..core.writepath import TRIGGERS
+from ..datagen.preferences import random_preferences
 from ..obs import MetricsRecorder
 from ..storage.durable import DurableRankedJoinIndex
 from .runner import BenchConfig, _make_tuples, _percentiles

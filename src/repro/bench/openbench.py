@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.index import RankedJoinIndex
-from ..core.workloads import random_preferences
+from ..datagen.preferences import random_preferences
 from ..obs import MetricsRecorder
 from ..storage.diskindex import DiskRankedJoinIndex
 from .runner import (

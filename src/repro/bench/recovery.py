@@ -32,7 +32,7 @@ import numpy as np
 
 from ..core.index import RankedJoinIndex
 from ..core.tuples import RankTuple
-from ..core.workloads import random_preferences
+from ..datagen.preferences import random_preferences
 from ..errors import TransientStorageError
 from ..faults import FaultPlan, arm, builtin_plan
 from ..storage.diskindex import DiskRankedJoinIndex

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.index import RankedJoinIndex
-from ..core.workloads import random_preferences
+from ..datagen.preferences import random_preferences
 from ..datagen.synthetic import (
     correlated_pairs,
     gaussian_pairs,

@@ -45,7 +45,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from ..core.index import RankedJoinIndex
-from ..core.workloads import random_preferences
+from ..datagen.preferences import random_preferences
 from ..errors import (
     QueryTimeoutError,
     ReproError,

@@ -231,7 +231,7 @@ def _index_query(args) -> None:
 
 def _advise(args) -> None:
     from .relalg import rank_join_candidates, read_csv
-    from .storage.advisor import advise_k
+    from .bench.advisor import advise_k
 
     requested = [int(k) for k in args.ks.split(",") if k.strip()]
     left = read_csv(args.left)

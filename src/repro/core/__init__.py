@@ -17,17 +17,8 @@ from .deadline import Deadline
 from .delta import DeltaStore, SupportsWal
 from .dominance import dominating_set, dominating_set_naive
 from .index import BuildStats, QueryResult, RankedJoinIndex
-from .inspect import describe_index, region_churn
 from .merging import merge_adaptive, merge_every
-from .robust import robust_topk_candidates
-from .verify import VerificationReport, verify_index
 from .writepath import WritableRankedJoinIndex
-from .multidim import (
-    LayeredTopKIndex,
-    NDTupleSet,
-    nd_dominating_set,
-    topk_multiway_join_candidates,
-)
 from .pruning import (
     decode_rid_pair,
     encode_rid_pair,
@@ -43,9 +34,7 @@ __all__ = [
     "Deadline",
     "DeltaStore",
     "SupportsWal",
-    "LayeredTopKIndex",
     "LinearScorer",
-    "NDTupleSet",
     "Preference",
     "QueryResult",
     "RankTuple",
@@ -53,21 +42,14 @@ __all__ = [
     "RankedJoinIndex",
     "Region",
     "SweepStats",
-    "VerificationReport",
     "decode_rid_pair",
-    "describe_index",
-    "region_churn",
     "dominating_set",
     "dominating_set_naive",
     "encode_rid_pair",
     "full_join_pairs",
     "merge_adaptive",
     "merge_every",
-    "nd_dominating_set",
-    "robust_topk_candidates",
     "sweep_regions",
     "topk_join_candidates",
-    "verify_index",
     "WritableRankedJoinIndex",
-    "topk_multiway_join_candidates",
 ]

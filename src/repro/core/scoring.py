@@ -95,7 +95,7 @@ def as_preference(value: PreferenceLike) -> Preference:
 
     The one shared coercion of every query entry point
     (:meth:`repro.core.index.RankedJoinIndex.query`, ``query_batch``,
-    :func:`repro.core.robust.robust_topk_candidates`, the disk index,
+    :func:`repro.baselines.robust.robust_topk_candidates`, the disk index,
     and the relational bindings).  Accepted forms:
 
     * a :class:`Preference` — returned unchanged;

@@ -17,9 +17,7 @@ from .web import (
     real_xml_pairs,
     real_xml_relations,
 )
-# From the implementation's real home, not the deprecated
-# ``.workloads`` shim, so ``import repro.datagen`` stays warning-free.
-from ..core.workloads import grid_preferences, random_preferences
+from .preferences import grid_preferences, random_preferences
 
 __all__ = [
     "PAPER_TABLE1",

@@ -30,8 +30,8 @@ from ..baselines.onion import OnionIndex
 from ..core.index import RankedJoinIndex
 from ..core.dominance import dominating_set
 from ..core.sweep import sweep_regions
+from ..datagen.preferences import random_preferences
 from ..datagen.synthetic import correlated_pairs, random_keyed_relations
-from ..core.workloads import random_preferences
 from ..relalg.joins import rank_join_candidates, rank_join_full
 from ..storage.diskindex import DiskRankedJoinIndex
 from .datasets import make_pairs

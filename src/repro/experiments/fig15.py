@@ -23,7 +23,7 @@ import time
 
 from ..core.dominance import dominating_set
 from ..core.index import RankedJoinIndex
-from ..core.workloads import random_preferences
+from ..datagen.preferences import random_preferences
 from ..rtree.disk import DiskRTree, max_entries_for_page
 from ..rtree.rtree import RTree
 from ..rtree.topk import topk_best_first, topk_paper

@@ -18,8 +18,8 @@ from ..baselines.fullscan import FullScanTopK
 from ..baselines.hrjn import HRJN
 from ..core.dominance import dominating_set
 from ..core.index import RankedJoinIndex
+from ..datagen.preferences import random_preferences
 from ..datagen.synthetic import pairs_as_relations
-from ..core.workloads import random_preferences
 from ..rtree.disk import DiskRTree, max_entries_for_page
 from ..rtree.rtree import RTree
 from ..rtree.topk import topk_best_first, topk_paper

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ContextManager, Mapping, Sequence
+from typing import ContextManager, Mapping
 
 from .recorder import NULL_RECORDER, Recorder
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..core.deadline import Deadline, DeadlineLike
 from ..core.index import QueryResult
@@ -56,6 +56,18 @@ __all__ = ["Client"]
 #: gives up: covers serialization and scheduling so deadline expiry is
 #: (almost always) reported by the *server's* typed QueryTimeoutError.
 _DEADLINE_SLACK_S = 1.0
+
+
+def _field(response: dict, key: str, kind: type) -> Any:
+    """``response[key]`` if it is a ``kind``, else the transport failed.
+
+    A ``bool`` never passes, not even for ``int``: no op answers one in
+    a checked field, and ``True`` is no ``k_effective``.
+    """
+    value = response.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ServerConnectionError(f"malformed {key} payload: {value!r}")
+    return value
 
 
 class Client:
@@ -289,12 +301,10 @@ class Client:
             "k": k,
         }
         response = self._request(request, Deadline.of(deadline))
-        raw = response.get("batches")
-        if not isinstance(raw, list):
-            raise ServerConnectionError(
-                f"malformed batches payload: {raw!r}"
-            )
-        return [decode_results(results) for results in raw]
+        return [
+            decode_results(results)
+            for results in _field(response, "batches", list)
+        ]
 
     def explain(self, preference: PreferenceLike, k: int) -> dict:
         """The server's query-explain record plus its decoded results."""
@@ -303,13 +313,8 @@ class Client:
             {"op": "explain", "preference": self._wire(preference), "k": k},
             None,
         )
-        explain = response.get("explain")
-        if not isinstance(explain, dict):
-            raise ServerConnectionError(
-                f"malformed explain payload: {explain!r}"
-            )
         return {
-            **explain,
+            **_field(response, "explain", dict),
             "results": decode_results(response.get("results")),
         }
 
@@ -348,22 +353,11 @@ class Client:
         response = self._request(
             {"op": "delete", "tid": int(tid)}, Deadline.of(deadline)
         )
-        k_effective = response.get("k_effective")
-        if isinstance(k_effective, bool) or not isinstance(k_effective, int):
-            raise ServerConnectionError(
-                f"malformed k_effective payload: {k_effective!r}"
-            )
-        return k_effective
+        return _field(response, "k_effective", int)
 
     def health(self) -> dict:
         """The server's health snapshot (bound, queue, counters)."""
-        response = self._request({"op": "health"}, None)
-        health = response.get("health")
-        if not isinstance(health, dict):
-            raise ServerConnectionError(
-                f"malformed health payload: {health!r}"
-            )
-        return health
+        return _field(self._request({"op": "health"}, None), "health", dict)
 
     def stats(self) -> dict:
         """Rolling-window telemetry: p50/p99/qps/shed-rate, lately.
@@ -374,20 +368,8 @@ class Client:
         paths (an old server answers with
         :class:`~repro.errors.InvalidQueryError`: unknown op).
         """
-        response = self._request({"op": "stats"}, None)
-        stats = response.get("stats")
-        if not isinstance(stats, dict):
-            raise ServerConnectionError(
-                f"malformed stats payload: {stats!r}"
-            )
-        return stats
+        return _field(self._request({"op": "stats"}, None), "stats", dict)
 
     def dump(self) -> dict:
         """The server's flight-recorder dump (the ``dump`` admin op)."""
-        response = self._request({"op": "dump"}, None)
-        flight = response.get("flight")
-        if not isinstance(flight, dict):
-            raise ServerConnectionError(
-                f"malformed flight payload: {flight!r}"
-            )
-        return flight
+        return _field(self._request({"op": "dump"}, None), "flight", dict)

@@ -8,12 +8,13 @@ way for both sides of every comparison.
 The layer is self-verifying: the pager file format carries per-page
 CRC32 checksums plus a whole-file digest, saves are atomic, and
 :meth:`DiskRankedJoinIndex.verify` / :meth:`~DiskRankedJoinIndex.repair`
-detect and salvage damage.  :class:`ResilientDiskRankedJoinIndex` adds
-the serving-side failure discipline (retry, circuit breaker, degraded
-mode); see ``docs/RELIABILITY.md``.
+detect and salvage damage.  :mod:`repro.storage.resilient` adds the
+serving-side failure discipline (retry, circuit breaker, degraded mode)
+that ``repro serve`` wraps every served image in; it is imported by its
+module path, so a process serving an in-memory or durable index never
+loads it (see ``docs/RELIABILITY.md``).
 """
 
-from .advisor import AdvisorReport, CandidateReport, advise_k
 from .btree import BPlusTree, BTreeSearchStats
 from .buffer import BufferPool
 from .diskindex import (
@@ -28,27 +29,17 @@ from .heap import HeapFile
 from .wal import WAL_RECORD_SIZE, RecoveryReport, WalRecord, WriteAheadLog
 from .pager import FORMAT_VERSION, IOCounters, Pager
 from .pages import DEFAULT_PAGE_SIZE, Page
-from .resilient import (
-    CircuitBreaker,
-    HealthSnapshot,
-    ResilientDiskRankedJoinIndex,
-    RetryPolicy,
-)
 
 __all__ = [
-    "AdvisorReport",
     "BPlusTree",
     "BTreeSearchStats",
     "BufferPool",
-    "CandidateReport",
-    "CircuitBreaker",
     "DEFAULT_PAGE_SIZE",
     "DiskIndexStats",
     "DiskQueryStats",
     "DiskRankedJoinIndex",
     "DurableRankedJoinIndex",
     "FORMAT_VERSION",
-    "HealthSnapshot",
     "HeapFile",
     "IOCounters",
     "IndexVerifyReport",
@@ -56,10 +47,7 @@ __all__ = [
     "Pager",
     "RecoveryReport",
     "RepairReport",
-    "ResilientDiskRankedJoinIndex",
-    "RetryPolicy",
     "WAL_RECORD_SIZE",
     "WalRecord",
     "WriteAheadLog",
-    "advise_k",
 ]

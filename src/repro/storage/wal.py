@@ -11,6 +11,9 @@ contract follows from that ordering:
 * a crash mid-append can only tear the *tail* of the newest segment —
   recovery verifies every record's CRC and LSN in sequence and
   truncates a torn tail (the unacknowledged writes are cleanly absent);
+* a crash while the next segment is created can leave it shorter than
+  its header — nothing can follow a header never written, so recovery
+  re-creates that newest segment;
 * a bad record *before* valid ones, or any damage in a sealed segment,
   is not a torn write but bit rot: recovery raises a typed
   :class:`~repro.errors.CorruptPageError` rather than guessing.
@@ -157,9 +160,7 @@ class WriteAheadLog:
         everywhere else the typed errors propagate.
         """
         paths = self._segment_paths()
-        if not paths:
-            self._open_segment(1)
-            return
+        torn = None
         prev_lsn = 0
         for position, path in enumerate(paths):
             last = position == len(paths) - 1
@@ -167,11 +168,30 @@ class WriteAheadLog:
                 raw = path.read_bytes()
             except OSError as exc:
                 raise StorageError(f"cannot read WAL segment {path}: {exc}") from exc
+            if last and len(raw) < _SEG_HEADER_SIZE:
+                # A crash between creating the newest segment and making
+                # its header durable: nothing can follow a header never
+                # written, so this is a torn tail of the log, not damage.
+                torn = path
+                break
             prev_lsn = self._recover_one(path, raw, prev_lsn, last=last)
         self._last_lsn = prev_lsn
-        # Re-open the newest (now clean) segment for appending.
-        self._handle = open(paths[-1], "ab")
-        self._current_seq = int(paths[-1].stem.split("-")[1])
+        if torn is not None:
+            try:
+                torn.unlink()
+            except OSError as exc:
+                raise StorageError(
+                    f"cannot remove WAL segment {torn}: {exc}"
+                ) from exc
+            self._torn_tails += 1
+            self._recorder.count("wal.torn_tails")
+            self._open_segment(int(torn.stem.split("-")[1]))
+        elif not paths:
+            self._open_segment(1)
+        else:
+            # Re-open the newest (now clean) segment for appending.
+            self._handle = open(paths[-1], "ab")
+            self._current_seq = int(paths[-1].stem.split("-")[1])
 
     def _recover_one(
         self, path: Path, raw: bytes, prev_lsn: int, *, last: bool
@@ -403,7 +423,7 @@ class WriteAheadLog:
 
     @property
     def torn_tails(self) -> int:
-        """Torn tails truncated by the open-time recovery scan."""
+        """Torn tails (and torn newest segments) the open-time scan repaired."""
         return self._torn_tails
 
     @property

@@ -5,7 +5,7 @@ import subprocess
 from pathlib import Path
 
 from repro.analysis import lint_paths, render_json, render_text
-from repro.analysis.cli import main
+from repro.analysis.cli import build_parser, main
 from repro.analysis.registry import Finding
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -86,6 +86,9 @@ class TestCli:
         target.write_text("X = 1\n")
         assert main(["--no-cache", str(target)]) == 0
         assert "clean" in capsys.readouterr().out
+
+    def test_default_paths_are_the_ci_gate(self):
+        assert build_parser().parse_args([]).paths == ["src", "tests", "examples"]
 
 
 def _git(*args, cwd):

@@ -8,7 +8,7 @@ import pytest
 from repro.core.index import RankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTupleSet
-from repro.core.workloads import random_preferences
+from repro.datagen.preferences import random_preferences
 
 
 @pytest.fixture

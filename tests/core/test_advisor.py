@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage.advisor import advise_k
+from repro.bench.advisor import advise_k
 from repro.core.tuples import RankTupleSet
 from repro.errors import ConstructionError
 

@@ -1,10 +1,9 @@
-"""Tests for the batch-query API and index introspection."""
+"""Tests for the batch-query API and the region structure it reads."""
 
 import numpy as np
 import pytest
 
 from repro.core.index import RankedJoinIndex
-from repro.core.inspect import describe_index, region_churn
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTupleSet
 from repro.errors import InvalidQueryError, QueryError
@@ -59,27 +58,19 @@ class TestQueryBatch:
         assert batch[1] == index.query(prefs[1], 3)
 
 
+def _churn(index):
+    """Symmetric-difference size between each pair of adjacent regions."""
+    regions = index.regions
+    return [len(set(a.tids) ^ set(b.tids)) for a, b in zip(regions, regions[1:])]
+
+
 class TestInspect:
     def test_churn_is_two_for_unmerged(self):
-        index = _index()
-        churn = region_churn(index)
+        # Lemma 4: adjacent unmerged regions differ by one exchange.
+        churn = _churn(_index())
         assert churn and all(c == 2 for c in churn)
 
     def test_churn_larger_for_merged(self):
         index = _index(merge_slack=5)
         if index.n_regions > 1:
-            assert max(region_churn(index)) > 2
-
-    def test_describe_contains_key_facts(self):
-        index = _index()
-        report = describe_index(index)
-        assert f"K={index.k_bound}" in report
-        assert f"regions             : {index.n_regions}" in report
-        assert "dominating set" in report
-        assert "build time" in report
-
-    def test_describe_single_region_index(self):
-        ts = RankTupleSet.from_pairs([1.0, 2.0], [2.0, 1.0])
-        index = RankedJoinIndex.build(ts, 5)
-        report = describe_index(index)
-        assert "regions             : 1" in report
+            assert max(_churn(index)) > 2

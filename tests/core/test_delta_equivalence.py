@@ -20,7 +20,7 @@ from repro.core.delta import DeltaStore, SupportsWal
 from repro.core.index import RankedJoinIndex
 from repro.core.scoring import as_preference
 from repro.core.tuples import RankTuple, RankTupleSet
-from repro.core.workloads import random_preferences
+from repro.datagen.preferences import random_preferences
 from repro.errors import InvalidQueryError, MaintenanceError
 
 WORKLOADS = ["uniform", "grid", "anticorrelated"]

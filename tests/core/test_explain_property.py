@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.index import RankedJoinIndex
 from repro.core.scoring import Preference
-from repro.core.workloads import random_preferences
+from repro.datagen.preferences import random_preferences
 from repro.datagen.synthetic import correlated_pairs, uniform_pairs
 from repro.errors import InvalidQueryError
 from repro.obs import MetricsRecorder, render_explain

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.multidim import (
+from repro.baselines.multidim import (
     LayeredTopKIndex,
     NDTupleSet,
     nd_dominating_set,

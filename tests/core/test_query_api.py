@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines.robust import robust_topk_candidates
 from repro.core.index import RankedJoinIndex
-from repro.core.robust import robust_topk_candidates
 from repro.core.scoring import Preference, as_preference
 from repro.core.tuples import RankTupleSet
 from repro.errors import (

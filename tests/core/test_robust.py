@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines.robust import robust_topk_candidates
 from repro.core.geometry import HALF_PI, separating_angle
 from repro.core.index import RankedJoinIndex
-from repro.core.robust import robust_topk_candidates
 from repro.core.tuples import RankTupleSet
 from repro.errors import QueryError
 

@@ -2,10 +2,10 @@
 
 import numpy as np
 
+from repro.bench.verify import verify_index
 from repro.core.index import RankedJoinIndex
 from repro.core.sweep import Region
 from repro.core.tuples import RankTupleSet
-from repro.core.verify import verify_index
 
 
 def _index(n=200, k=6, seed=0):

@@ -19,13 +19,13 @@ from repro.core.delta import SupportsWal
 from repro.core.index import RankedJoinIndex
 from repro.core.scoring import as_preference
 from repro.core.tuples import RankTuple, RankTupleSet
-from repro.core.workloads import random_preferences
 from repro.core.writepath import (
     TRIGGERS,
     MemoryLog,
     WritableRankedJoinIndex,
     as_pool,
 )
+from repro.datagen.preferences import random_preferences
 from repro.errors import ConstructionError, MaintenanceError
 from repro.obs import MetricsRecorder
 from repro.obs.names import COUNTERS

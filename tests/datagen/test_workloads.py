@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.workloads import grid_preferences, random_preferences
+from repro.datagen.preferences import grid_preferences, random_preferences
 from repro.errors import ConstructionError
 
 

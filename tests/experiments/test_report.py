@@ -1,7 +1,5 @@
 """Tests for the EXPERIMENTS.md report generator."""
 
-from pathlib import Path
-
 from repro.experiments.report import (
     EXPERIMENT_ENTRIES,
     generate_report,

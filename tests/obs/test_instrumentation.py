@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTupleSet
-from repro.core.workloads import random_preferences
+from repro.datagen.preferences import random_preferences
 from repro.obs import MetricsRecorder
 from repro.sql import SQLDatabase
 from repro.storage.diskindex import DiskRankedJoinIndex

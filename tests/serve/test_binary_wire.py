@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTuple, RankTupleSet
-from repro.core.workloads import random_preferences
+from repro.datagen.preferences import random_preferences
 from repro.obs import (
     NULL_RECORDER,
     ContextRecorder,

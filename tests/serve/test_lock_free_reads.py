@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core.tuples import RankTuple, RankTupleSet
-from repro.core.workloads import random_preferences
 from repro.core.writepath import WritableRankedJoinIndex
+from repro.datagen.preferences import random_preferences
 from repro.serve import Client, QueryServer
 from repro.storage.durable import DurableRankedJoinIndex
 

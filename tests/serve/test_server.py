@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTuple, RankTupleSet
-from repro.core.workloads import random_preferences
+from repro.datagen.preferences import random_preferences
 from repro.errors import (
     InvalidQueryError,
     QueryTimeoutError,
@@ -612,3 +612,29 @@ class TestLifecycle:
             for _ in range(3):  # first call may still see buffered data
                 client.query(0.5, 3)
         client.close()
+
+
+@pytest.mark.parametrize(
+    "call,response",
+    [
+        (lambda c: c.query_batch([(1.0, 1.0)], 1), {"batches": {"a": 1}}),
+        (lambda c: c.explain((1.0, 1.0), 1), {"explain": []}),
+        (lambda c: c.delete(3), {"k_effective": "5"}),
+        (lambda c: c.delete(3), {"k_effective": True}),  # a bool is no int
+        (lambda c: c.health(), {"health": None}),
+        (lambda c: c.stats(), {"stats": [1]}),
+        (lambda c: c.dump(), {}),
+    ],
+    ids=[
+        "query_batch", "explain", "delete", "delete-bool", "health",
+        "stats", "dump",
+    ],
+)
+def test_malformed_payload_is_a_transport_failure(monkeypatch, call, response):
+    client = Client("127.0.0.1", 9)  # connects lazily: never here
+    client._k_bound = 5
+    monkeypatch.setattr(
+        client, "_request", lambda request, deadline: {"ok": True, **response}
+    )
+    with pytest.raises(ServerConnectionError, match="malformed .* payload"):
+        call(client)

@@ -11,8 +11,8 @@ import pytest
 
 from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTuple, RankTupleSet
-from repro.core.workloads import random_preferences
 from repro.core.writepath import WritableRankedJoinIndex
+from repro.datagen.preferences import random_preferences
 from repro.errors import InvalidQueryError, MaintenanceError
 from repro.serve import WRITE_OPS, Client, QueryServer
 from repro.serve.protocol import decode_request

@@ -24,9 +24,10 @@ import pytest
 from repro.core.delta import DeltaStore
 from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTuple
-from repro.core.workloads import random_preferences
+from repro.datagen.preferences import random_preferences
 from repro.errors import (
     ConstructionError,
+    CorruptPageError,
     InvalidQueryError,
     MaintenanceError,
     TransientStorageError,
@@ -449,6 +450,72 @@ class TestCrashContract:
             handle.write(b"\x42" * (WAL_RECORD_SIZE - 5))
 
         _assert_recovers_to(tmp_path, pool, mmap=mmap, torn_tails=1)
+
+    @pytest.mark.parametrize("front_door", ["durable", "disk"])
+    @pytest.mark.parametrize("size", [0, 3, 17])
+    def test_torn_segment_creation(self, tmp_path, size, front_door):
+        # A kill between creating the next segment and making its
+        # 18-byte header durable leaves it empty or short.  Nothing was
+        # ever appended to it, so recovery re-creates it and answers
+        # every acknowledged write from the segment before it.
+        index = DurableRankedJoinIndex.create(tmp_path, _tuples(), 12, fsync=False)
+        pool = {t.tid: t for t in _tuples()}
+        angles = np.linspace(0.1, 1.4, 6)
+        inserted = [
+            RankTuple(5000 + i, 2.0 + math.cos(a), 2.0 + math.sin(a))
+            for i, a in enumerate(angles)
+        ]
+        for t in inserted:
+            index.insert(t)
+            pool[t.tid] = t
+        deleted = sorted(pool)[:2]
+        for tid in deleted:
+            index.delete(tid)
+            del pool[tid]
+        index.close()
+        segments = sorted((tmp_path / "wal").glob("wal-*.seg"))
+        seq = int(segments[-1].stem.split("-")[1]) + 1
+        torn = tmp_path / "wal" / f"wal-{seq:08d}.seg"
+        torn.write_bytes(segments[-1].read_bytes()[:size])
+
+        if front_door == "durable":
+            recovered = DurableRankedJoinIndex.recover(tmp_path, fsync=False)
+            assert {t.tid: t for t in recovered.live_tuples()} == pool
+        else:
+            recovered = DiskRankedJoinIndex.recover(
+                tmp_path / "base.rji", tmp_path / "wal"
+            )
+            assert recovered.last_recovery.replayed == len(inserted) + len(deleted)
+        assert recovered.last_recovery.torn_tails == 1
+        for t, angle in zip(inserted, angles):
+            top = recovered.query((math.cos(angle), math.sin(angle)), 1)
+            assert [r.tid for r in top] == [t.tid]
+        for preference in random_preferences(15, seed=21):
+            assert not set(deleted) & {
+                r.tid for r in recovered.query(preference, 6)
+            }
+        _assert_matches_rebuild(recovered, pool, 12, 6)
+        if front_door == "durable":
+            recovered.close()
+        # The segment was re-created with a whole header: reopening the
+        # log finds nothing torn.
+        wal = WriteAheadLog(tmp_path / "wal")
+        assert wal.torn_tails == 0
+        wal.close()
+
+    @pytest.mark.parametrize(
+        "name,content",
+        [
+            ("wal-00000000.seg", b"RJI"),  # short, but sealed
+            ("wal-00000009.seg", b"\x00" * 18),  # newest, full length
+        ],
+    )
+    def test_other_bad_headers_stay_corrupt(self, tmp_path, name, content):
+        index = DurableRankedJoinIndex.create(tmp_path, _tuples(), 12, fsync=False)
+        index.close()
+        (tmp_path / "wal" / name).write_bytes(content)
+        with pytest.raises(CorruptPageError, match="corrupt header"):
+            DurableRankedJoinIndex.recover(tmp_path, fsync=False)
 
     def test_crash_between_checkpoint_and_swap_then_write(self, tmp_path):
         # Crash at boundary 3 (snapshot durable, prune pending), then

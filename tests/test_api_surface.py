@@ -21,24 +21,22 @@ PACKAGES = [
     "repro.core.dominance",
     "repro.core.geometry",
     "repro.core.index",
-    "repro.core.inspect",
     "repro.core.merging",
-    "repro.core.multidim",
     "repro.core.pruning",
     "repro.core.scoring",
     "repro.core.sweep",
     "repro.core.tuples",
-    "repro.core.workloads",
     "repro.core.writepath",
     "repro.storage",
-    "repro.storage.advisor",
     "repro.rtree",
     "repro.relalg",
     "repro.relalg.stats",
     "repro.relalg.topk",
     "repro.sql",
     "repro.baselines",
+    "repro.baselines.multidim",
     "repro.datagen",
+    "repro.datagen.preferences",
     "repro.experiments",
     "repro.experiments.construct_rji",
     "repro.cli",
@@ -46,6 +44,7 @@ PACKAGES = [
     "repro.faults",
     "repro.obs",
     "repro.bench",
+    "repro.bench.advisor",
     "repro.bench.chaos",
     "repro.bench.serve",
     "repro.core.deadline",

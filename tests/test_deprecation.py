@@ -7,7 +7,10 @@ Two halves:
   deprecation release and are now *retired* — importing them must fail
   loudly, and the real modules must carry the objects; so are the
   writable index's old constructor modules (``repro.core.managed``,
-  ``repro.core.concurrent``), retired into ``repro.core.writepath``;
+  ``repro.core.concurrent``), retired into ``repro.core.writepath``,
+  and the modules no serving path calls, which left ``repro.core`` and
+  ``repro.storage`` for ``repro.baselines``, ``repro.datagen`` and
+  ``repro.bench`` (``repro.core.inspect`` was deleted outright);
 * the serving wrappers' legacy ``timeout=`` query keyword served its
   one deprecation release (it warned and forwarded to ``deadline=``)
   and is now *retired*: the query signatures accept only the canonical
@@ -30,10 +33,19 @@ from repro.storage.resilient import ResilientDiskRankedJoinIndex
 
 RETIRED = {
     "repro.core.single": ("repro.relalg.topk", "TopKSelectionIndex"),
-    "repro.core.advisor": ("repro.storage.advisor", "advise_k"),
-    "repro.datagen.workloads": ("repro.core.workloads", "random_preferences"),
+    "repro.core.advisor": ("repro.bench.advisor", "advise_k"),
+    "repro.datagen.workloads": ("repro.datagen.preferences", "random_preferences"),
     "repro.core.managed": ("repro.core.writepath", "WritableRankedJoinIndex"),
     "repro.core.concurrent": ("repro.core.writepath", "WritableRankedJoinIndex"),
+    "repro.core.multidim": ("repro.baselines.multidim", "LayeredTopKIndex"),
+    "repro.core.hull": ("repro.baselines.hull", "convex_hull_indices"),
+    "repro.core.robust": ("repro.baselines.robust", "robust_topk_candidates"),
+    "repro.core.workloads": ("repro.datagen.preferences", "grid_preferences"),
+    "repro.core.verify": ("repro.bench.verify", "verify_index"),
+    "repro.storage.advisor": ("repro.bench.advisor", "AdvisorReport"),
+    # Deleted, not moved: ``repro index-describe`` reads the disk
+    # index's own ``describe()``.
+    "repro.core.inspect": ("repro.storage.diskindex", "DiskRankedJoinIndex"),
 }
 
 
@@ -66,6 +78,30 @@ def test_core_exports_one_writable_index():
     assert "WritableRankedJoinIndex" in repro.core.__all__
     for retired in ("ManagedRankedJoinIndex", "ConcurrentRankedJoinIndex"):
         assert not hasattr(repro.core, retired)
+
+
+def test_serving_packages_no_longer_reexport_what_moved():
+    """A served index loads neither the moved modules nor the wrapper."""
+    import repro.core
+    import repro.storage
+
+    moved = {
+        repro.core: [
+            "LayeredTopKIndex", "NDTupleSet", "nd_dominating_set",
+            "topk_multiway_join_candidates", "robust_topk_candidates",
+            "verify_index", "VerificationReport", "describe_index",
+            "region_churn",
+        ],
+        repro.storage: [
+            "advise_k", "AdvisorReport", "CandidateReport",
+            "ResilientDiskRankedJoinIndex", "RetryPolicy", "CircuitBreaker",
+            "HealthSnapshot",
+        ],
+    }
+    for package, names in moved.items():
+        for name in names:
+            assert not hasattr(package, name), (package.__name__, name)
+            assert name not in package.__all__
 
 
 def test_package_imports_stay_silent():
