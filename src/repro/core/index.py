@@ -515,11 +515,6 @@ class RankedJoinIndex:
         charged entries (each hides an indexed tuple until compaction)."""
         return max(0, self.k_bound - self._delta.view().n_charged)
 
-    @property
-    def n_separating(self) -> int:
-        """Number of separating points currently materialized."""
-        return len(self._store) - 1
-
     def logical_size_bytes(self, *, tid_bytes: int = 8, key_bytes: int = 8) -> int:
         """Back-of-envelope in-memory index payload size.
 
@@ -546,14 +541,11 @@ class RankedJoinIndex:
                 )
             if left.lo >= left.hi:
                 raise ConstructionError("regions must have positive width")
+        # An unknown tuple id cannot get this far: the region store
+        # refuses it at construction.
         for region in regions:
             if len(set(region.tids)) != len(region.tids):
                 raise ConstructionError("region tuple ids must be distinct")
-            for tid in region.tids:
-                if tid not in self._position_of:
-                    raise ConstructionError(
-                        f"region references unknown tuple id {tid}"
-                    )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -52,9 +52,6 @@ class Region:
     hi: float
     tids: tuple[int, ...]
 
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class SweepStats:

@@ -261,8 +261,9 @@ class QueryServer:
         # every later one is refused typed.
         with self._queue_lock:
             self._stopping = True
-        if self._listener is not None:
-            _hang_up(self._listener)
+        if self._listener is None:
+            return  # never started: no thread, no socket
+        _hang_up(self._listener)
         # Acceptor first (no new connections after it).  Then every
         # reader is woken with SHUT_RD, which leaves it its write half:
         # one parked in recv() sees EOF, one inside the service answers

@@ -91,22 +91,8 @@ class BPlusTree:
         self.root_page_id = root_page_id
         self.height = height
         self.n_entries = n_entries
+        #: Pages written by :meth:`bulk_load` (empty on a reopened tree).
         self._page_ids: list[int] = []
-        self._n_pages_override: int | None = None
-
-    @classmethod
-    def attach(
-        cls,
-        pager: Pager,
-        root_page_id: int,
-        height: int,
-        n_entries: int,
-        n_pages: int,
-    ) -> "BPlusTree":
-        """Reattach to tree pages already present in ``pager`` (reopen path)."""
-        tree = cls(pager, root_page_id, height, n_entries)
-        tree._n_pages_override = n_pages
-        return tree
 
     # -- construction ------------------------------------------------------
 
@@ -122,10 +108,9 @@ class BPlusTree:
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise StorageError("bulk-load keys must be strictly increasing")
 
+        # Pager's 64-byte minimum page holds three entries per node.
         leaf_capacity = (pager.page_size - _HEADER - 8) // _ENTRY
         internal_capacity = (pager.page_size - _HEADER - 8) // _ENTRY
-        if leaf_capacity < 2 or internal_capacity < 2:
-            raise StorageError("page size too small for a B+-tree node")
 
         tree = cls(pager, root_page_id=-1, height=1, n_entries=len(keys))
 
@@ -221,8 +206,6 @@ class BPlusTree:
 
     @property
     def n_pages(self) -> int:
-        if self._n_pages_override is not None:
-            return self._n_pages_override
         return len(self._page_ids)
 
     def iter_entries(self, pool: BufferPool):

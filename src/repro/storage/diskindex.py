@@ -154,8 +154,6 @@ class DiskRankedJoinIndex:
         cache_size: int = 0,
         recorder: Recorder = NULL_RECORDER,
     ):
-        if index.variant not in _VARIANT_CODES:
-            raise StorageError(f"unsupported variant {index.variant!r}")
         # Serialize straight from the columnar store: one record-array
         # gather per region instead of a dict lookup + struct.pack per
         # tuple.  The record dtype matches _TUPLE_RECORD byte-for-byte.
@@ -336,8 +334,8 @@ class DiskRankedJoinIndex:
         instance._heap = HeapFile.attach(
             pager, list(range(1, 1 + heap_pages)), heap_size
         )
-        instance._btree = BPlusTree.attach(
-            pager, btree_root, btree_height, btree_entries, btree_pages
+        instance._btree = BPlusTree(
+            pager, btree_root, btree_height, btree_entries
         )
         instance.pool = BufferPool(pager, capacity=buffer_capacity)
         instance.stats = DiskIndexStats(
@@ -569,7 +567,8 @@ class DiskRankedJoinIndex:
         tombstones = 0
         entries: list[tuple[float, int]] = []
         try:
-            entries = list(self._btree.iter_entries(self.pool))
+            for entry in self._btree.iter_entries(self.pool):
+                entries.append(entry)
         except StorageError as exc:
             errors.append(f"b+-tree walk failed: {exc}")
             if isinstance(exc, CorruptPageError) and exc.page_id is not None:

@@ -103,12 +103,12 @@ def _recover_pool_snapshot(
             f"{path}: pool snapshot payload is short "
             f"({len(data)} of {payload_bytes} bytes)"
         )
-    records = np.frombuffer(data, dtype=_RECORD_DTYPE)
-    if len(records) != n_tuples:
+    if payload_bytes != n_tuples * _RECORD_DTYPE.itemsize:
         raise CorruptPageError(
-            f"{path}: pool snapshot holds {len(records)} tuples, "
-            f"metadata promises {n_tuples}"
+            f"{path}: pool snapshot holds {payload_bytes} payload bytes, "
+            f"metadata promises {n_tuples} tuples"
         )
+    records = np.frombuffer(data, dtype=_RECORD_DTYPE)
     pool = {t[0]: RankTuple(*t) for t in records.tolist()}
     return pool, checkpoint_lsn, k_bound
 

@@ -10,9 +10,7 @@ counted through the buffer pool.
 
 from __future__ import annotations
 
-import struct
-
-from ..errors import CorruptPageError, StorageError
+from ..errors import StorageError
 from .buffer import BufferPool
 from .pager import Pager
 
@@ -29,7 +27,6 @@ class HeapFile:
         self._page_ids: list[int] = []
         self._tail = bytearray()  # unflushed bytes of the tail page
         self._size = 0  # total heap bytes appended so far
-        self._consecutive: bool | None = None  # read_view precondition cache
 
     @classmethod
     def attach(
@@ -55,7 +52,7 @@ class HeapFile:
         if len(record) > 0xFFFFFFFF:
             raise StorageError("record too large")
         address = self._size
-        payload = struct.pack("<I", len(record)) + record
+        payload = len(record).to_bytes(_LEN_PREFIX, "little") + record
         self._size += len(payload)
         self._tail.extend(payload)
         page_size = self.pager.page_size
@@ -86,12 +83,7 @@ class HeapFile:
         if not 0 <= address < self._size:
             raise StorageError(f"heap address {address} out of range")
         header = self._read_span(address, _LEN_PREFIX, pool)
-        try:
-            (length,) = struct.unpack("<I", header)
-        except struct.error as exc:
-            raise CorruptPageError(
-                f"heap record header at address {address} is unreadable"
-            ) from exc
+        length = int.from_bytes(header, "little")
         return self._read_span(address + _LEN_PREFIX, length, pool)
 
     def read_view(self, address: int, pager) -> memoryview:
@@ -99,33 +91,17 @@ class HeapFile:
 
         Requires ``pager`` to expose ``view_bytes`` (a
         :class:`~repro.storage.pager.MappedPager`) and the heap's pages
-        to be consecutively allocated — which the build path guarantees
-        (heap pages are allocated back to back as ids ``base .. base +
-        n_pages - 1``) and this method checks once.  The returned
-        read-only memoryview aliases the file mapping; every page it
-        spans is CRC-verified on first touch by the pager.
+        to be consecutive ids ``base .. base + n_pages - 1``: the image
+        layout, which the reopen path attaches as pages ``1 ..
+        heap_pages``.  The returned read-only memoryview aliases the file
+        mapping; every page it spans is CRC-verified on first touch by
+        the pager.
         """
         if not 0 <= address < self._size:
             raise StorageError(f"heap address {address} out of range")
-        if not self._page_ids:
-            raise StorageError("heap has no flushed pages")
         base = self._page_ids[0]
-        if self._consecutive is None:
-            self._consecutive = self._page_ids == list(
-                range(base, base + len(self._page_ids))
-            )
-        if not self._consecutive:
-            raise StorageError(
-                "zero-copy heap reads require consecutively allocated "
-                "heap pages"
-            )
         header = pager.view_bytes(base, address, _LEN_PREFIX)
-        try:
-            (length,) = struct.unpack("<I", header)
-        except struct.error as exc:
-            raise CorruptPageError(
-                f"heap record header at address {address} is unreadable"
-            ) from exc
+        length = int.from_bytes(header, "little")
         return pager.view_bytes(base, address + _LEN_PREFIX, length)
 
     def _read_span(self, offset: int, length: int, pool: BufferPool) -> bytes:

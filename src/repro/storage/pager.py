@@ -18,9 +18,9 @@ rename.  Loads detect a single flipped bit anywhere in the file and
 raise the typed errors of the corruption taxonomy
 (:class:`~repro.errors.CorruptPageError`,
 :class:`~repro.errors.TornWriteError`) instead of serving damaged
-pages; files written by the version-1 format still load through the
-legacy path.  See ``docs/RELIABILITY.md`` for the format and the
-version-bump policy.
+pages.  Both formats (version 1 has no header CRC and no digest) and
+both opens go through one header reader.  See ``docs/RELIABILITY.md``
+for the format and the version-bump policy.
 
 Fault-injection hook: the ``faults`` attribute is ``None`` in normal
 operation; chaos runs arm a :class:`~repro.faults.FaultInjector` into
@@ -44,13 +44,19 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
 
 from ..errors import CorruptPageError, StorageError, TornWriteError
 from ..obs import NULL_RECORDER, Recorder
 from .pages import DEFAULT_PAGE_SIZE, Page
 
-__all__ = ["FORMAT_VERSION", "IOCounters", "MappedPager", "Pager", "sync_dir"]
+__all__ = [
+    "FORMAT_VERSION",
+    "IOCounters",
+    "MappedPager",
+    "Pager",
+    "atomic_write",
+    "sync_dir",
+]
 
 #: Magic of the legacy (version-1) format: header is magic + <II>.
 _MAGIC_V1 = b"RJIPAGER"
@@ -58,11 +64,13 @@ _MAGIC_V1 = b"RJIPAGER"
 _MAGIC_V2 = b"RJIPAGE2"
 #: Current persisted format version (bump policy: docs/RELIABILITY.md).
 FORMAT_VERSION = 2
+_MAGIC = struct.Struct("<8s")
+#: v1 header: magic, page_size u32, n_pages u32.
+_HEADER_V1 = struct.Struct("<8sII")
 #: v2 header: magic, version u16, page_size u32, n_pages u32,
-#: whole-file digest u32, then a CRC32 over the preceding header bytes.
+#: whole-file digest u32, then a CRC32 (``_U32``) over these bytes.
 _HEADER_V2 = struct.Struct("<8sHIII")
-_HEADER_CRC = struct.Struct("<I")
-_LEGACY_HEADER = struct.Struct("<II")
+_U32 = struct.Struct("<I")
 
 
 @dataclass
@@ -75,9 +83,6 @@ class IOCounters:
     def reset(self) -> None:
         self.reads = 0
         self.writes = 0
-
-    def snapshot(self) -> "IOCounters":
-        return IOCounters(self.reads, self.writes)
 
 
 def sync_dir(directory: Path) -> None:
@@ -95,12 +100,79 @@ def sync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _read_exact(handle: BinaryIO, n: int, path: Path, what: str) -> bytes:
-    """Read exactly ``n`` bytes or raise the typed truncation error."""
-    raw = handle.read(n)
-    if len(raw) != n:
-        raise TornWriteError(f"{path} is truncated ({what})")
-    return raw
+def atomic_write(path: Path, *chunks: bytes) -> None:
+    """Replace ``path`` with ``chunks``, atomically and durably.
+
+    The bytes go to ``<path>.tmp`` (a leftover one is overwritten),
+    which is fsynced and renamed over ``path``; then the directory is
+    fsynced.  A crash at any point leaves the old file or the new one
+    under ``path``, never a torn one.
+    """
+    tmp = path.parent / (path.name + ".tmp")
+    with tmp.open("wb") as handle:
+        handle.writelines(chunks)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    sync_dir(path.parent)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where a pager file keeps its parts, read from its header."""
+
+    page_size: int
+    n_pages: int
+    #: Whole-file digest (``None``: format 1 has none).
+    digest: int | None
+    #: Offset of page 0; the CRC block follows the last page.
+    start: int
+    #: The CRC slots present in the file, at most ``n_pages`` of them.
+    checksums: tuple[int, ...]
+
+    @property
+    def end(self) -> int:
+        return self.start + self.n_pages * (self.page_size + 4)
+
+
+def _read_layout(raw: bytes | mmap.mmap, path: Path) -> _Layout:
+    """Parse the header of the file image ``raw`` (either format).
+
+    A header cut short is a torn file (:class:`~repro.errors.
+    TornWriteError`); a header failing its CRC is
+    :class:`~repro.errors.CorruptPageError`; a wrong magic or an
+    unsupported version is :class:`~repro.errors.StorageError`.
+    """
+    try:
+        (magic,) = _MAGIC.unpack_from(raw)
+        if magic == _MAGIC_V1:
+            _, page_size, n_pages = _HEADER_V1.unpack_from(raw)
+            digest, start = None, _HEADER_V1.size
+        elif magic == _MAGIC_V2:
+            _, version, page_size, n_pages, digest = (
+                _HEADER_V2.unpack_from(raw)
+            )
+            (crc,) = _U32.unpack_from(raw, _HEADER_V2.size)
+            start = _HEADER_V2.size + _U32.size
+            if zlib.crc32(raw[: _HEADER_V2.size]) != crc:
+                raise CorruptPageError(
+                    f"{path}: header checksum mismatch (corrupt header)"
+                )
+            if version != FORMAT_VERSION:
+                raise StorageError(
+                    f"{path}: unsupported pager format version {version} "
+                    f"(this build reads versions 1 and {FORMAT_VERSION})"
+                )
+        else:
+            raise StorageError(f"{path} is not a pager file")
+        block = start + n_pages * page_size
+        n_slots = min(n_pages, max(0, len(raw) - block) // 4)
+        checksums = struct.unpack(
+            f"<{n_slots}I", raw[block : block + 4 * n_slots]
+        )
+    except struct.error as exc:
+        raise TornWriteError(f"{path} is truncated (header)") from exc
+    return _Layout(page_size, n_pages, digest, start, checksums)
 
 
 class Pager:
@@ -129,9 +201,6 @@ class Pager:
         self.counters = IOCounters()
         self.recorder = recorder
 
-    def __len__(self) -> int:
-        return len(self._pages)
-
     @property
     def n_pages(self) -> int:
         return len(self._pages)
@@ -156,6 +225,15 @@ class Pager:
         salvage load already marked damaged).
         """
         self._check_id(page_id)
+        image = self._verify(page_id, self._pages[page_id])
+        return Page(self.page_size, image)
+
+    def _verify(
+        self, page_id: int, image: bytes | memoryview
+    ) -> bytes | memoryview:
+        """Count one physical read of ``image`` and check it against the
+        page's CRC; returns the image as read (an armed fault hook may
+        replace it)."""
         self.counters.reads += 1
         if self.recorder.enabled:
             self.recorder.count("pager.reads", 1, {"page": page_id})
@@ -164,14 +242,13 @@ class Pager:
                 f"page {page_id} was marked corrupt by a salvage load",
                 page_id=page_id,
             )
-        image = self._pages[page_id]
         if self.faults is not None:
-            image = self.faults.on_pager_read(page_id, image)
+            image = self.faults.on_pager_read(page_id, bytes(image))
         if zlib.crc32(image) != self._checksums[page_id]:
             raise CorruptPageError(
                 f"checksum mismatch on page {page_id}", page_id=page_id
             )
-        return Page(self.page_size, image)
+        return image
 
     def write(self, page_id: int, page: Page) -> None:
         """Write a page image back (counted as one physical write)."""
@@ -202,24 +279,21 @@ class Pager:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Persist the paged file atomically (temp file + fsync + rename
-        + fsync of the parent directory).
+        """Persist the paged file through :func:`atomic_write`.
 
         Layout (format version 2): checked header, page images, then the
         per-page CRC32 block.  The header's whole-file digest covers the
         images and the CRC block, so corruption of *any* persisted byte
-        is detected on load.  The rename is atomic on POSIX: a crash
-        mid-save leaves the previous file intact, never a torn one; the
-        directory fsync makes the new entry durable before ``save``
-        returns.
+        is detected on load.  A crash mid-save leaves the previous file
+        intact, never a torn one, and the new file is durable before
+        ``save`` returns.
         """
-        path = Path(path)
+        checksum_block = struct.pack(
+            f"<{len(self._checksums)}I", *self._checksums
+        )
         digest = 0
         for image in self._pages:
             digest = zlib.crc32(image, digest)
-        checksum_block = b"".join(
-            struct.pack("<I", checksum) for checksum in self._checksums
-        )
         digest = zlib.crc32(checksum_block, digest)
         header = _HEADER_V2.pack(
             _MAGIC_V2,
@@ -228,21 +302,18 @@ class Pager:
             len(self._pages),
             digest,
         )
-        tmp = path.parent / (path.name + ".tmp")
-        with tmp.open("wb") as handle:
-            handle.write(header)
-            handle.write(_HEADER_CRC.pack(zlib.crc32(header)))
-            for image in self._pages:
-                handle.write(image)
-            handle.write(checksum_block)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        sync_dir(path.parent)
+        atomic_write(
+            Path(path),
+            header,
+            _U32.pack(zlib.crc32(header)),
+            *self._pages,
+            checksum_block,
+        )
 
     @classmethod
     def load(cls, path: str | Path, *, salvage: bool = False) -> "Pager":
-        """Reopen a paged file; every persisted byte is verified.
+        """Reopen a paged file (either format); every persisted byte is
+        verified.
 
         Truncation raises :class:`~repro.errors.TornWriteError`; any
         checksum or digest failure raises
@@ -251,132 +322,47 @@ class Pager:
         *recorded* instead of raised — damaged ids land in
         :attr:`corrupt_pages` (reading one still raises) so the
         recovery API (:meth:`DiskRankedJoinIndex.repair`) can keep the
-        intact pages.  Files written by format version 1 load through
-        the legacy path.
+        intact pages.  A page cut off the end of the file is padded with
+        zeros and marked, and so is a page whose CRC slot is missing.
         """
         path = Path(path)
-        with path.open("rb") as handle:
-            magic = _read_exact(handle, 8, path, "magic")
-            if magic == _MAGIC_V1:
-                return cls._load_v1(handle, path, salvage=salvage)
-            if magic != _MAGIC_V2:
-                raise StorageError(f"{path} is not a pager file")
-            header_rest = _read_exact(
-                handle, _HEADER_V2.size - 8, path, "header"
+        raw = path.read_bytes()
+        layout = _read_layout(raw, path)
+        if len(raw) < layout.end and not salvage:
+            raise TornWriteError(
+                f"{path} is truncated "
+                f"(expected {layout.end} bytes, found {len(raw)})"
             )
-            header = magic + header_rest
-            try:
-                (stored_crc,) = _HEADER_CRC.unpack(
-                    _read_exact(handle, _HEADER_CRC.size, path, "header crc")
-                )
-            except struct.error as exc:
-                raise TornWriteError(
-                    f"{path} is truncated (header crc)"
-                ) from exc
-            if zlib.crc32(header) != stored_crc:
-                raise CorruptPageError(
-                    f"{path}: header checksum mismatch (corrupt header)"
-                )
-            try:
-                _, version, page_size, n_pages, digest = _HEADER_V2.unpack(
-                    header
-                )
-            except struct.error as exc:
-                raise TornWriteError(f"{path} is truncated (header)") from exc
-            if version != FORMAT_VERSION:
-                raise StorageError(
-                    f"{path}: unsupported pager format version {version} "
-                    f"(this build reads versions 1 and {FORMAT_VERSION})"
-                )
-            pager = cls(page_size)
-            running = 0
-            for page_id in range(n_pages):
-                image = handle.read(page_size)
-                if len(image) != page_size:
-                    if not salvage:
-                        raise TornWriteError(
-                            f"{path} is truncated (page {page_id})"
-                        )
-                    image = bytes(page_size)
-                    pager.corrupt_pages.add(page_id)
-                running = zlib.crc32(image, running)
-                pager._pages.append(image)
-            checksum_block = handle.read(4 * n_pages)
-            if len(checksum_block) != 4 * n_pages and not salvage:
-                raise TornWriteError(f"{path} is truncated (checksums)")
-            running = zlib.crc32(checksum_block, running)
-            for page_id in range(n_pages):
-                slot = checksum_block[4 * page_id : 4 * page_id + 4]
-                if len(slot) != 4:
-                    # Salvage with a truncated checksum block: trust the
-                    # image (the digest mismatch below still records the
-                    # file as damaged overall).
-                    checksum = zlib.crc32(pager._pages[page_id])
-                else:
-                    try:
-                        (checksum,) = struct.unpack("<I", slot)
-                    except struct.error as exc:
-                        raise TornWriteError(
-                            f"{path} is truncated (checksums)"
-                        ) from exc
-                if zlib.crc32(pager._pages[page_id]) != checksum:
-                    if not salvage:
-                        raise CorruptPageError(
-                            f"{path}: checksum mismatch on page {page_id}",
-                            page_id=page_id,
-                        )
-                    pager.corrupt_pages.add(page_id)
-                pager._checksums.append(checksum)
-            if running != digest:
-                if not salvage:
-                    raise CorruptPageError(
-                        f"{path}: whole-file digest mismatch "
-                        "(corruption outside any single page)"
-                    )
-                pager.digest_ok = False
-        return pager
-
-    @classmethod
-    def _load_v1(
-        cls, handle: BinaryIO, path: Path, *, salvage: bool
-    ) -> "Pager":
-        """The legacy read path: magic + ``<II`` header, pages, CRCs."""
-        raw = _read_exact(handle, _LEGACY_HEADER.size, path, "header")
-        try:
-            page_size, n_pages = _LEGACY_HEADER.unpack(raw)
-        except struct.error as exc:
-            raise TornWriteError(f"{path} is truncated (header)") from exc
-        pager = cls(page_size)
-        for page_id in range(n_pages):
-            image = handle.read(page_size)
-            if len(image) != page_size:
-                if not salvage:
-                    raise TornWriteError(
-                        f"{path} is truncated (page {page_id})"
-                    )
-                image = bytes(page_size)
-                pager.corrupt_pages.add(page_id)
-            pager._pages.append(image)
-        for page_id in range(n_pages):
-            raw = handle.read(4)
-            if len(raw) != 4:
-                if not salvage:
-                    raise TornWriteError(f"{path} is truncated (checksums)")
-                raw = b"\0\0\0\0"
-            try:
-                (checksum,) = struct.unpack("<I", raw)
-            except struct.error as exc:
-                raise TornWriteError(
-                    f"{path} is truncated (checksums)"
-                ) from exc
-            if zlib.crc32(pager._pages[page_id]) != checksum:
+        size, checksums = layout.page_size, layout.checksums
+        pager = cls(size)
+        for page_id in range(layout.n_pages):
+            offset = layout.start + page_id * size
+            image = raw[offset : offset + size]
+            # A CRC slot is present only if every image is whole.
+            intact = (
+                page_id < len(checksums)
+                and zlib.crc32(image) == checksums[page_id]
+            )
+            if not intact:
                 if not salvage:
                     raise CorruptPageError(
                         f"{path}: checksum mismatch on page {page_id}",
                         page_id=page_id,
                     )
                 pager.corrupt_pages.add(page_id)
-            pager._checksums.append(checksum)
+                image = image.ljust(size, b"\0")
+            pager._pages.append(image)
+        pager._checksums = list(checksums)
+        pager._checksums += [0] * (layout.n_pages - len(checksums))
+        if layout.digest is not None and layout.digest != zlib.crc32(
+            memoryview(raw)[layout.start : layout.end]
+        ):
+            if not salvage:
+                raise CorruptPageError(
+                    f"{path}: whole-file digest mismatch "
+                    "(corruption outside any single page)"
+                )
+            pager.digest_ok = False
         return pager
 
 
@@ -400,9 +386,9 @@ class MappedPager(Pager):
     Re-touching a verified page is a memory hit and counts nothing.
 
     The mapping is immutable: :meth:`write` and :meth:`allocate` raise
-    :class:`~repro.errors.StorageError`.  Salvage stays on the eager
-    :meth:`Pager.load` path (salvage wants every page checked up
-    front), as do format-1 files.
+    :class:`~repro.errors.StorageError`.  It is never salvaged:
+    salvage stays on the eager :meth:`Pager.load` path (salvage wants
+    every page checked up front), as do format-1 files.
     """
 
     def __init__(
@@ -425,62 +411,42 @@ class MappedPager(Pager):
     ) -> "MappedPager":
         """Memory-map a format-2 pager file without deserializing it.
 
-        Header validation (and only header validation) happens here;
-        page checksums are verified lazily on first touch.  Raises the
-        same typed errors as :meth:`Pager.load` for header damage and
-        truncation, and :class:`~repro.errors.StorageError` for format-1
-        files, which predate the per-page lazy-verification layout.
+        The header is read by the same reader as :meth:`Pager.load`, so
+        header damage and truncation raise the same typed errors; any
+        file length other than the header's geometry implies is torn.
+        Page checksums are verified lazily on first touch.  A format-1
+        file has the same page images and CRC block and lacks only the
+        header CRC and the digest; it is still refused with
+        :class:`~repro.errors.StorageError` — open it without mmap, or
+        re-save it to upgrade.
         """
         path = Path(path)
-        header_bytes = _HEADER_V2.size + _HEADER_CRC.size
         with path.open("rb") as handle:
             try:
                 mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
             except ValueError as exc:  # zero-length file cannot be mapped
                 raise TornWriteError(f"{path} is truncated (magic)") from exc
         try:
-            if len(mm) < header_bytes:
-                raise TornWriteError(f"{path} is truncated (header)")
-            header = mm[: _HEADER_V2.size]
-            magic = header[:8]
-            if magic == _MAGIC_V1:
+            layout = _read_layout(mm, path)
+            if layout.digest is None:
                 raise StorageError(
                     f"{path} uses pager format version 1, which cannot be "
                     "memory-mapped; open it without mmap (Pager.load) or "
                     "re-save it to upgrade"
                 )
-            if magic != _MAGIC_V2:
-                raise StorageError(f"{path} is not a pager file")
-            (stored_crc,) = _HEADER_CRC.unpack(
-                mm[_HEADER_V2.size : header_bytes]
-            )
-            if zlib.crc32(header) != stored_crc:
-                raise CorruptPageError(
-                    f"{path}: header checksum mismatch (corrupt header)"
-                )
-            _, version, page_size, n_pages, digest = _HEADER_V2.unpack(header)
-            if version != FORMAT_VERSION:
-                raise StorageError(
-                    f"{path}: unsupported pager format version {version} "
-                    f"(this build reads versions 1 and {FORMAT_VERSION})"
-                )
-            expected = header_bytes + n_pages * page_size + 4 * n_pages
-            if len(mm) != expected:
+            if len(mm) != layout.end:
                 raise TornWriteError(
                     f"{path} is truncated "
-                    f"(expected {expected} bytes, found {len(mm)})"
+                    f"(expected {layout.end} bytes, found {len(mm)})"
                 )
-            pager = cls(page_size, recorder=recorder)
-            checksum_start = header_bytes + n_pages * page_size
-            pager._checksums = list(
-                struct.unpack(f"<{n_pages}I", mm[checksum_start:expected])
-            )
+            pager = cls(layout.page_size, recorder=recorder)
+            pager._checksums = list(layout.checksums)
             # Placeholders keep the base class's geometry (page-id range
             # checks, total_bytes) working; images are served from the
             # mapping, never from this list.
-            pager._pages = [b""] * n_pages
-            pager._digest = digest
-            pager._data_start = header_bytes
+            pager._pages = [b""] * layout.n_pages
+            pager._digest = layout.digest
+            pager._data_start = layout.start
             pager._mm = mm
             pager._mm_view = memoryview(mm)
         except BaseException:
@@ -502,27 +468,11 @@ class MappedPager(Pager):
         like the eager pager's read.
         """
         self._check_id(page_id)
-        if page_id in self.corrupt_pages:
-            raise CorruptPageError(
-                f"page {page_id} was marked corrupt by a salvage load",
-                page_id=page_id,
-            )
         if self.faults is None and page_id in self._verified:
             return
         assert self._mm_view is not None
         start = self._data_start + page_id * self.page_size
-        image: bytes | memoryview = self._mm_view[
-            start : start + self.page_size
-        ]
-        self.counters.reads += 1
-        if self.recorder.enabled:
-            self.recorder.count("pager.reads", 1, {"page": page_id})
-        if self.faults is not None:
-            image = self.faults.on_pager_read(page_id, bytes(image))
-        if zlib.crc32(image) != self._checksums[page_id]:
-            raise CorruptPageError(
-                f"checksum mismatch on page {page_id}", page_id=page_id
-            )
+        self._verify(page_id, self._mm_view[start : start + self.page_size])
         self._verified.add(page_id)
 
     def read(self, page_id: int) -> Page:
@@ -538,18 +488,15 @@ class MappedPager(Pager):
     def view_bytes(self, page_id: int, within: int, length: int) -> memoryview:
         """A read-only zero-copy view of mapped page bytes.
 
-        ``within`` is a byte offset relative to the start of
-        ``page_id`` and may extend past it: the span may cover several
+        ``within`` (non-negative, like ``length``) is a byte offset
+        relative to the start of ``page_id`` and may extend past it:
+        the span may cover several
         *consecutive* pages (the heap allocates its pages contiguously),
         and every covered page is verified first.  The returned
         memoryview aliases the mapping — writes through it are
         impossible (``ACCESS_READ``) and it remains valid until
         :meth:`close`.
         """
-        if within < 0 or length < 0:
-            raise StorageError(
-                f"invalid span: within={within}, length={length}"
-            )
         page_id += within // self.page_size
         within %= self.page_size
         last = page_id
@@ -596,31 +543,25 @@ class MappedPager(Pager):
         return self.digest_ok
 
     def save(self, path: str | Path) -> None:
-        """Materialize every mapped page, then save through the base path."""
+        """Save the mapped file byte for byte through :func:`atomic_write`:
+        a mapped pager is never written, and damage no touch has seen
+        yet stays detectable in the copy."""
         assert self._mm_view is not None
-        size = self.page_size
-        self._pages = [
-            bytes(
-                self._mm_view[
-                    self._data_start + pid * size : self._data_start
-                    + (pid + 1) * size
-                ]
-            )
-            for pid in range(len(self._pages))
-        ]
-        super().save(path)
+        atomic_write(Path(path), self._mm_view)
 
     def close(self) -> None:
-        """Release the mapping (best-effort: exported views keep it alive)."""
+        """Release the mapping (best-effort: exported views keep it alive).
+
+        Views are handed out as slices of the pager's own memoryview, so
+        releasing that view always succeeds; the map itself stays open
+        while a slice is alive, and a later ``close`` retries it.
+        """
         if self._mm_view is not None:
-            try:
-                self._mm_view.release()
-            except BufferError:
-                return  # a handed-out view still aliases the map
+            self._mm_view.release()
             self._mm_view = None
         if self._mm is not None:
             try:
                 self._mm.close()
-            except BufferError:  # pragma: no cover - exported view
-                return
+            except BufferError:
+                return  # a handed-out view still aliases the map
             self._mm = None

@@ -51,14 +51,20 @@ class Page:
     # Each accessor bounds-checks first and converts any residual
     # ``struct.error`` (a write value out of range for its field width)
     # into the typed taxonomy, so no raw struct error can cross the
-    # storage boundary (rjilint rule RJI013).
+    # storage boundary (rjilint rule RJI013).  The reads stay one call
+    # each: the disk tier's B+-tree descent calls ``read_f64`` per key.
+
+    def _pack(self, fmt: str, offset: int, value: int | float) -> None:
+        self._check(offset, struct.calcsize(fmt))
+        try:
+            struct.pack_into(fmt, self.data, offset, value)
+        except struct.error as exc:
+            raise PageOverflowError(
+                f"value {value!r} does not fit field {fmt!r}"
+            ) from exc
 
     def write_u8(self, offset: int, value: int) -> None:
-        self._check(offset, 1)
-        try:
-            struct.pack_into("<B", self.data, offset, value)
-        except struct.error as exc:
-            raise PageOverflowError(f"u8 value {value!r} out of range") from exc
+        self._pack("<B", offset, value)
 
     def read_u8(self, offset: int) -> int:
         self._check(offset, 1)
@@ -68,11 +74,7 @@ class Page:
             raise PageOverflowError(f"u8 read at {offset} failed") from exc
 
     def write_u16(self, offset: int, value: int) -> None:
-        self._check(offset, 2)
-        try:
-            struct.pack_into("<H", self.data, offset, value)
-        except struct.error as exc:
-            raise PageOverflowError(f"u16 value {value!r} out of range") from exc
+        self._pack("<H", offset, value)
 
     def read_u16(self, offset: int) -> int:
         self._check(offset, 2)
@@ -82,11 +84,7 @@ class Page:
             raise PageOverflowError(f"u16 read at {offset} failed") from exc
 
     def write_u32(self, offset: int, value: int) -> None:
-        self._check(offset, 4)
-        try:
-            struct.pack_into("<I", self.data, offset, value)
-        except struct.error as exc:
-            raise PageOverflowError(f"u32 value {value!r} out of range") from exc
+        self._pack("<I", offset, value)
 
     def read_u32(self, offset: int) -> int:
         self._check(offset, 4)
@@ -96,11 +94,7 @@ class Page:
             raise PageOverflowError(f"u32 read at {offset} failed") from exc
 
     def write_i64(self, offset: int, value: int) -> None:
-        self._check(offset, 8)
-        try:
-            struct.pack_into("<q", self.data, offset, value)
-        except struct.error as exc:
-            raise PageOverflowError(f"i64 value {value!r} out of range") from exc
+        self._pack("<q", offset, value)
 
     def read_i64(self, offset: int) -> int:
         self._check(offset, 8)
@@ -110,11 +104,7 @@ class Page:
             raise PageOverflowError(f"i64 read at {offset} failed") from exc
 
     def write_f64(self, offset: int, value: float) -> None:
-        self._check(offset, 8)
-        try:
-            struct.pack_into("<d", self.data, offset, value)
-        except struct.error as exc:
-            raise PageOverflowError(f"f64 value {value!r} invalid") from exc
+        self._pack("<d", offset, value)
 
     def read_f64(self, offset: int) -> float:
         self._check(offset, 8)

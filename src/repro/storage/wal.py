@@ -11,9 +11,12 @@ contract follows from that ordering:
 * a crash mid-append can only tear the *tail* of the newest segment —
   recovery verifies every record's CRC and LSN in sequence and
   truncates a torn tail (the unacknowledged writes are cleanly absent);
-* a crash while the next segment is created can leave it shorter than
-  its header — nothing can follow a header never written, so recovery
-  re-creates that newest segment;
+* a segment is created atomically (its header is written to
+  ``wal-N.seg.tmp`` and renamed), so a crash mid-create leaves no
+  segment and a leftover ``.tmp`` that nothing reads.  A directory
+  written before creates were atomic may hold a newest segment shorter
+  than its header; nothing can follow a header never written, so
+  recovery re-creates that segment;
 * a bad record *before* valid ones, or any damage in a sealed segment,
   is not a torn write but bit rot: recovery raises a typed
   :class:`~repro.errors.CorruptPageError` rather than guessing.
@@ -42,7 +45,7 @@ from typing import Iterator
 from ..core.tuples import RankTuple
 from ..errors import CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, Recorder
-from .pager import sync_dir
+from .pager import atomic_write, sync_dir
 
 __all__ = ["RecoveryReport", "WalRecord", "WriteAheadLog", "WAL_RECORD_SIZE"]
 
@@ -257,11 +260,9 @@ class WriteAheadLog:
         path = self._segment_path(seq)
         header = _SEG_HEADER.pack(_MAGIC, _VERSION, seq)
         try:
-            with open(path, "xb") as handle:
-                handle.write(header + _CRC.pack(zlib.crc32(header)))
-                handle.flush()
-                os.fsync(handle.fileno())
-            sync_dir(self._dir)
+            if path.exists():
+                raise FileExistsError(f"{path} exists")
+            atomic_write(path, header, _CRC.pack(zlib.crc32(header)))
         except OSError as exc:
             raise StorageError(f"cannot create WAL segment {path}: {exc}") from exc
         self._handle = open(path, "ab")

@@ -62,6 +62,7 @@ class TestDominatingSet:
     def test_empty_input(self):
         empty = RankTupleSet.empty()
         assert len(dominating_set(empty, 5)) == 0
+        assert len(dominating_set_naive(empty, 5)) == 0
 
     def test_k_larger_than_n_keeps_everything(self):
         ts = _pairs([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])

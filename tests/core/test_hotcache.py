@@ -142,6 +142,17 @@ class TestQueryPathWiring:
         assert cached.cache.hits > 0
         assert cached.cache.evictions > 0  # 60 distinct > 4 slots
 
+    def test_evictions_are_counted_and_reset_io_empties_the_cache(self):
+        recorder = MetricsRecorder()
+        disk = DiskRankedJoinIndex(
+            RankedJoinIndex.build(_tuples(), 10), cache_size=1, recorder=recorder
+        )
+        disk.query((2.0, 1.0), 5)
+        disk.query((1.0, 2.0), 5)  # another region: the one slot turns over
+        assert recorder.snapshot()["counters"]["rji.cache.evictions"] == 1
+        disk.reset_io()
+        assert len(disk.cache) == 0
+
     def test_cache_disabled_by_default(self):
         index = RankedJoinIndex.build(_tuples(), 10)
         recorder = MetricsRecorder()

@@ -156,6 +156,26 @@ class TestIntrospection:
         with pytest.raises(ConstructionError):
             RankedJoinIndex(3, [], index.dominating, index.stats)
 
+    @pytest.mark.parametrize(
+        "bounds,match",
+        [
+            ([(0.1, np.pi / 2)], "start at angle 0"),
+            ([(0.0, 1.0)], "end at pi/2"),
+            ([(0.0, 0.5), (0.6, np.pi / 2)], "tile the quadrant"),
+            ([(0.0, 0.5), (0.5, 0.5), (0.5, np.pi / 2)], "positive width"),
+        ],
+        ids=["start", "end", "gap", "width"],
+    )
+    def test_check_invariants_catches_bad_regions(
+        self, uniform_set, bounds, match
+    ):
+        built = RankedJoinIndex.build(uniform_set, 3)
+        tids = built.regions[0].tids
+        regions = [Region(lo, hi, tids) for lo, hi in bounds]
+        index = RankedJoinIndex(3, regions, built.dominating, built.stats)
+        with pytest.raises(ConstructionError, match=match):
+            index.check_invariants()
+
     def test_k_effective_initially_equals_bound(self, uniform_set):
         index = RankedJoinIndex.build(uniform_set, 7)
         assert index.k_effective == 7

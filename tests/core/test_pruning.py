@@ -67,6 +67,12 @@ class TestTopKJoinCandidates:
         assert len(result) == 2
         assert sorted(result.s2) == [7.0, 9.0]
 
+    def test_no_shared_key_gives_no_candidates(self):
+        result = topk_join_candidates(
+            np.array([1]), np.array([1.0]), np.array([2]), np.array([2.0]), 3
+        )
+        assert len(result) == 0
+
     def test_partner_ties_broken_by_row_id(self):
         right_ranks = np.array([5.0, 5.0, 5.0])
         result = topk_join_candidates(

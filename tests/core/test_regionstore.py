@@ -31,6 +31,11 @@ class TestConstruction:
         packed = RegionStore.from_regions(regions, dominating)
         assert packed.to_regions() == regions
 
+    def test_regions_without_their_tuples_are_refused(self):
+        region = Region(0.0, float(np.pi / 2), (4, 2, 9))
+        with pytest.raises(ConstructionError, match="dominating set is empty"):
+            RegionStore.from_regions([region], RankTupleSet.empty())
+
     def test_single_region_materializes(self):
         region = store_region = Region(0.0, float(np.pi / 2), (4, 2, 9))
         tuples = RankTupleSet(

@@ -756,5 +756,19 @@ class TestMaintenanceEdgeCases:
         _assert_matches_rebuild(buffered, pool, 1, 1)
         buffered.check_invariants()
 
+    def test_check_invariants_catches_a_pool_out_of_step(self):
+        tuples = _tuples()
+        index = RankedJoinIndex.build(tuples, 5)
+        pool = as_pool(tuples)
+        short = dict(pool)
+        del short[int(index.dominating.tids[0])]
+        with pytest.raises(MaintenanceError, match="indexed tuple"):
+            WritableRankedJoinIndex(index, short).check_invariants()
+        writable = WritableRankedJoinIndex(index, pool)
+        writable.insert(RankTuple(10**6, 9.0, 9.0))  # ranked first
+        del pool[10**6]  # the caller broke the pool it handed over
+        with pytest.raises(MaintenanceError, match="buffered insert"):
+            writable.check_invariants()
+
     def test_delete_returns_k_effective_in_both_modes(self, managed):
         assert managed.delete(3) == managed.k_effective

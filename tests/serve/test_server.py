@@ -24,8 +24,11 @@ from repro.obs import FlightRecorder, current_trace_id
 from repro.serve import Client, QueryServer
 from repro.serve import server as server_module
 from repro.serve.protocol import (
+    FrameReader,
+    Request,
     decode_query,
     decode_query_result,
+    encode_query_result,
     read_frame,
     write_frame,
 )
@@ -94,6 +97,11 @@ class TestQueries:
         for preference in random_preferences(25, seed=5):
             assert client.query(preference, 6) == index.query(preference, 6)
 
+    def test_query_batch_with_a_deadline(self, index, client):
+        prefs = random_preferences(5, seed=4)
+        got = client.query_batch(prefs, 5, deadline=30.0)
+        assert got == index.query_batch(prefs, 5)
+
     def test_query_batch_matches_local(self, index, client):
         preferences = random_preferences(40, seed=6)
         assert client.query_batch(preferences, 6) == index.query_batch(
@@ -106,6 +114,38 @@ class TestQueries:
         assert explain["k"] == 4
         assert explain["region_id"] == local.region_id
         assert explain["results"] == list(local.results)
+
+    def test_explain_on_a_served_disk_image_is_typed(self, index):
+        # What `repro serve` serves: the disk tier has no explain.
+        from repro.storage.diskindex import DiskRankedJoinIndex
+        from repro.storage.resilient import ResilientDiskRankedJoinIndex
+
+        disk = DiskRankedJoinIndex(index, cache_size=4)
+        service = ResilientDiskRankedJoinIndex(disk)
+        with QueryServer(service, port=0) as srv:
+            with Client(*srv.address) as client:
+                assert client.query(0.5, 3) == index.query(0.5, 3)
+                with pytest.raises(InvalidQueryError, match="explain"):
+                    client.explain(0.5, 3)
+                # The resilience layer forwards the disk tier's cache.
+                assert client.stats()["cache"]["misses"] == 1
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            Request("insert", 1, tuple_=(9999, 0.5, 0.5)),
+            Request("delete", 2, tid=3),
+            Request("frobnicate", 3),
+        ],
+        ids=["insert", "delete", "unknown-op"],
+    )
+    def test_handle_request_refuses_what_the_service_lacks(
+        self, index, request_
+    ):
+        # handle_request is public and skips the wire's validation: a
+        # read-only service still refuses writes typed.
+        with pytest.raises(InvalidQueryError):
+            QueryServer(index).handle_request(request_)
 
     def test_health(self, index, client):
         health = client.health()
@@ -529,6 +569,34 @@ class TestHostileInput:
         stats = server.stats()
         assert (stats["bad_frames"], stats["requests"]) == (4, 1)
 
+    @no_thread_deaths
+    def test_a_reset_connection_ends_only_its_reader(self, server):
+        # A peer that resets mid-frame: the reader hangs up on a socket
+        # that is no longer connected, and the server keeps serving.
+        sock = socket.create_connection(server.address, timeout=5.0)
+        sock.sendall(b"\x00\x00")  # half a length prefix
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()  # RST, not FIN
+        _wait_until(lambda: server.stats()["connections"] == 1)
+        with Client(*server.address) as client:
+            assert client.query(0.5, 3)
+        assert server.stats()["bad_frames"] == 0
+
+    def test_a_failed_response_write_drops_the_connection(
+        self, server, monkeypatch
+    ):
+        def vanished(sock, payload):
+            raise ServerConnectionError("peer vanished")
+
+        monkeypatch.setattr(server_module, "write_frame", vanished)
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            write_frame(sock, {"op": "health", "id": 1})
+            assert read_frame(sock) is None  # hung up, no answer
+        monkeypatch.undo()
+        assert server.stats()["responses"] == 0
+
 
 class TestLifecycle:
     def test_close_is_idempotent(self, index):
@@ -585,6 +653,35 @@ class TestLifecycle:
         # every outcome was ok: a clean shutdown leaves no post-mortem
         assert not flight_path.exists()
 
+    def test_start_twice_is_typed(self, index):
+        with QueryServer(index, port=0) as server:
+            with pytest.raises(ServerError, match="already started"):
+                server.start()
+
+    def test_binding_a_taken_port_is_typed(self, index, server):
+        _, port = server.address
+        with pytest.raises(ServerError, match="cannot bind"):
+            QueryServer(index, host="127.0.0.1", port=port).start()
+
+    def test_unwritable_flight_path_does_not_fail_close(self, index, tmp_path):
+        flight_path = tmp_path / "no-such-dir" / "flight.json"
+        srv = QueryServer(index, port=0, flight_path=flight_path).start()
+        with Client(*srv.address) as client:
+            with pytest.raises(QueryTimeoutError):
+                client.query(0.5, 3, deadline=1e-9)  # unclean: a timeout
+        srv.close()
+        assert srv.flight.dump()["outcomes"].get("timeout") == 1
+        assert not flight_path.exists()
+        assert srv.stats()["flight_dumps"] == 0
+
+    def test_close_before_start_and_a_closed_server_refuses(self, index):
+        srv = QueryServer(index)
+        srv.close()
+        # A request read as the server stops is refused typed, not run.
+        response = srv._respond({"op": "query", "id": 7, "k": 3, "preference": 0.5})
+        assert response["ok"] is False
+        assert response["error"]["type"] == "ServerError"
+
     def test_address_requires_start(self, index):
         with pytest.raises(ServerError):
             QueryServer(index).address
@@ -638,3 +735,49 @@ def test_malformed_payload_is_a_transport_failure(monkeypatch, call, response):
     )
     with pytest.raises(ServerConnectionError, match="malformed .* payload"):
         call(client)
+
+
+def _fake_server(answer):
+    """A one-request server: reads a JSON request, sends ``answer(it)``
+    as the raw frame bytes."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        sock, _ = listener.accept()
+        with sock:
+            request = json.loads(FrameReader(sock).read_body())
+            sock.sendall(answer(request))
+            sock.recv(1)  # hold the connection until the client leaves
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+def _frame(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+@pytest.mark.parametrize(
+    "answer,match",
+    [
+        (lambda request: _frame(b"{not json"), "malformed response frame"),
+        (
+            lambda request: _frame(
+                encode_query_result(request["id"], request["trace"], [])
+            ),
+            "binary result frame answered a JSON 'health'",
+        ),
+    ],
+    ids=["not-json", "binary-for-json"],
+)
+def test_malformed_response_frame_is_a_transport_failure(answer, match):
+    listener, thread = _fake_server(answer)
+    try:
+        with Client(*listener.getsockname()) as client:
+            with pytest.raises(ServerConnectionError, match=match):
+                client.health()
+    finally:
+        listener.close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()

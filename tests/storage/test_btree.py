@@ -179,6 +179,32 @@ class TestIteration:
         tree, pool = _build(keys, list(range(120)))
         tree.check_invariants(pool)
 
+    @pytest.mark.parametrize("damage", ["count", "order", "height"])
+    def test_inconsistent_tree_is_typed(self, damage):
+        keys = [float(i) for i in range(120)]
+        tree, _ = _build(keys, list(range(120)))
+        pager = tree.pager
+        if damage == "count":
+            tree = BPlusTree(pager, tree.root_page_id, tree.height, 121)
+        elif damage == "order":  # swap the first leaf's first two keys
+            first_leaf = tree._page_ids[0]
+            page = pager.read(first_leaf)
+            a, b = page.read_f64(8), page.read_f64(24)
+            page.write_f64(8, b)
+            page.write_f64(24, a)
+            pager.write(first_leaf, page)
+        else:  # a root that is internal, read as a leaf
+            tree = BPlusTree(pager, tree.root_page_id, 1, tree.n_entries)
+        pool = BufferPool(pager, 16)
+        match = {"count": "yields", "order": "out of order"}.get(
+            damage, "bookkeeping"
+        )
+        with pytest.raises(StorageError, match=match):
+            if damage == "height":
+                tree.search_le(5.0, pool)
+            else:
+                tree.check_invariants(pool)
+
 
 class TestProperties:
     @settings(max_examples=40, deadline=None)

@@ -42,6 +42,31 @@ def saved_index(tmp_path):
     return index, disk, path
 
 
+@pytest.fixture()
+def small_pages(tmp_path):
+    # 256-byte pages: about one page per region and 15 keys per leaf,
+    # so the tree has several leaves to break.
+    rng = np.random.default_rng(7)
+    tuples = RankTupleSet.from_pairs(
+        rng.uniform(0, 100, 300), rng.uniform(0, 100, 300)
+    )
+    index = RankedJoinIndex.build(tuples, 8)
+    disk = DiskRankedJoinIndex(index, page_size=256)
+    path = tmp_path / "index.rji"
+    disk.save(path)
+    return index, disk, path
+
+
+def _edit_page(path, page_id, edit):
+    """Re-save ``path`` with ``edit`` applied to one page, through the
+    pager, so every checksum and the digest stay valid."""
+    pager = Pager.load(path)
+    page = pager.read(page_id)
+    edit(page)
+    pager.write(page_id, page)
+    pager.save(path)
+
+
 #: v2 header bytes preceding the first page image.
 _HEADER_BYTES = struct.calcsize("<8sHIII") + 4
 
@@ -75,6 +100,25 @@ class TestFlippedByte:
         FaultyFile(path).flip_byte(10)  # inside the v2 header
         with pytest.raises((CorruptPageError, StorageError)):
             DiskRankedJoinIndex.open(path)
+
+    def test_swapped_pages_fail_only_the_digest(self, saved_index):
+        """Two pages swapped together with their CRC slots pass every page
+        check; the whole-file digest, which is order-sensitive, does not."""
+        _, disk, path = saved_index
+        size, n_pages = disk.pager.page_size, disk.pager.n_pages
+        raw = bytearray(path.read_bytes())
+        pages = [_HEADER_BYTES + page_id * size for page_id in (1, 2)]
+        slots = [_HEADER_BYTES + n_pages * size + 4 * page_id for page_id in (1, 2)]
+        for starts, width in ((pages, size), (slots, 4)):
+            a, b = (bytes(raw[s : s + width]) for s in starts)
+            raw[starts[0] : starts[0] + width] = b
+            raw[starts[1] : starts[1] + width] = a
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptPageError, match="digest mismatch"):
+            Pager.load(path)
+        salvaged = Pager.load(path, salvage=True)
+        assert salvaged.corrupt_pages == set()
+        assert salvaged.digest_ok is False
 
     def test_single_bit_flip_is_detected(self, saved_index):
         _, disk, path = saved_index
@@ -115,6 +159,49 @@ class TestTruncation:
         path.write_bytes(bytes(raw))
         with pytest.raises(StorageError, match="version 99"):
             Pager.load(path)
+
+
+class TestSalvageOfACutFile:
+    """Salvage pads a page cut off the end of the file and marks it, and
+    marks a page whose CRC slot is cut off, in both formats: repair keeps
+    only pages that still checksum clean."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("cut", ["pages", "checksums"])
+    def test_cut_pages_are_padded_and_marked(
+        self, saved_index, tmp_path, version, cut
+    ):
+        _, disk, path = saved_index
+        start = _HEADER_BYTES
+        if version == 1:
+            path = tmp_path / "legacy.rji"
+            TestLegacyFormat._save_v1(None, disk.pager, path)
+            start = 16
+        size, n_pages = disk.pager.page_size, disk.pager.n_pages
+        if cut == "pages":  # page 2 is cut short; no CRC slot is left
+            keep, intact = start + 2 * size + size // 2, 0
+        else:  # three whole CRC slots and half of the fourth are left
+            keep, intact = start + n_pages * size + 4 * 3 + 2, 3
+        FaultyFile(path).truncate(keep)
+        with pytest.raises(TornWriteError, match="truncated"):
+            Pager.load(path)
+        salvaged = Pager.load(path, salvage=True)
+        assert salvaged.corrupt_pages == set(range(intact, n_pages))
+        assert salvaged.digest_ok is (version == 1)  # format 1 has none
+        for page_id in range(intact):
+            assert (
+                salvaged.read(page_id).to_bytes()
+                == disk.pager.read(page_id).to_bytes()
+            )
+        with pytest.raises(CorruptPageError, match="salvage"):
+            salvaged.read(n_pages - 1)
+        # Every page was padded to full size, and a re-save does not
+        # launder the marked pages into clean ones.
+        resaved = tmp_path / "resaved.rji"
+        salvaged.save(resaved)
+        assert resaved.stat().st_size == _HEADER_BYTES + n_pages * (size + 4)
+        with pytest.raises(CorruptPageError):
+            Pager.load(resaved)
 
 
 class TestAtomicSave:
@@ -247,6 +334,51 @@ class TestSalvageVerifyRepair:
                 float(angle), 5
             )
 
+    @pytest.mark.parametrize("damage", ["ragged", "walk"])
+    def test_damage_behind_valid_checksums(self, small_pages, damage):
+        """A region payload that is not a whole number of records, and a
+        leaf chain that breaks partway, in an image whose every checksum
+        is valid: verify reports them, repair tombstones or fences."""
+        _, disk, path = small_pages
+        if damage == "ragged":  # the first record, at heap address 0
+            _edit_page(path, 1, lambda p: p.write_u32(0, p.read_u32(0) - 1))
+        else:  # the first leaf's next pointer leaves the file
+            first_leaf = 1 + disk.stats.heap_pages
+            _edit_page(
+                path,
+                first_leaf,
+                lambda p: p.write_i64(p.size - 8, 10**6),
+            )
+        report = DiskRankedJoinIndex.open(path).verify()
+        assert not report.ok
+        assert report.digest_ok and not report.corrupt_pages
+        if damage == "ragged":
+            assert report.unreadable_keys == (0.0,)
+            assert "not a whole number of records" in report.errors[0]
+        else:
+            assert report.errors[0].startswith("b+-tree walk failed")
+            assert 0 < report.n_readable < report.n_regions
+        _, repaired = DiskRankedJoinIndex.open(path).repair()
+        assert repaired.walk_complete is (damage == "ragged")
+        assert repaired.lost_keys
+        if damage == "ragged":
+            assert repaired.lost_keys == (0.0,)
+
+    def test_mapped_verify_names_a_broken_leaf(self, small_pages):
+        _, disk, path = small_pages
+        second_leaf = 1 + disk.stats.heap_pages + 1
+        FaultyFile(path).flip_byte(
+            _HEADER_BYTES + second_leaf * disk.pager.page_size + 64
+        )
+        mapped = DiskRankedJoinIndex.open(path, mmap=True)
+        try:
+            report = mapped.verify()
+        finally:
+            mapped.pager.close()
+        assert report.corrupt_pages == (second_leaf,)
+        assert report.errors[0].startswith("b+-tree walk failed")
+        assert 0 < report.n_readable < report.n_regions
+
     def test_repair_with_nothing_salvageable_raises(self, saved_index):
         _, disk, path = saved_index
         original = path.read_bytes()
@@ -291,20 +423,6 @@ class TestRepairedImagesAnswerExactly:
     """The disk tier's cut takes each region's upper bound from the
     B+-tree descent; on a repaired image that bound may be a tombstone's
     key or the fence placed past a broken walk."""
-
-    @pytest.fixture()
-    def small_pages(self, tmp_path):
-        # 256-byte pages: about one page per region and 15 keys per
-        # leaf, so the tree has several leaves to break.
-        rng = np.random.default_rng(7)
-        tuples = RankTupleSet.from_pairs(
-            rng.uniform(0, 100, 300), rng.uniform(0, 100, 300)
-        )
-        index = RankedJoinIndex.build(tuples, 8)
-        disk = DiskRankedJoinIndex(index, page_size=256)
-        path = tmp_path / "index.rji"
-        disk.save(path)
-        return index, disk, path
 
     def _repair(self, disk, path, page_id, tmp_path):
         FaultyFile(path).flip_byte(

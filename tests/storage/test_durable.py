@@ -30,6 +30,7 @@ from repro.errors import (
     CorruptPageError,
     InvalidQueryError,
     MaintenanceError,
+    StorageError,
     TransientStorageError,
 )
 from repro.faults import arm, builtin_plan
@@ -503,6 +504,44 @@ class TestCrashContract:
         assert wal.torn_tails == 0
         wal.close()
 
+    def test_crash_between_segment_write_and_rename(self, tmp_path, monkeypatch):
+        # A segment is created as wal-N.seg.tmp and renamed into place.
+        # A kill between the two leaves the .tmp and no segment N: the
+        # write whose commit filled segment N-1 is already durable, so
+        # every write that reached its commit must recover, and the
+        # .tmp is never read and is overwritten by the next create.
+        small = 18 + 4 * WAL_RECORD_SIZE
+        index = DurableRankedJoinIndex.create(
+            tmp_path, _tuples(), 12, segment_bytes=small, fsync=False,
+            compaction_threshold=10**9,
+        )
+        pool = {t.tid: t for t in _tuples()}
+        real_replace = os.replace
+
+        class Killed(BaseException):
+            pass
+
+        def replace_(src, dst):
+            if str(src).endswith(".seg.tmp"):
+                raise Killed
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_)
+        with pytest.raises(Killed):
+            for i in range(10):
+                t = RankTuple(5000 + i, 0.1 + 0.05 * i, 0.9 - 0.05 * i)
+                pool[t.tid] = t  # durable once its commit ran
+                index.insert(t)
+        monkeypatch.setattr(os, "replace", real_replace)
+        index.close()
+        leftovers = list((tmp_path / "wal").glob("*.tmp"))
+        assert [p.name for p in leftovers] == ["wal-00000002.seg.tmp"]
+
+        _assert_recovers_to(tmp_path, pool)
+        # The durable recovery replayed, so it checkpointed and created
+        # the next segment over the leftover.
+        assert not list((tmp_path / "wal").glob("*.tmp"))
+
     @pytest.mark.parametrize(
         "name,content",
         [
@@ -540,6 +579,37 @@ class TestCrashContract:
         assert {t.tid: t for t in recovered.live_tuples()} == pool
         _assert_matches_rebuild(recovered, pool, 12, 6)
         recovered.close()
+
+
+class TestPoolSnapshotMetadata:
+    """A pool snapshot whose metadata disagrees with its pages is
+    rejected typed.  The files are re-saved through the pager, so every
+    checksum is valid and only the metadata check can catch them."""
+
+    @pytest.mark.parametrize(
+        "field,change,error,match",
+        [
+            (0, lambda magic: b"RJIPOOL9", StorageError, "not a pool snapshot"),
+            (3, lambda size: size + 10**5, CorruptPageError, "payload is short"),
+            (2, lambda n: n + 1, CorruptPageError, "metadata promises"),
+            (3, lambda size: size - 1, CorruptPageError, "metadata promises"),
+        ],
+        ids=["magic", "short", "count", "ragged"],
+    )
+    def test_bad_metadata_is_typed(self, tmp_path, field, change, error, match):
+        DurableRankedJoinIndex.create(tmp_path, _tuples(), 12, fsync=False).close()
+        path = tmp_path / "pool.rjp"
+        pager = Pager.load(path)
+        meta = pager.read(0)
+        fields = list(
+            durable._POOL_META.unpack(meta.read_bytes(0, durable._POOL_META.size))
+        )
+        fields[field] = change(fields[field])
+        meta.write_bytes(0, durable._POOL_META.pack(*fields))
+        pager.write(0, meta)
+        pager.save(path)
+        with pytest.raises(error, match=match):
+            DurableRankedJoinIndex.recover(tmp_path, fsync=False)
 
 
 class TestCheckpointCoversTheSnapshot:

@@ -130,6 +130,22 @@ class TestReadOnlySafety:
         assert bytes(view) == before
 
 
+    def test_close_with_a_live_view_is_best_effort(self, saved):
+        _, _, path = saved
+        pager = MappedPager.map(path)
+        view = pager.view_bytes(1, 0, 8)
+        before = bytes(view)
+        pager.close()  # the live view keeps the mapping open
+        assert bytes(view) == before
+        view.release()
+        pager.close()  # nothing aliases it now: the mapping goes
+
+    def test_record_address_out_of_range_is_typed(self, mapped):
+        heap = mapped._heap
+        with pytest.raises(StorageError, match="out of range"):
+            heap.read_view(heap.size_bytes, mapped.pager)
+
+
 class TestMappedPagerFormat:
     def test_empty_file_is_torn(self, tmp_path):
         from repro.errors import TornWriteError

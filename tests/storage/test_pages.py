@@ -69,6 +69,21 @@ class TestBounds:
         with pytest.raises(PageOverflowError):
             page.write_u8(-1, 0)
 
+    @pytest.mark.parametrize(
+        "writer,value",
+        [
+            ("write_u8", 256),
+            ("write_u16", -1),
+            ("write_u32", 2**32),
+            ("write_i64", 2**63),
+            ("write_f64", "1.5"),
+        ],
+    )
+    def test_value_out_of_range(self, writer, value):
+        page = Page(16)
+        with pytest.raises(PageOverflowError, match="does not fit"):
+            getattr(page, writer)(0, value)
+
     def test_boundary_write_allowed(self):
         page = Page(16)
         page.write_i64(8, 42)  # exactly the final 8 bytes

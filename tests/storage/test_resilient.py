@@ -266,6 +266,30 @@ class TestResilientIndex:
             resilient.query(0.5, 5, deadline=0.5)
         assert resilient.health().timeouts == 1
 
+    def test_retries_stop_at_the_deadline(self, stack):
+        # Every disk call fails and each backoff costs a second of a
+        # 1.5 s budget: the third failure finds the budget spent, stops
+        # retrying, and the degraded path refuses an expired deadline.
+        index, disk = stack
+        arm(
+            FaultPlan(
+                specs=(FaultSpec(target="disk.query", kind="fail", every=1),)
+            ),
+            disk_index=disk,
+        )
+        clock = FakeClock()
+        resilient = ResilientDiskRankedJoinIndex(
+            disk,
+            index,
+            retry=RetryPolicy(attempts=5, base_delay_s=0.0),
+            clock=clock,
+            sleep=lambda _: clock.advance(1.0),
+        )
+        with pytest.raises(QueryTimeoutError):
+            resilient.query(0.5, 5, deadline=1.5)
+        health = resilient.health()
+        assert (health.retries, health.degraded_queries) == (2, 1)
+
     def test_health_prometheus_export(self, stack):
         index, disk = stack
         resilient = ResilientDiskRankedJoinIndex(disk, index)

@@ -7,7 +7,10 @@ else is bit rot and raises :class:`CorruptPageError` instead of being
 silently dropped.
 """
 
+import os
 import struct
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +202,31 @@ class TestTornAndCorrupt:
         assert wal.torn_tails == 1
         wal.close()
 
+    def test_unknown_op_with_a_valid_crc_is_a_torn_slot(self, tmp_path):
+        # A well-checksummed slot with no known op, then a garbage slot:
+        # neither is a record, and nothing valid follows, so both go.
+        newest = self._committed(tmp_path)
+        clean_size = newest.stat().st_size
+        body = struct.pack("<QBqdd", 4, 9, 4, 0.1, 0.1)
+        with newest.open("ab") as handle:
+            handle.write(body + struct.pack("<I", zlib.crc32(body)))
+            handle.write(b"\x13" * WAL_RECORD_SIZE)
+        wal = WriteAheadLog(tmp_path, fsync=False)
+        assert wal.torn_tails == 1
+        assert newest.stat().st_size == clean_size
+        assert [r.lsn for r in _records(wal)] == [1, 2, 3]
+        wal.close()
+
+    def test_damage_after_open_is_typed_on_replay(self, tmp_path):
+        newest = self._committed(tmp_path)
+        wal = WriteAheadLog(tmp_path, fsync=False)
+        raw = bytearray(newest.read_bytes())
+        raw[_SEG_HEADER_BYTES + 3] ^= 0xFF
+        newest.write_bytes(bytes(raw))
+        with pytest.raises(CorruptPageError, match="corrupt at offset"):
+            _records(wal)
+        wal.close()
+
     def test_mid_file_corruption_is_typed(self, tmp_path):
         newest = self._committed(tmp_path, n=4)
         # Flip bytes inside the *second* record: valid records follow,
@@ -232,3 +260,71 @@ class TestTornAndCorrupt:
         newest.write_bytes(bytes(raw))
         with pytest.raises(CorruptPageError, match="corrupt header"):
             WriteAheadLog(tmp_path, fsync=False)
+
+
+def _one_record_log(directory, **kwargs):
+    wal = WriteAheadLog(directory, fsync=False, **kwargs)
+    wal.append_insert(1, 0.1, 0.1)
+    wal.commit()
+    return wal
+
+
+def _reopen(directory):
+    _one_record_log(directory).close()
+    return lambda: WriteAheadLog(directory)
+
+
+def _reopen_torn(directory):
+    _one_record_log(directory).close()
+    (directory / "wal-00000002.seg").write_bytes(b"RJI")
+    return lambda: WriteAheadLog(directory)
+
+
+def _create(directory):
+    return lambda: WriteAheadLog(directory)
+
+
+def _commit(directory):
+    wal = WriteAheadLog(directory)  # fsync on commit
+    wal.append_insert(1, 0.1, 0.1)
+    return wal.commit
+
+
+def _prune(directory):
+    wal = _one_record_log(directory)
+    wal.checkpoint(wal.last_lsn)  # seals segment 1, fully covered
+    return wal.prune
+
+
+class TestOSErrorsAreTyped:
+    """A failed filesystem call in the log surfaces as StorageError."""
+
+    @pytest.mark.parametrize(
+        "setup,owner,call,match",
+        [
+            (_reopen, Path, "read_bytes", "cannot read WAL segment"),
+            (_reopen_torn, Path, "unlink", "cannot remove WAL segment"),
+            (_create, os, "replace", "cannot create WAL segment"),
+            (_commit, os, "fsync", "WAL commit failed"),
+            (_prune, Path, "unlink", "cannot prune WAL segment"),
+        ],
+        ids=["read", "unlink-torn", "create", "commit", "prune"],
+    )
+    def test_oserror_becomes_storage_error(
+        self, tmp_path, monkeypatch, setup, owner, call, match
+    ):
+        trigger = setup(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise OSError(5, "injected I/O error")
+
+        monkeypatch.setattr(owner, call, fail)
+        with pytest.raises(StorageError, match=match):
+            trigger()
+
+    def test_an_existing_segment_is_never_overwritten(self, tmp_path):
+        wal = _one_record_log(tmp_path)
+        (wal.directory / "wal-00000002.seg").write_bytes(b"")
+        with pytest.raises(StorageError, match="cannot create WAL segment"):
+            wal.checkpoint(wal.last_lsn)
+        wal.close()

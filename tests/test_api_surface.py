@@ -276,8 +276,14 @@ def test_invalid_wire_requests_surface_typed_errors():
             body = json.dumps(payload).encode()
             return len(body).to_bytes(4, "big") + body
 
+        from repro.serve.protocol import MAX_FRAME_BYTES
+
         bad_frames = [
             len(b"nonsense").to_bytes(4, "big") + b"nonsense",  # not JSON
+            # JSON-tagged but not JSON, and a length over the limit: the
+            # reader answers typed, then hangs up.
+            len(b"{nonsense").to_bytes(4, "big") + b"{nonsense",
+            (MAX_FRAME_BYTES + 1).to_bytes(4, "big"),
             frame([1, 2, 3]),  # not an object
             frame({"op": "frobnicate", "id": 1}),  # unknown op
             frame({"op": "query", "id": 2}),  # missing k/preference
