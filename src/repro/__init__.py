@@ -24,7 +24,6 @@ from .core import (
     RankTupleSet,
     RankedJoinIndex,
     dominating_set,
-    topk_join_candidates,
 )
 from .errors import ReproError
 
@@ -40,5 +39,4 @@ __all__ = [
     "ReproError",
     "__version__",
     "dominating_set",
-    "topk_join_candidates",
 ]

@@ -9,8 +9,10 @@ Public surface:
 * :class:`~repro.core.scoring.Preference` — monotone linear scoring;
 * :class:`~repro.core.tuples.RankTupleSet` — join-result tuple container;
 * :func:`~repro.core.dominance.dominating_set` — Section 4 pruning;
-* :func:`~repro.core.pruning.topk_join_candidates` — Lemma 1 pruning;
 * :func:`~repro.core.sweep.sweep_regions` — the ConstructRJI sweep.
+
+Lemma 1 pruning (:mod:`repro.core.pruning`) runs before a build, never
+while serving, so it is imported from its module.
 """
 
 from .deadline import Deadline
@@ -19,12 +21,6 @@ from .dominance import dominating_set, dominating_set_naive
 from .index import BuildStats, QueryResult, RankedJoinIndex
 from .merging import merge_adaptive, merge_every
 from .writepath import WritableRankedJoinIndex
-from .pruning import (
-    decode_rid_pair,
-    encode_rid_pair,
-    full_join_pairs,
-    topk_join_candidates,
-)
 from .scoring import LinearScorer, Preference
 from .sweep import Region, SweepStats, sweep_regions
 from .tuples import RankTuple, RankTupleSet
@@ -42,14 +38,10 @@ __all__ = [
     "RankedJoinIndex",
     "Region",
     "SweepStats",
-    "decode_rid_pair",
     "dominating_set",
     "dominating_set_naive",
-    "encode_rid_pair",
-    "full_join_pairs",
     "merge_adaptive",
     "merge_every",
     "sweep_regions",
-    "topk_join_candidates",
     "WritableRankedJoinIndex",
 ]

@@ -21,18 +21,21 @@ Page layout (little-endian):
   of ``(separator f64, child i64)``; separator ``k_i`` routes probes
   ``>= k_i`` into ``child_i``.
 
-Node search is a binary search over the page image itself
-(:func:`_keys_not_above`): it makes the comparison ``bisect_right``
-makes, ``probe < key_at(mid)``, decoding only the keys it compares —
-at most ``ceil(log2(count + 1))`` per node, 8 for a full 4 KiB leaf of
-255 — so a lookup costs ``O(height * log B)`` key decodes, the
-logarithmic descent the paper's query bound assumes.
-:attr:`BTreeSearchStats.keys_compared` counts them.
+A node is decoded by one ``struct`` call on its buffer frame's first
+read (:func:`_node`) and the result lives and dies with that frame.
+Node search is ``bisect_right`` over the decoded keys, so a lookup
+makes ``O(height * log B)`` comparisons, the logarithmic descent the
+paper's query bound assumes; :attr:`BTreeSearchStats.keys_compared`
+counts them — at most ``ceil(log2(count + 1))`` per node, 8 for a full
+4 KiB leaf of 255.
 """
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 
 from ..errors import StorageError
 from .buffer import BufferPool
@@ -49,7 +52,7 @@ _ENTRY = 16  # key f64 + value/child i64
 
 @dataclass
 class BTreeSearchStats:
-    """Pages touched and keys decoded-and-compared by one lookup.
+    """Pages touched and keys compared by one lookup.
 
     Both are logical counts; physical reads come from the pager.
     """
@@ -58,29 +61,47 @@ class BTreeSearchStats:
     keys_compared: int = 0
 
 
-def _keys_not_above(
-    page: Page, first_key: int, count: int, key: float, stats: BTreeSearchStats
-) -> tuple[int, float | None]:
-    """How many of a node's ``count`` sorted keys are ``<= key``, and the
-    first key above it (``None`` when every key is ``<= key``).
-
-    ``bisect_right`` over the keys at ``first_key + i * _ENTRY``, with
-    its comparison (``key < key_at(mid)``), so ties, signed zeros,
-    infinities and NaN probes land where a bisect over the decoded key
-    list would put them.  The key above is the last one that moved the
-    upper end: the search decodes no extra key for it.
-    """
-    lo, hi, compared, above = 0, count, 0, None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        compared += 1
-        probed = page.read_f64(first_key + mid * _ENTRY)
-        if key < probed:
-            hi, above = mid, probed
+@cache
+def _layout(leaf: bool, count: int) -> tuple[struct.Struct, tuple[int, ...]]:
+    """A ``count``-key node's body format (from offset 8) and comparison
+    table: ``bisect_right`` reaches each end position by one path through
+    its halvings, so the path's length is the keys it compares."""
+    compared = [0] * (count + 1)
+    pending = [(0, count, 0)]
+    while pending:
+        lo, hi, depth = pending.pop()
+        if lo == hi:
+            compared[lo] = depth
         else:
-            lo = mid + 1
-    stats.keys_compared += compared
-    return lo, above
+            mid = (lo + hi) // 2
+            pending += ((lo, mid, depth + 1), (mid + 1, hi, depth + 1))
+    body = "dq" * count if leaf else "q" + "dq" * count
+    return struct.Struct("<" + body), tuple(compared)
+
+
+def _node(page: Page, kind: int) -> tuple:
+    """The node in ``page`` as ``(kind, keys, slots, compared)``, decoded
+    on its frame's first read (so again after a pool miss and its CRC
+    check).  ``slots``: a leaf's values, or an internal node's ``count +
+    1`` children; ``compared[i]``: the keys ``bisect_right`` compares to
+    end at ``i``.  :class:`StorageError` when the node is not of ``kind``
+    or claims more entries than its page holds."""
+    node = page.memo
+    if node is None:
+        node_kind, count = page.read_u8(0), page.read_u16(1)
+        if count > (page.size - _HEADER - 8) // _ENTRY:
+            raise StorageError(
+                f"B+-tree node claims {count} entries; its page holds fewer"
+            )
+        body, compared = _layout(node_kind == _LEAF, count)
+        fields = body.unpack_from(page.data, _HEADER)
+        first_key = 0 if node_kind == _LEAF else 1
+        node = page.memo = (
+            node_kind, fields[first_key::2], fields[1 - first_key :: 2], compared
+        )
+    if node[0] != kind:
+        raise StorageError("B+-tree height bookkeeping is corrupt")
+    return node
 
 
 class BPlusTree:
@@ -109,17 +130,16 @@ class BPlusTree:
             raise StorageError("bulk-load keys must be strictly increasing")
 
         # Pager's 64-byte minimum page holds three entries per node.
-        leaf_capacity = (pager.page_size - _HEADER - 8) // _ENTRY
-        internal_capacity = (pager.page_size - _HEADER - 8) // _ENTRY
+        capacity = (pager.page_size - _HEADER - 8) // _ENTRY
 
         tree = cls(pager, root_page_id=-1, height=1, n_entries=len(keys))
 
         # Leaf level: pack entries left to right, chain the leaves.
         level: list[tuple[float, int]] = []  # (first key, page id)
         leaf_ids: list[int] = []
-        for start in range(0, len(keys), leaf_capacity):
-            chunk_keys = keys[start : start + leaf_capacity]
-            chunk_values = values[start : start + leaf_capacity]
+        for start in range(0, len(keys), capacity):
+            chunk_keys = keys[start : start + capacity]
+            chunk_values = values[start : start + capacity]
             page_id = pager.allocate()
             page = Page(pager.page_size)
             page.write_u8(0, _LEAF)
@@ -144,8 +164,8 @@ class BPlusTree:
         while len(level) > 1:
             height += 1
             next_level: list[tuple[float, int]] = []
-            for start in range(0, len(level), internal_capacity + 1):
-                chunk = level[start : start + internal_capacity + 1]
+            for start in range(0, len(level), capacity + 1):
+                chunk = level[start : start + capacity + 1]
                 page_id = pager.allocate()
                 page = Page(pager.page_size)
                 page.write_u8(0, _INTERNAL)
@@ -184,23 +204,18 @@ class BPlusTree:
         for depth in range(self.height, 0, -1):  # depth 1 is the leaf
             page = pool.get(page_id)
             stats.nodes_visited += 1
-            if page.read_u8(0) != (_LEAF if depth == 1 else _INTERNAL):
-                raise StorageError("B+-tree height bookkeeping is corrupt")
-            # Internal child i sits 8 bytes before separator i (the
-            # leftmost child before separator 0), so "keys <= probe"
-            # indexes it directly.
-            first = _HEADER + 8 if depth > 1 else _HEADER
-            position, above = _keys_not_above(
-                page, first, page.read_u16(1), key, stats
+            _, keys, slots, compared = _node(
+                page, _LEAF if depth == 1 else _INTERNAL
             )
-            if above is not None:
-                upper = above
+            position = bisect_right(keys, key)
+            stats.keys_compared += compared[position]
+            if position < len(keys):
+                upper = keys[position]
             if depth > 1:
-                page_id = page.read_i64(_HEADER + position * _ENTRY)
+                page_id = slots[position]
         if position == 0:
             raise StorageError(f"probe key {key} precedes all stored keys")
-        entry = _HEADER + (position - 1) * _ENTRY
-        return page.read_f64(entry), page.read_i64(entry + 8), upper
+        return keys[position - 1], slots[position - 1], upper
 
     # -- introspection ---------------------------------------------------------
 
@@ -210,23 +225,14 @@ class BPlusTree:
 
     def iter_entries(self, pool: BufferPool):
         """Yield all ``(key, value)`` pairs in key order via the leaf chain."""
-        page_id = self._leftmost_leaf(pool)
+        page_id = self.root_page_id
+        for _ in range(self.height - 1):  # down to the leftmost leaf
+            page_id = _node(pool.get(page_id), _INTERNAL)[2][0]
         while page_id != -1:
             page = pool.get(page_id)
-            count = page.read_u16(1)
-            for i in range(count):
-                yield (
-                    page.read_f64(_HEADER + i * _ENTRY),
-                    page.read_i64(_HEADER + i * _ENTRY + 8),
-                )
+            _, keys, values, _ = _node(page, _LEAF)
+            yield from zip(keys, values)
             page_id = page.read_i64(self.pager.page_size - 8)
-
-    def _leftmost_leaf(self, pool: BufferPool) -> int:
-        page_id = self.root_page_id
-        for _ in range(self.height - 1):
-            page = pool.get(page_id)
-            page_id = page.read_i64(_HEADER)
-        return page_id
 
     def check_invariants(self, pool: BufferPool) -> None:
         """Validate ordering and fanout; raises :class:`StorageError`."""

@@ -626,7 +626,6 @@ class DiskRankedJoinIndex:
         """
         keys: list[float] = []
         payloads: list[bytes] = []
-        n_lost = 0
         lost_keys: list[float] = []
         walk_complete = True
         iterator = self._btree.iter_entries(self.pool)
@@ -646,14 +645,10 @@ class DiskRankedJoinIndex:
                     )
             except StorageError:
                 payload = b""
-            if payload:
-                keys.append(key)
-                payloads.append(payload)
-            else:
-                keys.append(key)
-                payloads.append(b"")
+            keys.append(key)
+            payloads.append(payload)
+            if not payload:
                 lost_keys.append(key)
-                n_lost += 1
         if not walk_complete and keys:
             # The extent of the last salvaged region is unknown; fence
             # it off immediately to its right.

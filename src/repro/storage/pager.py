@@ -476,14 +476,11 @@ class MappedPager(Pager):
         self._verified.add(page_id)
 
     def read(self, page_id: int) -> Page:
-        """Touch (verify) a page and return a materialized copy of it."""
+        """Touch (verify) a page and return a copy of it, made in one step."""
         self.touch(page_id)
         assert self._mm_view is not None
         start = self._data_start + page_id * self.page_size
-        return Page(
-            self.page_size,
-            bytes(self._mm_view[start : start + self.page_size]),
-        )
+        return Page(self.page_size, self._mm_view[start : start + self.page_size])
 
     def view_bytes(self, page_id: int, within: int, length: int) -> memoryview:
         """A read-only zero-copy view of mapped page bytes.

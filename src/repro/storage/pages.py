@@ -10,6 +10,7 @@ R-tree are built on.
 from __future__ import annotations
 
 import struct
+from typing import Any
 
 from ..errors import PageOverflowError
 
@@ -24,11 +25,17 @@ class Page:
     Offsets are byte positions within the page.  All multi-byte values
     are little-endian.  Writes past the page end raise
     :class:`PageOverflowError` rather than growing the buffer.
+
+    ``memo`` is opaque to the page: whatever a reader derived from the
+    image (the B+-tree keeps a node's decoded keys there), so it lives
+    and dies with this frame.  Every write accessor clears it.
     """
 
-    __slots__ = ("data", "size")
+    __slots__ = ("data", "size", "memo")
 
-    def __init__(self, size: int = DEFAULT_PAGE_SIZE, data: bytes | None = None):
+    def __init__(
+        self, size: int = DEFAULT_PAGE_SIZE, data: bytes | memoryview | None = None
+    ):
         if data is not None:
             if len(data) != size:
                 raise PageOverflowError(
@@ -38,6 +45,7 @@ class Page:
         else:
             self.data = bytearray(size)
         self.size = size
+        self.memo: Any = None
 
     def _check(self, offset: int, length: int) -> None:
         if offset < 0 or offset + length > self.size:
@@ -52,10 +60,11 @@ class Page:
     # ``struct.error`` (a write value out of range for its field width)
     # into the typed taxonomy, so no raw struct error can cross the
     # storage boundary (rjilint rule RJI013).  The reads stay one call
-    # each: the disk tier's B+-tree descent calls ``read_f64`` per key.
+    # each: the disk R-tree decodes a node with one read per field.
 
     def _pack(self, fmt: str, offset: int, value: int | float) -> None:
         self._check(offset, struct.calcsize(fmt))
+        self.memo = None
         try:
             struct.pack_into(fmt, self.data, offset, value)
         except struct.error as exc:
@@ -115,6 +124,7 @@ class Page:
 
     def write_bytes(self, offset: int, payload: bytes) -> None:
         self._check(offset, len(payload))
+        self.memo = None
         self.data[offset : offset + len(payload)] = payload
 
     def read_bytes(self, offset: int, length: int) -> bytes:

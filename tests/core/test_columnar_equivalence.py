@@ -180,6 +180,33 @@ def test_walk_matches_reference_on_degenerate_points(seed):
         _assert_walk_matches(tuples, k)
 
 
+#: Near ties placed by hand, each reaching a walk branch that random
+#: inputs reach only now and then.  "spread": crossings 63.5e-12 apart,
+#: a tie group wider than the tie width, so ``_alone`` leaves it to a
+#: window, whose start lies just below the earlier crossing (the run
+#: reaches below).  "near-half-pi": the first stop lies 5e-10 before
+#: pi/2, where ``_alone`` does not look.  "chain": crossings 0.8e-12
+#: apart, one run cut into two tie groups with the relevant crossing in
+#: the second.
+_NEAR_TIES = {
+    "spread": [(1, 0), (0, 1), (0.5, 0), (0, 0.5 + 63.5e-12), (0.1, 0.1)],
+    "near-half-pi": [(1, 0.5), (0, 0.5 + 5e-10), (0.2, 0.1), (0.1, 0.2), (0.15, 0.15)],
+    "chain": [
+        (1, 0), (0, 1), (0.5, 0), (0, 0.5 + 1.6e-12), (0.3, 0), (0, 0.3 + 4.8e-13)
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NEAR_TIES))
+def test_walk_matches_reference_on_placed_near_ties(shape):
+    points = np.array(_NEAR_TIES[shape])
+    tuples = RankTupleSet(
+        np.arange(len(points), dtype=np.int64), points[:, 0], points[:, 1]
+    )
+    for k in (1, 2):
+        _assert_walk_matches(tuples, k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage.btree import BPlusTree, BTreeSearchStats
+from repro.storage.btree import BPlusTree, BTreeSearchStats, _layout
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
 
@@ -126,6 +126,82 @@ class TestSearch:
             assert (stats.nodes_visited, stats.keys_compared) == (
                 _reference_descent(tree, pool, probe)
             ), probe
+
+
+class TestNodeReader:
+    """A node is decoded once per buffer frame; the search it serves
+    counts what a bisect over the page did."""
+
+    @pytest.mark.parametrize(
+        "capacity, hits, misses", [(2, 0, 3608), (5, 3484, 124)]
+    )
+    def test_a_pool_smaller_than_the_tree(self, capacity, hits, misses):
+        keys = [i * 0.25 for i in range(300)]
+        values = [i * 7 for i in range(300)]
+        pager = Pager(112)
+        tree = BPlusTree.bulk_load(pager, keys, values)
+        assert tree.height == 4
+        pool, reference_pool = BufferPool(pager, capacity), BufferPool(pager, capacity)
+        probes = [p for key in keys for p in (key, key + 0.125)]
+        probes += [math.nextafter(key, -math.inf) for key in keys[1:]]
+        probes += [math.inf, math.nan, -0.0]
+        nodes = compared = 0
+        for probe in probes:
+            stats = BTreeSearchStats()
+            assert tree.search_le(probe, pool, stats) == _expected(
+                keys, values, probe
+            ), probe
+            assert (stats.nodes_visited, stats.keys_compared) == (
+                _reference_descent(tree, reference_pool, probe)
+            ), probe
+            nodes += stats.nodes_visited
+            compared += stats.keys_compared
+        assert (pool.hits, pool.misses) == (reference_pool.hits, reference_pool.misses)
+        # The counts of the per-key page search this reader replaced.
+        assert (nodes, compared, pool.hits, pool.misses) == (
+            3608, 8503, hits, misses
+        )
+
+    def test_compared_table_is_a_bisect_loop(self):
+        for count in range(256):
+            keys = [float(i - count // 2) for i in range(count)]  # 0.0 too
+            _, compared = _layout(True, count)
+            assert compared == _layout(False, count)[1]
+            assert len(compared) == count + 1
+            probes = keys + [k + 0.5 for k in keys] + [-0.0, math.nan]
+            reached = set()
+            for probe in probes + [math.inf, -math.inf]:
+                lo, hi, loop_compared = 0, count, 0
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    loop_compared += 1
+                    if probe < keys[mid]:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                assert bisect.bisect_right(keys, probe) == lo
+                assert compared[lo] == loop_compared, (count, probe)
+                reached.add(lo)
+            assert reached == set(range(count + 1))
+
+    def test_an_overfull_node_is_typed(self):
+        keys = [float(i) for i in range(40)]
+        tree, _ = _build(keys, list(range(40)))
+        pager, leaf = tree.pager, tree._page_ids[0]
+        page = pager.read(leaf)
+        page.write_u16(1, (pager.page_size - 16) // 16 + 1)
+        pager.write(leaf, page)  # a fresh, valid CRC over the bad count
+        with pytest.raises(StorageError, match="claims"):
+            tree.search_le(0.0, BufferPool(pager, 16))
+        with pytest.raises(StorageError, match="claims"):
+            tree.check_invariants(BufferPool(pager, 16))
+
+    def test_a_write_drops_the_decoded_node(self):
+        tree, pool = _build([0.0, 1.0, 2.0], [0, 10, 20])
+        assert tree.search_le(1.5, pool) == (1.0, 10, 2.0)
+        page = pool.get(tree.root_page_id)
+        page.write_i64(8 + 16 + 8, 11)  # the value of key 1.0
+        assert tree.search_le(1.5, pool) == (1.0, 11, 2.0)
 
 
 class TestSearchCost:

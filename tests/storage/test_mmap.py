@@ -13,7 +13,7 @@ import pytest
 from repro.core.index import RankedJoinIndex
 from repro.core.scoring import Preference
 from repro.core.tuples import RankTupleSet
-from repro.errors import StorageError
+from repro.errors import CorruptPageError, StorageError
 from repro.storage.diskindex import DiskRankedJoinIndex
 from repro.storage.pager import MappedPager
 from repro.storage.resilient import ResilientDiskRankedJoinIndex
@@ -139,6 +139,21 @@ class TestReadOnlySafety:
         assert bytes(view) == before
         view.release()
         pager.close()  # nothing aliases it now: the mapping goes
+
+    def test_a_decoded_node_goes_with_its_frame(self, mapped):
+        """A B+-tree node read again from the mapping is checked again:
+        its decoded keys live in the buffer frame, not beside it."""
+        from repro.faults import FaultPlan, FaultSpec, arm
+
+        tree, leaf = mapped._btree, mapped._btree.root_page_id
+        for _ in range(tree.height - 1):  # down to the leftmost leaf
+            leaf = mapped.pager.read(leaf).read_i64(8)
+        mapped.query(0.0, 5)  # decodes every node on the way
+        corrupt = FaultSpec(target="pager.read", kind="corrupt", page=leaf, every=1)
+        arm(FaultPlan(specs=(corrupt,)), pager=mapped.pager)
+        mapped.pool.clear()
+        with pytest.raises(CorruptPageError, match=f"page {leaf}"):
+            mapped.query(0.0, 5)
 
     def test_record_address_out_of_range_is_typed(self, mapped):
         heap = mapped._heap

@@ -72,7 +72,7 @@ def test_version_string():
 def test_top_level_exports_are_usable():
     assert callable(repro.RankedJoinIndex.build)
     assert callable(repro.Preference)
-    assert callable(repro.topk_join_candidates)
+    assert not hasattr(repro, "topk_join_candidates")  # repro.core.pruning
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ NOT_ON_THE_SERVING_PATH = (
 
 #: At most this many ``repro.*`` modules load: a ratchet, lowered when
 #: a module leaves the serving path.
-MAX_REPRO_MODULES = 40
+MAX_REPRO_MODULES = 39
 
 
 def test_serving_import_set_excludes_unserved_packages():

@@ -90,7 +90,8 @@ def test_serving_packages_no_longer_reexport_what_moved():
             "LayeredTopKIndex", "NDTupleSet", "nd_dominating_set",
             "topk_multiway_join_candidates", "robust_topk_candidates",
             "verify_index", "VerificationReport", "describe_index",
-            "region_churn",
+            "region_churn", "topk_join_candidates", "full_join_pairs",
+            "encode_rid_pair", "decode_rid_pair",
         ],
         repro.storage: [
             "advise_k", "AdvisorReport", "CandidateReport",
