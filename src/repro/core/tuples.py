@@ -87,8 +87,7 @@ class RankTupleSet:
         return len(self.tids)
 
     def __iter__(self) -> Iterator[RankTuple]:
-        for tid, a, b in zip(self.tids, self.s1, self.s2):
-            yield RankTuple(int(tid), float(a), float(b))
+        return map(RankTuple, self.tids.tolist(), self.s1.tolist(), self.s2.tolist())
 
     def __getitem__(self, index) -> "RankTupleSet":
         """Positional selection; accepts anything NumPy indexing accepts."""

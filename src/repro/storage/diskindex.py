@@ -365,7 +365,7 @@ class DiskRankedJoinIndex:
         The image at ``path`` reflects some checkpoint; the write-ahead
         log in ``wal_directory`` (see :class:`repro.storage.wal.
         WriteAheadLog`) may hold committed writes past it.  Opening the
-        log truncates a torn tail; every surviving record newer than
+        log repairs a torn tail; every surviving record newer than
         the last checkpoint LSN is replayed into a
         :class:`~repro.core.delta.DeltaStore` that queries then merge,
         so the reopened index serves every acknowledged write without
