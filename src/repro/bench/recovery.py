@@ -23,6 +23,7 @@ violation — the report is the artifact CI uploads on failure.
 from __future__ import annotations
 
 import shutil
+import struct
 import tempfile
 import time
 from dataclasses import asdict, dataclass, replace
@@ -37,6 +38,7 @@ from ..errors import TransientStorageError
 from ..faults import FaultPlan, arm, builtin_plan
 from ..storage.diskindex import DiskRankedJoinIndex
 from ..storage.durable import DurableRankedJoinIndex
+from ..storage.wal import WAL_RECORD_SIZE
 from .runner import BenchConfig, _make_tuples
 
 __all__ = [
@@ -146,10 +148,21 @@ def _at(plan: FaultPlan, at: int) -> FaultPlan:
     return replace(plan, specs=(replace(plan.specs[0], at=at),))
 
 
+#: A WAL segment's header: magic, version, sequence number, CRC32.
+_WAL_HEADER = struct.calcsize("<8sHI") + 4
+
+
 def _tear_tail(wal_dir: Path) -> None:
-    """Append half a record of garbage: a write torn mid-flight."""
+    """Write half a record of garbage at the end of the log: a write
+    torn mid-flight."""
     newest = max(wal_dir.glob("wal-*.seg"))
-    with newest.open("ab") as handle:
+    raw = newest.read_bytes()
+    # The log ends at the first slot of 0xFF fill (no record is all
+    # 0xFF), so round the unfilled bytes up to a whole slot.
+    used = len(raw.rstrip(b"\xff")) - _WAL_HEADER
+    end = _WAL_HEADER + -(-used // WAL_RECORD_SIZE) * WAL_RECORD_SIZE
+    with newest.open("r+b") as handle:
+        handle.seek(end)
         handle.write(b"\x7f" * 20)
 
 
