@@ -73,19 +73,14 @@ def _run_chaos(args: argparse.Namespace) -> int:
         "plan": plan.name,
         "mmap": args.mmap,
         "faults_injected": report["faults_injected"],
-        "disk_queries": report["health"]["resilience.disk_queries"],
-        "degraded": report["health"]["resilience.degraded"],
-        "retries": report["health"]["resilience.retries"],
-        "breaker_trips": report["health"]["resilience.trips"],
+        **report["outcomes"],
+        "typed_errors": report["typed_errors"],
     }
-    if report["degraded_latency"]:
-        summary["degraded_p50_us"] = round(
-            report["degraded_latency"]["p50_s"] * 1e6, 1
-        )
-    if report["disk_latency"]:
-        summary["disk_p50_us"] = round(
-            report["disk_latency"]["p50_s"] * 1e6, 1
-        )
+    for outcome in ("correct", "typed_error"):
+        if report[f"{outcome}_latency"]:
+            summary[f"{outcome}_p50_us"] = round(
+                report[f"{outcome}_latency"]["p50_s"] * 1e6, 1
+            )
     print(json.dumps(summary))
     return 0
 

@@ -1,13 +1,15 @@
 """The chaos smoke scenario: the smoke workload under a fault plan.
 
 ``python -m repro.bench --faults <plan>`` runs the standard smoke
-workload against a :class:`~repro.storage.ResilientDiskRankedJoinIndex`
-whose underlying disk index is armed with a
+workload against the bare :class:`~repro.storage.DiskRankedJoinIndex`,
+the index ``repro serve`` serves, armed with a
 :class:`~repro.faults.FaultPlan` (a built-in name such as
-``transient-reads`` or a path to a plan JSON).  The report records what
-resilience *costs*: latency split into disk-served and degraded-mode
-buckets, retry/degradation counters, and the final health snapshot —
-all under the registered ``resilience.*`` / ``faults.injected`` names.
+``transient-reads`` or a path to a plan JSON).  Every query must end
+in one of two outcomes: an answer bit-identical to the in-memory index
+the image was built from, or a typed :class:`~repro.errors.ReproError`.
+A wrong answer or an untyped exception fails the run.  The report
+tallies the two outcomes, the typed errors by class, and the latency
+of each outcome.
 
 The workload counters are deterministic for a given (config, plan)
 pair: the injector's probability draws come from the plan's seed, and
@@ -19,19 +21,15 @@ from __future__ import annotations
 
 import tempfile
 import time
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
 from ..core.index import RankedJoinIndex
 from ..datagen.preferences import random_preferences
+from ..errors import ReproError
 from ..faults import FaultPlan, arm, builtin_plan
-from ..obs import MetricsRecorder
 from ..storage.diskindex import DiskRankedJoinIndex
-from ..storage.resilient import (
-    CircuitBreaker,
-    ResilientDiskRankedJoinIndex,
-    RetryPolicy,
-)
 from .runner import SMOKE_CONFIG, BenchConfig, _make_tuples, _percentiles
 
 __all__ = ["load_plan", "run_chaos_benchmark"]
@@ -47,24 +45,29 @@ def load_plan(spec: str) -> FaultPlan:
 def run_chaos_benchmark(
     plan: FaultPlan, config: BenchConfig = SMOKE_CONFIG, *, mmap: bool = False
 ) -> dict:
-    """Run the smoke workload under ``plan`` and report resilience costs.
+    """Run the smoke workload under ``plan``; every query must answer
+    exactly or raise a typed error.
 
     With ``mmap=True`` the disk index is saved to a scratch file and
     reopened zero-copy before the plan is armed, so the chaos contract
-    (bit-identical / typed error / degraded-but-correct) is exercised
-    against the memory-mapped read path too.
+    is exercised against the memory-mapped read path too.  Raises
+    ``AssertionError`` on a wrong answer; an untyped exception
+    propagates.
     """
     tuples = _make_tuples(config)
     preferences = random_preferences(config.n_queries, seed=config.seed + 1)
 
-    fallback = RankedJoinIndex.build(
+    index = RankedJoinIndex.build(
         tuples,
         config.k_bound,
         variant=config.variant,
         merge_slack=config.merge_slack,
     )
+    expected = [
+        index.query(preference, config.k_query) for preference in preferences
+    ]
     disk = DiskRankedJoinIndex(
-        fallback,
+        index,
         page_size=config.page_size,
         buffer_capacity=config.buffer_capacity,
     )
@@ -77,60 +80,44 @@ def run_chaos_benchmark(
             path, mmap=True, cache_size=config.cache_size
         )
 
-    recorder = MetricsRecorder()
-    injector = arm(plan, disk_index=disk, recorder=recorder)
-    resilient = ResilientDiskRankedJoinIndex(
-        disk,
-        fallback,
-        retry=RetryPolicy(seed=plan.seed),
-        breaker=CircuitBreaker(cooldown_s=0.010),
-        recorder=recorder,
-    )
-
-    # Bucket each query's latency by whether it degraded: the degraded
-    # counter's delta across the call attributes the sample exactly.
-    disk_latencies: list[float] = []
-    degraded_latencies: list[float] = []
-    answers = []
-    for preference in preferences:
-        degraded_before = resilient.health().degraded_queries
+    injector = arm(plan, disk_index=disk)
+    correct_latencies: list[float] = []
+    typed_latencies: list[float] = []
+    typed_errors: Counter[str] = Counter()
+    for preference, want in zip(preferences, expected):
         started = time.perf_counter()
-        answers.append(resilient.query(preference, config.k_query))
-        elapsed = time.perf_counter() - started
-        if resilient.health().degraded_queries > degraded_before:
-            degraded_latencies.append(elapsed)
-        else:
-            disk_latencies.append(elapsed)
+        try:
+            got = disk.query(preference, config.k_query)
+        except ReproError as exc:
+            typed_latencies.append(time.perf_counter() - started)
+            typed_errors[type(exc).__name__] += 1
+            continue
+        correct_latencies.append(time.perf_counter() - started)
+        if got != want:
+            raise AssertionError(
+                f"plan {plan.name!r}: the disk index answered "
+                f"{preference!r} wrongly; a fault must end in a typed "
+                "error, never a wrong answer"
+            )
 
-    expected = [
-        fallback.query(preference, config.k_query)
-        for preference in preferences
-    ]
-    if answers != expected:
-        raise AssertionError(
-            "resilient serving returned answers that differ from the "
-            "scalar path; degradation must never change results"
-        )
-
-    health = resilient.health()
     if scratch is not None:
-        close = getattr(disk.pager, "close", None)
-        if close is not None:
-            close()
+        disk.pager.close()
         scratch.cleanup()
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "config": asdict(config),
         "mmap": mmap,
         "plan": plan.to_dict(),
         "faults_injected": len(injector.log),
-        "health": health.to_snapshot()["counters"],
-        "last_fault": health.last_fault,
-        "disk_latency": (
-            _percentiles(disk_latencies) if disk_latencies else None
+        "outcomes": {
+            "correct": len(correct_latencies),
+            "typed_error": len(typed_latencies),
+        },
+        "typed_errors": dict(sorted(typed_errors.items())),
+        "correct_latency": (
+            _percentiles(correct_latencies) if correct_latencies else None
         ),
-        "degraded_latency": (
-            _percentiles(degraded_latencies) if degraded_latencies else None
+        "typed_error_latency": (
+            _percentiles(typed_latencies) if typed_latencies else None
         ),
-        "answers_match_scalar_path": True,
     }

@@ -8,9 +8,9 @@ Four command families:
   join index from two CSV files, ``index-query`` answers top-k
   queries against the saved index file, ``index-describe`` reports its
   structure and ``advise`` recommends a construction bound K;
-* ``serve`` — expose a saved index over TCP behind the resilient
-  serving wrapper (admission control, deadlines, typed errors; query it
-  with :class:`repro.serve.Client`);
+* ``serve`` — expose a saved index over TCP (admission control,
+  deadlines, typed errors: a damaged page fails the queries that read
+  it, and no other; query it with :class:`repro.serve.Client`);
 * ``sql`` — run a script of SQL statements (the declarative surface of
   Section 4) against an in-memory catalog.
 """
@@ -253,20 +253,18 @@ def _serve(args) -> None:
     from .obs import ContextRecorder, MetricsRecorder
     from .serve import QueryServer
     from .storage import DiskRankedJoinIndex
-    from .storage.resilient import ResilientDiskRankedJoinIndex
 
     # One ContextRecorder shared between the index and the server: the
     # pager's page-read events then carry the trace id of the request
     # that caused them, so `python -m repro.obs tail --trace ID` follows
     # a query all the way down to disk.
     recorder = ContextRecorder(MetricsRecorder())
-    disk = DiskRankedJoinIndex.open(
+    service = DiskRankedJoinIndex.open(
         args.index,
         mmap=args.mmap,
         cache_size=args.cache_size,
         recorder=recorder,
     )
-    service = ResilientDiskRankedJoinIndex(disk)
     server = QueryServer(
         service,
         host=args.host,

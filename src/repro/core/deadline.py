@@ -3,8 +3,8 @@
 Every index front-door — :class:`~repro.core.index.RankedJoinIndex`,
 the one writable index
 (:class:`~repro.core.writepath.WritableRankedJoinIndex`, built,
-adopted or durable), the
-resilient disk wrapper in :mod:`repro.storage.resilient`, and the remote
+adopted or durable), the disk tier
+(:class:`~repro.storage.diskindex.DiskRankedJoinIndex`), and the remote
 :class:`repro.serve.Client` — accepts one canonical keyword-only
 ``deadline`` argument (a :class:`Deadline` or a plain number of
 seconds, the :data:`DeadlineLike` alias) that the query paths check at

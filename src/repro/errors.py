@@ -19,7 +19,6 @@ __all__ = [
     "CorruptPageError",
     "TornWriteError",
     "TransientStorageError",
-    "CircuitOpenError",
     "SchemaError",
     "ServerError",
     "ServerOverloadedError",
@@ -101,20 +100,12 @@ class TornWriteError(StorageError):
 
 
 class TransientStorageError(StorageError):
-    """A storage operation failed in a retryable way (injected or real).
+    """A storage operation failed in a way a retry could mend.
 
-    The retry policy of the resilient serving layer retries exactly
-    this type; all other :class:`StorageError` subtypes are treated as
-    persistent and trip the circuit breaker immediately.
-    """
-
-
-class CircuitOpenError(StorageError):
-    """The circuit breaker is open and no degraded path is configured.
-
-    Raised by the resilient serving wrapper when the disk index has
-    tripped and there is no in-memory fallback to serve from; callers
-    should back off and retry after the breaker's cooldown.
+    Only the fault injector (:mod:`repro.faults`) raises it: the fault
+    plans and the crash sweep use it to simulate a failed I/O or a
+    crash.  A served image never raises it, since an opened image's
+    reads do no I/O that can fail transiently.
     """
 
 

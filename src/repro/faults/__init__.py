@@ -2,9 +2,9 @@
 
 The robustness contract of the reproduction (see
 ``docs/RELIABILITY.md``) is that a query served from persisted storage
-either returns bit-identical correct results, raises a typed
-:class:`~repro.errors.ReproError`, or degrades to the in-memory scalar
-path — never a plausible-but-wrong top-k answer.  This package is the
+either returns bit-identical correct results or raises a typed
+:class:`~repro.errors.ReproError` — never a plausible-but-wrong top-k
+answer.  This package is the
 harness that *checks* that contract: declarative
 :class:`~repro.faults.plan.FaultPlan`s describe what to break (failed
 or corrupted page I/O, injected latency, on-disk bit rot, truncation),

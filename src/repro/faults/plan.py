@@ -195,8 +195,9 @@ class FaultPlan:
 
 #: Named plans for CI smoke runs and quick interactive chaos sessions.
 BUILTIN_PLANS: dict[str, FaultPlan] = {
-    # Every 7th physical page read fails transiently: exercises the
-    # retry path without making progress impossible.
+    # Every 7th physical page read fails: each query that hits one
+    # must raise a typed TransientStorageError, and every other query
+    # must answer exactly.
     "transient-reads": FaultPlan(
         name="transient-reads",
         seed=7,
@@ -204,8 +205,9 @@ BUILTIN_PLANS: dict[str, FaultPlan] = {
             FaultSpec(target="pager.read", kind="fail", every=7),
         ),
     ),
-    # A burst of failures dense enough to trip the circuit breaker and
-    # force the degraded scalar path.
+    # Three in five physical page reads fail: each query that hits one
+    # ends in a typed error, and none in a wrong answer.  A warmed
+    # buffer pool leaves few physical reads, so most queries answer.
     "storm": FaultPlan(
         name="storm",
         seed=11,

@@ -64,16 +64,6 @@ COUNTERS = frozenset(
         "sql.statements",
         # faults (repro.faults injection harness)
         "faults.injected",
-        # resilient serving (repro.storage.resilient health gauges export
-        # through the counter snapshot; see HealthSnapshot.to_snapshot)
-        "resilience.state",
-        "resilience.trips",
-        "resilience.open_refusals",
-        "resilience.disk_queries",
-        "resilience.degraded",
-        "resilience.retries",
-        "resilience.timeouts",
-        "resilience.corruption_errors",
         # analysis (rjilint whole-program index builds)
         "analysis.files_indexed",
         "analysis.cache_hits",

@@ -13,8 +13,8 @@ where ``preference`` is anything
 :class:`~repro.core.deadline.Deadline` or a plain budget in seconds
 (:data:`~repro.core.deadline.DeadlineLike`).  All of
 :class:`~repro.core.index.RankedJoinIndex`, the writable index
-(:class:`~repro.core.writepath.WritableRankedJoinIndex`),
-:class:`~repro.storage.resilient.ResilientDiskRankedJoinIndex` and the
+(:class:`~repro.core.writepath.WritableRankedJoinIndex`), the disk
+tier (:class:`~repro.storage.diskindex.DiskRankedJoinIndex`) and the
 remote :class:`~repro.serve.client.Client` satisfy it, so swapping a
 local index for a networked one is a one-constructor change:
 

@@ -6,24 +6,16 @@ space (bytes of pages) and query I/O (page reads) are measured the same
 way for both sides of every comparison.
 
 The layer is self-verifying: the pager file format carries per-page
-CRC32 checksums plus a whole-file digest, saves are atomic, and
-:meth:`DiskRankedJoinIndex.verify` / :meth:`~DiskRankedJoinIndex.repair`
-detect and salvage damage.  :mod:`repro.storage.resilient` adds the
-serving-side failure discipline (retry, circuit breaker, degraded mode)
-that ``repro serve`` wraps every served image in; it is imported by its
-module path, so a process serving an in-memory or durable index never
-loads it (see ``docs/RELIABILITY.md``).
+CRC32 checksums plus a whole-file digest, saves are atomic, and damage
+surfaces as the typed errors of :mod:`repro.errors`.  ``repro serve``
+serves the bare :class:`DiskRankedJoinIndex`; a damaged image is
+rebuilt from its source data, never patched (see
+``docs/RELIABILITY.md``).
 """
 
 from .btree import BPlusTree, BTreeSearchStats
 from .buffer import BufferPool
-from .diskindex import (
-    DiskIndexStats,
-    DiskQueryStats,
-    DiskRankedJoinIndex,
-    IndexVerifyReport,
-    RepairReport,
-)
+from .diskindex import DiskIndexStats, DiskQueryStats, DiskRankedJoinIndex
 from .durable import DurableRankedJoinIndex
 from .heap import HeapFile
 from .wal import WAL_RECORD_SIZE, RecoveryReport, WalRecord, WriteAheadLog
@@ -42,11 +34,9 @@ __all__ = [
     "FORMAT_VERSION",
     "HeapFile",
     "IOCounters",
-    "IndexVerifyReport",
     "Page",
     "Pager",
     "RecoveryReport",
-    "RepairReport",
     "WAL_RECORD_SIZE",
     "WalRecord",
     "WriteAheadLog",

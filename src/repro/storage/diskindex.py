@@ -9,18 +9,16 @@ metric of Figure 16 (total bytes of index plus data pages) and per-query
 page I/O are measured byte-exactly.
 
 Robustness (see ``docs/RELIABILITY.md``): the pager format underneath
-is self-verifying, queries accept a cooperative
-:class:`~repro.core.deadline.Deadline`, and the recovery API —
-:meth:`DiskRankedJoinIndex.verify` / :meth:`DiskRankedJoinIndex.repair`
-— walks the on-page image, salvages every intact region and tombstones
-the unrecoverable ones, so a repaired index serves correct answers
-where it can and raises :class:`~repro.errors.CorruptPageError` where
-it cannot — never a plausible-but-wrong top-k result.
+is self-verifying and queries accept a cooperative
+:class:`~repro.core.deadline.Deadline`.  Damage surfaces as a typed
+:class:`~repro.errors.StorageError` at open, at a page's first touch
+or in the query that reads it — never as a plausible-but-wrong top-k
+result.  A damaged image is rebuilt from its source data, never
+patched.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -49,8 +47,6 @@ __all__ = [
     "DiskIndexStats",
     "DiskQueryStats",
     "DiskRankedJoinIndex",
-    "IndexVerifyReport",
-    "RepairReport",
 ]
 
 _TUPLE_RECORD = struct.Struct("<qdd")  # tid, s1, s2
@@ -67,6 +63,14 @@ _META_MAGIC = b"RJIDISK1"
 _META = struct.Struct("<8sIBIIIqqHII")
 _VARIANT_CODES = {"standard": 0, "ordered": 1}
 _VARIANT_NAMES = {code: name for name, code in _VARIANT_CODES.items()}
+
+
+def _corrupt_region(key: float, n_bytes: int) -> CorruptPageError:
+    """The error for a region payload that is not whole records."""
+    return CorruptPageError(
+        f"region at key {key:.6g}: payload of {n_bytes} bytes is not "
+        "a whole, non-empty number of records"
+    )
 
 
 @dataclass(frozen=True)
@@ -98,50 +102,6 @@ class DiskQueryStats:
     tuples_evaluated: int = 0
 
 
-@dataclass(frozen=True)
-class IndexVerifyReport:
-    """What :meth:`DiskRankedJoinIndex.verify` found.
-
-    ``ok`` means every region payload was readable and well-formed and
-    no page failed its checksum.  ``tombstones`` counts regions an
-    earlier :meth:`~DiskRankedJoinIndex.repair` already marked
-    unrecoverable (they are *expected* to be unreadable and do not fail
-    verification on their own).
-    """
-
-    n_regions: int
-    n_readable: int
-    tombstones: int
-    corrupt_pages: tuple[int, ...]
-    unreadable_keys: tuple[float, ...]
-    digest_ok: bool
-    errors: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.corrupt_pages
-            and not self.unreadable_keys
-            and not self.errors
-            and self.digest_ok
-            and self.n_readable + self.tombstones == self.n_regions
-        )
-
-
-@dataclass(frozen=True)
-class RepairReport:
-    """What :meth:`DiskRankedJoinIndex.repair` salvaged and what it lost."""
-
-    n_regions: int
-    n_salvaged: int
-    lost_keys: tuple[float, ...]
-    walk_complete: bool
-
-    @property
-    def fully_recovered(self) -> bool:
-        return self.n_salvaged == self.n_regions and self.walk_complete
-
-
 class DiskRankedJoinIndex:
     """A Ranked Join Index answering queries from its on-page image."""
 
@@ -164,53 +124,28 @@ class DiskRankedJoinIndex:
         records["s2"] = store.s2
         bounds = store.offsets.tolist()
         keys: list[float] = store.lo.tolist()
-        payloads = [
-            records[bounds[i] : bounds[i + 1]].tobytes()
-            for i in range(len(store))
-        ]
-        self._init_from_payloads(
-            k_bound=index.k_bound,
-            variant=index.variant,
-            n_dominating=len(index.dominating),
-            keys=keys,
-            payloads=payloads,
-            page_size=page_size,
-            buffer_capacity=buffer_capacity,
-            cache_size=cache_size,
-            recorder=recorder,
+        self._init_reader(
+            index.k_bound, index.variant, recorder, cache_size, False
         )
-
-    def _init_from_payloads(
-        self,
-        *,
-        k_bound: int,
-        variant: str,
-        n_dominating: int,
-        keys: Sequence[float],
-        payloads: Sequence[bytes],
-        page_size: int,
-        buffer_capacity: int,
-        cache_size: int = 0,
-        recorder: Recorder,
-    ) -> None:
-        """Lay out keyed region payloads onto a fresh pager image."""
-        self._init_reader(k_bound, variant, recorder, cache_size, False)
         self.pager = Pager(page_size, recorder=recorder)
         # Page 0 is the metadata page (filled in last, once layout is known).
         self.pager.allocate()
         self._heap = HeapFile(self.pager)
-        addresses = [self._heap.append(payload) for payload in payloads]
+        addresses = [
+            self._heap.append(records[bounds[i] : bounds[i + 1]].tobytes())
+            for i in range(len(store))
+        ]
         self._heap.finish()
         heap_pages = self._heap.n_pages
 
-        self._btree = BPlusTree.bulk_load(self.pager, list(keys), addresses)
+        self._btree = BPlusTree.bulk_load(self.pager, keys, addresses)
         self.pool = BufferPool(self.pager, capacity=buffer_capacity)
         self.stats = DiskIndexStats(
             page_size=page_size,
             btree_pages=self._btree.n_pages,
             heap_pages=heap_pages,
             n_regions=len(keys),
-            n_dominating=n_dominating,
+            n_dominating=len(index.dominating),
         )
         self.last_query = DiskQueryStats()
         self._write_metadata()
@@ -274,7 +209,6 @@ class DiskRankedJoinIndex:
         *,
         buffer_capacity: int = 16,
         recorder: Recorder = NULL_RECORDER,
-        salvage: bool = False,
         mmap: bool = False,
         cache_size: int = 0,
     ) -> "DiskRankedJoinIndex":
@@ -282,27 +216,27 @@ class DiskRankedJoinIndex:
 
         The in-memory :class:`RankedJoinIndex` is *not* reconstructed;
         the reopened object answers queries directly from its pages.
-        Corruption raises the typed errors of the storage taxonomy;
-        ``salvage=True`` instead marks damaged pages and opens whatever
-        is intact so :meth:`verify` / :meth:`repair` can run (the
-        metadata page itself must be readable — an index whose page 0
-        is gone is unrecoverable by this API).
+        The eager open reads and verifies every byte of the file:
+        truncation raises :class:`~repro.errors.TornWriteError`, a page
+        CRC or whole-file digest mismatch
+        :class:`~repro.errors.CorruptPageError`.
 
         ``mmap=True`` opens zero-copy through
         :class:`~repro.storage.pager.MappedPager`: only the file header
-        is validated up front, page CRCs are checked lazily on first
-        touch, and region payloads are served as read-only views over
-        the mapping instead of deserialized copies — O(1) open time in
-        the number of pages.  Salvage implies the eager load (it wants
-        every page checked up front), so ``salvage=True`` ignores
-        ``mmap``.  ``cache_size`` > 0 attaches a hot-region descent
-        cache (see :class:`~repro.core.hotcache.HotRegionCache`).
+        and length are validated up front, page CRCs are checked lazily
+        on first touch (a damaged page fails the queries that read it,
+        and no other), and region payloads are served as read-only views
+        over the mapping instead of deserialized copies — O(1) open time
+        in the number of pages.  The whole-file digest is then checked
+        only by :meth:`MappedPager.verify_digest
+        <repro.storage.pager.MappedPager.verify_digest>`.
+        ``cache_size`` > 0 attaches a hot-region descent cache (see
+        :class:`~repro.core.hotcache.HotRegionCache`).
         """
-        mapped = mmap and not salvage
-        if mapped:
+        if mmap:
             pager: Pager = MappedPager.map(path, recorder=recorder)
         else:
-            pager = Pager.load(path, salvage=salvage)
+            pager = Pager.load(path)
         pager.recorder = recorder
         header = pager.read(0).read_bytes(0, _META.size)
         try:
@@ -328,7 +262,7 @@ class DiskRankedJoinIndex:
 
         instance = cls.__new__(cls)
         instance._init_reader(
-            k_bound, _VARIANT_NAMES[variant_code], recorder, cache_size, mapped
+            k_bound, _VARIANT_NAMES[variant_code], recorder, cache_size, mmap
         )
         instance.pager = pager
         instance._heap = HeapFile.attach(
@@ -432,8 +366,8 @@ class DiskRankedJoinIndex:
         :class:`~repro.core.deadline.Deadline` or a budget in seconds —
         is checked cooperatively at the descent and evaluation phase
         boundaries (:class:`~repro.errors.QueryTimeoutError` past
-        expiry); on a repaired index, a probe landing in an
-        unrecoverable region raises
+        expiry).  A page of the region that fails its CRC, or a region
+        payload that is empty or not a whole number of records, raises
         :class:`~repro.errors.CorruptPageError`.
         """
         view = self._delta or NO_DELTA
@@ -472,21 +406,16 @@ class DiskRankedJoinIndex:
             else:
                 payload = self._heap.read(address, self.pool)
             pages_read = self.pager.counters.reads - reads_before
-        if len(payload) == 0:
-            # Tombstone left by repair(): the region's payload was lost.
-            raise CorruptPageError(
-                f"query at angle {preference.angle:.6g} fell in the "
-                f"unrecoverable region starting at {key:.6g} "
-                "(tombstoned by repair)"
-            )
+        unpack, size = _TUPLE_RECORD.unpack_from, _TUPLE_RECORD.size
+        n_rows, ragged = divmod(len(payload), size)
+        if ragged or not n_rows:
+            raise _corrupt_region(key, len(payload))
         if deadline is not None:
             deadline.check("disk.materialize")
         # RankedJoinIndex._top_k over the page payload: decode only the
         # records that can reach the top k + n_charged (the region's cut,
         # derived from its page rows on first touch), then rank them.
         p1, p2 = preference.p1, preference.p2
-        unpack, size = _TUPLE_RECORD.unpack_from, _TUPLE_RECORD.size
-        n_rows = len(payload) // size
         plain, ordered = view.is_transparent, self.variant == "ordered"
         if ordered:  # stored in answer order: no cut, no sort
             positions: Sequence[int] = range(min(k, n_rows) if plain else n_rows)
@@ -540,144 +469,23 @@ class DiskRankedJoinIndex:
                     self.recorder.count("rji.cache.evictions")
         return results
 
-    # -- verification and recovery ------------------------------------------
-
-    def verify(self) -> IndexVerifyReport:
-        """Walk the whole on-page image and report its integrity.
-
-        Reads every B+-tree entry and every region payload through the
-        buffer pool, collecting — instead of raising — the typed
-        corruption errors, so one pass maps the full extent of the
-        damage.  This method and :meth:`repair` are the sanctioned
-        handlers of :class:`~repro.errors.CorruptPageError` /
-        :class:`~repro.errors.TornWriteError` in the storage layer.
-        """
-        # The mapped pager skips the whole-file digest at open; check it
-        # here (one pass, cached) so verify keeps the eager guarantees.
-        digest_check = getattr(self.pager, "verify_digest", None)
-        digest_ok = (
-            digest_check()
-            if digest_check is not None
-            else self.pager.digest_ok
-        )
-        corrupt: set[int] = set(self.pager.corrupt_pages)
-        errors: list[str] = []
-        unreadable: list[float] = []
-        n_readable = 0
-        tombstones = 0
-        entries: list[tuple[float, int]] = []
-        try:
-            for entry in self._btree.iter_entries(self.pool):
-                entries.append(entry)
-        except StorageError as exc:
-            errors.append(f"b+-tree walk failed: {exc}")
-            if isinstance(exc, CorruptPageError) and exc.page_id is not None:
-                corrupt.add(exc.page_id)
-        for key, address in entries:
-            try:
-                payload = self._heap.read(address, self.pool)
-            except StorageError as exc:
-                unreadable.append(key)
-                if (
-                    isinstance(exc, CorruptPageError)
-                    and exc.page_id is not None
-                ):
-                    corrupt.add(exc.page_id)
-                continue
-            if len(payload) == 0:
-                tombstones += 1
-            elif len(payload) % _TUPLE_RECORD.size:
-                unreadable.append(key)
-                errors.append(
-                    f"region at key {key:.6g}: payload of {len(payload)} "
-                    "bytes is not a whole number of records"
-                )
-            else:
-                n_readable += 1
-        return IndexVerifyReport(
-            n_regions=self.stats.n_regions,
-            n_readable=n_readable,
-            tombstones=tombstones,
-            corrupt_pages=tuple(sorted(corrupt)),
-            unreadable_keys=tuple(unreadable),
-            digest_ok=digest_ok,
-            errors=tuple(errors),
-        )
-
-    def repair(
+    def query_batch(
         self,
+        preferences: Sequence[PreferenceLike],
+        k: int,
         *,
-        page_size: int | None = None,
-        buffer_capacity: int = 16,
-        recorder: Recorder | None = None,
-    ) -> tuple["DiskRankedJoinIndex", RepairReport]:
-        """Salvage every intact region into a fresh index image.
+        deadline: DeadlineLike = None,
+    ) -> list[list[QueryResult]]:
+        """:meth:`query` for each preference, in order.
 
-        Returns the repaired index plus a report of what was lost.
-        Unreadable regions are kept as *tombstones* — zero-byte payloads
-        under their original keys — so a later query that lands in one
-        raises :class:`~repro.errors.CorruptPageError` instead of being
-        silently served a neighbour's tuples.  If the B+-tree walk
-        itself broke partway, everything after the last enumerated key
-        is unknown; a tombstone is placed immediately after it so the
-        salvaged prefix never over-serves.  Raises
-        :class:`~repro.errors.CorruptPageError` when nothing at all is
-        salvageable.
+        The contract of :meth:`RankedJoinIndex.query_batch
+        <repro.core.index.RankedJoinIndex.query_batch>`: ``k`` is checked
+        up front (an empty batch with a bad ``k`` still raises) and one
+        ``deadline`` budget covers the whole batch.
         """
-        keys: list[float] = []
-        payloads: list[bytes] = []
-        lost_keys: list[float] = []
-        walk_complete = True
-        iterator = self._btree.iter_entries(self.pool)
-        while True:
-            try:
-                key, address = next(iterator)
-            except StopIteration:
-                break
-            except StorageError:
-                walk_complete = False
-                break
-            try:
-                payload = self._heap.read(address, self.pool)
-                if len(payload) % _TUPLE_RECORD.size:
-                    raise CorruptPageError(
-                        f"region at key {key:.6g}: ragged payload"
-                    )
-            except StorageError:
-                payload = b""
-            keys.append(key)
-            payloads.append(payload)
-            if not payload:
-                lost_keys.append(key)
-        if not walk_complete and keys:
-            # The extent of the last salvaged region is unknown; fence
-            # it off immediately to its right.
-            fence = math.nextafter(keys[-1], math.inf)
-            keys.append(fence)
-            payloads.append(b"")
-            lost_keys.append(fence)
-        if not any(payloads):
-            raise CorruptPageError(
-                "repair found no salvageable region payloads"
-            )
-        repaired = DiskRankedJoinIndex.__new__(DiskRankedJoinIndex)
-        repaired._init_from_payloads(
-            k_bound=self.k_bound,
-            variant=self.variant,
-            n_dominating=self.stats.n_dominating,
-            keys=keys,
-            payloads=payloads,
-            page_size=page_size or self.pager.page_size,
-            buffer_capacity=buffer_capacity,
-            recorder=self.recorder if recorder is None else recorder,
-        )
-        report = RepairReport(
-            n_regions=self.stats.n_regions,
-            n_salvaged=len(keys) - len(lost_keys),
-            lost_keys=tuple(lost_keys),
-            walk_complete=walk_complete,
-        )
-        return repaired, report
+        (self._delta or NO_DELTA).check_k(k, self.k_bound)
+        deadline = Deadline.of(deadline)
+        return [self.query(p, k, deadline=deadline) for p in preferences]
 
     # -- accounting --------------------------------------------------------
 
@@ -686,22 +494,28 @@ class DiskRankedJoinIndex:
         """Total space of index plus data pages (Figure 16's metric)."""
         return self.stats.total_bytes
 
+    def _payloads(self):
+        """Yield ``(start_angle, payload, n_tuples)`` for every region, in
+        order; an empty or ragged payload raises ``CorruptPageError``."""
+        for key, address in self._btree.iter_entries(self.pool):
+            payload = self._heap.read(address, self.pool)
+            n_rows, ragged = divmod(len(payload), _TUPLE_RECORD.size)
+            if ragged or not n_rows:
+                raise _corrupt_region(key, len(payload))
+            yield key, payload, n_rows
+
     def _indexed_tuples(self) -> np.ndarray:
         """One record per distinct tuple of the image: its regions' union."""
         records = np.frombuffer(
-            b"".join(
-                self._heap.read(address, self.pool)
-                for _, address in self._btree.iter_entries(self.pool)
-            ),
+            b"".join(payload for _, payload, _ in self._payloads()),
             dtype=_RECORD_DTYPE,
         )
         return records[np.unique(records["tid"], return_index=True)[1]]
 
     def iter_regions(self):
         """Yield ``(start_angle, n_tuples)`` for every region, in order."""
-        for key, address in self._btree.iter_entries(self.pool):
-            payload = self._heap.read(address, self.pool)
-            yield key, len(payload) // _TUPLE_RECORD.size
+        for key, _, n_rows in self._payloads():
+            yield key, n_rows
 
     def describe(self) -> str:
         """A structural report read back from the on-page image."""

@@ -192,10 +192,6 @@ class Pager:
         # torn or corrupted pages surface as errors instead of silently
         # wrong answers.
         self._checksums: list[int] = []
-        #: Pages a salvage load found damaged; reading one raises.
-        self.corrupt_pages: set[int] = set()
-        #: False when a salvage load saw a whole-file digest mismatch.
-        self.digest_ok: bool = True
         #: Fault-injection hook (None = unarmed; see repro.faults).
         self.faults = None
         self.counters = IOCounters()
@@ -221,8 +217,7 @@ class Pager:
         """Read and checksum-verify a page (one physical read).
 
         Raises :class:`~repro.errors.CorruptPageError` when the image
-        fails its checksum (bit rot, injected corruption, or a page a
-        salvage load already marked damaged).
+        fails its checksum (bit rot or injected corruption).
         """
         self._check_id(page_id)
         image = self._verify(page_id, self._pages[page_id])
@@ -237,11 +232,6 @@ class Pager:
         self.counters.reads += 1
         if self.recorder.enabled:
             self.recorder.count("pager.reads", 1, {"page": page_id})
-        if page_id in self.corrupt_pages:
-            raise CorruptPageError(
-                f"page {page_id} was marked corrupt by a salvage load",
-                page_id=page_id,
-            )
         if self.faults is not None:
             image = self.faults.on_pager_read(page_id, bytes(image))
         if zlib.crc32(image) != self._checksums[page_id]:
@@ -268,7 +258,6 @@ class Pager:
             stored = self.faults.on_pager_write(page_id, image)
         self._pages[page_id] = stored
         self._checksums[page_id] = zlib.crc32(image)
-        self.corrupt_pages.discard(page_id)
 
     def _check_id(self, page_id: int) -> None:
         if not 0 <= page_id < len(self._pages):
@@ -311,24 +300,19 @@ class Pager:
         )
 
     @classmethod
-    def load(cls, path: str | Path, *, salvage: bool = False) -> "Pager":
+    def load(cls, path: str | Path) -> "Pager":
         """Reopen a paged file (either format); every persisted byte is
         verified.
 
         Truncation raises :class:`~repro.errors.TornWriteError`; any
         checksum or digest failure raises
         :class:`~repro.errors.CorruptPageError` naming the damaged page
-        where attributable.  With ``salvage=True`` page-level damage is
-        *recorded* instead of raised — damaged ids land in
-        :attr:`corrupt_pages` (reading one still raises) so the
-        recovery API (:meth:`DiskRankedJoinIndex.repair`) can keep the
-        intact pages.  A page cut off the end of the file is padded with
-        zeros and marked, and so is a page whose CRC slot is missing.
+        where attributable.
         """
         path = Path(path)
         raw = path.read_bytes()
         layout = _read_layout(raw, path)
-        if len(raw) < layout.end and not salvage:
+        if len(raw) < layout.end:
             raise TornWriteError(
                 f"{path} is truncated "
                 f"(expected {layout.end} bytes, found {len(raw)})"
@@ -338,31 +322,20 @@ class Pager:
         for page_id in range(layout.n_pages):
             offset = layout.start + page_id * size
             image = raw[offset : offset + size]
-            # A CRC slot is present only if every image is whole.
-            intact = (
-                page_id < len(checksums)
-                and zlib.crc32(image) == checksums[page_id]
-            )
-            if not intact:
-                if not salvage:
-                    raise CorruptPageError(
-                        f"{path}: checksum mismatch on page {page_id}",
-                        page_id=page_id,
-                    )
-                pager.corrupt_pages.add(page_id)
-                image = image.ljust(size, b"\0")
+            if zlib.crc32(image) != checksums[page_id]:
+                raise CorruptPageError(
+                    f"{path}: checksum mismatch on page {page_id}",
+                    page_id=page_id,
+                )
             pager._pages.append(image)
         pager._checksums = list(checksums)
-        pager._checksums += [0] * (layout.n_pages - len(checksums))
         if layout.digest is not None and layout.digest != zlib.crc32(
             memoryview(raw)[layout.start : layout.end]
         ):
-            if not salvage:
-                raise CorruptPageError(
-                    f"{path}: whole-file digest mismatch "
-                    "(corruption outside any single page)"
-                )
-            pager.digest_ok = False
+            raise CorruptPageError(
+                f"{path}: whole-file digest mismatch "
+                "(corruption outside any single page)"
+            )
         return pager
 
 
@@ -386,9 +359,8 @@ class MappedPager(Pager):
     Re-touching a verified page is a memory hit and counts nothing.
 
     The mapping is immutable: :meth:`write` and :meth:`allocate` raise
-    :class:`~repro.errors.StorageError`.  It is never salvaged:
-    salvage stays on the eager :meth:`Pager.load` path (salvage wants
-    every page checked up front), as do format-1 files.
+    :class:`~repro.errors.StorageError`.  Format-1 files stay on the
+    eager :meth:`Pager.load` path.
     """
 
     def __init__(
@@ -403,7 +375,7 @@ class MappedPager(Pager):
         self._data_start = 0
         self._verified: set[int] = set()
         self._digest = 0
-        self._digest_checked = False
+        self._digest_ok: bool | None = None
 
     @classmethod
     def map(
@@ -528,16 +500,16 @@ class MappedPager(Pager):
     def verify_digest(self) -> bool:
         """Check the whole-file digest (the eager load's final check).
 
-        O(file size), so it runs on demand (``DiskRankedJoinIndex.
-        verify``) rather than at open; the verdict is cached and mirrored
-        into :attr:`digest_ok`.
+        O(file size), so it runs on demand rather than at open; the
+        verdict is cached.  It is the one whole-file check a mapped image
+        has: damage the page CRCs cannot localize (swapped pages, a
+        flipped byte in the checksum block) shows only here.
         """
-        if not self._digest_checked:
+        if self._digest_ok is None:
             assert self._mm_view is not None
             running = zlib.crc32(self._mm_view[self._data_start :])
-            self.digest_ok = running == self._digest
-            self._digest_checked = True
-        return self.digest_ok
+            self._digest_ok = running == self._digest
+        return self._digest_ok
 
     def save(self, path: str | Path) -> None:
         """Save the mapped file byte for byte through :func:`atomic_write`:

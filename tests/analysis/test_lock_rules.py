@@ -129,7 +129,6 @@ class TestRealTreeStaysClean:
                 "src/repro/obs/metrics.py",
                 "src/repro/obs/log.py",
                 "src/repro/storage/buffer.py",
-                "src/repro/storage/resilient.py",
                 "src/repro/faults/inject.py",
             )
         ]

@@ -1,13 +1,13 @@
-"""The chaos contract: correct, typed error, or degraded — never wrong.
+"""The chaos contract: correct or a typed error — never wrong.
 
 Every fault plan, applied to any workload, must leave each query in one
-of exactly three states:
+of exactly two states:
 
-1. bit-identical correct results (served from disk, possibly after
-   retries, or degraded to the in-memory scalar path);
-2. a typed :class:`~repro.errors.ReproError` subclass;
-3. nothing else.  A plausible-but-wrong top-k answer is the one
-   unacceptable outcome, and what this suite exists to catch.
+1. bit-identical correct results, served from disk;
+2. a typed :class:`~repro.errors.ReproError` subclass.
+
+A plausible-but-wrong top-k answer is the one unacceptable outcome, and
+what this suite exists to catch.
 """
 
 import threading
@@ -28,11 +28,6 @@ from repro.faults import (
     builtin_plan,
 )
 from repro.storage.diskindex import DiskRankedJoinIndex
-from repro.storage.resilient import (
-    CircuitBreaker,
-    ResilientDiskRankedJoinIndex,
-    RetryPolicy,
-)
 
 N_TUPLES = 400
 K_BOUND = 10
@@ -84,7 +79,7 @@ CHAOS_PLANS = [
 @pytest.mark.parametrize("plan", CHAOS_PLANS, ids=lambda p: p.name)
 class TestChaosContract:
     def test_bare_disk_is_correct_or_typed_error(self, population, plan):
-        """Without resilience: every outcome is correct or a typed error."""
+        """Every outcome is correct or a typed error."""
         _, index, angles, expected = population
         disk = _fresh_disk(index)
         arm(plan, disk_index=disk, sleep=lambda _: None)
@@ -102,29 +97,6 @@ class TestChaosContract:
                 )
                 outcomes["ok"] += 1
         assert sum(outcomes.values()) == len(angles)
-
-    def test_resilient_with_fallback_is_always_correct(
-        self, population, plan
-    ):
-        """With a fallback, every answer is bit-identical to the scalar
-        path — faults cost latency and counters, never correctness."""
-        _, index, angles, expected = population
-        disk = _fresh_disk(index)
-        arm(plan, disk_index=disk, sleep=lambda _: None)
-        disk.pool.clear()
-        resilient = ResilientDiskRankedJoinIndex(
-            disk,
-            index,
-            retry=RetryPolicy(seed=plan.seed, base_delay_s=0.0),
-            breaker=CircuitBreaker(failure_threshold=3, cooldown_s=0.001),
-            sleep=lambda _: None,
-        )
-        for angle, want in zip(angles, expected):
-            assert resilient.query(float(angle), K_QUERY) == want
-        health = resilient.health()
-        assert (
-            health.disk_queries + health.degraded_queries == len(angles)
-        )
 
     def test_replay_is_deterministic(self, population, plan):
         """The same plan over the same workload injects the same faults."""

@@ -118,16 +118,13 @@ class TestQueries:
     def test_explain_on_a_served_disk_image_is_typed(self, index):
         # What `repro serve` serves: the disk tier has no explain.
         from repro.storage.diskindex import DiskRankedJoinIndex
-        from repro.storage.resilient import ResilientDiskRankedJoinIndex
 
         disk = DiskRankedJoinIndex(index, cache_size=4)
-        service = ResilientDiskRankedJoinIndex(disk)
-        with QueryServer(service, port=0) as srv:
+        with QueryServer(disk, port=0) as srv:
             with Client(*srv.address) as client:
                 assert client.query(0.5, 3) == index.query(0.5, 3)
                 with pytest.raises(InvalidQueryError, match="explain"):
                     client.explain(0.5, 3)
-                # The resilience layer forwards the disk tier's cache.
                 assert client.stats()["cache"]["misses"] == 1
 
     @pytest.mark.parametrize(

@@ -1,14 +1,14 @@
-"""Self-verifying storage: checksums, atomic saves, salvage and repair.
+"""Self-verifying storage: checksums, atomic saves, typed damage.
 
 The regression contract (docs/RELIABILITY.md): a single flipped byte
 anywhere in a saved index file is *detected* — served as a typed
 :class:`~repro.errors.CorruptPageError`, never as a silently wrong
 answer — and a truncated file raises
 :class:`~repro.errors.TornWriteError`, not ``struct.error`` or
-``IndexError``.
+``IndexError``.  Damage behind valid checksums (a ragged region
+payload, a broken leaf chain) is refused typed where it is read.
 """
 
-import bisect
 import math
 import struct
 import zlib
@@ -25,8 +25,9 @@ from repro.errors import (
 )
 from repro.faults import FaultyFile
 from repro.storage.diskindex import DiskRankedJoinIndex
-from repro.storage.pager import FORMAT_VERSION, Pager
+from repro.storage.pager import FORMAT_VERSION, MappedPager, Pager
 from repro.storage.pages import Page
+from repro.storage.wal import WriteAheadLog
 
 
 @pytest.fixture()
@@ -42,15 +43,15 @@ def saved_index(tmp_path):
     return index, disk, path
 
 
-@pytest.fixture()
-def small_pages(tmp_path):
+@pytest.fixture(params=["standard", "ordered"])
+def small_pages(tmp_path, request):
     # 256-byte pages: about one page per region and 15 keys per leaf,
     # so the tree has several leaves to break.
     rng = np.random.default_rng(7)
     tuples = RankTupleSet.from_pairs(
         rng.uniform(0, 100, 300), rng.uniform(0, 100, 300)
     )
-    index = RankedJoinIndex.build(tuples, 8)
+    index = RankedJoinIndex.build(tuples, 8, variant=request.param)
     disk = DiskRankedJoinIndex(index, page_size=256)
     path = tmp_path / "index.rji"
     disk.save(path)
@@ -116,9 +117,15 @@ class TestFlippedByte:
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptPageError, match="digest mismatch"):
             Pager.load(path)
-        salvaged = Pager.load(path, salvage=True)
-        assert salvaged.corrupt_pages == set()
-        assert salvaged.digest_ok is False
+        # Every page of the mapped image checksums clean; only the
+        # whole-file digest, checked on demand, sees the swap.
+        mapped = MappedPager.map(path)
+        try:
+            for page_id in range(n_pages):
+                mapped.touch(page_id)
+            assert mapped.verify_digest() is False
+        finally:
+            mapped.close()
 
     def test_single_bit_flip_is_detected(self, saved_index):
         _, disk, path = saved_index
@@ -160,17 +167,12 @@ class TestTruncation:
         with pytest.raises(StorageError, match="version 99"):
             Pager.load(path)
 
-
-class TestSalvageOfACutFile:
-    """Salvage pads a page cut off the end of the file and marks it, and
-    marks a page whose CRC slot is cut off, in both formats: repair keeps
-    only pages that still checksum clean."""
-
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("cut", ["pages", "checksums"])
-    def test_cut_pages_are_padded_and_marked(
-        self, saved_index, tmp_path, version, cut
-    ):
+    def test_cut_files_are_torn(self, saved_index, tmp_path, version, cut):
+        """A file cut inside a page image or inside the checksum block
+        fails the open, in both formats; a format-2 file fails the
+        zero-copy open too."""
         _, disk, path = saved_index
         start = _HEADER_BYTES
         if version == 1:
@@ -179,29 +181,15 @@ class TestSalvageOfACutFile:
             start = 16
         size, n_pages = disk.pager.page_size, disk.pager.n_pages
         if cut == "pages":  # page 2 is cut short; no CRC slot is left
-            keep, intact = start + 2 * size + size // 2, 0
+            keep = start + 2 * size + size // 2
         else:  # three whole CRC slots and half of the fourth are left
-            keep, intact = start + n_pages * size + 4 * 3 + 2, 3
+            keep = start + n_pages * size + 4 * 3 + 2
         FaultyFile(path).truncate(keep)
         with pytest.raises(TornWriteError, match="truncated"):
-            Pager.load(path)
-        salvaged = Pager.load(path, salvage=True)
-        assert salvaged.corrupt_pages == set(range(intact, n_pages))
-        assert salvaged.digest_ok is (version == 1)  # format 1 has none
-        for page_id in range(intact):
-            assert (
-                salvaged.read(page_id).to_bytes()
-                == disk.pager.read(page_id).to_bytes()
-            )
-        with pytest.raises(CorruptPageError, match="salvage"):
-            salvaged.read(n_pages - 1)
-        # Every page was padded to full size, and a re-save does not
-        # launder the marked pages into clean ones.
-        resaved = tmp_path / "resaved.rji"
-        salvaged.save(resaved)
-        assert resaved.stat().st_size == _HEADER_BYTES + n_pages * (size + 4)
-        with pytest.raises(CorruptPageError):
-            Pager.load(resaved)
+            DiskRankedJoinIndex.open(path)
+        if version == 2:
+            with pytest.raises(TornWriteError, match="truncated"):
+                DiskRankedJoinIndex.open(path, mmap=True)
 
 
 class TestAtomicSave:
@@ -261,203 +249,74 @@ class TestLegacyFormat:
             DiskRankedJoinIndex.open(legacy)
 
 
-class TestSalvageVerifyRepair:
-    def _corrupt_heap_page(self, disk, path, page_id=2):
-        FaultyFile(path).flip_byte(
-            _HEADER_BYTES + page_id * disk.pager.page_size + 64
-        )
-
-    def test_salvage_marks_pages_instead_of_raising(self, saved_index):
-        _, disk, path = saved_index
-        self._corrupt_heap_page(disk, path)
-        salvaged = DiskRankedJoinIndex.open(path, salvage=True)
-        assert salvaged.pager.corrupt_pages == {2}
-        assert salvaged.pager.digest_ok is False
-
-    def test_reading_a_marked_page_raises(self, saved_index):
-        _, disk, path = saved_index
-        self._corrupt_heap_page(disk, path)
-        salvaged = DiskRankedJoinIndex.open(path, salvage=True)
-        with pytest.raises(CorruptPageError, match="salvage"):
-            salvaged.pager.read(2)
-
-    def test_verify_reports_damage(self, saved_index):
-        index, disk, path = saved_index
-        clean = DiskRankedJoinIndex.open(path)
-        report = clean.verify()
-        assert report.ok
-        assert report.n_regions == index.n_regions
-        self._corrupt_heap_page(disk, path)
-        damaged = DiskRankedJoinIndex.open(path, salvage=True).verify()
-        assert not damaged.ok
-        assert 2 in damaged.corrupt_pages
-        assert damaged.unreadable_keys
-        assert not damaged.digest_ok
-
-    def test_repair_salvages_intact_regions(self, saved_index):
-        index, disk, path = saved_index
-        self._corrupt_heap_page(disk, path)
-        salvaged = DiskRankedJoinIndex.open(path, salvage=True)
-        repaired, report = salvaged.repair()
-        assert 0 < report.n_salvaged < report.n_regions
-        assert report.lost_keys
-        assert not report.fully_recovered
-        served = errors = 0
-        for angle in np.linspace(0.01, 1.55, 60):
-            try:
-                got = repaired.query(float(angle), 5)
-            except CorruptPageError:
-                errors += 1
-            else:
-                assert got == index.query(float(angle), 5)
-                served += 1
-        assert served > 0 and errors > 0
-
-    def test_repaired_index_persists_and_reopens(self, saved_index, tmp_path):
-        _, disk, path = saved_index
-        self._corrupt_heap_page(disk, path)
-        salvaged = DiskRankedJoinIndex.open(path, salvage=True)
-        repaired, _ = salvaged.repair()
-        out = tmp_path / "repaired.rji"
-        repaired.save(out)
-        reopened = DiskRankedJoinIndex.open(out)
-        assert reopened.verify().ok
-
-    def test_repair_of_clean_index_recovers_everything(self, saved_index):
-        index, _, path = saved_index
-        clean = DiskRankedJoinIndex.open(path, salvage=True)
-        repaired, report = clean.repair()
-        assert report.fully_recovered
-        assert report.n_salvaged == report.n_regions == index.n_regions
-        for angle in np.linspace(0.01, 1.55, 30):
-            assert repaired.query(float(angle), 5) == index.query(
-                float(angle), 5
-            )
-
-    @pytest.mark.parametrize("damage", ["ragged", "walk"])
-    def test_damage_behind_valid_checksums(self, small_pages, damage):
-        """A region payload that is not a whole number of records, and a
-        leaf chain that breaks partway, in an image whose every checksum
-        is valid: verify reports them, repair tombstones or fences."""
-        _, disk, path = small_pages
-        if damage == "ragged":  # the first record, at heap address 0
-            _edit_page(path, 1, lambda p: p.write_u32(0, p.read_u32(0) - 1))
-        else:  # the first leaf's next pointer leaves the file
-            first_leaf = 1 + disk.stats.heap_pages
-            _edit_page(
-                path,
-                first_leaf,
-                lambda p: p.write_i64(p.size - 8, 10**6),
-            )
-        report = DiskRankedJoinIndex.open(path).verify()
-        assert not report.ok
-        assert report.digest_ok and not report.corrupt_pages
-        if damage == "ragged":
-            assert report.unreadable_keys == (0.0,)
-            assert "not a whole number of records" in report.errors[0]
-        else:
-            assert report.errors[0].startswith("b+-tree walk failed")
-            assert 0 < report.n_readable < report.n_regions
-        _, repaired = DiskRankedJoinIndex.open(path).repair()
-        assert repaired.walk_complete is (damage == "ragged")
-        assert repaired.lost_keys
-        if damage == "ragged":
-            assert repaired.lost_keys == (0.0,)
-
-    def test_mapped_verify_names_a_broken_leaf(self, small_pages):
-        _, disk, path = small_pages
-        second_leaf = 1 + disk.stats.heap_pages + 1
-        FaultyFile(path).flip_byte(
-            _HEADER_BYTES + second_leaf * disk.pager.page_size + 64
-        )
-        mapped = DiskRankedJoinIndex.open(path, mmap=True)
-        try:
-            report = mapped.verify()
-        finally:
-            mapped.pager.close()
-        assert report.corrupt_pages == (second_leaf,)
-        assert report.errors[0].startswith("b+-tree walk failed")
-        assert 0 < report.n_readable < report.n_regions
-
-    def test_repair_with_nothing_salvageable_raises(self, saved_index):
-        _, disk, path = saved_index
-        original = path.read_bytes()
-        mutated = bytearray(original)
-        # Damage every heap page (pages 1..heap_pages hold the payloads).
-        for page_id in range(1, disk.stats.heap_pages + 1):
-            mutated[_HEADER_BYTES + page_id * disk.pager.page_size + 8] ^= 0xFF
-        path.write_bytes(bytes(mutated))
-        salvaged = DiskRankedJoinIndex.open(path, salvage=True)
-        with pytest.raises(CorruptPageError, match="no salvageable"):
-            salvaged.repair()
+def _recover_with_one_insert(path, tmp_path, mmap):
+    """Recover ``path`` with a one-insert WAL: the replay reads every
+    region (``_indexed_tuples``) to rebase the delta."""
+    wal = WriteAheadLog(tmp_path / "wal", fsync=False)
+    wal.append_insert(9000, 99.5, 99.5)
+    wal.commit()
+    wal.close()
+    return DiskRankedJoinIndex.recover(path, tmp_path / "wal", mmap=mmap)
 
 
-def _assert_salvage_exact(repaired, index, lost_keys):
-    """On, and one float either side of, every key of a repaired image
-    and at both axes, for every k: a salvaged region answers the
-    in-memory index's bits, a lost one raises.  Each region's in-region
-    cut is bounded by the next key, a tombstone or fence included."""
-    keys = [key for key, _ in repaired._btree.iter_entries(repaired.pool)]
-    probes = {0.0, math.pi / 2}
-    for key in keys:
-        probes |= {key, math.nextafter(key, -1.0), math.nextafter(key, 2.0)}
-    served = lost = 0
-    for angle in sorted(p for p in probes if 0.0 <= p <= math.pi / 2):
-        region_key = keys[bisect.bisect_right(keys, angle) - 1]
-        for k in range(1, index.k_bound + 1):
-            if region_key in lost_keys:
-                with pytest.raises(CorruptPageError, match="unrecoverable"):
-                    repaired.query(angle, k)
-                lost += 1
-            else:
-                got = repaired.query(angle, k)
-                want = index.query(angle, k)
-                assert [(r.tid, r.score.hex()) for r in got] == [
-                    (r.tid, r.score.hex()) for r in want
-                ], (angle, k)
-                served += 1
-    assert served and lost
+class TestValidChecksumDamage:
+    """An image whose every checksum and digest is valid can still be
+    damaged; each kind is refused with a typed error where it is read,
+    by both variants and both opens, and no query answers wrongly."""
 
-
-class TestRepairedImagesAnswerExactly:
-    """The disk tier's cut takes each region's upper bound from the
-    B+-tree descent; on a repaired image that bound may be a tombstone's
-    key or the fence placed past a broken walk."""
-
-    def _repair(self, disk, path, page_id, tmp_path):
-        FaultyFile(path).flip_byte(
-            _HEADER_BYTES + page_id * disk.pager.page_size + 64
-        )
-        repaired, report = DiskRankedJoinIndex.open(path, salvage=True).repair()
-        out = tmp_path / "repaired.rji"
-        repaired.save(out)
-        return repaired, DiskRankedJoinIndex.open(out, mmap=True), report
-
-    def test_tombstone_mid_image(self, small_pages, tmp_path):
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    def test_ragged_payload_is_typed(
+        self, small_pages, tmp_path, mmap
+    ):
         index, disk, path = small_pages
-        middle = 1 + disk.stats.heap_pages // 2
-        repaired, mapped, report = self._repair(disk, path, middle, tmp_path)
-        assert report.walk_complete and report.lost_keys
+        # Cut the first record (region 0, heap address 0) by one byte.
+        _edit_page(path, 1, lambda p: p.write_u32(0, p.read_u32(0) - 1))
+        opened = DiskRankedJoinIndex.open(path, mmap=mmap)
         try:
-            for subject in (repaired, mapped):
-                _assert_salvage_exact(subject, index, set(report.lost_keys))
+            hi = float(index.store.lo[1])
+            for angle in np.linspace(0.0, hi, 20, endpoint=False):
+                for k in range(1, index.k_bound + 1):
+                    with pytest.raises(CorruptPageError, match="whole"):
+                        opened.query(float(angle), k)
+            for angle in np.linspace(hi, math.pi / 2, 21)[1:]:
+                assert opened.query(float(angle), 5) == index.query(
+                    float(angle), 5
+                )
+            with pytest.raises(CorruptPageError, match="whole"):
+                list(opened.iter_regions())
+            with pytest.raises(CorruptPageError, match="whole"):
+                opened.describe()
         finally:
-            mapped.pager.close()
+            if mmap:
+                opened.pager.close()
+        with pytest.raises(CorruptPageError, match="whole"):
+            _recover_with_one_insert(path, tmp_path, mmap)
 
-    def test_broken_walk_is_fenced(self, small_pages, tmp_path):
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    def test_broken_chain_is_typed(self, small_pages, mmap):
         index, disk, path = small_pages
         assert disk.stats.btree_pages >= 3  # a root over several leaves
-        second_leaf = 1 + disk.stats.heap_pages + 1
-        repaired, mapped, report = self._repair(disk, path, second_leaf, tmp_path)
-        assert not report.walk_complete
-        fence = report.lost_keys[-1]
-        salvaged = report.n_salvaged
-        assert fence == math.nextafter(index.store.lo[salvaged - 1], math.inf)
+        first_leaf = 1 + disk.stats.heap_pages
+        # The first leaf's next pointer leaves the file.
+        _edit_page(path, first_leaf, lambda p: p.write_i64(p.size - 8, 10**6))
+        opened = DiskRankedJoinIndex.open(path, mmap=mmap)
         try:
-            for subject in (repaired, mapped):
-                _assert_salvage_exact(subject, index, set(report.lost_keys))
+            with pytest.raises(StorageError, match="out of range"):
+                list(opened.iter_regions())
+            with pytest.raises(StorageError, match="out of range"):
+                opened.describe()
+            served = 0
+            for angle in np.linspace(0.0, math.pi / 2, 60):
+                try:
+                    got = opened.query(float(angle), 5)
+                except StorageError:
+                    continue
+                assert got == index.query(float(angle), 5)
+                served += 1
+            assert served
         finally:
-            mapped.pager.close()
+            if mmap:
+                opened.pager.close()
 
 
 class TestMappedLazyVerification:
@@ -485,30 +344,20 @@ class TestMappedLazyVerification:
             mapped.pager.close()
 
     def test_mapped_verify_finds_damage_eagerly(self, saved_index):
+        """The whole-file digest sees a flipped byte in a page no query
+        has touched yet."""
         _, disk, path = saved_index
         FaultyFile(path).flip_byte(
             _HEADER_BYTES + 2 * disk.pager.page_size + 64
         )
         mapped = DiskRankedJoinIndex.open(path, mmap=True)
         try:
-            report = mapped.verify()
-            assert not report.ok
-            assert not report.digest_ok
+            assert mapped.pager.counters.reads == 0
+            assert mapped.pager.verify_digest() is False
+            with pytest.raises(CorruptPageError, match="checksum"):
+                mapped.pager.touch(2)
         finally:
             mapped.pager.close()
-
-    def test_salvage_implies_eager_load(self, saved_index):
-        """mmap + salvage falls back to the eager pager: salvage wants
-        every page checked up front to mark the broken ones."""
-        _, disk, path = saved_index
-        FaultyFile(path).flip_byte(
-            _HEADER_BYTES + 2 * disk.pager.page_size + 64
-        )
-        salvaged = DiskRankedJoinIndex.open(path, salvage=True, mmap=True)
-        assert salvaged.pager.corrupt_pages == {2}
-        from repro.storage.pager import MappedPager
-
-        assert not isinstance(salvaged.pager, MappedPager)
 
     def test_v1_file_cannot_be_mapped(self, saved_index, tmp_path):
         _, disk, _ = saved_index

@@ -16,7 +16,6 @@ from repro.core.tuples import RankTupleSet
 from repro.errors import CorruptPageError, StorageError
 from repro.storage.diskindex import DiskRankedJoinIndex
 from repro.storage.pager import MappedPager
-from repro.storage.resilient import ResilientDiskRankedJoinIndex
 
 
 def _uniform(n, seed=0):
@@ -71,10 +70,11 @@ class TestEquivalence:
         finally:
             disk.pager.close()
 
-    def test_verify_walks_the_mapping(self, mapped):
-        report = mapped.verify()
-        assert report.ok
-        assert report.digest_ok
+    def test_verify_walks_the_mapping(self, saved, mapped):
+        _, index, _ = saved
+        assert mapped.pager.verify_digest()
+        widths = [n for _, n in mapped.iter_regions()]
+        assert widths == np.diff(index.store.offsets).tolist()
 
     def test_save_roundtrip_from_mapped(self, saved, mapped, tmp_path):
         _, index, _ = saved
@@ -121,9 +121,8 @@ class TestReadOnlySafety:
         view = mapped._heap.read_view(address, mapped.pager)
         before = bytes(view)
 
-        serving = ResilientDiskRankedJoinIndex(mapped)
         prefs = _prefs(40, seed=4)
-        batch = serving.query_batch(prefs, 6)
+        batch = mapped.query_batch(prefs, 6)
         assert batch == [index.query(p, 6) for p in prefs]
         # The earlier view still reads the same bytes: queries never
         # mutate or remap the shared mapping.

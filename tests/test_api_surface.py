@@ -48,7 +48,6 @@ PACKAGES = [
     "repro.bench.chaos",
     "repro.bench.serve",
     "repro.core.deadline",
-    "repro.storage.resilient",
     "repro.serve",
     "repro.serve.client",
     "repro.serve.protocol",
@@ -100,7 +99,6 @@ def test_every_public_callable_has_a_docstring():
 
 def test_error_hierarchy():
     from repro.errors import (
-        CircuitOpenError,
         ConstructionError,
         CorruptPageError,
         InvalidPreferenceError,
@@ -120,7 +118,6 @@ def test_error_hierarchy():
     )
 
     for exc in (
-        CircuitOpenError,
         ConstructionError,
         CorruptPageError,
         InvalidPreferenceError,
@@ -143,7 +140,6 @@ def test_error_hierarchy():
     assert issubclass(QueryTimeoutError, QueryError)
     assert issubclass(QueryError, ValueError)
     for exc in (
-        CircuitOpenError,
         CorruptPageError,
         TornWriteError,
         TransientStorageError,
@@ -176,7 +172,6 @@ def front_doors():
     from repro.core.index import RankedJoinIndex
     from repro.core.writepath import WritableRankedJoinIndex, as_pool
     from repro.storage.diskindex import DiskRankedJoinIndex
-    from repro.storage.resilient import ResilientDiskRankedJoinIndex
 
     tuples = _tuples()
     index = RankedJoinIndex.build(tuples, 10)
@@ -188,9 +183,7 @@ def front_doors():
         "WritableRankedJoinIndex(index, pool)": WritableRankedJoinIndex(
             index, as_pool(tuples)
         ),
-        "ResilientDiskRankedJoinIndex": ResilientDiskRankedJoinIndex(
-            DiskRankedJoinIndex(index)
-        ),
+        "DiskRankedJoinIndex": DiskRankedJoinIndex(index),
     }
 
 
@@ -213,17 +206,11 @@ def test_front_doors_agree_bit_identically(front_doors):
 
 def test_canonical_query_signature(front_doors):
     """Every front-door takes (preference, k, *, deadline=None, ...)."""
-    from repro.storage.diskindex import DiskRankedJoinIndex
-
     methods = [
         (name, method)
         for name, service in front_doors.items()
         for method in (service.query, service.query_batch)
     ]
-    # The bare disk tier has no query_batch, but its query is a front
-    # door too (the resilient wrapper forwards ``deadline`` to it).
-    disk = DiskRankedJoinIndex(front_doors["RankedJoinIndex"])
-    methods.append(("DiskRankedJoinIndex", disk.query))
     for name, method in methods:
         params = list(inspect.signature(method).parameters.values())
         assert params[0].name in ("preference", "preferences"), name

@@ -10,7 +10,9 @@ Two halves:
   ``repro.core.concurrent``), retired into ``repro.core.writepath``,
   and the modules no serving path calls, which left ``repro.core`` and
   ``repro.storage`` for ``repro.baselines``, ``repro.datagen`` and
-  ``repro.bench`` (``repro.core.inspect`` was deleted outright);
+  ``repro.bench`` (``repro.core.inspect`` was deleted outright, and so
+  was ``repro.storage.resilient``: ``repro serve`` serves the bare disk
+  index);
 * the serving wrappers' legacy ``timeout=`` query keyword served its
   one deprecation release (it warned and forwarded to ``deadline=``)
   and is now *retired*: the query signatures accept only the canonical
@@ -29,7 +31,6 @@ from repro.core.index import RankedJoinIndex
 from repro.core.tuples import RankTupleSet
 from repro.core.writepath import WritableRankedJoinIndex, as_pool
 from repro.storage.diskindex import DiskRankedJoinIndex
-from repro.storage.resilient import ResilientDiskRankedJoinIndex
 
 RETIRED = {
     "repro.core.single": ("repro.relalg.topk", "TopKSelectionIndex"),
@@ -46,6 +47,8 @@ RETIRED = {
     # Deleted, not moved: ``repro index-describe`` reads the disk
     # index's own ``describe()``.
     "repro.core.inspect": ("repro.storage.diskindex", "DiskRankedJoinIndex"),
+    # Deleted, not moved: ``repro serve`` serves the bare disk index.
+    "repro.storage.resilient": ("repro.storage.diskindex", "DiskRankedJoinIndex"),
 }
 
 
@@ -96,7 +99,7 @@ def test_serving_packages_no_longer_reexport_what_moved():
         repro.storage: [
             "advise_k", "AdvisorReport", "CandidateReport",
             "ResilientDiskRankedJoinIndex", "RetryPolicy", "CircuitBreaker",
-            "HealthSnapshot",
+            "HealthSnapshot", "IndexVerifyReport", "RepairReport",
         ],
     }
     for package, names in moved.items():
@@ -140,20 +143,19 @@ def _tuples(n=200, seed=0):
 
 @pytest.fixture(scope="module")
 def wrappers():
-    """One instance of each serving wrapper that once accepted timeout=."""
+    """One instance of each served index whose front door once accepted
+    timeout=."""
     tuples = _tuples()
     return {
         "concurrent": WritableRankedJoinIndex(
             RankedJoinIndex.build(tuples, 10), as_pool(tuples)
         ),
         "managed": WritableRankedJoinIndex.build(tuples, 10),
-        "resilient": ResilientDiskRankedJoinIndex(
-            DiskRankedJoinIndex(RankedJoinIndex.build(tuples, 10))
-        ),
+        "disk": DiskRankedJoinIndex(RankedJoinIndex.build(tuples, 10)),
     }
 
 
-@pytest.mark.parametrize("name", ["concurrent", "managed", "resilient"])
+@pytest.mark.parametrize("name", ["concurrent", "managed", "disk"])
 def test_timeout_kwarg_is_retired(wrappers, name):
     """The one-release policy completed: timeout= now fails loudly."""
     service = wrappers[name]
@@ -161,7 +163,7 @@ def test_timeout_kwarg_is_retired(wrappers, name):
         service.query((2.0, 1.0), 5, timeout=30.0)
 
 
-@pytest.mark.parametrize("name", ["concurrent", "managed", "resilient"])
+@pytest.mark.parametrize("name", ["concurrent", "managed", "disk"])
 def test_timeout_kwarg_is_retired_on_query_batch(wrappers, name):
     service = wrappers[name]
     with pytest.raises(TypeError, match="timeout"):
